@@ -23,7 +23,7 @@ use alex_core::{LinkSpace, SpaceConfig};
 use alex_datagen::{generate_pair, Domain, Flavor, GeneratedPair, PairConfig, SideConfig};
 use alex_linking::Paris;
 use alex_sim::{
-    jaccard_tokens, levenshtein_dp, myers_levenshtein, string_similarity, BatchScorer,
+    jaccard_tokens, levenshtein_dp, myers_levenshtein, score_batch, string_similarity,
     PreparedCorpus, PreparedText, TokenInterner,
 };
 
@@ -131,10 +131,10 @@ fn bench_kernels(c: &mut Criterion) {
         for i in 0..100 {
             corpus.push(&format!("Candidate Entity Number {i}"), &mut interner);
         }
-        let scorer = BatchScorer::new("Candidate Entity Number 42", &mut interner);
+        let probe = PreparedText::prepare("Candidate Entity Number 42", &mut interner);
         b.iter(|| {
             let mut out = Vec::with_capacity(100);
-            scorer.score_batch(black_box(&corpus), &mut out);
+            score_batch(&probe, black_box(&corpus), &mut out);
             black_box(out);
         })
     });
@@ -213,10 +213,10 @@ fn write_snapshot() {
         corpus.push(cand, &mut interner);
     }
     let probe = "Candidate Entity Number 42";
-    let scorer = BatchScorer::new(probe, &mut interner);
+    let prepared_probe = PreparedText::prepare(probe, &mut interner);
     let batch_ns = mean_ns(200, || {
         let mut out = Vec::with_capacity(100);
-        scorer.score_batch(&corpus, &mut out);
+        score_batch(&prepared_probe, &corpus, &mut out);
         black_box(out);
     });
     let naive_ns = mean_ns(200, || {

@@ -1,7 +1,7 @@
 //! Enabled-mode timeline overhead guard: with the recorder on, span
-//! recording stays under 5% of the episode loop. The measured numbers are
-//! written to `BENCH_trace.json` at the repo root so the cost shows up in
-//! review diffs.
+//! recording stays under 5% of the episode loop. It asserts and writes
+//! nothing: BENCH files are written only by `cargo bench`, so the last
+//! committed `BENCH_trace.json` stays as its run recorded it.
 //!
 //! Lives in its own test binary: it flips the global recorder on, which
 //! must not interleave with the disabled-cost measurement in
@@ -49,10 +49,8 @@ fn enabled_timeline_overhead_is_under_five_percent_of_episode_loop() {
     let episode_time = start.elapsed();
     let episodes = run.run.episodes.len().max(1) as u32;
 
-    let traces = timeline::drain();
+    let _ = timeline::drain();
     timeline::disable();
-    let recorded: u64 = traces.iter().map(|t| t.events.len() as u64).sum();
-    let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
 
     // Same generous over-estimate as the disabled guard: bound the spans
     // one episode can open by episode_size * 12, even though spans sit at
@@ -60,26 +58,6 @@ fn enabled_timeline_overhead_is_under_five_percent_of_episode_loop() {
     let ops_per_episode = (workload.alex.episode_size as u32) * 12;
     let overhead = per_span * ops_per_episode * episodes;
     let limit = episode_time.mul_f64(0.05);
-    let overhead_pct = 100.0 * overhead.as_secs_f64() / episode_time.as_secs_f64();
-
-    let json = format!(
-        "{{\n  \"bench\": \"trace_overhead\",\n  \
-         \"enabled_span_ns\": {span_ns},\n  \
-         \"episodes\": {episodes},\n  \
-         \"episode_loop_us\": {loop_us},\n  \
-         \"est_spans_per_episode\": {ops_per_episode},\n  \
-         \"est_enabled_overhead_pct\": {overhead_pct:.3},\n  \
-         \"bound_pct\": 5.0,\n  \
-         \"events_recorded\": {recorded},\n  \
-         \"events_dropped\": {dropped}\n}}\n",
-        span_ns = per_span.as_nanos(),
-        loop_us = episode_time.as_micros(),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => eprintln!("could not write {out}: {e}"),
-    }
 
     assert!(
         overhead < limit,

@@ -2,8 +2,10 @@
 //!
 //! The larger (left) data set is split round-robin — "the i-th entity is in
 //! partition i mod n" — and feature sets are generated between each
-//! partition and the whole smaller data set. Partitions are independent, so
-//! they run in parallel threads. Each global episode's feedback budget is
+//! partition and the whole smaller data set, all from one shared
+//! preparation of both sides ([`PreparedSides`]). Partitions are
+//! independent, so their episode rounds run in parallel threads. Each
+//! global episode's feedback budget is
 //! split across partitions in proportion to their candidate counts (feedback
 //! is "directed to all partitions"); metrics are aggregated over the union
 //! of the partitions' candidate sets.
@@ -19,7 +21,7 @@ use crate::config::AlexConfig;
 use crate::driver::StopReason;
 use crate::feedback::OracleFeedback;
 use crate::metrics::{EpisodeReport, Quality};
-use crate::space::{LinkSpace, PairId, SpaceConfig};
+use crate::space::{LinkSpace, PairId, PreparedSides, SpaceConfig};
 
 /// Configuration for a partitioned run.
 #[derive(Debug, Clone)]
@@ -179,9 +181,26 @@ pub fn run_partitioned(
     let run_span = span("improve_partitioned");
     let n = cfg.partitions;
 
+    // One preparation for every partition: the spaces share its indexes
+    // and prepared values, and each keeps its `id % n` slice of the blocked
+    // candidates. Partitions build one after another, each spread over the
+    // `space_build` pool.
+    let spaces: Vec<LinkSpace> = {
+        let _s = span("build_spaces");
+        let sides = PreparedSides::new(left, right, &cfg.space.blocking);
+        (0..n)
+            .map(|i| {
+                let space_cfg = SpaceConfig {
+                    partition: Some((i, n)),
+                    ..cfg.space.clone()
+                };
+                LinkSpace::from_prepared(&sides, &space_cfg)
+            })
+            .collect()
+    };
+
     // Global id mapping (identical in every partition's space).
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
+    let (left_index, right_index) = (spaces[0].left_index(), spaces[0].right_index());
     let to_ids = |pairs: &[(Term, Term)]| -> Vec<(u32, u32)> {
         pairs
             .iter()
@@ -190,27 +209,6 @@ pub fn run_partitioned(
     };
     let initial_ids = to_ids(initial);
     let truth_ids: HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-
-    // Build spaces in parallel, one per partition.
-    let spaces: Vec<LinkSpace> = {
-        let _s = span("build_spaces");
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let mut space_cfg = cfg.space.clone();
-                    space_cfg.partition = Some((i, n));
-                    s.spawn(move || LinkSpace::build(left, right, &space_cfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        })
-    };
 
     // Assemble partition states.
     let mut states: Vec<PartitionState> = spaces

@@ -13,10 +13,13 @@
 //! feature `f` lies in `[v − step, v + step]`" — is served by per-feature
 //! arrays sorted by score (binary search, output-linear).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use alex_linking::{candidate_pairs, BlockingConfig};
 use alex_rdf::{Dataset, EntityIndex, Term};
+use alex_sim::TokenInterner;
 
 use crate::feature::{FeatureCatalog, FeatureId, FeatureSet};
 use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
@@ -49,14 +52,53 @@ impl Default for SpaceConfig {
     }
 }
 
+/// Everything a link-space build reads that does not depend on θ or the
+/// partition: both entity indexes, both sides' prepared attribute values
+/// (built against one shared [`TokenInterner`]), and the blocked candidate
+/// pairs. Build it once and derive any number of spaces from it with
+/// [`LinkSpace::from_prepared`]; the spaces share the indexes and values.
+#[derive(Debug)]
+pub struct PreparedSides {
+    left_index: Arc<EntityIndex>,
+    right_index: Arc<EntityIndex>,
+    left_values: Arc<SideValues>,
+    right_values: Arc<SideValues>,
+    /// The blocking that produced `candidates`.
+    blocking: BlockingConfig,
+    candidates: Vec<(u32, u32)>,
+}
+
+impl PreparedSides {
+    /// Index, prepare and block a pair of data sets.
+    pub fn new(left: &Dataset, right: &Dataset, blocking: &BlockingConfig) -> PreparedSides {
+        let left_index = left.entity_index();
+        let right_index = right.entity_index();
+        // One interner spans both sides: the interned-Jaccard kernel
+        // compares token ids across data sets, so both must intern into
+        // the same id space.
+        let mut interner = TokenInterner::new();
+        let left_values = SideValues::build(left, &left_index, &mut interner);
+        let right_values = SideValues::build(right, &right_index, &mut interner);
+        let candidates = candidate_pairs(left, &left_index, right, &right_index, blocking);
+        PreparedSides {
+            left_index: Arc::new(left_index),
+            right_index: Arc::new(right_index),
+            left_values: Arc::new(left_values),
+            right_values: Arc::new(right_values),
+            blocking: *blocking,
+            candidates,
+        }
+    }
+}
+
 /// The filtered space of candidate links.
 #[derive(Debug, Clone)]
 pub struct LinkSpace {
     catalog: FeatureCatalog,
-    left_index: EntityIndex,
-    right_index: EntityIndex,
-    left_values: SideValues,
-    right_values: SideValues,
+    left_index: Arc<EntityIndex>,
+    right_index: Arc<EntityIndex>,
+    left_values: Arc<SideValues>,
+    right_values: Arc<SideValues>,
     pairs: Vec<(u32, u32)>,
     pair_lookup: HashMap<(u32, u32), PairId>,
     features: Vec<FeatureSet>,
@@ -69,21 +111,36 @@ pub struct LinkSpace {
 impl LinkSpace {
     /// Build the space for a pair of data sets.
     pub fn build(left: &Dataset, right: &Dataset, cfg: &SpaceConfig) -> LinkSpace {
-        let left_index = left.entity_index();
-        let right_index = right.entity_index();
-        // One interner spans both sides: the interned-Jaccard kernel
-        // compares token ids across data sets, so both must intern into
-        // the same id space.
-        let mut interner = alex_sim::TokenInterner::new();
-        let left_values = SideValues::build(left, &left_index, &mut interner);
-        let right_values = SideValues::build(right, &right_index, &mut interner);
+        LinkSpace::from_prepared(&PreparedSides::new(left, right, &cfg.blocking), cfg)
+    }
 
-        let mut candidates = candidate_pairs(left, &left_index, right, &right_index, &cfg.blocking);
-        if let Some((i, n)) = cfg.partition {
-            assert!(n > 0 && i < n, "partition index out of range");
-            candidates.retain(|&(l, _)| l as usize % n == i);
-        }
+    /// Build the space from sides prepared once, keeping the candidates of
+    /// `cfg.partition` (all of them when `None`) and the feature sets that
+    /// survive `cfg.theta`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.blocking` differs from the blocking `sides` was prepared
+    /// with: the candidates were blocked then and cannot be re-blocked.
+    pub fn from_prepared(sides: &PreparedSides, cfg: &SpaceConfig) -> LinkSpace {
+        assert_eq!(
+            cfg.blocking, sides.blocking,
+            "space config blocking differs from the prepared sides' blocking"
+        );
+        let candidates: Cow<'_, [(u32, u32)]> = match cfg.partition {
+            Some((i, n)) => {
+                assert!(n > 0 && i < n, "partition index out of range");
+                sides
+                    .candidates
+                    .iter()
+                    .copied()
+                    .filter(|&(l, _)| l as usize % n == i)
+                    .collect()
+            }
+            None => Cow::Borrowed(&sides.candidates),
+        };
         let blocked_pairs = candidates.len();
+        let (left_values, right_values) = (&sides.left_values, &sides.right_values);
 
         // Similarity is the O(pairs × attrs²) hot loop: workers compute
         // catalog-free raw feature sets for candidate chunks, then the
@@ -114,10 +171,10 @@ impl LinkSpace {
             .collect();
         let mut space = LinkSpace {
             catalog,
-            left_index,
-            right_index,
-            left_values,
-            right_values,
+            left_index: Arc::clone(&sides.left_index),
+            right_index: Arc::clone(&sides.right_index),
+            left_values: Arc::clone(left_values),
+            right_values: Arc::clone(right_values),
             pairs,
             pair_lookup,
             features,
@@ -457,6 +514,40 @@ mod tests {
             total += LinkSpace::build(&left, &right, &cfg).len();
         }
         assert_eq!(total, full.len());
+    }
+
+    #[test]
+    fn spaces_from_shared_sides_equal_standalone_builds() {
+        let (left, right) = datasets();
+        let sides = PreparedSides::new(&left, &right, &BlockingConfig::default());
+        for partition in [None, Some((0, 3)), Some((1, 3)), Some((2, 3))] {
+            let cfg = SpaceConfig {
+                partition,
+                ..SpaceConfig::default()
+            };
+            let shared = LinkSpace::from_prepared(&sides, &cfg);
+            let alone = LinkSpace::build(&left, &right, &cfg);
+            assert_eq!(shared.fingerprint(), alone.fingerprint(), "{partition:?}");
+            assert_eq!(shared.blocked_pairs(), alone.blocked_pairs());
+            for id in alone.pair_ids() {
+                assert_eq!(shared.feature_set_of(id), alone.feature_set_of(id));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared sides' blocking")]
+    fn from_prepared_rejects_other_blocking() {
+        let (left, right) = datasets();
+        let sides = PreparedSides::new(&left, &right, &BlockingConfig::default());
+        let cfg = SpaceConfig {
+            blocking: BlockingConfig {
+                min_shared_tokens: 2,
+                ..BlockingConfig::default()
+            },
+            ..SpaceConfig::default()
+        };
+        let _ = LinkSpace::from_prepared(&sides, &cfg);
     }
 
     #[test]

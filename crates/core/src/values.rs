@@ -88,9 +88,10 @@ mod tests {
             .iter()
             .any(|(_, v)| matches!(v.value(), TypedValue::Text(s) if s == "Alpha")));
         // Text values arrive pre-tokenized with interned ids.
-        assert!(attrs
-            .iter()
-            .any(|(_, v)| v.text().is_some_and(|t| !t.token_ids().is_empty())));
+        assert!(attrs.iter().any(|(_, v)| {
+            matches!(v.value(), TypedValue::Text(s) if s == "Alpha")
+                && !v.text().token_ids().is_empty()
+        }));
         assert!(!interner.is_empty());
     }
 

@@ -7,8 +7,8 @@
 
 use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{
-    prepared_similarity, term_similarity, typed_value, BatchScorer, PreparedCorpus, PreparedText,
-    PreparedValue, TokenInterner, TypedValue,
+    best_in, prepared_similarity, term_similarity, typed_value, PreparedCorpus, PreparedValue,
+    TokenInterner, TypedValue,
 };
 
 use crate::blocking::{candidate_pairs, BlockingConfig};
@@ -35,9 +35,9 @@ impl Default for LabelBaseline {
 impl LabelBaseline {
     /// Link `left` and `right` by best literal-value similarity.
     ///
-    /// Each left entity's text literals become probes — one precompiled
-    /// [`BatchScorer`] apiece — swept over each right entity's text
-    /// literals packed in a [`PreparedCorpus`]; remaining literal pairs go
+    /// Each left entity's prepared text literals are probes, swept with
+    /// [`best_in`] over each right entity's text literals packed in a
+    /// [`PreparedCorpus`]; remaining literal pairs go
     /// through [`prepared_similarity`]. Scores are byte-identical to the
     /// naive per-pair [`best_literal_similarity`] oracle (tested below):
     /// the batch kernel equals `string_similarity`, and `max` is
@@ -74,13 +74,11 @@ impl LabelBaseline {
     }
 }
 
-/// A left entity's literal values, prepared once: a compiled batch scorer
-/// per text literal, plus every literal's [`PreparedValue`] for the mixed
-/// and non-text combinations.
+/// A left entity's literal values, prepared once: the text literals are
+/// batch probes, and every literal's [`PreparedValue`] serves the mixed and
+/// non-text combinations.
 struct ProbeEntity {
     values: Vec<PreparedValue>,
-    /// One scorer per `Text` entry of `values`, in the same order.
-    scorers: Vec<BatchScorer>,
 }
 
 /// A right entity's literal values, prepared once: its text literals
@@ -115,16 +113,9 @@ impl ProbeEntity {
         id: u32,
         interner: &mut TokenInterner,
     ) -> ProbeEntity {
-        let values = literal_values(ds, idx, id, interner);
-        let scorers = values
-            .iter()
-            .filter(|v| is_text(v))
-            .map(|v| {
-                let text = v.text().cloned().unwrap_or_else(PreparedText::default);
-                BatchScorer::from_prepared(text)
-            })
-            .collect();
-        ProbeEntity { values, scorers }
+        ProbeEntity {
+            values: literal_values(ds, idx, id, interner),
+        }
     }
 
     /// The best similarity between any literal of this entity and any
@@ -133,8 +124,8 @@ impl ProbeEntity {
     fn best_against(&self, cand: &CandidateEntity) -> f64 {
         let mut best = 0.0f64;
         // Text × text: batch kernel sweeps over the packed corpus.
-        for scorer in &self.scorers {
-            best = best.max(scorer.best_in(&cand.text_corpus));
+        for probe in self.values.iter().filter(|v| is_text(v)) {
+            best = best.max(best_in(probe.text(), &cand.text_corpus));
             if best >= 1.0 {
                 return 1.0;
             }
@@ -165,9 +156,7 @@ impl CandidateEntity {
         let values = literal_values(ds, idx, id, interner);
         let mut text_corpus = PreparedCorpus::new();
         for v in values.iter().filter(|v| is_text(v)) {
-            if let Some(text) = v.text() {
-                text_corpus.push_prepared(text);
-            }
+            text_corpus.push_prepared(v.text());
         }
         CandidateEntity {
             values,

@@ -12,7 +12,7 @@ use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::normalize;
 
 /// Blocking configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockingConfig {
     /// Tokens shorter than this are ignored.
     pub min_token_len: usize,

@@ -1,27 +1,22 @@
 //! Batch scoring: one probe string against an arena-packed candidate set.
 //!
 //! The naive label-matching loop calls [`crate::string_similarity`] per
-//! (probe, candidate) pair, re-normalizing and re-tokenizing the probe and
-//! rebuilding the Myers character-mask tables for its tokens on every call.
-//! [`BatchScorer`] derives the probe's state once — normalized form, token
-//! list, one precompiled [`MyersPattern`] per token, interned Jaccard ids —
-//! and [`BatchScorer::score_batch`] sweeps it across a [`PreparedCorpus`],
-//! an arena that packs every candidate's normalized text, token spans, and
-//! token ids into flat vectors (three allocations for the whole corpus
-//! instead of a few per candidate).
+//! (probe, candidate) pair, re-normalizing and re-tokenizing the probe on
+//! every call. A [`PreparedText`] holds the probe's state once — normalized
+//! form, token spans, interned Jaccard ids — and [`score_batch`] and
+//! [`best_in`] sweep it across a [`PreparedCorpus`], an arena that packs every
+//! candidate's normalized text, token spans, and token ids into flat
+//! vectors (three allocations for the whole corpus instead of a few per
+//! candidate).
 //!
 //! Scores are **byte-identical** to `string_similarity(probe, candidate)`
-//! (property-tested): the Monge-Elkan token matrix uses the same
-//! `(jaro_winkler + levenshtein_similarity) / 2` inner measure (Myers and
-//! the classic DP agree exactly, and IEEE-754 addition is commutative, so
-//! symmetry holds bitwise), and Jaccard over sorted interned id slices
-//! equals the `HashSet` formulation.
+//! (property-tested): each comparison runs the same prepared kernel as
+//! [`crate::prepared_string_similarity`].
 
 use alex_telemetry::counter;
 
-use crate::prepared::{jaccard_ids, PreparedText, TokenInterner};
-use crate::string::jaro_winkler;
-use crate::string::myers::MyersPattern;
+use crate::prepared::{view_similarity, PreparedText, TextView, TokenInterner};
+use crate::string::Tokens;
 
 /// An arena-packed set of prepared candidate strings.
 ///
@@ -63,12 +58,12 @@ impl PreparedCorpus {
         self.norms.push_str(prepared.norm());
         self.norm_spans.push((base, self.norms.len() as u32));
         let tok_start = self.token_spans.len() as u32;
-        let norm_base = prepared.norm().as_ptr() as usize;
-        for tok in prepared.tokens() {
-            let s = (tok.as_ptr() as usize - norm_base) as u32;
-            self.token_spans
-                .push((base + s, base + s + tok.len() as u32));
-        }
+        self.token_spans.extend(
+            prepared
+                .token_spans()
+                .iter()
+                .map(|&(s, e)| (base + s, base + e)),
+        );
         self.token_ranges
             .push((tok_start, self.token_spans.len() as u32));
         let id_start = self.token_ids.len() as u32;
@@ -106,124 +101,45 @@ impl PreparedCorpus {
         let (s, e) = self.id_ranges[i];
         &self.token_ids[s as usize..e as usize]
     }
+
+    fn view(&self, i: usize) -> TextView<'_> {
+        let (s, e) = self.token_ranges[i];
+        TextView {
+            norm: self.norm(i),
+            tokens: Tokens {
+                text: &self.norms,
+                spans: &self.token_spans[s as usize..e as usize],
+            },
+            ids: self.token_ids(i),
+        }
+    }
 }
 
-/// A probe string with all per-probe state derived once: normalized form,
-/// token list, a precompiled [`MyersPattern`] per token, and interned
-/// Jaccard ids.
-#[derive(Debug)]
-pub struct BatchScorer {
-    probe: PreparedText,
-    /// One compiled pattern per probe token, in token order.
-    patterns: Vec<MyersPattern>,
+/// Score `probe` against every entry of `corpus`, appending one score per
+/// candidate to `out` — each byte-identical to
+/// `string_similarity(probe_raw, candidate_raw)`.
+pub fn score_batch(probe: &PreparedText, corpus: &PreparedCorpus, out: &mut Vec<f64>) {
+    counter!("kernel_batch_total").inc();
+    let probe = probe.view();
+    out.extend((0..corpus.len()).map(|i| view_similarity(probe, corpus.view(i))));
 }
 
-impl BatchScorer {
-    /// Derive the probe's state from its raw string.
-    pub fn new(raw: &str, interner: &mut TokenInterner) -> BatchScorer {
-        BatchScorer::from_prepared(PreparedText::prepare(raw, interner))
-    }
-
-    /// Derive the probe's state from an already-prepared text.
-    pub fn from_prepared(probe: PreparedText) -> BatchScorer {
-        let patterns = probe.tokens().map(MyersPattern::new).collect();
-        BatchScorer { probe, patterns }
-    }
-
-    /// The prepared probe.
-    pub fn probe(&self) -> &PreparedText {
-        &self.probe
-    }
-
-    /// Score the probe against one prepared candidate — byte-identical to
-    /// `string_similarity(probe_raw, candidate_raw)`.
-    pub fn score(&self, candidate: &PreparedText) -> f64 {
-        let ct: Vec<&str> = candidate.tokens().collect();
-        self.score_parts(candidate.norm(), &ct, candidate.token_ids())
-    }
-
-    /// Score the probe against every entry of `corpus` (or the `range`
-    /// subset), appending one score per candidate to `out`.
-    pub fn score_batch(&self, corpus: &PreparedCorpus, out: &mut Vec<f64>) {
-        counter!("kernel_batch_total").inc();
-        let mut ct: Vec<&str> = Vec::new();
-        for i in 0..corpus.len() {
-            ct.clear();
-            ct.extend(corpus.tokens(i));
-            out.push(self.score_parts(corpus.norm(i), &ct, corpus.token_ids(i)));
-        }
-    }
-
-    /// Highest score of the probe against any corpus entry (0.0 for an
-    /// empty corpus), with the 1.0 short-circuit the naive loop also takes.
-    pub fn best_in(&self, corpus: &PreparedCorpus) -> f64 {
-        counter!("kernel_batch_total").inc();
-        let mut best = 0.0f64;
-        let mut ct: Vec<&str> = Vec::new();
-        for i in 0..corpus.len() {
-            ct.clear();
-            ct.extend(corpus.tokens(i));
-            let s = self.score_parts(corpus.norm(i), &ct, corpus.token_ids(i));
-            if s > best {
-                best = s;
-                if best >= 1.0 {
-                    break;
-                }
+/// Highest score of `probe` against any corpus entry (0.0 for an empty
+/// corpus), with the 1.0 short-circuit the naive loop also takes.
+pub fn best_in(probe: &PreparedText, corpus: &PreparedCorpus) -> f64 {
+    counter!("kernel_batch_total").inc();
+    let probe = probe.view();
+    let mut best = 0.0f64;
+    for i in 0..corpus.len() {
+        let s = view_similarity(probe, corpus.view(i));
+        if s > best {
+            best = s;
+            if best >= 1.0 {
+                break;
             }
         }
-        best
     }
-
-    /// The shared scoring core, mirroring `string_similarity` branch by
-    /// branch on pre-derived state.
-    fn score_parts(&self, cand_norm: &str, cand_tokens: &[&str], cand_ids: &[u32]) -> f64 {
-        if self.probe.norm() == cand_norm {
-            return 1.0;
-        }
-        let me = self.monge_elkan(cand_tokens);
-        (me * me).max(jaccard_ids(self.probe.token_ids(), cand_ids))
-    }
-
-    /// Symmetric Monge-Elkan against the candidate's tokens, reusing the
-    /// probe's compiled Myers patterns.
-    ///
-    /// `token_similarity(x, y)` is bitwise symmetric — Jaro-Winkler counts
-    /// matches/transpositions identically in both directions and IEEE
-    /// addition commutes; Levenshtein distance is an exact integer — so the
-    /// single matrix `sims[i][j] = token_similarity(probe_i, cand_j)`
-    /// serves both directions of `monge_elkan_tokens` bit-for-bit.
-    fn monge_elkan(&self, cand_tokens: &[&str]) -> f64 {
-        let na = self.patterns.len();
-        let nb = cand_tokens.len();
-        if na == 0 && nb == 0 {
-            return 1.0;
-        }
-        if na == 0 || nb == 0 {
-            return 0.0;
-        }
-        let cand_chars: Vec<usize> = cand_tokens.iter().map(|t| t.chars().count()).collect();
-        // Row maxima accumulate in-loop; column maxima need the full matrix
-        // only one row at a time.
-        let mut col_max = vec![0.0f64; nb];
-        let mut forward = 0.0f64;
-        for (i, pat) in self.patterns.iter().enumerate() {
-            let pi = self.probe_token(i);
-            let mut row_max = 0.0f64;
-            for (j, &cj) in cand_tokens.iter().enumerate() {
-                let sim = (jaro_winkler(pi, cj) + pat.similarity_to(cj, cand_chars[j])) / 2.0;
-                row_max = row_max.max(sim);
-                col_max[j] = col_max[j].max(sim);
-            }
-            forward += row_max;
-        }
-        let backward: f64 = col_max.iter().sum();
-        (forward / na as f64 + backward / nb as f64) / 2.0
-    }
-
-    fn probe_token(&self, i: usize) -> &str {
-        // tokens() yields in span order; patterns share that order.
-        self.probe.tokens().nth(i).unwrap_or("")
-    }
+    best
 }
 
 #[cfg(test)]
@@ -251,9 +167,9 @@ mod tests {
             corpus.push(c, &mut interner);
         }
         for probe in ["LeBron James", "", "New York Times", "cafe munchen"] {
-            let scorer = BatchScorer::new(probe, &mut interner);
+            let prepared = PreparedText::prepare(probe, &mut interner);
             let mut scores = Vec::new();
-            scorer.score_batch(&corpus, &mut scores);
+            score_batch(&prepared, &corpus, &mut scores);
             assert_eq!(scores.len(), CANDIDATES.len());
             for (cand, got) in CANDIDATES.iter().zip(&scores) {
                 let want = string_similarity(probe, cand);
@@ -269,11 +185,11 @@ mod tests {
         for c in CANDIDATES {
             corpus.push(c, &mut interner);
         }
-        let scorer = BatchScorer::new("LeBron James", &mut interner);
+        let probe = PreparedText::prepare("LeBron James", &mut interner);
         let mut scores = Vec::new();
-        scorer.score_batch(&corpus, &mut scores);
+        score_batch(&probe, &corpus, &mut scores);
         let max = scores.iter().cloned().fold(0.0f64, f64::max);
-        assert_eq!(scorer.best_in(&corpus), max);
+        assert_eq!(best_in(&probe, &corpus), max);
     }
 
     #[test]
@@ -296,10 +212,10 @@ mod tests {
         let mut interner = TokenInterner::new();
         let mut corpus = PreparedCorpus::new();
         corpus.push("x", &mut interner);
-        let scorer = BatchScorer::new("x", &mut interner);
+        let probe = PreparedText::prepare("x", &mut interner);
         let mut out = Vec::new();
-        scorer.score_batch(&corpus, &mut out);
-        scorer.score_batch(&corpus, &mut out);
+        score_batch(&probe, &corpus, &mut out);
+        score_batch(&probe, &corpus, &mut out);
         assert!(counter!("kernel_batch_total").get() >= before + 2);
     }
 
@@ -308,8 +224,8 @@ mod tests {
         let mut interner = TokenInterner::new();
         let mut corpus = PreparedCorpus::new();
         corpus.push("export probe", &mut interner);
-        let scorer = BatchScorer::new("export probe", &mut interner);
-        scorer.best_in(&corpus);
+        let probe = PreparedText::prepare("export probe", &mut interner);
+        best_in(&probe, &corpus);
         let text = alex_telemetry::global().metrics().render_prometheus();
         assert!(text.contains("# TYPE kernel_batch_total counter"), "{text}");
         assert!(

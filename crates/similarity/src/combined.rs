@@ -5,6 +5,8 @@
 //! (§4.1). It compares two [`TypedValue`]s — and, one level up, two RDF
 //! object terms resolved from their data sets — returning a score in [0, 1].
 
+use std::borrow::Cow;
+
 use alex_rdf::{Dataset, Term};
 
 use crate::date::{date_similarity, date_year_similarity, year_similarity};
@@ -60,15 +62,15 @@ pub fn value_similarity(a: &TypedValue, b: &TypedValue) -> f64 {
 }
 
 /// Render a typed value back to a comparable lexical form.
-fn render(v: &TypedValue) -> String {
+pub(crate) fn render(v: &TypedValue) -> Cow<'_, str> {
     match v {
-        TypedValue::Text(s) => s.clone(),
-        TypedValue::Integer(i) => i.to_string(),
-        TypedValue::Float(f) => f.to_string(),
-        TypedValue::Date(d) => format!("{:04}-{:02}-{:02}", d.year, d.month, d.day),
-        TypedValue::Year(y) => y.to_string(),
-        TypedValue::Boolean(b) => b.to_string(),
-        TypedValue::Iri(s) => iri_local_name(s).to_string(),
+        TypedValue::Text(s) => Cow::Borrowed(s),
+        TypedValue::Integer(i) => Cow::Owned(i.to_string()),
+        TypedValue::Float(f) => Cow::Owned(f.to_string()),
+        TypedValue::Date(d) => Cow::Owned(format!("{:04}-{:02}-{:02}", d.year, d.month, d.day)),
+        TypedValue::Year(y) => Cow::Owned(y.to_string()),
+        TypedValue::Boolean(b) => Cow::Owned(b.to_string()),
+        TypedValue::Iri(s) => Cow::Borrowed(iri_local_name(s)),
     }
 }
 

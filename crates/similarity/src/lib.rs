@@ -25,7 +25,7 @@ pub mod prepared;
 pub mod string;
 pub mod value;
 
-pub use batch::{BatchScorer, PreparedCorpus};
+pub use batch::{best_in, score_batch, PreparedCorpus};
 pub use combined::{term_similarity, value_similarity};
 pub use date::{date_similarity, date_year_similarity, year_similarity};
 pub use numeric::{boolean_similarity, relative_numeric, scaled_numeric};
@@ -34,8 +34,9 @@ pub use prepared::{
     TokenInterner,
 };
 pub use string::{
-    jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,
-    monge_elkan_jw, myers_levenshtein, ngram_dice, normalize, phonetic_token_similarity, soundex,
-    string_similarity, trigram_dice, MyersPattern,
+    jaccard_tokens, jaro, jaro_slice, jaro_winkler, jaro_winkler_slice, levenshtein,
+    levenshtein_dp, levenshtein_similarity, monge_elkan_jw, myers_levenshtein, myers_slice,
+    ngram_dice, normalize, phonetic_token_similarity, soundex, string_similarity, token_similarity,
+    trigram_dice, SLICE_MAX,
 };
 pub use value::{iri_local_name, sniff, typed_value, Date, TypedValue};

@@ -11,18 +11,19 @@
 //!   boundaries, and its *sorted, deduplicated* token-id set;
 //! * [`jaccard_ids`] computes token-set Jaccard by a linear merge of two
 //!   sorted id slices — no allocation, no hashing;
-//! * [`PreparedValue`] wraps a [`TypedValue`] with prepared text for the
-//!   string-compared kinds (`Text`, and an IRI's local name);
+//! * [`PreparedValue`] wraps a [`TypedValue`] with exactly one prepared
+//!   text: the lexical form `value_similarity` would compare as a string;
 //! * [`prepared_similarity`] scores two prepared values **byte-identically
-//!   to [`crate::value_similarity`]** on the raw values (property-tested),
-//!   taking the precomputed fast path for text↔text, text↔IRI, and
-//!   IRI↔IRI pairs and falling back to the generic dispatch for the cheap
-//!   numeric/temporal kinds.
+//!   to [`crate::value_similarity`]** on the raw values (property-tested)
+//!   for every pair of value kinds, and allocates nothing per comparison
+//!   of short ASCII tokens.
 
 use std::collections::HashMap;
 
-use crate::string::{monge_elkan_tokens, normalize, tokenize};
-use crate::value::{iri_local_name, TypedValue};
+use crate::combined::render;
+use crate::string::normalize::token_spans;
+use crate::string::{monge_elkan, normalize, tokenize, Tokens};
+use crate::value::{sniff, TypedValue};
 
 /// Interns normalized tokens as dense `u32` ids.
 ///
@@ -100,30 +101,24 @@ pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
 }
 
 /// A string prepared for repeated comparison: normalized once, tokenized
-/// once, token ids sorted once.
+/// once, token ids sorted once. Held in boxed slices, exactly sized: every
+/// literal of both sides keeps one for the whole run.
 #[derive(Debug, Clone, Default)]
 pub struct PreparedText {
-    norm: String,
+    norm: Box<str>,
     /// Byte ranges of tokens within `norm`.
-    token_spans: Vec<(u32, u32)>,
+    token_spans: Box<[(u32, u32)]>,
     /// Sorted, deduplicated ids of the tokens `jaccard_tokens` would see
     /// (i.e. the tokens of `normalize(norm)`, matching its re-normalizing
     /// behaviour exactly).
-    token_ids: Vec<u32>,
+    token_ids: Box<[u32]>,
 }
 
 impl PreparedText {
     /// Normalize and tokenize `raw`, interning its Jaccard tokens.
     pub fn prepare(raw: &str, interner: &mut TokenInterner) -> PreparedText {
         let norm = normalize(raw);
-        let base = norm.as_ptr() as usize;
-        let token_spans: Vec<(u32, u32)> = tokenize(&norm)
-            .into_iter()
-            .map(|tok| {
-                let start = tok.as_ptr() as usize - base;
-                (start as u32, (start + tok.len()) as u32)
-            })
-            .collect();
+        let token_spans = token_spans(&norm);
         // `jaccard_tokens(&norm, _)` re-normalizes its input; normalization
         // is idempotent for the common cases but the re-derived tokens are
         // what the oracle hashes, so intern exactly those.
@@ -135,9 +130,9 @@ impl PreparedText {
         token_ids.sort_unstable();
         token_ids.dedup();
         PreparedText {
-            norm,
-            token_spans,
-            token_ids,
+            norm: norm.into(),
+            token_spans: token_spans.into(),
+            token_ids: token_ids.into(),
         }
     }
 
@@ -153,41 +148,80 @@ impl PreparedText {
             .map(|&(s, e)| &self.norm[s as usize..e as usize])
     }
 
+    /// Byte ranges of the tokens within [`PreparedText::norm`], in order.
+    pub(crate) fn token_spans(&self) -> &[(u32, u32)] {
+        &self.token_spans
+    }
+
     /// Sorted, deduplicated token ids (the Jaccard set).
     pub fn token_ids(&self) -> &[u32] {
         &self.token_ids
     }
+
+    pub(crate) fn view(&self) -> TextView<'_> {
+        TextView {
+            norm: &self.norm,
+            tokens: Tokens {
+                text: &self.norm,
+                spans: &self.token_spans,
+            },
+            ids: &self.token_ids,
+        }
+    }
+}
+
+/// Borrowed prepared text: what [`PreparedText`] and a
+/// [`crate::PreparedCorpus`] entry both lend to the scoring core.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TextView<'a> {
+    pub(crate) norm: &'a str,
+    pub(crate) tokens: Tokens<'a>,
+    pub(crate) ids: &'a [u32],
+}
+
+/// The string similarity of two prepared texts, branch for branch
+/// [`crate::string_similarity`] on pre-derived state, allocating only
+/// where [`crate::token_similarity`] or Monge-Elkan's column buffer does.
+pub(crate) fn view_similarity(a: TextView<'_>, b: TextView<'_>) -> f64 {
+    if a.norm == b.norm {
+        return 1.0;
+    }
+    let me = monge_elkan(a.tokens, b.tokens);
+    (me * me).max(jaccard_ids(a.ids, b.ids))
 }
 
 /// Similarity of two prepared strings — byte-identical to
 /// [`crate::string_similarity`] on the raw strings.
 pub fn prepared_string_similarity(a: &PreparedText, b: &PreparedText) -> f64 {
-    if a.norm == b.norm {
-        return 1.0;
-    }
-    let ta: Vec<&str> = a.tokens().collect();
-    let tb: Vec<&str> = b.tokens().collect();
-    let me = monge_elkan_tokens(&ta, &tb);
-    (me * me).max(jaccard_ids(&a.token_ids, &b.token_ids))
+    view_similarity(a.view(), b.view())
 }
 
-/// A [`TypedValue`] with prepared text for the string-compared kinds.
+/// A [`TypedValue`] with its lexical form prepared for string comparison.
 #[derive(Debug, Clone)]
 pub struct PreparedValue {
     value: TypedValue,
-    /// `Text` values prepare their text; IRIs prepare their local name.
-    text: Option<PreparedText>,
+    /// The form [`crate::value_similarity`] compares as a string: the text
+    /// of a `Text` value, an IRI's local name, and the rendered lexical
+    /// form of every other kind.
+    text: PreparedText,
+    /// A `Text` value that [`sniff`] reads as another kind, so a comparison
+    /// with that kind is native rather than lexical.
+    sniffs_typed: bool,
 }
 
 impl PreparedValue {
     /// Prepare `value` for repeated comparison.
     pub fn prepare(value: TypedValue, interner: &mut TokenInterner) -> PreparedValue {
-        let text = match &value {
-            TypedValue::Text(s) => Some(PreparedText::prepare(s, interner)),
-            TypedValue::Iri(s) => Some(PreparedText::prepare(iri_local_name(s), interner)),
-            _ => None,
+        let text = PreparedText::prepare(&render(&value), interner);
+        let sniffs_typed = match &value {
+            TypedValue::Text(s) => !matches!(sniff(s), TypedValue::Text(_)),
+            _ => false,
         };
-        PreparedValue { value, text }
+        PreparedValue {
+            value,
+            text,
+            sniffs_typed,
+        }
     }
 
     /// The underlying typed value.
@@ -195,15 +229,16 @@ impl PreparedValue {
         &self.value
     }
 
-    /// The prepared text, for `Text` and `Iri` values.
-    pub fn text(&self) -> Option<&PreparedText> {
-        self.text.as_ref()
+    /// The prepared lexical form: the text, an IRI's local name, or the
+    /// rendered number, date, year or boolean.
+    pub fn text(&self) -> &PreparedText {
+        &self.text
     }
 
-    /// Whether comparisons against this value take the prepared-string
-    /// fast path (both sides must).
+    /// Whether the value is compared as a string against every kind:
+    /// `Text` and `Iri` values.
     pub fn is_texty(&self) -> bool {
-        self.text.is_some()
+        matches!(self.value, TypedValue::Text(_) | TypedValue::Iri(_))
     }
 }
 
@@ -211,30 +246,41 @@ impl PreparedValue {
 /// [`crate::value_similarity`] on the underlying [`TypedValue`]s
 /// (property-tested in `tests/properties.rs`).
 ///
-/// Text↔text, text↔IRI, and IRI↔IRI pairs use the precomputed normalized
-/// forms and interned Jaccard sets; every other combination (numeric,
-/// temporal, boolean, and the mixed coercions) dispatches to the generic
-/// [`crate::value_similarity`], which allocates nothing for those kinds.
+/// The dispatch mirrors `value_similarity` arm for arm. Every arm that
+/// compares strings there compares the prepared lexical forms here; text
+/// against another kind re-sniffs only a text already known to sniff as a
+/// non-text kind; the numeric, temporal and boolean arms are the generic
+/// ones, which allocate nothing. Only the string kernels a non-ASCII or
+/// over-long token falls back to allocate.
 pub fn prepared_similarity(a: &PreparedValue, b: &PreparedValue) -> f64 {
     use TypedValue as V;
-    match (&a.value, &b.value, &a.text, &b.text) {
-        // IRI equality short-circuits before any string work, exactly as
-        // the generic dispatch does.
-        (V::Iri(x), V::Iri(y), Some(ta), Some(tb)) => {
+    match (&a.value, &b.value) {
+        (V::Text(_), V::Text(_)) => prepared_string_similarity(&a.text, &b.text),
+        (V::Iri(x), V::Iri(y)) => {
             if x == y {
                 1.0
             } else {
-                prepared_string_similarity(ta, tb)
+                prepared_string_similarity(&a.text, &b.text)
             }
         }
-        // Text↔text compares the texts; text↔IRI compares text to the
-        // IRI's local name (sniffing never yields an IRI, so the generic
-        // dispatch always lands on that same string comparison).
-        (V::Text(_), V::Text(_), Some(ta), Some(tb))
-        | (V::Text(_), V::Iri(_), Some(ta), Some(tb))
-        | (V::Iri(_), V::Text(_), Some(ta), Some(tb)) => prepared_string_similarity(ta, tb),
+        (V::Text(_), _) => text_against(a, b),
+        (_, V::Text(_)) => text_against(b, a),
+        (V::Iri(_), _) => prepared_string_similarity(&a.text, &b.text),
+        (_, V::Iri(_)) => prepared_string_similarity(&b.text, &a.text),
         _ => crate::value_similarity(&a.value, &b.value),
     }
+}
+
+/// Text `t` against a value of another kind: natively when the text sniffs
+/// as that kind, else by lexical form.
+fn text_against(t: &PreparedValue, other: &PreparedValue) -> f64 {
+    if let (true, TypedValue::Text(s)) = (t.sniffs_typed, &t.value) {
+        let sniffed = sniff(s);
+        if sniffed.type_name() == other.value.type_name() {
+            return crate::value_similarity(&sniffed, &other.value);
+        }
+    }
+    prepared_string_similarity(&t.text, &other.text)
 }
 
 #[cfg(test)]

@@ -62,6 +62,67 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
+/// [`jaro`] over the bytes of two ASCII strings of at most
+/// [`super::SLICE_MAX`] bytes each — bitwise equal to `jaro` on those
+/// strings, without allocating: the match flags of both sides live in one
+/// `u64` apiece, and transpositions are counted by walking the two flag
+/// words in step.
+///
+/// # Panics
+///
+/// If either slice is longer than [`super::SLICE_MAX`].
+pub fn jaro_slice(a: &[u8], b: &[u8]) -> f64 {
+    assert!(
+        a.len() <= super::SLICE_MAX && b.len() <= super::SLICE_MAX,
+        "jaro_slice takes at most {} bytes a side",
+        super::SLICE_MAX
+    );
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    let mut a_matched = 0u64;
+    let mut b_matched = 0u64;
+    let mut matches = 0usize;
+    for (i, &ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for (j, &cb) in b.iter().enumerate().take(hi).skip(lo) {
+            if b_matched & (1 << j) == 0 && cb == ca {
+                b_matched |= 1 << j;
+                a_matched |= 1 << i;
+                matches += 1;
+                break;
+            }
+        }
+    }
+    if matches == 0 {
+        return 0.0;
+    }
+    // The k-th matched byte of `a` pairs with the k-th matched byte of `b`.
+    let mut mismatched = 0usize;
+    while a_matched != 0 {
+        let i = a_matched.trailing_zeros() as usize;
+        let j = b_matched.trailing_zeros() as usize;
+        mismatched += usize::from(a[i] != b[j]);
+        a_matched &= a_matched - 1;
+        b_matched &= b_matched - 1;
+    }
+    let transpositions = mismatched / 2;
+    let m = matches as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+}
+
+/// [`jaro_winkler`] over ASCII bytes, on [`jaro_slice`]'s terms.
+pub fn jaro_winkler_slice(a: &[u8], b: &[u8]) -> f64 {
+    let j = jaro_slice(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+    (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +175,31 @@ mod tests {
     fn winkler_rewards_prefix() {
         // Both pairs differ by one trailing char, but only one shares a prefix.
         assert!(jaro_winkler("abcdx", "abcdy") > jaro_winkler("xabcd", "yabcd"));
+    }
+
+    #[test]
+    fn slice_kernel_matches_string_kernel() {
+        for (a, b) in [
+            ("martha", "marhta"),
+            ("dwayne", "duane"),
+            ("", ""),
+            ("", "abc"),
+            ("abc", "xyz"),
+            ("prefix", "preface"),
+        ] {
+            let got = jaro_winkler_slice(a.as_bytes(), b.as_bytes());
+            assert_eq!(
+                got.to_bits(),
+                jaro_winkler(a, b).to_bits(),
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn slice_kernel_rejects_long_input() {
+        jaro_slice(&[0u8; 65], b"a");
     }
 
     #[test]

@@ -42,6 +42,19 @@ pub fn tokenize(s: &str) -> Vec<&str> {
     s.split(' ').filter(|t| !t.is_empty()).collect()
 }
 
+/// Byte ranges within `s` of the tokens [`tokenize`] returns, in order.
+pub(crate) fn token_spans(s: &str) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    let mut start = 0;
+    for part in s.split(' ') {
+        if !part.is_empty() {
+            spans.push((start as u32, (start + part.len()) as u32));
+        }
+        start += part.len() + 1;
+    }
+    spans
+}
+
 /// Normalize then tokenize in one step, returning owned tokens.
 pub fn normalized_tokens(s: &str) -> Vec<String> {
     tokenize(&normalize(s))
@@ -79,6 +92,17 @@ mod tests {
     fn tokenize_skips_empties() {
         assert_eq!(tokenize("a b"), vec!["a", "b"]);
         assert_eq!(tokenize(""), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn token_spans_match_tokenize() {
+        for s in ["a b", "", " lead  double trail ", "café münchen"] {
+            let spans: Vec<&str> = token_spans(s)
+                .into_iter()
+                .map(|(a, b)| &s[a as usize..b as usize])
+                .collect();
+            assert_eq!(spans, tokenize(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -54,6 +54,16 @@ echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jacca
 cargo test -p alex-sim --test properties -q
 cargo test -p alex-linking --test properties -q
 
+echo "==> golden link-space digests (ALEX_THREADS=1 and 4)"
+# Pairs, feature ids and score bits of three generated spaces, full and in
+# 27 partitions from one shared preparation, must match the pinned digests
+# at any pool width.
+ALEX_THREADS=1 cargo test --test space_golden -q
+ALEX_THREADS=4 cargo test --test space_golden -q
+
+echo "==> e2e benchmark unit tests (separate package, own target dir)"
+cargo test --offline -q --manifest-path e2e-bench/Cargo.toml
+
 echo "==> kernel bench compiles (throughput gate target)"
 cargo bench -p alex-bench --bench kernels --no-run -q
 
