@@ -22,7 +22,8 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use alex_core::persist::{
-    encode_episode, encode_snapshot, EpisodeRecord, EpisodeStats, RunSnapshot,
+    encode_episode, encode_snapshot, EpisodeRecord, EpisodeStats, PartitionRecord,
+    PartitionSnapshot, RunSnapshot,
 };
 use alex_core::{
     driver, Agent, AlexConfig, FeedbackSource, LinkSpace, OracleFeedback, SpaceConfig,
@@ -167,8 +168,10 @@ fn representative_payloads(
         })
         .collect();
     let record = encode_episode(&EpisodeRecord {
-        items,
-        source_state: source_state.clone(),
+        partitions: vec![PartitionRecord {
+            items,
+            source_state: source_state.clone(),
+        }],
         degraded: false,
     });
     let snapshot = encode_snapshot(&RunSnapshot {
@@ -176,26 +179,12 @@ fn representative_payloads(
         last_episode: report.episodes.len() as u64,
         completed: false,
         relaxed_converged_at: None,
-        episodes: report
-            .episodes
-            .iter()
-            .map(|e| EpisodeStats {
-                episode: e.episode as u64,
-                precision: e.quality.precision,
-                recall: e.quality.recall,
-                f_measure: e.quality.f_measure,
-                candidates: e.candidates as u64,
-                correct: e.correct as u64,
-                added: e.added as u64,
-                removed: e.removed as u64,
-                negative_feedback_frac: e.negative_feedback_frac,
-                rollbacks: e.rollbacks as u64,
-                change_frac: e.change_frac,
-                degraded: e.degraded,
-            })
-            .collect(),
-        agent: agent.capture_state(),
-        source_state,
+        episodes: report.episodes.iter().map(EpisodeStats::from).collect(),
+        partitions: vec![PartitionSnapshot {
+            episodes: report.episodes.iter().map(EpisodeStats::from).collect(),
+            agent: agent.capture_state(),
+            source_state,
+        }],
     });
     (record, snapshot)
 }

@@ -1,5 +1,13 @@
-//! The single-partition run driver: the policy-evaluation / policy-
-//! improvement loop with convergence detection and per-episode metrics.
+//! The run driver: the policy-evaluation / policy-improvement loop over
+//! k ≥ 1 partitions, with convergence detection and per-episode metrics.
+//!
+//! One partition is the interactive mode: one agent, one feedback source.
+//! Batch mode (§6.2) runs k partitions, each an agent over its own slice of
+//! the link space judged by its own source. Every global episode splits the
+//! feedback budget across the partitions in proportion to their candidate
+//! counts (feedback is "directed to all partitions"), runs their rounds on
+//! the `partitions` pool in partition order, and reports the aggregate —
+//! sums of the partitions' counts — next to each partition's own trace.
 //!
 //! ## Durable runs
 //!
@@ -7,11 +15,20 @@
 //! is committed to an `alex-store` journal before the run proceeds, full
 //! snapshots are taken every `snapshot_every` episodes, and a killed run is
 //! resumed with [`Durability::resume`] — the newest snapshot is restored and
-//! the journal tail *replayed* through the agent, reproducing the exact
+//! the journal tail *replayed* through the agents, reproducing the exact
 //! pre-crash learning state (byte-identical candidate links and
 //! [`RunReport`], durations aside).
+//!
+//! ## A panicking round
+//!
+//! While a round runs on a pool worker, its partition sits behind a
+//! `Mutex`. A round that panics mid-mutation poisons it, and the pool's
+//! quarantine retry then finds the poisoned lock and panics loudly: a
+//! half-mutated agent is never run again. Chaos faults fire at chunk entry,
+//! before the round touches its partition, so their retries are safe.
 
 use std::collections::HashSet;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use alex_guard::{BreachPolicy, Supervisor};
@@ -21,7 +38,9 @@ use alex_telemetry::{counter, emit, span, Event};
 use crate::agent::{Agent, EpisodeSummary};
 use crate::feedback::{Feedback, FeedbackItem, FeedbackSource};
 use crate::metrics::{EpisodeReport, Quality};
-use crate::persist::{self, EpisodeRecord, EpisodeStats, RunSnapshot};
+use crate::persist::{
+    self, EpisodeRecord, EpisodeStats, PartitionRecord, PartitionSnapshot, RunSnapshot,
+};
 use crate::space::{LinkSpace, PairId};
 
 /// Why a run stopped.
@@ -45,13 +64,28 @@ pub enum StopReason {
     BudgetExhausted,
 }
 
+/// Per-partition trace: the partition's own episode reports (scored against
+/// its local slice of the ground truth — the paper's Fig. 7(b)/(c) views).
+#[derive(Debug, Clone)]
+pub struct PartitionTrace {
+    /// Partition index.
+    pub partition: usize,
+    /// Local per-episode reports.
+    pub episodes: Vec<EpisodeReport>,
+    /// Total time this partition spent processing.
+    pub total_duration: Duration,
+}
+
 /// The full record of a run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Quality of the initial candidate set (episode 0 in the figures).
     pub initial_quality: Quality,
-    /// Per-episode reports.
+    /// Per-episode reports, aggregated over the partitions.
     pub episodes: Vec<EpisodeReport>,
+    /// Per-partition traces, in partition order (one for a
+    /// single-partition run).
+    pub partitions: Vec<PartitionTrace>,
     /// Why the run stopped.
     pub stop: StopReason,
     /// First episode (1-based) at which fewer than the relaxed-convergence
@@ -150,6 +184,23 @@ impl<'a> Durability<'a> {
         self.on_commit = Some(Box::new(f));
         self
     }
+
+    fn snapshot(&mut self, episode: u64, payload: &[u8]) -> Result<(), String> {
+        self.store
+            .write_snapshot(episode, payload)
+            .map_err(|e| e.to_string())?;
+        counter!("store_snapshots_total").inc();
+        Ok(())
+    }
+}
+
+/// One partition of a run: an agent and the feedback source judging its
+/// candidates.
+pub struct Partition<'a> {
+    /// The partition's agent.
+    pub agent: &'a mut Agent,
+    /// The source judging the agent's candidates.
+    pub source: &'a mut dyn FeedbackSource,
 }
 
 /// Wraps a live feedback source, recording every judged item so the episode
@@ -186,52 +237,192 @@ impl FeedbackSource for RecordingSource<'_> {
     }
 }
 
+/// What one partition's round produced.
+struct Round {
+    /// The round's share of the episode's feedback budget.
+    quota: usize,
+    summary: EpisodeSummary,
+    /// The judged items, recorded for the journal (durable runs only).
+    items: Vec<(u32, u32, bool, u32)>,
+    duration: Duration,
+}
+
+/// Run one partition's round with its share of the feedback budget.
+fn play(part: &mut Partition<'_>, quota: usize, record: bool) -> Round {
+    let round_span = span("partition_round");
+    let (summary, items) = if record {
+        let mut recorder = RecordingSource {
+            inner: &mut *part.source,
+            items: Vec::new(),
+        };
+        let summary = part.agent.run_episode_sized(&mut recorder, quota);
+        (summary, recorder.items)
+    } else {
+        let summary = part.agent.run_episode_sized(&mut *part.source, quota);
+        (summary, Vec::new())
+    };
+    Round {
+        quota,
+        summary,
+        items,
+        duration: round_span.elapsed(),
+    }
+}
+
+/// Run every partition's round. One partition runs inline on the caller;
+/// several are dispatched through the `partitions` pool, one chunk each,
+/// and come back in partition order.
+fn play_rounds(parts: &mut [Partition<'_>], quotas: &[usize], record: bool) -> Vec<Round> {
+    if let [part] = parts {
+        return vec![play(part, quotas[0], record)];
+    }
+    let slots: Vec<(usize, Mutex<&mut Partition<'_>>, usize)> = parts
+        .iter_mut()
+        .zip(quotas)
+        .enumerate()
+        .map(|(i, (part, &quota))| (i, Mutex::new(part), quota))
+        .collect();
+    alex_parallel::Pool::new("partitions").map_each(&slots, |(i, slot, quota)| {
+        let mut part = slot.lock().unwrap_or_else(|_| {
+            panic!(
+                "partition {i}: an earlier attempt at this round panicked mid-mutation; \
+                 its state cannot be trusted, so the round is not run again"
+            )
+        });
+        play(&mut part, *quota, record)
+    })
+}
+
+/// Each partition's share of an episode's feedback budget: all of it for a
+/// single partition; otherwise proportional to the candidate counts, the
+/// rounding remainder going one item each to the largest partitions (ties
+/// to the lower index). The remainder is below the number of non-empty
+/// partitions, so it only ever lands on non-empty ones.
+fn quotas(counts: &[usize], budget: usize) -> Vec<usize> {
+    let total: usize = counts.iter().sum();
+    if counts.len() == 1 {
+        return vec![budget];
+    }
+    if total == 0 {
+        return vec![0; counts.len()];
+    }
+    let mut quotas: Vec<usize> = counts.iter().map(|&c| budget * c / total).collect();
+    let remainder = budget - quotas.iter().sum::<usize>();
+    let mut order: Vec<usize> = (0..counts.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+    for &i in &order[..remainder] {
+        quotas[i] += 1;
+    }
+    quotas
+}
+
+/// Fraction of links changed against the previous candidate set; a set
+/// appearing from nothing counts as fully changed.
+fn change_frac(changed: usize, prev: usize, current: usize) -> f64 {
+    match (prev, current) {
+        (0, 0) => 0.0,
+        (0, _) => 1.0,
+        _ => changed as f64 / prev as f64,
+    }
+}
+
+/// What the loop keeps per partition between episodes.
+struct Track {
+    /// Ground-truth links in the partition's slice (its recall basis).
+    truth_len: usize,
+    /// The candidate set after the last episode.
+    prev: HashSet<PairId>,
+    trace: PartitionTrace,
+}
+
 /// Mutable bookkeeping shared by the fresh, replay, and live paths.
 struct RunState {
     episodes: Vec<EpisodeReport>,
     relaxed_converged_at: Option<usize>,
-    prev: HashSet<PairId>,
     stop: Option<StopReason>,
     recovered_from: u64,
 }
 
-/// Per-episode bookkeeping: convergence math, metrics, report, telemetry.
+/// Per-episode bookkeeping: each partition is snapshotted and scored once
+/// into its trace, and the aggregate report is the sum of their counts.
 /// Identical for live and replayed episodes — that is what makes replay
 /// reach the same stop decision the live run would have.
+#[allow(clippy::too_many_arguments)]
 fn note_episode(
-    agent: &Agent,
+    parts: &[Partition<'_>],
+    tracks: &mut [Track],
     truth: &HashSet<(u32, u32)>,
     st: &mut RunState,
     episode: usize,
-    summary: &EpisodeSummary,
+    rounds: &[Round],
     duration: Duration,
     degraded: bool,
 ) {
-    let current = agent.candidates().snapshot();
-    let changed = current.symmetric_difference(&st.prev).count();
-    let change_frac = if st.prev.is_empty() {
-        if current.is_empty() {
-            0.0
-        } else {
-            1.0
+    let (mut changed, mut prev, mut candidates, mut correct) = (0, 0, 0, 0);
+    let mut total = EpisodeSummary::default();
+    for ((part, track), round) in parts.iter().zip(tracks.iter_mut()).zip(rounds) {
+        let current = part.agent.candidates().snapshot();
+        let part_changed = current.symmetric_difference(&track.prev).count();
+        // Partition i holds only left entities with id % k == i, so its
+        // correct links are counted against the whole truth.
+        let (part_correct, _) = {
+            let _s = span("evaluate");
+            Quality::evaluate_counted(part.agent.candidates(), part.agent.space(), truth)
+        };
+        let s = &round.summary;
+        track.trace.episodes.push(EpisodeReport {
+            episode,
+            quality: Quality::from_counts(part_correct, current.len(), track.truth_len),
+            candidates: current.len(),
+            correct: part_correct,
+            added: s.added,
+            removed: s.removed,
+            negative_feedback_frac: s.negative_frac(),
+            rollbacks: s.rollbacks,
+            change_frac: change_frac(part_changed, track.prev.len(), current.len()),
+            duration: round.duration,
+            degraded,
+        });
+        track.trace.total_duration += round.duration;
+        changed += part_changed;
+        prev += track.prev.len();
+        candidates += current.len();
+        correct += part_correct;
+        total.added += s.added;
+        total.removed += s.removed;
+        total.rollbacks += s.rollbacks;
+        total.admitted += s.admitted;
+        total.deferred += s.deferred;
+        total.cascades += s.cascades;
+        track.prev = current;
+    }
+    let change_frac = change_frac(changed, prev, candidates);
+    let quality = Quality::from_counts(correct, candidates, truth.len());
+    // Several partitions weigh their negative fractions by quota.
+    let negative_feedback_frac = match rounds {
+        [round] => round.summary.negative_frac(),
+        _ => {
+            let weighted: f64 = rounds
+                .iter()
+                .map(|r| r.summary.negative_frac() * r.quota as f64)
+                .sum();
+            let quota: usize = rounds.iter().map(|r| r.quota).sum();
+            if quota == 0 {
+                0.0
+            } else {
+                weighted / quota as f64
+            }
         }
-    } else {
-        changed as f64 / st.prev.len() as f64
-    };
-
-    let (correct, quality) = {
-        let _s = span("evaluate");
-        Quality::evaluate_counted(agent.candidates(), agent.space(), truth)
     };
     st.episodes.push(EpisodeReport {
         episode,
         quality,
-        candidates: current.len(),
+        candidates,
         correct,
-        added: summary.added,
-        removed: summary.removed,
-        negative_feedback_frac: summary.negative_frac(),
-        rollbacks: summary.rollbacks,
+        added: total.added,
+        removed: total.removed,
+        negative_feedback_frac,
+        rollbacks: total.rollbacks,
         change_frac,
         duration,
         degraded,
@@ -244,67 +435,72 @@ fn note_episode(
         precision: quality.precision,
         recall: quality.recall,
         f_measure: quality.f_measure,
-        added: summary.added as u64,
-        removed: summary.removed as u64,
-        rollbacks: summary.rollbacks as u64,
+        added: total.added as u64,
+        removed: total.removed as u64,
+        rollbacks: total.rollbacks as u64,
         threads: alex_parallel::configured_threads() as u64,
         duration_us: duration.as_micros() as u64,
         recovered_from: st.recovered_from,
-        trust_admitted: summary.admitted as u64,
-        trust_deferred: summary.deferred as u64,
-        trust_cascades: summary.cascades as u64,
+        trust_admitted: total.admitted as u64,
+        trust_deferred: total.deferred as u64,
+        trust_cascades: total.cascades as u64,
         degraded,
     });
 
-    if st.relaxed_converged_at.is_none() && change_frac < agent.config().relaxed_convergence_frac {
+    let cfg = parts[0].agent.config();
+    if st.relaxed_converged_at.is_none() && change_frac < cfg.relaxed_convergence_frac {
         st.relaxed_converged_at = Some(episode);
     }
     if changed == 0 {
         st.stop = Some(StopReason::Converged);
-    } else if agent.config().stop_on_relaxed
-        && change_frac < agent.config().relaxed_convergence_frac
-    {
+    } else if cfg.stop_on_relaxed && change_frac < cfg.relaxed_convergence_frac {
         st.stop = Some(StopReason::RelaxedConverged);
     }
-    st.prev = current;
 }
 
-/// Encode a full-run snapshot of the current agent + driver state.
+fn durable_state(source: &dyn FeedbackSource) -> Result<Vec<u8>, String> {
+    source
+        .durable_state()
+        .ok_or_else(|| "feedback source stopped providing durable state".to_string())
+}
+
+/// The fingerprint pinning a durable run: its partitions' base
+/// fingerprints (link space + configuration each), in order.
+fn run_fingerprint(parts: &[Partition<'_>]) -> u64 {
+    persist::combine_fingerprints(parts.iter().map(|p| p.agent.base_fingerprint()))
+}
+
+/// Encode a full-run snapshot of every partition + driver state.
 fn snapshot_payload(
-    agent: &Agent,
-    source: &dyn FeedbackSource,
+    parts: &[Partition<'_>],
+    tracks: &[Track],
     st: &RunState,
     last_episode: u64,
     completed: bool,
 ) -> Result<Vec<u8>, String> {
-    let source_state = source
-        .durable_state()
-        .ok_or_else(|| "feedback source stopped providing durable state".to_string())?;
+    let partitions = parts
+        .iter()
+        .zip(tracks)
+        .map(|(part, track)| {
+            Ok(PartitionSnapshot {
+                episodes: track
+                    .trace
+                    .episodes
+                    .iter()
+                    .map(EpisodeStats::from)
+                    .collect(),
+                agent: part.agent.capture_state(),
+                source_state: durable_state(&*part.source)?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(persist::encode_snapshot(&RunSnapshot {
-        base_fingerprint: agent.base_fingerprint(),
+        base_fingerprint: run_fingerprint(parts),
         last_episode,
         completed,
         relaxed_converged_at: st.relaxed_converged_at.map(|e| e as u64),
-        episodes: st
-            .episodes
-            .iter()
-            .map(|e| EpisodeStats {
-                episode: e.episode as u64,
-                precision: e.quality.precision,
-                recall: e.quality.recall,
-                f_measure: e.quality.f_measure,
-                candidates: e.candidates as u64,
-                correct: e.correct as u64,
-                added: e.added as u64,
-                removed: e.removed as u64,
-                negative_feedback_frac: e.negative_feedback_frac,
-                rollbacks: e.rollbacks as u64,
-                change_frac: e.change_frac,
-                degraded: e.degraded,
-            })
-            .collect(),
-        agent: agent.capture_state(),
-        source_state,
+        episodes: st.episodes.iter().map(EpisodeStats::from).collect(),
+        partitions,
     }))
 }
 
@@ -315,10 +511,10 @@ pub fn run(
     source: &mut dyn FeedbackSource,
     truth: &HashSet<(u32, u32)>,
 ) -> RunReport {
-    match run_impl(agent, source, truth, None, None) {
+    match run_partitions(vec![Partition { agent, source }], truth, None, None) {
         Ok(report) => report,
         // Without durability there is no I/O and no recovery: nothing in
-        // run_impl can fail.
+        // the loop can fail.
         Err(e) => unreachable!("non-durable run cannot fail: {e}"),
     }
 }
@@ -337,7 +533,12 @@ pub fn run_durable(
     truth: &HashSet<(u32, u32)>,
     durability: Durability<'_>,
 ) -> Result<RunReport, String> {
-    run_impl(agent, source, truth, Some(durability), None)
+    run_partitions(
+        vec![Partition { agent, source }],
+        truth,
+        Some(durability),
+        None,
+    )
 }
 
 /// Run under budget supervision (see `alex-guard`): the supervisor is
@@ -351,10 +552,15 @@ pub fn run_supervised(
     truth: &HashSet<(u32, u32)>,
     supervisor: &mut Supervisor,
 ) -> RunReport {
-    match run_impl(agent, source, truth, None, Some(supervisor)) {
+    match run_partitions(
+        vec![Partition { agent, source }],
+        truth,
+        None,
+        Some(supervisor),
+    ) {
         Ok(report) => report,
         // Without durability there is no I/O and no recovery: nothing in
-        // run_impl can fail.
+        // the loop can fail.
         Err(e) => unreachable!("non-durable run cannot fail: {e}"),
     }
 }
@@ -370,32 +576,74 @@ pub fn run_durable_supervised(
     durability: Durability<'_>,
     supervisor: &mut Supervisor,
 ) -> Result<RunReport, String> {
-    run_impl(agent, source, truth, Some(durability), Some(supervisor))
+    run_partitions(
+        vec![Partition { agent, source }],
+        truth,
+        Some(durability),
+        Some(supervisor),
+    )
 }
 
-fn run_impl(
-    agent: &mut Agent,
-    source: &mut dyn FeedbackSource,
+/// The one episode loop: run k ≥ 1 partitions to convergence, each episode
+/// scored against `truth`, optionally durable (see [`run_durable`]) and
+/// supervised (see [`run_supervised`]). Partition i must hold only left
+/// entities with `id % k == i` (§6.2's round-robin split; any space for
+/// k = 1). The journal, snapshots, budget checks and convergence all work
+/// on the global episode; each partition also keeps its own trace.
+///
+/// # Panics
+///
+/// If `parts` is empty, or if a partition's round panics (see the module
+/// docs: a panicked round is never re-run).
+pub fn run_partitions(
+    mut parts: Vec<Partition<'_>>,
     truth: &HashSet<(u32, u32)>,
     mut durability: Option<Durability<'_>>,
     mut supervisor: Option<&mut Supervisor>,
 ) -> Result<RunReport, String> {
+    assert!(!parts.is_empty(), "at least one partition");
     let run_span = span("improve");
+    let k = parts.len();
     let initial_quality = {
         let _s = span("initial_quality");
-        Quality::evaluate(agent.candidates(), agent.space(), truth)
+        let (mut correct, mut candidates) = (0, 0);
+        for part in &parts {
+            let candidate_set = part.agent.candidates();
+            correct += Quality::evaluate_counted(candidate_set, part.agent.space(), truth).0;
+            candidates += candidate_set.len();
+        }
+        Quality::from_counts(correct, candidates, truth.len())
     };
+    let mut truth_lens = vec![0; k];
+    for &(l, _) in truth {
+        truth_lens[l as usize % k] += 1;
+    }
+    let mut tracks: Vec<Track> = parts
+        .iter()
+        .zip(truth_lens)
+        .enumerate()
+        .map(|(i, (part, truth_len))| Track {
+            truth_len,
+            prev: part.agent.candidates().snapshot(),
+            trace: PartitionTrace {
+                partition: i,
+                episodes: Vec::new(),
+                total_duration: Duration::ZERO,
+            },
+        })
+        .collect();
     let mut st = RunState {
         episodes: Vec::new(),
         relaxed_converged_at: None,
-        prev: agent.candidates().snapshot(),
         stop: None,
         recovered_from: 0,
     };
     let mut start_episode = 1usize;
+    let max_episodes = parts[0].agent.config().max_episodes;
+    let budget = parts[0].agent.config().episode_size;
 
     if let Some(d) = durability.as_mut() {
-        if source.durable_state().is_none() {
+        if parts.iter().any(|p| p.source.durable_state().is_none()) {
             return Err(
                 "durable runs need a feedback source with durable state (the oracle); \
                  live user feedback cannot be journaled for replay"
@@ -411,11 +659,7 @@ fn run_impl(
             // nothing is starting fresh, which keeps resume safe even if
             // the original process died before its first commit). Pin the
             // run with an initial snapshot before any episode runs.
-            let payload = snapshot_payload(agent, source, &st, 0, false)?;
-            d.store
-                .write_snapshot(0, &payload)
-                .map_err(|e| e.to_string())?;
-            counter!("store_snapshots_total").inc();
+            d.snapshot(0, &snapshot_payload(&parts, &tracks, &st, 0, false)?)?;
         } else {
             if !d.resume {
                 return Err(format!(
@@ -427,6 +671,8 @@ fn run_impl(
             counter!("store_recoveries_total").inc();
             counter!("store_truncated_records_total").add(recovery.truncated_records);
             let last = recovery.last_seq().unwrap_or(0);
+            let different_run = "state dir belongs to a different run: the link space, initial \
+                 links, partitions, or configuration changed since the snapshot was taken";
 
             let mut expected_seq = 1u64;
             if let Some((snap_seq, payload)) = &recovery.snapshot {
@@ -438,45 +684,24 @@ fn run_impl(
                             .to_string(),
                     );
                 }
-                if snap.base_fingerprint != agent.base_fingerprint() {
-                    return Err(
-                        "state dir belongs to a different run: the link space, initial \
-                         links, or configuration changed since the snapshot was taken"
-                            .to_string(),
-                    );
+                if snap.base_fingerprint != run_fingerprint(&parts) || snap.partitions.len() != k {
+                    return Err(different_run.to_string());
                 }
-                agent.restore_state(&snap.agent)?;
-                source.restore_durable_state(&snap.source_state)?;
+                for ((part, track), saved) in
+                    parts.iter_mut().zip(&mut tracks).zip(&snap.partitions)
+                {
+                    part.agent.restore_state(&saved.agent)?;
+                    part.source.restore_durable_state(&saved.source_state)?;
+                    track.trace.episodes = saved.episodes.iter().map(EpisodeReport::from).collect();
+                    track.prev = part.agent.candidates().snapshot();
+                }
                 st.relaxed_converged_at = snap.relaxed_converged_at.map(|e| e as usize);
-                st.episodes = snap
-                    .episodes
-                    .iter()
-                    .map(|e| EpisodeReport {
-                        episode: e.episode as usize,
-                        quality: Quality {
-                            precision: e.precision,
-                            recall: e.recall,
-                            f_measure: e.f_measure,
-                        },
-                        candidates: e.candidates as usize,
-                        correct: e.correct as usize,
-                        added: e.added as usize,
-                        removed: e.removed as usize,
-                        negative_feedback_frac: e.negative_feedback_frac,
-                        rollbacks: e.rollbacks as usize,
-                        change_frac: e.change_frac,
-                        // Wall-clock time belongs to the original session;
-                        // resume identity excludes durations.
-                        duration: Duration::ZERO,
-                        degraded: e.degraded,
-                    })
-                    .collect();
-                st.prev = agent.candidates().snapshot();
+                st.episodes = snap.episodes.iter().map(EpisodeReport::from).collect();
                 expected_seq = snap_seq + 1;
             }
             st.recovered_from = last;
 
-            // Replay the journal tail through the restored agent. The same
+            // Replay the journal tail through the restored agents. The same
             // bookkeeping as the live loop runs here, so convergence that
             // struck just before the crash is re-detected.
             for (seq, payload) in &recovery.journal_tail {
@@ -490,16 +715,33 @@ fn run_impl(
                 let episode_span = span("episode");
                 emit!(Event::EpisodeStart { episode: *seq });
                 let record = persist::decode_episode(payload)?;
-                let summary = agent.replay_episode(&record.items)?;
-                source.restore_durable_state(&record.source_state)?;
+                if record.partitions.len() != k {
+                    return Err(different_run.to_string());
+                }
+                let counts: Vec<usize> = parts.iter().map(|p| p.agent.candidates().len()).collect();
+                let mut rounds = Vec::with_capacity(k);
+                for ((part, saved), quota) in parts
+                    .iter_mut()
+                    .zip(&record.partitions)
+                    .zip(quotas(&counts, budget))
+                {
+                    rounds.push(Round {
+                        quota,
+                        summary: part.agent.replay_episode(&saved.items)?,
+                        items: Vec::new(),
+                        duration: Duration::ZERO,
+                    });
+                    part.source.restore_durable_state(&saved.source_state)?;
+                }
                 // The degraded marker is replayed from the WAL record, not
                 // re-measured: wall clocks are not reproducible.
                 note_episode(
-                    agent,
+                    &parts,
+                    &mut tracks,
                     truth,
                     &mut st,
                     *seq as usize,
-                    &summary,
+                    &rounds,
                     episode_span.elapsed(),
                     record.degraded,
                 );
@@ -513,28 +755,21 @@ fn run_impl(
 
     let mut committed_this_session = 0u64;
     if st.stop.is_none() {
-        for episode in start_episode..=agent.config().max_episodes {
+        for episode in start_episode..=max_episodes {
             let episode_span = span("episode");
             emit!(Event::EpisodeStart {
                 episode: episode as u64
             });
-            let (summary, items) = {
+            let counts: Vec<usize> = parts.iter().map(|p| p.agent.candidates().len()).collect();
+            let mut rounds = {
                 let _s = span("feedback");
-                if durability.is_some() {
-                    let mut recorder = RecordingSource {
-                        inner: source,
-                        items: Vec::new(),
-                    };
-                    let summary = agent.run_episode(&mut recorder);
-                    (summary, recorder.items)
-                } else {
-                    (agent.run_episode(source), Vec::new())
-                }
+                play_rounds(&mut parts, &quotas(&counts, budget), durability.is_some())
             };
             let duration = episode_span.elapsed();
 
-            if summary.feedback_items() == 0 {
-                if summary.degraded > 0 {
+            let items: usize = rounds.iter().map(|r| r.summary.feedback_items()).sum();
+            if items == 0 {
+                if rounds.iter().any(|r| r.summary.degraded > 0) {
                     // Every judgment this episode was withheld because
                     // queries degraded (sources down). Skip the episode —
                     // record nothing, corrupt nothing — and try again: the
@@ -549,25 +784,26 @@ fn run_impl(
             // Budget check at the episode boundary, before the commit, so
             // the degraded marker travels inside the episode's own WAL
             // record and resume replays it for free.
-            let mut degraded = false;
-            if let Some(sup) = supervisor.as_deref_mut() {
-                if let Some(breach) =
-                    sup.after_episode(episode as u64, duration, summary.feedback_items() as u64)
-                {
-                    degraded = true;
-                    let _ = breach;
-                }
-            }
+            let degraded = supervisor.as_deref_mut().is_some_and(|sup| {
+                sup.after_episode(episode as u64, duration, items as u64)
+                    .is_some()
+            });
 
             if let Some(d) = durability.as_mut() {
                 // Commit before acting on the episode: once append returns,
                 // this episode survives a crash.
-                let source_state = source.durable_state().ok_or_else(|| {
-                    "feedback source stopped providing durable state mid-run".to_string()
-                })?;
+                let partitions = parts
+                    .iter()
+                    .zip(&mut rounds)
+                    .map(|(part, round)| {
+                        Ok(PartitionRecord {
+                            items: std::mem::take(&mut round.items),
+                            source_state: durable_state(&*part.source)?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?;
                 let record = persist::encode_episode(&EpisodeRecord {
-                    items,
-                    source_state,
+                    partitions,
                     degraded,
                 });
                 d.store
@@ -576,7 +812,16 @@ fn run_impl(
                 counter!("store_journal_records_total").inc();
             }
 
-            note_episode(agent, truth, &mut st, episode, &summary, duration, degraded);
+            note_episode(
+                &parts,
+                &mut tracks,
+                truth,
+                &mut st,
+                episode,
+                &rounds,
+                duration,
+                degraded,
+            );
 
             if degraded
                 && st.stop.is_none()
@@ -594,11 +839,8 @@ fn run_impl(
                     && d.snapshot_every > 0
                     && (episode as u64).is_multiple_of(d.snapshot_every)
                 {
-                    let payload = snapshot_payload(agent, source, &st, episode as u64, false)?;
-                    d.store
-                        .write_snapshot(episode as u64, &payload)
-                        .map_err(|e| e.to_string())?;
-                    counter!("store_snapshots_total").inc();
+                    let payload = snapshot_payload(&parts, &tracks, &st, episode as u64, false)?;
+                    d.snapshot(episode as u64, &payload)?;
                 }
                 if let Some(cb) = d.on_commit.as_mut() {
                     cb(episode as u64);
@@ -623,17 +865,14 @@ fn run_impl(
                 .last()
                 .map(|e| e.episode as u64)
                 .unwrap_or(st.recovered_from);
-            let payload = snapshot_payload(agent, source, &st, last, true)?;
-            d.store
-                .write_snapshot(last, &payload)
-                .map_err(|e| e.to_string())?;
-            counter!("store_snapshots_total").inc();
+            d.snapshot(last, &snapshot_payload(&parts, &tracks, &st, last, true)?)?;
         }
     }
 
     Ok(RunReport {
         initial_quality,
         episodes: st.episodes,
+        partitions: tracks.into_iter().map(|t| t.trace).collect(),
         stop,
         relaxed_converged_at: st.relaxed_converged_at,
         total_duration: run_span.elapsed(),
@@ -1172,6 +1411,159 @@ mod tests {
 
         assert_eq!(report_identity(&reference), report_identity(&resumed));
         assert_eq!(ref_agent.capture_state(), agent2.capture_state());
+        let _ = std::fs::remove_dir_all(&dir_ref);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // --------------------------------------------------------- partitions
+
+    #[test]
+    fn quotas_split_the_budget_by_candidate_count() {
+        assert_eq!(quotas(&[0], 10), vec![10]);
+        assert_eq!(quotas(&[0, 0, 0], 10), vec![0, 0, 0]);
+        // 10 * (5, 3, 0, 2) / 10 leaves no remainder.
+        assert_eq!(quotas(&[5, 3, 0, 2], 10), vec![5, 3, 0, 2]);
+        // Floors (3, 3, 3) leave 1, which goes to the largest partition,
+        // the lowest index among equals.
+        assert_eq!(quotas(&[1, 1, 1], 10), vec![4, 3, 3]);
+        assert_eq!(quotas(&[1, 4, 0, 4], 7), vec![0, 4, 0, 3]);
+    }
+
+    #[test]
+    fn a_round_that_panicked_mid_mutation_is_never_run_again() {
+        /// Panics on its first judgment, then behaves: a quarantine retry
+        /// that re-ran the round would succeed over a half-mutated agent.
+        struct PanicOnce(OracleFeedback, bool);
+        impl FeedbackSource for PanicOnce {
+            fn next(
+                &mut self,
+                candidates: &crate::candidates::CandidateSet,
+                space: &LinkSpace,
+            ) -> Option<(PairId, Feedback)> {
+                assert!(!std::mem::take(&mut self.1), "injected mid-round panic");
+                self.0.next(candidates, space)
+            }
+        }
+        let (space, truth) = build();
+        let initial: Vec<(u32, u32)> = truth.iter().copied().take(3).collect();
+        let mut first = Agent::new(space.clone(), &initial, cfg());
+        let mut second = Agent::new(space, &initial, cfg());
+        let mut oracle = OracleFeedback::new(truth.clone(), 31);
+        let mut panicky = PanicOnce(OracleFeedback::new(truth.clone(), 32), true);
+        let parts = vec![
+            Partition {
+                agent: &mut first,
+                source: &mut oracle,
+            },
+            Partition {
+                agent: &mut second,
+                source: &mut panicky,
+            },
+        ];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_partitions(parts, &truth, None, None)
+        }))
+        .expect_err("the poisoned partition must fail the run");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("partition 1"), "{message}");
+        assert!(message.contains("not run again"), "{message}");
+    }
+
+    #[test]
+    fn partitioned_durable_resume_is_identical() {
+        // The fixture of `build`, split round-robin into two partitions.
+        let (mut left, mut right) = (Dataset::new("L"), Dataset::new("R"));
+        let names = [
+            "Alpha Aardvark",
+            "Beta Bison",
+            "Gamma Gazelle",
+            "Delta Dingo",
+            "Epsilon Eagle",
+            "Zeta Zebra",
+            "Eta Egret",
+            "Theta Tapir",
+            "Iota Ibis",
+            "Kappa Koala",
+            "Lambda Lemur",
+            "Mu Marmot",
+        ];
+        for (i, name) in names.iter().enumerate() {
+            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
+            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
+            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
+            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
+        }
+        let spaces: Vec<LinkSpace> = (0..2)
+            .map(|i| {
+                let cfg = SpaceConfig {
+                    partition: Some((i, 2)),
+                    ..SpaceConfig::default()
+                };
+                LinkSpace::build(&left, &right, &cfg)
+            })
+            .collect();
+        let truth: HashSet<(u32, u32)> = (0..names.len() as u32).map(|i| (i, i)).collect();
+        let initial = |i: u32| -> Vec<(u32, u32)> {
+            truth
+                .iter()
+                .copied()
+                .filter(|&(l, _)| l % 2 == i && l < 6)
+                .collect()
+        };
+        let cfg = |seed| AlexConfig {
+            episode_size: 5,
+            max_episodes: 12,
+            seed,
+            ..AlexConfig::default()
+        };
+        let run_two = |dir: &PathBuf, stop_after: Option<u64>, resume: bool| {
+            let (mut store, recovery) = DirectStore::open(dir).unwrap();
+            let mut agents = [
+                Agent::new(spaces[0].clone(), &initial(0), cfg(1)),
+                Agent::new(spaces[1].clone(), &initial(1), cfg(2)),
+            ];
+            let mut oracles =
+                [12, 13].map(|seed| OracleFeedback::with_error_rate(truth.clone(), 0.2, seed));
+            let parts = agents
+                .iter_mut()
+                .zip(&mut oracles)
+                .map(|(agent, source)| Partition { agent, source })
+                .collect();
+            let mut durability = Durability::new(&mut store, recovery)
+                .snapshot_every(2)
+                .resume(resume);
+            if let Some(n) = stop_after {
+                durability = durability.stop_after(n);
+            }
+            let report = run_partitions(parts, &truth, Some(durability), None).unwrap();
+            (report, agents.map(|a| a.capture_state()))
+        };
+
+        let dir_ref = tmpdir("parts-ref");
+        let (reference, ref_states) = run_two(&dir_ref, None, false);
+        assert!(
+            reference.episode_count() > 3,
+            "reference too short to cut: {:?}",
+            report_identity(&reference)
+        );
+        assert_eq!(reference.partitions.len(), 2);
+
+        let dir = tmpdir("parts-cut");
+        let (cut, _) = run_two(&dir, Some(3), false);
+        assert_eq!(cut.stop, StopReason::Suspended);
+        let (resumed, states) = run_two(&dir, None, true);
+
+        assert_eq!(report_identity(&reference), report_identity(&resumed));
+        for (a, b) in reference.partitions.iter().zip(&resumed.partitions) {
+            let stats = |t: &PartitionTrace| -> Vec<EpisodeStats> {
+                t.episodes.iter().map(EpisodeStats::from).collect()
+            };
+            assert_eq!(stats(a), stats(b), "partition {} trace", a.partition);
+        }
+        assert_eq!(ref_states, states);
         let _ = std::fs::remove_dir_all(&dir_ref);
         let _ = std::fs::remove_dir_all(&dir);
     }

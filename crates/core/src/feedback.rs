@@ -38,8 +38,9 @@ pub struct FeedbackItem {
     pub source: SourceId,
 }
 
-/// A source of feedback items.
-pub trait FeedbackSource {
+/// A source of feedback items. Sources are `Send` so that a partitioned
+/// run can play each partition's round on a pool worker.
+pub trait FeedbackSource: Send {
     /// Produce the next feedback item over the current candidate set.
     /// `None` means no feedback is available (e.g. the set is empty).
     fn next(&mut self, candidates: &CandidateSet, space: &LinkSpace) -> Option<(PairId, Feedback)>;

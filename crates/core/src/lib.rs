@@ -82,13 +82,18 @@ pub use bridge::FeedbackBridge;
 pub use candidates::CandidateSet;
 pub use config::AlexConfig;
 pub use driver::{
-    run, run_durable, run_durable_supervised, run_supervised, Durability, RunReport, StopReason,
+    run, run_durable, run_durable_supervised, run_partitions, run_supervised, Durability,
+    Partition, PartitionTrace, RunReport, StopReason,
 };
 pub use feature::{FeatureCatalog, FeatureId, FeaturePair, FeatureSet};
 pub use feedback::{Feedback, FeedbackItem, FeedbackSource, OracleFeedback};
 pub use metrics::{EpisodeReport, Quality};
-pub use partition::{run_partitioned, PartitionTrace, PartitionedConfig, PartitionedRun};
-pub use persist::{AgentState, EpisodeRecord, EpisodeStats, RunSnapshot};
+pub use partition::{
+    final_links, run_partitioned, run_partitioned_with, PartitionedConfig, PartitionedRun,
+};
+pub use persist::{
+    AgentState, EpisodeRecord, EpisodeStats, PartitionRecord, PartitionSnapshot, RunSnapshot,
+};
 pub use policy::Policy;
 pub use provenance::{Provenance, StateAction};
 pub use query_feedback::{workload_from_links, workload_requiring_links, QueryFeedback};

@@ -1,27 +1,27 @@
-//! Equal-size partitioning and the parallel partitioned driver (§6.2).
+//! Equal-size partitioning: the setup of a batch-mode run (§6.2).
 //!
 //! The larger (left) data set is split round-robin — "the i-th entity is in
 //! partition i mod n" — and feature sets are generated between each
 //! partition and the whole smaller data set, all from one shared
-//! preparation of both sides ([`PreparedSides`]). Partitions are
-//! independent, so their episode rounds run in parallel threads. Each
-//! global episode's feedback budget is
-//! split across partitions in proportion to their candidate counts (feedback
-//! is "directed to all partitions"); metrics are aggregated over the union
-//! of the partitions' candidate sets.
+//! preparation of both sides ([`PreparedSides`]). Each partition gets its
+//! own agent and feedback source; the shared episode loop
+//! ([`driver::run_partitions`]) then splits every episode's feedback budget
+//! across them and aggregates their metrics over the union of their
+//! candidate sets.
 
 use std::collections::HashSet;
 use std::time::Duration;
 
+use alex_guard::Supervisor;
 use alex_rdf::{Dataset, Term};
-use alex_telemetry::{emit, span, Event};
+use alex_telemetry::span;
 
 use crate::agent::Agent;
 use crate::config::AlexConfig;
-use crate::driver::StopReason;
-use crate::feedback::OracleFeedback;
+use crate::driver::{self, Durability, Partition, PartitionTrace, RunReport, StopReason};
+use crate::feedback::{FeedbackSource, OracleFeedback};
 use crate::metrics::{EpisodeReport, Quality};
-use crate::space::{LinkSpace, PairId, PreparedSides, SpaceConfig};
+use crate::space::{LinkSpace, PreparedSides, SpaceConfig};
 
 /// Configuration for a partitioned run.
 #[derive(Debug, Clone)]
@@ -47,18 +47,6 @@ impl Default for PartitionedConfig {
             feedback_error_rate: 0.0,
         }
     }
-}
-
-/// Per-partition trace: the partition's own episode reports (scored against
-/// its local slice of the ground truth — the paper's Fig. 7(b)/(c) views).
-#[derive(Debug, Clone)]
-pub struct PartitionTrace {
-    /// Partition index.
-    pub partition: usize,
-    /// Local per-episode reports.
-    pub episodes: Vec<EpisodeReport>,
-    /// Total time this partition spent processing.
-    pub total_duration: Duration,
 }
 
 /// The result of a partitioned run.
@@ -98,75 +86,8 @@ impl PartitionedRun {
     }
 }
 
-struct PartitionState {
-    index: usize,
-    agent: Agent,
-    oracle: OracleFeedback,
-    prev: HashSet<PairId>,
-    local_truth: HashSet<(u32, u32)>,
-    episodes: Vec<EpisodeReport>,
-    total_duration: Duration,
-}
-
-impl PartitionState {
-    /// Run one episode round with the given feedback quota; returns
-    /// (changed-link count, correct, candidates, added, removed, negatives,
-    /// rollbacks, duration).
-    #[allow(clippy::type_complexity)]
-    fn run_round(
-        &mut self,
-        quota: usize,
-    ) -> (usize, usize, usize, usize, usize, f64, usize, Duration) {
-        // Runs on a worker thread, so the span roots its own path there.
-        let round_span = span("partition_round");
-        let summary = self.agent.run_episode_sized(&mut self.oracle, quota);
-        let duration = round_span.elapsed();
-        self.total_duration += duration;
-
-        let current = self.agent.candidates().snapshot();
-        let changed = current.symmetric_difference(&self.prev).count();
-        let change_frac = if self.prev.is_empty() {
-            if current.is_empty() {
-                0.0
-            } else {
-                1.0
-            }
-        } else {
-            changed as f64 / self.prev.len() as f64
-        };
-        let (correct, quality) = Quality::evaluate_counted(
-            self.agent.candidates(),
-            self.agent.space(),
-            &self.local_truth,
-        );
-        self.episodes.push(EpisodeReport {
-            episode: self.episodes.len() + 1,
-            quality,
-            candidates: current.len(),
-            correct,
-            added: summary.added,
-            removed: summary.removed,
-            negative_feedback_frac: summary.negative_frac(),
-            rollbacks: summary.rollbacks,
-            change_frac,
-            duration,
-            degraded: false,
-        });
-        self.prev = current;
-        (
-            changed,
-            correct,
-            self.agent.candidates().len(),
-            summary.added,
-            summary.removed,
-            summary.negative_frac(),
-            summary.rollbacks,
-            duration,
-        )
-    }
-}
-
-/// Run ALEX over `partitions` equal-size partitions in parallel.
+/// Run ALEX over `cfg.partitions` equal-size partitions, partition i judged
+/// by an oracle seeded `cfg.alex.seed + 1000 + i`.
 ///
 /// `initial` and `truth` are `(left term, right term)` pairs (as produced by
 /// a linker and the ground truth respectively).
@@ -177,6 +98,54 @@ pub fn run_partitioned(
     truth: &[(Term, Term)],
     cfg: &PartitionedConfig,
 ) -> PartitionedRun {
+    let oracle = |i: usize, truth: &HashSet<(u32, u32)>| -> Box<dyn FeedbackSource> {
+        Box::new(OracleFeedback::with_error_rate(
+            truth.clone(),
+            cfg.feedback_error_rate,
+            cfg.alex.seed.wrapping_add(1000 + i as u64),
+        ))
+    };
+    let (report, agents) =
+        match run_partitioned_with(left, right, initial, truth, cfg, oracle, None, None) {
+            Ok(run) => run,
+            // Without durability there is no I/O and no recovery: nothing in
+            // the loop can fail.
+            Err(e) => unreachable!("non-durable run cannot fail: {e}"),
+        };
+    let durations = report.partitions.iter().map(|p| p.total_duration);
+    PartitionedRun {
+        slowest_partition: durations.clone().max().unwrap_or(Duration::ZERO),
+        mean_partition: durations.sum::<Duration>() / report.partitions.len().max(1) as u32,
+        initial_quality: report.initial_quality,
+        episodes: report.episodes,
+        per_partition: report.partitions,
+        stop: report.stop,
+        relaxed_converged_at: report.relaxed_converged_at,
+        final_links: final_links(&agents),
+        total_duration: report.total_duration,
+    }
+}
+
+/// Build the partitions of a run and drive them through
+/// [`driver::run_partitions`]: one [`PreparedSides`], partition i's space
+/// keeping the left entities with `id % n == i`, its agent starting from
+/// its slice of `initial` with seed `cfg.alex.seed + i`, and its feedback
+/// source made by `source(i, truth ids)`. Durability and supervision apply
+/// to the run as a whole.
+///
+/// Returns the report, whose `total_duration` includes the space builds,
+/// and the partition agents.
+#[allow(clippy::too_many_arguments)]
+pub fn run_partitioned_with(
+    left: &Dataset,
+    right: &Dataset,
+    initial: &[(Term, Term)],
+    truth: &[(Term, Term)],
+    cfg: &PartitionedConfig,
+    mut source: impl FnMut(usize, &HashSet<(u32, u32)>) -> Box<dyn FeedbackSource>,
+    durability: Option<Durability<'_>>,
+    supervisor: Option<&mut Supervisor>,
+) -> Result<(RunReport, Vec<Agent>), String> {
     assert!(cfg.partitions > 0, "at least one partition");
     let run_span = span("improve_partitioned");
     let n = cfg.partitions;
@@ -210,8 +179,7 @@ pub fn run_partitioned(
     let initial_ids = to_ids(initial);
     let truth_ids: HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
 
-    // Assemble partition states.
-    let mut states: Vec<PartitionState> = spaces
+    let mut agents: Vec<Agent> = spaces
         .into_iter()
         .enumerate()
         .map(|(i, space)| {
@@ -220,210 +188,37 @@ pub fn run_partitioned(
                 .copied()
                 .filter(|&(l, _)| l as usize % n == i)
                 .collect();
-            let local_truth: HashSet<(u32, u32)> = truth_ids
-                .iter()
-                .copied()
-                .filter(|&(l, _)| l as usize % n == i)
-                .collect();
-            let mut alex_cfg = cfg.alex.clone();
-            alex_cfg.seed = cfg.alex.seed.wrapping_add(i as u64);
-            let agent = Agent::new(space, &local_initial, alex_cfg);
-            let prev = agent.candidates().snapshot();
-            let oracle = OracleFeedback::with_error_rate(
-                truth_ids.clone(),
-                cfg.feedback_error_rate,
-                cfg.alex.seed.wrapping_add(1000 + i as u64),
-            );
-            PartitionState {
-                index: i,
-                agent,
-                oracle,
-                prev,
-                local_truth,
-                episodes: Vec::new(),
-                total_duration: Duration::ZERO,
-            }
+            let alex_cfg = AlexConfig {
+                seed: cfg.alex.seed.wrapping_add(i as u64),
+                ..cfg.alex.clone()
+            };
+            Agent::new(space, &local_initial, alex_cfg)
         })
         .collect();
+    let mut sources: Vec<Box<dyn FeedbackSource>> = (0..n).map(|i| source(i, &truth_ids)).collect();
+    let parts = agents
+        .iter_mut()
+        .zip(&mut sources)
+        .map(|(agent, source)| Partition {
+            agent,
+            source: source.as_mut(),
+        })
+        .collect();
+    let mut report = driver::run_partitions(parts, &truth_ids, durability, supervisor)?;
+    report.total_duration = run_span.elapsed();
+    Ok((report, agents))
+}
 
-    // Initial aggregate quality.
-    let initial_counts: Vec<(usize, usize)> = states
+/// The union of the agents' candidate links as `(left term, right term)`
+/// pairs, sorted.
+pub fn final_links(agents: &[Agent]) -> Vec<(Term, Term)> {
+    let mut links: Vec<(Term, Term)> = agents
         .iter()
-        .map(|st| {
-            let (correct, _) =
-                Quality::evaluate_counted(st.agent.candidates(), st.agent.space(), &truth_ids);
-            (correct, st.agent.candidates().len())
-        })
+        .flat_map(|a| a.candidates().iter().map(|id| a.space().pair_terms(id)))
         .collect();
-    let initial_quality = Quality::from_counts(
-        initial_counts.iter().map(|c| c.0).sum(),
-        initial_counts.iter().map(|c| c.1).sum(),
-        truth_ids.len(),
-    );
-
-    let mut episodes: Vec<EpisodeReport> = Vec::new();
-    let mut relaxed_converged_at = None;
-    let mut stop = StopReason::MaxEpisodes;
-
-    for episode in 1..=cfg.alex.max_episodes {
-        let _episode_span = span("episode");
-        emit!(Event::EpisodeStart {
-            episode: episode as u64
-        });
-        // Quotas proportional to candidate counts.
-        let counts: Vec<usize> = states.iter().map(|s| s.agent.candidates().len()).collect();
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            stop = StopReason::NoFeedback;
-            break;
-        }
-        let mut quotas: Vec<usize> = counts
-            .iter()
-            .map(|&c| cfg.alex.episode_size * c / total)
-            .collect();
-        let mut assigned: usize = quotas.iter().sum();
-        // Distribute the rounding remainder to the largest partitions.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
-        let mut oi = 0;
-        while assigned < cfg.alex.episode_size {
-            let i = order[oi % n];
-            if counts[i] > 0 {
-                quotas[i] += 1;
-                assigned += 1;
-            }
-            oi += 1;
-            if oi > 4 * n {
-                break; // all partitions empty of candidates
-            }
-        }
-
-        // Run the round in parallel.
-        let round: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = states
-                .iter_mut()
-                .zip(quotas.iter())
-                .map(|(st, &quota)| s.spawn(move || st.run_round(quota)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-
-        // Aggregate.
-        let prev_total: usize = counts.iter().sum();
-        let changed: usize = round.iter().map(|r| r.0).sum();
-        let correct: usize = round.iter().map(|r| r.1).sum();
-        let candidates: usize = round.iter().map(|r| r.2).sum();
-        let added: usize = round.iter().map(|r| r.3).sum();
-        let removed: usize = round.iter().map(|r| r.4).sum();
-        let rollbacks: usize = round.iter().map(|r| r.6).sum();
-        let duration = round.iter().map(|r| r.7).max().unwrap_or(Duration::ZERO);
-        let neg_frac = {
-            let weighted: f64 = round
-                .iter()
-                .zip(quotas.iter())
-                .map(|(r, &q)| r.5 * q as f64)
-                .sum();
-            let q_total: usize = quotas.iter().sum();
-            if q_total == 0 {
-                0.0
-            } else {
-                weighted / q_total as f64
-            }
-        };
-        let change_frac = if prev_total == 0 {
-            0.0
-        } else {
-            changed as f64 / prev_total as f64
-        };
-        let quality = Quality::from_counts(correct, candidates, truth_ids.len());
-        episodes.push(EpisodeReport {
-            episode,
-            quality,
-            candidates,
-            correct,
-            added,
-            removed,
-            negative_feedback_frac: neg_frac,
-            rollbacks,
-            change_frac,
-            duration,
-            degraded: false,
-        });
-        emit!(Event::EpisodeEnd {
-            episode: episode as u64,
-            precision: quality.precision,
-            recall: quality.recall,
-            f_measure: quality.f_measure,
-            added: added as u64,
-            removed: removed as u64,
-            rollbacks: rollbacks as u64,
-            threads: alex_parallel::configured_threads() as u64,
-            duration_us: duration.as_micros() as u64,
-            recovered_from: 0,
-            // Trust admission runs single-partition only.
-            trust_admitted: 0,
-            trust_deferred: 0,
-            trust_cascades: 0,
-            // Budget supervision runs single-partition only.
-            degraded: false,
-        });
-        if relaxed_converged_at.is_none() && change_frac < cfg.alex.relaxed_convergence_frac {
-            relaxed_converged_at = Some(episode);
-        }
-        if changed == 0 {
-            stop = StopReason::Converged;
-            break;
-        }
-        if cfg.alex.stop_on_relaxed && change_frac < cfg.alex.relaxed_convergence_frac {
-            stop = StopReason::RelaxedConverged;
-            break;
-        }
-    }
-
-    let mut final_links: Vec<(Term, Term)> = Vec::new();
-    for st in &states {
-        for id in st.agent.candidates().iter() {
-            final_links.push(st.agent.space().pair_terms(id));
-        }
-    }
-    final_links.sort();
-    final_links.dedup();
-
-    let per_partition: Vec<PartitionTrace> = states
-        .into_iter()
-        .map(|st| PartitionTrace {
-            partition: st.index,
-            episodes: st.episodes,
-            total_duration: st.total_duration,
-        })
-        .collect();
-    let slowest_partition = per_partition
-        .iter()
-        .map(|p| p.total_duration)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let mean_partition = {
-        let total: Duration = per_partition.iter().map(|p| p.total_duration).sum();
-        total / per_partition.len().max(1) as u32
-    };
-
-    PartitionedRun {
-        initial_quality,
-        episodes,
-        per_partition,
-        final_links,
-        stop,
-        relaxed_converged_at,
-        slowest_partition,
-        mean_partition,
-        total_duration: run_span.elapsed(),
-    }
+    links.sort();
+    links.dedup();
+    links
 }
 
 #[cfg(test)]

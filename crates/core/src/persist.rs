@@ -1,35 +1,40 @@
 //! Stable binary (de)serialization of learning state for crash-durable
 //! runs (the `alex-store` integration).
 //!
-//! Two artifacts are encoded here:
+//! Two artifacts are encoded here, both over the k ≥ 1 partitions of a
+//! run (one partition is the interactive mode):
 //!
-//! * **Snapshots** — the agent's full learning state after a committed
-//!   episode, plus run bookkeeping (episode counter, relaxed-convergence
-//!   mark, feedback-source state). Byte-stable: hash maps are sorted before
-//!   encoding, while order-sensitive lists (candidate insertion order,
-//!   per-key return lists, provenance attribution order) are preserved
-//!   verbatim, because replay determinism depends on them.
-//! * **Episode records** — the journal payload for one episode: the judged
-//!   `(left, right, feedback)` items in order plus the feedback source's
-//!   post-episode state. Resume replays these through the restored agent to
-//!   reproduce the exact pre-crash state.
+//! * **Snapshots** — every partition's full learning state after a
+//!   committed episode, plus run bookkeeping (episode counter,
+//!   relaxed-convergence mark, aggregate and per-partition episode
+//!   history, feedback-source states). Byte-stable: hash maps are sorted
+//!   before encoding, while order-sensitive lists (candidate insertion
+//!   order, per-key return lists, provenance attribution order) are
+//!   preserved verbatim, because replay determinism depends on them.
+//! * **Episode records** — the journal payload for one global episode: per
+//!   partition, the judged `(left, right, feedback)` items in order plus
+//!   the feedback source's post-episode state. Resume replays these through
+//!   the restored agents to reproduce the exact pre-crash state.
 //!
 //! Both carry a format version and are validated field-by-field; a snapshot
-//! additionally carries the run's *base fingerprint* (link space + config),
-//! so resuming against different inputs fails loudly instead of silently
-//! diverging.
+//! additionally carries the run's *base fingerprint* (link spaces +
+//! configurations), so resuming against different inputs fails loudly
+//! instead of silently diverging.
 
-use alex_store::{ByteReader, ByteWriter};
+use alex_store::{ByteReader, ByteWriter, CodecError};
 
 use crate::config::AlexConfig;
+use crate::metrics::{EpisodeReport, Quality};
 
 /// Version of the domain encoding (independent of the store-layer framing).
+/// Version 4 made snapshots and journal records carry a list of partitions
+/// (agent state, source state, episode history / judged items each).
 /// Version 3 added the `degraded` budget-breach marker to episode stats
 /// and journal records (run supervision).
 /// Version 2 added feedback-source attribution to journal items and the
 /// trust-layer block (reliability counts, pending quorum votes, admission
 /// log) to snapshots.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Serialized learning state of an [`crate::Agent`], captured after an
 /// episode boundary.
@@ -168,10 +173,65 @@ pub struct EpisodeStats {
     pub degraded: bool,
 }
 
-/// One full-run snapshot: agent state plus driver bookkeeping.
+impl From<&EpisodeReport> for EpisodeStats {
+    fn from(e: &EpisodeReport) -> EpisodeStats {
+        EpisodeStats {
+            episode: e.episode as u64,
+            precision: e.quality.precision,
+            recall: e.quality.recall,
+            f_measure: e.quality.f_measure,
+            candidates: e.candidates as u64,
+            correct: e.correct as u64,
+            added: e.added as u64,
+            removed: e.removed as u64,
+            negative_feedback_frac: e.negative_feedback_frac,
+            rollbacks: e.rollbacks as u64,
+            change_frac: e.change_frac,
+            degraded: e.degraded,
+        }
+    }
+}
+
+impl From<&EpisodeStats> for EpisodeReport {
+    fn from(e: &EpisodeStats) -> EpisodeReport {
+        EpisodeReport {
+            episode: e.episode as usize,
+            quality: Quality {
+                precision: e.precision,
+                recall: e.recall,
+                f_measure: e.f_measure,
+            },
+            candidates: e.candidates as usize,
+            correct: e.correct as usize,
+            added: e.added as usize,
+            removed: e.removed as usize,
+            negative_feedback_frac: e.negative_feedback_frac,
+            rollbacks: e.rollbacks as usize,
+            change_frac: e.change_frac,
+            // Wall-clock time belongs to the original session; resume
+            // identity excludes durations.
+            duration: std::time::Duration::ZERO,
+            degraded: e.degraded,
+        }
+    }
+}
+
+/// One partition's part of a [`RunSnapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartitionSnapshot {
+    /// The partition's own per-episode history (its trace).
+    pub episodes: Vec<EpisodeStats>,
+    /// The partition agent's learning state.
+    pub agent: AgentState,
+    /// Opaque feedback-source state
+    /// ([`crate::FeedbackSource::durable_state`]).
+    pub source_state: Vec<u8>,
+}
+
+/// One full-run snapshot: every partition's state plus driver bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSnapshot {
-    /// Fingerprint of the link space + configuration this state was
+    /// Fingerprint of the link spaces + configurations this state was
     /// learned against.
     pub base_fingerprint: u64,
     /// Last committed episode (0 for the initial pre-run snapshot).
@@ -180,25 +240,29 @@ pub struct RunSnapshot {
     pub completed: bool,
     /// First episode at which relaxed convergence held, if any.
     pub relaxed_converged_at: Option<u64>,
-    /// Full per-episode history up to `last_episode`.
+    /// Full aggregate per-episode history up to `last_episode`.
     pub episodes: Vec<EpisodeStats>,
-    /// Agent learning state.
-    pub agent: AgentState,
-    /// Opaque feedback-source state
-    /// ([`crate::FeedbackSource::durable_state`]).
-    pub source_state: Vec<u8>,
+    /// The partitions, in partition order.
+    pub partitions: Vec<PartitionSnapshot>,
 }
 
-/// One journal episode record: the judged items, in order, plus the
-/// feedback source's state *after* the episode.
+/// One partition's part of an [`EpisodeRecord`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EpisodeRecord {
+pub struct PartitionRecord {
     /// Judged items as `(left, right, positive, source)`. The source id is
     /// what makes journal replay reproduce trust-gate decisions exactly;
     /// unattributed sources record [`alex_trust::SourceId::ANONYMOUS`] (0).
     pub items: Vec<(u32, u32, bool, u32)>,
     /// Feedback-source state after the episode.
     pub source_state: Vec<u8>,
+}
+
+/// One journal episode record: per partition, the judged items in order
+/// plus the feedback source's state *after* the episode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EpisodeRecord {
+    /// The partitions, in partition order.
+    pub partitions: Vec<PartitionRecord>,
     /// Whether this episode breached its budget (run supervision). Stored
     /// in the WAL so a resumed run replays the degraded marker instead of
     /// re-measuring a wall clock it cannot reproduce.
@@ -246,38 +310,82 @@ pub fn config_fingerprint(cfg: &AlexConfig) -> u64 {
     h
 }
 
+/// Combine fingerprints, in order, into one: a space and a config
+/// fingerprint into an agent's base fingerprint, or the partition agents'
+/// base fingerprints into a run's.
+pub fn combine_fingerprints(parts: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in parts {
+        fnv_mix(&mut h, v);
+    }
+    h
+}
+
 /// Combine a space fingerprint and a config fingerprint into the run's base
 /// fingerprint.
 pub fn base_fingerprint(space: u64, config: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv_mix(&mut h, space);
-    fnv_mix(&mut h, config);
-    h
+    combine_fingerprints([space, config])
 }
 
 fn err(what: &str) -> String {
     format!("corrupt durable state: {what}")
 }
 
-/// Encode a [`RunSnapshot`] as the snapshot payload handed to the store.
-pub fn encode_snapshot(s: &RunSnapshot) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(FORMAT_VERSION);
-    w.u64(s.base_fingerprint);
-    w.u64(s.last_episode);
-    w.u8(u8::from(s.completed));
-    match s.relaxed_converged_at {
-        Some(ep) => {
+/// Write a length-prefixed list.
+fn put_list<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
+    w.u64(items.len() as u64);
+    for item in items {
+        put(w, item);
+    }
+}
+
+/// Read a length-prefixed list.
+fn get_list<T>(
+    r: &mut ByteReader,
+    what: &'static str,
+    mut get: impl FnMut(&mut ByteReader) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let n = r.len(what)?;
+    (0..n).map(|_| get(r)).collect()
+}
+
+fn put_option<T>(w: &mut ByteWriter, v: &Option<T>, put: impl FnOnce(&mut ByteWriter, &T)) {
+    match v {
+        None => w.u8(0),
+        Some(v) => {
             w.u8(1);
-            w.u64(ep);
-        }
-        None => {
-            w.u8(0);
-            w.u64(0);
+            put(w, v);
         }
     }
-    w.u64(s.episodes.len() as u64);
-    for e in &s.episodes {
+}
+
+fn get_option<T>(
+    r: &mut ByteReader,
+    what: &'static str,
+    get: impl FnOnce(&mut ByteReader) -> Result<T, CodecError>,
+) -> Result<Option<T>, CodecError> {
+    if r.u8(what)? != 0 {
+        get(r).map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+fn put_pair(w: &mut ByteWriter, &(a, b): &(u32, u32)) {
+    w.u32(a);
+    w.u32(b);
+}
+
+fn get_pair(r: &mut ByteReader, what: &'static str) -> Result<(u32, u32), CodecError> {
+    Ok((r.u32(what)?, r.u32(what)?))
+}
+
+fn get_bool(r: &mut ByteReader, what: &'static str) -> Result<bool, CodecError> {
+    Ok(r.u8(what)? != 0)
+}
+
+fn put_stats(w: &mut ByteWriter, episodes: &[EpisodeStats]) {
+    put_list(w, episodes, |w, e| {
         w.u64(e.episode);
         w.f64(e.precision);
         w.f64(e.recall);
@@ -290,463 +398,296 @@ pub fn encode_snapshot(s: &RunSnapshot) -> Vec<u8> {
         w.u64(e.rollbacks);
         w.f64(e.change_frac);
         w.u8(u8::from(e.degraded));
-    }
-    let a = &s.agent;
+    });
+}
+
+fn get_stats(r: &mut ByteReader) -> Result<Vec<EpisodeStats>, CodecError> {
+    get_list(r, "episode stats", |r| {
+        Ok(EpisodeStats {
+            episode: r.u64("stat episode")?,
+            precision: r.f64("stat precision")?,
+            recall: r.f64("stat recall")?,
+            f_measure: r.f64("stat f_measure")?,
+            candidates: r.u64("stat candidates")?,
+            correct: r.u64("stat correct")?,
+            added: r.u64("stat added")?,
+            removed: r.u64("stat removed")?,
+            negative_feedback_frac: r.f64("stat negative frac")?,
+            rollbacks: r.u64("stat rollbacks")?,
+            change_frac: r.f64("stat change frac")?,
+            degraded: get_bool(r, "stat degraded")?,
+        })
+    })
+}
+
+fn put_agent(w: &mut ByteWriter, a: &AgentState) {
     for word in a.rng {
         w.u64(word);
     }
     w.u64(a.episodes_completed);
-    w.u64(a.admissions.len() as u64);
-    for &(l, r) in &a.admissions {
-        w.u32(l);
-        w.u32(r);
-    }
-    w.u64(a.candidates.len() as u64);
-    for &id in &a.candidates {
-        w.u32(id);
-    }
-    w.u64(a.approved.len() as u64);
-    for &id in &a.approved {
-        w.u32(id);
-    }
-    w.u64(a.greedy.len() as u64);
-    for &(s_, f) in &a.greedy {
-        w.u32(s_);
-        w.u32(f);
-    }
-    w.u64(a.returns.len() as u64);
-    for ((s_, f), rs) in &a.returns {
-        w.u32(*s_);
-        w.u32(*f);
-        w.u64(rs.len() as u64);
-        for &v in rs {
-            w.f64(v);
-        }
-    }
-    w.u64(a.blacklist_votes.len() as u64);
-    for &(id, n, p) in &a.blacklist_votes {
+    put_list(w, &a.admissions, put_pair);
+    put_list(w, &a.candidates, |w, &id| w.u32(id));
+    put_list(w, &a.approved, |w, &id| w.u32(id));
+    put_list(w, &a.greedy, put_pair);
+    put_list(w, &a.returns, |w, (key, rs)| {
+        put_pair(w, key);
+        put_list(w, rs, |w, &v| w.f64(v));
+    });
+    put_list(w, &a.blacklist_votes, |w, &(id, n, p)| {
         w.u32(id);
         w.u32(n);
         w.u32(p);
-    }
-    w.u64(a.generated.len() as u64);
-    for ((s_, f), links) in &a.generated {
-        w.u32(*s_);
-        w.u32(*f);
-        w.u64(links.len() as u64);
-        for &l in links {
-            w.u32(l);
-        }
-    }
-    w.u64(a.provenance_votes.len() as u64);
-    for &((s_, f), n, p) in &a.provenance_votes {
-        w.u32(s_);
-        w.u32(f);
+    });
+    put_list(w, &a.generated, |w, (key, links)| {
+        put_pair(w, key);
+        put_list(w, links, |w, &l| w.u32(l));
+    });
+    put_list(w, &a.provenance_votes, |w, &(key, n, p)| {
+        put_pair(w, &key);
         w.u32(n);
         w.u32(p);
-    }
-    match &a.trust {
-        None => w.u8(0),
-        Some(t) => {
-            w.u8(1);
-            encode_trust(&mut w, t);
-        }
-    }
-    w.bytes(&s.source_state);
-    w.finish()
+    });
+    put_option(w, &a.trust, put_trust);
 }
 
-fn encode_trust(w: &mut ByteWriter, t: &TrustState) {
-    w.u64(t.sources.len() as u64);
-    for &(source, agree, disagree) in &t.sources {
+fn get_agent(r: &mut ByteReader) -> Result<AgentState, CodecError> {
+    let mut rng = [0u64; 4];
+    for word in &mut rng {
+        *word = r.u64("rng word")?;
+    }
+    Ok(AgentState {
+        rng,
+        episodes_completed: r.u64("episodes completed")?,
+        admissions: get_list(r, "admissions", |r| get_pair(r, "admission"))?,
+        candidates: get_list(r, "candidates", |r| r.u32("candidate id"))?,
+        approved: get_list(r, "approved", |r| r.u32("approved id"))?,
+        greedy: get_list(r, "greedy", |r| get_pair(r, "greedy action"))?,
+        returns: get_list(r, "returns", |r| {
+            let key = get_pair(r, "return key")?;
+            Ok((key, get_list(r, "return list", |r| r.f64("return value"))?))
+        })?,
+        blacklist_votes: get_list(r, "blacklist votes", |r| {
+            Ok((
+                r.u32("blacklist link")?,
+                r.u32("blacklist negatives")?,
+                r.u32("blacklist positives")?,
+            ))
+        })?,
+        generated: get_list(r, "generated", |r| {
+            let key = get_pair(r, "generator")?;
+            Ok((
+                key,
+                get_list(r, "generated links", |r| r.u32("generated link"))?,
+            ))
+        })?,
+        provenance_votes: get_list(r, "provenance votes", |r| {
+            Ok((
+                get_pair(r, "vote key")?,
+                r.u32("vote negatives")?,
+                r.u32("vote positives")?,
+            ))
+        })?,
+        trust: get_option(r, "trust flag", get_trust)?,
+    })
+}
+
+fn put_trust(w: &mut ByteWriter, t: &TrustState) {
+    put_list(w, &t.sources, |w, &(source, agree, disagree)| {
         w.u32(source);
         w.u32(agree);
         w.u32(disagree);
-    }
-    w.u64(t.discredited.len() as u64);
-    for &source in &t.discredited {
-        w.u32(source);
-    }
-    w.u64(t.pending.len() as u64);
-    for (link, votes) in &t.pending {
+    });
+    put_list(w, &t.discredited, |w, &source| w.u32(source));
+    put_list(w, &t.pending, |w, (link, votes)| {
         w.u32(*link);
-        w.u64(votes.len() as u64);
-        for &(source, positive) in votes {
+        put_list(w, votes, |w, &(source, positive)| {
             w.u32(source);
             w.u8(u8::from(positive));
-        }
-    }
-    w.u64(t.log.len() as u64);
-    for rec in &t.log {
+        });
+    });
+    put_list(w, &t.log, |w, rec| {
         w.u32(rec.state);
         w.u8(u8::from(rec.positive));
-        w.u64(rec.supporters.len() as u64);
-        for &s in &rec.supporters {
-            w.u32(s);
-        }
-        w.u64(rec.opposers.len() as u64);
-        for &s in &rec.opposers {
-            w.u32(s);
-        }
-        w.u64(rec.credited.len() as u64);
-        for &(cs, ca) in &rec.credited {
-            w.u32(cs);
-            w.u32(ca);
-        }
+        put_list(w, &rec.supporters, |w, &s| w.u32(s));
+        put_list(w, &rec.opposers, |w, &s| w.u32(s));
+        put_list(w, &rec.credited, put_pair);
         w.f64(rec.reward);
         w.u8(u8::from(rec.newly_approved));
         w.u8(u8::from(rec.endorsed));
-        match rec.prov_target {
-            None => w.u8(0),
-            Some((ps, pa)) => {
-                w.u8(1);
-                w.u32(ps);
-                w.u32(pa);
-            }
-        }
-        match rec.action {
-            None => w.u8(0),
-            Some(action) => {
-                w.u8(1);
-                w.u32(action);
-            }
-        }
-        w.u64(rec.added.len() as u64);
-        for &(link, attributed) in &rec.added {
+        put_option(w, &rec.prov_target, put_pair);
+        put_option(w, &rec.action, |w, &action| w.u32(action));
+        put_list(w, &rec.added, |w, &(link, attributed)| {
             w.u32(link);
             w.u8(u8::from(attributed));
-        }
+        });
         w.u8(u8::from(rec.removed_candidate));
         w.u8(u8::from(rec.was_approved));
         w.u8(u8::from(rec.blacklist_added));
-        match &rec.rollback {
-            None => w.u8(0),
-            Some(rb) => {
-                w.u8(1);
-                w.u32(rb.generator.0);
-                w.u32(rb.generator.1);
-                w.u64(rb.links.len() as u64);
-                for &l in &rb.links {
-                    w.u32(l);
-                }
-                w.u32(rb.votes.0);
-                w.u32(rb.votes.1);
-                w.u64(rb.removed.len() as u64);
-                for &l in &rb.removed {
-                    w.u32(l);
-                }
-            }
-        }
+        put_option(w, &rec.rollback, |w, rb| {
+            put_pair(w, &rb.generator);
+            put_list(w, &rb.links, |w, &l| w.u32(l));
+            put_pair(w, &rb.votes);
+            put_list(w, &rb.removed, |w, &l| w.u32(l));
+        });
         w.u8(u8::from(rec.revoked));
-    }
+    });
 }
 
-fn decode_trust(r: &mut ByteReader) -> Result<TrustState, alex_store::CodecError> {
-    let n = r.len("trust sources")?;
-    let mut sources = Vec::with_capacity(n);
-    for _ in 0..n {
-        sources.push((
-            r.u32("trust source")?,
-            r.u32("trust agreements")?,
-            r.u32("trust disagreements")?,
-        ));
-    }
-    let n = r.len("discredited sources")?;
-    let mut discredited = Vec::with_capacity(n);
-    for _ in 0..n {
-        discredited.push(r.u32("discredited source")?);
-    }
-    let n = r.len("pending votes")?;
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let link = r.u32("pending link")?;
-        let m = r.len("pending vote list")?;
-        let mut votes = Vec::with_capacity(m);
-        for _ in 0..m {
-            votes.push((r.u32("pending source")?, r.u8("pending direction")? != 0));
-        }
-        pending.push((link, votes));
-    }
-    let n = r.len("admission log")?;
-    let mut log = Vec::with_capacity(n);
-    for _ in 0..n {
-        let state = r.u32("admission state")?;
-        let positive = r.u8("admission direction")? != 0;
-        let m = r.len("admission supporters")?;
-        let mut supporters = Vec::with_capacity(m);
-        for _ in 0..m {
-            supporters.push(r.u32("supporter")?);
-        }
-        let m = r.len("admission opposers")?;
-        let mut opposers = Vec::with_capacity(m);
-        for _ in 0..m {
-            opposers.push(r.u32("opposer")?);
-        }
-        let m = r.len("admission credits")?;
-        let mut credited = Vec::with_capacity(m);
-        for _ in 0..m {
-            credited.push((r.u32("credit state")?, r.u32("credit action")?));
-        }
-        let reward = r.f64("admission reward")?;
-        let newly_approved = r.u8("newly approved flag")? != 0;
-        let endorsed = r.u8("endorsed flag")? != 0;
-        let prov_target = if r.u8("prov target flag")? != 0 {
-            Some((r.u32("prov target state")?, r.u32("prov target action")?))
-        } else {
-            None
-        };
-        let action = if r.u8("action flag")? != 0 {
-            Some(r.u32("admission action")?)
-        } else {
-            None
-        };
-        let m = r.len("admission added")?;
-        let mut added = Vec::with_capacity(m);
-        for _ in 0..m {
-            added.push((r.u32("added link")?, r.u8("added attribution flag")? != 0));
-        }
-        let removed_candidate = r.u8("removed candidate flag")? != 0;
-        let was_approved = r.u8("was approved flag")? != 0;
-        let blacklist_added = r.u8("blacklist added flag")? != 0;
-        let rollback = if r.u8("rollback flag")? != 0 {
-            let generator = (r.u32("rollback state")?, r.u32("rollback action")?);
-            let k = r.len("rollback links")?;
-            let mut links = Vec::with_capacity(k);
-            for _ in 0..k {
-                links.push(r.u32("rollback link")?);
-            }
-            let votes = (r.u32("rollback negatives")?, r.u32("rollback positives")?);
-            let k = r.len("rollback removed")?;
-            let mut removed = Vec::with_capacity(k);
-            for _ in 0..k {
-                removed.push(r.u32("rollback removed link")?);
-            }
-            Some(RollbackUndoState {
-                generator,
-                links,
-                votes,
-                removed,
-            })
-        } else {
-            None
-        };
-        let revoked = r.u8("revoked flag")? != 0;
-        log.push(AdmissionState {
-            state,
-            positive,
-            supporters,
-            opposers,
-            credited,
-            reward,
-            newly_approved,
-            endorsed,
-            prov_target,
-            action,
-            added,
-            removed_candidate,
-            was_approved,
-            blacklist_added,
-            rollback,
-            revoked,
-        });
-    }
+fn get_trust(r: &mut ByteReader) -> Result<TrustState, CodecError> {
     Ok(TrustState {
-        sources,
-        discredited,
-        pending,
-        log,
+        sources: get_list(r, "trust sources", |r| {
+            Ok((
+                r.u32("trust source")?,
+                r.u32("trust agreements")?,
+                r.u32("trust disagreements")?,
+            ))
+        })?,
+        discredited: get_list(r, "discredited sources", |r| r.u32("discredited source"))?,
+        pending: get_list(r, "pending votes", |r| {
+            let link = r.u32("pending link")?;
+            let votes = get_list(r, "pending vote list", |r| {
+                Ok((r.u32("pending source")?, get_bool(r, "pending direction")?))
+            })?;
+            Ok((link, votes))
+        })?,
+        log: get_list(r, "admission log", |r| {
+            Ok(AdmissionState {
+                state: r.u32("admission state")?,
+                positive: get_bool(r, "admission direction")?,
+                supporters: get_list(r, "admission supporters", |r| r.u32("supporter"))?,
+                opposers: get_list(r, "admission opposers", |r| r.u32("opposer"))?,
+                credited: get_list(r, "admission credits", |r| get_pair(r, "credit"))?,
+                reward: r.f64("admission reward")?,
+                newly_approved: get_bool(r, "newly approved flag")?,
+                endorsed: get_bool(r, "endorsed flag")?,
+                prov_target: get_option(r, "prov target flag", |r| get_pair(r, "prov target"))?,
+                action: get_option(r, "action flag", |r| r.u32("admission action"))?,
+                added: get_list(r, "admission added", |r| {
+                    Ok((r.u32("added link")?, get_bool(r, "added attribution flag")?))
+                })?,
+                removed_candidate: get_bool(r, "removed candidate flag")?,
+                was_approved: get_bool(r, "was approved flag")?,
+                blacklist_added: get_bool(r, "blacklist added flag")?,
+                rollback: get_option(r, "rollback flag", |r| {
+                    Ok(RollbackUndoState {
+                        generator: get_pair(r, "rollback generator")?,
+                        links: get_list(r, "rollback links", |r| r.u32("rollback link"))?,
+                        votes: get_pair(r, "rollback votes")?,
+                        removed: get_list(r, "rollback removed", |r| {
+                            r.u32("rollback removed link")
+                        })?,
+                    })
+                })?,
+                revoked: get_bool(r, "revoked flag")?,
+            })
+        })?,
     })
+}
+
+/// Read the leading format version of a `what` payload and reject any
+/// other version than this build's.
+fn check_version(r: &mut ByteReader, what: &'static str) -> Result<(), String> {
+    let version = r.u32(what).map_err(|e| err(&e.to_string()))?;
+    if version != FORMAT_VERSION {
+        return Err(err(&format!(
+            "{what} format version {version} (this build reads {FORMAT_VERSION})"
+        )));
+    }
+    Ok(())
+}
+
+/// Encode a [`RunSnapshot`] as the snapshot payload handed to the store.
+pub fn encode_snapshot(s: &RunSnapshot) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(FORMAT_VERSION);
+    w.u64(s.base_fingerprint);
+    w.u64(s.last_episode);
+    w.u8(u8::from(s.completed));
+    w.u8(u8::from(s.relaxed_converged_at.is_some()));
+    w.u64(s.relaxed_converged_at.unwrap_or(0));
+    put_stats(&mut w, &s.episodes);
+    put_list(&mut w, &s.partitions, |w, p| {
+        put_stats(w, &p.episodes);
+        put_agent(w, &p.agent);
+        w.bytes(&p.source_state);
+    });
+    w.finish()
 }
 
 /// Decode a snapshot payload (inverse of [`encode_snapshot`]).
 pub fn decode_snapshot(payload: &[u8]) -> Result<RunSnapshot, String> {
     let mut r = ByteReader::new(payload);
-    let version = r.u32("snapshot version").map_err(|e| err(&e.to_string()))?;
-    if version != FORMAT_VERSION {
-        return Err(err(&format!(
-            "snapshot format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let map = |e: alex_store::CodecError| err(&e.to_string());
-    let base_fp = r.u64("base fingerprint").map_err(map)?;
-    let last_episode = r.u64("last episode").map_err(map)?;
-    let completed = r.u8("completed flag").map_err(map)? != 0;
-    let relaxed_flag = r.u8("relaxed flag").map_err(map)?;
-    let relaxed_ep = r.u64("relaxed episode").map_err(map)?;
-    let n = r.len("episode stats").map_err(map)?;
-    let mut episodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        episodes.push(EpisodeStats {
-            episode: r.u64("stat episode").map_err(map)?,
-            precision: r.f64("stat precision").map_err(map)?,
-            recall: r.f64("stat recall").map_err(map)?,
-            f_measure: r.f64("stat f_measure").map_err(map)?,
-            candidates: r.u64("stat candidates").map_err(map)?,
-            correct: r.u64("stat correct").map_err(map)?,
-            added: r.u64("stat added").map_err(map)?,
-            removed: r.u64("stat removed").map_err(map)?,
-            negative_feedback_frac: r.f64("stat negative frac").map_err(map)?,
-            rollbacks: r.u64("stat rollbacks").map_err(map)?,
-            change_frac: r.f64("stat change frac").map_err(map)?,
-            degraded: r.u8("stat degraded").map_err(map)? != 0,
-        });
-    }
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64("rng word").map_err(map)?;
-    }
-    let episodes_completed = r.u64("episodes completed").map_err(map)?;
+    check_version(&mut r, "snapshot")?;
+    get_snapshot(&mut r).map_err(|e| err(&e.to_string()))
+}
 
-    let n = r.len("admissions").map_err(map)?;
-    let mut admissions = Vec::with_capacity(n);
-    for _ in 0..n {
-        admissions.push((
-            r.u32("admission left").map_err(map)?,
-            r.u32("admission right").map_err(map)?,
-        ));
-    }
-    let n = r.len("candidates").map_err(map)?;
-    let mut candidates = Vec::with_capacity(n);
-    for _ in 0..n {
-        candidates.push(r.u32("candidate id").map_err(map)?);
-    }
-    let n = r.len("approved").map_err(map)?;
-    let mut approved = Vec::with_capacity(n);
-    for _ in 0..n {
-        approved.push(r.u32("approved id").map_err(map)?);
-    }
-    let n = r.len("greedy").map_err(map)?;
-    let mut greedy = Vec::with_capacity(n);
-    for _ in 0..n {
-        greedy.push((
-            r.u32("greedy state").map_err(map)?,
-            r.u32("greedy action").map_err(map)?,
-        ));
-    }
-    let n = r.len("returns").map_err(map)?;
-    let mut returns = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = (
-            r.u32("return state").map_err(map)?,
-            r.u32("return action").map_err(map)?,
-        );
-        let m = r.len("return list").map_err(map)?;
-        let mut rs = Vec::with_capacity(m);
-        for _ in 0..m {
-            rs.push(r.f64("return value").map_err(map)?);
-        }
-        returns.push((key, rs));
-    }
-    let n = r.len("blacklist votes").map_err(map)?;
-    let mut blacklist_votes = Vec::with_capacity(n);
-    for _ in 0..n {
-        blacklist_votes.push((
-            r.u32("blacklist link").map_err(map)?,
-            r.u32("blacklist negatives").map_err(map)?,
-            r.u32("blacklist positives").map_err(map)?,
-        ));
-    }
-    let n = r.len("generated").map_err(map)?;
-    let mut generated = Vec::with_capacity(n);
-    for _ in 0..n {
-        let key = (
-            r.u32("generator state").map_err(map)?,
-            r.u32("generator action").map_err(map)?,
-        );
-        let m = r.len("generated links").map_err(map)?;
-        let mut links = Vec::with_capacity(m);
-        for _ in 0..m {
-            links.push(r.u32("generated link").map_err(map)?);
-        }
-        generated.push((key, links));
-    }
-    let n = r.len("provenance votes").map_err(map)?;
-    let mut provenance_votes = Vec::with_capacity(n);
-    for _ in 0..n {
-        provenance_votes.push((
-            (
-                r.u32("vote state").map_err(map)?,
-                r.u32("vote action").map_err(map)?,
-            ),
-            r.u32("vote negatives").map_err(map)?,
-            r.u32("vote positives").map_err(map)?,
-        ));
-    }
-    let trust = if r.u8("trust flag").map_err(map)? != 0 {
-        Some(decode_trust(&mut r).map_err(map)?)
-    } else {
-        None
-    };
-    let source_state = r.bytes("source state").map_err(map)?.to_vec();
-    r.expect_exhausted("snapshot trailer").map_err(map)?;
-
-    Ok(RunSnapshot {
-        base_fingerprint: base_fp,
+fn get_snapshot(r: &mut ByteReader) -> Result<RunSnapshot, CodecError> {
+    let base_fingerprint = r.u64("base fingerprint")?;
+    let last_episode = r.u64("last episode")?;
+    let completed = get_bool(r, "completed flag")?;
+    let relaxed = get_bool(r, "relaxed flag")?;
+    let relaxed_episode = r.u64("relaxed episode")?;
+    let snapshot = RunSnapshot {
+        base_fingerprint,
         last_episode,
         completed,
-        relaxed_converged_at: (relaxed_flag != 0).then_some(relaxed_ep),
-        episodes,
-        agent: AgentState {
-            rng,
-            episodes_completed,
-            admissions,
-            candidates,
-            approved,
-            greedy,
-            returns,
-            blacklist_votes,
-            generated,
-            provenance_votes,
-            trust,
-        },
-        source_state,
-    })
+        relaxed_converged_at: relaxed.then_some(relaxed_episode),
+        episodes: get_stats(r)?,
+        partitions: get_list(r, "partitions", |r| {
+            Ok(PartitionSnapshot {
+                episodes: get_stats(r)?,
+                agent: get_agent(r)?,
+                source_state: r.bytes("source state")?.to_vec(),
+            })
+        })?,
+    };
+    r.expect_exhausted("snapshot trailer")?;
+    Ok(snapshot)
 }
 
 /// Encode an [`EpisodeRecord`] as the journal payload for one episode.
 pub fn encode_episode(record: &EpisodeRecord) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(FORMAT_VERSION);
-    w.u64(record.items.len() as u64);
-    for &(l, r, positive, source) in &record.items {
-        w.u32(l);
-        w.u32(r);
-        w.u8(u8::from(positive));
-        w.u32(source);
-    }
-    w.bytes(&record.source_state);
     w.u8(u8::from(record.degraded));
+    put_list(&mut w, &record.partitions, |w, p| {
+        put_list(w, &p.items, |w, &(l, r, positive, source)| {
+            w.u32(l);
+            w.u32(r);
+            w.u8(u8::from(positive));
+            w.u32(source);
+        });
+        w.bytes(&p.source_state);
+    });
     w.finish()
 }
 
 /// Decode a journal episode payload (inverse of [`encode_episode`]).
 pub fn decode_episode(payload: &[u8]) -> Result<EpisodeRecord, String> {
     let mut r = ByteReader::new(payload);
-    let map = |e: alex_store::CodecError| err(&e.to_string());
-    let version = r.u32("episode version").map_err(map)?;
-    if version != FORMAT_VERSION {
-        return Err(err(&format!(
-            "episode format version {version} (this build reads {FORMAT_VERSION})"
-        )));
-    }
-    let n = r.len("episode items").map_err(map)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push((
-            r.u32("item left").map_err(map)?,
-            r.u32("item right").map_err(map)?,
-            r.u8("item feedback").map_err(map)? != 0,
-            r.u32("item source").map_err(map)?,
-        ));
-    }
-    let source_state = r.bytes("episode source state").map_err(map)?.to_vec();
-    let degraded = r.u8("episode degraded").map_err(map)? != 0;
-    r.expect_exhausted("episode trailer").map_err(map)?;
-    Ok(EpisodeRecord {
-        items,
-        source_state,
-        degraded,
-    })
+    check_version(&mut r, "episode")?;
+    get_episode(&mut r).map_err(|e| err(&e.to_string()))
+}
+
+fn get_episode(r: &mut ByteReader) -> Result<EpisodeRecord, CodecError> {
+    let record = EpisodeRecord {
+        degraded: get_bool(r, "episode degraded")?,
+        partitions: get_list(r, "episode partitions", |r| {
+            Ok(PartitionRecord {
+                items: get_list(r, "episode items", |r| {
+                    Ok((
+                        r.u32("item left")?,
+                        r.u32("item right")?,
+                        get_bool(r, "item feedback")?,
+                        r.u32("item source")?,
+                    ))
+                })?,
+                source_state: r.bytes("episode source state")?.to_vec(),
+            })
+        })?,
+    };
+    r.expect_exhausted("episode trailer")?;
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -760,34 +701,41 @@ mod tests {
             last_episode: 7,
             completed: false,
             relaxed_converged_at: Some(5),
-            episodes: vec![EpisodeStats {
-                episode: 7,
-                precision: 0.75,
-                recall: 0.5,
-                f_measure: 0.6,
-                candidates: 11,
-                correct: 8,
-                added: 4,
-                removed: 1,
-                negative_feedback_frac: 0.25,
-                rollbacks: 0,
-                change_frac: 0.125,
-                degraded: true,
+            episodes: vec![sample_stats()],
+            partitions: vec![PartitionSnapshot {
+                episodes: vec![sample_stats()],
+                agent: AgentState {
+                    rng: [1, 2, 3, u64::MAX],
+                    episodes_completed: 7,
+                    admissions: vec![(9, 12), (0, 3)],
+                    candidates: vec![4, 1, 0],
+                    approved: vec![0, 4],
+                    greedy: vec![(0, 2), (4, 1)],
+                    returns: vec![((0, 2), vec![1.0, -2.0, 1.0]), ((4, 1), vec![0.5])],
+                    blacklist_votes: vec![(3, 2, 1)],
+                    generated: vec![((0, 2), vec![4, 1])],
+                    provenance_votes: vec![((0, 2), 1, 3)],
+                    trust: None,
+                },
+                source_state: vec![0xAB; 32],
             }],
-            agent: AgentState {
-                rng: [1, 2, 3, u64::MAX],
-                episodes_completed: 7,
-                admissions: vec![(9, 12), (0, 3)],
-                candidates: vec![4, 1, 0],
-                approved: vec![0, 4],
-                greedy: vec![(0, 2), (4, 1)],
-                returns: vec![((0, 2), vec![1.0, -2.0, 1.0]), ((4, 1), vec![0.5])],
-                blacklist_votes: vec![(3, 2, 1)],
-                generated: vec![((0, 2), vec![4, 1])],
-                provenance_votes: vec![((0, 2), 1, 3)],
-                trust: None,
-            },
-            source_state: vec![0xAB; 32],
+        }
+    }
+
+    fn sample_stats() -> EpisodeStats {
+        EpisodeStats {
+            episode: 7,
+            precision: 0.75,
+            recall: 0.5,
+            f_measure: 0.6,
+            candidates: 11,
+            correct: 8,
+            added: 4,
+            removed: 1,
+            negative_feedback_frac: 0.25,
+            rollbacks: 0,
+            change_frac: 0.125,
+            degraded: true,
         }
     }
 
@@ -853,7 +801,9 @@ mod tests {
     #[test]
     fn snapshot_with_trust_round_trips() {
         let mut snap = sample_snapshot();
-        snap.agent.trust = Some(sample_trust());
+        snap.partitions[0].agent.trust = Some(sample_trust());
+        // A second partition, so the list layout round-trips too.
+        snap.partitions.push(snap.partitions[0].clone());
         let bytes = encode_snapshot(&snap);
         let back = decode_snapshot(&bytes).unwrap();
         assert_eq!(back, snap);
@@ -869,8 +819,16 @@ mod tests {
     #[test]
     fn episode_round_trips() {
         let rec = EpisodeRecord {
-            items: vec![(0, 0, true, 1), (3, 7, false, 0)],
-            source_state: vec![1, 2, 3],
+            partitions: vec![
+                PartitionRecord {
+                    items: vec![(0, 0, true, 1), (3, 7, false, 0)],
+                    source_state: vec![1, 2, 3],
+                },
+                PartitionRecord {
+                    items: vec![],
+                    source_state: vec![4],
+                },
+            ],
             degraded: true,
         };
         let bytes = encode_episode(&rec);
@@ -895,8 +853,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let mut bytes = encode_episode(&EpisodeRecord {
-            items: vec![],
-            source_state: vec![],
+            partitions: vec![],
             degraded: false,
         });
         bytes.push(0);

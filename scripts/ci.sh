@@ -61,6 +61,20 @@ echo "==> golden link-space digests (ALEX_THREADS=1 and 4)"
 ALEX_THREADS=1 cargo test --test space_golden -q
 ALEX_THREADS=4 cargo test --test space_golden -q
 
+echo "==> paper figure digests (release experiments, ALEX_THREADS=2)"
+# Every figure's output, minus fig10's wall-time lines, must match its
+# committed sha256: a change to the driver, the agent or the kernels either
+# keeps the paper figures byte-identical or updates the digest on purpose.
+cargo build --release -q -p alex-bench --bin experiments
+grep -v '^#' scripts/paper_digests.txt | while read -r name digest; do
+  got=$(ALEX_THREADS=2 target/release/experiments "$name" 2>/dev/null \
+    | grep -v 'slowest partition' | sha256sum | cut -d' ' -f1)
+  if [ "$got" != "$digest" ]; then
+    echo "paper digest mismatch for $name: got $got, expected $digest" >&2
+    exit 1
+  fi
+done
+
 echo "==> e2e benchmark unit tests (separate package, own target dir)"
 cargo test --offline -q --manifest-path e2e-bench/Cargo.toml
 

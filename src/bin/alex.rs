@@ -25,9 +25,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use alex::core::{
-    driver, run_partitioned, workload_from_links, AdversarialPopulation, Agent, AlexConfig,
-    Durability, FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback, PartitionedConfig,
-    Quality, QueryFeedback, SpaceConfig, StopReason, TrustConfig,
+    driver, final_links, run_partitioned_with, workload_from_links, AdversarialPopulation, Agent,
+    AlexConfig, Durability, FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback,
+    PartitionedConfig, Quality, QueryFeedback, SpaceConfig, StopReason, TrustConfig, TrustGate,
 };
 use alex::guard::{BreachPolicy, Budget, ChaosProfile, Supervisor};
 
@@ -87,7 +87,8 @@ USAGE:
               [--error-rate E] [--out FILE]
       Run ALEX: start from --links, learn from oracle feedback against
       --truth, print per-episode precision/recall/F, and write the
-      improved links.
+      improved links. --partitions defaults to 4, or to 1 when any
+      durability, adversarial-robustness or supervision flag is given.
 
   alex query --data FILE [--data FILE ...] [--links FILE]
              (--query-file FILE | QUERY)
@@ -129,7 +130,7 @@ FAULT TOLERANCE (improve --feedback query, and query):
                             failure aborts the query instead of
                             completing partially without that source.
 
-ADVERSARIAL ROBUSTNESS (improve, oracle feedback, single-partition):
+ADVERSARIAL ROBUSTNESS (improve, oracle feedback):
   --trust                   Gate link mutations behind trust-weighted
                             quorum admission: each feedback item is a
                             vote; votes apply only once the voters'
@@ -143,8 +144,9 @@ ADVERSARIAL ROBUSTNESS (improve, oracle feedback, single-partition):
                             sources carry weight 0.5, so two agreeing
                             fresh sources admit). Requires --trust.
   --sources N               Size of the feedback-source population
-                            (default 1). Sources rotate round-robin
-                            and carry stable 1-based ids.
+                            (default 1; one population per partition).
+                            Sources rotate round-robin and carry stable
+                            1-based ids.
   --adversary-profile SPEC  Make a seeded fraction of the population
                             adversarial: KIND:FRACTION[:PARAM] with
                             KIND one of flipper (random lies), poisoner
@@ -158,9 +160,9 @@ ADVERSARIAL ROBUSTNESS (improve, oracle feedback, single-partition):
 
 DURABILITY (improve, oracle feedback):
   --state-dir DIR           Journal every episode and snapshot the full
-                            learning state under DIR; a killed run can be
-                            continued with --resume. Durable runs are
-                            single-partition and deterministic: an
+                            learning state of every partition under DIR; a
+                            killed run can be continued with --resume.
+                            Durable runs are deterministic: an
                             interrupted-and-resumed run produces exactly
                             the links an uninterrupted one would.
   --resume                  Continue the run found in --state-dir
@@ -186,8 +188,12 @@ PARALLELISM (link, improve, query):
                             output stays byte-identical at any --threads;
                             'fail' re-raises the panic after the dispatch
                             drains (lowest chunk wins, deterministically).
+                            A partition's episode round that panicked
+                            after it began learning is never re-executed
+                            (its agent may be half-updated): the run
+                            fails instead.
 
-SUPERVISION (improve, oracle feedback, single-partition):
+SUPERVISION (improve, oracle feedback):
   --episode-budget-ms MS    Wall-clock budget per episode. Budgets are
                             checked at episode boundaries: an episode is
                             never interrupted mid-flight, it is finalized,
@@ -374,8 +380,8 @@ impl GuardOpts {
 /// Parse and validate the budget-supervision flags. `None` when no budget
 /// flag was given; an error when `--budget-policy` appears alone (a policy
 /// with nothing to police is a spelling mistake, not a request) or when
-/// the flags are combined with modes the supervisor does not cover
-/// (supervision wraps the single-partition driver loop, like durability).
+/// the flags are combined with query feedback, which the supervisor does
+/// not cover.
 fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
     let mut budget = Budget::unlimited();
     if let Some(ms) = flag(flags, "episode-budget-ms") {
@@ -398,23 +404,18 @@ fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
     }
     if budget.is_unlimited() {
         if flag(flags, "budget-policy").is_some() {
-            return Err("--budget-policy requires a budget flag                  (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
+            return Err("--budget-policy requires a budget flag \
+                        (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
                 .into());
         }
         return Ok(None);
     }
     if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
         return Err(
-            "budget supervision requires oracle feedback: the supervisor wraps the              single-partition driver loop"
+            "budget supervision requires oracle feedback: the supervisor wraps the \
+             oracle driver loop"
                 .into(),
         );
-    }
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "supervised runs are single-partition; drop --partitions or set it to 1".into(),
-            );
-        }
     }
     let policy = match flag(flags, "budget-policy") {
         None => BreachPolicy::Stop,
@@ -619,13 +620,6 @@ fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
     let Some(dir) = state_dir else {
         return Ok(None);
     };
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "--state-dir runs are single-partition; drop --partitions or set it to 1".into(),
-            );
-        }
-    }
     if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
         return Err(
             "--state-dir requires oracle feedback: live query feedback cannot be \
@@ -697,8 +691,8 @@ impl RobustnessOpts {
 
 /// Parse and validate the adversarial-robustness flags. `None` when none of
 /// `--trust`, `--quorum`, `--sources`, `--adversary-profile` was given; an
-/// error on inconsistent combinations (these runs are single-partition and
-/// need oracle feedback, like durable runs).
+/// error on inconsistent combinations (these runs need oracle feedback,
+/// like durable runs).
 fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     let trust_enabled = flag(flags, "trust").is_some();
     if !trust_enabled && flag(flags, "quorum").is_some() {
@@ -732,15 +726,6 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
              gate sits on the oracle improve loop"
                 .into(),
         );
-    }
-    if let Some(p) = flag(flags, "partitions") {
-        if p != "1" {
-            return Err(
-                "--trust/--sources/--adversary-profile runs are single-partition; \
-                 drop --partitions or set it to 1"
-                    .into(),
-            );
-        }
     }
     Ok(Some(RobustnessOpts {
         trust,
@@ -946,165 +931,78 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
     let links = load_links(flag(&flags, "links").ok_or("--links is required")?)?;
     let truth = load_links(flag(&flags, "truth").ok_or("--truth is required")?)?;
 
-    if let Some(opts) = durable {
-        return improve_durable(
-            &left, &right, &links, &truth, &flags, &telemetry, opts, robust, guard,
-        );
-    }
-    if let Some(robust) = robust {
-        return improve_robust(
-            &left, &right, &links, &truth, &flags, &telemetry, robust, guard,
-        );
-    }
-    if guard.is_some() {
-        // Supervision alone still runs the single-partition driver loop;
-        // a default (oracle, single-source) robustness shell provides it.
-        let plain = RobustnessOpts {
-            trust: None,
-            profile: None,
-            sources: 1,
-        };
-        return improve_robust(
-            &left, &right, &links, &truth, &flags, &telemetry, plain, guard,
-        );
-    }
-
     match flag(&flags, "feedback").unwrap_or("oracle") {
-        "oracle" => {}
-        "query" => {
-            return improve_with_query_feedback(&left, &right, &links, &truth, &flags, &telemetry)
-        }
+        "oracle" => improve_with_oracle(
+            &left, &right, &links, &truth, &flags, durable, robust, guard,
+        )?,
+        "query" => improve_with_query_feedback(&left, &right, &links, &truth, &flags)?,
         other => {
             return Err(format!(
                 "--feedback must be 'oracle' or 'query', got '{other}'"
             ))
         }
     }
+    telemetry.finish()
+}
 
-    let to_term_pairs = |set: &SameAsLinks| -> Vec<(Term, Term)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((lt, rt))
-            })
-            .collect()
-    };
-    let initial = to_term_pairs(&links);
-    let truth_pairs = to_term_pairs(&truth);
-    if truth_pairs.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {}",
-        initial.len(),
-        links.len(),
-        truth_pairs.len(),
-        truth.len()
-    );
+/// `(left term, right term)` pairs of the links whose IRIs both data sets
+/// know.
+fn term_pairs(left: &Dataset, right: &Dataset, set: &SameAsLinks) -> Vec<(Term, Term)> {
+    set.iter()
+        .filter_map(|l| {
+            let lt = left.interner().get(&l.left).map(Term::Iri)?;
+            let rt = right.interner().get(&l.right).map(Term::Iri)?;
+            Some((lt, rt))
+        })
+        .collect()
+}
 
-    let cfg = PartitionedConfig {
-        partitions: parse_flag(&flags, "partitions", 4usize)?,
-        alex: AlexConfig {
-            episode_size: parse_flag(&flags, "episode-size", 1000usize)?,
-            max_episodes: parse_flag(&flags, "episodes", 40usize)?,
-            ..AlexConfig::default()
-        },
-        space: SpaceConfig::default(),
-        feedback_error_rate: parse_flag(&flags, "error-rate", 0.0f64)?,
-    };
-    let run = run_partitioned(&left, &right, &initial, &truth_pairs, &cfg);
-
+/// Print the initial and per-episode quality and the stop line.
+fn print_run(report: &driver::RunReport) {
     let print_q = |tag: &str, q: Quality| {
         println!(
             "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
             q.precision, q.recall, q.f_measure
         );
     };
-    print_q("initial", run.initial_quality);
-    for e in &run.episodes {
+    print_q("initial", report.initial_quality);
+    for e in &report.episodes {
         print_q(&format!("ep {}", e.episode), e.quality);
     }
     println!(
         "stopped: {:?} after {} episodes ({:.2?})",
-        run.stop,
-        run.episodes.len(),
-        run.total_duration
+        report.stop,
+        report.episodes.len(),
+        report.total_duration
     );
-
-    // Export the union of the partitions' final candidate links.
-    if let Some(out) = flag(&flags, "out") {
-        let final_links = SameAsLinks::from_pairs(
-            run.final_links
-                .iter()
-                .map(|&(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
-        );
-        write_or_print(Some(out), &final_links.to_ntriples())?;
-    }
-    telemetry.finish()
 }
 
-/// `improve --state-dir`: the crash-safe single-partition run. Every episode
-/// is journaled before the run proceeds; `--resume` restores the newest
-/// snapshot and replays the journal tail, yielding exactly the links an
-/// uninterrupted run would have produced.
-#[allow(clippy::too_many_arguments)]
-fn improve_durable(
+/// Write the improved links to `--out`, when given.
+fn write_links(
+    flags: &Flags,
     left: &Dataset,
     right: &Dataset,
-    links: &SameAsLinks,
-    truth: &SameAsLinks,
-    flags: &Flags,
-    telemetry: &TelemetryOpts,
-    opts: DurableOpts,
-    robust: Option<RobustnessOpts>,
-    guard: Option<GuardOpts>,
+    links: &[(Term, Term)],
 ) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
-            .collect()
+    let Some(out) = flag(flags, "out") else {
+        return Ok(());
     };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {} (durable: {})",
-        initial_ids.len(),
-        links.len(),
-        truth_ids.len(),
-        truth.len(),
-        opts.state_dir
+    let set = SameAsLinks::from_pairs(
+        links
+            .iter()
+            .map(|&(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
     );
+    write_or_print(Some(out), &set.to_ntriples())
+}
 
-    let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 1000usize)?,
-        max_episodes: parse_flag(flags, "episodes", 40usize)?,
-        trust: robust.as_ref().and_then(|r| r.trust),
-        ..AlexConfig::default()
-    };
-    let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let mut agent = Agent::new(space, &initial_ids, cfg.clone());
-    let error_rate: f64 = parse_flag(flags, "error-rate", 0.0f64)?;
-    let mut source: Box<dyn FeedbackSource> = match &robust {
-        Some(r) => r.make_source(&truth_ids, error_rate, cfg.seed),
-        None => Box::new(OracleFeedback::with_error_rate(
-            truth_ids.clone(),
-            error_rate,
-            cfg.seed,
-        )),
-    };
-
-    let (mut store, recovery) = alex::store::DirectStore::open(Path::new(&opts.state_dir))
-        .map_err(|e| format!("cannot open state dir {}: {e}", opts.state_dir))?;
+/// Wrap an opened state dir in the run's durability settings. With
+/// `--kill-after N` the process SIGKILLs itself right after the N-th
+/// episode commit of this session.
+fn durability<'a>(
+    opts: &DurableOpts,
+    store: &'a mut alex::store::DirectStore,
+    recovery: alex::store::Recovery,
+) -> Durability<'a> {
     if !recovery.is_fresh() {
         eprintln!(
             "recovering from {}: snapshot {}, {} journal episode(s){}",
@@ -1122,174 +1020,145 @@ fn improve_durable(
             }
         );
     }
-    let mut durability = Durability::new(&mut store, recovery)
+    let durability = Durability::new(store, recovery)
         .snapshot_every(opts.snapshot_every)
         .resume(opts.resume);
+    let Some(kill_after) = opts.kill_after else {
+        return durability;
+    };
     let mut commits_this_session = 0u64;
-    if let Some(kill_after) = opts.kill_after {
-        durability = durability.on_commit(move |episode| {
-            commits_this_session += 1;
-            if commits_this_session == kill_after {
-                // A genuine SIGKILL — no unwinding, no destructors, no
-                // flushing — exactly what the crash-safety tests need.
-                eprintln!("kill-after: SIGKILL at episode {episode} commit");
-                let _ = std::process::Command::new("kill")
-                    .args(["-9", &std::process::id().to_string()])
-                    .status();
-                // Unreachable once the signal lands; sleep so we never race
-                // past the commit boundary and run another episode.
-                std::thread::sleep(std::time::Duration::from_secs(60));
-            }
-        });
-    }
-    let supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
-    let report = match supervisor {
-        Some(mut sup) => {
-            let report = driver::run_durable_supervised(
-                &mut agent,
-                source.as_mut(),
-                &truth_ids,
-                durability,
-                &mut sup,
-            )?;
-            print_supervision(&sup, &report);
-            report
+    durability.on_commit(move |episode| {
+        commits_this_session += 1;
+        if commits_this_session == kill_after {
+            // A genuine SIGKILL — no unwinding, no destructors, no
+            // flushing — exactly what the crash-safety tests need.
+            eprintln!("kill-after: SIGKILL at episode {episode} commit");
+            let _ = std::process::Command::new("kill")
+                .args(["-9", &std::process::id().to_string()])
+                .status();
+            // Unreachable once the signal lands; sleep so we never race
+            // past the commit boundary and run another episode.
+            std::thread::sleep(std::time::Duration::from_secs(60));
         }
-        None => driver::run_durable(&mut agent, source.as_mut(), &truth_ids, durability)?,
-    };
-
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
-    }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
-    );
-    if report.stop == StopReason::Suspended {
-        eprintln!(
-            "run suspended; continue with: alex improve ... --state-dir {} --resume",
-            opts.state_dir
-        );
-    }
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
-    }
-    telemetry.finish()
+    })
 }
 
-/// `improve --trust` / `--sources` / `--adversary-profile` without
-/// `--state-dir`: the single-partition adversarial-robustness run. Feedback
-/// comes from an attributed source population (possibly with seeded
-/// adversaries) and, with `--trust`, link mutations pass through quorum
-/// admission with cascading rollback.
+/// `improve` with oracle feedback over `--partitions` k ≥ 1 partitions.
+///
+/// A plain run defaults to 4 partitions judged by oracles seeded
+/// `seed + 1000 + i`. With `--state-dir`, trust, population or budget
+/// flags the default is one partition and partition i's source is seeded
+/// `seed + i`. `--state-dir` journals every episode, so `--resume` yields
+/// exactly the links an uninterrupted run would; `--sources` and
+/// `--adversary-profile` make each partition's feedback come from an
+/// attributed population; `--trust` passes link mutations through quorum
+/// admission with cascading rollback; budget flags mark overrunning
+/// episodes degraded.
 #[allow(clippy::too_many_arguments)]
-fn improve_robust(
+fn improve_with_oracle(
     left: &Dataset,
     right: &Dataset,
     links: &SameAsLinks,
     truth: &SameAsLinks,
     flags: &Flags,
-    telemetry: &TelemetryOpts,
-    robust: RobustnessOpts,
+    durable: Option<DurableOpts>,
+    robust: Option<RobustnessOpts>,
     guard: Option<GuardOpts>,
 ) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
-            .collect()
+    let plain = durable.is_none() && robust.is_none() && guard.is_none();
+    let cfg = PartitionedConfig {
+        partitions: parse_flag(flags, "partitions", if plain { 4 } else { 1 })?,
+        alex: AlexConfig {
+            episode_size: parse_flag(flags, "episode-size", 1000usize)?,
+            max_episodes: parse_flag(flags, "episodes", 40usize)?,
+            trust: robust.as_ref().and_then(|r| r.trust),
+            ..AlexConfig::default()
+        },
+        space: SpaceConfig::default(),
+        feedback_error_rate: parse_flag(flags, "error-rate", 0.0f64)?,
     };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
+    if cfg.partitions == 0 {
+        return Err("--partitions must be at least 1".into());
+    }
+    let initial = term_pairs(left, right, links);
+    let truth_pairs = term_pairs(left, right, truth);
+    if truth_pairs.is_empty() {
         return Err("no ground-truth link references entities of these data sets".into());
     }
+    let mut setup = format!("partitions: {}", cfg.partitions);
+    if let Some(r) = &robust {
+        setup += &format!(
+            ", sources: {}, adversary: {}, trust: {}",
+            r.sources,
+            flag(flags, "adversary-profile").unwrap_or("none"),
+            if r.trust.is_some() { "on" } else { "off" },
+        );
+    }
+    if let Some(d) = &durable {
+        setup += &format!(", durable: {}", d.state_dir);
+    }
     eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {} \
-         (sources: {}, adversary: {}, trust: {})",
-        initial_ids.len(),
+        "initial links: {} usable of {}; ground truth: {} usable of {} ({setup})",
+        initial.len(),
         links.len(),
-        truth_ids.len(),
+        truth_pairs.len(),
         truth.len(),
-        robust.sources,
-        flag(flags, "adversary-profile").unwrap_or("none"),
-        if robust.trust.is_some() { "on" } else { "off" },
     );
 
-    let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 1000usize)?,
-        max_episodes: parse_flag(flags, "episodes", 40usize)?,
-        trust: robust.trust,
-        ..AlexConfig::default()
-    };
-    let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let mut agent = Agent::new(space, &initial_ids, cfg.clone());
-    let error_rate: f64 = parse_flag(flags, "error-rate", 0.0f64)?;
-    let mut source = robust.make_source(&truth_ids, error_rate, cfg.seed);
-    let report = match guard.as_ref().map(GuardOpts::make_supervisor) {
-        Some(mut sup) => {
-            let report = driver::run_supervised(&mut agent, source.as_mut(), &truth_ids, &mut sup);
-            print_supervision(&sup, &report);
-            report
+    let mut store;
+    let durability = match &durable {
+        None => None,
+        Some(opts) => {
+            let (opened, recovery) = alex::store::DirectStore::open(Path::new(&opts.state_dir))
+                .map_err(|e| format!("cannot open state dir {}: {e}", opts.state_dir))?;
+            store = opened;
+            Some(durability(opts, &mut store, recovery))
         }
-        None => driver::run(&mut agent, source.as_mut(), &truth_ids),
     };
+    // Without population flags the shell makes plain oracles.
+    let robust = robust.unwrap_or(RobustnessOpts {
+        trust: None,
+        profile: None,
+        sources: 1,
+    });
+    let seed = cfg.alex.seed.wrapping_add(if plain { 1000 } else { 0 });
+    let mut supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
+    let (report, agents) = run_partitioned_with(
+        left,
+        right,
+        &initial,
+        &truth_pairs,
+        &cfg,
+        |i, truth| robust.make_source(truth, cfg.feedback_error_rate, seed.wrapping_add(i as u64)),
+        durability,
+        supervisor.as_mut(),
+    )?;
 
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
+    if let Some(sup) = &supervisor {
+        print_supervision(sup, &report);
     }
-    if let Some(gate) = agent.trust_gate() {
+    print_run(&report);
+    let gates: Vec<_> = agents.iter().filter_map(Agent::trust_gate).collect();
+    if !gates.is_empty() {
+        // Summed over the partitions' gates.
+        let sum = |f: fn(&TrustGate) -> usize| gates.iter().map(|g| f(g)).sum::<usize>();
         eprintln!(
             "trust: {} admissions ({} revoked), {} votes pending on {} links, \
              {} sources discredited",
-            gate.log.len(),
-            gate.log.iter().filter(|r| r.revoked).count(),
-            gate.buffer.pending_votes(),
-            gate.buffer.pending_links(),
-            gate.discredited.len(),
+            sum(|g| g.log.len()),
+            sum(|g| g.log.iter().filter(|r| r.revoked).count()),
+            sum(|g| g.buffer.pending_votes()),
+            sum(|g| g.buffer.pending_links()),
+            sum(|g| g.discredited.len()),
         );
     }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
-    );
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
+    if let (StopReason::Suspended, Some(d)) = (report.stop, &durable) {
+        eprintln!(
+            "run suspended; continue with: alex improve ... --state-dir {} --resume",
+            d.state_dir
+        );
     }
-    telemetry.finish()
+    write_links(flags, left, right, &final_links(&agents))
 }
 
 /// `improve --feedback query`: the paper's deployment loop. Feedback comes
@@ -1302,17 +1171,13 @@ fn improve_with_query_feedback(
     links: &SameAsLinks,
     truth: &SameAsLinks,
     flags: &Flags,
-    telemetry: &TelemetryOpts,
 ) -> Result<(), String> {
     let left_index = left.entity_index();
     let right_index = right.entity_index();
     let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        set.iter()
-            .filter_map(|l| {
-                let lt = left.interner().get(&l.left).map(Term::Iri)?;
-                let rt = right.interner().get(&l.right).map(Term::Iri)?;
-                Some((left_index.id(lt)?, right_index.id(rt)?))
-            })
+        term_pairs(left, right, set)
+            .into_iter()
+            .filter_map(|(l, r)| Some((left_index.id(l)?, right_index.id(r)?)))
             .collect()
     };
     let initial_ids = to_ids(links);
@@ -1373,37 +1238,19 @@ fn improve_with_query_feedback(
     source.set_rewrite_sameas(flag(flags, "rewrite-sameas").is_some());
     let report = driver::run(&mut agent, &mut source, &truth_ids);
 
-    let print_q = |tag: &str, q: Quality| {
-        println!(
-            "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
-    };
-    print_q("initial", report.initial_quality);
-    for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
-    }
-    println!(
-        "stopped: {:?} after {} episodes ({:.2?})",
-        report.stop,
-        report.episodes.len(),
-        report.total_duration
-    );
+    print_run(&report);
     if source.degraded_total() > 0 {
         eprintln!(
             "{} judgment(s) withheld because queries degraded (skipped sources)",
             source.degraded_total()
         );
     }
-
-    if let Some(out) = flag(flags, "out") {
-        let final_links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (lt, rt) = agent.space().pair_terms(id);
-            (left.resolve(lt).to_string(), right.resolve(rt).to_string())
-        }));
-        write_or_print(Some(out), &final_links.to_ntriples())?;
-    }
-    telemetry.finish()
+    write_links(
+        flags,
+        left,
+        right,
+        &final_links(std::slice::from_ref(&agent)),
+    )
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -1671,6 +1518,7 @@ mod tests {
     fn guard_flags_reject_bad_combinations() {
         let err = guard_opts(&flags_of("--budget-policy stop")).unwrap_err();
         assert!(err.contains("requires a budget flag"), "{err}");
+        assert!(!err.contains("  "), "{err}");
         let err = guard_opts(&flags_of("--episode-budget-ms lots")).unwrap_err();
         assert!(err.contains("episode-budget-ms"), "{err}");
         let err = guard_opts(&flags_of(
@@ -1680,8 +1528,19 @@ mod tests {
         assert!(err.contains("stop|continue"), "{err}");
         let err = guard_opts(&flags_of("--episode-budget-ms 50 --feedback query")).unwrap_err();
         assert!(err.contains("oracle"), "{err}");
-        let err = guard_opts(&flags_of("--episode-budget-ms 50 --partitions 4")).unwrap_err();
-        assert!(err.contains("single-partition"), "{err}");
+        assert!(!err.contains("  "), "{err}");
+    }
+
+    #[test]
+    fn budget_trust_and_durability_compose_with_partitions() {
+        let g = guard_opts(&flags_of("--episode-budget-ms 50 --partitions 4"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(g.policy, BreachPolicy::Stop);
+        let r = robustness_opts(&flags_of("--trust --partitions 4"))
+            .unwrap()
+            .unwrap();
+        assert!(r.trust.is_some());
     }
 
     #[test]
@@ -1697,9 +1556,6 @@ mod tests {
         assert!(err.contains("adversary"), "{err}");
         let err = robustness_opts(&flags_of("--trust --feedback query")).unwrap_err();
         assert!(err.contains("oracle"), "{err}");
-        let err = robustness_opts(&flags_of("--trust --partitions 4")).unwrap_err();
-        assert!(err.contains("single-partition"), "{err}");
-        assert!(robustness_opts(&flags_of("--trust --partitions 1")).is_ok());
     }
 
     #[test]
@@ -1815,11 +1671,11 @@ mod tests {
     }
 
     #[test]
-    fn state_dir_rejects_multiple_partitions() {
-        let err = durable_opts(&flags_of("--state-dir /tmp/s --partitions 4")).unwrap_err();
-        assert!(err.contains("single-partition"), "{err}");
-        // Explicit --partitions 1 is fine.
-        assert!(durable_opts(&flags_of("--state-dir /tmp/s --partitions 1")).is_ok());
+    fn state_dir_accepts_multiple_partitions() {
+        let opts = durable_opts(&flags_of("--state-dir /tmp/s --partitions 27"))
+            .unwrap()
+            .unwrap();
+        assert_eq!(opts.state_dir, "/tmp/s");
     }
 
     #[test]
