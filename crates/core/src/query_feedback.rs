@@ -47,6 +47,13 @@ pub struct QueryFeedback {
     /// (`rewrite_sameas` + `execute_rewritten`) instead of relying on the
     /// executor's implicit probe-time expansion alone.
     rewrite_sameas: bool,
+    /// The candidate pairs the engine's link index holds, sorted: what
+    /// the last refill synced. The source owns the index, so the next
+    /// refill diffs ids against this.
+    synced: Vec<PairId>,
+    /// The index's closure generation right after the last sync; any
+    /// other mutation would bump it.
+    synced_generation: u64,
 }
 
 impl QueryFeedback {
@@ -54,15 +61,22 @@ impl QueryFeedback {
     /// wrappers and resilience applied by the caller). `left`/`right` are
     /// used to resolve the agent's candidate pairs back to IRIs when
     /// syncing the engine's link index; `truth` holds ground-truth
-    /// entity-id pairs for judging answers.
+    /// entity-id pairs for judging answers. From here on the source owns
+    /// the engine's link index: links already in it are removed (through
+    /// the notification hook), and every later mutation is a refill's.
     pub fn new(
-        engine: FederatedEngine,
+        mut engine: FederatedEngine,
         left: Dataset,
         right: Dataset,
         queries: Vec<Query>,
         bridge: FeedbackBridge,
         truth: HashSet<(u32, u32)>,
     ) -> QueryFeedback {
+        let foreign: Vec<Link> = engine.links().iter().cloned().collect();
+        for link in &foreign {
+            engine.links_mut().remove(link);
+        }
+        let synced_generation = engine.links().generation();
         QueryFeedback {
             engine,
             left,
@@ -75,6 +89,8 @@ impl QueryFeedback {
             degraded_total: 0,
             cursor: 0,
             rewrite_sameas: false,
+            synced: Vec::new(),
+            synced_generation,
         }
     }
 
@@ -108,58 +124,60 @@ impl QueryFeedback {
         &mut self.engine
     }
 
+    /// Make the engine's link index equal the candidate set, issuing only
+    /// the actual adds/removes. Every exploration add, rejection remove,
+    /// blacklist, rollback, and resume-replay thus flows through
+    /// `SameAsLinks::add`/`remove` — the single notification hook — so
+    /// subscribers (the answer cache's invalidator) see exactly the
+    /// mutated pairs instead of a wholesale replacement forcing a full
+    /// flush. The diff runs on sorted pair ids against the last sync;
+    /// only changed pairs are resolved to IRIs. Changes apply in `Link`
+    /// order, the order a merge of the sorted IRI sets would issue them
+    /// in, so link insertion order — which decides `equivalents()` and
+    /// with it answer order — does not depend on how the diff is found.
+    fn sync_links(&mut self, candidates: &CandidateSet, space: &LinkSpace) {
+        debug_assert_eq!(
+            self.engine.links().generation(),
+            self.synced_generation,
+            "the engine's link index was mutated outside QueryFeedback"
+        );
+        let mut desired: Vec<PairId> = candidates.iter().collect();
+        desired.sort_unstable();
+        desired.dedup();
+        let link_of = |id: PairId| {
+            let (lt, rt) = space.pair_terms(id);
+            Link::new(self.left.resolve(lt), self.right.resolve(rt))
+        };
+        let mut changes: Vec<(Link, bool)> = Vec::new();
+        for &id in &self.synced {
+            if desired.binary_search(&id).is_err() {
+                changes.push((link_of(id), false));
+            }
+        }
+        for &id in &desired {
+            if self.synced.binary_search(&id).is_err() {
+                changes.push((link_of(id), true));
+            }
+        }
+        changes.sort_unstable();
+        let links = self.engine.links_mut();
+        for (link, add) in changes {
+            if add {
+                links.add(link);
+            } else {
+                links.remove(&link);
+            }
+        }
+        debug_assert_eq!(links.len(), desired.len(), "pairs and links must map 1:1");
+        self.synced_generation = links.generation();
+        self.synced = desired;
+    }
+
     /// Sync the engine's links to the candidate set, then execute workload
     /// queries (round-robin) until at least one judgment is queued or a
     /// full pass produced nothing. Returns whether anything was queued.
     fn refill(&mut self, candidates: &CandidateSet, space: &LinkSpace) -> bool {
-        // Incremental sync: diff the desired link set against the engine's
-        // current one and issue only the actual adds/removes. Every
-        // exploration add, rejection remove, blacklist, rollback, and
-        // resume-replay thus flows through `SameAsLinks::add`/`remove` —
-        // the single notification hook — so subscribers (the answer
-        // cache's invalidator) see exactly the mutated pairs instead of a
-        // wholesale replacement forcing a full flush.
-        let mut desired: Vec<Link> = candidates
-            .iter()
-            .map(|id| {
-                let (lt, rt) = space.pair_terms(id);
-                Link::new(
-                    self.left.resolve(lt).to_string(),
-                    self.right.resolve(rt).to_string(),
-                )
-            })
-            .collect();
-        desired.sort_unstable();
-        desired.dedup();
-        // `iter()` is sorted, so a two-pointer merge finds the diff.
-        let current: Vec<Link> = self.engine.links().iter().cloned().collect();
-        let (mut i, mut j) = (0, 0);
-        let links = self.engine.links_mut();
-        while i < current.len() || j < desired.len() {
-            match (current.get(i), desired.get(j)) {
-                (Some(have), Some(want)) if have == want => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(have), Some(want)) if have < want => {
-                    links.remove(have);
-                    i += 1;
-                }
-                (Some(_), Some(want)) => {
-                    links.add(want.clone());
-                    j += 1;
-                }
-                (Some(have), None) => {
-                    links.remove(have);
-                    i += 1;
-                }
-                (None, Some(want)) => {
-                    links.add(want.clone());
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
+        self.sync_links(candidates, space);
         for _ in 0..self.queries.len() {
             let query = &self.queries[self.cursor % self.queries.len()];
             self.cursor += 1;
@@ -492,6 +510,194 @@ mod tests {
             2,
             "the surviving link must not be re-added"
         );
+    }
+
+    /// The string-level sync this source used before it diffed pair ids:
+    /// rebuild every candidate as an IRI pair, sort, and merge against the
+    /// index. Kept as the oracle for `sync_links`.
+    fn string_merge_sync(
+        links: &mut alex_sparql::SameAsLinks,
+        candidates: &CandidateSet,
+        space: &LinkSpace,
+        left: &Dataset,
+        right: &Dataset,
+    ) {
+        let mut desired: Vec<Link> = candidates
+            .iter()
+            .map(|id| {
+                let (lt, rt) = space.pair_terms(id);
+                Link::new(left.resolve(lt), right.resolve(rt))
+            })
+            .collect();
+        desired.sort_unstable();
+        desired.dedup();
+        let current: Vec<Link> = links.iter().cloned().collect();
+        let (mut i, mut j) = (0, 0);
+        while i < current.len() || j < desired.len() {
+            match (current.get(i), desired.get(j)) {
+                (Some(have), Some(want)) if have == want => {
+                    i += 1;
+                    j += 1;
+                }
+                (Some(have), Some(want)) if have < want => {
+                    links.remove(have);
+                    i += 1;
+                }
+                (Some(have), None) => {
+                    links.remove(have);
+                    i += 1;
+                }
+                (_, Some(want)) => {
+                    links.add(want.clone());
+                    j += 1;
+                }
+                (None, None) => break,
+            }
+        }
+    }
+
+    /// Records every effective mutation, adds and removes interleaved.
+    #[derive(Default)]
+    struct Journal(std::sync::Mutex<Vec<(bool, Link)>>);
+
+    impl alex_sparql::LinkObserver for Journal {
+        fn link_added(&self, link: &Link) {
+            self.0.lock().unwrap().push((true, link.clone()));
+        }
+        fn link_removed(&self, link: &Link) {
+            self.0.lock().unwrap().push((false, link.clone()));
+        }
+    }
+
+    #[test]
+    fn id_sync_replays_the_string_merge_under_random_churn() {
+        use rand::prelude::*;
+        use std::sync::Arc;
+
+        const N: u32 = 12;
+        let mut left = Dataset::new("L");
+        let mut right = Dataset::new("R");
+        for i in 0..N {
+            left.add_str(&format!("http://l/{i}"), "http://l/label", &format!("e{i}"));
+            right.add_str(&format!("http://r/{i}"), "http://r/name", &format!("e{i}"));
+        }
+        let mut space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let bridge = FeedbackBridge::new(&left, space.left_index(), &right, space.right_index());
+        let mut source = QueryFeedback::new(
+            FederatedEngine::new(),
+            left.clone(),
+            right.clone(),
+            Vec::new(),
+            bridge,
+            HashSet::new(),
+        );
+        let journal = Arc::new(Journal::default());
+        source.engine_mut().links_mut().subscribe(journal.clone());
+        let mut oracle = alex_sparql::SameAsLinks::new();
+        let oracle_journal = Arc::new(Journal::default());
+        oracle.subscribe(oracle_journal.clone());
+
+        let mut rng = StdRng::seed_from_u64(0x5EC);
+        let mut current: Vec<PairId> = Vec::new();
+        let mut history: Vec<Vec<PairId>> = Vec::new();
+        let mut kinds = [0usize; 5];
+        for step in 0..300 {
+            let mut random_pair = |rng: &mut StdRng| {
+                space.ensure_pair(rng.random_range(0..N), rng.random_range(0..N))
+            };
+            let kind = rng.random_range(0..5usize);
+            kinds[kind] += 1;
+            let mut next = current.clone();
+            match kind {
+                // Exploration adds.
+                0 => next.extend((0..rng.random_range(1..6)).map(|_| random_pair(&mut rng))),
+                // Rejection removes.
+                1 => {
+                    for _ in 0..rng.random_range(1..6) {
+                        if !next.is_empty() {
+                            next.swap_remove(rng.random_range(0..next.len()));
+                        }
+                    }
+                }
+                // Everything rejected.
+                2 => next.clear(),
+                // Rollback to an earlier episode's set.
+                3 => {
+                    if let Some(old) = history.choose(&mut rng) {
+                        next = old.clone();
+                    }
+                }
+                // Rollback-sized swap: half out, as many new in.
+                _ => {
+                    next.shuffle(&mut rng);
+                    let half = next.len() / 2;
+                    next.truncate(half);
+                    next.extend((0..half.max(1)).map(|_| random_pair(&mut rng)));
+                }
+            }
+            let candidates = CandidateSet::from_iter(next.iter().copied());
+            source.sync_links(&candidates, &space);
+            string_merge_sync(&mut oracle, &candidates, &space, &left, &right);
+
+            assert_eq!(
+                *journal.0.lock().unwrap(),
+                *oracle_journal.0.lock().unwrap(),
+                "step {step}: same add/remove sequence as the string merge"
+            );
+            let mut want: Vec<Link> = candidates
+                .iter()
+                .map(|id| {
+                    let (lt, rt) = space.pair_terms(id);
+                    Link::new(left.resolve(lt), right.resolve(rt))
+                })
+                .collect();
+            want.sort_unstable();
+            let have: Vec<Link> = source.engine().links().iter().cloned().collect();
+            assert_eq!(have, want, "step {step}: links equal the candidates");
+            for i in 0..N {
+                for iri in [format!("http://l/{i}"), format!("http://r/{i}")] {
+                    assert_eq!(
+                        source.engine().links().equivalents(&iri),
+                        oracle.equivalents(&iri),
+                        "step {step}: insertion order of {iri}"
+                    );
+                }
+            }
+            history.push(next.clone());
+            current = next;
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 20),
+            "every churn kind ran: {kinds:?}"
+        );
+    }
+
+    #[test]
+    fn new_takes_over_links_already_in_the_engine() {
+        let (left, right) = datasets();
+        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let bridge = FeedbackBridge::new(&left, space.left_index(), &right, space.right_index());
+        let mut engine = FederatedEngine::new();
+        engine
+            .links_mut()
+            .add(Link::new("http://l/0", "http://r/1"));
+        let mut source =
+            QueryFeedback::new(engine, left, right, Vec::new(), bridge, HashSet::new());
+        assert!(source.engine().links().is_empty());
+        source.sync_links(&CandidateSet::new(), &space);
+        assert!(source.engine().links().is_empty());
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "mutated outside QueryFeedback")]
+    fn foreign_link_mutation_trips_the_sync_check() {
+        let (mut source, space, _) = build_source(false);
+        source
+            .engine_mut()
+            .links_mut()
+            .add(Link::new("http://l/0", "http://r/1"));
+        source.sync_links(&CandidateSet::new(), &space);
     }
 
     #[test]

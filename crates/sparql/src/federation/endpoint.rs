@@ -5,12 +5,22 @@
 //! `Result` and takes a per-call [`Deadline`]. The in-process
 //! [`DatasetEndpoint`] never fails on its own, but still honors the
 //! deadline so the executor's budget accounting is uniform.
+//!
+//! The executor sends each endpoint its probe list as one request
+//! ([`Endpoint::matching_batch`], a FedX-style bound join): one round trip
+//! per (pattern, partial solution, endpoint) instead of one per probe.
 
 use alex_rdf::{Dataset, Term};
 
 use crate::value::Value;
 
 use super::resilience::{Deadline, EndpointError};
+
+/// The triples one probe matched.
+pub type Rows = Vec<[Value; 3]>;
+
+/// One probe: an (s, p, o) pattern whose `None` positions are wildcards.
+pub type Probe<'a> = [Option<&'a Value>; 3];
 
 /// A queryable data source. In-process wrapper around a data set here; a
 /// network SPARQL endpoint in a deployed system.
@@ -46,6 +56,26 @@ pub trait Endpoint: Send + Sync {
     ) -> Result<bool, EndpointError> {
         deadline.check(self.name())?;
         Ok(!self.matching(s, p, o, deadline)?.is_empty())
+    }
+
+    /// Answer `probes` as one request under one `deadline`: the rows of
+    /// the answered prefix, in probe order, and the error that stopped the
+    /// request (`None` only when every probe was answered). The default
+    /// loops over [`Endpoint::matching`], so an endpoint or decorator
+    /// that only implements `matching` keeps working, one call per probe.
+    fn matching_batch(
+        &self,
+        probes: &[Probe<'_>],
+        deadline: &Deadline,
+    ) -> (Vec<Rows>, Option<EndpointError>) {
+        let mut answered = Vec::with_capacity(probes.len());
+        for &[s, p, o] in probes {
+            match self.matching(s, p, o, deadline) {
+                Ok(rows) => answered.push(rows),
+                Err(err) => return (answered, Some(err)),
+            }
+        }
+        (answered, None)
     }
 }
 
@@ -206,6 +236,49 @@ mod tests {
                 endpoint: "T".into()
             })
         );
+    }
+
+    /// The trait-level `matching_batch` default answers probes in order
+    /// and stops at the first error, returning the answered prefix.
+    #[test]
+    fn default_batch_stops_at_the_first_error() {
+        struct FailsOnB;
+        impl Endpoint for FailsOnB {
+            fn name(&self) -> &str {
+                "FailsOnB"
+            }
+            fn matching(
+                &self,
+                s: Option<&Value>,
+                _p: Option<&Value>,
+                _o: Option<&Value>,
+                deadline: &Deadline,
+            ) -> Result<Vec<[Value; 3]>, EndpointError> {
+                if s == Some(&Value::iri("http://e/b")) {
+                    return Err(EndpointError::Transient {
+                        endpoint: "FailsOnB".into(),
+                        message: "503".into(),
+                    });
+                }
+                endpoint().matching(s, None, None, deadline)
+            }
+        }
+        let (a, b) = (Value::iri("http://e/a"), Value::iri("http://e/b"));
+        let probes = [
+            [Some(&a), None, None],
+            [None, None, None],
+            [Some(&b), None, None],
+            [Some(&a), None, None],
+        ];
+        let (answered, err) = FailsOnB.matching_batch(&probes, &Deadline::none());
+        assert_eq!(answered.iter().map(Vec::len).collect::<Vec<_>>(), [1, 2]);
+        assert!(matches!(err, Some(EndpointError::Transient { .. })));
+        let (answered, err) = endpoint().matching_batch(&probes, &Deadline::none());
+        assert_eq!(
+            answered.iter().map(Vec::len).collect::<Vec<_>>(),
+            [1, 2, 1, 1]
+        );
+        assert_eq!(err, None);
     }
 
     /// The trait-level `has_matches` default must propagate underlying

@@ -10,7 +10,9 @@
 //! Endpoints are treated as unreliable: every probe runs under the
 //! engine's [`ResilienceConfig`] — bounded retries with jittered
 //! exponential backoff for transient errors, a per-endpoint circuit
-//! breaker, and a per-call deadline. A source that stays down past its
+//! breaker, and a per-request deadline. Each endpoint gets the probes of
+//! one (pattern, partial solution) as one request; a failure resends the
+//! rest from the probe that failed. A source that stays down past its
 //! allowance is skipped for the rest of the query and the result degrades
 //! gracefully: remaining sources still answer, and both the query-level
 //! [`FederatedResult`] and each [`QueryAnswer`] carry a [`Completeness`]
@@ -31,7 +33,7 @@ use crate::value::Value;
 
 use super::cache::{CacheInvalidator, CacheProbe, CachedRows, FederationCache};
 use super::catalog::Catalog;
-use super::endpoint::Endpoint;
+use super::endpoint::{Endpoint, Probe, Rows};
 use super::links::{Link, SameAsLinks};
 use super::resilience::{
     BreakerState, CircuitBreaker, Completeness, Deadline, EndpointError, ResilienceConfig,
@@ -118,6 +120,10 @@ struct ExecStats {
     sameas_expansions: u64,
     /// Retries of transient endpoint failures.
     retries: u64,
+    /// Requests (round trips) sent to endpoints.
+    requests: u64,
+    /// Probes those requests carried, resends included.
+    request_probes: u64,
     /// Circuit-breaker transitions to open.
     circuit_opens: u64,
     /// Probes rejected because a breaker was open.
@@ -521,6 +527,8 @@ impl FederatedEngine {
         counter!("alex_sameas_expansions_total").add(stats.sameas_expansions);
         counter!("alex_provenance_answers_total").add(provenance_answers);
         counter!("federation_retries_total").add(stats.retries);
+        counter!("federation_endpoint_requests_total").add(stats.requests);
+        counter!("federation_endpoint_probes_total").add(stats.request_probes);
         counter!("federation_circuit_open_total").add(stats.circuit_opens);
         counter!("federation_circuit_rejections_total").add(stats.circuit_rejections);
         counter!("federation_endpoint_errors_total").add(stats.endpoint_failures);
@@ -542,6 +550,8 @@ impl FederatedEngine {
             bound_join_iterations: stats.bound_join_iterations,
             sameas_expansions: stats.sameas_expansions,
             retries: stats.retries,
+            requests: stats.requests,
+            request_probes: stats.request_probes,
             skipped_sources: skipped.len() as u64,
             cache: self.cache.is_some(),
             cache_hits: stats.cache_hits,
@@ -607,13 +617,14 @@ impl FederatedEngine {
     /// absorbed by the resilience layer: the failing source is skipped
     /// (recorded in `skipped`) unless the engine is in fail-fast mode.
     ///
-    /// Probes fan out concurrently, one worker task per endpoint; within
-    /// each endpoint the probe sequence stays in job order, so per-endpoint
+    /// Each endpoint with live work gets the job list as one request (a
+    /// FedX-style bound join), endpoints running concurrently; within each
+    /// endpoint the probe sequence stays in job order, so per-endpoint
     /// behavior (retry sequences, breaker transitions, the fault injector's
-    /// seeded call stream) is identical to the sequential executor. The
-    /// merge below replays the sequential (job, endpoint) nesting, so
-    /// answer order, stat totals, skip provenance, and fail-fast error
-    /// selection are all unchanged.
+    /// seeded call stream) is identical to the sequential per-probe
+    /// executor. The merge below replays the sequential (job, endpoint)
+    /// nesting, so answer order, stat totals, skip provenance, and
+    /// fail-fast error selection are all unchanged.
     #[allow(clippy::too_many_arguments)]
     fn extend_with_pattern(
         &self,
@@ -790,23 +801,31 @@ impl FederatedEngine {
             }
         }
 
-        let indices: Vec<usize> = (0..self.endpoints.len()).collect();
+        // Only endpoints with live work go to the pool, so a dispatch with
+        // one live endpoint runs inline and an all-hit or all-pruned one
+        // spawns nothing. Cache hits replay their rows; pre-skipped and
+        // pruned endpoints get all-`None` rows and no endpoint call (a
+        // pruned one records no terminal and lands in no skip set).
+        let mut runs: Vec<EndpointRun> = hits
+            .iter()
+            .map(|hit| match hit {
+                Some(rows) => EndpointRun::cached(rows),
+                None => EndpointRun::idle(jobs.len()),
+            })
+            .collect();
+        let live: Vec<usize> = (0..self.endpoints.len())
+            .filter(|&i| hits[i].is_none() && !pre_skipped[i] && !pruned[i])
+            .collect();
         let pool = alex_parallel::Pool::new("federation");
-        let runs = pool.map_each(&indices, |&i| match &hits[i] {
-            Some(rows) => EndpointRun {
-                rows: rows.iter().map(|r| Some(r.clone())).collect(),
-                delta: ProbeDelta::default(),
-                terminal: None,
-                duration_us: 0,
-            },
-            // A pruned endpoint behaves like a pre-skipped one for
-            // dispatch (all-`None` rows, no endpoint calls) but records
-            // no terminal and lands in no skip set.
-            None => self.run_endpoint_jobs(i, jobs, pre_skipped[i] || pruned[i]),
-        });
+        let fresh = pool.map_each(&live, |&i| self.run_endpoint_jobs(i, jobs));
+        for (&i, run) in live.iter().zip(fresh) {
+            runs[i] = run;
+        }
 
         for (i, run) in runs.iter().enumerate() {
             stats.retries += run.delta.retries;
+            stats.requests += run.delta.requests;
+            stats.request_probes += run.delta.request_probes;
             stats.circuit_opens += run.delta.circuit_opens;
             stats.circuit_rejections += run.delta.circuit_rejections;
             stats.endpoint_failures += run.delta.endpoint_failures;
@@ -861,95 +880,95 @@ impl FederatedEngine {
         Ok(runs)
     }
 
-    /// Probe every job against endpoint `idx`, in job order. After a
-    /// terminal failure (retries exhausted or breaker open) the endpoint
-    /// is dead for the remaining jobs — same as the sequential skip set.
-    fn run_endpoint_jobs(
-        &self,
-        idx: usize,
-        jobs: &[ProbeJob<'_>],
-        pre_skipped: bool,
-    ) -> EndpointRun {
+    /// Send endpoint `idx` its job list as requests, in job order. The
+    /// first request carries every job; after a failure the next one
+    /// resends from the job that failed. Each request is admitted through
+    /// the breaker and bounded by one per-request deadline; every answered
+    /// probe is a breaker success, in order. Retryable errors back off and
+    /// resend until the retry allowance for that job runs out — `attempt`
+    /// counts retries of the job at the head of the request, so it resets
+    /// whenever a request made progress. After a terminal failure (retries
+    /// exhausted, breaker open) the endpoint is dead for the remaining
+    /// jobs — the same skip set as the sequential executor.
+    ///
+    /// This replays the per-probe sequence exactly: `allow_at` changes no
+    /// state while the breaker is closed or half-open, a success never
+    /// opens it, and a request ends at its first failure, so admitting a
+    /// request once instead of every probe in it changes nothing but the
+    /// number of round trips.
+    fn run_endpoint_jobs(&self, idx: usize, jobs: &[ProbeJob<'_>]) -> EndpointRun {
         let started = Instant::now();
-        let mut run = EndpointRun {
-            rows: Vec::with_capacity(jobs.len()),
-            delta: ProbeDelta::default(),
-            terminal: None,
-            duration_us: 0,
-        };
-        let mut dead = pre_skipped;
-        for (j, job) in jobs.iter().enumerate() {
-            if dead {
-                run.rows.push(None);
-                continue;
-            }
-            match self.probe_once(idx, job.s, job.p, job.o, &mut run.delta) {
-                Ok(rows) => run.rows.push(Some(rows)),
-                Err(err) => {
-                    run.rows.push(None);
-                    run.terminal = Some((j, err));
-                    dead = true;
-                }
-            }
-        }
-        if !pre_skipped {
-            run.duration_us = started.elapsed().as_micros() as u64;
-        }
-        run
-    }
-
-    /// One resilient probe against endpoint `idx`: circuit-breaker
-    /// admission, bounded retries with jittered backoff for retryable
-    /// errors. A terminal failure is returned as `Err` for the caller to
-    /// translate into a skip (or a query abort in fail-fast mode).
-    fn probe_once(
-        &self,
-        idx: usize,
-        s: Option<&Value>,
-        p: Option<&Value>,
-        o: Option<&Value>,
-        delta: &mut ProbeDelta,
-    ) -> std::result::Result<Vec<[Value; 3]>, EndpointError> {
         let ep = &self.endpoints[idx];
         let breaker = &self.breakers[idx];
         let retry = &self.resilience.retry;
+        let probes: Vec<Probe<'_>> = jobs.iter().map(|job| [job.s, job.p, job.o]).collect();
+        let mut run = EndpointRun {
+            rows: Vec::with_capacity(jobs.len()),
+            ..EndpointRun::idle(0)
+        };
         let mut attempt: u32 = 0;
-        loop {
+        while run.rows.len() < jobs.len() {
+            let next = run.rows.len();
             if !lock_unpoisoned(breaker).allow_at(Instant::now()) {
-                delta.circuit_rejections += 1;
-                return Err(EndpointError::Unavailable {
-                    endpoint: ep.name().to_string(),
-                    message: "circuit open".to_string(),
-                });
+                run.delta.circuit_rejections += 1;
+                run.terminal = Some((
+                    next,
+                    EndpointError::Unavailable {
+                        endpoint: ep.name().to_string(),
+                        message: "circuit open".to_string(),
+                    },
+                ));
+                break;
             }
             let deadline = match self.resilience.endpoint_budget {
                 Some(budget) => Deadline::within(budget),
                 None => Deadline::none(),
             };
-            match ep.matching(s, p, o, &deadline) {
-                Ok(rows) => {
-                    lock_unpoisoned(breaker).record_success();
-                    return Ok(rows);
-                }
-                Err(err) => {
-                    if lock_unpoisoned(breaker).record_failure_at(Instant::now()) {
-                        delta.circuit_opens += 1;
-                    }
-                    if err.is_retryable() && attempt < retry.max_retries {
-                        delta.retries += 1;
-                        let backoff =
-                            retry.backoff(attempt, &mut lock_unpoisoned(&self.jitter_rng));
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                        attempt += 1;
-                        continue;
-                    }
-                    delta.endpoint_failures += 1;
-                    return Err(err);
+            run.delta.requests += 1;
+            run.delta.request_probes += (probes.len() - next) as u64;
+            let (answered, err) = ep.matching_batch(&probes[next..], &deadline);
+            if !answered.is_empty() {
+                attempt = 0;
+                let mut breaker = lock_unpoisoned(breaker);
+                for rows in answered.into_iter().take(probes.len() - next) {
+                    breaker.record_success();
+                    run.rows.push(Some(rows));
                 }
             }
+            let err = match err {
+                Some(err) => err,
+                None if run.rows.len() == jobs.len() => break,
+                // A reply that answers a prefix without naming the error
+                // that cut it breaks the endpoint contract; resending
+                // could loop forever.
+                None => EndpointError::Unavailable {
+                    endpoint: ep.name().to_string(),
+                    message: format!(
+                        "reply answered {} of {} probes without an error",
+                        run.rows.len() - next,
+                        probes.len() - next
+                    ),
+                },
+            };
+            if lock_unpoisoned(breaker).record_failure_at(Instant::now()) {
+                run.delta.circuit_opens += 1;
+            }
+            if err.is_retryable() && attempt < retry.max_retries {
+                run.delta.retries += 1;
+                let backoff = retry.backoff(attempt, &mut lock_unpoisoned(&self.jitter_rng));
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+                attempt += 1;
+                continue;
+            }
+            run.delta.endpoint_failures += 1;
+            run.terminal = Some((run.rows.len(), err));
+            break;
         }
+        run.rows.resize(jobs.len(), None);
+        run.duration_us = started.elapsed().as_micros() as u64;
+        run
     }
 }
 
@@ -967,6 +986,10 @@ struct ProbeJob<'a> {
 /// [`ExecStats`] on the coordinating thread.
 #[derive(Default)]
 struct ProbeDelta {
+    /// Requests (round trips) sent to the endpoint.
+    requests: u64,
+    /// Probes those requests carried, resends included.
+    request_probes: u64,
     retries: u64,
     circuit_opens: u64,
     circuit_rejections: u64,
@@ -977,10 +1000,30 @@ struct ProbeDelta {
 /// (`None` = skipped), stat deltas, the first terminal failure, and the
 /// batch's wall-clock time (0 for cache hits and pre-skipped endpoints).
 struct EndpointRun {
-    rows: Vec<Option<Vec<[Value; 3]>>>,
+    rows: Vec<Option<Rows>>,
     delta: ProbeDelta,
     terminal: Option<(usize, EndpointError)>,
     duration_us: u64,
+}
+
+impl EndpointRun {
+    /// A run that sent nothing: every job skipped.
+    fn idle(jobs: usize) -> EndpointRun {
+        EndpointRun {
+            rows: vec![None; jobs],
+            delta: ProbeDelta::default(),
+            terminal: None,
+            duration_us: 0,
+        }
+    }
+
+    /// A run served from the answer cache.
+    fn cached(rows: &CachedRows) -> EndpointRun {
+        EndpointRun {
+            rows: rows.iter().map(|r| Some(r.clone())).collect(),
+            ..EndpointRun::idle(0)
+        }
+    }
 }
 
 /// Lock a mutex, recovering the inner value if a previous holder panicked —
@@ -1458,6 +1501,55 @@ mod tests {
             assert_eq!(result.answers.len(), 1, "retries must mask transients");
             assert!(result.is_complete());
         }
+    }
+
+    /// A failure after progress starts a fresh retry allowance for the
+    /// failed probe, as when every probe was its own call: a scripted
+    /// endpoint fails probe 0 once, then probe 1 twice, under 2 retries.
+    #[test]
+    fn a_resend_gives_the_failed_probe_its_own_retries() {
+        struct Scripted {
+            inner: DatasetEndpoint,
+            fails: Mutex<std::collections::VecDeque<bool>>,
+        }
+        impl Endpoint for Scripted {
+            fn name(&self) -> &str {
+                self.inner.name()
+            }
+            fn matching(
+                &self,
+                s: Option<&Value>,
+                p: Option<&Value>,
+                o: Option<&Value>,
+                deadline: &Deadline,
+            ) -> std::result::Result<Vec<[Value; 3]>, EndpointError> {
+                if lock_unpoisoned(&self.fails).pop_front().unwrap_or(false) {
+                    return Err(EndpointError::Transient {
+                        endpoint: self.name().to_string(),
+                        message: "scripted".into(),
+                    });
+                }
+                self.inner.matching(s, p, o, deadline)
+            }
+        }
+        let mut engine = FederatedEngine::new();
+        engine.add_endpoint(Box::new(Scripted {
+            inner: DatasetEndpoint::new(dbpedia()),
+            // Requests: [p0 ✗] [p0 ✓, p1 ✗] [p1 ✗] [p1 ✓].
+            fails: Mutex::new([true, false, true, true, false].into()),
+        }));
+        engine.set_links(SameAsLinks::from_pairs(vec![(
+            "http://db/LeBron",
+            "http://nyt/lebron-james",
+        )]));
+        let mut cfg = fast_resilience();
+        cfg.retry.max_retries = 2;
+        cfg.breaker.failure_threshold = 50;
+        engine.set_resilience(cfg);
+        let q = parse("SELECT ?p ?o WHERE { <http://db/LeBron> ?p ?o }").unwrap();
+        let result = engine.execute_full(&q).unwrap();
+        assert!(result.is_complete(), "{:?}", result.completeness);
+        assert_eq!(result.answers.len(), 2);
     }
 
     #[test]

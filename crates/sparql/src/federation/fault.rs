@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 
 use crate::value::Value;
 
-use super::endpoint::Endpoint;
+use super::endpoint::{Endpoint, Probe, Rows};
 use super::resilience::{Deadline, EndpointError};
 
 /// A seeded fault schedule for one wrapped endpoint.
@@ -126,10 +126,19 @@ fn parse_rate(value: &str) -> Option<f64> {
 #[derive(Debug)]
 struct FaultState {
     rng: StdRng,
+    /// Probes drawn so far: the call index the schedule is keyed to.
     calls: u64,
+    /// Requests (round trips) so far; a per-call `matching` is a request
+    /// of one probe.
+    requests: u64,
 }
 
 /// A decorator injecting deterministic faults into any [`Endpoint`].
+///
+/// Faults are drawn per probe, latency per request: a batch of probes
+/// consumes the same call indices and RNG draws, in the same order, as
+/// the same probes sent one `matching` call at a time, and stops at the
+/// first fault, where the per-call sequence would have failed too.
 #[derive(Debug)]
 pub struct FaultyEndpoint<E> {
     inner: E,
@@ -143,6 +152,7 @@ impl<E: Endpoint> FaultyEndpoint<E> {
         let state = Mutex::new(FaultState {
             rng: StdRng::seed_from_u64(profile.seed),
             calls: 0,
+            requests: 0,
         });
         FaultyEndpoint {
             inner,
@@ -151,41 +161,57 @@ impl<E: Endpoint> FaultyEndpoint<E> {
         }
     }
 
-    /// Calls observed so far (fault schedule position).
-    pub fn calls(&self) -> u64 {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FaultState> {
         match self.state.lock() {
-            Ok(state) => state.calls,
-            Err(poisoned) => poisoned.into_inner().calls,
+            Ok(state) => state,
+            Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// Draw the fault decision for the next call: `Ok(())` means the call
-    /// proceeds to the inner endpoint; `Err` is the injected fault.
-    fn inject(&self, deadline: &Deadline) -> Result<bool, EndpointError> {
-        let mut state = match self.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let call = state.calls;
-        state.calls += 1;
-        // Latency first: a slow endpoint burns the caller's budget whether
-        // or not the call would have succeeded. The injected sleep is
-        // clamped to the deadline's remaining budget — sleeping past it
-        // would overshoot the caller's per-call deadline by the full
-        // injected latency — and when the clamp bites, the verdict is
-        // already known: surface `DeadlineExceeded` without racing
-        // `deadline.check` against the clock.
-        if !self.profile.latency.is_zero() {
-            match deadline.remaining() {
-                Some(remaining) if remaining <= self.profile.latency => {
-                    std::thread::sleep(remaining);
-                    return Err(EndpointError::DeadlineExceeded {
-                        endpoint: self.inner.name().to_string(),
-                    });
-                }
-                _ => std::thread::sleep(self.profile.latency),
+    /// Probes observed so far (fault schedule position).
+    pub fn calls(&self) -> u64 {
+        self.lock().calls
+    }
+
+    /// Requests (round trips) observed so far.
+    pub fn requests(&self) -> u64 {
+        self.lock().requests
+    }
+
+    /// Pay the injected latency for one request. A slow endpoint burns the
+    /// caller's budget whether or not the request would have succeeded.
+    /// The sleep is clamped to the deadline's remaining budget — sleeping
+    /// past it would overshoot the caller's deadline by the full injected
+    /// latency — and when the clamp bites, the verdict is already known:
+    /// surface `DeadlineExceeded` without racing `deadline.check` against
+    /// the clock.
+    fn pay_latency(&self, deadline: &Deadline) -> Result<(), EndpointError> {
+        if self.profile.latency.is_zero() {
+            return Ok(());
+        }
+        match deadline.remaining() {
+            Some(remaining) if remaining <= self.profile.latency => {
+                std::thread::sleep(remaining);
+                Err(EndpointError::DeadlineExceeded {
+                    endpoint: self.inner.name().to_string(),
+                })
+            }
+            _ => {
+                std::thread::sleep(self.profile.latency);
+                Ok(())
             }
         }
+    }
+
+    /// One probe at call index `call`, after the request's latency: the
+    /// injected fault, or the inner endpoint's rows.
+    fn probe(
+        &self,
+        state: &mut FaultState,
+        call: u64,
+        probe: Probe<'_>,
+        deadline: &Deadline,
+    ) -> Result<Rows, EndpointError> {
         deadline.check(self.inner.name())?;
         if let Some((start, end)) = self.profile.outage {
             if call >= start && call < end {
@@ -203,7 +229,17 @@ impl<E: Endpoint> FaultyEndpoint<E> {
         }
         let truncate =
             self.profile.truncate_rate > 0.0 && state.rng.random_bool(self.profile.truncate_rate);
-        Ok(truncate)
+        let [s, p, o] = probe;
+        let rows = self.inner.matching(s, p, o, deadline)?;
+        if truncate {
+            // A short read is detectable (the stream was cut), so it is
+            // surfaced as a retryable error rather than silent partial data.
+            return Err(EndpointError::Truncated {
+                endpoint: self.inner.name().to_string(),
+                returned: rows.len() / 2,
+            });
+        }
+        Ok(rows)
     }
 }
 
@@ -219,17 +255,40 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         o: Option<&Value>,
         deadline: &Deadline,
     ) -> Result<Vec<[Value; 3]>, EndpointError> {
-        let truncate = self.inject(deadline)?;
-        let rows = self.inner.matching(s, p, o, deadline)?;
-        if truncate {
-            // A short read is detectable (the stream was cut), so it is
-            // surfaced as a retryable error rather than silent partial data.
-            return Err(EndpointError::Truncated {
-                endpoint: self.inner.name().to_string(),
-                returned: rows.len() / 2,
-            });
+        match self.matching_batch(&[[s, p, o]], deadline) {
+            (_, Some(err)) => Err(err),
+            (mut answered, None) => Ok(answered.pop().unwrap_or_default()),
         }
-        Ok(rows)
+    }
+
+    fn matching_batch(
+        &self,
+        probes: &[Probe<'_>],
+        deadline: &Deadline,
+    ) -> (Vec<Rows>, Option<EndpointError>) {
+        let mut answered = Vec::with_capacity(probes.len());
+        if probes.is_empty() {
+            return (answered, None);
+        }
+        let mut state = self.lock();
+        state.requests += 1;
+        for (i, &probe) in probes.iter().enumerate() {
+            let call = state.calls;
+            state.calls += 1;
+            // Latency is paid once, after the first probe's call index is
+            // taken: a request cut by its deadline consumes that index, as
+            // the same probe sent alone would.
+            let latency = if i == 0 {
+                self.pay_latency(deadline)
+            } else {
+                Ok(())
+            };
+            match latency.and_then(|()| self.probe(&mut state, call, probe, deadline)) {
+                Ok(rows) => answered.push(rows),
+                Err(err) => return (answered, Some(err)),
+            }
+        }
+        (answered, None)
     }
 }
 
@@ -374,6 +433,91 @@ mod tests {
             "sleep overshot the deadline: {:?}",
             started.elapsed()
         );
+    }
+
+    #[test]
+    fn batch_replays_the_per_call_schedule() {
+        let profile = FaultProfile {
+            seed: 11,
+            transient_rate: 0.3,
+            truncate_rate: 0.2,
+            outage: Some((5, 8)),
+            ..FaultProfile::none()
+        };
+        let per_call = FaultyEndpoint::new(inner(), profile.clone());
+        let batched = FaultyEndpoint::new(inner(), profile);
+        let a = Value::iri("http://e/a");
+        let probes: Vec<Probe<'_>> = (0..40)
+            .map(|i| match i % 2 {
+                0 => [Some(&a), None, None],
+                _ => [None, None, None],
+            })
+            .collect();
+        // One call per probe, each resent until it succeeds.
+        let mut expected = Vec::new();
+        for &[s, p, o] in &probes {
+            loop {
+                let out = per_call.matching(s, p, o, &Deadline::none());
+                let done = out.is_ok();
+                expected.push(out);
+                if done {
+                    break;
+                }
+            }
+        }
+        // One request per failure, each resending from the failed probe.
+        let mut got = Vec::new();
+        let mut next = 0;
+        while next < probes.len() {
+            let (answered, err) = batched.matching_batch(&probes[next..], &Deadline::none());
+            next += answered.len();
+            got.extend(answered.into_iter().map(Ok));
+            got.extend(err.map(Err));
+        }
+        assert!(
+            got.iter().any(Result::is_err),
+            "the profile must inject faults"
+        );
+        assert_eq!(got, expected, "same outcomes, call for call");
+        assert_eq!(batched.calls(), per_call.calls(), "same call indices");
+        assert_eq!(per_call.requests(), per_call.calls());
+        assert!(batched.requests() < per_call.requests() / 2);
+    }
+
+    #[test]
+    fn a_batch_pays_latency_once() {
+        let ep = FaultyEndpoint::new(
+            inner(),
+            FaultProfile {
+                latency: Duration::from_millis(40),
+                ..FaultProfile::none()
+            },
+        );
+        let probes: Vec<Probe<'_>> = vec![[None, None, None]; 10];
+        let started = std::time::Instant::now();
+        let (answered, err) = ep.matching_batch(&probes, &Deadline::none());
+        let elapsed = started.elapsed();
+        assert_eq!(err, None);
+        assert_eq!(answered.len(), 10);
+        assert!(elapsed >= Duration::from_millis(40));
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "paid per probe: {elapsed:?}"
+        );
+        assert_eq!((ep.requests(), ep.calls()), (1, 10));
+
+        // A deadline inside the latency cuts the request at its first
+        // probe, which consumes one call index, as a lone call would.
+        let (answered, err) =
+            ep.matching_batch(&probes, &Deadline::within(Duration::from_micros(100)));
+        assert!(answered.is_empty());
+        assert_eq!(
+            err,
+            Some(EndpointError::DeadlineExceeded {
+                endpoint: "T".into()
+            })
+        );
+        assert_eq!((ep.requests(), ep.calls()), (2, 11));
     }
 
     #[test]

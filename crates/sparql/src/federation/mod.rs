@@ -24,7 +24,7 @@ pub mod resilience;
 pub mod rewrite;
 
 pub use catalog::{Catalog, CatalogParseError, Coverage};
-pub use endpoint::{DatasetEndpoint, Endpoint};
+pub use endpoint::{DatasetEndpoint, Endpoint, Probe, Rows};
 pub use executor::{FederatedEngine, FederatedResult, QueryAnswer};
 pub use fault::{FaultProfile, FaultyEndpoint};
 pub use links::{Link, LinkObserver, SameAsLinks};

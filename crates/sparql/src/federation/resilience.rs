@@ -1,5 +1,5 @@
 //! Fault-tolerance primitives for federated execution: endpoint errors,
-//! per-call deadlines, retry/backoff policies, circuit breakers, and the
+//! per-request deadlines, retry/backoff policies, circuit breakers, and the
 //! completeness marker for degraded (partial) query results.
 //!
 //! Independently operated LOD endpoints stall, error, and truncate results
@@ -33,7 +33,7 @@ pub enum EndpointError {
         /// Human-readable cause.
         message: String,
     },
-    /// The per-call deadline expired before the endpoint answered.
+    /// The request's deadline expired before the endpoint answered.
     DeadlineExceeded {
         /// Name of the endpoint that ran out of budget.
         endpoint: String,
@@ -93,7 +93,7 @@ impl std::fmt::Display for EndpointError {
 
 impl std::error::Error for EndpointError {}
 
-/// A per-call time budget. `Deadline::none()` is unbounded and costs
+/// A per-request time budget. `Deadline::none()` is unbounded and costs
 /// nothing to check, so the happy path with no budget configured never
 /// reads the clock.
 #[derive(Debug, Clone, Copy, Default)]
@@ -368,8 +368,9 @@ pub struct ResilienceConfig {
     pub retry: RetryPolicy,
     /// Per-endpoint circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Per-call time budget handed to each endpoint (`None` = unbounded;
-    /// the happy path then never reads the clock for deadlines).
+    /// Time budget for one endpoint request — all the probes of one
+    /// batch, or the resent rest after a failure (`None` = unbounded; the
+    /// happy path then never reads the clock for deadlines).
     pub endpoint_budget: Option<Duration>,
     /// When `true`, endpoint failures abort the query with
     /// [`SparqlError::Endpoint`](crate::SparqlError::Endpoint) instead of

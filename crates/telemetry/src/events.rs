@@ -116,6 +116,11 @@ pub enum Event {
         sameas_expansions: u64,
         /// Transient endpoint failures that were retried.
         retries: u64,
+        /// Requests (round trips) sent to endpoints: one per live
+        /// (dispatch, endpoint) batch, plus one per resend after a failure.
+        requests: u64,
+        /// Probes those requests carried, resends included.
+        request_probes: u64,
         /// Sources skipped (down past their budget or circuit open); the
         /// result was degraded when this is nonzero.
         skipped_sources: u64,
@@ -270,6 +275,8 @@ impl Event {
                 bound_join_iterations,
                 sameas_expansions,
                 retries,
+                requests,
+                request_probes,
                 skipped_sources,
                 cache,
                 cache_hits,
@@ -287,6 +294,8 @@ impl Event {
                     .u64("bound_join_iterations", *bound_join_iterations)
                     .u64("sameas_expansions", *sameas_expansions)
                     .u64("retries", *retries)
+                    .u64("requests", *requests)
+                    .u64("request_probes", *request_probes)
                     .u64("skipped_sources", *skipped_sources)
                     .bool("cache", *cache)
                     .u64("cache_hits", *cache_hits)
@@ -446,6 +455,13 @@ impl Event {
                 bound_join_iterations: get_u64("bound_join_iterations")?,
                 sameas_expansions: get_u64("sameas_expansions")?,
                 retries: get_u64("retries")?,
+                // Request fields postdate the schema; older logs parse as
+                // "no requests recorded".
+                requests: map.get("requests").and_then(JsonValue::as_u64).unwrap_or(0),
+                request_probes: map
+                    .get("request_probes")
+                    .and_then(JsonValue::as_u64)
+                    .unwrap_or(0),
                 skipped_sources: get_u64("skipped_sources")?,
                 // Cache fields postdate the schema; logs written before
                 // they existed parse as "cache off" rather than erroring.

@@ -54,6 +54,10 @@ pub struct FederationSummary {
     pub probes: u64,
     /// Transient failures retried.
     pub retries: u64,
+    /// Requests (round trips) sent to endpoints.
+    pub requests: u64,
+    /// Probes those requests carried.
+    pub request_probes: u64,
     /// Queries with at least one skipped source (degraded results).
     pub degraded_queries: u64,
     /// Total sources skipped.
@@ -67,12 +71,17 @@ pub struct FederationSummary {
 impl FederationSummary {
     /// Cache hit ratio over hits + misses (0 when the cache never ran).
     pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total > 0 {
-            self.cache_hits as f64 / total as f64
-        } else {
-            0.0
-        }
+        ratio(self.cache_hits, self.cache_hits + self.cache_misses)
+    }
+
+    /// Endpoint requests per federated query (0 without queries).
+    pub fn requests_per_query(&self) -> f64 {
+        ratio(self.requests, self.queries)
+    }
+
+    /// Probes carried per endpoint request (0 without requests).
+    pub fn probes_per_request(&self) -> f64 {
+        ratio(self.request_probes, self.requests)
     }
 
     /// Fraction of queries with no skipped sources.
@@ -82,6 +91,15 @@ impl FederationSummary {
         } else {
             1.0
         }
+    }
+}
+
+/// `num / den`, or 0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den > 0 {
+        num as f64 / den as f64
+    } else {
+        0.0
     }
 }
 
@@ -199,6 +217,8 @@ impl RunReport {
                     provenance_answers,
                     probes,
                     retries,
+                    requests,
+                    request_probes,
                     skipped_sources,
                     cache_hits,
                     cache_misses,
@@ -210,6 +230,8 @@ impl RunReport {
                     f.provenance_answers += provenance_answers;
                     f.probes += probes;
                     f.retries += retries;
+                    f.requests += requests;
+                    f.request_probes += request_probes;
                     f.skipped_sources += skipped_sources;
                     if *skipped_sources > 0 {
                         f.degraded_queries += 1;
@@ -345,6 +367,9 @@ impl RunReport {
             .u64("cache_hits", self.federation.cache_hits)
             .u64("cache_misses", self.federation.cache_misses)
             .f64("cache_hit_ratio", self.federation.cache_hit_ratio())
+            .u64("requests", self.federation.requests)
+            .f64("requests_per_query", self.federation.requests_per_query())
+            .f64("probes_per_request", self.federation.probes_per_request())
             .f64("completeness", self.federation.completeness());
         let mut metrics = String::from("{");
         for (i, (name, value)) in self.metrics.iter().enumerate() {
@@ -421,7 +446,8 @@ impl RunReport {
                 out,
                 "\nfederation: {} queries, {} answers ({} via sameAs), {} probes, \
                  {} retries, {} degraded ({} sources skipped), completeness {:.1}%, \
-                 cache hit ratio {:.1}% ({}/{})",
+                 cache hit ratio {:.1}% ({}/{}), {:.2} requests per query, \
+                 {:.2} probes per request",
                 f.queries,
                 f.answers,
                 f.provenance_answers,
@@ -433,6 +459,8 @@ impl RunReport {
                 f.cache_hit_ratio() * 100.0,
                 f.cache_hits,
                 f.cache_hits + f.cache_misses,
+                f.requests_per_query(),
+                f.probes_per_request(),
             );
         }
 

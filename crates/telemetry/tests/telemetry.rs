@@ -203,6 +203,8 @@ fn all_event_variants() -> Vec<Event> {
             bound_join_iterations: 9,
             sameas_expansions: 4,
             retries: 3,
+            requests: 6,
+            request_probes: 10,
             skipped_sources: 1,
             cache: true,
             cache_hits: 5,
@@ -644,6 +646,8 @@ fn run_report_aggregates_convergence_federation_and_metrics() {
             bound_join_iterations: 9,
             sameas_expansions: 4,
             retries: 3,
+            requests: 8,
+            request_probes: 20,
             skipped_sources: 1,
             cache: true,
             cache_hits: 5,
@@ -672,6 +676,8 @@ fn run_report_aggregates_convergence_federation_and_metrics() {
     assert_eq!(report.federation.degraded_queries, 1);
     assert!((report.federation.cache_hit_ratio() - 0.5).abs() < 1e-9);
     assert!((report.federation.completeness() - 0.0).abs() < 1e-9);
+    assert!((report.federation.requests_per_query() - 8.0).abs() < 1e-9);
+    assert!((report.federation.probes_per_request() - 2.5).abs() < 1e-9);
     assert_eq!(report.paris_iterations, 1);
     assert_eq!(report.paris_final_matches, 117);
     assert_eq!(report.blacklist_hits, 1);
@@ -685,6 +691,10 @@ fn run_report_aggregates_convergence_federation_and_metrics() {
     );
     assert!(table.contains("precision"), "{table}");
     assert!(table.contains("federation: 1 queries"), "{table}");
+    assert!(
+        table.contains("8.00 requests per query, 2.50 probes per request"),
+        "{table}"
+    );
     assert!(
         table.contains("paris: 1 iteration(s), final matches 117"),
         "{table}"

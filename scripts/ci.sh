@@ -106,6 +106,11 @@ ALEX_THREADS=1 cargo test --test federation_differential -q
 ALEX_THREADS=4 cargo test --test federation_differential -q
 ALEX_THREADS=1 cargo test --test federation_recall -q
 ALEX_THREADS=4 cargo test --test federation_recall -q
+# Batched endpoint requests must be invisible: an engine sending each
+# endpoint's job list as one request must match one sending a call per
+# probe (answers, skip sets, retry/circuit tallies, breaker states, fault
+# schedule) across seeds, fault profiles and --threads 1/4.
+cargo test --test request_differential -q
 
 echo "==> federation selectivity bench compiles (sub-query reduction gate target)"
 cargo bench -p alex-bench --bench federation_selectivity --no-run -q

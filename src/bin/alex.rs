@@ -121,11 +121,12 @@ FAULT TOLERANCE (improve --feedback query, and query):
                             'seed=7,transient=0.3,truncate=0.1,latency-ms=5,outage=100..200'
                             (rates in [0,1]; outage is a call-index
                             window, 'start..' means forever).
-  --retries N               Max retry attempts per endpoint call
+  --retries N               Max retry attempts per endpoint probe
                             (default 2; exponential backoff + jitter).
   --backoff-ms MS           Initial retry backoff (default 10).
-  --endpoint-budget-ms MS   Per-call deadline; calls past the budget
-                            fail with a deadline error (default: none).
+  --endpoint-budget-ms MS   Per-request deadline; requests past the
+                            budget fail with a deadline error (default:
+                            none).
   --fail-fast               Turn graceful degradation off: any endpoint
                             failure aborts the query instead of
                             completing partially without that source.
