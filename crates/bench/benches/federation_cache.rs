@@ -7,7 +7,7 @@
 //! microseconds and the comparison is meaningless. The episode loop is
 //! modeled the way `QueryFeedback` drives the engine: the same workload
 //! re-executed pass after pass, links unchanged between passes — exactly
-//! the regime the cache is built for (only link *mutations* invalidate).
+//! the regime the cache is built for (a link mutation only adds probes).
 //!
 //! In measure mode (`cargo bench`) this target writes `BENCH_cache.json`
 //! at the repo root with the hit-path and cold-dispatch per-query costs

@@ -1,31 +1,27 @@
-//! Sharded, thread-safe LRU answer cache with anchor-indexed invalidation.
+//! Sharded, thread-safe LRU answer cache.
 //!
 //! `alex-cache` is a zero-dependency building block for the federated
-//! executor: it maps canonicalized sub-query keys to immutable answer
-//! batches and supports *exact* invalidation. Every entry is inserted
-//! together with the set of IRIs ("anchors") whose `owl:sameAs`
-//! neighbourhood the cached answers depend on; an inverted
-//! anchor → entry index lets a link mutation on the pair `(l, r)`
-//! evict precisely the entries anchored at `l` or `r` — never a full
-//! flush, never a stale survivor.
+//! executor: it maps string keys (one per endpoint probe) to immutable
+//! answers. Entries never need invalidating: a key names everything its
+//! answer depends on, so an entry only leaves the cache through LRU
+//! eviction.
 //!
 //! The cache is sharded by key hash: each shard holds its own LRU list
-//! and anchor index behind its own mutex, so concurrent readers on
-//! different shards never contend. Values are stored as [`Arc`]s, so a
-//! hit is a pointer clone and entries stay immutable after insertion.
-//! Capacity is bounded per shard (total capacity divided evenly);
-//! insertion past capacity evicts the shard's least-recently-used
-//! entry.
+//! behind its own mutex, so concurrent readers on different shards never
+//! contend. Values are stored as [`Arc`]s, so a hit is a pointer clone
+//! and entries stay immutable after insertion. Capacity is bounded per
+//! shard (total capacity divided evenly); insertion past capacity evicts
+//! the shard's least-recently-used entry.
 //!
-//! Hit/miss/invalidation/eviction totals are tracked with relaxed
-//! atomics and exposed via [`AnswerCache::stats`]; callers mirror them
-//! into whatever telemetry registry they use.
+//! Hit/miss/eviction totals are tracked with relaxed atomics and exposed
+//! via [`AnswerCache::stats`]; callers mirror them into whatever
+//! telemetry registry they use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -39,8 +35,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
-    /// Entries removed because an anchor they depend on was mutated.
-    pub invalidations: u64,
     /// Entries evicted by LRU capacity pressure.
     pub evictions: u64,
     /// Entries currently resident.
@@ -51,12 +45,11 @@ pub struct CacheStats {
 struct Slot<V> {
     key: String,
     value: Arc<V>,
-    anchors: Vec<String>,
     prev: usize,
     next: usize,
 }
 
-/// One lock domain: key map, slot slab, LRU list, and anchor index.
+/// One lock domain: key map, slot slab, and LRU list.
 struct Shard<V> {
     map: HashMap<String, usize>,
     slots: Vec<Option<Slot<V>>>,
@@ -65,8 +58,6 @@ struct Shard<V> {
     head: usize,
     /// Least recently used slot.
     tail: usize,
-    /// Inverted index: anchor IRI → slots whose answers depend on it.
-    anchor_index: HashMap<String, HashSet<usize>>,
     capacity: usize,
 }
 
@@ -78,7 +69,6 @@ impl<V> Shard<V> {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            anchor_index: HashMap::new(),
             capacity,
         }
     }
@@ -133,21 +123,13 @@ impl<V> Shard<V> {
         self.link_front(idx);
     }
 
-    /// Remove the slot entirely: LRU list, key map, anchor index, slab.
+    /// Remove the slot entirely: LRU list, key map, slab.
     fn remove_slot(&mut self, idx: usize) {
         self.unlink(idx);
         let Some(slot) = self.slots[idx].take() else {
             return;
         };
         self.map.remove(&slot.key);
-        for anchor in &slot.anchors {
-            if let Some(set) = self.anchor_index.get_mut(anchor) {
-                set.remove(&idx);
-                if set.is_empty() {
-                    self.anchor_index.remove(anchor);
-                }
-            }
-        }
         self.free.push(idx);
     }
 
@@ -158,10 +140,9 @@ impl<V> Shard<V> {
     }
 
     /// Insert (or replace) `key`; returns how many entries LRU-evicted.
-    fn insert(&mut self, key: &str, anchors: &[String], value: Arc<V>) -> usize {
+    fn insert(&mut self, key: &str, value: Arc<V>) -> usize {
         if let Some(&idx) = self.map.get(key) {
-            // Replacement: drop the old entry so its anchor set cannot
-            // linger, then fall through to a fresh insert.
+            // Replacement: drop the old entry, then insert fresh.
             self.remove_slot(idx);
         }
         let mut evicted = 0;
@@ -183,58 +164,24 @@ impl<V> Shard<V> {
         self.slots[idx] = Some(Slot {
             key: key.to_string(),
             value,
-            anchors: anchors.to_vec(),
             prev: NIL,
             next: NIL,
         });
         self.map.insert(key.to_string(), idx);
-        for anchor in anchors {
-            self.anchor_index
-                .entry(anchor.clone())
-                .or_default()
-                .insert(idx);
-        }
         self.link_front(idx);
         evicted
     }
-
-    /// Drop every entry anchored at `anchor`; returns the count dropped.
-    fn invalidate_anchor(&mut self, anchor: &str) -> usize {
-        let Some(set) = self.anchor_index.remove(anchor) else {
-            return 0;
-        };
-        let mut indices: Vec<usize> = set.into_iter().collect();
-        indices.sort_unstable();
-        let dropped = indices.len();
-        for idx in indices {
-            self.remove_slot(idx);
-        }
-        dropped
-    }
-
-    fn clear(&mut self) -> usize {
-        let dropped = self.map.len();
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.anchor_index.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        dropped
-    }
 }
 
-/// Sharded, thread-safe LRU cache keyed by string fingerprints, with an
-/// inverted anchor index for exact invalidation.
+/// Sharded, thread-safe LRU cache keyed by string fingerprints.
 ///
-/// `V` is the answer-batch type; the cache stores `Arc<V>` so hits are
+/// `V` is the answer type; the cache stores `Arc<V>` so hits are
 /// cheap and entries are immutable once inserted.
 pub struct AnswerCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -283,7 +230,6 @@ impl<V> AnswerCache<V> {
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -308,51 +254,14 @@ impl<V> AnswerCache<V> {
         found
     }
 
-    /// Insert `value` under `key`, recording the anchors whose sameAs
-    /// neighbourhood the value depends on. Returns the number of
-    /// entries evicted by capacity pressure.
-    pub fn insert(&self, key: &str, anchors: &[String], value: V) -> usize {
-        let evicted = self.shard(key).insert(key, anchors, Arc::new(value));
+    /// Insert `value` under `key`. Returns the number of entries evicted
+    /// by capacity pressure.
+    pub fn insert(&self, key: &str, value: V) -> usize {
+        let evicted = self.shard(key).insert(key, Arc::new(value));
         if evicted > 0 {
             self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
         }
         evicted
-    }
-
-    /// Drop every entry that depends on `anchor`. Returns the number of
-    /// entries dropped (across all shards).
-    pub fn invalidate_anchor(&self, anchor: &str) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            dropped += lock_unpoisoned(shard).invalidate_anchor(anchor);
-        }
-        if dropped > 0 {
-            self.invalidations
-                .fetch_add(dropped as u64, Ordering::Relaxed);
-        }
-        dropped
-    }
-
-    /// Drop every entry that depends on either side of a mutated sameAs
-    /// pair. Entries anchored at both sides are only counted once.
-    pub fn invalidate_pair(&self, left: &str, right: &str) -> usize {
-        let mut dropped = self.invalidate_anchor(left);
-        if left != right {
-            dropped += self.invalidate_anchor(right);
-        }
-        dropped
-    }
-
-    /// Drop everything. Returns the number of entries dropped. Cleared
-    /// entries are *not* counted as invalidations or evictions — this
-    /// is the wholesale path (e.g. a link-set replacement), and the
-    /// stats distinguish it by omission.
-    pub fn clear(&self) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            dropped += lock_unpoisoned(shard).clear();
-        }
-        dropped
     }
 
     /// Number of entries currently resident.
@@ -368,12 +277,11 @@ impl<V> AnswerCache<V> {
         self.len() == 0
     }
 
-    /// Snapshot the hit/miss/invalidation/eviction counters.
+    /// Snapshot the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.len() as u64,
         }
@@ -393,42 +301,33 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 mod tests {
     use super::*;
 
-    fn anchors(names: &[&str]) -> Vec<String> {
-        names.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn get_after_insert_returns_value() {
         let cache: AnswerCache<Vec<u32>> = AnswerCache::new(16);
         assert!(cache.get("k1").is_none());
-        cache.insert("k1", &anchors(&["a"]), vec![1, 2, 3]);
+        cache.insert("k1", vec![1, 2, 3]);
         assert_eq!(cache.get("k1").as_deref(), Some(&vec![1, 2, 3]));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
 
     #[test]
-    fn replacement_updates_value_and_anchor_sets() {
+    fn replacement_updates_value() {
         let cache: AnswerCache<u32> = AnswerCache::with_shards(8, 1);
-        cache.insert("k", &anchors(&["a"]), 1);
-        cache.insert("k", &anchors(&["b"]), 2);
+        cache.insert("k", 1);
+        cache.insert("k", 2);
         assert_eq!(cache.get("k").as_deref(), Some(&2));
-        // The old anchor no longer reaches the entry…
-        assert_eq!(cache.invalidate_anchor("a"), 0);
-        assert_eq!(cache.get("k").as_deref(), Some(&2));
-        // …but the new one does.
-        assert_eq!(cache.invalidate_anchor("b"), 1);
-        assert!(cache.get("k").is_none());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn lru_evicts_least_recently_used_entry() {
         let cache: AnswerCache<u32> = AnswerCache::with_shards(2, 1);
-        cache.insert("a", &[], 1);
-        cache.insert("b", &[], 2);
+        cache.insert("a", 1);
+        cache.insert("b", 2);
         // Touch "a" so "b" becomes the LRU victim.
         assert!(cache.get("a").is_some());
-        let evicted = cache.insert("c", &[], 3);
+        let evicted = cache.insert("c", 3);
         assert_eq!(evicted, 1);
         assert!(cache.get("a").is_some());
         assert!(cache.get("b").is_none());
@@ -437,51 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn eviction_cleans_anchor_index() {
-        let cache: AnswerCache<u32> = AnswerCache::with_shards(1, 1);
-        cache.insert("a", &anchors(&["x"]), 1);
-        cache.insert("b", &anchors(&["x"]), 2); // evicts "a"
-                                                // Invalidating "x" must only drop the live entry, not a ghost.
-        assert_eq!(cache.invalidate_anchor("x"), 1);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn invalidate_pair_hits_both_sides_once() {
-        let cache: AnswerCache<u32> = AnswerCache::new(16);
-        cache.insert("l", &anchors(&["left"]), 1);
-        cache.insert("r", &anchors(&["right"]), 2);
-        cache.insert("both", &anchors(&["left", "right"]), 3);
-        cache.insert("other", &anchors(&["elsewhere"]), 4);
-        assert_eq!(cache.invalidate_pair("left", "right"), 3);
-        assert!(cache.get("other").is_some());
-        assert_eq!(cache.stats().invalidations, 3);
-    }
-
-    #[test]
-    fn invalidate_pair_with_identical_sides_counts_once() {
-        let cache: AnswerCache<u32> = AnswerCache::new(16);
-        cache.insert("k", &anchors(&["same"]), 1);
-        assert_eq!(cache.invalidate_pair("same", "same"), 1);
-    }
-
-    #[test]
-    fn clear_drops_everything_without_counting_invalidations() {
-        let cache: AnswerCache<u32> = AnswerCache::new(16);
-        cache.insert("a", &anchors(&["x"]), 1);
-        cache.insert("b", &anchors(&["y"]), 2);
-        assert_eq!(cache.clear(), 2);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidations, 0);
-        // Anchor index is gone too: nothing left to invalidate.
-        assert_eq!(cache.invalidate_anchor("x"), 0);
-    }
-
-    #[test]
     fn slab_reuses_freed_slots() {
         let cache: AnswerCache<u32> = AnswerCache::with_shards(2, 1);
         for i in 0..100 {
-            cache.insert(&format!("k{i}"), &anchors(&["a"]), i);
+            cache.insert(&format!("k{i}"), i);
         }
         let shard = lock_unpoisoned(&cache.shards[0]);
         assert!(
@@ -494,7 +352,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let cache: AnswerCache<u32> = AnswerCache::new(0);
-        cache.insert("k", &[], 1);
+        cache.insert("k", 1);
         assert!(cache.get("k").is_some());
     }
 
@@ -507,11 +365,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
                     let key = format!("k{}", (t * 200 + i) % 97);
-                    cache.insert(&key, &[format!("anchor{}", i % 7)], t * 1000 + i);
+                    cache.insert(&key, t * 1000 + i);
                     cache.get(&key);
-                    if i % 13 == 0 {
-                        cache.invalidate_anchor(&format!("anchor{}", i % 7));
-                    }
                 }
             }));
         }

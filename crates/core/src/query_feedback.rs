@@ -97,8 +97,7 @@ impl QueryFeedback {
     /// Toggle sameAs-closure query rewriting: each workload query is
     /// rewritten against the engine's current closure immediately before
     /// execution (so the rewrite is never stale) and run through
-    /// [`FederatedEngine::execute_rewritten`], which stamps the closure
-    /// generation into every answer-cache key.
+    /// [`FederatedEngine::execute_rewritten`].
     pub fn set_rewrite_sameas(&mut self, enabled: bool) {
         self.rewrite_sameas = enabled;
     }
@@ -128,9 +127,8 @@ impl QueryFeedback {
     /// the actual adds/removes. Every exploration add, rejection remove,
     /// blacklist, rollback, and resume-replay thus flows through
     /// `SameAsLinks::add`/`remove` — the single notification hook — so
-    /// subscribers (the answer cache's invalidator) see exactly the
-    /// mutated pairs instead of a wholesale replacement forcing a full
-    /// flush. The diff runs on sorted pair ids against the last sync;
+    /// subscribers see exactly the mutated pairs instead of a wholesale
+    /// replacement. The diff runs on sorted pair ids against the last sync;
     /// only changed pairs are resolved to IRIs. Changes apply in `Link`
     /// order, the order a merge of the sorted IRI sets would issue them
     /// in, so link insertion order — which decides `equivalents()` and

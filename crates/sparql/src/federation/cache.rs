@@ -1,180 +1,65 @@
 //! Answer-cache glue between the federated executor and [`alex_cache`].
 //!
-//! The executor caches at the *per-endpoint sub-query batch* level: one
-//! entry holds everything a single endpoint returned for one pattern
-//! extension (the full probe-job list derived from the pattern's
-//! resolved positions and their sameAs alternatives). The key is the
-//! endpoint id plus the binding signature of the pattern's positions
-//! *before* sameAs expansion; the anchors are exactly the bound
-//! subject/object IRIs whose `equivalents()` neighbourhood determined
-//! the job list. Mutating a link `(l, r)` changes `equivalents()` only
-//! for `l` and `r`, so invalidating the entries anchored there — via
-//! the cache's inverted index — is exact: no stale entry survives, no
-//! unaffected entry is dropped.
-
-use std::sync::Arc;
+//! The executor caches one entry per endpoint probe: the rows one
+//! endpoint returned for one resolved (s, p, o) pattern, keyed by the
+//! endpoint name and the three positions. An endpoint's answer to a probe
+//! depends only on that endpoint's data, never on the sameAs link index:
+//! links decide *which* probes a query sends, not what a probe returns.
+//! So a link mutation never stales an entry, and entries leave the cache
+//! only through LRU eviction.
 
 use alex_cache::AnswerCache;
-use alex_telemetry::counter;
 
-use super::links::{Link, LinkObserver};
-use crate::value::Value;
+use super::endpoint::{Probe, Rows};
 
-/// Per-endpoint answer batch for one probe-job list: `rows[j]` is the
-/// complete row set job `j` returned on this endpoint.
-pub(crate) type CachedRows = Vec<Vec<[Value; 3]>>;
+/// The executor's cache instantiation: one entry per endpoint probe.
+pub(crate) type FederationCache = AnswerCache<Rows>;
 
-/// The executor's cache instantiation.
-pub(crate) type FederationCache = AnswerCache<CachedRows>;
-
-/// [`LinkObserver`] dropping exactly the cached entries whose
-/// provenance touches a mutated sameAs pair. Subscribed to the
-/// engine's link index when the cache is enabled, so every effective
-/// mutation — add on exploration, remove on rejection, blacklist,
-/// rollback, resume-replay — invalidates through the same hook.
-pub(crate) struct CacheInvalidator {
-    pub(crate) cache: Arc<FederationCache>,
+/// Append one length-prefixed component to a key. The prefix makes the
+/// concatenation injective: no two component lists can collide by
+/// boundary shifting.
+fn push_sig(out: &mut String, s: &str) {
+    out.push_str(&s.len().to_string());
+    out.push(':');
+    out.push_str(s);
+    out.push(';');
 }
 
-impl LinkObserver for CacheInvalidator {
-    fn link_added(&self, link: &Link) {
-        let n = self.cache.invalidate_pair(&link.left, &link.right);
-        counter!("cache_invalidations_total").add(n as u64);
-    }
-
-    fn link_removed(&self, link: &Link) {
-        let n = self.cache.invalidate_pair(&link.left, &link.right);
-        counter!("cache_invalidations_total").add(n as u64);
-    }
-}
-
-/// Append one resolved probe position to a key: `*;` for a wildcard,
-/// else the length-prefixed display form (the prefix makes the
-/// three-part concatenation injective — no two position triples can
-/// collide by boundary shifting).
-fn push_sig(out: &mut String, v: Option<&Value>) {
-    match v {
-        None => out.push_str("*;"),
-        Some(v) => {
-            let s = v.to_string();
-            out.push_str(&s.len().to_string());
-            out.push(':');
-            out.push_str(&s);
-            out.push(';');
+/// The cache key of `probe` on `endpoint`: the endpoint name, then each
+/// position's display form (`*;` for a wildcard).
+pub(crate) fn probe_key(endpoint: &str, probe: &Probe<'_>) -> String {
+    let mut key = String::new();
+    push_sig(&mut key, endpoint);
+    for position in probe {
+        match position {
+            None => key.push_str("*;"),
+            Some(v) => push_sig(&mut key, &v.to_string()),
         }
     }
-}
-
-/// Cache addressing for one pattern extension: the binding signature of
-/// the pattern's resolved positions (pre-sameAs-expansion) plus the
-/// anchors the cached batches depend on.
-pub(crate) struct CacheProbe {
-    base: String,
-    anchors: Vec<String>,
-}
-
-impl CacheProbe {
-    /// Build the signature from the three resolved positions (`None` =
-    /// unbound wildcard). Anchors are the bound subject/object IRIs:
-    /// the probe-job list varies with the link index only through
-    /// their `equivalents()` sets.
-    pub(crate) fn new(s: Option<&Value>, p: Option<&Value>, o: Option<&Value>) -> CacheProbe {
-        let mut base = String::new();
-        push_sig(&mut base, s);
-        push_sig(&mut base, p);
-        push_sig(&mut base, o);
-        let mut anchors: Vec<String> = Vec::new();
-        if let Some(Value::Iri(iri)) = s {
-            anchors.push(iri.clone());
-        }
-        if let Some(Value::Iri(iri)) = o {
-            if !anchors.contains(iri) {
-                anchors.push(iri.clone());
-            }
-        }
-        CacheProbe { base, anchors }
-    }
-
-    /// Stamp a sameAs-closure generation into the signature. Rewritten
-    /// executions use this: a rewritten query is only answer-equivalent
-    /// under the exact closure it was rewritten at, and its dependence
-    /// on the closure is *global* (any link can add or drop a union
-    /// branch somewhere), not limited to this probe's anchors. Anchor
-    /// invalidation therefore cannot keep rewritten entries honest —
-    /// the generation in the key makes every post-mutation lookup miss
-    /// instead. Plain (non-rewritten) probes keep their unstamped keys
-    /// and exact anchor invalidation.
-    pub(crate) fn stamp_generation(mut self, generation: u64) -> CacheProbe {
-        // `base` is a sequence of self-delimiting `push_sig` components,
-        // so appending a fourth component keeps the keyspace disjoint
-        // from (injective against) unstamped three-component keys.
-        push_sig(
-            &mut self.base,
-            Some(&Value::plain(format!("g{generation}"))),
-        );
-        self
-    }
-
-    /// The full cache key for one endpoint.
-    pub(crate) fn key_for(&self, endpoint: &str) -> String {
-        let mut key = String::with_capacity(endpoint.len() + self.base.len() + 8);
-        push_sig(&mut key, Some(&Value::plain(endpoint)));
-        key.push_str(&self.base);
-        key
-    }
-
-    /// The IRIs whose sameAs neighbourhood the cached batches depend on.
-    pub(crate) fn anchors(&self) -> &[String] {
-        &self.anchors
-    }
+    key
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     #[test]
     fn signatures_are_injective_across_boundaries() {
         // "ab" + "c" vs "a" + "bc" must not produce the same key.
-        let a = CacheProbe::new(Some(&Value::plain("ab")), Some(&Value::plain("c")), None);
-        let b = CacheProbe::new(Some(&Value::plain("a")), Some(&Value::plain("bc")), None);
-        assert_ne!(a.key_for("e"), b.key_for("e"));
+        let (ab, c) = (Value::plain("ab"), Value::plain("c"));
+        let (a, bc) = (Value::plain("a"), Value::plain("bc"));
+        let one = [Some(&ab), Some(&c), None];
+        let two = [Some(&a), Some(&bc), None];
+        assert_ne!(probe_key("e", &one), probe_key("e", &two));
         // Endpoint name cannot bleed into the signature either.
-        assert_ne!(a.key_for("e1"), a.key_for("e"));
-    }
-
-    #[test]
-    fn anchors_are_bound_iris_only() {
-        let p = CacheProbe::new(
-            Some(&Value::iri("http://l/1")),
-            Some(&Value::iri("http://pred")),
-            Some(&Value::plain("literal")),
-        );
-        assert_eq!(p.anchors(), ["http://l/1".to_string()]);
-        let wild = CacheProbe::new(None, None, None);
-        assert!(wild.anchors().is_empty());
-        let dup = CacheProbe::new(
-            Some(&Value::iri("http://x")),
-            None,
-            Some(&Value::iri("http://x")),
-        );
-        assert_eq!(dup.anchors().len(), 1);
-    }
-
-    #[test]
-    fn generation_stamp_partitions_the_keyspace() {
-        let plain = || CacheProbe::new(Some(&Value::iri("http://s")), None, None);
-        let unstamped = plain().key_for("e");
-        let g0 = plain().stamp_generation(0).key_for("e");
-        let g1 = plain().stamp_generation(1).key_for("e");
-        assert_ne!(unstamped, g0, "stamped keys never alias plain keys");
-        assert_ne!(g0, g1, "each generation is its own keyspace");
-        assert_eq!(g1, plain().stamp_generation(1).key_for("e"));
-        // The stamp does not disturb the anchor set.
-        assert_eq!(
-            plain().stamp_generation(3).anchors(),
-            ["http://s".to_string()]
+        assert_ne!(probe_key("e1", &one), probe_key("e", &one));
+        // A wildcard never aliases a bound position.
+        let star = Value::plain("*");
+        assert_ne!(
+            probe_key("e", &[None, None, None]),
+            probe_key("e", &[Some(&star), None, None])
         );
     }
 }

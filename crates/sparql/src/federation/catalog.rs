@@ -9,7 +9,9 @@
 //!
 //! Two ways to build coverage:
 //!
-//! * **probing** ([`Catalog::probe_endpoint`]) — a wildcard scan of the
+//! * **probing** ([`Catalog::probe_endpoint`], or [`Catalog::record_scan`]
+//!   over a scan the caller ran — `FederatedEngine::build_catalog` runs
+//!   it under retries and the breaker) — a wildcard scan of the
 //!   endpoint collects the full predicate/class sets. Probing is always
 //!   exhaustive, never sampled: a sampled catalog could miss a predicate
 //!   the endpoint does hold, and a false "not covered" verdict silently
@@ -134,11 +136,18 @@ impl Catalog {
         deadline: &Deadline,
     ) -> Result<(), EndpointError> {
         let rows = ep.matching(None, None, None, deadline)?;
+        self.record_scan(ep.name(), &rows);
+        Ok(())
+    }
+
+    /// Build (or refresh) an endpoint's coverage from the rows of a
+    /// complete wildcard scan of it.
+    pub fn record_scan(&mut self, endpoint: &str, rows: &[[Value; 3]]) {
         let mut coverage = Coverage {
             built_version: self.version,
             ..Coverage::default()
         };
-        for [_, p, o] in &rows {
+        for [_, p, o] in rows {
             if let Value::Iri(p_iri) = p {
                 coverage.predicates.insert(p_iri.clone());
                 if p_iri == alex_rdf::vocab::RDF_TYPE {
@@ -148,8 +157,7 @@ impl Catalog {
                 }
             }
         }
-        self.entries.insert(ep.name().to_string(), coverage);
-        Ok(())
+        self.entries.insert(endpoint.to_string(), coverage);
     }
 
     /// The coverage entry for an endpoint, if any (fresh or stale).

@@ -19,7 +19,7 @@
 //! marker naming the skipped sources.
 
 use std::collections::{BTreeSet, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use alex_telemetry::{counter, emit, span, Event};
@@ -31,7 +31,7 @@ use crate::error::{Result, SparqlError};
 use crate::expr::{eval_expr, expr_variables, Bindings};
 use crate::value::Value;
 
-use super::cache::{CacheInvalidator, CacheProbe, CachedRows, FederationCache};
+use super::cache::{probe_key, FederationCache};
 use super::catalog::Catalog;
 use super::endpoint::{Endpoint, Probe, Rows};
 use super::links::{Link, SameAsLinks};
@@ -82,9 +82,8 @@ pub struct FederatedEngine {
     breakers: Vec<Mutex<CircuitBreaker>>,
     /// Backoff-jitter RNG, seeded from the resilience config.
     jitter_rng: Mutex<StdRng>,
-    /// Optional answer cache (per-endpoint sub-query batches). Behind an
-    /// `Arc` because the link index holds an invalidator pointing at it.
-    cache: Option<Arc<FederationCache>>,
+    /// Optional answer cache, one entry per endpoint probe.
+    cache: Option<FederationCache>,
     /// Optional coverage catalog: with it set, endpoints provably unable
     /// to answer a pattern are pruned instead of probed.
     catalog: Option<Catalog>,
@@ -130,9 +129,9 @@ struct ExecStats {
     circuit_rejections: u64,
     /// Probes that failed past the retry allowance (endpoint skipped).
     endpoint_failures: u64,
-    /// Per-endpoint batch lookups served from the answer cache.
+    /// Endpoint probes served from the answer cache.
     cache_hits: u64,
-    /// Batch lookups that missed and were dispatched live.
+    /// Endpoint probes that missed and were sent live.
     cache_misses: u64,
     /// Cache entries evicted by capacity pressure while inserting.
     cache_evictions: u64,
@@ -175,15 +174,11 @@ impl FederatedEngine {
         Some(lock_unpoisoned(breaker).state())
     }
 
-    /// Enable the answer cache with room for `capacity` per-endpoint
-    /// batches, subscribing its invalidator to the link index so every
-    /// effective link mutation drops exactly the entries it staled.
+    /// Enable the answer cache with room for `capacity` endpoint probe
+    /// answers. A probe's answer depends only on the endpoint's data, so
+    /// link mutations never stale an entry (see the `cache` module).
     pub fn enable_cache(&mut self, capacity: usize) {
-        let cache = Arc::new(FederationCache::new(capacity));
-        self.links.subscribe(Arc::new(CacheInvalidator {
-            cache: Arc::clone(&cache),
-        }));
-        self.cache = Some(cache);
+        self.cache = Some(FederationCache::new(capacity));
     }
 
     /// Whether the answer cache is enabled.
@@ -215,18 +210,22 @@ impl FederatedEngine {
         self.catalog.as_mut()
     }
 
-    /// Build a catalog by exhaustively probing every registered endpoint
-    /// (under the engine's per-call endpoint budget). Fails on the first
-    /// endpoint that cannot be scanned — a partial catalog built here
-    /// would be indistinguishable from a complete one.
+    /// Build a catalog by exhaustively scanning every registered endpoint.
+    /// Each scan is a one-probe wildcard request under the same retries,
+    /// breaker and per-request deadline as query traffic (its tallies stay
+    /// out of the query counters). Fails on the first endpoint whose scan
+    /// fails terminally — a partial catalog built here would be
+    /// indistinguishable from a complete one.
     pub fn build_catalog(&self) -> std::result::Result<Catalog, EndpointError> {
         let mut catalog = Catalog::new();
-        for ep in &self.endpoints {
-            let deadline = match self.resilience.endpoint_budget {
-                Some(budget) => Deadline::within(budget),
-                None => Deadline::none(),
-            };
-            catalog.probe_endpoint(ep.as_ref(), &deadline)?;
+        for (i, ep) in self.endpoints.iter().enumerate() {
+            let run = self.run_endpoint_jobs(i, &[[None, None, None]]);
+            if let Some((_, err)) = run.terminal {
+                return Err(err);
+            }
+            for rows in run.rows.iter().flatten() {
+                catalog.record_scan(ep.name(), rows);
+            }
         }
         Ok(catalog)
     }
@@ -237,18 +236,10 @@ impl FederatedEngine {
         rewrite_sameas(query, &self.links)
     }
 
-    /// Replace the link index. With the cache enabled this is the
-    /// wholesale path: provenance recorded against the old index says
-    /// nothing about the new one, so the cache is cleared outright and
-    /// the invalidator re-subscribed on the replacement.
+    /// Replace the link index. Cached probe answers stay valid: they
+    /// never depended on links.
     pub fn set_links(&mut self, links: SameAsLinks) {
         self.links = links;
-        if let Some(cache) = &self.cache {
-            cache.clear();
-            self.links.subscribe(Arc::new(CacheInvalidator {
-                cache: Arc::clone(cache),
-            }));
-        }
     }
 
     /// Borrow the link index.
@@ -283,10 +274,9 @@ impl FederatedEngine {
 
     /// Execute a query rewritten against the sameAs closure (see
     /// [`rewrite_sameas`]). The rewrite's per-branch link provenance is
-    /// attached to answers produced through substituted branches, and its
-    /// closure generation is stamped into every answer-cache key of the
-    /// execution, so a later link mutation makes rewritten lookups miss
-    /// rather than serve answers computed under a stale closure.
+    /// attached to answers produced through substituted branches. The
+    /// rewrite only decides which probes run, so rewritten and plain
+    /// executions share answer-cache entries.
     ///
     /// The rewrite must be fresh: executing against a closure the rewrite
     /// does not reflect would silently drop (or phantom) union branches,
@@ -308,10 +298,6 @@ impl FederatedEngine {
         rewrite: Option<&RewrittenQuery>,
     ) -> Result<FederatedResult> {
         let query_span = span("federated_query");
-        let ctx = ProbeCtx {
-            in_union: false,
-            generation: rewrite.map(|r| r.generation()),
-        };
         let mut stats = ExecStats::default();
         // Sources skipped this execution (down past their retry allowance
         // or shed by an open breaker). BTreeSet keeps provenance sorted.
@@ -351,7 +337,7 @@ impl FederatedEngine {
                     &mut next,
                     &mut stats,
                     &mut skipped,
-                    ctx,
+                    false,
                 )?;
             }
             partials = next;
@@ -392,10 +378,6 @@ impl FederatedEngine {
         // spells its alternatives out, and expanding them again would
         // duplicate answers; runtime-bound variable values still expand,
         // so a rewrite can never lose answers the implicit closure found.
-        let union_ctx = ProbeCtx {
-            in_union: true,
-            ..ctx
-        };
         for (ui, branches) in query.unions().enumerate() {
             let mut next: Vec<(Bindings, Vec<Link>)> = Vec::new();
             for (bi, branch) in branches.iter().enumerate() {
@@ -404,7 +386,7 @@ impl FederatedEngine {
                     branch.iter().collect(),
                     &mut stats,
                     &mut skipped,
-                    union_ctx,
+                    true,
                 )?;
                 // Answers from a substituted branch owe their existence to
                 // the links that justified the substitution.
@@ -451,7 +433,7 @@ impl FederatedEngine {
                     group.iter().collect(),
                     &mut stats,
                     &mut skipped,
-                    ctx,
+                    false,
                 )?;
                 if extended.is_empty() {
                     next.push((bindings, links_used));
@@ -585,7 +567,7 @@ impl FederatedEngine {
         mut remaining: Vec<&TriplePattern>,
         stats: &mut ExecStats,
         skipped: &mut BTreeSet<String>,
-        ctx: ProbeCtx,
+        in_union: bool,
     ) -> Result<Vec<(Bindings, Vec<Link>)>> {
         while !remaining.is_empty() && !partials.is_empty() {
             let bound_vars: HashSet<String> = partials
@@ -604,7 +586,7 @@ impl FederatedEngine {
             let mut next = Vec::new();
             for (bindings, links_used) in &partials {
                 self.extend_with_pattern(
-                    pattern, bindings, links_used, &mut next, stats, skipped, ctx,
+                    pattern, bindings, links_used, &mut next, stats, skipped, in_union,
                 )?;
             }
             partials = next;
@@ -617,14 +599,14 @@ impl FederatedEngine {
     /// absorbed by the resilience layer: the failing source is skipped
     /// (recorded in `skipped`) unless the engine is in fail-fast mode.
     ///
-    /// Each endpoint with live work gets the job list as one request (a
-    /// FedX-style bound join), endpoints running concurrently; within each
-    /// endpoint the probe sequence stays in job order, so per-endpoint
+    /// Each endpoint with live work gets its uncached jobs as one request
+    /// (a FedX-style bound join), endpoints running concurrently; within
+    /// each endpoint the probe sequence stays in job order, so per-endpoint
     /// behavior (retry sequences, breaker transitions, the fault injector's
     /// seeded call stream) is identical to the sequential per-probe
-    /// executor. The merge below replays the sequential (job, endpoint)
-    /// nesting, so answer order, stat totals, skip provenance, and
-    /// fail-fast error selection are all unchanged.
+    /// executor sending the same probes. The merge below replays the
+    /// sequential (job, endpoint) nesting, so answer order, skip
+    /// provenance, and fail-fast error selection are unchanged.
     #[allow(clippy::too_many_arguments)]
     fn extend_with_pattern(
         &self,
@@ -634,7 +616,7 @@ impl FederatedEngine {
         out: &mut Vec<(Bindings, Vec<Link>)>,
         stats: &mut ExecStats,
         skipped: &mut BTreeSet<String>,
-        ctx: ProbeCtx,
+        in_union: bool,
     ) -> Result<()> {
         stats.bound_join_iterations += 1;
 
@@ -642,7 +624,7 @@ impl FederatedEngine {
         // IRIs in subject/object position) or wildcard. Inside UNION
         // branches constants are not expanded — the branch list is the
         // explicit expansion.
-        let expand_constants = !ctx.in_union;
+        let expand_constants = !in_union;
         let s_alts = alternatives(&pattern.subject, bindings, &self.links, expand_constants);
         let p_alts = alternatives_no_expand(&pattern.predicate, bindings);
         let o_alts = alternatives(&pattern.object, bindings, &self.links, expand_constants);
@@ -667,34 +649,13 @@ impl FederatedEngine {
             }
         }
         // The sequential loop counted one probe per (job, endpoint) combo,
-        // including combos short-circuited by an earlier skip. Cached
-        // hits keep this formula: `probes` counts logical source
-        // selection, not endpoint calls, so the event field is identical
-        // with the cache on or off.
+        // including combos short-circuited by an earlier skip or served
+        // from the cache: `probes` counts logical source selection, not
+        // endpoint calls, so the event field is identical with the cache
+        // on or off.
         stats.probes += (jobs.len() * self.endpoints.len()) as u64;
 
-        // Cache addressing: the key is the pattern's resolved positions
-        // *before* sameAs expansion (the first alternative is always the
-        // bound value itself), the anchors the bound s/o IRIs. While an
-        // entry lives, `equivalents()` of those anchors is unchanged, so
-        // re-deriving the job list above yields the same jobs in the
-        // same order as when the entry was inserted.
-        let probe = self.cache.as_ref().map(|_| {
-            let probe = CacheProbe::new(
-                s_alts[0].0.as_ref(),
-                p_alts[0].as_ref(),
-                o_alts[0].0.as_ref(),
-            );
-            // Rewritten executions key on the closure generation too: the
-            // rewritten query shape depends on the *whole* closure, which
-            // anchor invalidation cannot track (see `stamp_generation`).
-            match ctx.generation {
-                Some(generation) => probe.stamp_generation(generation),
-                None => probe,
-            }
-        });
-
-        let mut runs = self.dispatch_jobs(&jobs, probe.as_ref(), stats, skipped)?;
+        let mut runs = self.dispatch_jobs(&jobs, stats, skipped)?;
 
         // Ordered merge: job-major, endpoint-minor — the sequential order.
         for (j, job) in jobs.iter().enumerate() {
@@ -728,15 +689,16 @@ impl FederatedEngine {
     }
 
     /// Run every probe job against every endpoint, one concurrent worker
-    /// task per endpoint, then fold the per-endpoint outcomes back into
-    /// the shared stats/skip state in endpoint order (deterministic).
+    /// task per endpoint with uncached jobs, then fold the per-endpoint
+    /// outcomes back into the shared stats/skip state in endpoint order
+    /// (deterministic).
     fn dispatch_jobs(
         &self,
         jobs: &[ProbeJob<'_>],
-        probe: Option<&CacheProbe>,
         stats: &mut ExecStats,
         skipped: &mut BTreeSet<String>,
     ) -> Result<Vec<EndpointRun>> {
+        let probes: Vec<Probe<'_>> = jobs.iter().map(|job| [job.s, job.p, job.o]).collect();
         // Sources already skipped stay skipped for this query: further
         // probes would only burn the remaining sources' time budget.
         let pre_skipped: Vec<bool> = self
@@ -769,33 +731,36 @@ impl FederatedEngine {
         };
         stats.pruned_probes += (jobs.len() * pruned.iter().filter(|&&p| p).count()) as u64;
 
-        // Consult the cache before dispatch, on the coordinator thread in
-        // endpoint order (deterministic LRU movement). A hit bypasses the
-        // resilience layer entirely — no endpoint call, no retry, no
-        // breaker transition — so a cached hit can never trip a breaker.
-        // Skipped sources stay skipped: serving them from cache would
-        // resurrect a source mid-query.
-        let mut keys: Vec<Option<String>> = vec![None; self.endpoints.len()];
-        let mut hits: Vec<Option<Arc<CachedRows>>> = vec![None; self.endpoints.len()];
-        if let (Some(cache), Some(probe)) = (self.cache.as_ref(), probe) {
-            for (i, ep) in self.endpoints.iter().enumerate() {
-                // Pruned endpoints bypass the cache entirely: a lookup
-                // would be wasted work and an insert would cache a batch
-                // the endpoint never served.
-                if pre_skipped[i] || pruned[i] {
-                    continue;
-                }
-                let key = probe.key_for(ep.name());
-                match cache.get(&key) {
-                    // A live entry always matches the re-derived job
-                    // list; the length check is a defensive backstop.
-                    Some(rows) if rows.len() == jobs.len() => {
+        // Look each probe up before dispatch, on the coordinator thread in
+        // endpoint then job order (deterministic LRU movement). A hit
+        // bypasses the resilience layer entirely — no endpoint call, no
+        // retry, no breaker transition. Pre-skipped and pruned endpoints
+        // are never looked up: serving a skipped source from cache would
+        // resurrect it mid-query, and a pruned one has nothing to serve.
+        // `missing[i]` lists the jobs endpoint `i` must still be asked.
+        let mut runs: Vec<EndpointRun> = self
+            .endpoints
+            .iter()
+            .map(|_| EndpointRun::idle(jobs.len()))
+            .collect();
+        let mut missing: Vec<Vec<usize>> = vec![Vec::new(); self.endpoints.len()];
+        for (i, ep) in self.endpoints.iter().enumerate() {
+            if pre_skipped[i] || pruned[i] {
+                continue;
+            }
+            let Some(cache) = &self.cache else {
+                missing[i] = (0..jobs.len()).collect();
+                continue;
+            };
+            for (j, probe) in probes.iter().enumerate() {
+                match cache.get(&probe_key(ep.name(), probe)) {
+                    Some(rows) => {
                         stats.cache_hits += 1;
-                        hits[i] = Some(rows);
+                        runs[i].rows[j] = Some(Rows::clone(&rows));
                     }
-                    _ => {
+                    None => {
                         stats.cache_misses += 1;
-                        keys[i] = Some(key);
+                        missing[i].push(j);
                     }
                 }
             }
@@ -803,23 +768,42 @@ impl FederatedEngine {
 
         // Only endpoints with live work go to the pool, so a dispatch with
         // one live endpoint runs inline and an all-hit or all-pruned one
-        // spawns nothing. Cache hits replay their rows; pre-skipped and
-        // pruned endpoints get all-`None` rows and no endpoint call (a
-        // pruned one records no terminal and lands in no skip set).
-        let mut runs: Vec<EndpointRun> = hits
-            .iter()
-            .map(|hit| match hit {
-                Some(rows) => EndpointRun::cached(rows),
-                None => EndpointRun::idle(jobs.len()),
-            })
-            .collect();
+        // spawns nothing. Each gets one request carrying its missing
+        // probes in job order; pre-skipped and pruned endpoints keep
+        // all-`None` rows and send nothing (a pruned one records no
+        // terminal and lands in no skip set).
         let live: Vec<usize> = (0..self.endpoints.len())
-            .filter(|&i| hits[i].is_none() && !pre_skipped[i] && !pruned[i])
+            .filter(|&i| !missing[i].is_empty())
             .collect();
         let pool = alex_parallel::Pool::new("federation");
-        let fresh = pool.map_each(&live, |&i| self.run_endpoint_jobs(i, jobs));
-        for (&i, run) in live.iter().zip(fresh) {
-            runs[i] = run;
+        let fresh = pool.map_each(&live, |&i| {
+            let sent: Vec<Probe<'_>> = missing[i].iter().map(|&j| probes[j]).collect();
+            self.run_endpoint_jobs(i, &sent)
+        });
+        for (&i, sent) in live.iter().zip(fresh) {
+            let name = self.endpoints[i].name();
+            let run = &mut runs[i];
+            // Every answered probe becomes a cache entry (coordinator
+            // thread, endpoint then job order — deterministic); its rows
+            // are the endpoint's complete answer to that probe.
+            for (&j, rows) in missing[i].iter().zip(sent.rows) {
+                if let (Some(cache), Some(rows)) = (&self.cache, &rows) {
+                    let evicted = cache.insert(&probe_key(name, &probes[j]), rows.clone());
+                    stats.cache_evictions += evicted as u64;
+                }
+                run.rows[j] = rows;
+            }
+            // A terminal failure at the k-th sent probe is a failure at
+            // its job: the source is dead from there on, so rows from that
+            // job onward are dropped, cached ones included.
+            run.terminal = sent
+                .terminal
+                .map(|(k, err)| (missing[i].get(k).copied().unwrap_or(jobs.len()), err));
+            if let Some((j, _)) = &run.terminal {
+                run.rows[*j..].fill(None);
+            }
+            run.delta = sent.delta;
+            run.duration_us = sent.duration_us;
         }
 
         for (i, run) in runs.iter().enumerate() {
@@ -841,7 +825,11 @@ impl FederatedEngine {
                 circuit_rejections: run.delta.circuit_rejections,
                 failures: run.delta.endpoint_failures,
                 skipped: pre_skipped[i] || run.terminal.is_some(),
-                cache_hit: hits[i].is_some(),
+                // Served entirely from the cache: no request sent.
+                cache_hit: self.cache.is_some()
+                    && !pre_skipped[i]
+                    && !pruned[i]
+                    && missing[i].is_empty(),
                 pruned: pruned[i],
             });
         }
@@ -863,26 +851,12 @@ impl FederatedEngine {
                 }
             }
         }
-
-        // Fresh, fully healthy runs become cache entries (coordinator
-        // thread, endpoint order — deterministic). A run that skipped
-        // any job is never cached: only complete batches may be served.
-        if let (Some(cache), Some(probe)) = (self.cache.as_ref(), probe) {
-            for (i, run) in runs.iter().enumerate() {
-                let Some(key) = &keys[i] else { continue };
-                if run.terminal.is_none() && run.rows.iter().all(Option::is_some) {
-                    let rows: CachedRows = run.rows.iter().flatten().cloned().collect();
-                    let evicted = cache.insert(key, probe.anchors(), rows);
-                    stats.cache_evictions += evicted as u64;
-                }
-            }
-        }
         Ok(runs)
     }
 
-    /// Send endpoint `idx` its job list as requests, in job order. The
-    /// first request carries every job; after a failure the next one
-    /// resends from the job that failed. Each request is admitted through
+    /// Send endpoint `idx` its probes as requests, in order. The first
+    /// request carries every probe; after a failure the next one resends
+    /// from the probe that failed. Each request is admitted through
     /// the breaker and bounded by one per-request deadline; every answered
     /// probe is a breaker success, in order. Retryable errors back off and
     /// resend until the retry allowance for that job runs out — `attempt`
@@ -896,18 +870,17 @@ impl FederatedEngine {
     /// opens it, and a request ends at its first failure, so admitting a
     /// request once instead of every probe in it changes nothing but the
     /// number of round trips.
-    fn run_endpoint_jobs(&self, idx: usize, jobs: &[ProbeJob<'_>]) -> EndpointRun {
+    fn run_endpoint_jobs(&self, idx: usize, probes: &[Probe<'_>]) -> EndpointRun {
         let started = Instant::now();
         let ep = &self.endpoints[idx];
         let breaker = &self.breakers[idx];
         let retry = &self.resilience.retry;
-        let probes: Vec<Probe<'_>> = jobs.iter().map(|job| [job.s, job.p, job.o]).collect();
         let mut run = EndpointRun {
-            rows: Vec::with_capacity(jobs.len()),
+            rows: Vec::with_capacity(probes.len()),
             ..EndpointRun::idle(0)
         };
         let mut attempt: u32 = 0;
-        while run.rows.len() < jobs.len() {
+        while run.rows.len() < probes.len() {
             let next = run.rows.len();
             if !lock_unpoisoned(breaker).allow_at(Instant::now()) {
                 run.delta.circuit_rejections += 1;
@@ -937,7 +910,7 @@ impl FederatedEngine {
             }
             let err = match err {
                 Some(err) => err,
-                None if run.rows.len() == jobs.len() => break,
+                None if run.rows.len() == probes.len() => break,
                 // A reply that answers a prefix without naming the error
                 // that cut it breaks the endpoint contract; resending
                 // could loop forever.
@@ -966,7 +939,7 @@ impl FederatedEngine {
             run.terminal = Some((run.rows.len(), err));
             break;
         }
-        run.rows.resize(jobs.len(), None);
+        run.rows.resize(probes.len(), None);
         run.duration_us = started.elapsed().as_micros() as u64;
         run
     }
@@ -998,7 +971,7 @@ struct ProbeDelta {
 
 /// The outcome of one endpoint's pass over the job list: per-job rows
 /// (`None` = skipped), stat deltas, the first terminal failure, and the
-/// batch's wall-clock time (0 for cache hits and pre-skipped endpoints).
+/// batch's wall-clock time (0 when no request was sent).
 struct EndpointRun {
     rows: Vec<Option<Rows>>,
     delta: ProbeDelta,
@@ -1014,14 +987,6 @@ impl EndpointRun {
             delta: ProbeDelta::default(),
             terminal: None,
             duration_us: 0,
-        }
-    }
-
-    /// A run served from the answer cache.
-    fn cached(rows: &CachedRows) -> EndpointRun {
-        EndpointRun {
-            rows: rows.iter().map(|r| Some(r.clone())).collect(),
-            ..EndpointRun::idle(0)
         }
     }
 }
@@ -1062,20 +1027,6 @@ fn compare_optional(a: Option<&Value>, b: Option<&Value>) -> std::cmp::Ordering 
             x.lexical().cmp(y.lexical()).then_with(|| x.cmp(y))
         }
     }
-}
-
-/// Per-execution probe context, threaded from the query entry point down
-/// to every pattern extension.
-#[derive(Clone, Copy, Default)]
-struct ProbeCtx {
-    /// Whether the pattern sits inside a UNION branch. Branches spell
-    /// their constant alternatives out explicitly, so implicit constant
-    /// sameAs expansion is suppressed there (variables bound at runtime
-    /// still expand).
-    in_union: bool,
-    /// The sameAs-closure generation of a rewritten execution, stamped
-    /// into every answer-cache key (`None` for plain executions).
-    generation: Option<u64>,
 }
 
 /// The probe values for a position: the bound/constant value itself plus,
@@ -1156,6 +1107,7 @@ mod tests {
     use crate::federation::resilience::{BreakerConfig, RetryPolicy};
     use crate::parser::parse;
     use alex_rdf::Dataset;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// The paper's motivating scenario: NYT articles + DBpedia facts.
@@ -1677,23 +1629,40 @@ mod tests {
 
     // ---- answer cache behavior ----------------------------------------
 
-    /// Endpoint wrapper counting `matching` calls, to prove cached hits
-    /// bypass dispatch entirely.
+    /// Endpoint counting `matching` calls and logging every request's
+    /// probes, to show which probes reach the endpoint. Probes whose
+    /// subject is the `poison` IRI fail terminally.
     struct CountingEndpoint {
         inner: DatasetEndpoint,
         calls: std::sync::atomic::AtomicU64,
+        requests: Mutex<Vec<Vec<String>>>,
+        poison: Mutex<Option<String>>,
     }
 
     impl CountingEndpoint {
-        fn new(ds: Dataset) -> Self {
-            CountingEndpoint {
+        fn new(ds: Dataset) -> Arc<Self> {
+            Arc::new(CountingEndpoint {
                 inner: DatasetEndpoint::new(ds),
                 calls: std::sync::atomic::AtomicU64::new(0),
-            }
+                requests: Mutex::new(Vec::new()),
+                poison: Mutex::new(None),
+            })
+        }
+
+        fn poison(&self, subject: &str) {
+            *lock_unpoisoned(&self.poison) = Some(subject.to_string());
+        }
+
+        /// The probes of every request so far, each as `s p o` with `*`
+        /// for a wildcard.
+        fn requests(&self) -> Vec<Vec<String>> {
+            lock_unpoisoned(&self.requests).clone()
         }
     }
 
-    impl Endpoint for CountingEndpoint {
+    /// The engine owns a box of the shared handle, so a test keeps the
+    /// other handle to read the counters.
+    impl Endpoint for Arc<CountingEndpoint> {
         fn name(&self) -> &str {
             self.inner.name()
         }
@@ -1706,30 +1675,52 @@ mod tests {
         ) -> std::result::Result<Vec<[Value; 3]>, EndpointError> {
             self.calls
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if let (Some(Value::Iri(iri)), Some(poison)) = (s, &*lock_unpoisoned(&self.poison)) {
+                if iri == poison {
+                    return Err(EndpointError::Unavailable {
+                        endpoint: self.name().to_string(),
+                        message: format!("poisoned probe on {iri}"),
+                    });
+                }
+            }
             self.inner.matching(s, p, o, deadline)
+        }
+        fn matching_batch(
+            &self,
+            probes: &[Probe<'_>],
+            deadline: &Deadline,
+        ) -> (Vec<Rows>, Option<EndpointError>) {
+            let shown = probes
+                .iter()
+                .map(|probe| {
+                    probe
+                        .iter()
+                        .map(|v| v.map_or("*".to_string(), Value::to_string))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect();
+            lock_unpoisoned(&self.requests).push(shown);
+            let mut answered = Vec::new();
+            for &[s, p, o] in probes {
+                match self.matching(s, p, o, deadline) {
+                    Ok(rows) => answered.push(rows),
+                    Err(err) => return (answered, Some(err)),
+                }
+            }
+            (answered, None)
         }
     }
 
+    fn calls(ep: &CountingEndpoint) -> u64 {
+        ep.calls.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    /// The paper engine with a counting DBpedia endpoint and the cache on.
     fn cached_engine() -> (FederatedEngine, Arc<CountingEndpoint>) {
-        // Box<Arc<...>> keeps a second handle to read the call counter.
-        struct Shared(Arc<CountingEndpoint>);
-        impl Endpoint for Shared {
-            fn name(&self) -> &str {
-                self.0.name()
-            }
-            fn matching(
-                &self,
-                s: Option<&Value>,
-                p: Option<&Value>,
-                o: Option<&Value>,
-                deadline: &Deadline,
-            ) -> std::result::Result<Vec<[Value; 3]>, EndpointError> {
-                self.0.matching(s, p, o, deadline)
-            }
-        }
-        let counter = Arc::new(CountingEndpoint::new(dbpedia()));
+        let counter = CountingEndpoint::new(dbpedia());
         let mut engine = FederatedEngine::new();
-        engine.add_endpoint(Box::new(Shared(Arc::clone(&counter))));
+        engine.add_endpoint(Box::new(Arc::clone(&counter)));
         engine.add_endpoint(Box::new(DatasetEndpoint::new(nyt())));
         engine.set_links(SameAsLinks::from_pairs(vec![(
             "http://db/LeBron",
@@ -1739,17 +1730,27 @@ mod tests {
         (engine, counter)
     }
 
+    /// An uncached engine over the same data and `links` — the oracle a
+    /// cached engine must always agree with.
+    fn uncached_engine(links: &SameAsLinks) -> FederatedEngine {
+        let mut engine = FederatedEngine::new();
+        engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia())));
+        engine.add_endpoint(Box::new(DatasetEndpoint::new(nyt())));
+        engine.set_links(links.clone());
+        engine
+    }
+
     #[test]
     fn repeat_query_is_served_from_cache_without_endpoint_calls() {
         let (engine, counter) = cached_engine();
         let q = parse(CROSS_SOURCE).unwrap();
         let first = engine.execute(&q).unwrap();
-        let calls_after_first = counter.calls.load(std::sync::atomic::Ordering::Relaxed);
+        let calls_after_first = calls(&counter);
         assert!(calls_after_first > 0);
         let second = engine.execute(&q).unwrap();
         assert_eq!(first, second, "cached answers must be byte-identical");
         assert_eq!(
-            counter.calls.load(std::sync::atomic::Ordering::Relaxed),
+            calls(&counter),
             calls_after_first,
             "a warm repeat must not touch the endpoint at all \
              (which is also why a cached hit can never trip a breaker)"
@@ -1759,24 +1760,46 @@ mod tests {
     }
 
     #[test]
-    fn link_mutation_invalidates_exactly_the_affected_entries() {
-        let (mut engine, _counter) = cached_engine();
-        let q = parse(CROSS_SOURCE).unwrap();
-        assert_eq!(engine.execute(&q).unwrap().len(), 1);
-        engine.execute(&q).unwrap(); // warm
+    fn link_mutation_resends_only_unseen_probes() {
+        let (mut engine, counter) = cached_engine();
+        let q = parse("SELECT ?p ?o WHERE { <http://db/LeBron> ?p ?o }").unwrap();
+        engine.execute(&q).unwrap();
+        let seen = counter.requests().len();
 
-        // Removing the bridging link must drop the dependent entries:
-        // the next run re-probes and finds no cross-source answer.
-        let link = Link::new("http://db/LeBron", "http://nyt/lebron-james");
-        assert!(engine.links_mut().remove(&link));
-        assert!(engine.execute(&q).unwrap().is_empty());
+        // A new equivalent adds one probe; only that probe is sent.
+        let durant = Link::new("http://db/LeBron", "http://db/Durant");
+        assert!(engine.links_mut().add(durant.clone()));
+        let answers = engine.execute(&q).unwrap();
+        assert_eq!(
+            answers,
+            uncached_engine(engine.links()).execute(&q).unwrap()
+        );
+        assert_eq!(
+            counter.requests()[seen..],
+            [vec!["<http://db/Durant> * *".to_string()]]
+        );
 
-        // Re-adding restores the answer (again via invalidation, not a
-        // stale entry from before the removal).
-        assert!(engine.links_mut().add(link));
-        assert_eq!(engine.execute(&q).unwrap().len(), 1);
-        let stats = engine.cache_stats().unwrap();
-        assert!(stats.invalidations > 0);
+        // Removing links sends nothing: every remaining probe was seen.
+        assert!(engine.links_mut().remove(&durant));
+        let lebron = Link::new("http://db/LeBron", "http://nyt/lebron-james");
+        assert!(engine.links_mut().remove(&lebron));
+        let answers = engine.execute(&q).unwrap();
+        assert_eq!(
+            answers,
+            uncached_engine(engine.links()).execute(&q).unwrap()
+        );
+        assert!(answers.iter().all(|a| a.links_used.is_empty()));
+        assert_eq!(counter.requests().len(), seen + 1);
+
+        // Re-adding a link brings back an answer from the cache alone.
+        assert!(engine.links_mut().add(durant));
+        let answers = engine.execute(&q).unwrap();
+        assert_eq!(
+            answers,
+            uncached_engine(engine.links()).execute(&q).unwrap()
+        );
+        assert!(answers.iter().any(|a| !a.links_used.is_empty()));
+        assert_eq!(counter.requests().len(), seen + 1);
     }
 
     #[test]
@@ -1785,44 +1808,189 @@ mod tests {
         let mut engine = engine;
         let q = parse(CROSS_SOURCE).unwrap();
         engine.execute(&q).unwrap();
-        let calls_warm = counter.calls.load(std::sync::atomic::Ordering::Relaxed);
-        // A link on entities this query never binds must not invalidate.
+        let calls_warm = calls(&counter);
+        // A link on entities this query never binds changes no probe.
         engine
             .links_mut()
             .add(Link::new("http://db/Unrelated", "http://nyt/unrelated"));
         let answers = engine.execute(&q).unwrap();
         assert_eq!(answers.len(), 1);
         assert_eq!(
-            counter.calls.load(std::sync::atomic::Ordering::Relaxed),
+            calls(&counter),
             calls_warm,
             "unrelated mutations must leave the cache warm"
         );
     }
 
     #[test]
-    fn set_links_clears_cache_and_resubscribes_invalidator() {
-        let (mut engine, _counter) = cached_engine();
+    fn set_links_keeps_entries_warm() {
+        let (mut engine, counter) = cached_engine();
         let q = parse(CROSS_SOURCE).unwrap();
         engine.execute(&q).unwrap();
-        assert!(engine.cache_stats().unwrap().entries > 0);
+        let entries = engine.cache_stats().unwrap().entries;
+        assert!(entries > 0);
+        let calls_warm = calls(&counter);
 
-        // Wholesale replacement: full clear.
-        engine.set_links(SameAsLinks::from_pairs(vec![(
-            "http://db/LeBron",
-            "http://nyt/lebron-james",
-        )]));
-        assert_eq!(engine.cache_stats().unwrap().entries, 0);
+        // Wholesale replacement keeps every entry: none depended on links.
+        let replacement =
+            SameAsLinks::from_pairs(vec![("http://nyt/lebron-james", "http://db/LeBron")]);
+        engine.set_links(replacement.clone());
+        assert_eq!(engine.cache_stats().unwrap().entries, entries);
+        assert_eq!(
+            engine.execute_full(&q).unwrap(),
+            uncached_engine(&replacement).execute_full(&q).unwrap()
+        );
+        assert_eq!(calls(&counter), calls_warm, "the same probes run warm");
 
-        // The invalidator must follow the engine onto the new index.
-        engine.execute(&q).unwrap(); // warm against the new links
-        assert!(engine.cache_stats().unwrap().entries > 0);
+        engine.set_links(SameAsLinks::new());
+        let answers = engine.execute(&q).unwrap();
+        assert!(answers.is_empty());
+        assert_eq!(
+            answers,
+            uncached_engine(&SameAsLinks::new()).execute(&q).unwrap()
+        );
+    }
+
+    #[test]
+    fn only_missing_probes_are_sent_in_job_order() {
+        let (mut engine, counter) = cached_engine();
+        // Warm the middle job's probe on its own.
+        let q = |s: &str| parse(&format!("SELECT ?p ?o WHERE {{ <{s}> ?p ?o }}")).unwrap();
+        engine.execute(&q("http://db/Durant")).unwrap();
         engine
             .links_mut()
             .remove(&Link::new("http://db/LeBron", "http://nyt/lebron-james"));
-        assert!(
-            engine.execute(&q).unwrap().is_empty(),
-            "mutations after set_links must still invalidate"
+        for other in ["http://db/Durant", "http://nyt/lebron-james"] {
+            engine.links_mut().add(Link::new("http://db/LeBron", other));
+        }
+        let seen = counter.requests().len();
+
+        // Jobs: LeBron, Durant (cached), lebron-james — one request with
+        // the first and the last.
+        let result = engine.execute_full(&q("http://db/LeBron")).unwrap();
+        assert_eq!(
+            counter.requests()[seen..],
+            [vec![
+                "<http://db/LeBron> * *".to_string(),
+                "<http://nyt/lebron-james> * *".to_string()
+            ]]
         );
+        assert_eq!(
+            result,
+            uncached_engine(engine.links())
+                .execute_full(&q("http://db/LeBron"))
+                .unwrap()
+        );
+    }
+
+    #[test]
+    fn a_failure_mid_batch_drops_cached_rows_from_the_failing_job_on() {
+        let (mut engine, counter) = cached_engine();
+        let q = |s: &str| parse(&format!("SELECT ?p ?o WHERE {{ <{s}> ?p ?o }}")).unwrap();
+        // Cache jobs 0 and 2 (LeBron, Durant); job 1 is sent and fails.
+        engine.execute(&q("http://db/LeBron")).unwrap();
+        engine.execute(&q("http://db/Durant")).unwrap();
+        engine
+            .links_mut()
+            .remove(&Link::new("http://db/LeBron", "http://nyt/lebron-james"));
+        for other in ["http://db/Ghost", "http://db/Durant"] {
+            engine.links_mut().add(Link::new("http://db/LeBron", other));
+        }
+        counter.poison("http://db/Ghost");
+
+        let result = engine.execute_full(&q("http://db/LeBron")).unwrap();
+        assert_eq!(result.completeness.skipped(), ["DBpedia".to_string()]);
+        // Only job 0's two cached rows survive; Durant's cached row comes
+        // after the failing job and is dropped.
+        assert_eq!(result.answers.len(), 2);
+        assert!(result.answers.iter().all(|a| a.links_used.is_empty()));
+        assert_eq!(
+            counter.requests().last().unwrap(),
+            &vec!["<http://db/Ghost> * *".to_string()]
+        );
+    }
+
+    #[test]
+    fn a_pre_skipped_endpoint_is_served_nothing_from_cache() {
+        // Two endpoints over the same data: a skipped one must not add
+        // its cached rows to later patterns.
+        let healthy = CountingEndpoint::new(dbpedia());
+        let mut mirror = Dataset::new("Mirror");
+        mirror.add_str("http://db/LeBron", "http://db/award", "NBA MVP 2013");
+        mirror.add_str("http://db/Durant", "http://db/award", "NBA MVP 2014");
+        let flaky = CountingEndpoint::new(mirror);
+        let mut engine = FederatedEngine::new();
+        engine.add_endpoint(Box::new(Arc::clone(&healthy)));
+        engine.add_endpoint(Box::new(Arc::clone(&flaky)));
+        engine.set_resilience(fast_resilience());
+        engine.enable_cache(64);
+        let award = parse("SELECT ?a WHERE { <http://db/LeBron> <http://db/award> ?a }").unwrap();
+        assert_eq!(engine.execute(&award).unwrap().len(), 2, "both answer");
+
+        // The last of two equally bound patterns runs first: it fails on
+        // the mirror, which is then skipped for the award pattern.
+        flaky.poison("http://db/Durant");
+        let q = parse(
+            "SELECT ?a ?l WHERE { <http://db/LeBron> <http://db/award> ?a . \
+             <http://db/Durant> <http://db/award> ?l }",
+        )
+        .unwrap();
+        let hits_before = engine.cache_stats().unwrap().hits;
+        let mirror_requests = flaky.requests().len();
+        let result = engine.execute_full(&q).unwrap();
+        assert_eq!(result.completeness.skipped(), ["Mirror".to_string()]);
+        assert_eq!(
+            result.answers.len(),
+            1,
+            "the mirror's cached row is not served"
+        );
+        assert_eq!(
+            engine.cache_stats().unwrap().hits,
+            hits_before + 1,
+            "only the healthy endpoint looks up the award probe"
+        );
+        assert_eq!(flaky.requests().len(), mirror_requests + 1);
+    }
+
+    #[test]
+    fn fail_fast_picks_the_uncached_engines_error() {
+        // Endpoint 0 fails on job 1, endpoint 1 on job 0. With endpoint
+        // 0's job 0 cached, its request starts at job 1 — the error must
+        // still be endpoint 1's, as on an uncached engine.
+        let build = |cache: bool| {
+            let first = CountingEndpoint::new(dbpedia());
+            let mut second_ds = Dataset::new("Second");
+            second_ds.add_str("http://db/LeBron", "http://db/label", "LeBron");
+            let second = CountingEndpoint::new(second_ds);
+            let mut engine = FederatedEngine::new();
+            engine.add_endpoint(Box::new(Arc::clone(&first)));
+            engine.add_endpoint(Box::new(Arc::clone(&second)));
+            engine.set_resilience(fast_resilience());
+            if cache {
+                engine.enable_cache(64);
+            }
+            (engine, first, second)
+        };
+        let q = parse("SELECT ?p ?o WHERE { <http://db/LeBron> ?p ?o }").unwrap();
+        let mut errors = Vec::new();
+        for cache in [false, true] {
+            let (mut engine, first, second) = build(cache);
+            second.poison("http://db/LeBron");
+            // Warm-up: endpoint 0 answers job 0, endpoint 1 fails on it.
+            engine.execute_full(&q).unwrap();
+            first.poison("http://db/Durant");
+            let mut cfg = fast_resilience();
+            cfg.fail_fast = true;
+            engine.set_resilience(cfg);
+            engine
+                .links_mut()
+                .add(Link::new("http://db/LeBron", "http://db/Durant"));
+            match engine.execute_full(&q) {
+                Err(SparqlError::Endpoint(err)) => errors.push(err.endpoint().to_string()),
+                other => panic!("expected an endpoint error, got {other:?}"),
+            }
+        }
+        assert_eq!(errors, ["Second", "Second"]);
     }
 
     #[test]
@@ -1955,35 +2123,16 @@ mod tests {
         Arc<CountingEndpoint>,
         Arc<CountingEndpoint>,
     ) {
-        struct Shared(Arc<CountingEndpoint>);
-        impl Endpoint for Shared {
-            fn name(&self) -> &str {
-                self.0.name()
-            }
-            fn matching(
-                &self,
-                s: Option<&Value>,
-                p: Option<&Value>,
-                o: Option<&Value>,
-                deadline: &Deadline,
-            ) -> std::result::Result<Vec<[Value; 3]>, EndpointError> {
-                self.0.matching(s, p, o, deadline)
-            }
-        }
-        let db = Arc::new(CountingEndpoint::new(dbpedia()));
-        let nyt_ep = Arc::new(CountingEndpoint::new(nyt()));
+        let db = CountingEndpoint::new(dbpedia());
+        let nyt_ep = CountingEndpoint::new(nyt());
         let mut engine = FederatedEngine::new();
-        engine.add_endpoint(Box::new(Shared(Arc::clone(&db))));
-        engine.add_endpoint(Box::new(Shared(Arc::clone(&nyt_ep))));
+        engine.add_endpoint(Box::new(Arc::clone(&db)));
+        engine.add_endpoint(Box::new(Arc::clone(&nyt_ep)));
         engine.set_links(SameAsLinks::from_pairs(vec![(
             "http://db/LeBron",
             "http://nyt/lebron-james",
         )]));
         (engine, db, nyt_ep)
-    }
-
-    fn calls(ep: &CountingEndpoint) -> u64 {
-        ep.calls.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     #[test]
@@ -2038,6 +2187,50 @@ mod tests {
             calls(&nyt_ep) > before,
             "stale coverage is unknown coverage: the endpoint is probed again"
         );
+    }
+
+    #[test]
+    fn catalog_scans_retry_transient_faults_and_refuse_outages() {
+        let profile = |seed: u64, transient_rate: f64| FaultProfile {
+            seed,
+            transient_rate,
+            ..FaultProfile::none()
+        };
+        let build = |fault: &dyn Fn(u64) -> FaultProfile| {
+            let mut engine = FederatedEngine::new();
+            for (i, ds) in [dbpedia(), nyt()].into_iter().enumerate() {
+                engine.add_endpoint(Box::new(FaultyEndpoint::new(
+                    DatasetEndpoint::new(ds),
+                    fault(i as u64),
+                )));
+            }
+            let mut cfg = fast_resilience();
+            cfg.breaker.failure_threshold = 50;
+            engine.set_resilience(cfg);
+            engine.build_catalog()
+        };
+        let clean = build(&|_| FaultProfile::none()).unwrap();
+        let mut unretried_failures = 0;
+        for seed in 0..8u64 {
+            let faulty = build(&|i| profile(seed + i, 0.3)).unwrap();
+            assert_eq!(faulty, clean, "seed {seed}: retries must mask the faults");
+            // The same scan without the resilience layer fails on some seed.
+            let direct = FaultyEndpoint::new(DatasetEndpoint::new(dbpedia()), profile(seed, 0.3));
+            if Catalog::new()
+                .probe_endpoint(&direct, &Deadline::none())
+                .is_err()
+            {
+                unretried_failures += 1;
+            }
+        }
+        assert!(unretried_failures > 0, "the faults never hit a scan");
+
+        // A terminal failure still refuses the whole catalog.
+        let outage = build(&|_| FaultProfile {
+            outage: Some((0, u64::MAX)),
+            ..FaultProfile::none()
+        });
+        assert!(matches!(outage, Err(EndpointError::Unavailable { .. })));
     }
 
     #[test]
@@ -2139,36 +2332,30 @@ mod tests {
     }
 
     #[test]
-    fn rewritten_cache_keys_miss_after_any_closure_change() {
+    fn rewritten_and_plain_executions_share_entries() {
         let (mut engine, counter) = cached_engine();
         let q = parse("SELECT ?article WHERE { ?article <http://nyt/about> <http://db/LeBron> }")
             .unwrap();
-        let rw = engine.rewrite(&q);
-        let first = engine.execute_rewritten(&rw).unwrap();
-        assert_eq!(first.answers.len(), 1);
+        let plain = engine.execute_full(&q).unwrap();
         let warm = calls(&counter);
-        assert_eq!(
-            engine.execute_rewritten(&rw).unwrap(),
-            first,
-            "same closure: repeat is served warm"
-        );
+
+        // The rewrite spells the closure out as a union of the same
+        // probes the plain execution expanded to: all served warm.
+        let rewritten = engine.execute_rewritten(&engine.rewrite(&q)).unwrap();
+        assert_eq!(rewritten.answers, plain.answers);
         assert_eq!(calls(&counter), warm);
 
-        // A mutation that does not touch this query's anchors would leave
-        // plain entries warm — but it bumps the closure generation, so the
-        // re-rewritten execution must go back to the endpoints rather than
-        // trust entries computed under the old closure.
+        // After a closure change a fresh rewrite still reuses every probe
+        // it shares with earlier executions and matches the plain engine.
         engine
             .links_mut()
             .add(Link::new("http://db/Unrelated", "http://nyt/unrelated"));
-        let rw2 = engine.rewrite(&q);
-        let misses_before = engine.cache_stats().unwrap().misses;
-        let again = engine.execute_rewritten(&rw2).unwrap();
-        assert_eq!(again.answers, first.answers);
-        assert!(
-            engine.cache_stats().unwrap().misses > misses_before,
-            "generation-stamped keys must miss, not stale-hit"
+        let again = engine.execute_rewritten(&engine.rewrite(&q)).unwrap();
+        assert_eq!(again.answers, plain.answers);
+        assert_eq!(calls(&counter), warm);
+        assert_eq!(
+            engine.execute_full(&q).unwrap(),
+            uncached_engine(engine.links()).execute_full(&q).unwrap()
         );
-        assert!(calls(&counter) > warm);
     }
 }

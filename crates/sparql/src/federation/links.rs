@@ -31,9 +31,8 @@ impl Link {
 ///
 /// `add` and `remove` are the only two methods that mutate the index
 /// (every other constructor or bulk path funnels through them), so a
-/// subscriber — e.g. the answer cache's invalidator — provably sees
-/// every mutation site. No-op calls (duplicate add, absent remove) do
-/// not notify.
+/// subscriber provably sees every mutation site. No-op calls (duplicate
+/// add, absent remove) do not notify.
 pub trait LinkObserver: Send + Sync {
     /// A link was inserted that was not previously present.
     fn link_added(&self, link: &Link);
@@ -110,8 +109,8 @@ impl SameAsLinks {
     /// Closure generation: a counter bumped on every *effective* mutation
     /// (the same events observers see). Two indexes with equal generation
     /// that started from the same state hold the same link closure, so
-    /// rewrite provenance and cache keys can use it as a cheap staleness
-    /// stamp — any add or remove invalidates every key that embeds it.
+    /// a rewrite can use it as a cheap staleness stamp — any add or
+    /// remove makes every earlier rewrite stale.
     pub fn generation(&self) -> u64 {
         self.generation
     }

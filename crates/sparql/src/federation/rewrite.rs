@@ -16,9 +16,8 @@
 //!
 //! * the rewritten [`Query`] (plain AST — it prints, parses, and
 //!   fingerprints like any hand-written UNION query),
-//! * the link-closure **generation** it was rewritten at, stamped into
-//!   every answer-cache key of the execution so a closure change can
-//!   never serve a stale rewritten answer, and
+//! * the link-closure **generation** it was rewritten at, so a rewrite
+//!   is refused once the closure has changed, and
 //! * per-branch **link provenance**, so answers produced by a
 //!   substituted branch still credit the links that enabled them —
 //!   byte-compatible with the implicit expansion's `links_used`.

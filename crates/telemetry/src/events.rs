@@ -126,9 +126,9 @@ pub enum Event {
         skipped_sources: u64,
         /// Whether the answer cache was enabled for this query.
         cache: bool,
-        /// Per-endpoint batch lookups served from the cache.
+        /// Endpoint probes served from the cache.
         cache_hits: u64,
-        /// Batch lookups that missed and were dispatched live.
+        /// Endpoint probes that missed and were sent live.
         cache_misses: u64,
         /// Whether a coverage catalog was consulted for source selection.
         catalog: bool,
@@ -160,7 +160,8 @@ pub enum Event {
         /// Whether the endpoint was skipped without dispatching (down
         /// past its budget, circuit open, or fail-fast terminal).
         skipped: bool,
-        /// Whether the batch was served from the answer cache.
+        /// Whether the answer cache served every probe of the batch, so
+        /// no request was sent.
         cache_hit: bool,
         /// Whether the catalog proved the batch empty on this endpoint
         /// (pruned batches are not failures: completeness is unaffected).

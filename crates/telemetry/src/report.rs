@@ -62,14 +62,15 @@ pub struct FederationSummary {
     pub degraded_queries: u64,
     /// Total sources skipped.
     pub skipped_sources: u64,
-    /// Cache hits across per-endpoint batch lookups.
+    /// Endpoint probes served from the answer cache.
     pub cache_hits: u64,
-    /// Cache misses dispatched live.
+    /// Endpoint probes that missed the cache and were sent live.
     pub cache_misses: u64,
 }
 
 impl FederationSummary {
-    /// Cache hit ratio over hits + misses (0 when the cache never ran).
+    /// Probe hit ratio of the answer cache over hits + misses (0 when the
+    /// cache never ran).
     pub fn cache_hit_ratio(&self) -> f64 {
         ratio(self.cache_hits, self.cache_hits + self.cache_misses)
     }
@@ -446,7 +447,7 @@ impl RunReport {
                 out,
                 "\nfederation: {} queries, {} answers ({} via sameAs), {} probes, \
                  {} retries, {} degraded ({} sources skipped), completeness {:.1}%, \
-                 cache hit ratio {:.1}% ({}/{}), {:.2} requests per query, \
+                 probe hit ratio {:.1}% ({}/{}), {:.2} requests per query, \
                  {:.2} probes per request",
                 f.queries,
                 f.answers,

@@ -84,10 +84,11 @@ cargo bench -p alex-bench --bench kernels --no-run -q
 echo "==> chaos suite (seeded fault injection over the full improve loop)"
 cargo test --test chaos_federation -q
 
-echo "==> cache differential suite (cached vs uncached byte-identity, shadow-oracle invalidation)"
+echo "==> cache differential suite (cached vs uncached byte-identity, shadow-oracle staleness)"
 # The answer cache must be behaviorally invisible: improve/query output is
 # compared cached-vs-uncached across --threads 1/4 and fault profiles, and
-# random link-mutation sequences are checked against a from-scratch oracle.
+# random link-mutation sequences are checked against a from-scratch oracle
+# (no cached probe answer may go stale when links change).
 cargo test --test cache_differential -q
 
 echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated + ~1.5k rewrite inputs)"
@@ -111,6 +112,9 @@ ALEX_THREADS=4 cargo test --test federation_recall -q
 # probe (answers, skip sets, retry/circuit tallies, breaker states, fault
 # schedule) across seeds, fault profiles and --threads 1/4.
 cargo test --test request_differential -q
+# `--catalog probe` scans endpoints under retries and the breaker: the CLI
+# run survives transient faults and still refuses a catalog on an outage.
+cargo test --test cli -q catalog_probe_survives_transient_faults
 
 echo "==> federation selectivity bench compiles (sub-query reduction gate target)"
 cargo bench -p alex-bench --bench federation_selectivity --no-run -q

@@ -102,7 +102,7 @@ USAGE:
               [--check-trace TRACE.json]
       Aggregate one or more runs' --telemetry event logs (plus an
       optional --metrics-dump file) into a run report: per-episode
-      F-measure / link-churn convergence, federation cache hit ratio
+      F-measure / link-churn convergence, federation cache probe hit ratio
       and completeness, per-endpoint latency p50/p95/p99 and
       retry/breaker counts. --json writes the JSON form to a file;
       --format json prints it instead of the table. --check-trace
@@ -219,18 +219,20 @@ SUPERVISION (improve, oracle feedback):
 
 ANSWER CACHING (improve --feedback query, and query):
   --cache                   Enable the sharded LRU answer cache in the
-                            federated executor: repeated sub-queries are
-                            served from memory instead of re-dispatched,
-                            and link mutations invalidate exactly the
-                            entries whose provenance touches the mutated
-                            pair. Output is byte-identical with the cache
-                            on or off, at any --threads. Accepted but
-                            inert for oracle-feedback improve (so resume
-                            invocations can keep their flags unchanged).
-  --cache-capacity N        Max cached sub-query batches (default 4096;
-                            requires --cache). Counters:
+                            federated executor: each endpoint probe
+                            (endpoint, s, p, o) is answered from memory
+                            once seen, and an endpoint request carries
+                            only the unseen probes. A probe's answer does
+                            not depend on links, so link changes keep
+                            every entry. Output is byte-identical with
+                            the cache on or off, at any --threads, when
+                            endpoints answer (fault-free or retry-masked).
+                            Accepted but inert for oracle-feedback
+                            improve (so resume invocations can keep their
+                            flags unchanged).
+  --cache-capacity N        Max cached probe answers (default 4096;
+                            requires --cache). Counters, in probes:
                             cache_hits_total, cache_misses_total,
-                            cache_invalidations_total,
                             cache_evictions_total.
 
 SMARTER FEDERATION (improve --feedback query, and query):
@@ -253,11 +255,10 @@ SMARTER FEDERATION (improve --feedback query, and query):
                             per-branch link provenance. A rewrite is
                             pinned to the link-closure generation it was
                             made at: execution is refused after the
-                            closure changes, and cached answers for
-                            rewritten queries are keyed by generation so
-                            they can never be served stale. Accepted
-                            but inert for oracle-feedback improve and
-                            ASK queries.
+                            closure changes. Rewritten and plain queries
+                            share cached probe answers. Accepted but
+                            inert for oracle-feedback improve and ASK
+                            queries.
 
 OBSERVABILITY (link, improve, and query):
   --telemetry FILE.jsonl    Write the structured event log (one JSON

@@ -19,7 +19,7 @@
 //! | [`telemetry`] (`alex-telemetry`) | Spans, metrics registry, structured event log |
 //! | [`parallel`] (`alex-parallel`) | Deterministic scoped worker pool (order-preserving reduction) |
 //! | [`store`] (`alex-store`) | Crash-safe durable state: episode journal + checksummed snapshots |
-//! | [`cache`] (`alex-cache`) | Sharded LRU answer cache with provenance-keyed invalidation |
+//! | [`cache`] (`alex-cache`) | Sharded LRU answer cache, one entry per endpoint probe |
 //! | [`guard`] (`alex-guard`) | Run supervision: wall-clock/RSS budgets, breach policy, degraded episodes |
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for

@@ -2,9 +2,9 @@
 //! must be *behaviorally invisible* — byte-identical final links, reports,
 //! and telemetry-visible feedback counts at any thread count and under
 //! seeded fault profiles — while the cache itself demonstrably serves hits
-//! and invalidates exactly the entries touched by link mutations.
+//! and link churn keeps changing which probes the queries send.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -116,6 +116,9 @@ struct RunOutput {
     /// (hits, misses) summed over `federated_query` events; zero when the
     /// cache was off.
     event_hits: u64,
+    /// Per `federated_query` event: the workload query it ran (queries
+    /// run round-robin), its sameAs expansions and its answer count.
+    queries: Vec<(usize, u64, u64)>,
     /// Engine-level cache statistics, `None` when the cache was off.
     cache: Option<alex::cache::CacheStats>,
 }
@@ -198,6 +201,7 @@ fn run_improve(
         bridge,
         truth_ids.clone(),
     );
+    let workload = source.workload_len();
     let report = driver::run(&mut agent, &mut source, &truth_ids);
 
     alex::telemetry::global().events().detach();
@@ -213,6 +217,19 @@ fn run_improve(
             _ => None,
         })
         .sum();
+    let queries = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::FederatedQuery {
+                sameas_expansions,
+                answers,
+                ..
+            } => Some((*sameas_expansions, *answers)),
+            _ => None,
+        })
+        .enumerate()
+        .map(|(i, (expansions, answers))| (i % workload, expansions, answers))
+        .collect();
 
     let mut lines = vec![format!(
         "initial P {:.6} R {:.6} F {:.6}",
@@ -242,6 +259,7 @@ fn run_improve(
         report: lines,
         feedback_events,
         event_hits,
+        queries,
         cache: source.engine().cache_stats(),
     }
 }
@@ -291,14 +309,30 @@ fn improve_is_byte_identical_with_cache_on_or_off() {
                 "[{} / threads {threads}] federated_query events disagree with engine stats",
                 scenario.name
             );
+            assert_eq!(
+                uncached.queries, cached.queries,
+                "[{} / threads {threads}] per-query answers diverged",
+                scenario.name
+            );
             assert!(
-                stats.invalidations > 0,
-                "[{} / threads {threads}] link churn must invalidate entries: {stats:?}",
+                expansions_changed(cached.queries.iter().map(|&(q, e, _)| (q, e))),
+                "[{} / threads {threads}] link churn never changed a job list",
                 scenario.name
             );
         }
     }
     alex::parallel::set_threads(0); // restore default resolution
+}
+
+/// Whether some query ran with different sameAs expansion counts at
+/// different times, i.e. link churn changed the probes it sent. Takes
+/// (query, expansions) per execution.
+fn expansions_changed(runs: impl IntoIterator<Item = (usize, u64)>) -> bool {
+    let mut seen: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
+    for (query, expansions) in runs {
+        seen.entry(query).or_default().insert(expansions);
+    }
+    seen.values().any(|set| set.len() > 1)
 }
 
 /// Also byte-identical when the run is cut mid-way: 1 thread cached vs
@@ -354,12 +388,12 @@ fn oracle_engine(left: &Dataset, right: &Dataset, cache: Option<usize>) -> Feder
     engine
 }
 
-/// Invalidation-completeness property: after *any* sequence of link
-/// mutations (add / remove / blacklist-style remove / wholesale rollback),
-/// the cached engine answers every probe exactly like a shadow engine that
-/// recomputes from scratch. A stale surviving entry would surface here as
-/// a divergent answer. Capacity 8 keeps the cache under eviction pressure
-/// the whole time, so the anchor index is exercised through eviction too.
+/// Staleness property: after *any* sequence of link mutations (add /
+/// remove / blacklist-style remove / wholesale rollback), the cached
+/// engine answers every query exactly like a shadow engine that recomputes
+/// from scratch. An entry whose answer depended on links would surface
+/// here as a divergent answer. Capacity 8 keeps the cache under eviction
+/// pressure the whole time.
 #[test]
 fn random_link_mutations_never_serve_stale_answers() {
     let _guard = guard();
@@ -370,8 +404,8 @@ fn random_link_mutations_never_serve_stale_answers() {
     let mut shadow = oracle_engine(&left, &right, None);
 
     // Probe pool: one join query crossing every link, plus per-entity
-    // probes anchored on a bound IRI (these are the entries a mutation of
-    // that entity's link must invalidate).
+    // queries on a bound IRI, whose probes change with that entity's
+    // links.
     let mut probes: Vec<Query> =
         vec![
             parse("SELECT ?doc WHERE { ?x <http://l/flag> \"yes\" . ?doc <http://r/about> ?x }")
@@ -386,6 +420,9 @@ fn random_link_mutations_never_serve_stale_answers() {
         );
     }
 
+    let sink = Arc::new(MemorySink::new());
+    alex::telemetry::global().events().attach(sink.clone());
+    let mut chosen: Vec<usize> = Vec::new();
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let mut rollback_point: Option<SameAsLinks> = None;
     for step in 0..80 {
@@ -423,6 +460,7 @@ fn random_link_mutations_never_serve_stale_answers() {
         // Probe both engines; any stale cache entry shows up as divergence.
         for _ in 0..2 {
             let q = probes.choose(&mut rng).expect("pool not empty");
+            chosen.extend(probes.iter().position(|p| std::ptr::eq(p, q)));
             let want = shadow.execute_full(q).expect("shadow evaluates");
             let got = cached.execute_full(q).expect("cached evaluates");
             assert_eq!(
@@ -432,12 +470,28 @@ fn random_link_mutations_never_serve_stale_answers() {
         }
     }
 
+    alex::telemetry::global().events().detach();
+    // Events alternate shadow, cached: keep the cached engine's.
+    let expansions: Vec<u64> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            Event::FederatedQuery {
+                sameas_expansions, ..
+            } => Some(*sameas_expansions),
+            _ => None,
+        })
+        .skip(1)
+        .step_by(2)
+        .collect();
+    assert_eq!(expansions.len(), chosen.len());
+    assert!(
+        expansions_changed(chosen.into_iter().zip(expansions)),
+        "link churn must change some query's job list"
+    );
+
     let stats = cached.cache_stats().expect("cache enabled");
     assert!(stats.hits > 0, "the sequence must exercise hits: {stats:?}");
-    assert!(
-        stats.invalidations > 0,
-        "the sequence must exercise invalidation: {stats:?}"
-    );
     assert!(
         stats.evictions > 0,
         "capacity 8 must force evictions: {stats:?}"

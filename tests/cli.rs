@@ -370,3 +370,65 @@ fn turtle_files_are_accepted() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("2"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--catalog probe` scans each endpoint under the same retries and
+/// breaker as queries: one transient fault on a scan no longer kills the
+/// run, while a source that stays down still refuses the catalog.
+#[test]
+fn catalog_probe_survives_transient_faults() {
+    let dir = workdir("catalog-faults");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = alex()
+        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn gen");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let improve = |faults: &str| {
+        alex()
+            .args([
+                "improve",
+                &p("left.nt"),
+                &p("right.nt"),
+                "--links",
+                &p("truth.nt"),
+                "--truth",
+                &p("truth.nt"),
+                "--feedback",
+                "query",
+                "--episodes",
+                "2",
+                "--episode-size",
+                "20",
+                "--queries",
+                "10",
+                "--catalog",
+                "probe",
+                "--fault-profile",
+                faults,
+                "--out",
+                &p("out.nt"),
+            ])
+            .output()
+            .expect("spawn improve")
+    };
+
+    let out = improve("seed=7,transient=0.2");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let out = improve("outage=0..");
+    assert!(!out.status.success(), "an outage must refuse the catalog");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("--catalog probe"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
