@@ -1,7 +1,6 @@
 //! Shared experiment harness: workload construction, run wrappers, and
 //! plain-text table/series formatting.
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use alex_core::{
@@ -10,7 +9,6 @@ use alex_core::{
 use alex_datagen::{
     generate_pair, sample_initial_links, score_links, GeneratedPair, InitialLinksSpec, PairSpec,
 };
-use alex_rdf::Term;
 use alex_telemetry::{emit, span, Event};
 
 /// The paper runs 27 partitions; we default to the same number (threads are
@@ -86,12 +84,6 @@ impl Workload {
     /// Set the oracle error rate (Fig. 9 uses 0.10).
     pub fn with_error_rate(mut self, rate: f64) -> Self {
         self.error_rate = rate;
-        self
-    }
-
-    /// Override the partition count.
-    pub fn with_partitions(mut self, n: usize) -> Self {
-        self.partitions = n;
         self
     }
 
@@ -263,19 +255,6 @@ impl ExperimentRun {
             self.ground_truth
         )
     }
-}
-
-/// Map term-level ground truth into id pairs for a space built over the same
-/// datasets (convenience for tests and analyses).
-pub fn truth_id_set(
-    pair: &GeneratedPair,
-    left_index: &alex_rdf::EntityIndex,
-    right_index: &alex_rdf::EntityIndex,
-) -> HashSet<(u32, u32)> {
-    pair.ground_truth
-        .iter()
-        .filter_map(|&(l, r): &(Term, Term)| Some((left_index.id(l)?, right_index.id(r)?)))
-        .collect()
 }
 
 /// Render a simple aligned text table.

@@ -1,7 +1,7 @@
 //! Enabled-mode timeline overhead guard: with the recorder on, span
 //! recording stays under 5% of the episode loop. It asserts and writes
-//! nothing: BENCH files are written only by `cargo bench`, so the last
-//! committed `BENCH_trace.json` stays as its run recorded it.
+//! nothing; the end-to-end traced cost is the e2e benchmark's
+//! `telemetry.traced_wall_ms`.
 //!
 //! Lives in its own test binary: it flips the global recorder on, which
 //! must not interleave with the disabled-cost measurement in

@@ -648,15 +648,10 @@ impl Agent {
         self.episodes_completed += 1;
     }
 
-    /// Run one full episode: collect `episode_size` feedback items from
+    /// Run one full episode: collect up to `size` feedback items from
     /// `source` (stopping early if feedback dries up), then improve the
-    /// policy.
-    pub fn run_episode(&mut self, source: &mut dyn FeedbackSource) -> EpisodeSummary {
-        self.run_episode_sized(source, self.cfg.episode_size)
-    }
-
-    /// Run an episode with an explicit feedback budget (the partitioned
-    /// driver splits the global episode size across partitions).
+    /// policy. The driver passes each partition its share of the global
+    /// episode size.
     pub fn run_episode_sized(
         &mut self,
         source: &mut dyn FeedbackSource,
@@ -823,9 +818,9 @@ impl Agent {
 
     /// Replay one journaled episode: drive the recorded judgments through
     /// the normal feedback path, then improve the policy — exactly what
-    /// [`Agent::run_episode`] did live. Because the agent RNG and candidate
-    /// set were restored to their pre-episode state, the resulting state is
-    /// byte-identical to the pre-crash one.
+    /// [`Agent::run_episode_sized`] did live. Because the agent RNG and
+    /// candidate set were restored to their pre-episode state, the
+    /// resulting state is byte-identical to the pre-crash one.
     pub fn replay_episode(
         &mut self,
         items: &[(u32, u32, bool, u32)],
@@ -1091,19 +1086,16 @@ mod tests {
     }
 
     #[test]
-    fn run_episode_respects_episode_size() {
+    fn run_episode_sized_respects_its_budget() {
         use crate::feedback::OracleFeedback;
         let mut agent = Agent::new(
             build_space(),
             &[(0, 0), (1, 1), (2, 2)],
-            AlexConfig {
-                episode_size: 25,
-                ..AlexConfig::default()
-            },
+            AlexConfig::default(),
         );
         let truth: HashSet<(u32, u32)> = (0..10).map(|i| (i, i)).collect();
         let mut oracle = OracleFeedback::new(truth, 9);
-        let summary = agent.run_episode(&mut oracle);
+        let summary = agent.run_episode_sized(&mut oracle, 25);
         assert_eq!(summary.feedback_items(), 25);
         assert_eq!(agent.episodes_completed(), 1);
     }
@@ -1113,7 +1105,7 @@ mod tests {
         use crate::feedback::OracleFeedback;
         let mut agent = Agent::new(build_space(), &[], AlexConfig::default());
         let mut oracle = OracleFeedback::new(HashSet::new(), 9);
-        let summary = agent.run_episode(&mut oracle);
+        let summary = agent.run_episode_sized(&mut oracle, 10);
         assert_eq!(summary.feedback_items(), 0);
     }
 

@@ -71,7 +71,6 @@ pub mod query_feedback;
 pub mod simmatrix;
 pub mod space;
 pub mod trust_gate;
-pub mod users;
 pub mod value_fn;
 pub mod values;
 
@@ -99,7 +98,6 @@ pub use provenance::{Provenance, StateAction};
 pub use query_feedback::{workload_from_links, workload_requiring_links, QueryFeedback};
 pub use space::{LinkSpace, PairId, PreparedSides, SpaceConfig};
 pub use trust_gate::{AdmissionRecord, TrustGate};
-pub use users::{UserPopulation, UserProfile};
 pub use value_fn::ActionValue;
 
 pub use alex_trust::{SourceId, TrustConfig};

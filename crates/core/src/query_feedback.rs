@@ -62,8 +62,8 @@ impl QueryFeedback {
     /// used to resolve the agent's candidate pairs back to IRIs when
     /// syncing the engine's link index; `truth` holds ground-truth
     /// entity-id pairs for judging answers. From here on the source owns
-    /// the engine's link index: links already in it are removed (through
-    /// the notification hook), and every later mutation is a refill's.
+    /// the engine's link index: links already in it are removed, and
+    /// every later mutation is a refill's.
     pub fn new(
         mut engine: FederatedEngine,
         left: Dataset,
@@ -125,14 +125,14 @@ impl QueryFeedback {
 
     /// Make the engine's link index equal the candidate set, issuing only
     /// the actual adds/removes. Every exploration add, rejection remove,
-    /// blacklist, rollback, and resume-replay thus flows through
-    /// `SameAsLinks::add`/`remove` — the single notification hook — so
-    /// subscribers see exactly the mutated pairs instead of a wholesale
-    /// replacement. The diff runs on sorted pair ids against the last sync;
-    /// only changed pairs are resolved to IRIs. Changes apply in `Link`
-    /// order, the order a merge of the sorted IRI sets would issue them
-    /// in, so link insertion order — which decides `equivalents()` and
-    /// with it answer order — does not depend on how the diff is found.
+    /// blacklist, rollback, and resume-replay thus costs the index exactly
+    /// the mutated pairs (its `generation()` moves by that many) instead of
+    /// a wholesale replacement. The diff runs on sorted pair ids against
+    /// the last sync; only changed pairs are resolved to IRIs. Changes
+    /// apply in `Link` order, the order a merge of the sorted IRI sets
+    /// would issue them in, so link insertion order — which decides
+    /// `equivalents()` and with it answer order — does not depend on how
+    /// the diff is found.
     fn sync_links(&mut self, candidates: &CandidateSet, space: &LinkSpace) {
         debug_assert_eq!(
             self.engine.links().generation(),
@@ -454,60 +454,40 @@ mod tests {
     }
 
     #[test]
-    fn refill_syncs_links_incrementally_through_the_notification_hook() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Default)]
-        struct Recorder {
-            added: Mutex<Vec<Link>>,
-            removed: Mutex<Vec<Link>>,
-        }
-        impl alex_sparql::LinkObserver for Recorder {
-            fn link_added(&self, link: &Link) {
-                self.added.lock().unwrap().push(link.clone());
-            }
-            fn link_removed(&self, link: &Link) {
-                self.removed.lock().unwrap().push(link.clone());
-            }
-        }
-
+    fn refill_syncs_links_incrementally() {
         let (mut source, mut space, _) = build_source(false);
-        let rec = Arc::new(Recorder::default());
-        source.engine_mut().links_mut().subscribe(rec.clone());
+        let start = source.engine().links().generation();
 
         // First sync: both candidates appear as adds (exploration path).
         let mut candidates = CandidateSet::new();
         candidates.insert(space.ensure_pair(0, 0));
         candidates.insert(space.ensure_pair(1, 1));
         assert!(source.next(&candidates, &space).is_some());
+        let links: Vec<Link> = source.engine().links().iter().cloned().collect();
         assert_eq!(
-            *rec.added.lock().unwrap(),
+            links,
             vec![
                 Link::new("http://l/0", "http://r/0"),
                 Link::new("http://l/1", "http://r/1")
             ],
         );
-        assert!(rec.removed.lock().unwrap().is_empty());
+        assert_eq!(source.engine().links().generation(), start + 2);
 
-        // Shrinking the candidate set (rejection/rollback path) must
-        // surface as exactly one remove — not a rebuild of everything.
+        // Shrinking the candidate set (rejection/rollback path) must cost
+        // exactly one effective mutation — not a rebuild of everything,
+        // and the surviving link is never removed and re-added.
         let mut shrunk = CandidateSet::new();
         shrunk.insert(space.ensure_pair(0, 0));
+        let dropped = Link::new("http://l/1", "http://r/1");
         for _ in 0..40 {
-            if !rec.removed.lock().unwrap().is_empty() {
+            if !source.engine().links().contains(&dropped) {
                 break;
             }
             source.next(&shrunk, &space);
         }
-        assert_eq!(
-            *rec.removed.lock().unwrap(),
-            vec![Link::new("http://l/1", "http://r/1")],
-        );
-        assert_eq!(
-            rec.added.lock().unwrap().len(),
-            2,
-            "the surviving link must not be re-added"
-        );
+        let links: Vec<Link> = source.engine().links().iter().cloned().collect();
+        assert_eq!(links, vec![Link::new("http://l/0", "http://r/0")]);
+        assert_eq!(source.engine().links().generation(), start + 3);
     }
 
     /// The string-level sync this source used before it diffed pair ids:
@@ -554,23 +534,9 @@ mod tests {
         }
     }
 
-    /// Records every effective mutation, adds and removes interleaved.
-    #[derive(Default)]
-    struct Journal(std::sync::Mutex<Vec<(bool, Link)>>);
-
-    impl alex_sparql::LinkObserver for Journal {
-        fn link_added(&self, link: &Link) {
-            self.0.lock().unwrap().push((true, link.clone()));
-        }
-        fn link_removed(&self, link: &Link) {
-            self.0.lock().unwrap().push((false, link.clone()));
-        }
-    }
-
     #[test]
     fn id_sync_replays_the_string_merge_under_random_churn() {
         use rand::prelude::*;
-        use std::sync::Arc;
 
         const N: u32 = 12;
         let mut left = Dataset::new("L");
@@ -589,11 +555,7 @@ mod tests {
             bridge,
             HashSet::new(),
         );
-        let journal = Arc::new(Journal::default());
-        source.engine_mut().links_mut().subscribe(journal.clone());
         let mut oracle = alex_sparql::SameAsLinks::new();
-        let oracle_journal = Arc::new(Journal::default());
-        oracle.subscribe(oracle_journal.clone());
 
         let mut rng = StdRng::seed_from_u64(0x5EC);
         let mut current: Vec<PairId> = Vec::new();
@@ -634,13 +596,17 @@ mod tests {
                 }
             }
             let candidates = CandidateSet::from_iter(next.iter().copied());
+            let (before, oracle_before) =
+                (source.engine().links().generation(), oracle.generation());
             source.sync_links(&candidates, &space);
             string_merge_sync(&mut oracle, &candidates, &space, &left, &right);
 
+            // The merge issues only the minimal adds and removes, so an
+            // equal generation delta rules out redundant mutations.
             assert_eq!(
-                *journal.0.lock().unwrap(),
-                *oracle_journal.0.lock().unwrap(),
-                "step {step}: same add/remove sequence as the string merge"
+                source.engine().links().generation() - before,
+                oracle.generation() - oracle_before,
+                "step {step}: as many effective mutations as the string merge"
             );
             let mut want: Vec<Link> = candidates
                 .iter()
@@ -652,6 +618,10 @@ mod tests {
             want.sort_unstable();
             let have: Vec<Link> = source.engine().links().iter().cloned().collect();
             assert_eq!(have, want, "step {step}: links equal the candidates");
+            assert!(
+                have.iter().eq(oracle.iter()),
+                "step {step}: same links as the string merge"
+            );
             for i in 0..N {
                 for iri in [format!("http://l/{i}"), format!("http://r/{i}")] {
                     assert_eq!(

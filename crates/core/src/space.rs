@@ -346,8 +346,8 @@ impl LinkSpace {
         list[start..end].iter().map(|&(_, id)| id).collect()
     }
 
-    /// Linear-scan reference implementation of [`LinkSpace::explore`], used
-    /// by tests and the ablation bench.
+    /// Linear-scan reference implementation of [`LinkSpace::explore`], the
+    /// oracle the property tests check it against.
     pub fn explore_scan(&self, feature: FeatureId, center: f64, step: f64) -> Vec<PairId> {
         let lo = center - step;
         let hi = center + step;

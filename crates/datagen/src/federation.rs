@@ -79,11 +79,6 @@ impl FederationScenario {
     pub fn endpoints(&self) -> impl Iterator<Item = &Dataset> {
         std::iter::once(&self.hub).chain(self.shards.iter())
     }
-
-    /// Total number of endpoints (hub + shards).
-    pub fn endpoint_count(&self) -> usize {
-        1 + self.shards.len()
-    }
 }
 
 /// Generate a coverage-skewed federation scenario. Deterministic in
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn coverage_is_disjoint_across_shards() {
         let sc = scenario();
-        assert_eq!(sc.endpoint_count(), 5);
+        assert_eq!(sc.endpoints().count(), 5);
         for (s, ds) in sc.shards.iter().enumerate() {
             let preds: Vec<String> = ds
                 .graph()

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use alex_telemetry::{counter, timeline};
 
 pub use alex_parallel::chaos::{self, ChaosProfile};
-pub use alex_parallel::{panic_policy, set_panic_policy, PanicPolicy, PoolError};
+pub use alex_parallel::{panic_policy, set_panic_policy, PanicPolicy};
 
 /// Resource ceilings for one improvement run. `None` everywhere (the
 /// default) disables supervision checks entirely.

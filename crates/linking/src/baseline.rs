@@ -2,8 +2,8 @@
 //!
 //! Links two entities when their best literal-value similarity exceeds a
 //! threshold, with greedy one-to-one assignment. This is the "syntax only"
-//! strawman that PARIS (and ALEX on top of it) improves upon; the linking
-//! bench compares the two.
+//! strawman that PARIS (and ALEX on top of it) improves upon; `alex link
+//! --baseline` and `examples/paris_linking.rs` compare the two.
 
 use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{

@@ -8,7 +8,7 @@
 //!   functionality-weighted noisy-or evidence with iterative relation
 //!   alignment and holistic IRI-object propagation;
 //! * [`LabelBaseline`] — a naive best-label-similarity linker, the strawman
-//!   PARIS is compared against in the linking bench;
+//!   PARIS is compared against;
 //! * [`LinkSet`] / [`LinkerOutput`] — scored links plus the entity indexes
 //!   that give the dense ids meaning.
 //!

@@ -61,9 +61,7 @@
 //! deterministic panic still surfaces — on the retry, from the caller,
 //! exactly as it would at `--threads 1`; under `fail` the lowest-index
 //! panicking chunk's payload is rethrown on the caller after all workers
-//! drain. Callers that own recovery themselves use the fallible
-//! [`Pool::try_map`] / [`Pool::try_map_chunks`], which surface a
-//! structured [`PoolError`] instead of unwinding.
+//! drain.
 //!
 //! The [`chaos`] module injects seeded per-chunk faults (panic, stall,
 //! allocation spike) for the supervisor test suites; injection fires at
@@ -160,59 +158,6 @@ pub fn panic_policy() -> PanicPolicy {
     }
 }
 
-/// A pool dispatch failed: a chunk job panicked. Returned by the fallible
-/// entry points ([`Pool::try_map`], [`Pool::try_map_chunks`]) instead of
-/// unwinding, so callers can report or retry without `catch_unwind` of
-/// their own. When several chunks panic, the lowest chunk index is
-/// reported — a deterministic choice at any thread count.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolError {
-    /// The pool's telemetry name.
-    pub pool: &'static str,
-    /// Index of the (lowest) panicking chunk.
-    pub chunk: usize,
-    /// The panic payload, rendered: `String`/`&str` payloads verbatim,
-    /// anything else as a placeholder.
-    pub message: String,
-}
-
-impl PoolError {
-    fn new(pool: &'static str, chunk: usize, payload: &(dyn Any + Send)) -> PoolError {
-        let message = if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        PoolError {
-            pool,
-            chunk,
-            message,
-        }
-    }
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "pool {}: chunk {} panicked: {}",
-            self.pool, self.chunk, self.message
-        )
-    }
-}
-
-impl std::error::Error for PoolError {}
-
-/// What a dispatch does with caught panics: follow the process-wide
-/// [`PanicPolicy`], or hand back a structured [`PoolError`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Recovery {
-    Policy,
-    Structured,
-}
-
 /// A named worker pool. Creation is free — threads are scoped to each
 /// `map`/`reduce` call (`std::thread::scope`), so a `Pool` is just a
 /// thread count plus a telemetry label.
@@ -304,7 +249,7 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let per_chunk = self.run_chunks(items, 1, |chunk| f(&chunk[0]));
+        let per_chunk = self.dispatch(items, 1, |chunk| f(&chunk[0]));
         debug_assert_eq!(per_chunk.len(), items.len());
         per_chunk
     }
@@ -320,75 +265,22 @@ impl Pool {
         F: Fn(&[T]) -> R + Sync,
     {
         let chunk = self.chunk_size(items.len().max(1));
-        self.run_chunks(items, chunk, f)
+        self.dispatch(items, chunk, f)
     }
 
-    /// Fallible [`Pool::map`]: a panicking job yields `Err(`[`PoolError`]`)`
-    /// instead of unwinding or quarantine-retrying — for callers that own
-    /// recovery themselves. On success, output is byte-identical to `map`.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let per_chunk =
-            self.try_map_chunks(items, |chunk| chunk.iter().map(&f).collect::<Vec<R>>())?;
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in per_chunk {
-            out.extend(chunk);
-        }
-        Ok(out)
-    }
-
-    /// Fallible [`Pool::map_chunks`]: a panicking chunk job yields
-    /// `Err(`[`PoolError`]`)` naming the lowest panicking chunk, instead of
-    /// unwinding or quarantine-retrying.
-    pub fn try_map_chunks<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        let chunk = self.chunk_size(items.len().max(1));
-        self.dispatch(items, chunk, f, Recovery::Structured)
-    }
-
-    /// Infallible engine behind `map`/`map_chunks`/`map_each`: dispatch
-    /// under the process-wide [`PanicPolicy`]. Quarantine retries make
-    /// this total; `fail` rethrows on the caller, so `Err` is impossible.
-    fn run_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        match self.dispatch(items, chunk, f, Recovery::Policy) {
-            Ok(out) => out,
-            // Policy-mode dispatch never constructs a PoolError.
-            Err(e) => panic!("pool {}: {e}", self.name),
-        }
-    }
-
-    /// Shared engine: split into chunks of `chunk` items, run on up to
-    /// `threads` scoped workers over work-stealing deques, reassemble in
-    /// chunk order. Chunk jobs run under `catch_unwind`; `recovery` says
-    /// whether caught panics follow the process [`PanicPolicy`] or come
-    /// back as a structured [`PoolError`].
-    fn dispatch<T, R, F>(
-        &self,
-        items: &[T],
-        chunk: usize,
-        f: F,
-        recovery: Recovery,
-    ) -> Result<Vec<R>, PoolError>
+    /// Shared engine behind `map`/`map_chunks`/`map_each`: split into
+    /// chunks of `chunk` items, run on up to `threads` scoped workers over
+    /// work-stealing deques, reassemble in chunk order. Chunk jobs run
+    /// under `catch_unwind`, and caught panics follow the process-wide
+    /// [`PanicPolicy`].
+    fn dispatch<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&[T]) -> R + Sync,
     {
         if items.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let n_chunks = items.len().div_ceil(chunk);
         self.record(items.len(), n_chunks);
@@ -450,44 +342,34 @@ impl Pool {
                     Ok(r) => out.push(r),
                     Err(payload) => {
                         self.note_panics(1);
-                        match recovery {
-                            Recovery::Structured => {
+                        match panic_policy() {
+                            PanicPolicy::Fail => {
                                 if let Some(b) = dispatched {
                                     timeline::end(b);
                                 }
-                                self.record_busy(start.elapsed());
-                                return Err(PoolError::new(self.name, c, payload.as_ref()));
+                                resume_unwind(payload);
                             }
-                            Recovery::Policy => match panic_policy() {
-                                PanicPolicy::Fail => {
-                                    if let Some(b) = dispatched {
-                                        timeline::end(b);
-                                    }
-                                    resume_unwind(payload);
+                            // Quarantine: re-execute sequentially — same
+                            // semantics as the parallel path's back-fill.
+                            // Chaos fires once per chunk id, so the retry
+                            // runs `f` exactly once; a genuinely
+                            // deterministic panic in `f` propagates here,
+                            // as it would without a pool at all.
+                            PanicPolicy::Quarantine => {
+                                self.note_quarantined(1);
+                                let began = tl.as_ref().map(|(_, path, seq)| {
+                                    timeline::begin(
+                                        self.name,
+                                        path,
+                                        Some(chunk_labels(*seq, 0, c, part.len())),
+                                    )
+                                });
+                                let r = f(part);
+                                if let Some(b) = began {
+                                    timeline::end(b);
                                 }
-                                // Quarantine: re-execute sequentially —
-                                // same semantics as the parallel path's
-                                // back-fill. Chaos fires once per chunk
-                                // id, so the retry runs `f` exactly once;
-                                // a genuinely deterministic panic in `f`
-                                // propagates here, as it would without a
-                                // pool at all.
-                                PanicPolicy::Quarantine => {
-                                    self.note_quarantined(1);
-                                    let began = tl.as_ref().map(|(_, path, seq)| {
-                                        timeline::begin(
-                                            self.name,
-                                            path,
-                                            Some(chunk_labels(*seq, 0, c, part.len())),
-                                        )
-                                    });
-                                    let r = f(part);
-                                    if let Some(b) = began {
-                                        timeline::end(b);
-                                    }
-                                    out.push(r);
-                                }
-                            },
+                                out.push(r);
+                            }
                         }
                     }
                 }
@@ -495,8 +377,8 @@ impl Pool {
             if let Some(b) = dispatched {
                 timeline::end(b);
             }
-            self.record_busy(start.elapsed());
-            return Ok(out);
+            self.record_busy_us(start.elapsed().as_micros() as u64);
+            return out;
         }
 
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
@@ -608,23 +490,12 @@ impl Pool {
         panics.sort_by_key(|(c, _)| *c);
         if !panics.is_empty() {
             self.note_panics(panics.len() as u64);
-            match recovery {
-                Recovery::Structured => {
-                    if let Some(b) = dispatched {
-                        timeline::end(b);
-                    }
-                    let (c, payload) = &panics[0];
-                    return Err(PoolError::new(self.name, *c, payload.as_ref()));
+            if panic_policy() == PanicPolicy::Fail {
+                if let Some(b) = dispatched {
+                    timeline::end(b);
                 }
-                Recovery::Policy => {
-                    if panic_policy() == PanicPolicy::Fail {
-                        if let Some(b) = dispatched {
-                            timeline::end(b);
-                        }
-                        let (_, payload) = panics.swap_remove(0);
-                        resume_unwind(payload);
-                    }
-                }
+                let (_, payload) = panics.swap_remove(0);
+                resume_unwind(payload);
             }
         }
         // Order-preserving reduction: reassemble in chunk index order.
@@ -663,7 +534,7 @@ impl Pool {
         if let Some(b) = dispatched {
             timeline::end(b);
         }
-        Ok(out)
+        out
     }
 
     /// Chunked map-reduce: fold each chunk into an accumulator with
@@ -699,10 +570,6 @@ impl Pool {
         alex_telemetry::counter!("parallel_chunks_total").add(chunks as u64);
     }
 
-    fn record_busy(&self, elapsed: std::time::Duration) {
-        self.record_busy_us(elapsed.as_micros() as u64);
-    }
-
     fn record_busy_us(&self, us: u64) {
         alex_telemetry::global()
             .metrics()
@@ -733,8 +600,8 @@ impl Pool {
 /// quarantine retry runs `f` exactly once. `AssertUnwindSafe` is sound
 /// here because a panicking chunk's partial state is never observed: its
 /// slot stays `None` and the chunk is either re-executed from scratch or
-/// the panic is rethrown/reported — the same states `f` could leave
-/// behind when unwinding through a plain sequential loop.
+/// the panic is rethrown — the same states `f` could leave behind when
+/// unwinding through a plain sequential loop.
 fn run_job<T, R>(
     f: &(impl Fn(&[T]) -> R + Sync),
     part: &[T],
@@ -1020,29 +887,6 @@ mod tests {
         // panicking chunk holds item 7, so its payload must win no matter
         // which worker reported first.
         assert_eq!(msg, "boom at 7");
-    }
-
-    #[test]
-    fn try_map_surfaces_structured_error() {
-        let _g = lock_unpoisoned(&GLOBALS);
-        let items: Vec<u64> = (0..300).collect();
-        for threads in [1, 4] {
-            let pool = Pool::with_threads("try_test", threads).with_min_chunk(1);
-            let err = pool
-                .try_map(&items, |&x| {
-                    if x >= 150 {
-                        panic!("job failed at {x}");
-                    }
-                    x * 2
-                })
-                .expect_err("must report the panic");
-            assert_eq!(err.pool, "try_test");
-            assert_eq!(err.message, "job failed at 150", "threads={threads}");
-            assert!(err.to_string().contains("panicked"), "{err}");
-            // And a clean run succeeds with map-identical output.
-            let ok = pool.try_map(&items, |&x| x * 2).expect("clean run");
-            assert_eq!(ok, pool.map(&items, |&x| x * 2));
-        }
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl Graph {
         self.matching(Some(s), Some(p), None).map(|t| t.object)
     }
 
-    /// Subjects of all triples `(?s, p, o)`.
-    pub fn subjects_with(&self, p: Term, o: Term) -> impl Iterator<Item = Term> + '_ {
-        self.matching(None, Some(p), Some(o)).map(|t| t.subject)
-    }
-
     /// Distinct subjects, in term order.
     pub fn subjects(&self) -> impl Iterator<Item = Term> + '_ {
         DistinctFirst {
@@ -179,11 +174,6 @@ impl Graph {
             inner: self.pos.iter(),
             last: None,
         }
-    }
-
-    /// Number of triples whose subject is `s`.
-    pub fn subject_degree(&self, s: Term) -> usize {
-        self.matching(Some(s), None, None).count()
     }
 }
 
@@ -360,13 +350,6 @@ mod tests {
         let p1 = Term::Iri(i.intern("p1"));
         let objs: Vec<Term> = g.objects(s1, p1).collect();
         assert_eq!(objs.len(), 2);
-    }
-
-    #[test]
-    fn subject_degree_counts_triples() {
-        let (mut i, g) = sample();
-        let s1 = Term::Iri(i.intern("s1"));
-        assert_eq!(g.subject_degree(s1), 3);
     }
 
     #[test]

@@ -181,11 +181,6 @@ impl FederatedEngine {
         self.cache = Some(FederationCache::new(capacity));
     }
 
-    /// Whether the answer cache is enabled.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Snapshot of the cache counters (`None` when disabled).
     pub fn cache_stats(&self) -> Option<alex_cache::CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
@@ -202,12 +197,6 @@ impl FederatedEngine {
     /// Borrow the installed catalog, if any.
     pub fn catalog(&self) -> Option<&Catalog> {
         self.catalog.as_ref()
-    }
-
-    /// Mutably borrow the installed catalog (to bump its version or
-    /// refresh entries between queries).
-    pub fn catalog_mut(&mut self) -> Option<&mut Catalog> {
-        self.catalog.as_mut()
     }
 
     /// Build a catalog by exhaustively scanning every registered endpoint.
@@ -250,11 +239,6 @@ impl FederatedEngine {
     /// Mutably borrow the link index (ALEX adds/removes links here).
     pub fn links_mut(&mut self) -> &mut SameAsLinks {
         &mut self.links
-    }
-
-    /// Number of registered endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.endpoints.len()
     }
 
     /// Execute a parsed query, returning only the answer rows. Degradation
@@ -2176,12 +2160,13 @@ mod tests {
     #[test]
     fn stale_catalog_falls_back_to_broadcast() {
         let (mut engine, _, nyt_ep) = counting_engine();
-        let catalog = engine.build_catalog().unwrap();
-        engine.set_catalog(Some(catalog));
+        let mut catalog = engine.build_catalog().unwrap();
+        engine.set_catalog(Some(catalog.clone()));
         let q = parse("SELECT ?who WHERE { ?who <http://db/award> \"NBA MVP 2013\" }").unwrap();
         engine.execute(&q).unwrap();
         let before = calls(&nyt_ep);
-        engine.catalog_mut().unwrap().bump_version();
+        catalog.bump_version();
+        engine.set_catalog(Some(catalog));
         engine.execute(&q).unwrap();
         assert!(
             calls(&nyt_ep) > before,

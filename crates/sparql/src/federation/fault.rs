@@ -3,8 +3,8 @@
 //! [`FaultyEndpoint`] wraps any [`Endpoint`] and injects seeded faults from
 //! a [`FaultProfile`]: transient errors, permanent outage windows, added
 //! latency, and truncated (short-read) results. Every failure is drawn from
-//! a seeded RNG keyed to the call sequence, so chaos tests and benches
-//! replay the exact same fault schedule on every run.
+//! a seeded RNG keyed to the call sequence, so chaos tests and the e2e
+//! benchmark replay the exact same fault schedule on every run.
 
 use std::sync::Mutex;
 use std::time::Duration;

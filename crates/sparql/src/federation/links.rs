@@ -5,7 +5,6 @@
 //! they used (provenance), and ALEX's feedback loop adds and removes links.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// A directed `owl:sameAs` link between two entity IRIs, in the orientation
 /// it was asserted (left data set → right data set).
@@ -27,53 +26,13 @@ impl Link {
     }
 }
 
-/// Observer notified on every *effective* link mutation.
-///
-/// `add` and `remove` are the only two methods that mutate the index
-/// (every other constructor or bulk path funnels through them), so a
-/// subscriber provably sees every mutation site. No-op calls (duplicate
-/// add, absent remove) do not notify.
-pub trait LinkObserver: Send + Sync {
-    /// A link was inserted that was not previously present.
-    fn link_added(&self, link: &Link);
-    /// A link that was present was removed.
-    fn link_removed(&self, link: &Link);
-}
-
 /// A bidirectional index over sameAs links.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SameAsLinks {
     forward: HashMap<String, Vec<String>>,
     backward: HashMap<String, Vec<String>>,
     set: HashSet<Link>,
-    observers: Vec<Arc<dyn LinkObserver>>,
     generation: u64,
-}
-
-impl std::fmt::Debug for SameAsLinks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SameAsLinks")
-            .field("links", &self.set.len())
-            .field("generation", &self.generation)
-            .field("observers", &self.observers.len())
-            .finish()
-    }
-}
-
-impl Clone for SameAsLinks {
-    /// Clones carry the link data (and closure generation) but *not* the
-    /// observers: a subscriber watches one index instance, and silently
-    /// attaching it to copies would make it fire for mutations of state
-    /// it never indexed.
-    fn clone(&self) -> Self {
-        SameAsLinks {
-            forward: self.forward.clone(),
-            backward: self.backward.clone(),
-            set: self.set.clone(),
-            observers: Vec::new(),
-            generation: self.generation,
-        }
-    }
 }
 
 impl SameAsLinks {
@@ -96,27 +55,16 @@ impl SameAsLinks {
         s
     }
 
-    /// Subscribe an observer to all future effective mutations.
-    pub fn subscribe(&mut self, observer: Arc<dyn LinkObserver>) {
-        self.observers.push(observer);
-    }
-
-    /// Detach all observers.
-    pub fn clear_observers(&mut self) {
-        self.observers.clear();
-    }
-
     /// Closure generation: a counter bumped on every *effective* mutation
-    /// (the same events observers see). Two indexes with equal generation
-    /// that started from the same state hold the same link closure, so
-    /// a rewrite can use it as a cheap staleness stamp — any add or
-    /// remove makes every earlier rewrite stale.
+    /// (duplicate adds and absent removes do not count). Two indexes with
+    /// equal generation that started from the same state hold the same
+    /// link closure, so a rewrite can use it as a cheap staleness stamp —
+    /// any add or remove makes every earlier rewrite stale.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Add a link. Returns `true` if it was new. Observers are notified
-    /// only when the index actually changed.
+    /// Add a link. Returns `true` if it was new.
     pub fn add(&mut self, link: Link) -> bool {
         if !self.set.insert(link.clone()) {
             return false;
@@ -130,14 +78,10 @@ impl SameAsLinks {
             .entry(link.right.clone())
             .or_default()
             .push(link.left.clone());
-        for obs in &self.observers {
-            obs.link_added(&link);
-        }
         true
     }
 
-    /// Remove a link. Returns `true` if it was present. Observers are
-    /// notified only when the index actually changed.
+    /// Remove a link. Returns `true` if it was present.
     pub fn remove(&mut self, link: &Link) -> bool {
         if !self.set.remove(link) {
             return false;
@@ -148,9 +92,6 @@ impl SameAsLinks {
         }
         if let Some(v) = self.backward.get_mut(&link.right) {
             v.retain(|l| l != &link.left);
-        }
-        for obs in &self.observers {
-            obs.link_removed(link);
         }
         true
     }
@@ -330,90 +271,20 @@ mod tests {
         assert_eq!(back.to_ntriples(), doc);
     }
 
-    use std::sync::Mutex;
-
-    /// Records every notification so tests can assert exactly which
-    /// mutations were observed.
-    #[derive(Default)]
-    struct Recorder {
-        added: Mutex<Vec<Link>>,
-        removed: Mutex<Vec<Link>>,
-    }
-
-    impl LinkObserver for Recorder {
-        fn link_added(&self, link: &Link) {
-            self.added.lock().unwrap().push(link.clone());
-        }
-        fn link_removed(&self, link: &Link) {
-            self.removed.lock().unwrap().push(link.clone());
-        }
-    }
-
-    #[test]
-    fn observer_sees_add() {
-        let rec = Arc::new(Recorder::default());
-        let mut s = SameAsLinks::new();
-        s.subscribe(rec.clone());
-        s.add(Link::new("a", "x"));
-        assert_eq!(*rec.added.lock().unwrap(), vec![Link::new("a", "x")]);
-        assert!(rec.removed.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn observer_sees_remove() {
-        let rec = Arc::new(Recorder::default());
-        let mut s = SameAsLinks::new();
-        s.add(Link::new("a", "x"));
-        s.subscribe(rec.clone());
-        s.remove(&Link::new("a", "x"));
-        assert_eq!(*rec.removed.lock().unwrap(), vec![Link::new("a", "x")]);
-        assert!(rec.added.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn observer_silent_on_noop_mutations() {
-        let rec = Arc::new(Recorder::default());
-        let mut s = SameAsLinks::new();
-        s.add(Link::new("a", "x"));
-        s.subscribe(rec.clone());
-        assert!(!s.add(Link::new("a", "x")), "duplicate add is a no-op");
-        assert!(
-            !s.remove(&Link::new("ghost", "y")),
-            "absent remove is a no-op"
-        );
-        assert!(rec.added.lock().unwrap().is_empty());
-        assert!(rec.removed.lock().unwrap().is_empty());
-    }
-
     #[test]
     fn bulk_constructors_funnel_through_add() {
-        // from_pairs and from_ntriples construct fresh indexes via add(),
-        // so a subscriber attached afterwards still sees every later
-        // mutation; there is no second mutation path to audit.
-        let mut s = SameAsLinks::from_pairs(vec![("a", "x")]);
-        let rec = Arc::new(Recorder::default());
-        s.subscribe(rec.clone());
-        s.add(Link::new("b", "y"));
-        assert_eq!(rec.added.lock().unwrap().len(), 1);
+        // from_pairs and from_ntriples build through add(), so duplicates
+        // in the input are no-ops and the generation counts each distinct
+        // link exactly once: there is no second mutation path.
+        let s = SameAsLinks::from_pairs(vec![("a", "x"), ("b", "y"), ("a", "x")]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.generation(), s.len() as u64);
 
-        let doc = "<http://a/1> <http://www.w3.org/2002/07/owl#sameAs> <http://b/1> .\n";
-        let mut t = SameAsLinks::from_ntriples(doc).unwrap();
-        t.subscribe(rec.clone());
-        t.remove(&Link::new("http://a/1", "http://b/1"));
-        assert_eq!(rec.removed.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn clone_detaches_observers() {
-        let rec = Arc::new(Recorder::default());
-        let mut s = SameAsLinks::new();
-        s.subscribe(rec.clone());
-        let mut copy = s.clone();
-        copy.add(Link::new("a", "x"));
-        assert!(
-            rec.added.lock().unwrap().is_empty(),
-            "mutating a clone must not notify the original's observers"
-        );
+        let doc = "<http://a/1> <http://www.w3.org/2002/07/owl#sameAs> <http://b/1> .\n\
+                   <http://a/1> <http://www.w3.org/2002/07/owl#sameAs> <http://b/1> .\n";
+        let t = SameAsLinks::from_ntriples(doc).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.generation(), t.len() as u64);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use catalog::{Catalog, CatalogParseError, Coverage};
 pub use endpoint::{DatasetEndpoint, Endpoint, Probe, Rows};
 pub use executor::{FederatedEngine, FederatedResult, QueryAnswer};
 pub use fault::{FaultProfile, FaultyEndpoint};
-pub use links::{Link, LinkObserver, SameAsLinks};
+pub use links::{Link, SameAsLinks};
 pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, Completeness, Deadline, EndpointError,
     ResilienceConfig, RetryPolicy,

@@ -170,14 +170,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (fail straight to degradation).
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// The deterministic (un-jittered) backoff for the `retry`-th retry
     /// (0-based): `initial * multiplier^retry`, capped at `max_backoff`.
     pub fn base_backoff(&self, retry: u32) -> Duration {

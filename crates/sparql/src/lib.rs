@@ -58,8 +58,8 @@ pub use expr::{eval_expr, Bindings};
 pub use federation::{
     rewrite_sameas, BreakerConfig, BreakerState, Catalog, CatalogParseError, Completeness,
     Coverage, DatasetEndpoint, Deadline, Endpoint, EndpointError, FaultProfile, FaultyEndpoint,
-    FederatedEngine, FederatedResult, Link, LinkObserver, Probe, QueryAnswer, ResilienceConfig,
-    RetryPolicy, RewrittenQuery, Rows, SameAsLinks,
+    FederatedEngine, FederatedResult, Link, Probe, QueryAnswer, ResilienceConfig, RetryPolicy,
+    RewrittenQuery, Rows, SameAsLinks,
 };
 pub use parser::parse;
 pub use value::Value;

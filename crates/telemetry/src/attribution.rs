@@ -13,14 +13,12 @@
 //!   wall time any schedule of those chunks could reach), and parallel
 //!   efficiency (busy time over worker-seconds available).
 //!
-//! Rendered as the `--profile` exit table ([`Attribution::render_table`])
-//! and embedded in `BENCH_parallel.json` ([`Attribution::to_json`]).
+//! Rendered as the `--profile` exit table ([`Attribution::render_table`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 
-use crate::json::ObjectWriter;
 use crate::timeline::{PoolLabels, PoolRole, ThreadTrace, TimelineKind};
 
 /// One worker's share of a pool's work.
@@ -320,57 +318,5 @@ impl Attribution {
             ));
         }
         out
-    }
-
-    /// Serialize as a JSON object (embedded under `"attribution"` in
-    /// `BENCH_parallel.json`).
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| {
-                let mut w = ObjectWriter::new();
-                w.str("path", &p.path)
-                    .u64("count", p.count)
-                    .u64("total_us", p.total_us)
-                    .u64("self_us", p.self_us);
-                w.finish()
-            })
-            .collect();
-        let pools: Vec<String> = self
-            .pools
-            .iter()
-            .map(|p| {
-                let workers: Vec<String> = p
-                    .workers
-                    .iter()
-                    .map(|w| {
-                        let mut o = ObjectWriter::new();
-                        o.u64("worker", w.worker as u64)
-                            .u64("chunks", w.chunks)
-                            .u64("busy_us", w.busy_us)
-                            .f64("busy_frac", w.busy_frac);
-                        o.finish()
-                    })
-                    .collect();
-                let mut o = ObjectWriter::new();
-                o.str("pool", &p.pool)
-                    .u64("dispatches", p.dispatches)
-                    .u64("wall_us", p.wall_us)
-                    .u64("busy_us", p.busy_us)
-                    .u64("max_chunk_us", p.max_chunk_us)
-                    .f64("mean_chunk_us", p.mean_chunk_us)
-                    .f64("chunk_skew", p.chunk_skew)
-                    .u64("critical_path_us", p.critical_path_us)
-                    .f64("parallel_efficiency", p.parallel_efficiency)
-                    .raw("workers", &format!("[{}]", workers.join(",")));
-                o.finish()
-            })
-            .collect();
-        let mut w = ObjectWriter::new();
-        w.raw("phases", &format!("[{}]", phases.join(",")))
-            .raw("pools", &format!("[{}]", pools.join(",")))
-            .u64("dropped_events", self.dropped_events);
-        w.finish()
     }
 }

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use crate::json::ObjectWriter;
 
@@ -129,11 +128,6 @@ impl Histogram {
                 Err(actual) => current = actual,
             }
         }
-    }
-
-    /// Record a duration in seconds.
-    pub fn observe_duration(&self, d: Duration) {
-        self.observe(d.as_secs_f64());
     }
 
     /// Number of observations.

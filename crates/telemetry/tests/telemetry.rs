@@ -488,15 +488,6 @@ fn attribution_computes_self_time_skew_and_critical_path() {
     assert!(table.contains("improve"), "{table}");
     assert!(table.contains("pool p: 1 dispatch(es)"), "{table}");
     assert!(table.contains("busy%"), "{table}");
-
-    let json = attribution.to_json();
-    let value = alex_telemetry::json::parse_value_str(&json)
-        .unwrap_or_else(|e| panic!("attribution json: {e}\n{json}"));
-    let obj = value.as_obj().expect("object");
-    assert!(
-        obj.contains_key("phases") && obj.contains_key("pools"),
-        "{json}"
-    );
 }
 
 #[test]

@@ -32,7 +32,8 @@ cargo clippy -p alex-trust -- -D warnings
 cargo clippy -p alex-sim -- -D warnings
 cargo clippy -p alex-parallel -- -D warnings
 # The supervisor layer (budgets, breach policy, degraded bookkeeping) and
-# the bench harness complete the crate-by-crate -D warnings coverage.
+# the paper-experiment harness complete the crate-by-crate -D warnings
+# coverage.
 cargo clippy -p alex-guard -- -D warnings
 cargo clippy -p alex-bench -- -D warnings
 
@@ -43,9 +44,6 @@ echo "==> cargo test (ALEX_THREADS=4: same suite, parallel pool)"
 # The pool's ordered reduction makes results byte-identical at any width,
 # so the whole suite must pass unchanged with 4 workers.
 ALEX_THREADS=4 cargo test --workspace -q
-
-echo "==> cargo bench --no-run (bench targets must compile)"
-cargo bench --workspace --no-run -q
 
 echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jaccard)"
 # The fast kernels must stay bitwise-equal to their slow oracles, including
@@ -77,9 +75,6 @@ done
 
 echo "==> e2e benchmark unit tests (separate package, own target dir)"
 cargo test --offline -q --manifest-path e2e-bench/Cargo.toml
-
-echo "==> kernel bench compiles (throughput gate target)"
-cargo bench -p alex-bench --bench kernels --no-run -q
 
 echo "==> chaos suite (seeded fault injection over the full improve loop)"
 cargo test --test chaos_federation -q
@@ -115,9 +110,6 @@ cargo test --test request_differential -q
 # `--catalog probe` scans endpoints under retries and the breaker: the CLI
 # run survives transient faults and still refuses a catalog on an outage.
 cargo test --test cli -q catalog_probe_survives_transient_faults
-
-echo "==> federation selectivity bench compiles (sub-query reduction gate target)"
-cargo bench -p alex-bench --bench federation_selectivity --no-run -q
 
 echo "==> trace & report suite (--trace validity, PARIS worker nesting, alex report)"
 cargo test --test trace_report -q

@@ -1,9 +1,8 @@
-//! The recall/traffic experiment behind `BENCH_federation.json`: over a
-//! multi-endpoint federation whose ground-truth answers *require* sameAs
-//! hops, recall must strictly increase as the link closure converges,
-//! while catalog-based source selection keeps the issued sub-query count
-//! strictly below broadcast at every point of the curve — without losing
-//! a single answer.
+//! The recall/traffic experiment: over a multi-endpoint federation whose
+//! ground-truth answers *require* sameAs hops, recall must strictly
+//! increase as the link closure converges, while catalog-based source
+//! selection keeps the issued sub-query count strictly below broadcast at
+//! every point of the curve — without losing a single answer.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -80,8 +79,8 @@ fn issued_during(f: impl FnOnce()) -> u64 {
 
 /// The experiment: recall strictly increases with the closure, pruned
 /// traffic stays strictly below broadcast at every point, the two modes
-/// agree on recall exactly, and full-closure pruning clears the 30%
-/// reduction floor the bench snapshot asserts.
+/// agree on recall exactly, and full-closure pruning cuts sub-queries by
+/// at least 30% against broadcast.
 #[test]
 fn recall_rises_while_pruned_traffic_stays_below_broadcast() {
     let _guard = guard();
