@@ -3,7 +3,8 @@
 //! The larger (left) data set is split round-robin — "the i-th entity is in
 //! partition i mod n" — and feature sets are generated between each
 //! partition and the whole smaller data set, all from one shared
-//! preparation of both sides ([`PreparedSides`]). Each partition gets its
+//! preparation of both sides ([`PreparedSides`]) and one table of value-pair
+//! scores ([`LinkSpace::partitions`]). Each partition gets its
 //! own agent and feedback source; the shared episode loop
 //! ([`driver::run_partitions`]) then splits every episode's feedback budget
 //! across them and aggregates their metrics over the union of their
@@ -127,11 +128,12 @@ pub fn run_partitioned(
 }
 
 /// Build the partitions of a run and drive them through
-/// [`driver::run_partitions`]: one [`PreparedSides`], partition i's space
-/// keeping the left entities with `id % n == i`, its agent starting from
-/// its slice of `initial` with seed `cfg.alex.seed + i`, and its feedback
-/// source made by `source(i, truth ids)`. Durability and supervision apply
-/// to the run as a whole.
+/// [`driver::run_partitions`]: one [`PreparedSides`] and
+/// [`LinkSpace::partitions`], partition i's space keeping the left entities
+/// with `id % n == i`, its agent starting from its slice of `initial` with
+/// seed `cfg.alex.seed + i`, and its feedback source made by
+/// `source(i, truth ids)`. Durability and supervision apply to the run as
+/// a whole.
 ///
 /// Returns the report, whose `total_duration` includes the space builds,
 /// and the partition agents.
@@ -150,22 +152,14 @@ pub fn run_partitioned_with(
     let run_span = span("improve_partitioned");
     let n = cfg.partitions;
 
-    // One preparation for every partition: the spaces share its indexes
-    // and prepared values, and each keeps its `id % n` slice of the blocked
-    // candidates. Partitions build one after another, each spread over the
-    // `space_build` pool.
+    // One preparation and one value-pair score table for every partition:
+    // the spaces share its indexes and prepared values, and each keeps its
+    // `id % n` slice of the blocked candidates. Partitions assemble one
+    // after another, each spread over the `space_build` pool.
     let spaces: Vec<LinkSpace> = {
         let _s = span("build_spaces");
         let sides = PreparedSides::new(left, right, &cfg.space.blocking);
-        (0..n)
-            .map(|i| {
-                let space_cfg = SpaceConfig {
-                    partition: Some((i, n)),
-                    ..cfg.space.clone()
-                };
-                LinkSpace::from_prepared(&sides, &space_cfg)
-            })
-            .collect()
+        LinkSpace::partitions(&sides, &cfg.space, n)
     };
 
     // Global id mapping (identical in every partition's space).

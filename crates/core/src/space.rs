@@ -9,6 +9,13 @@
 //! feature set survives the θ filter. The arithmetic total (for the paper's
 //! Fig. 5 comparison) is exposed as [`LinkSpace::total_possible`].
 //!
+//! Similarities come from a θ-sparse [`ValueScores`] table: each distinct
+//! `(left value, right value)` pair the kept candidates meet is scored
+//! once, and only scores `>= θ` are stored, since §4.1 discards the rest.
+//! [`LinkSpace::partitions`] builds the `n` partitions of a batch run from
+//! one such table; [`LinkSpace::ensure_pair`], which admits pairs outside
+//! the candidates, scores directly.
+//!
 //! The exploration primitive (§4.2) — "find all links whose value for
 //! feature `f` lies in `[v − step, v + step]`" — is served by per-feature
 //! arrays sorted by score (binary search, output-linear).
@@ -19,10 +26,10 @@ use std::sync::Arc;
 
 use alex_linking::{candidate_pairs, BlockingConfig};
 use alex_rdf::{Dataset, EntityIndex, Term};
-use alex_sim::TokenInterner;
+use alex_sim::{prepared_similarity, TokenInterner};
 
 use crate::feature::{FeatureCatalog, FeatureId, FeatureSet};
-use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
+use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set, ValueScores};
 use crate::values::SideValues;
 
 /// Dense id of an entity pair in the link space.
@@ -53,10 +60,11 @@ impl Default for SpaceConfig {
 }
 
 /// Everything a link-space build reads that does not depend on θ or the
-/// partition: both entity indexes, both sides' prepared attribute values
+/// partition: both entity indexes, both sides' interned attribute values
 /// (built against one shared [`TokenInterner`]), and the blocked candidate
 /// pairs. Build it once and derive any number of spaces from it with
-/// [`LinkSpace::from_prepared`]; the spaces share the indexes and values.
+/// [`LinkSpace::from_prepared`] or [`LinkSpace::partitions`]; the spaces
+/// share the indexes and values.
 #[derive(Debug)]
 pub struct PreparedSides {
     left_index: Arc<EntityIndex>,
@@ -89,6 +97,24 @@ impl PreparedSides {
             candidates,
         }
     }
+
+    fn check_blocking(&self, cfg: &SpaceConfig) {
+        assert_eq!(
+            cfg.blocking, self.blocking,
+            "space config blocking differs from the prepared sides' blocking"
+        );
+    }
+
+    /// The candidates of partition `i` of `n`: left `id % n == i`, in
+    /// candidate order.
+    fn partition_candidates(&self, i: usize, n: usize) -> Vec<(u32, u32)> {
+        assert!(n > 0 && i < n, "partition index out of range");
+        self.candidates
+            .iter()
+            .copied()
+            .filter(|&(l, _)| l as usize % n == i)
+            .collect()
+    }
 }
 
 /// The filtered space of candidate links.
@@ -116,41 +142,78 @@ impl LinkSpace {
 
     /// Build the space from sides prepared once, keeping the candidates of
     /// `cfg.partition` (all of them when `None`) and the feature sets that
-    /// survive `cfg.theta`.
+    /// survive `cfg.theta`. Only the kept candidates' value pairs are
+    /// scored.
     ///
     /// # Panics
     ///
     /// If `cfg.blocking` differs from the blocking `sides` was prepared
     /// with: the candidates were blocked then and cannot be re-blocked.
     pub fn from_prepared(sides: &PreparedSides, cfg: &SpaceConfig) -> LinkSpace {
-        assert_eq!(
-            cfg.blocking, sides.blocking,
-            "space config blocking differs from the prepared sides' blocking"
-        );
+        sides.check_blocking(cfg);
         let candidates: Cow<'_, [(u32, u32)]> = match cfg.partition {
-            Some((i, n)) => {
-                assert!(n > 0 && i < n, "partition index out of range");
-                sides
-                    .candidates
-                    .iter()
-                    .copied()
-                    .filter(|&(l, _)| l as usize % n == i)
-                    .collect()
-            }
+            Some((i, n)) => Cow::Owned(sides.partition_candidates(i, n)),
             None => Cow::Borrowed(&sides.candidates),
         };
-        let blocked_pairs = candidates.len();
-        let (left_values, right_values) = (&sides.left_values, &sides.right_values);
+        let scores = ValueScores::build(
+            &sides.left_values,
+            &sides.right_values,
+            &candidates,
+            cfg.theta,
+        );
+        LinkSpace::assemble(sides, &candidates, cfg.theta, &scores)
+    }
 
-        // Similarity is the O(pairs × attrs²) hot loop: workers compute
-        // catalog-free raw feature sets for candidate chunks, then the
-        // ordered merge below interns them in original candidate order —
-        // the exact intern sequence the sequential loop produces, so
-        // feature ids (and everything downstream) are byte-identical at
-        // any thread count.
+    /// The `n` equal-size partitions of the space (§6.2): partition `i`
+    /// keeps the left entities with `id % n == i`, and equals
+    /// [`LinkSpace::from_prepared`] with `partition: Some((i, n))`
+    /// (`cfg.partition` is ignored). Every distinct value pair of the
+    /// blocked candidates is scored once, into one table the partitions
+    /// share.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is 0, or `cfg.blocking` differs from the blocking of `sides`.
+    pub fn partitions(sides: &PreparedSides, cfg: &SpaceConfig, n: usize) -> Vec<LinkSpace> {
+        sides.check_blocking(cfg);
+        assert!(n > 0, "at least one partition");
+        let scores = ValueScores::build(
+            &sides.left_values,
+            &sides.right_values,
+            &sides.candidates,
+            cfg.theta,
+        );
+        (0..n)
+            .map(|i| {
+                let candidates = sides.partition_candidates(i, n);
+                LinkSpace::assemble(sides, &candidates, cfg.theta, &scores)
+            })
+            .collect()
+    }
+
+    /// The space of `candidates`, reading value similarities from `scores`,
+    /// which must cover every value pair of `candidates` at `theta`.
+    fn assemble(
+        sides: &PreparedSides,
+        candidates: &[(u32, u32)],
+        theta: f64,
+        scores: &ValueScores,
+    ) -> LinkSpace {
+        let (left_values, right_values) = (&sides.left_values, &sides.right_values);
+        // Feature sets are the per-candidate hot loop, O(pairs × attrs²)
+        // table lookups: workers compute catalog-free raw feature sets for
+        // candidate chunks, then the ordered merge below interns them in
+        // original candidate order — the exact intern sequence the
+        // sequential loop produces, so feature ids (and everything
+        // downstream) are byte-identical at any thread count.
         let pool = alex_parallel::Pool::new("space_build");
-        let raw = pool.map(&candidates, |&(l, r)| {
-            raw_feature_set(left_values.attrs(l), right_values.attrs(r), cfg.theta)
+        let raw = pool.map(candidates, |&(l, r)| {
+            raw_feature_set(
+                left_values.attrs(l),
+                right_values.attrs(r),
+                theta,
+                |a, b| scores.score(a, b),
+            )
         });
 
         let mut catalog = FeatureCatalog::new();
@@ -179,8 +242,8 @@ impl LinkSpace {
             pair_lookup,
             features,
             by_feature: HashMap::new(),
-            theta: cfg.theta,
-            blocked_pairs,
+            theta,
+            blocked_pairs: candidates.len(),
             admitted: Vec::new(),
         };
         space.rebuild_feature_index();
@@ -214,8 +277,8 @@ impl LinkSpace {
     }
 
     /// The arithmetic number of possible pairs (before any filtering) —
-    /// `|left entities in partition| × |right entities|`, the paper's
-    /// "TotalLinks" bar in Fig. 5(a).
+    /// `|left entities| × |right entities|` of the whole data sets, in a
+    /// partition's space too — the paper's "TotalLinks" bar in Fig. 5(a).
     pub fn total_possible(&self) -> u64 {
         self.left_index.len() as u64 * self.right_index.len() as u64
     }
@@ -280,10 +343,12 @@ impl LinkSpace {
         if let Some(id) = self.id_of(left, right) {
             return id;
         }
+        let (lv, rv) = (&self.left_values, &self.right_values);
         let sf = feature_set(
-            self.left_values.attrs(left),
-            self.right_values.attrs(right),
+            lv.attrs(left),
+            rv.attrs(right),
             self.theta,
+            |a, b| prepared_similarity(lv.value(a), rv.value(b)),
             &mut self.catalog,
         );
         let id = PairId(self.pairs.len() as u32);

@@ -52,12 +52,16 @@ echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jacca
 cargo test -p alex-sim --test properties -q
 cargo test -p alex-linking --test properties -q
 
-echo "==> golden link-space digests (ALEX_THREADS=1 and 4)"
+echo "==> golden link-space digests and score-table differential (ALEX_THREADS=1 and 4)"
 # Pairs, feature ids and score bits of three generated spaces, full and in
 # 27 partitions from one shared preparation, must match the pinned digests
-# at any pool width.
+# at any pool width. Spaces read from the shared value-pair score table
+# must equal direct per-candidate scoring at θ from 0 to 1, and the
+# partitions sharing one table must equal standalone partition builds.
 ALEX_THREADS=1 cargo test --test space_golden -q
 ALEX_THREADS=4 cargo test --test space_golden -q
+ALEX_THREADS=1 cargo test --test space_scores -q
+ALEX_THREADS=4 cargo test --test space_scores -q
 
 echo "==> paper figure digests (release experiments, ALEX_THREADS=2)"
 # Every figure's output, minus fig10's wall-time lines, must match its
