@@ -12,10 +12,12 @@
 //! distinct value pair its candidates meet once, into a θ-sparse
 //! [`ValueScores`] table, and reads the matrices from it; a pair outside
 //! the blocked candidates ([`crate::LinkSpace::ensure_pair`]) is scored
-//! directly with [`prepared_similarity`].
+//! directly with [`alex_sim::prepared_similarity`]. Inside the table build,
+//! each left value scores each distinct (left token, right token) pair of
+//! its Monge-Elkan comparisons once.
 
 use alex_rdf::Sym;
-use alex_sim::prepared_similarity;
+use alex_sim::{monge_elkan_by, prepared_similarity_with, PreparedText, TokenPattern};
 use alex_telemetry::{counter, span};
 
 use crate::feature::{FeatureCatalog, FeaturePair, FeatureSet};
@@ -148,6 +150,8 @@ pub struct ValueScores {
     scores: Vec<f64>,
     /// Distinct value pairs scored, kept or not.
     scored: u64,
+    /// Token pairs scored, after per-left-value deduplication.
+    token_pairs: u64,
 }
 
 /// One pool chunk's rows of a [`ValueScores`]: the kept entries of a run
@@ -160,10 +164,98 @@ struct ScoreRows {
     scored: u64,
 }
 
+/// One worker's token-pair scores for the left value it is on: a row per
+/// distinct token of the value, with its [`TokenPattern`] built once, and
+/// a column per distinct right token the value's comparisons have met.
+/// Monge-Elkan reads every row of a column, so a new column is scored
+/// whole when first met, and each token pair once per left value.
+struct TokenRows<'a> {
+    /// `col_of[t] == (v, c)`: right token `t` is column `c` of left value
+    /// `v`'s matrix. Left values are visited once each, so a stale stamp
+    /// needs no reset.
+    col_of: Vec<(u32, u32)>,
+    value: u32,
+    /// The started value's row of each of its token spans, and the token
+    /// of each row.
+    span_rows: Vec<u32>,
+    row_ids: Vec<u32>,
+    patterns: Vec<TokenPattern<'a>>,
+    /// Column-major `columns × patterns.len()` scores.
+    cells: Vec<f64>,
+    columns: u32,
+    /// Scratch: the column of each token span of the right text at hand.
+    span_cols: Vec<u32>,
+    /// Kernel calls made.
+    scored: u64,
+}
+
+impl<'a> TokenRows<'a> {
+    /// Rows over a right token-id space of `tokens` ids.
+    fn new(tokens: usize) -> TokenRows<'a> {
+        TokenRows {
+            col_of: vec![(u32::MAX, 0); tokens],
+            value: u32::MAX,
+            span_rows: Vec::new(),
+            row_ids: Vec::new(),
+            patterns: Vec::new(),
+            cells: Vec::new(),
+            columns: 0,
+            span_cols: Vec::new(),
+            scored: 0,
+        }
+    }
+
+    /// Start left value `v`, of lexical form `text`.
+    fn start(&mut self, v: u32, text: &'a PreparedText) {
+        self.value = v;
+        self.span_rows.clear();
+        self.row_ids.clear();
+        self.patterns.clear();
+        self.cells.clear();
+        self.columns = 0;
+        for (i, &id) in text.span_ids().iter().enumerate() {
+            let row = match self.row_ids.iter().position(|&r| r == id) {
+                Some(row) => row,
+                None => {
+                    self.row_ids.push(id);
+                    self.patterns.push(TokenPattern::new(text.token(i)));
+                    self.row_ids.len() - 1
+                }
+            };
+            self.span_rows.push(row as u32);
+        }
+    }
+
+    /// Symmetric Monge-Elkan of the started value's text (rows) against
+    /// `right` (columns), bitwise the one `prepared_similarity` computes.
+    fn monge_elkan(&mut self, right: &PreparedText) -> f64 {
+        let rows = self.patterns.len();
+        self.span_cols.clear();
+        for (j, &t) in right.span_ids().iter().enumerate() {
+            let slot = &mut self.col_of[t as usize];
+            if slot.0 != self.value {
+                *slot = (self.value, self.columns);
+                self.columns += 1;
+                let token = right.token(j);
+                self.cells
+                    .extend(self.patterns.iter().map(|p| p.score(token)));
+                self.scored += rows as u64;
+            }
+            self.span_cols.push(slot.1);
+        }
+        let (cells, span_rows, span_cols) = (&self.cells, &self.span_rows, &self.span_cols);
+        monge_elkan_by(span_rows.len(), span_cols.len(), |i| {
+            let row = span_rows[i] as usize;
+            move |j| cells[span_cols[j] as usize * rows + row]
+        })
+    }
+}
+
 impl ValueScores {
-    /// Score, with [`prepared_similarity`], each distinct value pair of
-    /// the attribute pairs of `candidates`, once, keeping the scores
-    /// `>= theta`.
+    /// Score each distinct value pair of the attribute pairs of
+    /// `candidates` once, keeping the scores `>= theta`: bitwise
+    /// [`alex_sim::prepared_similarity`], with Monge-Elkan's token pairs
+    /// scored once per left value.
     ///
     /// Left values are grouped into `space_build` pool chunks, and each
     /// value's row depends only on the value, so the table is identical
@@ -210,12 +302,19 @@ impl ValueScores {
             held[v + 1] += held[v];
         }
 
+        // The right token-id space: every id a right text's spans carry.
+        let tokens = (0..right.value_count() as u32)
+            .flat_map(|w| right.value(ValueId(w)).text().span_ids())
+            .max()
+            .map_or(0, |&t| t as usize + 1);
+
         let ids: Vec<u32> = (0..left.value_count() as u32).collect();
         let chunks = alex_parallel::Pool::new("space_build").map_chunks(&ids, |chunk| {
             // `seen[w] == v` marks right value `w` as met by left value `v`
             // already; values are visited once each, so no reset is needed.
             let mut seen = vec![u32::MAX; right.value_count()];
             let mut met: Vec<ValueId> = Vec::new();
+            let mut token_rows = TokenRows::new(tokens);
             let mut out = ScoreRows::default();
             for &v in chunk {
                 met.clear();
@@ -231,9 +330,12 @@ impl ValueScores {
                 }
                 met.sort_unstable();
                 let lv = left.value(ValueId(v));
+                token_rows.start(v, lv.text());
                 let before = out.right.len();
                 for &w in &met {
-                    let s = prepared_similarity(lv, right.value(w));
+                    let s = prepared_similarity_with(lv, right.value(w), |_, y| {
+                        token_rows.monge_elkan(y)
+                    });
                     if s >= theta {
                         out.right.push(w);
                         out.scores.push(s);
@@ -242,7 +344,7 @@ impl ValueScores {
                 out.lens.push((out.right.len() - before) as u32);
                 out.scored += met.len() as u64;
             }
-            out
+            (out, token_rows.scored)
         });
 
         let mut table = ValueScores {
@@ -251,7 +353,8 @@ impl ValueScores {
         };
         table.offsets.push(0);
         let mut end = 0;
-        for chunk in chunks {
+        for (chunk, token_pairs) in chunks {
+            table.token_pairs += token_pairs;
             table.offsets.extend(chunk.lens.iter().map(|&len| {
                 end += len;
                 end
@@ -262,6 +365,7 @@ impl ValueScores {
         }
         counter!("space_value_pairs_scored_total").add(table.scored);
         counter!("space_value_pairs_kept_total").add(table.kept() as u64);
+        counter!("space_token_pairs_scored_total").add(table.token_pairs);
         table
     }
 
@@ -282,6 +386,12 @@ impl ValueScores {
         self.scored
     }
 
+    /// Number of token pairs scored: Monge-Elkan's kernel calls, each
+    /// distinct (left token, right token) pair once per left value.
+    pub fn token_pairs_scored(&self) -> u64 {
+        self.token_pairs
+    }
+
     /// Number of value pairs kept (scored `>= θ`).
     pub fn kept(&self) -> usize {
         self.right.len()
@@ -294,7 +404,7 @@ mod tests {
     use super::*;
     use crate::feature::feature_score;
     use alex_rdf::Dataset;
-    use alex_sim::{PreparedValue, TokenInterner, TypedValue};
+    use alex_sim::{prepared_similarity, PreparedValue, TokenInterner, TypedValue};
 
     fn sym(i: usize) -> Sym {
         Sym::from_index(i)
@@ -486,6 +596,10 @@ mod tests {
         for theta in [0.0, 0.3, 0.55, 1.0] {
             let table = ValueScores::build(&lv, &rv, &candidates, theta);
             assert_eq!(table.scored(), 4 * 4);
+            // Equal texts skip Monge-Elkan. The rest score each left
+            // value's tokens against the distinct right tokens they meet:
+            // "ann lee" and "bo lee" 2 × 6, "heat" 1 × 7, "cy ray" 2 × 5.
+            assert_eq!(table.token_pairs_scored(), 12 + 12 + 7 + 10);
             let mut kept = 0;
             for l in 0..lv.value_count() as u32 {
                 for r in 0..rv.value_count() as u32 {
@@ -525,10 +639,11 @@ mod tests {
         for name in [
             "space_value_pairs_scored_total",
             "space_value_pairs_kept_total",
+            "space_token_pairs_scored_total",
         ] {
             assert!(text.contains(&format!("# TYPE {name} counter")), "{text}");
-            // The names match exactly, so both counters are positive
-            // after one build.
+            // The names match exactly, so every counter is positive after
+            // one build.
             assert!(
                 text.lines().any(|l| {
                     l.strip_prefix(&format!("{name} "))

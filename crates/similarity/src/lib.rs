@@ -30,13 +30,13 @@ pub use combined::{term_similarity, value_similarity};
 pub use date::{date_similarity, date_year_similarity, year_similarity};
 pub use numeric::{boolean_similarity, relative_numeric, scaled_numeric};
 pub use prepared::{
-    jaccard_ids, prepared_similarity, prepared_string_similarity, PreparedText, PreparedValue,
-    TokenInterner,
+    jaccard_ids, prepared_similarity, prepared_similarity_with, prepared_string_similarity,
+    PreparedText, PreparedValue, TokenInterner,
 };
 pub use string::{
-    jaccard_tokens, jaro, jaro_slice, jaro_winkler, jaro_winkler_slice, levenshtein,
-    levenshtein_dp, levenshtein_similarity, monge_elkan_jw, myers_levenshtein, myers_slice,
-    ngram_dice, normalize, phonetic_token_similarity, soundex, string_similarity, token_similarity,
-    trigram_dice, SLICE_MAX,
+    jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,
+    monge_elkan_by, monge_elkan_jw, myers_levenshtein, ngram_dice, normalize,
+    phonetic_token_similarity, soundex, string_similarity, token_similarity, trigram_dice,
+    TokenPattern, SLICE_MAX,
 };
 pub use value::{iri_local_name, sniff, typed_value, Date, TypedValue};

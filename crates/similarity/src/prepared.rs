@@ -8,7 +8,8 @@
 //! * [`TokenInterner`] maps normalized tokens to dense `u32` ids shared by
 //!   both data sets being compared;
 //! * [`PreparedText`] stores a string's normalized form, its token
-//!   boundaries, and its *sorted, deduplicated* token-id set;
+//!   boundaries with the id of each token, and its *sorted, deduplicated*
+//!   Jaccard token-id set;
 //! * [`jaccard_ids`] computes token-set Jaccard by a linear merge of two
 //!   sorted id slices — no allocation, no hashing;
 //! * [`PreparedValue`] wraps a [`TypedValue`] with exactly one prepared
@@ -16,7 +17,9 @@
 //! * [`prepared_similarity`] scores two prepared values **byte-identically
 //!   to [`crate::value_similarity`]** on the raw values (property-tested)
 //!   for every pair of value kinds, and allocates nothing per comparison
-//!   of short ASCII tokens.
+//!   of short ASCII tokens; [`prepared_similarity_with`] is the same
+//!   dispatch with the caller's Monge-Elkan, for a caller that caches
+//!   token-pair scores.
 
 use std::collections::HashMap;
 
@@ -106,8 +109,10 @@ pub fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
 #[derive(Debug, Clone, Default)]
 pub struct PreparedText {
     norm: Box<str>,
-    /// Byte ranges of tokens within `norm`.
+    /// Byte ranges of tokens within `norm`: the Monge-Elkan tokens.
     token_spans: Box<[(u32, u32)]>,
+    /// The interned id of each token of `token_spans`, in order.
+    span_ids: Box<[u32]>,
     /// Sorted, deduplicated ids of the tokens `jaccard_tokens` would see
     /// (i.e. the tokens of `normalize(norm)`, matching its re-normalizing
     /// behaviour exactly).
@@ -115,7 +120,9 @@ pub struct PreparedText {
 }
 
 impl PreparedText {
-    /// Normalize and tokenize `raw`, interning its Jaccard tokens.
+    /// Normalize and tokenize `raw`, interning its Jaccard tokens and its
+    /// Monge-Elkan tokens. The Jaccard ids are compared as sets, so which
+    /// other tokens the interner holds cannot change a score.
     pub fn prepare(raw: &str, interner: &mut TokenInterner) -> PreparedText {
         let norm = normalize(raw);
         let token_spans = token_spans(&norm);
@@ -129,9 +136,14 @@ impl PreparedText {
             .collect();
         token_ids.sort_unstable();
         token_ids.dedup();
+        let span_ids: Vec<u32> = token_spans
+            .iter()
+            .map(|&(s, e)| interner.intern(&norm[s as usize..e as usize]))
+            .collect();
         PreparedText {
             norm: norm.into(),
             token_spans: token_spans.into(),
+            span_ids: span_ids.into(),
             token_ids: token_ids.into(),
         }
     }
@@ -146,6 +158,18 @@ impl PreparedText {
         self.token_spans
             .iter()
             .map(|&(s, e)| &self.norm[s as usize..e as usize])
+    }
+
+    /// The `i`-th normalized token.
+    pub fn token(&self, i: usize) -> &str {
+        let (s, e) = self.token_spans[i];
+        &self.norm[s as usize..e as usize]
+    }
+
+    /// The interned id of each normalized token, in token order, repeats
+    /// included: token `i` is [`PreparedText::token`]`(i)`.
+    pub fn span_ids(&self) -> &[u32] {
+        &self.span_ids
     }
 
     /// Byte ranges of the tokens within [`PreparedText::norm`], in order.
@@ -181,12 +205,19 @@ pub(crate) struct TextView<'a> {
 
 /// The string similarity of two prepared texts, branch for branch
 /// [`crate::string_similarity`] on pre-derived state, allocating only
-/// where [`crate::token_similarity`] or Monge-Elkan's column buffer does.
+/// where a fallback string kernel or Monge-Elkan's column buffer does.
 pub(crate) fn view_similarity(a: TextView<'_>, b: TextView<'_>) -> f64 {
+    combine(a, b, || monge_elkan(a.tokens, b.tokens))
+}
+
+/// [`crate::string_similarity`]'s combination of its parts: 1.0 for equal
+/// normalized forms, else the larger of squared Monge-Elkan (`me`, called
+/// only then) and token Jaccard.
+fn combine(a: TextView<'_>, b: TextView<'_>, me: impl FnOnce() -> f64) -> f64 {
     if a.norm == b.norm {
         return 1.0;
     }
-    let me = monge_elkan(a.tokens, b.tokens);
+    let me = me();
     (me * me).max(jaccard_ids(a.ids, b.ids))
 }
 
@@ -244,43 +275,61 @@ impl PreparedValue {
 
 /// Similarity of two prepared values, in [0, 1] — byte-identical to
 /// [`crate::value_similarity`] on the underlying [`TypedValue`]s
-/// (property-tested in `tests/properties.rs`).
+/// (property-tested in `tests/properties.rs`), and bitwise symmetric.
+///
+/// [`prepared_similarity_with`] with Monge-Elkan over
+/// [`crate::token_similarity`], each row token's pattern built once.
+pub fn prepared_similarity(a: &PreparedValue, b: &PreparedValue) -> f64 {
+    prepared_similarity_with(a, b, |x, y| monge_elkan(x.view().tokens, y.view().tokens))
+}
+
+/// [`prepared_similarity`] with the caller's Monge-Elkan: `monge_elkan(x,
+/// y)` must return the symmetric Monge-Elkan similarity of the tokens of
+/// `x` (rows) and `y` (columns) bit for bit, and is called at most once,
+/// always as `(a.text(), b.text())`.
 ///
 /// The dispatch mirrors `value_similarity` arm for arm. Every arm that
 /// compares strings there compares the prepared lexical forms here; text
 /// against another kind re-sniffs only a text already known to sniff as a
 /// non-text kind; the numeric, temporal and boolean arms are the generic
 /// ones, which allocate nothing. Only the string kernels a non-ASCII or
-/// over-long token falls back to allocate.
-pub fn prepared_similarity(a: &PreparedValue, b: &PreparedValue) -> f64 {
+/// over-long token falls back to allocate. Prepared string similarity is
+/// bitwise symmetric (Monge-Elkan sums each direction in token order and
+/// adds the two; Jaccard is symmetric), so the arms that `value_similarity`
+/// answers as `string_similarity(b, a)` are answered in `a`, `b` order.
+pub fn prepared_similarity_with(
+    a: &PreparedValue,
+    b: &PreparedValue,
+    monge_elkan: impl FnOnce(&PreparedText, &PreparedText) -> f64,
+) -> f64 {
     use TypedValue as V;
-    match (&a.value, &b.value) {
-        (V::Text(_), V::Text(_)) => prepared_string_similarity(&a.text, &b.text),
-        (V::Iri(x), V::Iri(y)) => {
-            if x == y {
-                1.0
-            } else {
-                prepared_string_similarity(&a.text, &b.text)
-            }
-        }
-        (V::Text(_), _) => text_against(a, b),
-        (_, V::Text(_)) => text_against(b, a),
-        (V::Iri(_), _) => prepared_string_similarity(&a.text, &b.text),
-        (_, V::Iri(_)) => prepared_string_similarity(&b.text, &a.text),
-        _ => crate::value_similarity(&a.value, &b.value),
-    }
+    let native = match (&a.value, &b.value) {
+        (V::Text(_), V::Text(_)) => None,
+        (V::Iri(x), V::Iri(y)) => (x == y).then_some(1.0),
+        (V::Text(_), _) => sniffed_against(a, b),
+        (_, V::Text(_)) => sniffed_against(b, a),
+        (V::Iri(_), _) | (_, V::Iri(_)) => None,
+        _ => Some(crate::value_similarity(&a.value, &b.value)),
+    };
+    native.unwrap_or_else(|| {
+        combine(a.text.view(), b.text.view(), || {
+            monge_elkan(&a.text, &b.text)
+        })
+    })
 }
 
-/// Text `t` against a value of another kind: natively when the text sniffs
-/// as that kind, else by lexical form.
-fn text_against(t: &PreparedValue, other: &PreparedValue) -> f64 {
-    if let (true, TypedValue::Text(s)) = (t.sniffs_typed, &t.value) {
-        let sniffed = sniff(s);
-        if sniffed.type_name() == other.value.type_name() {
-            return crate::value_similarity(&sniffed, &other.value);
-        }
+/// Text `t` against a value of another kind, natively, when the text
+/// sniffs as that kind; `None` when it is compared by lexical form.
+fn sniffed_against(t: &PreparedValue, other: &PreparedValue) -> Option<f64> {
+    let TypedValue::Text(s) = &t.value else {
+        return None;
+    };
+    if !t.sniffs_typed {
+        return None;
     }
-    prepared_string_similarity(&t.text, &other.text)
+    let sniffed = sniff(s);
+    (sniffed.type_name() == other.value.type_name())
+        .then(|| crate::value_similarity(&sniffed, &other.value))
 }
 
 #[cfg(test)]

@@ -52,75 +52,83 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// Jaro-Winkler similarity in [0, 1], with the standard prefix scale 0.1 and
 /// maximum prefix length 4.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
     let prefix = a
         .chars()
         .zip(b.chars())
         .take(4)
         .take_while(|(x, y)| x == y)
         .count();
+    winkler(jaro(a, b), prefix)
+}
+
+/// The Winkler boost of Jaro score `j` for a common prefix of `prefix`
+/// (at most 4) units.
+fn winkler(j: f64, prefix: usize) -> f64 {
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 
-/// [`jaro`] over the bytes of two ASCII strings of at most
-/// [`super::SLICE_MAX`] bytes each — bitwise equal to `jaro` on those
-/// strings, without allocating: the match flags of both sides live in one
-/// `u64` apiece, and transpositions are counted by walking the two flag
-/// words in step.
+/// [`jaro_winkler`] of two ASCII strings of at most [`super::SLICE_MAX`]
+/// bytes, `token` given with its byte masks as well: bit `j` of `masks[c]`
+/// is set where `token[j] == c`. Bitwise equal to `jaro_winkler(token,
+/// other)`, without allocating.
 ///
-/// # Panics
-///
-/// If either slice is longer than [`super::SLICE_MAX`].
-pub fn jaro_slice(a: &[u8], b: &[u8]) -> f64 {
-    assert!(
-        a.len() <= super::SLICE_MAX && b.len() <= super::SLICE_MAX,
-        "jaro_slice takes at most {} bytes a side",
-        super::SLICE_MAX
-    );
-    if a.is_empty() && b.is_empty() {
+/// `other` is the outer loop: its `i`-th byte matches the lowest unmatched
+/// position of `masks[other[i]]` inside the window, the same greedy choice
+/// as `jaro(other, token)`'s scan, and Jaro is bitwise symmetric (the two
+/// greedy matchings pair the same positions, and the final sum commutes).
+/// The match flags of both sides live in one `u64` apiece; transpositions
+/// are counted by walking the two flag words in step.
+pub(super) fn jaro_winkler_masked(token: &[u8], masks: &[u64; 128], other: &[u8]) -> f64 {
+    debug_assert!(token.len() <= super::SLICE_MAX && other.len() <= super::SLICE_MAX);
+    let prefix = token
+        .iter()
+        .zip(other)
+        .take(4)
+        .take_while(|(x, y)| x == y)
+        .count();
+    winkler(jaro_masked(token, masks, other), prefix)
+}
+
+/// The Jaro half of [`jaro_winkler_masked`].
+fn jaro_masked(token: &[u8], masks: &[u64; 128], other: &[u8]) -> f64 {
+    if token.is_empty() && other.is_empty() {
         return 1.0;
     }
-    if a.is_empty() || b.is_empty() {
+    if token.is_empty() || other.is_empty() {
         return 0.0;
     }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut a_matched = 0u64;
-    let mut b_matched = 0u64;
+    // Positions below `n`, as a mask.
+    let below = |n: usize| if n >= 64 { !0 } else { (1u64 << n) - 1 };
+    let window = (token.len().max(other.len()) / 2).saturating_sub(1);
+    let mut token_matched = 0u64;
+    let mut other_matched = 0u64;
     let mut matches = 0usize;
-    for (i, &ca) in a.iter().enumerate() {
+    for (i, &c) in other.iter().enumerate() {
         let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for (j, &cb) in b.iter().enumerate().take(hi).skip(lo) {
-            if b_matched & (1 << j) == 0 && cb == ca {
-                b_matched |= 1 << j;
-                a_matched |= 1 << i;
-                matches += 1;
-                break;
-            }
+        let hi = (i + window + 1).min(token.len());
+        let free = masks[usize::from(c)] & !token_matched & below(hi) & !below(lo);
+        if free != 0 {
+            token_matched |= free & free.wrapping_neg();
+            other_matched |= 1 << i;
+            matches += 1;
         }
     }
     if matches == 0 {
         return 0.0;
     }
-    // The k-th matched byte of `a` pairs with the k-th matched byte of `b`.
+    // The k-th matched byte of `other` pairs with the k-th matched byte of
+    // `token`.
     let mut mismatched = 0usize;
-    while a_matched != 0 {
-        let i = a_matched.trailing_zeros() as usize;
-        let j = b_matched.trailing_zeros() as usize;
-        mismatched += usize::from(a[i] != b[j]);
-        a_matched &= a_matched - 1;
-        b_matched &= b_matched - 1;
+    while other_matched != 0 {
+        let i = other_matched.trailing_zeros() as usize;
+        let j = token_matched.trailing_zeros() as usize;
+        mismatched += usize::from(other[i] != token[j]);
+        other_matched &= other_matched - 1;
+        token_matched &= token_matched - 1;
     }
     let transpositions = mismatched / 2;
     let m = matches as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
-}
-
-/// [`jaro_winkler`] over ASCII bytes, on [`jaro_slice`]'s terms.
-pub fn jaro_winkler_slice(a: &[u8], b: &[u8]) -> f64 {
-    let j = jaro_slice(a, b);
-    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
-    (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
+    (m / token.len() as f64 + m / other.len() as f64 + (m - transpositions as f64) / m) / 3.0
 }
 
 #[cfg(test)]
@@ -175,31 +183,6 @@ mod tests {
     fn winkler_rewards_prefix() {
         // Both pairs differ by one trailing char, but only one shares a prefix.
         assert!(jaro_winkler("abcdx", "abcdy") > jaro_winkler("xabcd", "yabcd"));
-    }
-
-    #[test]
-    fn slice_kernel_matches_string_kernel() {
-        for (a, b) in [
-            ("martha", "marhta"),
-            ("dwayne", "duane"),
-            ("", ""),
-            ("", "abc"),
-            ("abc", "xyz"),
-            ("prefix", "preface"),
-        ] {
-            let got = jaro_winkler_slice(a.as_bytes(), b.as_bytes());
-            assert_eq!(
-                got.to_bits(),
-                jaro_winkler(a, b).to_bits(),
-                "{a:?} vs {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64")]
-    fn slice_kernel_rejects_long_input() {
-        jaro_slice(&[0u8; 65], b"a");
     }
 
     #[test]

@@ -9,16 +9,16 @@ pub mod normalize;
 pub mod phonetic;
 
 pub use jaccard::jaccard_tokens;
-pub use jaro::{jaro, jaro_slice, jaro_winkler, jaro_winkler_slice};
+pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_dp, levenshtein_similarity};
-pub use myers::{myers_levenshtein, myers_slice};
+pub use myers::myers_levenshtein;
 pub use ngram::{ngram_dice, trigram_dice};
 pub use normalize::{normalize, normalized_tokens, tokenize};
 pub use phonetic::{phonetic_token_similarity, soundex};
 
-/// Longest token, in bytes, the allocation-free slice kernels
-/// ([`jaro_slice`], [`myers_slice`]) take: one `u64` of match flags or
-/// Myers column bits. Longer tokens go through the string kernels.
+/// Longest token, in bytes, a [`TokenPattern`] compares as bytes: one
+/// `u64` of position bits (Jaro match flags, Myers column). Longer tokens
+/// go through the string kernels.
 pub const SLICE_MAX: usize = 64;
 
 /// Token-level similarity: the mean of Jaro-Winkler and normalized
@@ -28,21 +28,70 @@ pub const SLICE_MAX: usize = 64;
 /// resemblances below typical thresholds (~0.55).
 ///
 /// Bitwise equal to `(jaro_winkler(a, b) + levenshtein_similarity(a, b)) /
-/// 2.0`. Two ASCII tokens of up to [`SLICE_MAX`] bytes are compared as
-/// bytes, without allocating; any other pair goes through the string
-/// kernels.
+/// 2.0`, and bitwise symmetric: this is `TokenPattern::new(a).score(b)`.
+/// A caller scoring one token against many builds its pattern once.
 pub fn token_similarity(a: &str, b: &str) -> f64 {
-    if a.len() <= SLICE_MAX && b.len() <= SLICE_MAX && a.is_ascii() && b.is_ascii() {
-        let (a, b) = (a.as_bytes(), b.as_bytes());
-        let max_len = a.len().max(b.len());
+    TokenPattern::new(a).score(b)
+}
+
+/// One token prepared as the fixed side of [`token_similarity`]: for an
+/// ASCII token of at most [`SLICE_MAX`] bytes, the positions of each byte
+/// value as a `u64` mask. Both kernels then read a mask per byte of the
+/// other token instead of scanning the token:
+///
+/// * Myers' `Peq` vector is the mask itself. Levenshtein distance is
+///   symmetric, so the prepared token can always be the pattern.
+/// * Jaro runs with the other token as the outer loop and takes the
+///   lowest unmatched masked position in the window, which is exactly the
+///   greedy scan of `jaro(other, token)`; Jaro is bitwise symmetric.
+///
+/// A non-ASCII or longer token on either side is compared with the string
+/// kernels, [`jaro_winkler`] and [`levenshtein_similarity`].
+#[derive(Debug, Clone)]
+pub struct TokenPattern<'a> {
+    token: &'a str,
+    /// Whether `token` is ASCII and at most [`SLICE_MAX`] bytes long, so
+    /// `masks` describes it.
+    bytes: bool,
+    /// `masks[c]` has bit `j` set where `token[j] == c`.
+    masks: [u64; 128],
+}
+
+impl<'a> TokenPattern<'a> {
+    /// Build the pattern of `token`.
+    pub fn new(token: &'a str) -> TokenPattern<'a> {
+        let bytes = token.len() <= SLICE_MAX && token.is_ascii();
+        let mut masks = [0u64; 128];
+        if bytes {
+            for (j, &c) in token.as_bytes().iter().enumerate() {
+                masks[usize::from(c)] |= 1 << j;
+            }
+        }
+        TokenPattern {
+            token,
+            bytes,
+            masks,
+        }
+    }
+
+    /// [`token_similarity`] of the pattern's token and `other`.
+    pub fn score(&self, other: &str) -> f64 {
+        if !(self.bytes && other.len() <= SLICE_MAX && other.is_ascii()) {
+            return (jaro_winkler(self.token, other) + levenshtein_similarity(self.token, other))
+                / 2.0;
+        }
+        let (token, other) = (self.token.as_bytes(), other.as_bytes());
+        let max_len = token.len().max(other.len());
         let lev = if max_len == 0 {
             1.0
+        } else if token.is_empty() {
+            0.0
         } else {
-            1.0 - myers_slice(a, b) as f64 / max_len as f64
+            let peq = other.iter().map(|&c| self.masks[usize::from(c)]);
+            1.0 - myers::myers_64_by(token.len(), peq) as f64 / max_len as f64
         };
-        return (jaro_winkler_slice(a, b) + lev) / 2.0;
+        (jaro::jaro_winkler_masked(token, &self.masks, other) + lev) / 2.0
     }
-    (jaro_winkler(a, b) + levenshtein_similarity(a, b)) / 2.0
 }
 
 /// Tokens as byte ranges into one text: the layout of a
@@ -61,20 +110,24 @@ impl<'a> Tokens<'a> {
     }
 }
 
-/// Symmetric Monge-Elkan over tokenized inputs: the one core behind
-/// [`monge_elkan_jw`], [`crate::prepared_string_similarity`] and
-/// [`crate::score_batch`].
+/// Symmetric Monge-Elkan of `na` row tokens against `nb` column tokens:
+/// `row(i)` returns the scorer of row token `i` against each column token
+/// `j`, and is called once per row. The one core behind every
+/// Monge-Elkan in the workspace: [`monge_elkan_jw`], the prepared kernels,
+/// and callers that cache token-pair scores.
 ///
-/// One pass fills the token matrix `sim[i][j] = token_similarity(a_i,
-/// b_j)`, keeping its row maxima (the a→b direction) and column maxima (the
-/// b→a direction). Scoring each token pair once is bitwise the same as
-/// scoring both directions: Jaro matches and transposes identically either
-/// way round, Levenshtein distance is an exact integer, and IEEE addition
-/// commutes, so `token_similarity` is bitwise symmetric; `max` is exact in
-/// any order, and each direction's maxima are summed in token order, as the
-/// two-direction definition sums them.
-pub(crate) fn monge_elkan(a: Tokens<'_>, b: Tokens<'_>) -> f64 {
-    let (na, nb) = (a.spans.len(), b.spans.len());
+/// One pass fills the token matrix `sim[i][j]`, keeping its row maxima
+/// (the a→b direction) and column maxima (the b→a direction). Scoring each
+/// token pair once is bitwise the same as scoring both directions:
+/// [`token_similarity`] is bitwise symmetric, `max` is exact in any order,
+/// and each direction's maxima are summed in token order, as the
+/// two-direction definition sums them. For the same reason the result is
+/// bitwise symmetric in its two sides.
+pub fn monge_elkan_by<F: FnMut(usize) -> f64>(
+    na: usize,
+    nb: usize,
+    mut row: impl FnMut(usize) -> F,
+) -> f64 {
     if na == 0 && nb == 0 {
         return 1.0;
     }
@@ -91,18 +144,29 @@ pub(crate) fn monge_elkan(a: Tokens<'_>, b: Tokens<'_>) -> f64 {
     };
     let forward: f64 = (0..na)
         .map(|i| {
-            let x = a.get(i);
+            let mut sim = row(i);
             let mut row_max = 0.0f64;
             for (j, col) in col_max.iter_mut().enumerate() {
-                let sim = token_similarity(x, b.get(j));
-                row_max = row_max.max(sim);
-                *col = col.max(sim);
+                let s = sim(j);
+                row_max = row_max.max(s);
+                *col = col.max(s);
             }
             row_max
         })
         .sum();
     let backward: f64 = col_max.iter().sum();
     (forward / na as f64 + backward / nb as f64) / 2.0
+}
+
+/// Symmetric Monge-Elkan over tokenized inputs with [`token_similarity`]
+/// as the inner measure, each row token's [`TokenPattern`] built once: the
+/// core of [`monge_elkan_jw`], [`crate::prepared_similarity`] and
+/// [`crate::score_batch`].
+pub(crate) fn monge_elkan(a: Tokens<'_>, b: Tokens<'_>) -> f64 {
+    monge_elkan_by(a.spans.len(), b.spans.len(), |i| {
+        let pattern = TokenPattern::new(a.get(i));
+        move |j| pattern.score(b.get(j))
+    })
 }
 
 /// Symmetric Monge-Elkan similarity with a blended Jaro-Winkler/Levenshtein

@@ -14,9 +14,10 @@
 //! inputs (`crates/similarity/tests/properties.rs`). The DP survives as
 //! [`super::levenshtein::levenshtein_dp`], the oracle.
 //!
-//! [`myers_slice`] runs the single-block kernel over the bytes of two
-//! short ASCII strings without allocating — the Levenshtein half of
-//! [`super::token_similarity`].
+//! `myers_64_by` is the single-block loop over per-unit match masks.
+//! [`myers_levenshtein`] gathers each mask by scanning the pattern;
+//! [`super::TokenPattern`] reads it from a table built once per token,
+//! the Levenshtein half of [`super::token_similarity`].
 
 use std::collections::HashMap;
 
@@ -46,45 +47,32 @@ pub fn myers_levenshtein(a: &str, b: &str) -> usize {
     }
 }
 
-/// [`myers_levenshtein`] over the bytes of two ASCII strings of at most
-/// [`super::SLICE_MAX`] bytes each, without allocating.
-///
-/// # Panics
-///
-/// If either slice is longer than [`super::SLICE_MAX`].
-pub fn myers_slice(a: &[u8], b: &[u8]) -> usize {
-    assert!(
-        a.len() <= super::SLICE_MAX && b.len() <= super::SLICE_MAX,
-        "myers_slice takes at most {} bytes a side",
-        super::SLICE_MAX
-    );
-    if a == b {
-        return 0;
-    }
-    let (pat, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if pat.is_empty() {
-        return text.len();
-    }
-    myers_64(pat, text)
-}
-
 /// Single-block kernel: pattern fits one u64 column.
 ///
 /// Each text unit's `Peq` mask is gathered by one branch-free scan of the
-/// pattern: patterns here are normalized tokens of a few units, where a
-/// scan beats building any table, and it allocates nothing.
+/// pattern, which allocates nothing; a `char` pattern has no small table
+/// to index instead.
 fn myers_64<T: Copy + Eq>(pat: &[T], text: &[T]) -> usize {
-    let m = pat.len();
+    myers_64_by(
+        pat.len(),
+        text.iter().map(|&t| {
+            pat.iter()
+                .enumerate()
+                .fold(0u64, |eq, (i, &c)| eq | (u64::from(c == t) << i))
+        }),
+    )
+}
+
+/// The single-block Myers loop for a pattern of `m` units (1 to 64):
+/// `peq` yields, for each text unit in order, the mask of pattern
+/// positions equal to it. Returns the edit distance.
+pub(super) fn myers_64_by(m: usize, peq: impl Iterator<Item = u64>) -> usize {
     debug_assert!((1..=64).contains(&m));
     let mut pv: u64 = !0;
     let mut mv: u64 = 0;
     let mut score = m;
     let last = 1u64 << (m - 1);
-    for &t in text {
-        let eq = pat
-            .iter()
-            .enumerate()
-            .fold(0u64, |eq, (i, &c)| eq | (u64::from(c == t) << i));
+    for eq in peq {
         let xv = eq | mv;
         let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
         let ph = mv | !(xh | pv);
@@ -208,21 +196,6 @@ mod tests {
                     "m={m} n={n}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn slice_kernel_matches_dp() {
-        for (a, b) in [
-            ("kitten", "sitting"),
-            ("", ""),
-            ("", "abc"),
-            ("flaw", "lawn"),
-        ] {
-            assert_eq!(
-                myers_slice(a.as_bytes(), b.as_bytes()),
-                levenshtein_dp(a, b)
-            );
         }
     }
 

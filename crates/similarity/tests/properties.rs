@@ -2,11 +2,11 @@
 //! symmetric, bounded to [0, 1], and return 1.0 on identical inputs.
 
 use alex_sim::{
-    jaccard_ids, jaccard_tokens, jaro, jaro_slice, jaro_winkler, jaro_winkler_slice, levenshtein,
-    levenshtein_dp, levenshtein_similarity, monge_elkan_jw, myers_levenshtein, myers_slice,
-    normalize, prepared_similarity, prepared_string_similarity, relative_numeric, scaled_numeric,
-    score_batch, string_similarity, token_similarity, trigram_dice, value_similarity, Date,
-    PreparedCorpus, PreparedText, PreparedValue, TokenInterner, TypedValue, SLICE_MAX,
+    jaccard_ids, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp,
+    levenshtein_similarity, monge_elkan_jw, myers_levenshtein, normalize, prepared_similarity,
+    prepared_string_similarity, relative_numeric, scaled_numeric, score_batch, string_similarity,
+    token_similarity, trigram_dice, value_similarity, Date, PreparedCorpus, PreparedText,
+    PreparedValue, TokenInterner, TokenPattern, TypedValue, SLICE_MAX,
 };
 use proptest::prelude::*;
 
@@ -167,7 +167,7 @@ proptest! {
 }
 
 /// The token measure as the string kernels define it: the oracle
-/// `token_similarity` must equal bit for bit.
+/// `token_similarity` and every `TokenPattern` must equal bit for bit.
 fn token_oracle(a: &str, b: &str) -> f64 {
     (jaro_winkler(a, b) + levenshtein_similarity(a, b)) / 2.0
 }
@@ -186,20 +186,21 @@ fn all_strings(alphabet: &[char], max_len: usize) -> Vec<String> {
     out
 }
 
-/// Jaro is bitwise symmetric and the slice kernel is bitwise `jaro`, over
-/// every pair of short strings on small alphabets. Monge-Elkan's single
-/// token matrix rests on the symmetry.
+/// Jaro is bitwise symmetric and the pattern kernel is bitwise the string
+/// kernels, over every pair of short strings on small alphabets. Monge-Elkan's
+/// single token matrix and the pattern kernel's swapped Jaro loop rest on
+/// the symmetry.
 #[test]
-fn jaro_is_bitwise_symmetric_and_slice_exact_exhaustively() {
+fn jaro_is_bitwise_symmetric_and_token_pattern_exact_exhaustively() {
     for (alphabet, max_len) in [(&['a', 'b'][..], 6), (&['a', 'b', 'c'][..], 4)] {
         let strings = all_strings(alphabet, max_len);
         for a in &strings {
+            let pattern = TokenPattern::new(a);
             for b in &strings {
-                let ab = jaro(a, b);
-                assert_eq!(ab.to_bits(), jaro(b, a).to_bits(), "{a:?} vs {b:?}");
+                assert_eq!(jaro(a, b).to_bits(), jaro(b, a).to_bits(), "{a:?} vs {b:?}");
                 assert_eq!(
-                    jaro_slice(a.as_bytes(), b.as_bytes()).to_bits(),
-                    ab.to_bits(),
+                    pattern.score(b).to_bits(),
+                    token_oracle(a, b).to_bits(),
                     "{a:?} vs {b:?}"
                 );
             }
@@ -207,11 +208,11 @@ fn jaro_is_bitwise_symmetric_and_slice_exact_exhaustively() {
     }
 }
 
-/// ASCII tokens at and around the 64-byte limit of the slice kernels, the
-/// string-kernel fallback just beyond it, and non-ASCII tokens, which
-/// always take the fallback.
+/// ASCII tokens at and around the 64-byte limit of the pattern kernel, the
+/// string-kernel fallback just beyond it on either side, and non-ASCII
+/// tokens, which always take the fallback.
 #[test]
-fn token_similarity_at_the_slice_boundary() {
+fn token_similarity_at_the_pattern_boundary() {
     let mk = |n: usize, alphabet: &[char], stride: usize| -> String {
         (0..n)
             .map(|i| alphabet[(i * stride + i / 5) % alphabet.len()])
@@ -230,6 +231,11 @@ fn token_similarity_at_the_slice_boundary() {
                     token_similarity(&x, &y).to_bits(),
                     token_oracle(&x, &y).to_bits(),
                     "n={n} m={m} {x:?} vs {y:?}"
+                );
+                assert_eq!(
+                    token_similarity(&y, &x).to_bits(),
+                    token_oracle(&y, &x).to_bits(),
+                    "n={n} m={m} {y:?} vs {x:?}"
                 );
             }
         }
@@ -265,9 +271,11 @@ fn typed_value(kind: u8, word: String, n: i64, f: f64) -> TypedValue {
 }
 
 /// Every ordered pair of value kinds, on fixed payloads that make text
-/// sniff as each kind and numbers render close to it.
-#[test]
-fn prepared_similarity_equals_value_similarity_for_every_kind_pair() {
+/// sniff as each kind and numbers render close to it, prepared against one
+/// interner.
+fn every_kind_pair(
+    mut check: impl FnMut(&TypedValue, &TypedValue, &PreparedValue, &PreparedValue),
+) {
     let payloads = [
         ("LeBron James", 1984, 1984.0),
         ("1984", 7, 3.25),
@@ -282,31 +290,55 @@ fn prepared_similarity_equals_value_similarity_for_every_kind_pair() {
                     let mut interner = TokenInterner::new();
                     let pa = PreparedValue::prepare(va.clone(), &mut interner);
                     let pb = PreparedValue::prepare(vb.clone(), &mut interner);
-                    assert_eq!(
-                        prepared_similarity(&pa, &pb).to_bits(),
-                        value_similarity(&va, &vb).to_bits(),
-                        "{va:?} vs {vb:?}"
-                    );
+                    check(&va, &vb, &pa, &pb);
                 }
             }
         }
     }
 }
 
+#[test]
+fn prepared_similarity_equals_value_similarity_for_every_kind_pair() {
+    every_kind_pair(|va, vb, pa, pb| {
+        assert_eq!(
+            prepared_similarity(pa, pb).to_bits(),
+            value_similarity(va, vb).to_bits(),
+            "{va:?} vs {vb:?}"
+        );
+    });
+}
+
+/// The dispatch passes the lexical forms in argument order on every arm,
+/// which is exact only because prepared similarity is bitwise symmetric.
+#[test]
+fn prepared_similarity_is_bitwise_symmetric_for_every_kind_pair() {
+    every_kind_pair(|va, vb, pa, pb| {
+        assert_eq!(
+            prepared_similarity(pa, pb).to_bits(),
+            prepared_similarity(pb, pa).to_bits(),
+            "{va:?} vs {vb:?}"
+        );
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Jaro over bytes equals `jaro`, and is bitwise symmetric, on small
-    /// alphabets where matches and transpositions are dense.
+    /// The pattern kernel equals the string kernels, and Jaro is bitwise
+    /// symmetric, on small alphabets where matches and transpositions are
+    /// dense.
     #[test]
-    fn jaro_slices_equal_jaro(a in "[abc]{0,12}", b in "[abc]{0,12}") {
-        let want = jaro(&a, &b);
-        prop_assert_eq!(want.to_bits(), jaro(&b, &a).to_bits());
-        prop_assert_eq!(jaro_slice(a.as_bytes(), b.as_bytes()).to_bits(), want.to_bits());
-        prop_assert_eq!(
-            jaro_winkler_slice(a.as_bytes(), b.as_bytes()).to_bits(),
-            jaro_winkler(&a, &b).to_bits()
-        );
+    fn token_pattern_equals_oracle_on_dense_alphabet(a in "[abc]{0,12}", b in "[abc]{0,12}") {
+        prop_assert_eq!(jaro(&a, &b).to_bits(), jaro(&b, &a).to_bits());
+        prop_assert_eq!(TokenPattern::new(&a).score(&b).to_bits(), token_oracle(&a, &b).to_bits());
+        prop_assert_eq!(TokenPattern::new(&b).score(&a).to_bits(), token_oracle(&a, &b).to_bits());
+    }
+
+    /// …on tokens as normalization leaves them: lowercase letters and
+    /// digits.
+    #[test]
+    fn token_pattern_equals_oracle(a in "[a-z0-9]{0,20}", b in "[a-z0-9]{0,20}") {
+        prop_assert_eq!(TokenPattern::new(&a).score(&b).to_bits(), token_oracle(&a, &b).to_bits());
     }
 
     /// …and Jaro is bitwise symmetric on any text, combining marks
@@ -317,23 +349,18 @@ proptest! {
         prop_assert_eq!(jaro(&a, &b).to_bits(), jaro(&b, &a).to_bits());
     }
 
-    /// Myers over byte slices equals the DP oracle, up to the 64-byte
-    /// limit.
+    /// …up to the 64-byte limit, where the Myers column is a full word,
+    /// and on a token against itself.
     #[test]
-    fn myers_slices_equal_dp(a in "[a-d]{0,64}", b in "[a-d]{0,64}") {
-        prop_assert_eq!(myers_slice(a.as_bytes(), a.as_bytes()), 0);
-        prop_assert_eq!(myers_slice(a.as_bytes(), b.as_bytes()), levenshtein_dp(&a, &b));
+    fn token_pattern_equals_oracle_up_to_64_bytes(a in "[a-d]{0,64}", b in "[a-d]{0,64}") {
+        let pattern = TokenPattern::new(&a);
+        prop_assert_eq!(pattern.score(&a).to_bits(), 1.0f64.to_bits());
+        prop_assert_eq!(pattern.score(&b).to_bits(), token_oracle(&a, &b).to_bits());
     }
 
-    /// On printable ASCII the byte kernels equal the string kernels
-    /// exactly.
+    /// On printable ASCII the byte path equals the string kernels exactly.
     #[test]
     fn ascii_byte_path_equals_string_kernels(a in "[ -~]{0,64}", b in "[ -~]{0,64}") {
-        prop_assert_eq!(
-            jaro_winkler_slice(a.as_bytes(), b.as_bytes()).to_bits(),
-            jaro_winkler(&a, &b).to_bits()
-        );
-        prop_assert_eq!(myers_slice(a.as_bytes(), b.as_bytes()), levenshtein_dp(&a, &b));
         prop_assert_eq!(token_similarity(&a, &b).to_bits(), token_oracle(&a, &b).to_bits());
     }
 
@@ -367,8 +394,9 @@ proptest! {
     }
 
     /// `prepared_similarity` equals `value_similarity` for every pair of
-    /// value kinds: text sniffing as a number, year, date, float or
-    /// boolean, IRIs against numbers, and the native kinds.
+    /// value kinds, and is bitwise symmetric: text sniffing as a number,
+    /// year, date, float or boolean, IRIs against numbers, and the native
+    /// kinds.
     #[test]
     fn prepared_similarity_equals_value_similarity(
         ka in 0u8..13,
@@ -385,10 +413,9 @@ proptest! {
         let mut interner = TokenInterner::new();
         let pa = PreparedValue::prepare(va.clone(), &mut interner);
         let pb = PreparedValue::prepare(vb.clone(), &mut interner);
-        prop_assert_eq!(
-            prepared_similarity(&pa, &pb).to_bits(),
-            value_similarity(&va, &vb).to_bits()
-        );
+        let ab = prepared_similarity(&pa, &pb);
+        prop_assert_eq!(ab.to_bits(), value_similarity(&va, &vb).to_bits());
+        prop_assert_eq!(ab.to_bits(), prepared_similarity(&pb, &pa).to_bits());
         prop_assert_eq!(
             prepared_similarity(&pb, &pa).to_bits(),
             value_similarity(&vb, &va).to_bits()

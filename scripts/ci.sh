@@ -45,10 +45,15 @@ echo "==> cargo test (ALEX_THREADS=4: same suite, parallel pool)"
 # so the whole suite must pass unchanged with 4 workers.
 ALEX_THREADS=4 cargo test --workspace -q
 
-echo "==> kernel equivalence properties (myers ≡ DP, interned ≡ string jaccard)"
-# The fast kernels must stay bitwise-equal to their slow oracles, including
-# multi-block (>64 chars) and combining-mark inputs, and PARIS alignment
-# must stay byte-identical across thread counts.
+echo "==> kernel equivalence properties (token pattern ≡ string kernels, dispatch symmetry, myers ≡ DP, interned ≡ string jaccard)"
+# The fast kernels must stay bitwise-equal to their slow oracles: the
+# prebuilt-pattern token kernel to Jaro-Winkler and Levenshtein on strings
+# (exhaustively on short strings, across the 64-byte limit and on
+# non-ASCII tokens), Myers to the DP including multi-block (>64 chars) and
+# combining-mark inputs, and interned to string Jaccard. Prepared value
+# similarity must be bitwise symmetric for every pair of value kinds, as
+# its single dispatch assumes, and PARIS alignment must stay byte-identical
+# across thread counts.
 cargo test -p alex-sim --test properties -q
 cargo test -p alex-linking --test properties -q
 

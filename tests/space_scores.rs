@@ -8,19 +8,26 @@
 //! bit for bit, at θ from 0 (every scored pair kept) to 1 (exact matches
 //! only). The shared table of `LinkSpace::partitions` must also give each
 //! partition exactly the space `from_prepared` builds for it alone.
+//!
+//! Besides three generated domains, one hand-generated pair stresses the
+//! table's per-value token rows: a token repeated within a value, tokens
+//! longer than the 64-byte pattern kernel, and non-ASCII tokens, both of
+//! which take the string kernels.
 
 use alex::core::simmatrix::feature_set;
 use alex::core::values::SideValues;
 use alex::core::{FeatureCatalog, FeatureSet, LinkSpace, PreparedSides, SpaceConfig};
-use alex::datagen::{generate_pair, DatasetKind, GeneratedPair, PairSpec};
+use alex::datagen::{generate_pair, DatasetKind, PairSpec};
 use alex::linking::candidate_pairs;
-use alex::sim::{prepared_similarity, TokenInterner};
+use alex::sim::{prepared_similarity, TokenInterner, SLICE_MAX};
+use alex::Dataset;
 
 const SEED: u64 = 4242;
 
-/// Three small generated pairs: NBA-like, media and language domains.
-fn pairs() -> Vec<GeneratedPair> {
-    [
+/// Three small generated pairs, NBA-like, media and language domains, and
+/// the token edge cases of [`token_edge_pair`].
+fn pairs() -> Vec<(Dataset, Dataset)> {
+    let mut pairs: Vec<(Dataset, Dataset)> = [
         (DatasetKind::DBpediaNba, DatasetKind::NYTimes, 40, 60, 40),
         (DatasetKind::OpenCyc, DatasetKind::NYTimes, 50, 80, 60),
         (DatasetKind::DBpedia, DatasetKind::Lexvo, 40, 100, 30),
@@ -33,9 +40,63 @@ fn pairs() -> Vec<GeneratedPair> {
             right_only,
             ..PairSpec::of(left, right)
         };
-        generate_pair(&spec.config(SEED))
+        let pair = generate_pair(&spec.config(SEED));
+        (pair.left, pair.right)
     })
-    .collect()
+    .collect();
+    pairs.push(token_edge_pair(SEED));
+    pairs
+}
+
+/// A pair of 40 entities a side whose values mix short ASCII tokens with
+/// a token repeated within one value, ASCII tokens longer than
+/// [`SLICE_MAX`] and non-ASCII tokens, drawn by a seeded xorshift. Left
+/// entity `i` carries the blocking keys of right entities `i` and `i + 1`,
+/// and every fourth place is equal on both sides, so θ = 1 keeps pairs.
+fn token_edge_pair(seed: u64) -> (Dataset, Dataset) {
+    let mut state = seed | 1;
+    let mut pick = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as usize
+    };
+    let words = ["alpha", "alhpa", "beta", "gamma", "gamme", "delta", "omega"];
+    let long = |i: usize| format!("{}{i}", "longtoken".repeat(SLICE_MAX / 9 + 1));
+    let places = [
+        "münchen",
+        "zürich straße",
+        "são paulo",
+        "café",
+        "東京 tower",
+    ];
+    let ascii_places = [
+        "munchen",
+        "zurich strasse",
+        "sao paulo",
+        "cafe",
+        "tokyo tower",
+    ];
+    let (mut left, mut right) = (Dataset::new("edge-left"), Dataset::new("edge-right"));
+    for i in 0..40 {
+        let (l, r) = (format!("http://l/{i}"), format!("http://r/{i}"));
+        let (a, b) = (words[pick(words.len())], words[pick(words.len())]);
+        left.add_str(&l, "http://l/name", &format!("{a} {b} {a} key{i}"));
+        left.add_str(&l, "http://l/alias", &format!("{b} key{}", i + 1));
+        left.add_str(&l, "http://l/note", &format!("{} {b}", long(pick(3))));
+        let place = pick(places.len());
+        left.add_str(&l, "http://l/place", places[place]);
+        let (c, d) = (words[pick(words.len())], words[pick(words.len())]);
+        right.add_str(&r, "http://r/label", &format!("{c} {a} key{i}"));
+        right.add_str(&r, "http://r/text", &format!("{d} {}", long(pick(3))));
+        let place = if i % 4 == 0 {
+            places[place]
+        } else {
+            [places, ascii_places][pick(2)][pick(places.len())]
+        };
+        right.add_str(&r, "http://r/place", place);
+    }
+    (left, right)
 }
 
 /// The space as plain data: pairs, catalog definitions and feature sets.
@@ -47,8 +108,7 @@ struct Oracle {
 }
 
 impl Oracle {
-    fn build(pair: &GeneratedPair, theta: f64) -> Oracle {
-        let (left, right) = (&pair.left, &pair.right);
+    fn build((left, right): &(Dataset, Dataset), theta: f64) -> Oracle {
         let (li, ri) = (left.entity_index(), right.entity_index());
         let mut interner = TokenInterner::new();
         let lv = SideValues::build(left, &li, &mut interner);
@@ -135,7 +195,7 @@ fn table_built_spaces_equal_direct_scoring() {
                 theta,
                 ..SpaceConfig::default()
             };
-            let space = LinkSpace::build(&pair.left, &pair.right, &cfg);
+            let space = LinkSpace::build(&pair.0, &pair.1, &cfg);
             let oracle = Oracle::build(pair, theta);
             assert!(!oracle.pairs.is_empty(), "{what}: empty oracle");
             assert_eq!(space.fingerprint(), oracle.fingerprint(), "{what}");
@@ -152,7 +212,7 @@ fn table_built_spaces_equal_direct_scoring() {
 fn shared_table_partitions_equal_standalone_partitions() {
     for (p, pair) in pairs().iter().enumerate() {
         let cfg = SpaceConfig::default();
-        let sides = PreparedSides::new(&pair.left, &pair.right, &cfg.blocking);
+        let sides = PreparedSides::new(&pair.0, &pair.1, &cfg.blocking);
         for n in [1, 3, 27] {
             let shared = LinkSpace::partitions(&sides, &cfg, n);
             assert_eq!(shared.len(), n);
