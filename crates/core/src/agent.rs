@@ -18,6 +18,7 @@ use crate::candidates::CandidateSet;
 use crate::config::AlexConfig;
 use crate::feature::FeatureId;
 use crate::feedback::{Feedback, FeedbackItem, FeedbackSource};
+use crate::pairmap::PairSet;
 use crate::persist::{self, AgentState};
 use crate::policy::Policy;
 use crate::provenance::Provenance;
@@ -106,15 +107,23 @@ impl EpisodeSummary {
 /// Per-episode bookkeeping (first visits and improvement set).
 #[derive(Debug, Clone, Default)]
 struct EpisodeState {
-    first_visits: HashSet<PairId>,
-    improvement_states: HashSet<PairId>,
+    first_visits: PairSet,
+    improvement_states: PairSet,
+}
+
+impl EpisodeState {
+    /// Forget the episode, keeping the allocations for the next one.
+    fn clear(&mut self) {
+        self.first_visits.clear();
+        self.improvement_states.clear();
+    }
 }
 
 /// The ALEX agent.
 pub struct Agent {
     space: LinkSpace,
     candidates: CandidateSet,
-    approved: HashSet<PairId>,
+    approved: PairSet,
     policy: Policy,
     qvalues: ActionValue,
     blacklist: Blacklist,
@@ -146,7 +155,7 @@ impl Agent {
         Agent {
             space,
             candidates,
-            approved: HashSet::new(),
+            approved: PairSet::new(),
             policy: Policy::new(cfg.epsilon),
             qvalues: ActionValue::new(),
             blacklist: Blacklist::new(cfg.use_blacklist),
@@ -197,10 +206,10 @@ impl Agent {
     }
 
     /// Current candidate links as entity-id pairs, sorted by
-    /// `(left, right)`. The candidate set iterates in hash order, which
-    /// varies between processes; sorting here keeps every downstream
-    /// consumer (CLI output, serialized link sets, tests) byte-stable
-    /// across runs and thread counts.
+    /// `(left, right)`. The candidate set iterates in its deterministic
+    /// insertion and swap-remove order, which follows the learning history
+    /// rather than the pairs; sorting gives every downstream consumer (CLI
+    /// output, serialized link sets, tests) the links in pair order.
     pub fn candidate_pairs(&self) -> Vec<(u32, u32)> {
         let mut pairs: Vec<(u32, u32)> = self
             .candidates
@@ -300,7 +309,7 @@ impl Agent {
                         }
                     });
                 }
-                let was_approved = self.approved.remove(&state);
+                let was_approved = self.approved.remove(state);
                 let blacklist_added = self.blacklist.add(state);
 
                 // Rollback (§6.3): tally against the generating state-action
@@ -317,19 +326,15 @@ impl Agent {
                         let votes = self.provenance.votes_of(generator).unwrap_or((0, 0));
                         let links = self.provenance.take_generated(generator);
                         let mut removed = Vec::new();
-                        let mut rolled_back_links = 0u64;
                         for &link in &links {
-                            if self.cfg.rollback_spares_approved && self.approved.contains(&link) {
+                            if self.cfg.rollback_spares_approved && self.approved.contains(link) {
                                 continue;
                             }
                             // Removed links were not individually judged, so
                             // they are NOT blacklisted — they may be correct
                             // and can be rediscovered by a better action.
                             if self.candidates.remove(link) {
-                                outcome.removed += 1;
-                                rolled_back_links += 1;
                                 removed.push(link);
-                                counter!("alex_links_removed_total").inc();
                                 emit!({
                                     let (l, r) = self.space.pair(link);
                                     Event::LinkRemoved {
@@ -339,8 +344,12 @@ impl Agent {
                                 });
                             }
                         }
+                        outcome.removed += removed.len();
+                        if !removed.is_empty() {
+                            counter!("alex_links_removed_total").add(removed.len() as u64);
+                        }
                         emit!(Event::Rollback {
-                            removed: rolled_back_links
+                            removed: removed.len() as u64
                         });
                         rollback_undo = Some(RollbackUndo {
                             generator,
@@ -502,7 +511,7 @@ impl Agent {
                 self.blacklist.retract_endorse(rec.state);
             }
             if rec.newly_approved {
-                self.approved.remove(&rec.state);
+                self.approved.remove(rec.state);
             }
         } else {
             // Reverse of the negative apply: un-rollback, un-vote, un-strike,
@@ -615,9 +624,7 @@ impl Agent {
                 continue;
             }
             self.candidates.insert(link);
-            let attributed = self.provenance.record(link, (state, action));
-            added.push((link, attributed));
-            counter!("alex_links_added_total").inc();
+            added.push((link, false));
             emit!({
                 let (l, r) = self.space.pair(link);
                 Event::LinkAdded {
@@ -626,14 +633,17 @@ impl Agent {
                 }
             });
         }
+        self.provenance.record_all((state, action), &mut added);
+        if !added.is_empty() {
+            counter!("alex_links_added_total").add(added.len() as u64);
+        }
         added
     }
 
     /// Policy improvement at the end of an episode (Algorithm 1 lines
     /// 24–33): make the argmax-Q action greedy at every state visited.
     pub fn end_episode(&mut self) {
-        let states: Vec<PairId> = self.episode.improvement_states.iter().copied().collect();
-        for s in states {
+        for s in self.episode.improvement_states.iter() {
             let actions: Vec<FeatureId> = self
                 .space
                 .feature_set_of(s)
@@ -644,7 +654,7 @@ impl Agent {
                 self.policy.improve(s, best);
             }
         }
-        self.episode = EpisodeState::default();
+        self.episode.clear();
         self.episodes_completed += 1;
     }
 
@@ -700,23 +710,19 @@ impl Agent {
     /// called at an episode boundary (the intra-episode bookkeeping is
     /// always empty there and is not captured).
     pub fn capture_state(&self) -> AgentState {
-        let mut approved: Vec<u32> = self.approved.iter().map(|id| id.0).collect();
-        approved.sort_unstable();
-        let mut greedy: Vec<(u32, u32)> =
-            self.policy.iter_greedy().map(|(s, a)| (s.0, a.0)).collect();
-        greedy.sort_unstable();
+        let approved: Vec<u32> = self.approved.iter().map(|id| id.0).collect();
+        let greedy: Vec<(u32, u32)> = self.policy.iter_greedy().map(|(s, a)| (s.0, a.0)).collect();
         let mut returns: Vec<((u32, u32), Vec<f64>)> = self
             .qvalues
             .iter_returns()
             .map(|((s, a), rs)| ((s.0, a.0), rs.to_vec()))
             .collect();
         returns.sort_unstable_by_key(|&(k, _)| k);
-        let mut blacklist_votes: Vec<(u32, u32, u32)> = self
+        let blacklist_votes: Vec<(u32, u32, u32)> = self
             .blacklist
             .iter_votes()
             .map(|(id, (n, p))| (id.0, n, p))
             .collect();
-        blacklist_votes.sort_unstable();
         let mut generated: Vec<((u32, u32), Vec<u32>)> = self
             .provenance
             .iter_generated()
@@ -770,7 +776,7 @@ impl Agent {
         for &raw in &state.candidates {
             self.candidates.insert(in_space(raw)?);
         }
-        self.approved = HashSet::new();
+        self.approved = PairSet::new();
         for &raw in &state.approved {
             self.approved.insert(in_space(raw)?);
         }
@@ -811,7 +817,7 @@ impl Agent {
             (None, None) => None,
         };
         self.rng = StdRng::from_state(state.rng);
-        self.episode = EpisodeState::default();
+        self.episode.clear();
         self.episodes_completed = state.episodes_completed as usize;
         Ok(())
     }

@@ -9,14 +9,13 @@
 //! candidate set, but the link can be re-discovered by exploration and
 //! contradicted by later (correct) feedback, as §6.3 requires.
 
-use std::collections::HashMap;
-
+use crate::pairmap::PairMap;
 use crate::space::PairId;
 
 /// Vote-based set of links judged incorrect.
 #[derive(Debug, Clone, Default)]
 pub struct Blacklist {
-    votes: HashMap<PairId, (u32, u32)>, // (negatives, positives)
+    votes: PairMap<(u32, u32)>, // (negatives, positives)
     enabled: bool,
 }
 
@@ -25,7 +24,7 @@ impl Blacklist {
     /// (used by the Fig. 6 ablation).
     pub fn new(enabled: bool) -> Self {
         Blacklist {
-            votes: HashMap::new(),
+            votes: PairMap::new(),
             enabled,
         }
     }
@@ -37,7 +36,7 @@ impl Blacklist {
     /// overflow a counter back to "unblocked".
     pub fn add(&mut self, id: PairId) -> bool {
         if self.enabled {
-            let v = self.votes.entry(id).or_insert((0, 0));
+            let v = self.votes.get_or_insert(id, (0, 0));
             v.0 = v.0.saturating_add(1);
         }
         self.enabled
@@ -48,7 +47,7 @@ impl Blacklist {
     /// whether a vote was recorded. Saturating, like [`Blacklist::add`].
     pub fn endorse(&mut self, id: PairId) -> bool {
         if self.enabled {
-            if let Some(v) = self.votes.get_mut(&id) {
+            if let Some(v) = self.votes.get_mut(id) {
                 v.1 = v.1.saturating_add(1);
                 return true;
             }
@@ -61,10 +60,10 @@ impl Blacklist {
     /// An entry whose tallies return to zero is dropped entirely, so the
     /// vote map is byte-identical to one that never saw the judgment.
     pub fn retract_add(&mut self, id: PairId) {
-        if let Some(v) = self.votes.get_mut(&id) {
+        if let Some(v) = self.votes.get_mut(id) {
             v.0 = v.0.saturating_sub(1);
             if *v == (0, 0) {
-                self.votes.remove(&id);
+                self.votes.remove(id);
             }
         }
     }
@@ -72,10 +71,10 @@ impl Blacklist {
     /// Retract one positive judgment previously recorded by
     /// [`Blacklist::endorse`].
     pub fn retract_endorse(&mut self, id: PairId) {
-        if let Some(v) = self.votes.get_mut(&id) {
+        if let Some(v) = self.votes.get_mut(id) {
             v.1 = v.1.saturating_sub(1);
             if *v == (0, 0) {
-                self.votes.remove(&id);
+                self.votes.remove(id);
             }
         }
     }
@@ -92,7 +91,7 @@ impl Blacklist {
         if !self.enabled {
             return false;
         }
-        match self.votes.get(&id) {
+        match self.votes.get(id) {
             Some(&(neg, pos)) => neg >= 2 && neg > pos,
             None => false,
         }
@@ -117,9 +116,9 @@ impl Blacklist {
     }
 
     /// Iterate over `(link, (negatives, positives))` vote entries, in
-    /// arbitrary map order. Persistence sorts before encoding.
+    /// ascending link order.
     pub fn iter_votes(&self) -> impl Iterator<Item = (PairId, (u32, u32))> + '_ {
-        self.votes.iter().map(|(&id, &v)| (id, v))
+        self.votes.iter().map(|(id, &v)| (id, v))
     }
 
     /// Replace a link's vote counts wholesale (crash-recovery restore).

@@ -3,18 +3,26 @@
 //! Supports O(1) insert, O(1) remove, O(1) uniform random sampling (the
 //! feedback generator picks "a link out of the set of candidate links" at
 //! random, §7.1), and snapshotting for convergence checks.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Candidates live in a vector whose order is part of the learning state:
+//! sampling draws an index into it and removal swap-removes, so the order
+//! is deterministic and persisted as is. Each pair id's index in that
+//! vector sits in a dense slot indexed by the id.
 
 use rand::prelude::*;
 
 use crate::space::PairId;
 
+/// `positions` slot of an id that is not a candidate.
+const ABSENT: u32 = u32::MAX;
+
 /// A set of candidate links with O(1) random sampling.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
     items: Vec<PairId>,
-    positions: HashMap<PairId, usize>,
+    /// Index into `items` per pair id, [`ABSENT`] when not a candidate.
+    /// Grows on insert.
+    positions: Vec<u32>,
 }
 
 impl CandidateSet {
@@ -35,31 +43,38 @@ impl CandidateSet {
 
     /// Insert a link. Returns `true` if new.
     pub fn insert(&mut self, id: PairId) -> bool {
-        if self.positions.contains_key(&id) {
+        let i = id.0 as usize;
+        if i >= self.positions.len() {
+            self.positions.resize(i + 1, ABSENT);
+        } else if self.positions[i] != ABSENT {
             return false;
         }
-        self.positions.insert(id, self.items.len());
+        self.positions[i] = self.items.len() as u32;
         self.items.push(id);
         true
     }
 
     /// Remove a link (swap-remove). Returns `true` if present.
     pub fn remove(&mut self, id: PairId) -> bool {
-        let Some(pos) = self.positions.remove(&id) else {
+        let Some(slot) = self.positions.get_mut(id.0 as usize) else {
             return false;
         };
-        let last = self.items.len() - 1;
-        self.items.swap(pos, last);
-        self.items.pop();
-        if pos < self.items.len() {
-            self.positions.insert(self.items[pos], pos);
+        if *slot == ABSENT {
+            return false;
+        }
+        let pos = std::mem::replace(slot, ABSENT) as usize;
+        self.items.swap_remove(pos);
+        if let Some(&moved) = self.items.get(pos) {
+            self.positions[moved.0 as usize] = pos as u32;
         }
         true
     }
 
     /// Whether the link is a candidate.
     pub fn contains(&self, id: PairId) -> bool {
-        self.positions.contains_key(&id)
+        self.positions
+            .get(id.0 as usize)
+            .is_some_and(|&p| p != ABSENT)
     }
 
     /// Number of candidate links.
@@ -77,14 +92,17 @@ impl CandidateSet {
         self.items.choose(rng).copied()
     }
 
-    /// Iterate over the candidates (arbitrary order).
+    /// Iterate over the candidates in set order: insertion order, as
+    /// reshuffled by swap-remove.
     pub fn iter(&self) -> impl Iterator<Item = PairId> + '_ {
         self.items.iter().copied()
     }
 
-    /// Snapshot as a hash set (for convergence comparison).
-    pub fn snapshot(&self) -> HashSet<PairId> {
-        self.items.iter().copied().collect()
+    /// Snapshot as a sorted list (for convergence comparison).
+    pub fn snapshot(&self) -> Vec<PairId> {
+        let mut ids = self.items.clone();
+        ids.sort_unstable();
+        ids
     }
 }
 
@@ -147,9 +165,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_contents() {
-        let s = CandidateSet::from_iter([PairId(1), PairId(5), PairId(9)]);
-        let snap = s.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(snap.contains(&PairId(5)));
+        let s = CandidateSet::from_iter([PairId(9), PairId(1), PairId(5)]);
+        assert_eq!(s.snapshot(), vec![PairId(1), PairId(5), PairId(9)]);
     }
 }

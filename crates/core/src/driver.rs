@@ -326,12 +326,29 @@ fn change_frac(changed: usize, prev: usize, current: usize) -> f64 {
     }
 }
 
+/// Number of ids in exactly one of two sorted lists.
+fn symmetric_difference_len(a: &[PairId], b: &[PairId]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    a.len() + b.len() - 2 * common
+}
+
 /// What the loop keeps per partition between episodes.
 struct Track {
     /// Ground-truth links in the partition's slice (its recall basis).
     truth_len: usize,
-    /// The candidate set after the last episode.
-    prev: HashSet<PairId>,
+    /// The candidate set after the last episode, sorted.
+    prev: Vec<PairId>,
     trace: PartitionTrace,
 }
 
@@ -362,7 +379,7 @@ fn note_episode(
     let mut total = EpisodeSummary::default();
     for ((part, track), round) in parts.iter().zip(tracks.iter_mut()).zip(rounds) {
         let current = part.agent.candidates().snapshot();
-        let part_changed = current.symmetric_difference(&track.prev).count();
+        let part_changed = symmetric_difference_len(&current, &track.prev);
         // Partition i holds only left entities with id % k == i, so its
         // correct links are counted against the whole truth.
         let (part_correct, _) = {

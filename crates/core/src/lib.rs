@@ -63,6 +63,7 @@ pub mod driver;
 pub mod feature;
 pub mod feedback;
 pub mod metrics;
+mod pairmap;
 pub mod partition;
 pub mod persist;
 pub mod policy;

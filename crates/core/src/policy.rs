@@ -1,10 +1,9 @@
 //! The stochastic ε-greedy policy (§4.4, Algorithm 1).
 
-use std::collections::HashMap;
-
 use rand::prelude::*;
 
 use crate::feature::FeatureId;
+use crate::pairmap::PairMap;
 use crate::space::PairId;
 
 /// An ε-greedy policy over states (links) and actions (features).
@@ -18,7 +17,7 @@ use crate::space::PairId;
 #[derive(Debug, Clone)]
 pub struct Policy {
     epsilon: f64,
-    greedy: HashMap<PairId, FeatureId>,
+    greedy: PairMap<FeatureId>,
 }
 
 impl Policy {
@@ -27,7 +26,7 @@ impl Policy {
         assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0, 1]");
         Policy {
             epsilon,
-            greedy: HashMap::new(),
+            greedy: PairMap::new(),
         }
     }
 
@@ -38,7 +37,7 @@ impl Policy {
 
     /// The learned greedy action for a state, if any improvement has set one.
     pub fn greedy_action(&self, state: PairId) -> Option<FeatureId> {
-        self.greedy.get(&state).copied()
+        self.greedy.get(state).copied()
     }
 
     /// Number of states with a learned greedy action.
@@ -57,7 +56,7 @@ impl Policy {
         if actions.is_empty() {
             return None;
         }
-        match self.greedy.get(&state) {
+        match self.greedy.get(state) {
             // The greedy action may have referred to a feature that no
             // longer appears (defensive): fall back to random.
             Some(&g) if actions.contains(&g) => {
@@ -77,7 +76,7 @@ impl Policy {
             return 0.0;
         }
         let n = actions.len() as f64;
-        match self.greedy.get(&state) {
+        match self.greedy.get(state) {
             Some(&g) if actions.contains(&g) => {
                 if action == g {
                     (1.0 - self.epsilon) + self.epsilon / n
@@ -97,14 +96,13 @@ impl Policy {
 
     /// Forget a state's greedy action (used when a link is removed).
     pub fn forget(&mut self, state: PairId) {
-        self.greedy.remove(&state);
+        self.greedy.remove(state);
     }
 
-    /// Iterate over learned `(state, greedy action)` entries, in arbitrary
-    /// order. Persistence sorts before encoding; restore goes through
-    /// [`Policy::improve`].
+    /// Iterate over learned `(state, greedy action)` entries, in ascending
+    /// state order. Restore goes through [`Policy::improve`].
     pub fn iter_greedy(&self) -> impl Iterator<Item = (PairId, FeatureId)> + '_ {
-        self.greedy.iter().map(|(&s, &a)| (s, a))
+        self.greedy.iter().map(|(s, &a)| (s, a))
     }
 }
 

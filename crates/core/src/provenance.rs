@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 
 use crate::feature::FeatureId;
+use crate::pairmap::PairMap;
 use crate::space::PairId;
 
 /// A state-action pair: the link that received positive feedback and the
@@ -21,7 +22,7 @@ pub type StateAction = (PairId, FeatureId);
 /// negative-feedback tallies per generator.
 #[derive(Debug, Clone, Default)]
 pub struct Provenance {
-    generated_by: HashMap<PairId, StateAction>,
+    generated_by: PairMap<StateAction>,
     generated: HashMap<StateAction, Vec<PairId>>,
     votes: HashMap<StateAction, (u32, u32)>, // (negatives, positives)
 }
@@ -38,12 +39,31 @@ impl Provenance {
     /// attributed links), so a caller that may later have to retract the
     /// discovery knows whether it owns the attribution.
     pub fn record(&mut self, link: PairId, generator: StateAction) -> bool {
-        if self.generated_by.contains_key(&link) {
+        if self.generated_by.contains_key(link) {
             return false;
         }
         self.generated_by.insert(link, generator);
         self.generated.entry(generator).or_default().push(link);
         true
+    }
+
+    /// Record each link of `added`, in order, as discovered by `generator`:
+    /// [`Provenance::record`] for a whole exploration window, with one
+    /// lookup of the generator's list. Sets each entry's flag to whether
+    /// this call created its attribution.
+    pub fn record_all(&mut self, generator: StateAction, added: &mut [(PairId, bool)]) {
+        let mut any = false;
+        for (link, attributed) in added.iter_mut() {
+            *attributed = !self.generated_by.contains_key(*link);
+            if *attributed {
+                self.generated_by.insert(*link, generator);
+                any = true;
+            }
+        }
+        if any {
+            let links = added.iter().filter(|&&(_, a)| a).map(|&(l, _)| l);
+            self.generated.entry(generator).or_default().extend(links);
+        }
     }
 
     /// Retract an attribution previously created by [`Provenance::record`]
@@ -52,10 +72,10 @@ impl Provenance {
     /// that was rolled back and re-attributed in the meantime keeps its new
     /// provenance.
     pub fn retract_attribution(&mut self, link: PairId, generator: StateAction) {
-        if self.generated_by.get(&link) != Some(&generator) {
+        if self.generated_by.get(link) != Some(&generator) {
             return;
         }
-        self.generated_by.remove(&link);
+        self.generated_by.remove(link);
         if let Some(links) = self.generated.get_mut(&generator) {
             links.retain(|&l| l != link);
             if links.is_empty() {
@@ -67,20 +87,21 @@ impl Provenance {
     /// The generator of a link, if it was discovered by exploration (links
     /// from the initial candidate set have none).
     pub fn generator_of(&self, link: PairId) -> Option<StateAction> {
-        self.generated_by.get(&link).copied()
+        self.generated_by.get(link).copied()
     }
 
     /// The chain of ancestors of `link`: its generator state-action, the
     /// generator of that state, and so on. Used by first-visit MC credit
     /// assignment: feedback on a link is appended to the returns of every
     /// state-action pair that led to it (§4.4.1's example credits both
-    /// (s2, a2) and (s1, a1)). Cycle-safe.
+    /// (s2, a2) and (s1, a1)). Cycle-safe: the walk stops at the first
+    /// state-action already in the chain. Chains are short, so that check
+    /// is a scan of the chain itself.
     pub fn ancestor_chain(&self, link: PairId) -> Vec<StateAction> {
         let mut chain = Vec::new();
         let mut current = link;
-        let mut guard = std::collections::HashSet::new();
         while let Some(sa) = self.generator_of(current) {
-            if !guard.insert(sa) {
+            if chain.contains(&sa) {
                 break; // cycle
             }
             chain.push(sa);
@@ -158,7 +179,7 @@ impl Provenance {
     /// rediscovery by a different action re-attributes them.
     pub fn take_generated(&mut self, generator: StateAction) -> Vec<PairId> {
         let links = self.generated.remove(&generator).unwrap_or_default();
-        for l in &links {
+        for &l in &links {
             self.generated_by.remove(l);
         }
         self.votes.remove(&generator);
@@ -189,7 +210,7 @@ impl Provenance {
     /// appears in at most one generator's list.
     pub fn restore_generated(&mut self, generator: StateAction, links: Vec<PairId>) {
         for &l in &links {
-            self.generated_by.entry(l).or_insert(generator);
+            self.generated_by.get_or_insert(l, generator);
         }
         self.generated.insert(generator, links);
     }
@@ -243,7 +264,63 @@ mod tests {
         p.record(PairId(2), sa(3, 0));
         p.record(PairId(3), sa(2, 0));
         let chain = p.ancestor_chain(PairId(3));
-        assert_eq!(chain.len(), 2);
+        assert_eq!(chain, vec![sa(2, 0), sa(3, 0)]);
+
+        // A tail leading into a three-cycle: the walk records each
+        // state-action once and stops where the chain would repeat.
+        let mut p = Provenance::new();
+        p.record(PairId(9), sa(4, 1));
+        p.record(PairId(4), sa(5, 0));
+        p.record(PairId(5), sa(6, 2));
+        p.record(PairId(6), sa(4, 0));
+        assert_eq!(
+            p.ancestor_chain(PairId(9)),
+            vec![sa(4, 1), sa(5, 0), sa(6, 2), sa(4, 0)]
+        );
+        // A link that generated itself.
+        p.record(PairId(7), sa(7, 3));
+        assert_eq!(p.ancestor_chain(PairId(7)), vec![sa(7, 3)]);
+    }
+
+    #[test]
+    fn batched_attribution_matches_per_link_records() {
+        // Overlapping windows: first writer wins within a batch, across
+        // batches, and for a generator whose whole window was taken.
+        let windows = [
+            (sa(1, 0), vec![10, 11, 12, 13]),
+            (sa(2, 1), vec![12, 14, 10, 15]),
+            (sa(1, 0), vec![16, 11]),
+            (sa(3, 0), vec![10, 11]),
+            (sa(2, 1), vec![]),
+        ];
+        let mut single = Provenance::new();
+        let mut batched = Provenance::new();
+        for (generator, links) in &windows {
+            let expected: Vec<(PairId, bool)> = links
+                .iter()
+                .map(|&l| (PairId(l), single.record(PairId(l), *generator)))
+                .collect();
+            let mut added: Vec<(PairId, bool)> = links.iter().map(|&l| (PairId(l), true)).collect();
+            batched.record_all(*generator, &mut added);
+            assert_eq!(added, expected, "window of {generator:?}");
+        }
+        let lists = |p: &Provenance| {
+            let mut lists: Vec<_> = p.iter_generated().map(|(g, ls)| (g, ls.to_vec())).collect();
+            lists.sort();
+            lists
+        };
+        assert_eq!(lists(&batched), lists(&single));
+        assert_eq!(
+            lists(&batched)[0],
+            (sa(1, 0), [10, 11, 12, 13, 16].map(PairId).to_vec())
+        );
+        assert_eq!(batched.generated_count(sa(3, 0)), 0, "no empty list");
+        for l in 0..20 {
+            assert_eq!(
+                batched.generator_of(PairId(l)),
+                single.generator_of(PairId(l))
+            );
+        }
     }
 
     #[test]

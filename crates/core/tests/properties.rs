@@ -10,6 +10,7 @@ use alex_core::{
 use alex_rdf::Dataset;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::IndexedRandom;
 use rand::SeedableRng;
 
 /// Build a small deterministic space from a name list.
@@ -24,30 +25,50 @@ fn space_from_names(names: &[String]) -> LinkSpace {
 }
 
 proptest! {
-    /// CandidateSet behaves exactly like a HashSet under arbitrary
-    /// insert/remove interleavings, and sampling stays within the set.
+    /// CandidateSet behaves exactly like a swap-remove vector: the same
+    /// membership answers, the same iteration order and the same seeded
+    /// samples. Ids are drawn sparsely from a wide range, so the dense
+    /// position slots grow past their length on insert and removals and
+    /// lookups hit both absent slots and ids beyond the end.
     #[test]
     fn candidate_set_matches_reference(
-        ops in proptest::collection::vec((0u32..50, prop::bool::ANY), 0..200),
+        ops in proptest::collection::vec((0u32..5000, 0u8..3), 0..200),
         seed in 0u64..1000,
     ) {
         let mut set = CandidateSet::new();
-        let mut reference: HashSet<PairId> = HashSet::new();
-        for (id, insert) in ops {
-            let id = PairId(id);
-            if insert {
-                prop_assert_eq!(set.insert(id), reference.insert(id));
+        let mut reference: Vec<PairId> = Vec::new();
+        for (raw, kind) in ops {
+            let id = match kind {
+                // Remove a present id, so swap-remove reorders the set.
+                2 if !reference.is_empty() => reference[raw as usize % reference.len()],
+                _ => PairId(raw),
+            };
+            let pos = reference.iter().position(|&x| x == id);
+            prop_assert_eq!(set.contains(id), pos.is_some());
+            if kind == 0 {
+                prop_assert_eq!(set.insert(id), pos.is_none());
+                if pos.is_none() {
+                    reference.push(id);
+                }
             } else {
-                prop_assert_eq!(set.remove(id), reference.remove(&id));
+                prop_assert_eq!(set.remove(id), pos.is_some());
+                if let Some(pos) = pos {
+                    reference.swap_remove(pos);
+                }
             }
         }
         prop_assert_eq!(set.len(), reference.len());
-        prop_assert_eq!(set.snapshot(), reference.clone());
+        prop_assert_eq!(set.iter().collect::<Vec<_>>(), reference.clone());
+        let mut sorted = reference.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(set.snapshot(), sorted);
         let mut rng = StdRng::seed_from_u64(seed);
-        if let Some(sampled) = set.sample(&mut rng) {
-            prop_assert!(reference.contains(&sampled));
-        } else {
-            prop_assert!(reference.is_empty());
+        let mut reference_rng = StdRng::seed_from_u64(seed);
+        for _ in 0..4 {
+            prop_assert_eq!(
+                set.sample(&mut rng),
+                reference.choose(&mut reference_rng).copied()
+            );
         }
     }
 

@@ -68,6 +68,18 @@ ALEX_THREADS=4 cargo test --test space_golden -q
 ALEX_THREADS=1 cargo test --test space_scores -q
 ALEX_THREADS=4 cargo test --test space_scores -q
 
+echo "==> golden run digests and learning-state properties (ALEX_THREADS=1 and 4)"
+# Report, per-partition and link digests of partitioned runs, and the
+# trust-gated run's final links, persisted agent state and admission log,
+# must match the pinned digests at any pool width: a change to the agent's
+# learning state (candidate set, approvals, blacklist, provenance) stays
+# byte-identical or updates a digest on purpose. The candidate set must
+# match a swap-remove vector in membership, order and seeded samples.
+ALEX_THREADS=1 cargo test --test run_golden -q
+ALEX_THREADS=4 cargo test --test run_golden -q
+ALEX_THREADS=1 cargo test -p alex-core --test properties -q
+ALEX_THREADS=4 cargo test -p alex-core --test properties -q
+
 echo "==> paper figure digests (release experiments, ALEX_THREADS=2)"
 # Every figure's output, minus fig10's wall-time lines, must match its
 # committed sha256: a change to the driver, the agent or the kernels either

@@ -14,12 +14,19 @@
 //!
 //! Every run generates its pair and samples its starting links from
 //! `SEED`; the agents keep the default configuration seed.
+//!
+//! The trust-gated run is pinned separately by the final links, the
+//! agent's captured learning state as persistence encodes it, and the
+//! admission log, since none of those reach the episode reports.
 
 use alex::core::{
-    run_partitioned, AlexConfig, EpisodeReport, PartitionedConfig, PartitionedRun, SpaceConfig,
+    persist, run_partitioned, run_partitioned_with, AdversarialPopulation, AlexConfig,
+    EpisodeReport, FeedbackSource, PartitionSnapshot, PartitionedConfig, PartitionedRun,
+    RunSnapshot, SpaceConfig, TrustConfig,
 };
 use alex::datagen::{
-    generate_pair, sample_initial_links, DatasetKind, GeneratedPair, InitialLinksSpec, PairSpec,
+    assign_roles, generate_pair, sample_initial_links, AdversaryProfile, DatasetKind,
+    GeneratedPair, InitialLinksSpec, PairSpec,
 };
 
 const SEED: u64 = 20160501;
@@ -174,5 +181,98 @@ fn dbpedia_lexvo_runs_are_golden() {
         27,
         200,
         ["9741dfe17c20acb0", "6eece187bebbee1b", "283b05b89e6fd8c6"],
+    );
+}
+
+/// A trust-gated run in the shape of `alex improve --trust --sources 5
+/// --adversary-profile flipper:0.2 --error-rate 0.1` (one partition,
+/// rollback and blacklist on) over a reduced DBpedia–Lexvo pair.
+/// Exploration windows there are wide, so the run churns many links
+/// through the candidate set, approvals, blacklist and provenance, and
+/// revokes admissions.
+#[test]
+fn gated_runs_are_golden() {
+    let mut spec = PairSpec::of(DatasetKind::DBpedia, DatasetKind::Lexvo);
+    spec.shared = 110;
+    spec.left_only = 600;
+    spec.right_only = 60;
+    let pair = generate_pair(&spec.config(SEED));
+    let initial = sample_initial_links(&pair, InitialLinksSpec::low_p_low_r(SEED + 3));
+    let cfg = PartitionedConfig {
+        partitions: 1,
+        alex: AlexConfig {
+            episode_size: 250,
+            max_episodes: 6,
+            trust: Some(TrustConfig::default()),
+            ..AlexConfig::default()
+        },
+        space: SpaceConfig::default(),
+        feedback_error_rate: 0.1,
+    };
+    let profile = AdversaryProfile::parse("flipper:0.2").expect("profile");
+    let (seed, error_rate) = (cfg.alex.seed, cfg.feedback_error_rate);
+    let (report, agents) = run_partitioned_with(
+        &pair.left,
+        &pair.right,
+        &initial,
+        &pair.ground_truth,
+        &cfg,
+        |i, truth| -> Box<dyn FeedbackSource> {
+            let seed = seed.wrapping_add(i as u64);
+            let roles = assign_roles(Some(&profile), 5, seed);
+            Box::new(AdversarialPopulation::new(
+                truth.clone(),
+                roles,
+                error_rate,
+                seed,
+            ))
+        },
+        None,
+        None,
+    )
+    .expect("run");
+    let agent = &agents[0];
+    let gate = agent.trust_gate().expect("trust gate");
+    assert_eq!(report.episodes.len(), 6);
+    assert!(
+        gate.log.iter().any(|r| r.revoked) && gate.log.iter().any(|r| r.rollback.is_some()),
+        "the run must exercise revocation and rollback"
+    );
+
+    let mut links = Fnv::new();
+    for (l, r) in alex::core::final_links(&agents) {
+        links.bytes(pair.left.resolve(l).as_bytes());
+        links.bytes(b"\t");
+        links.bytes(pair.right.resolve(r).as_bytes());
+        links.bytes(b"\n");
+    }
+    let mut state = Fnv::new();
+    state.bytes(&persist::encode_snapshot(&RunSnapshot {
+        base_fingerprint: agent.base_fingerprint(),
+        last_episode: report.episodes.len() as u64,
+        completed: true,
+        relaxed_converged_at: None,
+        episodes: Vec::new(),
+        partitions: vec![PartitionSnapshot {
+            episodes: Vec::new(),
+            agent: agent.capture_state(),
+            source_state: Vec::new(),
+        }],
+    }));
+    let mut log = Fnv::new();
+    log.bytes(format!("{:?}", gate.log).as_bytes());
+
+    assert_eq!(
+        (
+            agent.candidates().len(),
+            gate.log.len(),
+            [links.0, state.0, log.0].map(|h| format!("{h:016x}"))
+        ),
+        (
+            576,
+            396,
+            ["75e5daab7dbf60ab", "51e1e4a97cf0e574", "d4c9304b5220529d"].map(String::from)
+        ),
+        "(candidates, log length, [links, state, log] digests)"
     );
 }
