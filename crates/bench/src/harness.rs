@@ -116,10 +116,7 @@ impl Workload {
         let cfg = PartitionedConfig {
             partitions: self.partitions,
             alex: self.alex.clone(),
-            space: SpaceConfig {
-                theta: self.alex.theta,
-                ..SpaceConfig::default()
-            },
+            space: SpaceConfig::default(),
             feedback_error_rate: self.error_rate,
         };
         let run = run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg);

@@ -149,8 +149,10 @@ impl Agent {
             let id = space.ensure_pair(l, r);
             candidates.insert(id);
         }
-        let base_fingerprint =
-            persist::base_fingerprint(space.fingerprint(), persist::config_fingerprint(&cfg));
+        let base_fingerprint = persist::base_fingerprint(
+            space.fingerprint(),
+            persist::config_fingerprint(&cfg, space.theta()),
+        );
         let base_admissions = space.admissions().len();
         Agent {
             space,

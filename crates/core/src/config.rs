@@ -4,11 +4,11 @@
 use alex_trust::TrustConfig;
 
 /// Configuration for an ALEX agent.
+///
+/// θ, the feature-value floor of §6.1, belongs to the link space the agent
+/// explores: see [`crate::SpaceConfig::theta`].
 #[derive(Debug, Clone)]
 pub struct AlexConfig {
-    /// θ — feature values below this are discarded when building the link
-    /// space (§6.1). Paper default: 0.3.
-    pub theta: f64,
     /// Step size — the exploration offset around a feature score (§4.2).
     /// Paper default: 0.05.
     pub step_size: f64,
@@ -67,7 +67,6 @@ pub struct AlexConfig {
 impl Default for AlexConfig {
     fn default() -> Self {
         AlexConfig {
-            theta: 0.3,
             step_size: 0.05,
             episode_size: 1000,
             epsilon: 0.05,
@@ -104,7 +103,6 @@ impl AlexConfig {
     /// Validate invariants; panics with a descriptive message on nonsense
     /// values (these are developer-facing configuration errors).
     pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.theta), "theta must be in [0, 1]");
         assert!(self.step_size > 0.0, "step_size must be positive");
         assert!(self.episode_size > 0, "episode_size must be positive");
         assert!(
@@ -140,7 +138,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = AlexConfig::default();
-        assert_eq!(c.theta, 0.3);
         assert_eq!(c.step_size, 0.05);
         assert_eq!(c.episode_size, 1000);
         assert_eq!(c.max_episodes, 100);
@@ -163,16 +160,6 @@ mod tests {
                 quorum: 0.0,
                 ..TrustConfig::default()
             }),
-            ..AlexConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "theta")]
-    fn validate_rejects_bad_theta() {
-        AlexConfig {
-            theta: 1.5,
             ..AlexConfig::default()
         }
         .validate();

@@ -73,7 +73,9 @@ pub mod simmatrix;
 pub mod space;
 pub mod trust_gate;
 pub mod value_fn;
-pub mod values;
+
+/// The interned attribute values every scorer reads, from `alex-linking`.
+pub use alex_linking::values;
 
 pub use adversary::AdversarialPopulation;
 pub use agent::{Agent, EpisodeSummary, StepOutcome};

@@ -276,12 +276,14 @@ fn fnv_mix(h: &mut u64, v: u64) {
     }
 }
 
-/// Order-sensitive FNV-1a fingerprint of every [`AlexConfig`] field.
-/// Resuming under a different configuration would silently diverge from the
+/// Order-sensitive FNV-1a fingerprint of every [`AlexConfig`] field, with
+/// the link space's θ first (where the agent configuration used to carry a
+/// copy of it, so existing snapshots keep their fingerprint). Resuming
+/// under a different configuration would silently diverge from the
 /// original run, so the snapshot pins it.
-pub fn config_fingerprint(cfg: &AlexConfig) -> u64 {
+pub fn config_fingerprint(cfg: &AlexConfig, theta: f64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    fnv_mix(&mut h, cfg.theta.to_bits());
+    fnv_mix(&mut h, theta.to_bits());
     fnv_mix(&mut h, cfg.step_size.to_bits());
     fnv_mix(&mut h, cfg.episode_size as u64);
     fnv_mix(&mut h, cfg.epsilon.to_bits());
@@ -863,23 +865,24 @@ mod tests {
     #[test]
     fn config_fingerprint_is_field_sensitive() {
         let base = AlexConfig::default();
-        let fp = config_fingerprint(&base);
-        assert_eq!(fp, config_fingerprint(&AlexConfig::default()));
+        let fp = config_fingerprint(&base, 0.3);
+        assert_eq!(fp, config_fingerprint(&AlexConfig::default(), 0.3));
+        assert_ne!(fp, config_fingerprint(&base, 0.4));
         let reseeded = AlexConfig {
             seed: base.seed + 1,
             ..AlexConfig::default()
         };
-        assert_ne!(fp, config_fingerprint(&reseeded));
+        assert_ne!(fp, config_fingerprint(&reseeded, 0.3));
         let shifted = AlexConfig {
             epsilon: base.epsilon + 0.01,
             ..AlexConfig::default()
         };
-        assert_ne!(fp, config_fingerprint(&shifted));
+        assert_ne!(fp, config_fingerprint(&shifted, 0.3));
         let trusted = AlexConfig {
             trust: Some(alex_trust::TrustConfig::default()),
             ..AlexConfig::default()
         };
-        let tfp = config_fingerprint(&trusted);
+        let tfp = config_fingerprint(&trusted, 0.3);
         assert_ne!(fp, tfp);
         let requorumed = AlexConfig {
             trust: Some(alex_trust::TrustConfig {
@@ -888,6 +891,6 @@ mod tests {
             }),
             ..AlexConfig::default()
         };
-        assert_ne!(tfp, config_fingerprint(&requorumed));
+        assert_ne!(tfp, config_fingerprint(&requorumed, 0.3));
     }
 }

@@ -24,13 +24,16 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use alex_linking::scores::ValueScores;
+use alex_linking::values::SideValues;
 use alex_linking::{candidate_pairs, BlockingConfig};
+use alex_parallel::Pool;
 use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{prepared_similarity, TokenInterner};
+use alex_telemetry::counter;
 
 use crate::feature::{FeatureCatalog, FeatureId, FeatureSet};
-use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set, ValueScores};
-use crate::values::SideValues;
+use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
 
 /// Dense id of an entity pair in the link space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,7 +101,10 @@ impl PreparedSides {
         }
     }
 
-    fn check_blocking(&self, cfg: &SpaceConfig) {
+    /// Assert that `cfg` can build from these sides: θ in `[0, 1]`, and
+    /// the blocking the candidates came from.
+    fn check(&self, cfg: &SpaceConfig) {
+        assert!((0.0..=1.0).contains(&cfg.theta), "theta must be in [0, 1]");
         assert_eq!(
             cfg.blocking, self.blocking,
             "space config blocking differs from the prepared sides' blocking"
@@ -115,6 +121,22 @@ impl PreparedSides {
             .filter(|&(l, _)| l as usize % n == i)
             .collect()
     }
+}
+
+/// The θ-sparse score table of `candidates`' value pairs, on the
+/// `space_build` pool, with its work counted in the `space_*` counters.
+fn score_values(sides: &PreparedSides, candidates: &[(u32, u32)], theta: f64) -> ValueScores {
+    let scores = ValueScores::build(
+        &sides.left_values,
+        &sides.right_values,
+        candidates,
+        theta,
+        &Pool::new("space_build"),
+    );
+    counter!("space_value_pairs_scored_total").add(scores.scored());
+    counter!("space_value_pairs_kept_total").add(scores.kept() as u64);
+    counter!("space_token_pairs_scored_total").add(scores.token_pairs_scored());
+    scores
 }
 
 /// The filtered space of candidate links.
@@ -147,20 +169,16 @@ impl LinkSpace {
     ///
     /// # Panics
     ///
-    /// If `cfg.blocking` differs from the blocking `sides` was prepared
-    /// with: the candidates were blocked then and cannot be re-blocked.
+    /// If `cfg.theta` is outside `[0, 1]`, or `cfg.blocking` differs from
+    /// the blocking `sides` was prepared with: the candidates were blocked
+    /// then and cannot be re-blocked.
     pub fn from_prepared(sides: &PreparedSides, cfg: &SpaceConfig) -> LinkSpace {
-        sides.check_blocking(cfg);
+        sides.check(cfg);
         let candidates: Cow<'_, [(u32, u32)]> = match cfg.partition {
             Some((i, n)) => Cow::Owned(sides.partition_candidates(i, n)),
             None => Cow::Borrowed(&sides.candidates),
         };
-        let scores = ValueScores::build(
-            &sides.left_values,
-            &sides.right_values,
-            &candidates,
-            cfg.theta,
-        );
+        let scores = score_values(sides, &candidates, cfg.theta);
         LinkSpace::assemble(sides, &candidates, cfg.theta, &scores)
     }
 
@@ -173,16 +191,12 @@ impl LinkSpace {
     ///
     /// # Panics
     ///
-    /// If `n` is 0, or `cfg.blocking` differs from the blocking of `sides`.
+    /// If `n` is 0, `cfg.theta` is outside `[0, 1]`, or `cfg.blocking`
+    /// differs from the blocking of `sides`.
     pub fn partitions(sides: &PreparedSides, cfg: &SpaceConfig, n: usize) -> Vec<LinkSpace> {
-        sides.check_blocking(cfg);
+        sides.check(cfg);
         assert!(n > 0, "at least one partition");
-        let scores = ValueScores::build(
-            &sides.left_values,
-            &sides.right_values,
-            &sides.candidates,
-            cfg.theta,
-        );
+        let scores = score_values(sides, &sides.candidates, cfg.theta);
         (0..n)
             .map(|i| {
                 let candidates = sides.partition_candidates(i, n);
@@ -206,8 +220,7 @@ impl LinkSpace {
         // original candidate order — the exact intern sequence the
         // sequential loop produces, so feature ids (and everything
         // downstream) are byte-identical at any thread count.
-        let pool = alex_parallel::Pool::new("space_build");
-        let raw = pool.map(candidates, |&(l, r)| {
+        let raw = Pool::new("space_build").map(candidates, |&(l, r)| {
             raw_feature_set(
                 left_values.attrs(l),
                 right_values.attrs(r),
@@ -621,6 +634,40 @@ mod tests {
         let (left, right) = datasets();
         let cfg = SpaceConfig {
             partition: Some((3, 3)),
+            ..SpaceConfig::default()
+        };
+        let _ = LinkSpace::build(&left, &right, &cfg);
+    }
+
+    #[test]
+    fn value_pair_counters_reach_prometheus_export() {
+        let (left, right) = datasets();
+        let _ = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let text = alex_telemetry::global().metrics().render_prometheus();
+        for name in [
+            "space_value_pairs_scored_total",
+            "space_value_pairs_kept_total",
+            "space_token_pairs_scored_total",
+        ] {
+            assert!(text.contains(&format!("# TYPE {name} counter")), "{text}");
+            // Distinct names meet on the shared "player" token, so every
+            // counter is positive after one build.
+            assert!(
+                text.lines().any(|l| {
+                    l.strip_prefix(&format!("{name} "))
+                        .is_some_and(|v| v.parse::<u64>().is_ok_and(|n| n >= 1))
+                }),
+                "{name} missing or zero in export:\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "theta")]
+    fn build_rejects_theta_outside_unit_interval() {
+        let (left, right) = datasets();
+        let cfg = SpaceConfig {
+            theta: 1.5,
             ..SpaceConfig::default()
         };
         let _ = LinkSpace::build(&left, &right, &cfg);

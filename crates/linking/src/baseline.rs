@@ -5,14 +5,14 @@
 //! strawman that PARIS (and ALEX on top of it) improves upon; `alex link
 //! --baseline` and `examples/paris_linking.rs` compare the two.
 
-use alex_rdf::{Dataset, EntityIndex, Term};
-use alex_sim::{
-    best_in, prepared_similarity, term_similarity, typed_value, PreparedCorpus, PreparedValue,
-    TokenInterner, TypedValue,
-};
+use alex_parallel::Pool;
+use alex_rdf::{Dataset, Term};
+use alex_sim::{term_similarity, TokenInterner};
 
 use crate::blocking::{candidate_pairs, BlockingConfig};
 use crate::candidates::{LinkSet, LinkerOutput, ScoredLink};
+use crate::scores::ValueScores;
+use crate::values::{SideValues, ValueId};
 
 /// Configuration for the label baseline.
 #[derive(Debug, Clone)]
@@ -35,29 +35,31 @@ impl Default for LabelBaseline {
 impl LabelBaseline {
     /// Link `left` and `right` by best literal-value similarity.
     ///
-    /// Each left entity's prepared text literals are probes, swept with
-    /// [`best_in`] over each right entity's text literals packed in a
-    /// [`PreparedCorpus`]; remaining literal pairs go
-    /// through [`prepared_similarity`]. Scores are byte-identical to the
-    /// naive per-pair [`best_literal_similarity`] oracle (tested below):
-    /// the batch kernel equals `string_similarity`, and `max` is
-    /// order-independent.
+    /// Both sides' values are prepared once, and one [`ValueScores`] table
+    /// at `threshold` scores every value pair the blocked candidates meet.
+    /// A pair the table misses scored below the threshold, so it cannot
+    /// lift a best score to the threshold: every emitted link's score is
+    /// bitwise the naive [`best_literal_similarity`] oracle's (tested
+    /// below).
     pub fn link(&self, left: &Dataset, right: &Dataset) -> LinkerOutput {
         let left_index = left.entity_index();
         let right_index = right.entity_index();
         let pairs = candidate_pairs(left, &left_index, right, &right_index, &self.blocking);
 
         let mut interner = TokenInterner::new();
-        let probes: Vec<ProbeEntity> = (0..left_index.len() as u32)
-            .map(|id| ProbeEntity::build(left, &left_index, id, &mut interner))
-            .collect();
-        let cands: Vec<CandidateEntity> = (0..right_index.len() as u32)
-            .map(|id| CandidateEntity::build(right, &right_index, id, &mut interner))
-            .collect();
+        let left_values = SideValues::build(left, &left_index, &mut interner);
+        let right_values = SideValues::build(right, &right_index, &mut interner);
+        let scores = ValueScores::build(
+            &left_values,
+            &right_values,
+            &pairs,
+            self.threshold,
+            &Pool::new("baseline"),
+        );
 
         let mut links = LinkSet::new();
         for (lid, rid) in pairs {
-            let score = probes[lid as usize].best_against(&cands[rid as usize]);
+            let score = best_kept(&left_values, &right_values, &scores, lid, rid);
             if score >= self.threshold {
                 links.push(ScoredLink {
                     left: lid,
@@ -74,95 +76,29 @@ impl LabelBaseline {
     }
 }
 
-/// A left entity's literal values, prepared once: the text literals are
-/// batch probes, and every literal's [`PreparedValue`] serves the mixed and
-/// non-text combinations.
-struct ProbeEntity {
-    values: Vec<PreparedValue>,
-}
-
-/// A right entity's literal values, prepared once: its text literals
-/// packed in an arena corpus for batch sweeps, plus every literal's
-/// [`PreparedValue`].
-struct CandidateEntity {
-    values: Vec<PreparedValue>,
-    text_corpus: PreparedCorpus,
-}
-
-fn literal_values(
-    ds: &Dataset,
-    idx: &EntityIndex,
-    id: u32,
-    interner: &mut TokenInterner,
-) -> Vec<PreparedValue> {
-    ds.graph()
-        .matching(Some(idx.term(id)), None, None)
-        .filter(|t| t.object.is_literal())
-        .map(|t| PreparedValue::prepare(typed_value(ds, t.object), interner))
-        .collect()
-}
-
-fn is_text(v: &PreparedValue) -> bool {
-    matches!(v.value(), TypedValue::Text(_))
-}
-
-impl ProbeEntity {
-    fn build(
-        ds: &Dataset,
-        idx: &EntityIndex,
-        id: u32,
-        interner: &mut TokenInterner,
-    ) -> ProbeEntity {
-        ProbeEntity {
-            values: literal_values(ds, idx, id, interner),
-        }
-    }
-
-    /// The best similarity between any literal of this entity and any
-    /// literal of `cand` — equal to [`best_literal_similarity`] on the raw
-    /// terms, including its ≥ 1.0 short-circuit.
-    fn best_against(&self, cand: &CandidateEntity) -> f64 {
-        let mut best = 0.0f64;
-        // Text × text: batch kernel sweeps over the packed corpus.
-        for probe in self.values.iter().filter(|v| is_text(v)) {
-            best = best.max(best_in(probe.text(), &cand.text_corpus));
+/// The best score `scores` kept between a literal of left entity `l` and a
+/// literal of right entity `r` (0.0 when it kept none), with the oracle's
+/// 1.0 short-circuit: [`best_literal_similarity`] whenever that reaches the
+/// table's threshold.
+fn best_kept(left: &SideValues, right: &SideValues, scores: &ValueScores, l: u32, r: u32) -> f64 {
+    let mut best = 0.0f64;
+    for a in literals(left, l) {
+        for b in literals(right, r) {
+            best = best.max(scores.score(a, b));
             if best >= 1.0 {
                 return 1.0;
             }
         }
-        // Every combination with a non-text side: generic prepared path.
-        for lv in &self.values {
-            for rv in &cand.values {
-                if is_text(lv) && is_text(rv) {
-                    continue;
-                }
-                best = best.max(prepared_similarity(lv, rv));
-                if best >= 1.0 {
-                    return 1.0;
-                }
-            }
-        }
-        best
     }
+    best
 }
 
-impl CandidateEntity {
-    fn build(
-        ds: &Dataset,
-        idx: &EntityIndex,
-        id: u32,
-        interner: &mut TokenInterner,
-    ) -> CandidateEntity {
-        let values = literal_values(ds, idx, id, interner);
-        let mut text_corpus = PreparedCorpus::new();
-        for v in values.iter().filter(|v| is_text(v)) {
-            text_corpus.push_prepared(v.text());
-        }
-        CandidateEntity {
-            values,
-            text_corpus,
-        }
-    }
+/// Entity `e`'s literal values, in triple-store order.
+fn literals(side: &SideValues, e: u32) -> impl Iterator<Item = ValueId> + '_ {
+    side.attrs(e)
+        .iter()
+        .map(|&(_, v)| v)
+        .filter(|&v| side.term(v).is_literal())
 }
 
 /// The best similarity between any literal value of `l` and any literal
@@ -242,34 +178,74 @@ mod tests {
     #[test]
     fn batched_scoring_matches_naive_oracle() {
         // Mixed-kind literals: text, numeric-looking text, typed years,
-        // plus multi-valued entities — every dispatch arm of the batched
-        // path must agree bitwise with the naive per-pair oracle.
+        // plus multi-valued entities and IRI-valued attributes (which the
+        // baseline ignores) — at every threshold, including ones no score
+        // can miss (≤ 0) or reach (> 1), the table-backed best score must
+        // equal the naive per-pair oracle bitwise whenever that reaches
+        // the threshold, and the links must be the oracle's.
         let mut left = Dataset::new("L");
         left.add_str("http://l/a", "http://l/label", "LeBron James");
         left.add_str("http://l/a", "http://l/born", "1984");
+        left.add_iri("http://l/a", "http://l/team", "http://l/c");
         left.add_str("http://l/b", "http://l/label", "Café München");
         left.add_str("http://l/b", "http://l/alt", "cafe muenchen");
+        left.add_iri("http://l/b", "http://l/seeAlso", "http://x/James_LeBron");
         left.add_str("http://l/c", "http://l/num", "42");
         let mut right = Dataset::new("R");
         right.add_str("http://r/1", "http://r/name", "James, LeBron");
         right.add_str("http://r/1", "http://r/year", "1984");
+        right.add_iri("http://r/1", "http://r/page", "http://x/James_LeBron");
         right.add_str("http://r/2", "http://r/name", "Cafe Munchen");
+        right.add_iri("http://r/2", "http://r/near", "http://r/3");
         right.add_str("http://r/3", "http://r/name", "42.0");
         let (li, ri) = (left.entity_index(), right.entity_index());
-
+        let all: Vec<(u32, u32)> = (0..li.len() as u32)
+            .flat_map(|l| (0..ri.len() as u32).map(move |r| (l, r)))
+            .collect();
         let mut interner = TokenInterner::new();
-        let probes: Vec<ProbeEntity> = (0..li.len() as u32)
-            .map(|id| ProbeEntity::build(&left, &li, id, &mut interner))
-            .collect();
-        let cands: Vec<CandidateEntity> = (0..ri.len() as u32)
-            .map(|id| CandidateEntity::build(&right, &ri, id, &mut interner))
-            .collect();
-        for l in 0..li.len() as u32 {
-            for r in 0..ri.len() as u32 {
-                let batched = probes[l as usize].best_against(&cands[r as usize]);
+        let lv = SideValues::build(&left, &li, &mut interner);
+        let rv = SideValues::build(&right, &ri, &mut interner);
+        let everything = BlockingConfig {
+            min_token_len: 1,
+            max_posting_frac: 1.0,
+            min_shared_tokens: 1,
+            skip_numeric_tokens: false,
+        };
+        let blocked = candidate_pairs(&left, &li, &right, &ri, &everything);
+        for threshold in [-0.5, 0.0, 0.5, 0.9, 1.0, 1.5] {
+            let scores = ValueScores::build(&lv, &rv, &all, threshold, &Pool::new("test"));
+            let mut naive_links = LinkSet::new();
+            for &(l, r) in &all {
+                let got = best_kept(&lv, &rv, &scores, l, r);
                 let naive = best_literal_similarity(&left, li.term(l), &right, ri.term(r));
-                assert_eq!(batched.to_bits(), naive.to_bits(), "pair ({l}, {r})");
+                if naive >= threshold {
+                    assert_eq!(got.to_bits(), naive.to_bits(), "θ {threshold}: ({l}, {r})");
+                    if blocked.contains(&(l, r)) {
+                        naive_links.push(ScoredLink {
+                            left: l,
+                            right: r,
+                            score: naive,
+                        });
+                    }
+                } else {
+                    assert!(got < threshold, "θ {threshold}: ({l}, {r})");
+                }
             }
+            let linked = LabelBaseline {
+                threshold,
+                blocking: everything,
+            }
+            .link(&left, &right);
+            let bits = |set: &LinkSet| {
+                set.iter()
+                    .map(|x| (x.left, x.right, x.score.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(&linked.links),
+                bits(&naive_links.one_to_one()),
+                "θ {threshold}"
+            );
         }
     }
 

@@ -10,7 +10,10 @@
 //! * [`LabelBaseline`] — a naive best-label-similarity linker, the strawman
 //!   PARIS is compared against;
 //! * [`LinkSet`] / [`LinkerOutput`] — scored links plus the entity indexes
-//!   that give the dense ids meaning.
+//!   that give the dense ids meaning;
+//! * [`values`] and [`scores`] — every entity's interned, prepared
+//!   attribute values and the θ-sparse value-pair score table that PARIS,
+//!   the baseline and ALEX's link space all read their similarities from.
 //!
 //! ```
 //! use alex_rdf::Dataset;
@@ -33,6 +36,8 @@ pub mod baseline;
 pub mod blocking;
 pub mod candidates;
 pub mod paris;
+pub mod scores;
+pub mod values;
 
 pub use baseline::LabelBaseline;
 pub use blocking::{candidate_pairs, BlockingConfig};

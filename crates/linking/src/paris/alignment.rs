@@ -18,26 +18,18 @@
 //! ## Hot-path layout
 //!
 //! The inner loop compares every attribute of `x` against every attribute
-//! of `y` for every candidate pair, every pass. Three structures keep that
+//! of `y` for every candidate pair, every pass. Two structures keep that
 //! loop allocation-free:
 //!
-//! * [`AttrArena`] — per-entity attribute lists packed into one flat
-//!   vector with offsets; each distinct object term's [`PreparedValue`]
-//!   (typed value + normalized/tokenized/interned text) is computed
-//!   **once** per data set, and IRI objects carry their pre-resolved
-//!   entity id.
+//! * a θ-sparse [`ValueScores`] table over both sides' [`SideValues`],
+//!   built once before the first pass at `sim_threshold`: every distinct
+//!   value pair the candidates meet is scored once, and a pair the table
+//!   misses scored below the floor, so it is discarded exactly as the
+//!   floor test below would discard it;
 //! * [`ScoreTable`] — the previous pass's equivalence estimates in a dense
 //!   pair-indexed `Vec<f64>` (0.0 = no evidence), with the pair→index map
 //!   built once; the hot path does one hash probe instead of building and
 //!   cloning a `HashMap` per pass.
-//! * A **value-similarity memo** keyed by `(left term, right term)`.
-//!   Memoized values are pure function results — `prepared_similarity`
-//!   depends only on the two terms — so *what* the memo contains can never
-//!   change a score, only how fast it is produced. Workers fill per-chunk
-//!   shards that are merged into the global memo in chunk order after each
-//!   pass; any insertion order yields the same map contents because every
-//!   shard computes identical values for identical keys. Hit/miss totals
-//!   land in `simmemo_hits_total` / `simmemo_misses_total`.
 //!
 //! Every pass retains snapshot semantics: each pair scores against the
 //! estimates from the *previous* pass only, so per-pair scoring fans out
@@ -46,12 +38,15 @@
 
 use std::collections::HashMap;
 
-use alex_rdf::{Dataset, EntityIndex, Sym, Term};
-use alex_sim::{prepared_similarity, typed_value, PreparedValue, TokenInterner};
-use alex_telemetry::{counter, emit, span, Event};
+use alex_parallel::Pool;
+use alex_rdf::{Dataset, EntityIndex, Sym};
+use alex_sim::TokenInterner;
+use alex_telemetry::{emit, span, Event};
 
 use super::functionality::Functionality;
 use crate::candidates::{LinkSet, ScoredLink};
+use crate::scores::ValueScores;
+use crate::values::{SideValues, ValueId};
 
 /// Tunables for the alignment iteration.
 #[derive(Debug, Clone, Copy)]
@@ -75,77 +70,37 @@ impl Default for AlignmentConfig {
     }
 }
 
-/// One packed attribute: predicate, the raw object term (the memo key),
-/// the object's entity id when it is an indexed IRI, and the index of its
-/// prepared value in the arena's value table.
-struct PackedAttr {
-    pred: Sym,
-    term: Term,
-    /// Pre-resolved `idx.id(term)` for IRI objects — saves a hash probe
-    /// per comparison in the hot loop.
-    entity: Option<u32>,
-    /// Index into [`AttrArena::values`].
-    value: u32,
+/// One data set as the alignment reads it: its entities' attribute
+/// values, its predicates' functionality, and for each value the indexed
+/// entity it names, if it is an IRI that does.
+struct Side {
+    values: SideValues,
+    fun: Functionality,
+    entities: Vec<Option<u32>>,
 }
 
-/// Arena-packed per-entity attribute lists for one data set.
-///
-/// `attrs` holds every (entity, predicate, object) occurrence back to
-/// back, grouped by entity id with `offsets` delimiting each group (same
-/// iteration order as the triple store, so noisy-or factor order — and
-/// therefore the floating-point product — is unchanged from the unpacked
-/// representation). `values` holds one [`PreparedValue`] per *distinct*
-/// object term: literals are typed, normalized, and tokenized exactly
-/// once per data set instead of once per comparison.
-struct AttrArena {
-    attrs: Vec<PackedAttr>,
-    /// `attrs[offsets[id] .. offsets[id + 1]]` are entity `id`'s attributes.
-    offsets: Vec<u32>,
-    values: Vec<PreparedValue>,
-}
-
-impl AttrArena {
-    fn build(ds: &Dataset, idx: &EntityIndex, interner: &mut TokenInterner) -> AttrArena {
-        let mut attrs = Vec::new();
-        let mut offsets = Vec::with_capacity(idx.len() + 1);
-        offsets.push(0u32);
-        let mut values: Vec<PreparedValue> = Vec::new();
-        let mut value_of: HashMap<Term, u32> = HashMap::new();
-        for id in 0..idx.len() as u32 {
-            let entity = idx.term(id);
-            for t in ds.graph().matching(Some(entity), None, None) {
-                let pred = t.predicate.as_iri().expect("IRI predicate");
-                let term = t.object;
-                let value = *value_of.entry(term).or_insert_with(|| {
-                    let v = u32::try_from(values.len()).expect("value table fits u32");
-                    values.push(PreparedValue::prepare(typed_value(ds, term), interner));
-                    v
-                });
-                let entity_ref = if term.is_iri() { idx.id(term) } else { None };
-                attrs.push(PackedAttr {
-                    pred,
-                    term,
-                    entity: entity_ref,
-                    value,
-                });
-            }
-            offsets.push(u32::try_from(attrs.len()).expect("arena fits u32"));
-        }
-        AttrArena {
-            attrs,
-            offsets,
+impl Side {
+    fn new(ds: &Dataset, idx: &EntityIndex, interner: &mut TokenInterner) -> Side {
+        let values = SideValues::build(ds, idx, interner);
+        let entities = (0..values.value_count() as u32)
+            .map(|v| {
+                let term = values.term(ValueId(v));
+                if term.is_iri() {
+                    idx.id(term)
+                } else {
+                    None
+                }
+            })
+            .collect();
+        Side {
             values,
+            fun: Functionality::compute(ds),
+            entities,
         }
     }
 
-    fn attrs(&self, id: u32) -> &[PackedAttr] {
-        let lo = self.offsets[id as usize] as usize;
-        let hi = self.offsets[id as usize + 1] as usize;
-        &self.attrs[lo..hi]
-    }
-
-    fn value(&self, a: &PackedAttr) -> &PreparedValue {
-        &self.values[a.value as usize]
+    fn entity(&self, v: ValueId) -> Option<u32> {
+        self.entities[v.0 as usize]
     }
 }
 
@@ -185,25 +140,13 @@ impl ScoreTable {
     }
 }
 
-/// Memoized value similarities keyed by `(left term, right term)`.
-///
-/// Values are pure function results of the key, so the map's contents are
-/// independent of which worker inserted them — determinism needs no
-/// coordination, only the chunk-ordered merge below for reproducible
-/// *capacity* behaviour.
-type SimMemo = HashMap<(Term, Term), f64>;
-
-/// Per-chunk output of one scoring pass: the chunk's scores in input
-/// order, its freshly computed memo entries, and memo traffic counts.
-struct ChunkOut {
-    scores: Vec<f64>,
-    shard: SimMemo,
-    hits: u64,
-    misses: u64,
-}
-
 /// Run the alignment over the blocked candidate pairs, returning the raw
 /// (not yet thresholded or one-to-one) scored links.
+///
+/// # Panics
+///
+/// If `pairs` is not sorted by `(left, right)` without duplicates, as
+/// blocking returns them.
 pub fn align(
     left: &Dataset,
     left_idx: &EntityIndex,
@@ -212,18 +155,15 @@ pub fn align(
     pairs: &[(u32, u32)],
     cfg: &AlignmentConfig,
 ) -> LinkSet {
-    let left_fun = Functionality::compute(left);
-    let right_fun = Functionality::compute(right);
-
-    // Pack both attribute arenas against one shared token interner: token
-    // ids must agree across data sets for the interned Jaccard kernel.
+    // Both sides share one token interner: token ids must agree across
+    // data sets for the interned Jaccard kernel.
     let mut interner = TokenInterner::new();
-    let left_arena = AttrArena::build(left, left_idx, &mut interner);
-    let right_arena = AttrArena::build(right, right_idx, &mut interner);
+    let left = Side::new(left, left_idx, &mut interner);
+    let right = Side::new(right, right_idx, &mut interner);
 
-    let pool = alex_parallel::Pool::new("paris");
+    let pool = Pool::new("paris");
+    let sims = ValueScores::build(&left.values, &right.values, pairs, cfg.sim_threshold, &pool);
     let mut table = ScoreTable::new(pairs);
-    let mut memo: SimMemo = SimMemo::new();
 
     // Pass 0 bootstraps with a uniform relation alignment and no previous
     // equivalence estimates; passes 1..=iterations re-estimate both.
@@ -236,56 +176,13 @@ pub fn align(
         let rel_align = if pass == 0 {
             RelationAlignment::uniform()
         } else {
-            RelationAlignment::estimate(
-                &left_arena,
-                &right_arena,
-                pairs,
-                &table,
-                cfg,
-                &pool,
-                &mut memo,
-            )
+            RelationAlignment::estimate(&left, &right, &sims, pairs, &table, cfg, &pool)
         };
-        let chunks = pool.map_chunks(pairs, |chunk| {
-            let mut out = ChunkOut {
-                scores: Vec::with_capacity(chunk.len()),
-                shard: SimMemo::new(),
-                hits: 0,
-                misses: 0,
-            };
-            for &(l, r) in chunk {
-                let s = pair_score(
-                    &left_arena,
-                    &right_arena,
-                    left_arena.attrs(l),
-                    right_arena.attrs(r),
-                    &left_fun,
-                    &right_fun,
-                    &rel_align,
-                    &table,
-                    &memo,
-                    &mut out,
-                    cfg,
-                );
-                out.scores.push(s);
-            }
-            out
+        // Ordered merge: scores come back in pair order, byte-identical to
+        // the sequential map at any thread count.
+        table.scores = pool.map(pairs, |&pair| {
+            pair_score(&left, &right, pair, &sims, &rel_align, &table, cfg)
         });
-        // Ordered merge: scores concatenate in chunk order (byte-identical
-        // to the sequential map at any thread count); memo shards fold in
-        // chunk order — shard contents are pure function results, so merge
-        // order could not change them anyway.
-        let mut next = Vec::with_capacity(pairs.len());
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for chunk in chunks {
-            next.extend(chunk.scores);
-            memo.extend(chunk.shard);
-            hits += chunk.hits;
-            misses += chunk.misses;
-        }
-        table.scores = next;
-        counter!("simmemo_hits_total").add(hits);
-        counter!("simmemo_misses_total").add(misses);
         emit!(Event::ParisIteration {
             iteration: pass as u64,
             matches: table.positive() as u64,
@@ -310,40 +207,6 @@ pub fn align(
     links.into_iter().collect()
 }
 
-/// Memoized similarity of one attribute pair's values.
-///
-/// Only pairs where both sides carry prepared text go through the memo —
-/// string comparison is the expensive kernel worth caching; numeric and
-/// temporal comparisons are a few flops, cheaper than the hash probe.
-#[inline]
-fn sim_for(
-    left_arena: &AttrArena,
-    right_arena: &AttrArena,
-    la: &PackedAttr,
-    ra: &PackedAttr,
-    memo: &SimMemo,
-    out: &mut ChunkOut,
-) -> f64 {
-    let lv = left_arena.value(la);
-    let rv = right_arena.value(ra);
-    if !(lv.is_texty() && rv.is_texty()) {
-        return prepared_similarity(lv, rv);
-    }
-    let key = (la.term, ra.term);
-    if let Some(&s) = memo.get(&key) {
-        out.hits += 1;
-        return s;
-    }
-    if let Some(&s) = out.shard.get(&key) {
-        out.hits += 1;
-        return s;
-    }
-    out.misses += 1;
-    let s = prepared_similarity(lv, rv);
-    out.shard.insert(key, s);
-    s
-}
-
 /// Pairwise relation alignment estimates.
 struct RelationAlignment {
     /// `align(r, r')` for observed relation pairs; `None` map = uniform 1.0.
@@ -364,23 +227,22 @@ impl RelationAlignment {
 
     /// Estimate `align(r, r')` from currently-matched pairs: the fraction of
     /// matches where some value of `r` agrees (similarity above the floor)
-    /// with some value of `r'`.
+    /// with some value of `r'`. A value pair the table misses scored below
+    /// the floor, so it never agrees.
     ///
     /// Matched pairs are filtered sequentially (one dense-table scan), then
     /// chunk-local agree/seen counts fan out over `pool` and merge by
     /// addition in chunk order — exact for integer-valued `f64` counters,
     /// so the table is independent of both chunk boundaries and thread
-    /// count. Freshly computed similarities flow back into the caller's
-    /// memo, so the scoring pass that follows starts warm.
-    #[allow(clippy::too_many_arguments)]
+    /// count.
     fn estimate(
-        left_arena: &AttrArena,
-        right_arena: &AttrArena,
+        left: &Side,
+        right: &Side,
+        sims: &ValueScores,
         pairs: &[(u32, u32)],
         table: &ScoreTable,
         cfg: &AlignmentConfig,
-        pool: &alex_parallel::Pool,
-        memo: &mut SimMemo,
+        pool: &Pool,
     ) -> Self {
         type Counts = HashMap<(Sym, Sym), (f64, f64)>;
         let matched: Vec<(u32, u32)> = pairs
@@ -391,40 +253,27 @@ impl RelationAlignment {
             .collect();
         let chunks = pool.map_chunks(&matched, |chunk| {
             let mut counts = Counts::new();
-            let mut out = ChunkOut {
-                scores: Vec::new(),
-                shard: SimMemo::new(),
-                hits: 0,
-                misses: 0,
-            };
             for &(l, r) in chunk {
-                for la in left_arena.attrs(l) {
-                    for ra in right_arena.attrs(r) {
-                        let sim = sim_for(left_arena, right_arena, la, ra, memo, &mut out);
-                        let entry = counts.entry((la.pred, ra.pred)).or_insert((0.0, 0.0));
+                for &(lp, lv) in left.values.attrs(l) {
+                    for &(rp, rv) in right.values.attrs(r) {
+                        let entry = counts.entry((lp, rp)).or_insert((0.0, 0.0));
                         entry.1 += 1.0;
-                        if sim >= cfg.sim_threshold {
+                        if sims.score(lv, rv) >= cfg.sim_threshold {
                             entry.0 += 1.0;
                         }
                     }
                 }
             }
-            (counts, out)
+            counts
         });
         let mut counts = Counts::new();
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (partial, out) in chunks {
+        for partial in chunks {
             for (key, (a, n)) in partial {
                 let entry = counts.entry(key).or_insert((0.0, 0.0));
                 entry.0 += a;
                 entry.1 += n;
             }
-            memo.extend(out.shard);
-            hits += out.hits;
-            misses += out.misses;
         }
-        counter!("simmemo_hits_total").add(hits);
-        counter!("simmemo_misses_total").add(misses);
         let table = counts
             .into_iter()
             .map(|(key, (a, n))| {
@@ -438,38 +287,34 @@ impl RelationAlignment {
 
 /// Noisy-or combination of attribute evidence for one candidate pair.
 ///
-/// Factor order is the arena's attribute order — the triple store's
-/// iteration order, identical to the pre-arena representation — so the
-/// floating-point product is byte-identical to the unpacked code path.
-#[allow(clippy::too_many_arguments)]
+/// Factor order is the attribute order — the triple store's iteration
+/// order — so the floating-point product is reproducible. A value pair
+/// the table misses scored below `sim_threshold`; as `f64::NEG_INFINITY`
+/// it yields to an IRI pair's previous estimate in `max`, and is skipped
+/// by the floor test otherwise, exactly as its true score would be.
 fn pair_score(
-    left_arena: &AttrArena,
-    right_arena: &AttrArena,
-    l_attrs: &[PackedAttr],
-    r_attrs: &[PackedAttr],
-    left_fun: &Functionality,
-    right_fun: &Functionality,
+    left: &Side,
+    right: &Side,
+    (l, r): (u32, u32),
+    sims: &ValueScores,
     rel_align: &RelationAlignment,
     prev: &ScoreTable,
-    memo: &SimMemo,
-    out: &mut ChunkOut,
     cfg: &AlignmentConfig,
 ) -> f64 {
     let mut not_equal = 1.0f64;
-    for la in l_attrs {
-        for ra in r_attrs {
-            let mut sim = sim_for(left_arena, right_arena, la, ra, memo, out);
+    for &(lp, lv) in left.values.attrs(l) {
+        for &(rp, rv) in right.values.attrs(r) {
+            let mut sim = sims.score(lv, rv);
             // IRI-valued objects: reuse the previous pass's
             // entity-equivalence estimate when both objects are indexed
-            // entities (ids pre-resolved at arena build).
-            if let (Some(li), Some(ri)) = (la.entity, ra.entity) {
+            // entities.
+            if let (Some(li), Some(ri)) = (left.entity(lv), right.entity(rv)) {
                 sim = sim.max(prev.get(li, ri));
             }
             if sim < cfg.sim_threshold {
                 continue;
             }
-            let weight = right_fun.ifun(ra.pred).max(left_fun.ifun(la.pred))
-                * rel_align.get(la.pred, ra.pred);
+            let weight = right.fun.ifun(rp).max(left.fun.ifun(lp)) * rel_align.get(lp, rp);
             let evidence = (weight * sim).clamp(0.0, 1.0);
             not_equal *= 1.0 - evidence;
         }
@@ -480,6 +325,7 @@ fn pair_score(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alex_rdf::Term;
 
     fn build() -> (Dataset, Dataset) {
         let mut left = Dataset::new("L");
@@ -606,27 +452,6 @@ mod tests {
         let base = run(1);
         for threads in [2, 4, 8] {
             assert_eq!(run(threads), base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn simmemo_counters_reach_prometheus_export() {
-        let (left, right) = build();
-        let (li, ri) = (left.entity_index(), right.entity_index());
-        let pairs = all_pairs(&li, &ri);
-        align(&left, &li, &right, &ri, &pairs, &AlignmentConfig::default());
-        let text = alex_telemetry::global().metrics().render_prometheus();
-        for name in ["simmemo_hits_total", "simmemo_misses_total"] {
-            assert!(text.contains(&format!("# TYPE {name} counter")), "{text}");
-            // The fixture revisits every literal pair across iterations, so
-            // both counters must be strictly positive after one alignment.
-            assert!(
-                text.lines().any(|l| {
-                    l.strip_prefix(&format!("{name} "))
-                        .is_some_and(|v| v.parse::<u64>().is_ok_and(|n| n >= 1))
-                }),
-                "{name} missing or zero in export:\n{text}"
-            );
         }
     }
 }

@@ -1,14 +1,14 @@
 //! Precomputed, interned attribute values.
 //!
-//! Building the link space evaluates millions of value similarities; parsing
-//! and classifying each RDF term on every comparison would dominate the
-//! cost. [`SideValues`] resolves, classifies *and prepares* every distinct
+//! PARIS, the label baseline and the link space each evaluate millions of
+//! value similarities; parsing and classifying each RDF term on every
+//! comparison would dominate the cost. [`SideValues`] resolves, classifies *and prepares* every distinct
 //! object term of one side once: each value carries its normalized form,
 //! token spans and interned Jaccard token ids ([`PreparedValue`]), so the
 //! similarity hot loop never re-normalizes a string or allocates a
 //! `HashSet`. Entities refer to their values by [`ValueId`], so a literal
 //! shared by many entities (or by two predicates of one entity) is prepared
-//! once, and the score table ([`crate::simmatrix::ValueScores`]) can score
+//! once, and the score table ([`crate::scores::ValueScores`]) can score
 //! each distinct value pair once. Both sides of a comparison must be built
 //! against one shared [`TokenInterner`] — token ids are only meaningful
 //! within an interner.
@@ -28,6 +28,8 @@ pub struct ValueId(pub u32);
 #[derive(Debug, Clone, Default)]
 pub struct SideValues {
     values: Vec<PreparedValue>,
+    /// The object term of each value, parallel to `values`.
+    terms: Vec<Term>,
     attrs: Vec<(Sym, ValueId)>,
     /// `attrs[offsets[id] .. offsets[id + 1]]` are entity `id`'s attributes.
     offsets: Vec<u32>,
@@ -40,6 +42,7 @@ impl SideValues {
     /// the same token sequence as a build that prepared every occurrence.
     pub fn build(ds: &Dataset, idx: &EntityIndex, interner: &mut TokenInterner) -> SideValues {
         let mut values = Vec::new();
+        let mut terms = Vec::new();
         let mut value_of: HashMap<Term, ValueId> = HashMap::new();
         let mut attrs = Vec::new();
         let mut offsets = Vec::with_capacity(idx.len() + 1);
@@ -53,6 +56,7 @@ impl SideValues {
                 };
                 let value = *value_of.entry(t.object).or_insert_with(|| {
                     values.push(PreparedValue::prepare(typed_value(ds, t.object), interner));
+                    terms.push(t.object);
                     ValueId(values.len() as u32 - 1)
                 });
                 attrs.push((pred, value));
@@ -61,6 +65,7 @@ impl SideValues {
         }
         SideValues {
             values,
+            terms,
             attrs,
             offsets,
         }
@@ -77,6 +82,11 @@ impl SideValues {
     /// The prepared form of value `v`.
     pub fn value(&self, v: ValueId) -> &PreparedValue {
         &self.values[v.0 as usize]
+    }
+
+    /// The object term value `v` was prepared from.
+    pub fn term(&self, v: ValueId) -> Term {
+        self.terms[v.0 as usize]
     }
 
     /// Number of distinct values.
@@ -166,6 +176,7 @@ mod tests {
             assert_eq!(got.len(), expected.len());
             for (&(p, v), &(ep, eo)) in got.iter().zip(&expected) {
                 assert_eq!(p, ep);
+                assert_eq!(vals.term(v), eo);
                 assert_eq!(*vals.value(v).value(), typed_value(&ds, eo));
             }
         }

@@ -18,7 +18,7 @@
 //! injected panic therefore never leaves a half-executed job behind: the
 //! quarantine retry runs the closure exactly once, which is the heart of
 //! the byte-identity argument even for closures with interior state
-//! (endpoint call counters, memo shards).
+//! (endpoint call counters).
 //!
 //! Profile grammar (modelled on `FaultProfile::parse` in the federation
 //! layer): comma-separated `key=value` pairs —

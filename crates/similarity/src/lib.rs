@@ -17,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod combined;
 pub mod date;
 pub mod numeric;
@@ -25,13 +24,12 @@ pub mod prepared;
 pub mod string;
 pub mod value;
 
-pub use batch::{best_in, score_batch, PreparedCorpus};
 pub use combined::{term_similarity, value_similarity};
 pub use date::{date_similarity, date_year_similarity, year_similarity};
 pub use numeric::{boolean_similarity, relative_numeric, scaled_numeric};
 pub use prepared::{
-    jaccard_ids, prepared_similarity, prepared_similarity_with, prepared_string_similarity,
-    PreparedText, PreparedValue, TokenInterner,
+    jaccard_ids, prepared_similarity, prepared_similarity_with, PreparedText, PreparedValue,
+    TokenInterner,
 };
 pub use string::{
     jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,

@@ -148,18 +148,6 @@ impl PreparedText {
         }
     }
 
-    /// The normalized form.
-    pub fn norm(&self) -> &str {
-        &self.norm
-    }
-
-    /// The normalized tokens, in order.
-    pub fn tokens(&self) -> impl Iterator<Item = &str> {
-        self.token_spans
-            .iter()
-            .map(|&(s, e)| &self.norm[s as usize..e as usize])
-    }
-
     /// The `i`-th normalized token.
     pub fn token(&self, i: usize) -> &str {
         let (s, e) = self.token_spans[i];
@@ -172,59 +160,29 @@ impl PreparedText {
         &self.span_ids
     }
 
-    /// Byte ranges of the tokens within [`PreparedText::norm`], in order.
-    pub(crate) fn token_spans(&self) -> &[(u32, u32)] {
-        &self.token_spans
-    }
-
     /// Sorted, deduplicated token ids (the Jaccard set).
     pub fn token_ids(&self) -> &[u32] {
         &self.token_ids
     }
 
-    pub(crate) fn view(&self) -> TextView<'_> {
-        TextView {
-            norm: &self.norm,
-            tokens: Tokens {
-                text: &self.norm,
-                spans: &self.token_spans,
-            },
-            ids: &self.token_ids,
+    /// The normalized tokens, as the string kernels read them.
+    fn spans(&self) -> Tokens<'_> {
+        Tokens {
+            text: &self.norm,
+            spans: &self.token_spans,
         }
     }
 }
 
-/// Borrowed prepared text: what [`PreparedText`] and a
-/// [`crate::PreparedCorpus`] entry both lend to the scoring core.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TextView<'a> {
-    pub(crate) norm: &'a str,
-    pub(crate) tokens: Tokens<'a>,
-    pub(crate) ids: &'a [u32],
-}
-
-/// The string similarity of two prepared texts, branch for branch
-/// [`crate::string_similarity`] on pre-derived state, allocating only
-/// where a fallback string kernel or Monge-Elkan's column buffer does.
-pub(crate) fn view_similarity(a: TextView<'_>, b: TextView<'_>) -> f64 {
-    combine(a, b, || monge_elkan(a.tokens, b.tokens))
-}
-
-/// [`crate::string_similarity`]'s combination of its parts: 1.0 for equal
-/// normalized forms, else the larger of squared Monge-Elkan (`me`, called
-/// only then) and token Jaccard.
-fn combine(a: TextView<'_>, b: TextView<'_>, me: impl FnOnce() -> f64) -> f64 {
+/// [`crate::string_similarity`]'s combination of its parts on two prepared
+/// texts: 1.0 for equal normalized forms, else the larger of squared
+/// Monge-Elkan (`me`, called only then) and token Jaccard.
+fn combine(a: &PreparedText, b: &PreparedText, me: impl FnOnce() -> f64) -> f64 {
     if a.norm == b.norm {
         return 1.0;
     }
     let me = me();
-    (me * me).max(jaccard_ids(a.ids, b.ids))
-}
-
-/// Similarity of two prepared strings — byte-identical to
-/// [`crate::string_similarity`] on the raw strings.
-pub fn prepared_string_similarity(a: &PreparedText, b: &PreparedText) -> f64 {
-    view_similarity(a.view(), b.view())
+    (me * me).max(jaccard_ids(&a.token_ids, &b.token_ids))
 }
 
 /// A [`TypedValue`] with its lexical form prepared for string comparison.
@@ -265,12 +223,6 @@ impl PreparedValue {
     pub fn text(&self) -> &PreparedText {
         &self.text
     }
-
-    /// Whether the value is compared as a string against every kind:
-    /// `Text` and `Iri` values.
-    pub fn is_texty(&self) -> bool {
-        matches!(self.value, TypedValue::Text(_) | TypedValue::Iri(_))
-    }
 }
 
 /// Similarity of two prepared values, in [0, 1] — byte-identical to
@@ -280,7 +232,7 @@ impl PreparedValue {
 /// [`prepared_similarity_with`] with Monge-Elkan over
 /// [`crate::token_similarity`], each row token's pattern built once.
 pub fn prepared_similarity(a: &PreparedValue, b: &PreparedValue) -> f64 {
-    prepared_similarity_with(a, b, |x, y| monge_elkan(x.view().tokens, y.view().tokens))
+    prepared_similarity_with(a, b, |x, y| monge_elkan(x.spans(), y.spans()))
 }
 
 /// [`prepared_similarity`] with the caller's Monge-Elkan: `monge_elkan(x,
@@ -311,11 +263,7 @@ pub fn prepared_similarity_with(
         (V::Iri(_), _) | (_, V::Iri(_)) => None,
         _ => Some(crate::value_similarity(&a.value, &b.value)),
     };
-    native.unwrap_or_else(|| {
-        combine(a.text.view(), b.text.view(), || {
-            monge_elkan(&a.text, &b.text)
-        })
-    })
+    native.unwrap_or_else(|| combine(&a.text, &b.text, || monge_elkan(&a.text, &b.text)))
 }
 
 /// Text `t` against a value of another kind, natively, when the text
@@ -363,9 +311,9 @@ mod tests {
         ];
         let mut interner = TokenInterner::new();
         for (a, b) in cases {
-            let pa = PreparedText::prepare(a, &mut interner);
-            let pb = PreparedText::prepare(b, &mut interner);
-            let got = prepared_string_similarity(&pa, &pb);
+            let pa = prep(TypedValue::Text(a.into()), &mut interner);
+            let pb = prep(TypedValue::Text(b.into()), &mut interner);
+            let got = prepared_similarity(&pa, &pb);
             let want = string_similarity(a, b);
             assert_eq!(got.to_bits(), want.to_bits(), "{a:?} vs {b:?}");
         }

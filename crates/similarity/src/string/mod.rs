@@ -95,8 +95,8 @@ impl<'a> TokenPattern<'a> {
 }
 
 /// Tokens as byte ranges into one text: the layout of a
-/// [`crate::PreparedText`] and of a [`crate::PreparedCorpus`] entry, so
-/// every Monge-Elkan caller hands over its tokens without collecting them.
+/// [`crate::PreparedText`], so every Monge-Elkan caller hands over its
+/// tokens without collecting them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Tokens<'a> {
     pub(crate) text: &'a str,
@@ -160,8 +160,7 @@ pub fn monge_elkan_by<F: FnMut(usize) -> f64>(
 
 /// Symmetric Monge-Elkan over tokenized inputs with [`token_similarity`]
 /// as the inner measure, each row token's [`TokenPattern`] built once: the
-/// core of [`monge_elkan_jw`], [`crate::prepared_similarity`] and
-/// [`crate::score_batch`].
+/// core of [`monge_elkan_jw`] and [`crate::prepared_similarity`].
 pub(crate) fn monge_elkan(a: Tokens<'_>, b: Tokens<'_>) -> f64 {
     monge_elkan_by(a.spans.len(), b.spans.len(), |i| {
         let pattern = TokenPattern::new(a.get(i));

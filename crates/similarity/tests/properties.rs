@@ -4,9 +4,9 @@
 use alex_sim::{
     jaccard_ids, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp,
     levenshtein_similarity, monge_elkan_jw, myers_levenshtein, normalize, prepared_similarity,
-    prepared_string_similarity, relative_numeric, scaled_numeric, score_batch, string_similarity,
-    token_similarity, trigram_dice, value_similarity, Date, PreparedCorpus, PreparedText,
-    PreparedValue, TokenInterner, TokenPattern, TypedValue, SLICE_MAX,
+    relative_numeric, scaled_numeric, string_similarity, token_similarity, trigram_dice,
+    value_similarity, Date, PreparedText, PreparedValue, TokenInterner, TokenPattern, TypedValue,
+    SLICE_MAX,
 };
 use proptest::prelude::*;
 
@@ -151,16 +151,17 @@ proptest! {
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
     }
 
-    /// The full prepared string kernel (batch Monge-Elkan + interned
-    /// Jaccard) is bitwise equal to `string_similarity`, including on
-    /// block-crossing and combining-mark inputs.
+    /// The full prepared string kernel (pattern Monge-Elkan + interned
+    /// Jaccard), as `prepared_similarity` runs it on two text values, is
+    /// bitwise equal to `string_similarity`, including on block-crossing
+    /// and combining-mark inputs.
     #[test]
     fn prepared_equals_string_similarity(a in ".{0,70}", b in ".{0,70}") {
         let a = format!("{a}\u{0301}");
         let mut interner = TokenInterner::new();
-        let pa = PreparedText::prepare(&a, &mut interner);
-        let pb = PreparedText::prepare(&b, &mut interner);
-        let fast = prepared_string_similarity(&pa, &pb);
+        let pa = PreparedValue::prepare(TypedValue::Text(a.clone()), &mut interner);
+        let pb = PreparedValue::prepare(TypedValue::Text(b.clone()), &mut interner);
+        let fast = prepared_similarity(&pa, &pb);
         let slow = string_similarity(&a, &b);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
     }
@@ -377,20 +378,6 @@ proptest! {
     #[test]
     fn monge_elkan_is_bitwise_symmetric(a in "[a-c ]{0,30}", b in "[a-c ]{0,30}") {
         prop_assert_eq!(monge_elkan_jw(&a, &b).to_bits(), monge_elkan_jw(&b, &a).to_bits());
-    }
-
-    /// Batch scoring equals `string_similarity` for every candidate.
-    #[test]
-    fn batch_equals_string_similarity(p in ".{0,30}", c1 in ".{0,30}", c2 in "[a-c ]{0,20}") {
-        let mut interner = TokenInterner::new();
-        let mut corpus = PreparedCorpus::new();
-        corpus.push(&c1, &mut interner);
-        corpus.push(&c2, &mut interner);
-        let probe = PreparedText::prepare(&p, &mut interner);
-        let mut scores = Vec::new();
-        score_batch(&probe, &corpus, &mut scores);
-        prop_assert_eq!(scores[0].to_bits(), string_similarity(&p, &c1).to_bits());
-        prop_assert_eq!(scores[1].to_bits(), string_similarity(&p, &c2).to_bits());
     }
 
     /// `prepared_similarity` equals `value_similarity` for every pair of

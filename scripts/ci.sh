@@ -27,7 +27,7 @@ cargo clippy -p alex-telemetry -- -D warnings
 # panic-free too (crate-wide unwrap/expect deny, see crates/trust/src/lib.rs).
 cargo clippy -p alex-trust -- -D warnings
 # The similarity kernels and the deterministic pool are the alignment hot
-# path: the bit-parallel/interned/batch kernels and the work-stealing
+# path: the bit-parallel/interned kernels and the work-stealing
 # scheduler must stay warning-free.
 cargo clippy -p alex-sim -- -D warnings
 cargo clippy -p alex-parallel -- -D warnings
@@ -53,11 +53,16 @@ echo "==> kernel equivalence properties (token pattern ≡ string kernels, dispa
 # combining-mark inputs, and interned to string Jaccard. Prepared value
 # similarity must be bitwise symmetric for every pair of value kinds, as
 # its single dispatch assumes, and PARIS alignment must stay byte-identical
-# across thread counts.
+# across thread counts and equal to a per-attribute-pair transcription.
 cargo test -p alex-sim --test properties -q
 cargo test -p alex-linking --test properties -q
 
-echo "==> golden link-space digests and score-table differential (ALEX_THREADS=1 and 4)"
+echo "==> golden linker and link-space digests, score-table differential (ALEX_THREADS=1 and 4)"
+# PARIS and label-baseline links (term pairs and score bits) on a generated
+# and a hand-built pair must match the digests pinned before both linkers
+# moved onto the shared value-score table.
+ALEX_THREADS=1 cargo test --test link_golden -q
+ALEX_THREADS=4 cargo test --test link_golden -q
 # Pairs, feature ids and score bits of three generated spaces, full and in
 # 27 partitions from one shared preparation, must match the pinned digests
 # at any pool width. Spaces read from the shared value-pair score table

@@ -338,6 +338,16 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
+/// A probability-like flag: a finite number in `[0, 1]`.
+fn parse_unit_flag(flags: &[(String, String)], name: &str, default: f64) -> Result<f64, String> {
+    let v: f64 = parse_flag(flags, name, default)?;
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("--{name} must be a number in [0, 1], got {v}"))
+    }
+}
+
 /// Apply the process-global pool settings: `--threads N` (pool width;
 /// without the flag the pool keeps its own resolution order — the
 /// ALEX_THREADS env var, else `available_parallelism`), `--panic-policy`
@@ -882,10 +892,10 @@ fn cmd_link(args: &[String]) -> Result<(), String> {
         return Err("link requires exactly two data files".into());
     };
     configure_threads(&flags)?;
+    let threshold = parse_unit_flag(&flags, "threshold", 0.80)?;
     let telemetry = telemetry_setup(&flags)?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
-    let threshold: f64 = parse_flag(&flags, "threshold", 0.80)?;
 
     let started = std::time::Instant::now();
     let output: LinkerOutput = if flag(&flags, "baseline").is_some() {
@@ -1077,7 +1087,7 @@ fn improve_with_oracle(
             ..AlexConfig::default()
         },
         space: SpaceConfig::default(),
-        feedback_error_rate: parse_flag(flags, "error-rate", 0.0f64)?,
+        feedback_error_rate: parse_unit_flag(flags, "error-rate", 0.0)?,
     };
     if cfg.partitions == 0 {
         return Err("--partitions must be at least 1".into());

@@ -350,6 +350,50 @@ fn improve_rejects_missing_inputs() {
 }
 
 #[test]
+fn probability_flags_reject_values_outside_the_unit_interval() {
+    let dir = workdir("unit-flags");
+    let data = dir.join("d.nt");
+    std::fs::write(&data, "<http://e/a> <http://e/p> \"v\" .\n").expect("write");
+    let d = data.to_string_lossy().to_string();
+    let out_file = dir.join("links.nt");
+    let o = out_file.to_string_lossy().to_string();
+    for bad in ["nan", "inf", "-0.1", "1.5"] {
+        for baseline in [false, true] {
+            let mut cmd = alex();
+            cmd.args(["link", &d, &d, "--threshold", bad, "--out", &o]);
+            if baseline {
+                cmd.arg("--baseline");
+            }
+            let out = cmd.output().expect("spawn");
+            assert_eq!(out.status.code(), Some(2), "--threshold {bad}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("--threshold"), "{stderr}");
+            assert!(!out_file.exists(), "--threshold {bad} wrote links");
+        }
+    }
+    for bad in ["2", "nan", "-1"] {
+        let out = alex()
+            .args([
+                "improve",
+                &d,
+                &d,
+                "--links",
+                &d,
+                "--truth",
+                &d,
+                "--error-rate",
+                bad,
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--error-rate {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--error-rate"), "{stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn turtle_files_are_accepted() {
     let dir = workdir("turtle");
     let data = dir.join("data.ttl");
