@@ -808,6 +808,14 @@ impl Agent {
             self.provenance
                 .restore_votes((in_space(s)?, FeatureId(a)), n, p);
         }
+        if let Some(ts) = &state.trust {
+            for &(link, _) in &ts.pending {
+                in_space(link)?;
+            }
+            for id in ts.log.iter().flat_map(AdmissionRecord::pair_ids) {
+                in_space(id.0)?;
+            }
+        }
         self.trust = match (self.cfg.trust, &state.trust) {
             (Some(cfg), Some(ts)) => Some(TrustGate::from_state(cfg, ts)),
             (Some(cfg), None) => Some(TrustGate::new(cfg)),
@@ -1278,6 +1286,56 @@ mod tests {
         let gate = fresh.trust_gate().unwrap();
         assert_eq!(gate.buffer.pending_votes(), 1);
         assert_eq!(gate.log.len(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_trust_ids_outside_the_space() {
+        let mut agent = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
+        let link = agent.space().id_of(0, 1).unwrap();
+        let good = agent.space().id_of(0, 0).unwrap();
+        vote(&mut agent, link, 1, false); // deferred, stays buffered
+        vote(&mut agent, good, 2, true);
+        vote(&mut agent, good, 3, true); // admitted positive
+        agent.end_episode();
+        let state = agent.capture_state();
+
+        fn undo(
+            generator: PairId,
+            links: Vec<PairId>,
+            removed: Vec<PairId>,
+        ) -> Option<RollbackUndo> {
+            Some(RollbackUndo {
+                generator: (generator, FeatureId(0)),
+                links,
+                votes: (1, 0),
+                removed,
+            })
+        }
+        let tampers: [fn(&mut persist::TrustState, PairId); 8] = [
+            |t, far| t.pending[0].0 = far.0,
+            |t, far| t.log[0].state = far,
+            |t, far| t.log[0].added.push((far, true)),
+            |t, far| t.log[0].credited.push((far, FeatureId(0))),
+            |t, far| t.log[0].prov_target = Some((far, FeatureId(0))),
+            |t, far| t.log[0].rollback = undo(far, vec![], vec![]),
+            |t, far| t.log[0].rollback = undo(PairId(0), vec![far], vec![]),
+            |t, far| t.log[0].rollback = undo(PairId(0), vec![PairId(0)], vec![far]),
+        ];
+        for (i, tamper) in tampers.iter().enumerate() {
+            let mut bad = state.clone();
+            tamper(bad.trust.as_mut().unwrap(), PairId(u32::MAX));
+            let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
+            let err = fresh.restore_state(&bad).unwrap_err();
+            assert!(
+                err.contains("does not belong to this run"),
+                "tamper {i}: {err}"
+            );
+
+            let mut fine = state.clone();
+            tamper(fine.trust.as_mut().unwrap(), PairId(0));
+            let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
+            assert!(fresh.restore_state(&fine).is_ok(), "tamper {i} in range");
+        }
     }
 
     #[test]

@@ -38,9 +38,7 @@ use alex_telemetry::{counter, emit, span, Event};
 use crate::agent::{Agent, EpisodeSummary};
 use crate::feedback::{Feedback, FeedbackItem, FeedbackSource};
 use crate::metrics::{EpisodeReport, Quality};
-use crate::persist::{
-    self, EpisodeRecord, EpisodeStats, PartitionRecord, PartitionSnapshot, RunSnapshot,
-};
+use crate::persist::{self, EpisodeRecord, PartitionRecord, PartitionSnapshot, RunSnapshot};
 use crate::space::{LinkSpace, PairId};
 
 /// Why a run stopped.
@@ -500,12 +498,7 @@ fn snapshot_payload(
         .zip(tracks)
         .map(|(part, track)| {
             Ok(PartitionSnapshot {
-                episodes: track
-                    .trace
-                    .episodes
-                    .iter()
-                    .map(EpisodeStats::from)
-                    .collect(),
+                episodes: track.trace.episodes.clone(),
                 agent: part.agent.capture_state(),
                 source_state: durable_state(&*part.source)?,
             })
@@ -516,7 +509,7 @@ fn snapshot_payload(
         last_episode,
         completed,
         relaxed_converged_at: st.relaxed_converged_at.map(|e| e as u64),
-        episodes: st.episodes.iter().map(EpisodeStats::from).collect(),
+        episodes: st.episodes.clone(),
         partitions,
     }))
 }
@@ -709,11 +702,11 @@ pub fn run_partitions(
                 {
                     part.agent.restore_state(&saved.agent)?;
                     part.source.restore_durable_state(&saved.source_state)?;
-                    track.trace.episodes = saved.episodes.iter().map(EpisodeReport::from).collect();
+                    track.trace.episodes = saved.episodes.clone();
                     track.prev = part.agent.candidates().snapshot();
                 }
                 st.relaxed_converged_at = snap.relaxed_converged_at.map(|e| e as usize);
-                st.episodes = snap.episodes.iter().map(EpisodeReport::from).collect();
+                st.episodes = snap.episodes;
                 expected_seq = snap_seq + 1;
             }
             st.recovered_from = last;
@@ -1575,8 +1568,13 @@ mod tests {
 
         assert_eq!(report_identity(&reference), report_identity(&resumed));
         for (a, b) in reference.partitions.iter().zip(&resumed.partitions) {
-            let stats = |t: &PartitionTrace| -> Vec<EpisodeStats> {
-                t.episodes.iter().map(EpisodeStats::from).collect()
+            // Resume identity excludes wall-clock durations.
+            let stats = |t: &PartitionTrace| -> Vec<EpisodeReport> {
+                let zero = |e: &EpisodeReport| EpisodeReport {
+                    duration: std::time::Duration::ZERO,
+                    ..e.clone()
+                };
+                t.episodes.iter().map(zero).collect()
             };
             assert_eq!(stats(a), stats(b), "partition {} trace", a.partition);
         }

@@ -93,9 +93,7 @@ pub use metrics::{EpisodeReport, Quality};
 pub use partition::{
     final_links, run_partitioned, run_partitioned_with, PartitionedConfig, PartitionedRun,
 };
-pub use persist::{
-    AgentState, EpisodeRecord, EpisodeStats, PartitionRecord, PartitionSnapshot, RunSnapshot,
-};
+pub use persist::{AgentState, EpisodeRecord, PartitionRecord, PartitionSnapshot, RunSnapshot};
 pub use policy::Policy;
 pub use provenance::{Provenance, StateAction};
 pub use query_feedback::{workload_from_links, workload_requiring_links, QueryFeedback};

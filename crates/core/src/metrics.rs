@@ -70,7 +70,7 @@ impl Quality {
 }
 
 /// Per-episode report emitted by the run drivers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeReport {
     /// Episode number, starting at 1 (index 0 in figures is the initial state).
     pub episode: usize,

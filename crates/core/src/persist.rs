@@ -16,15 +16,26 @@
 //!   the feedback source's post-episode state. Resume replays these through
 //!   the restored agents to reproduce the exact pre-crash state.
 //!
+//! Where the live type is already plain data, the codec writes it directly
+//! rather than through a serialized copy: episode histories are the
+//! driver's [`EpisodeReport`]s (without the session-local `duration`,
+//! which decodes as zero), and the trust gate's admission log is its own
+//! [`AdmissionRecord`]s and [`RollbackUndo`]s, ids written as their raw
+//! `u32`s.
+//!
 //! Both carry a format version and are validated field-by-field; a snapshot
 //! additionally carries the run's *base fingerprint* (link spaces +
 //! configurations), so resuming against different inputs fails loudly
 //! instead of silently diverging.
 
 use alex_store::{ByteReader, ByteWriter, CodecError};
+use alex_trust::SourceId;
 
 use crate::config::AlexConfig;
+use crate::feature::FeatureId;
 use crate::metrics::{EpisodeReport, Quality};
+use crate::space::PairId;
+use crate::trust_gate::{AdmissionRecord, RollbackUndo};
 
 /// Version of the domain encoding (independent of the store-layer framing).
 /// Version 4 made snapshots and journal records carry a list of partitions
@@ -68,159 +79,29 @@ pub struct AgentState {
     pub trust: Option<TrustState>,
 }
 
-/// Serialized state of the agent's trust gate.
+/// Serialized state of the agent's trust gate: its persisted fields, with
+/// the admission log stored as the gate's own [`AdmissionRecord`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrustState {
     /// Per-source `(source, agreements, disagreements)` counts, sorted by
     /// source.
-    pub sources: Vec<(u32, u32, u32)>,
+    pub sources: Vec<(SourceId, u32, u32)>,
     /// Discredited sources, sorted.
-    pub discredited: Vec<u32>,
+    pub discredited: Vec<SourceId>,
     /// Pending quorum votes `(link, [(source, positive)])`, links sorted;
     /// vote lists in first-arrival order (latest-wins replacement keeps the
     /// slot).
-    pub pending: Vec<(u32, Vec<(u32, bool)>)>,
+    pub pending: Vec<(u32, Vec<(SourceId, bool)>)>,
     /// The admission log in admission order, including revoked entries
     /// (revocation is a flag, not a deletion, so log indices are stable).
-    pub log: Vec<AdmissionState>,
-}
-
-/// One serialized admission-log record: the quorum outcome plus the exact
-/// undo information cascading rollback needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdmissionState {
-    /// The judged link.
-    pub state: u32,
-    /// Admitted direction (`true` = positive).
-    pub positive: bool,
-    /// Sources whose buffered vote matched the admitted direction.
-    pub supporters: Vec<u32>,
-    /// Sources whose buffered vote opposed it.
-    pub opposers: Vec<u32>,
-    /// Ancestor `(state, feature)` pairs credited with the return.
-    pub credited: Vec<(u32, u32)>,
-    /// The credited return value.
-    pub reward: f64,
-    /// Positive admissions: whether this admission newly approved the link.
-    pub newly_approved: bool,
-    /// Positive admissions: whether a blacklist endorsement was recorded.
-    pub endorsed: bool,
-    /// Generator `(state, feature)` that received a provenance vote.
-    pub prov_target: Option<(u32, u32)>,
-    /// Positive admissions: the exploration action taken, if any.
-    pub action: Option<u32>,
-    /// Positive admissions: links added by exploration, with whether this
-    /// admission created their provenance attribution.
-    pub added: Vec<(u32, bool)>,
-    /// Negative admissions: whether the judged link was removed from the
-    /// candidate set.
-    pub removed_candidate: bool,
-    /// Negative admissions: whether the link was approved beforehand.
-    pub was_approved: bool,
-    /// Negative admissions: whether a blacklist strike was recorded.
-    pub blacklist_added: bool,
-    /// Negative admissions: rollback undo data when a rollback fired.
-    pub rollback: Option<RollbackUndoState>,
-    /// Whether this admission has been revoked by cascading rollback.
-    pub revoked: bool,
-}
-
-/// Serialized undo data for one fired rollback.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RollbackUndoState {
-    /// The rolled-back generator `(state, feature)`.
-    pub generator: (u32, u32),
-    /// The full attribution list the rollback cleared, in attribution order.
-    pub links: Vec<u32>,
-    /// The generator's `(negatives, positives)` votes the rollback cleared
-    /// (snapshotted after the triggering negative vote).
-    pub votes: (u32, u32),
-    /// The subset of `links` actually removed from the candidate set, in
-    /// removal order.
-    pub removed: Vec<u32>,
-}
-
-/// Per-episode statistics persisted so a resumed run reports the *full*
-/// episode history, not just the episodes it ran itself. Mirrors
-/// [`crate::EpisodeReport`] minus the wall-clock duration (which is
-/// session-local and excluded from resume identity).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpisodeStats {
-    /// 1-based episode number.
-    pub episode: u64,
-    /// Precision after the episode.
-    pub precision: f64,
-    /// Recall after the episode.
-    pub recall: f64,
-    /// F-measure after the episode.
-    pub f_measure: f64,
-    /// Candidate-set size after the episode.
-    pub candidates: u64,
-    /// Correct candidates after the episode.
-    pub correct: u64,
-    /// Links added during the episode.
-    pub added: u64,
-    /// Links removed during the episode.
-    pub removed: u64,
-    /// Fraction of feedback that was negative.
-    pub negative_feedback_frac: f64,
-    /// Rollbacks triggered.
-    pub rollbacks: u64,
-    /// Fraction of links changed vs the previous episode.
-    pub change_frac: f64,
-    /// Whether the episode breached its budget (run supervision): the
-    /// marker is journaled, never recomputed, so resume reproduces it.
-    pub degraded: bool,
-}
-
-impl From<&EpisodeReport> for EpisodeStats {
-    fn from(e: &EpisodeReport) -> EpisodeStats {
-        EpisodeStats {
-            episode: e.episode as u64,
-            precision: e.quality.precision,
-            recall: e.quality.recall,
-            f_measure: e.quality.f_measure,
-            candidates: e.candidates as u64,
-            correct: e.correct as u64,
-            added: e.added as u64,
-            removed: e.removed as u64,
-            negative_feedback_frac: e.negative_feedback_frac,
-            rollbacks: e.rollbacks as u64,
-            change_frac: e.change_frac,
-            degraded: e.degraded,
-        }
-    }
-}
-
-impl From<&EpisodeStats> for EpisodeReport {
-    fn from(e: &EpisodeStats) -> EpisodeReport {
-        EpisodeReport {
-            episode: e.episode as usize,
-            quality: Quality {
-                precision: e.precision,
-                recall: e.recall,
-                f_measure: e.f_measure,
-            },
-            candidates: e.candidates as usize,
-            correct: e.correct as usize,
-            added: e.added as usize,
-            removed: e.removed as usize,
-            negative_feedback_frac: e.negative_feedback_frac,
-            rollbacks: e.rollbacks as usize,
-            change_frac: e.change_frac,
-            // Wall-clock time belongs to the original session; resume
-            // identity excludes durations.
-            duration: std::time::Duration::ZERO,
-            degraded: e.degraded,
-        }
-    }
+    pub log: Vec<AdmissionRecord>,
 }
 
 /// One partition's part of a [`RunSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionSnapshot {
     /// The partition's own per-episode history (its trace).
-    pub episodes: Vec<EpisodeStats>,
+    pub episodes: Vec<EpisodeReport>,
     /// The partition agent's learning state.
     pub agent: AgentState,
     /// Opaque feedback-source state
@@ -241,7 +122,7 @@ pub struct RunSnapshot {
     /// First episode at which relaxed convergence held, if any.
     pub relaxed_converged_at: Option<u64>,
     /// Full aggregate per-episode history up to `last_episode`.
-    pub episodes: Vec<EpisodeStats>,
+    pub episodes: Vec<EpisodeReport>,
     /// The partitions, in partition order.
     pub partitions: Vec<PartitionSnapshot>,
 }
@@ -386,37 +267,45 @@ fn get_bool(r: &mut ByteReader, what: &'static str) -> Result<bool, CodecError> 
     Ok(r.u8(what)? != 0)
 }
 
-fn put_stats(w: &mut ByteWriter, episodes: &[EpisodeStats]) {
+/// Write an episode history. The wall-clock `duration` is left out: it
+/// belongs to the session that ran the episode, and resume identity
+/// excludes it.
+fn put_stats(w: &mut ByteWriter, episodes: &[EpisodeReport]) {
     put_list(w, episodes, |w, e| {
-        w.u64(e.episode);
-        w.f64(e.precision);
-        w.f64(e.recall);
-        w.f64(e.f_measure);
-        w.u64(e.candidates);
-        w.u64(e.correct);
-        w.u64(e.added);
-        w.u64(e.removed);
+        w.u64(e.episode as u64);
+        w.f64(e.quality.precision);
+        w.f64(e.quality.recall);
+        w.f64(e.quality.f_measure);
+        w.u64(e.candidates as u64);
+        w.u64(e.correct as u64);
+        w.u64(e.added as u64);
+        w.u64(e.removed as u64);
         w.f64(e.negative_feedback_frac);
-        w.u64(e.rollbacks);
+        w.u64(e.rollbacks as u64);
         w.f64(e.change_frac);
         w.u8(u8::from(e.degraded));
     });
 }
 
-fn get_stats(r: &mut ByteReader) -> Result<Vec<EpisodeStats>, CodecError> {
+/// Read an episode history written by [`put_stats`]; every `duration` is
+/// [`std::time::Duration::ZERO`].
+fn get_stats(r: &mut ByteReader) -> Result<Vec<EpisodeReport>, CodecError> {
     get_list(r, "episode stats", |r| {
-        Ok(EpisodeStats {
-            episode: r.u64("stat episode")?,
-            precision: r.f64("stat precision")?,
-            recall: r.f64("stat recall")?,
-            f_measure: r.f64("stat f_measure")?,
-            candidates: r.u64("stat candidates")?,
-            correct: r.u64("stat correct")?,
-            added: r.u64("stat added")?,
-            removed: r.u64("stat removed")?,
+        Ok(EpisodeReport {
+            episode: r.u64("stat episode")? as usize,
+            quality: Quality {
+                precision: r.f64("stat precision")?,
+                recall: r.f64("stat recall")?,
+                f_measure: r.f64("stat f_measure")?,
+            },
+            candidates: r.u64("stat candidates")? as usize,
+            correct: r.u64("stat correct")? as usize,
+            added: r.u64("stat added")? as usize,
+            removed: r.u64("stat removed")? as usize,
             negative_feedback_frac: r.f64("stat negative frac")?,
-            rollbacks: r.u64("stat rollbacks")?,
+            rollbacks: r.u64("stat rollbacks")? as usize,
             change_frac: r.f64("stat change frac")?,
+            duration: std::time::Duration::ZERO,
             degraded: get_bool(r, "stat degraded")?,
         })
     })
@@ -493,90 +382,118 @@ fn get_agent(r: &mut ByteReader) -> Result<AgentState, CodecError> {
     })
 }
 
+/// Write a `(state, feature)` key as its two raw ids.
+fn put_key(w: &mut ByteWriter, &(s, a): &(PairId, FeatureId)) {
+    put_pair(w, &(s.0, a.0));
+}
+
+fn get_key(r: &mut ByteReader, what: &'static str) -> Result<(PairId, FeatureId), CodecError> {
+    let (s, a) = get_pair(r, what)?;
+    Ok((PairId(s), FeatureId(a)))
+}
+
 fn put_trust(w: &mut ByteWriter, t: &TrustState) {
     put_list(w, &t.sources, |w, &(source, agree, disagree)| {
-        w.u32(source);
+        w.u32(source.0);
         w.u32(agree);
         w.u32(disagree);
     });
-    put_list(w, &t.discredited, |w, &source| w.u32(source));
+    put_list(w, &t.discredited, |w, source| w.u32(source.0));
     put_list(w, &t.pending, |w, (link, votes)| {
         w.u32(*link);
         put_list(w, votes, |w, &(source, positive)| {
-            w.u32(source);
+            w.u32(source.0);
             w.u8(u8::from(positive));
         });
     });
     put_list(w, &t.log, |w, rec| {
-        w.u32(rec.state);
+        w.u32(rec.state.0);
         w.u8(u8::from(rec.positive));
-        put_list(w, &rec.supporters, |w, &s| w.u32(s));
-        put_list(w, &rec.opposers, |w, &s| w.u32(s));
-        put_list(w, &rec.credited, put_pair);
+        put_list(w, &rec.supporters, |w, s| w.u32(s.0));
+        put_list(w, &rec.opposers, |w, s| w.u32(s.0));
+        put_list(w, &rec.credited, put_key);
         w.f64(rec.reward);
         w.u8(u8::from(rec.newly_approved));
         w.u8(u8::from(rec.endorsed));
-        put_option(w, &rec.prov_target, put_pair);
-        put_option(w, &rec.action, |w, &action| w.u32(action));
+        put_option(w, &rec.prov_target, put_key);
+        put_option(w, &rec.action, |w, action| w.u32(action.0));
         put_list(w, &rec.added, |w, &(link, attributed)| {
-            w.u32(link);
+            w.u32(link.0);
             w.u8(u8::from(attributed));
         });
         w.u8(u8::from(rec.removed_candidate));
         w.u8(u8::from(rec.was_approved));
         w.u8(u8::from(rec.blacklist_added));
         put_option(w, &rec.rollback, |w, rb| {
-            put_pair(w, &rb.generator);
-            put_list(w, &rb.links, |w, &l| w.u32(l));
+            put_key(w, &rb.generator);
+            put_list(w, &rb.links, |w, l| w.u32(l.0));
             put_pair(w, &rb.votes);
-            put_list(w, &rb.removed, |w, &l| w.u32(l));
+            put_list(w, &rb.removed, |w, l| w.u32(l.0));
         });
         w.u8(u8::from(rec.revoked));
     });
+}
+
+fn get_source(r: &mut ByteReader, what: &'static str) -> Result<SourceId, CodecError> {
+    r.u32(what).map(SourceId)
+}
+
+fn get_link(r: &mut ByteReader, what: &'static str) -> Result<PairId, CodecError> {
+    r.u32(what).map(PairId)
 }
 
 fn get_trust(r: &mut ByteReader) -> Result<TrustState, CodecError> {
     Ok(TrustState {
         sources: get_list(r, "trust sources", |r| {
             Ok((
-                r.u32("trust source")?,
+                get_source(r, "trust source")?,
                 r.u32("trust agreements")?,
                 r.u32("trust disagreements")?,
             ))
         })?,
-        discredited: get_list(r, "discredited sources", |r| r.u32("discredited source"))?,
+        discredited: get_list(r, "discredited sources", |r| {
+            get_source(r, "discredited source")
+        })?,
         pending: get_list(r, "pending votes", |r| {
             let link = r.u32("pending link")?;
             let votes = get_list(r, "pending vote list", |r| {
-                Ok((r.u32("pending source")?, get_bool(r, "pending direction")?))
+                Ok((
+                    get_source(r, "pending source")?,
+                    get_bool(r, "pending direction")?,
+                ))
             })?;
             Ok((link, votes))
         })?,
         log: get_list(r, "admission log", |r| {
-            Ok(AdmissionState {
-                state: r.u32("admission state")?,
+            Ok(AdmissionRecord {
+                state: get_link(r, "admission state")?,
                 positive: get_bool(r, "admission direction")?,
-                supporters: get_list(r, "admission supporters", |r| r.u32("supporter"))?,
-                opposers: get_list(r, "admission opposers", |r| r.u32("opposer"))?,
-                credited: get_list(r, "admission credits", |r| get_pair(r, "credit"))?,
+                supporters: get_list(r, "admission supporters", |r| get_source(r, "supporter"))?,
+                opposers: get_list(r, "admission opposers", |r| get_source(r, "opposer"))?,
+                credited: get_list(r, "admission credits", |r| get_key(r, "credit"))?,
                 reward: r.f64("admission reward")?,
                 newly_approved: get_bool(r, "newly approved flag")?,
                 endorsed: get_bool(r, "endorsed flag")?,
-                prov_target: get_option(r, "prov target flag", |r| get_pair(r, "prov target"))?,
-                action: get_option(r, "action flag", |r| r.u32("admission action"))?,
+                prov_target: get_option(r, "prov target flag", |r| get_key(r, "prov target"))?,
+                action: get_option(r, "action flag", |r| {
+                    r.u32("admission action").map(FeatureId)
+                })?,
                 added: get_list(r, "admission added", |r| {
-                    Ok((r.u32("added link")?, get_bool(r, "added attribution flag")?))
+                    Ok((
+                        get_link(r, "added link")?,
+                        get_bool(r, "added attribution flag")?,
+                    ))
                 })?,
                 removed_candidate: get_bool(r, "removed candidate flag")?,
                 was_approved: get_bool(r, "was approved flag")?,
                 blacklist_added: get_bool(r, "blacklist added flag")?,
                 rollback: get_option(r, "rollback flag", |r| {
-                    Ok(RollbackUndoState {
-                        generator: get_pair(r, "rollback generator")?,
-                        links: get_list(r, "rollback links", |r| r.u32("rollback link"))?,
+                    Ok(RollbackUndo {
+                        generator: get_key(r, "rollback generator")?,
+                        links: get_list(r, "rollback links", |r| get_link(r, "rollback link"))?,
                         votes: get_pair(r, "rollback votes")?,
                         removed: get_list(r, "rollback removed", |r| {
-                            r.u32("rollback removed link")
+                            get_link(r, "rollback removed link")
                         })?,
                     })
                 })?,
@@ -724,12 +641,15 @@ mod tests {
         }
     }
 
-    fn sample_stats() -> EpisodeStats {
-        EpisodeStats {
+    /// A degraded episode; the decoder leaves `duration` at zero.
+    fn sample_stats() -> EpisodeReport {
+        EpisodeReport {
             episode: 7,
-            precision: 0.75,
-            recall: 0.5,
-            f_measure: 0.6,
+            quality: Quality {
+                precision: 0.75,
+                recall: 0.5,
+                f_measure: 0.6,
+            },
             candidates: 11,
             correct: 8,
             added: 4,
@@ -737,56 +657,46 @@ mod tests {
             negative_feedback_frac: 0.25,
             rollbacks: 0,
             change_frac: 0.125,
+            duration: std::time::Duration::ZERO,
             degraded: true,
         }
     }
 
+    /// Two log records on the live types: a positive admission that
+    /// explored, and a revoked negative one whose rollback fired.
     fn sample_trust() -> TrustState {
+        let key = (PairId(0), FeatureId(2));
         TrustState {
-            sources: vec![(1, 5, 0), (2, 1, 7)],
-            discredited: vec![2],
-            pending: vec![(3, vec![(1, true), (4, false)])],
+            sources: vec![(SourceId(1), 5, 0), (SourceId(2), 1, 7)],
+            discredited: vec![SourceId(2)],
+            pending: vec![(3, vec![(SourceId(1), true), (SourceId(4), false)])],
             log: vec![
-                AdmissionState {
-                    state: 0,
-                    positive: true,
-                    supporters: vec![1, 3],
-                    opposers: vec![2],
-                    credited: vec![(0, 2)],
+                AdmissionRecord {
+                    supporters: vec![SourceId(1), SourceId(3)],
+                    opposers: vec![SourceId(2)],
+                    credited: vec![key],
                     reward: 1.0,
                     newly_approved: true,
-                    endorsed: false,
-                    prov_target: Some((0, 2)),
-                    action: Some(2),
-                    added: vec![(4, true), (1, false)],
-                    removed_candidate: false,
-                    was_approved: false,
-                    blacklist_added: false,
-                    rollback: None,
-                    revoked: false,
+                    prov_target: Some(key),
+                    action: Some(FeatureId(2)),
+                    added: vec![(PairId(4), true), (PairId(1), false)],
+                    ..AdmissionRecord::new(PairId(0), true)
                 },
-                AdmissionState {
-                    state: 4,
-                    positive: false,
-                    supporters: vec![2],
-                    opposers: vec![],
-                    credited: vec![],
+                AdmissionRecord {
+                    supporters: vec![SourceId(2)],
                     reward: -2.0,
-                    newly_approved: false,
-                    endorsed: false,
-                    prov_target: Some((0, 2)),
-                    action: None,
-                    added: vec![],
+                    prov_target: Some(key),
                     removed_candidate: true,
                     was_approved: true,
                     blacklist_added: true,
-                    rollback: Some(RollbackUndoState {
-                        generator: (0, 2),
-                        links: vec![4, 1],
+                    rollback: Some(RollbackUndo {
+                        generator: key,
+                        links: vec![PairId(4), PairId(1)],
                         votes: (3, 1),
-                        removed: vec![1],
+                        removed: vec![PairId(1)],
                     }),
                     revoked: true,
+                    ..AdmissionRecord::new(PairId(4), false)
                 },
             ],
         }
@@ -810,6 +720,29 @@ mod tests {
         let back = decode_snapshot(&bytes).unwrap();
         assert_eq!(back, snap);
         assert_eq!(encode_snapshot(&snap), encode_snapshot(&snap));
+    }
+
+    #[test]
+    fn trust_snapshot_layout_is_pinned() {
+        // FNV-1a of the format-4 bytes: state dirs already written must
+        // keep decoding, so the layout may not drift under the same version.
+        let mut snap = sample_snapshot();
+        snap.partitions[0].agent.trust = Some(sample_trust());
+        let digest = encode_snapshot(&snap)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        assert_eq!(format!("{digest:016x}"), "facca985ed18e9bc");
+    }
+
+    #[test]
+    fn episode_duration_is_not_encoded() {
+        let snap = sample_snapshot();
+        let mut timed = snap.clone();
+        timed.episodes[0].duration = std::time::Duration::from_millis(1500);
+        timed.partitions[0].episodes[0].duration = std::time::Duration::from_nanos(7);
+        assert_eq!(encode_snapshot(&timed), encode_snapshot(&snap));
     }
 
     #[test]

@@ -95,6 +95,22 @@ impl AdmissionRecord {
             revoked: false,
         }
     }
+
+    /// Every link id the record names: the judged link, credited and
+    /// voted-on generator states, explored links, and the rollback's
+    /// generator, attribution list and removals.
+    pub(crate) fn pair_ids(&self) -> impl Iterator<Item = PairId> + '_ {
+        let rollback = self.rollback.iter().flat_map(|rb| {
+            std::iter::once(rb.generator.0)
+                .chain(rb.links.iter().copied())
+                .chain(rb.removed.iter().copied())
+        });
+        std::iter::once(self.state)
+            .chain(self.credited.iter().map(|&(s, _)| s))
+            .chain(self.prov_target.map(|(s, _)| s))
+            .chain(self.added.iter().map(|&(l, _)| l))
+            .chain(rollback)
+    }
 }
 
 /// The trust gate: per-source reliability, the quorum buffer, and the
@@ -139,107 +155,21 @@ impl TrustGate {
     /// Serialize for snapshots.
     pub fn to_state(&self) -> persist::TrustState {
         persist::TrustState {
-            sources: self
-                .model
-                .iter_counts()
-                .into_iter()
-                .map(|(s, a, d)| (s.0, a, d))
-                .collect(),
-            discredited: self.discredited.iter().map(|s| s.0).collect(),
-            pending: self
-                .buffer
-                .iter_pending()
-                .into_iter()
-                .map(|(link, votes)| (link, votes.into_iter().map(|(s, p)| (s.0, p)).collect()))
-                .collect(),
-            log: self.log.iter().map(record_to_state).collect(),
+            sources: self.model.iter_counts(),
+            discredited: self.discredited.iter().copied().collect(),
+            pending: self.buffer.iter_pending(),
+            log: self.log.clone(),
         }
     }
 
     /// Rebuild a gate from snapshot state under `cfg`.
     pub fn from_state(cfg: TrustConfig, state: &persist::TrustState) -> Self {
-        let mut model = TrustModel::new();
-        let counts: Vec<(SourceId, u32, u32)> = state
-            .sources
-            .iter()
-            .map(|&(s, a, d)| (SourceId(s), a, d))
-            .collect();
-        model.restore_counts(&counts);
-        let mut buffer = QuorumBuffer::new();
-        let pending: Vec<(u32, Vec<(SourceId, bool)>)> = state
-            .pending
-            .iter()
-            .map(|(link, votes)| {
-                (
-                    *link,
-                    votes.iter().map(|&(s, p)| (SourceId(s), p)).collect(),
-                )
-            })
-            .collect();
-        buffer.restore_pending(&pending);
-        TrustGate {
-            cfg,
-            model,
-            buffer,
-            log: state.log.iter().map(record_from_state).collect(),
-            discredited: state.discredited.iter().map(|&s| SourceId(s)).collect(),
-        }
-    }
-}
-
-fn record_to_state(r: &AdmissionRecord) -> persist::AdmissionState {
-    persist::AdmissionState {
-        state: r.state.0,
-        positive: r.positive,
-        supporters: r.supporters.iter().map(|s| s.0).collect(),
-        opposers: r.opposers.iter().map(|s| s.0).collect(),
-        credited: r.credited.iter().map(|&(s, a)| (s.0, a.0)).collect(),
-        reward: r.reward,
-        newly_approved: r.newly_approved,
-        endorsed: r.endorsed,
-        prov_target: r.prov_target.map(|(s, a)| (s.0, a.0)),
-        action: r.action.map(|a| a.0),
-        added: r.added.iter().map(|&(l, attr)| (l.0, attr)).collect(),
-        removed_candidate: r.removed_candidate,
-        was_approved: r.was_approved,
-        blacklist_added: r.blacklist_added,
-        rollback: r.rollback.as_ref().map(|rb| persist::RollbackUndoState {
-            generator: (rb.generator.0 .0, rb.generator.1 .0),
-            links: rb.links.iter().map(|l| l.0).collect(),
-            votes: rb.votes,
-            removed: rb.removed.iter().map(|l| l.0).collect(),
-        }),
-        revoked: r.revoked,
-    }
-}
-
-fn record_from_state(s: &persist::AdmissionState) -> AdmissionRecord {
-    AdmissionRecord {
-        state: PairId(s.state),
-        positive: s.positive,
-        supporters: s.supporters.iter().map(|&x| SourceId(x)).collect(),
-        opposers: s.opposers.iter().map(|&x| SourceId(x)).collect(),
-        credited: s
-            .credited
-            .iter()
-            .map(|&(st, a)| (PairId(st), FeatureId(a)))
-            .collect(),
-        reward: s.reward,
-        newly_approved: s.newly_approved,
-        endorsed: s.endorsed,
-        prov_target: s.prov_target.map(|(st, a)| (PairId(st), FeatureId(a))),
-        action: s.action.map(FeatureId),
-        added: s.added.iter().map(|&(l, attr)| (PairId(l), attr)).collect(),
-        removed_candidate: s.removed_candidate,
-        was_approved: s.was_approved,
-        blacklist_added: s.blacklist_added,
-        rollback: s.rollback.as_ref().map(|rb| RollbackUndo {
-            generator: (PairId(rb.generator.0), FeatureId(rb.generator.1)),
-            links: rb.links.iter().map(|&l| PairId(l)).collect(),
-            votes: rb.votes,
-            removed: rb.removed.iter().map(|&l| PairId(l)).collect(),
-        }),
-        revoked: s.revoked,
+        let mut gate = TrustGate::new(cfg);
+        gate.model.restore_counts(&state.sources);
+        gate.buffer.restore_pending(&state.pending);
+        gate.log = state.log.clone();
+        gate.discredited = state.discredited.iter().copied().collect();
+        gate
     }
 }
 

@@ -186,6 +186,24 @@ improve --state-dir "$SMOKE/state-cut" --resume --out "$SMOKE/resumed.nt" --thre
 cmp "$SMOKE/ref.nt" "$SMOKE/resumed.nt" \
   || { echo "kill-and-resume smoke: resumed links differ from reference" >&2; exit 1; }
 echo "resumed links byte-identical to uninterrupted reference"
+# The same cut on a trust-gated run: the snapshot it resumes from carries a
+# non-empty admission log. At error rate 0.3 the run lasts 5 episodes, so
+# the kill at the 3rd commit lands after snapshot 2.
+gated() {
+  "$ALEX" improve "$SMOKE/left.nt" "$SMOKE/right.nt" \
+    --links "$SMOKE/truth.nt" --truth "$SMOKE/truth.nt" \
+    --episodes 6 --episode-size 30 --error-rate 0.3 \
+    --trust --sources 5 --adversary-profile flipper:0.2 --snapshot-every 2 "$@"
+}
+gated --state-dir "$SMOKE/gated-ref" --out "$SMOKE/gated-ref.nt" --threads 1
+if gated --state-dir "$SMOKE/gated-cut" --kill-after 3 --threads 4; then
+  echo "kill-and-resume smoke: gated run survived --kill-after 3" >&2
+  exit 1
+fi
+gated --state-dir "$SMOKE/gated-cut" --resume --out "$SMOKE/gated-resumed.nt" --threads 4
+cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-resumed.nt" \
+  || { echo "kill-and-resume smoke: gated resumed links differ from reference" >&2; exit 1; }
+echo "gated resumed links byte-identical to uninterrupted reference"
 
 echo "==> trace-schema smoke (--trace under --threads 4, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E
