@@ -122,7 +122,7 @@ proptest! {
     }
 
     /// PARIS alignment is byte-identical at every thread count: the
-    /// work-stealing pool's slot-indexed reassembly and the chunk-ordered
+    /// pool's slot-indexed reassembly and the chunk-ordered
     /// merges must leave no trace of the schedule in the scores.
     #[test]
     fn paris_byte_identical_across_thread_counts(

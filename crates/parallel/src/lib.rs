@@ -8,22 +8,20 @@
 //! parallelism with a hard determinism contract:
 //!
 //! **Order-preserving reduction.** [`Pool::map`] splits the input slice
-//! into contiguous chunks, distributes chunk *indices* across per-worker
-//! work-stealing deques (each worker owns a contiguous block; an idle
-//! worker steals from the tail of a busy one, so skewed per-pair costs
-//! rebalance), and reassembles the per-chunk outputs *in chunk order*
-//! before returning. Which worker ran a chunk never affects where its
-//! result lands, so the returned `Vec` is byte-identical to the sequential
-//! `items.iter().map(f).collect()` at any thread count, and seeded RNG
-//! streams and first-visit Monte-Carlo episode order downstream are
-//! unaffected by `--threads`. Steals land in the `steals_total{pool}`
-//! counter.
+//! into contiguous chunks; up to `threads` workers — the caller is worker
+//! 0, the rest are scoped threads — claim chunk *indices* from one atomic
+//! cursor, so a slow chunk never holds up the others, and the per-chunk
+//! outputs are reassembled *in chunk order* before returning. Which worker
+//! ran a chunk never affects where its result lands, so the returned `Vec`
+//! is byte-identical to the sequential `items.iter().map(f).collect()` at
+//! any thread count, and seeded RNG streams and first-visit Monte-Carlo
+//! episode order downstream are unaffected by `--threads`.
 //!
 //! **Chunk floor.** Dispatch overhead is per-chunk, so pools whose items
 //! are very cheap (PARIS functionality counting: ~µs per triple batch) set
 //! a minimum-items-per-chunk floor via [`Pool::with_min_chunk`]; below the
 //! floor the input collapses into fewer, fatter chunks, and a single-chunk
-//! dispatch runs inline on the caller with no spawn at all.
+//! dispatch has one worker, the caller, so it spawns nothing.
 //!
 //! [`Pool::map_chunks`] and [`Pool::reduce`] expose the per-chunk level
 //! for map-reduce shapes (e.g. PARIS's functionality counts). Chunk
@@ -35,7 +33,7 @@
 //! Threads come from, in priority order: an explicit [`set_threads`] call
 //! (the `--threads N` CLI flag), the `ALEX_THREADS` environment variable,
 //! and finally [`std::thread::available_parallelism`]. A pool of one
-//! thread runs inline on the caller — no spawn, no atomics traffic.
+//! thread runs every chunk on the caller and spawns nothing.
 //!
 //! Pool utilization (tasks run, chunks dispatched, per-pool busy time)
 //! lands in the `alex-telemetry` counters `parallel_tasks_total`,
@@ -45,13 +43,13 @@
 //! `--profile`), every dispatch additionally records a caller-side
 //! dispatch span and per-chunk worker spans labelled
 //! `{pool, worker, chunk}`, and the caller's [`SpanContext`] is entered on
-//! each worker so spans opened inside worker tasks nest under the pool's
-//! caller. Disabled, the instrumentation costs one relaxed atomic load
+//! each spawned worker so spans opened inside worker tasks nest under the
+//! pool's caller. Disabled, the instrumentation costs one relaxed atomic load
 //! per dispatch.
 //!
 //! **Panic isolation.** Every chunk job runs under
 //! [`std::panic::catch_unwind`]; a panicking chunk never takes down a
-//! worker, never poisons the deques (the locks are poison-recovered
+//! worker, never poisons a lock (the locks are poison-recovered
 //! anyway), and never costs the other chunks their results. What happens
 //! next is the process-wide [`PanicPolicy`] (the `--panic-policy` flag):
 //! under `quarantine` (the default) the panic is counted in
@@ -59,9 +57,9 @@
 //! *sequentially on the dispatching thread* during ordered reassembly, so
 //! the output stays byte-identical at any thread count and a
 //! deterministic panic still surfaces — on the retry, from the caller,
-//! exactly as it would at `--threads 1`; under `fail` the lowest-index
-//! panicking chunk's payload is rethrown on the caller after all workers
-//! drain.
+//! exactly as it would at `--threads 1`; under `fail` workers stop
+//! claiming chunks once one has panicked, and the lowest-index panicking
+//! chunk's payload is rethrown on the caller after all workers drain.
 //!
 //! The [`chaos`] module injects seeded per-chunk faults (panic, stall,
 //! allocation spike) for the supervisor test suites; injection fires at
@@ -75,10 +73,9 @@
 pub mod chaos;
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use alex_telemetry::spans::SpanContext;
@@ -269,9 +266,10 @@ impl Pool {
     }
 
     /// Shared engine behind `map`/`map_chunks`/`map_each`: split into
-    /// chunks of `chunk` items, run on up to `threads` scoped workers over
-    /// work-stealing deques, reassemble in chunk order. Chunk jobs run
-    /// under `catch_unwind`, and caught panics follow the process-wide
+    /// chunks of `chunk` items, run them on up to `threads` workers — the
+    /// caller is worker 0 — that claim chunk indices from one atomic
+    /// cursor, and reassemble in chunk order. Chunk jobs run under
+    /// `catch_unwind`, and caught panics follow the process-wide
     /// [`PanicPolicy`].
     fn dispatch<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
     where
@@ -299,112 +297,7 @@ impl Pool {
         } else {
             None
         };
-        let chunk_labels = |seq: u64, worker: usize, c: usize, items_in: usize| PoolLabels {
-            pool: self.name,
-            seq,
-            role: PoolRole::Chunk {
-                worker: worker as u32,
-                chunk: c as u32,
-                items: items_in as u32,
-            },
-        };
-
-        if self.threads == 1 || n_chunks == 1 {
-            // Inline fast path: no spawn, no cursor. Same chunk boundaries
-            // as the parallel path would use, so map_chunks output shape
-            // only depends on the *configured* thread count, never on
-            // scheduling.
-            let start = Instant::now();
-            let dispatched = tl.as_ref().map(|(_, path, seq)| {
-                timeline::begin(
-                    self.name,
-                    path,
-                    Some(PoolLabels {
-                        pool: self.name,
-                        seq: *seq,
-                        role: PoolRole::Dispatch {
-                            chunks: n_chunks as u32,
-                            workers: 1,
-                        },
-                    }),
-                )
-            });
-            let mut out = Vec::with_capacity(n_chunks);
-            for (c, part) in items.chunks(chunk).enumerate() {
-                let began = tl.as_ref().map(|(_, path, seq)| {
-                    timeline::begin(self.name, path, Some(chunk_labels(*seq, 0, c, part.len())))
-                });
-                let result = run_job(&f, part, &chaos, c);
-                if let Some(b) = began {
-                    timeline::end(b);
-                }
-                match result {
-                    Ok(r) => out.push(r),
-                    Err(payload) => {
-                        self.note_panics(1);
-                        match panic_policy() {
-                            PanicPolicy::Fail => {
-                                if let Some(b) = dispatched {
-                                    timeline::end(b);
-                                }
-                                resume_unwind(payload);
-                            }
-                            // Quarantine: re-execute sequentially — same
-                            // semantics as the parallel path's back-fill.
-                            // Chaos fires once per chunk id, so the retry
-                            // runs `f` exactly once; a genuinely
-                            // deterministic panic in `f` propagates here,
-                            // as it would without a pool at all.
-                            PanicPolicy::Quarantine => {
-                                self.note_quarantined(1);
-                                let began = tl.as_ref().map(|(_, path, seq)| {
-                                    timeline::begin(
-                                        self.name,
-                                        path,
-                                        Some(chunk_labels(*seq, 0, c, part.len())),
-                                    )
-                                });
-                                let r = f(part);
-                                if let Some(b) = began {
-                                    timeline::end(b);
-                                }
-                                out.push(r);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(b) = dispatched {
-                timeline::end(b);
-            }
-            self.record_busy_us(start.elapsed().as_micros() as u64);
-            return out;
-        }
-
-        let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        // Chunks whose job panicked: `(chunk index, payload)`. The slot
-        // stays `None`; the worker catches the unwind and keeps draining,
-        // so no deque is abandoned and no lock stays poisoned.
-        let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
-        let busy_us = AtomicU64::new(0);
-        let steals = AtomicU64::new(0);
         let workers = self.threads.min(n_chunks);
-        // Work-stealing deques: worker `w` owns the contiguous block of
-        // chunk indices [w·per, min((w+1)·per, n)), popped from the front;
-        // an idle worker steals single chunks from the *back* of the first
-        // non-empty victim (round-robin from its right neighbour), so
-        // owners and thieves contend on opposite ends. Contiguous blocks
-        // keep each worker streaming through adjacent input — better cache
-        // behaviour than the old striding atomic cursor — while stealing
-        // still rebalances skewed per-chunk costs.
-        let per_worker = n_chunks.div_ceil(workers);
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * per_worker;
-                let hi = ((w + 1) * per_worker).min(n_chunks);
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
         let dispatched = tl.as_ref().map(|(_, path, seq)| {
             timeline::begin(
                 self.name,
@@ -419,55 +312,51 @@ impl Pool {
                 }),
             )
         });
+        let span = tl.as_ref().map(|(_, path, seq)| (path, *seq));
+        let part = |c: usize| &items[c * chunk..((c + 1) * chunk).min(items.len())];
+
+        let fail = panic_policy() == PanicPolicy::Fail;
+        let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+        // Chunks whose job panicked: `(chunk index, payload)`. The slot
+        // stays `None`; the worker catches the unwind and keeps claiming
+        // (under `Fail` it stops), so no lock stays poisoned.
+        let panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>> = Mutex::new(Vec::new());
+        // `Relaxed` suffices: the cursor publishes no data (results go
+        // through the slot mutexes and the scope join), and `fetch_add`
+        // still hands out every index once, in increasing order.
+        let cursor = AtomicUsize::new(0);
+        let busy_us = AtomicU64::new(0);
+        // One claim loop at every width. Under `Fail` a worker stops
+        // claiming once any panic is recorded; the cursor hands out chunk
+        // indices in increasing order, so every chunk below a recorded
+        // panic was already claimed and still runs, and the lowest
+        // recorded panic is the lowest panicking chunk at any width.
+        let stop = || fail && !lock_unpoisoned(&panics).is_empty();
+        let work = |worker: usize| {
+            let start = Instant::now();
+            while !stop() {
+                let c = cursor.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    break;
+                }
+                let part = part(c);
+                let result = self
+                    .in_chunk_span(span, worker, c, part.len(), || run_job(&f, part, &chaos, c));
+                match result {
+                    Ok(r) => *lock_unpoisoned(&slots[c]) = Some(r),
+                    Err(payload) => lock_unpoisoned(&panics).push((c, payload)),
+                }
+            }
+            busy_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        };
         std::thread::scope(|s| {
-            let (f, tl, chunk_labels, chaos) = (&f, &tl, &chunk_labels, &chaos);
-            let (deques, slots, busy_us, steals, panics) =
-                (&deques, &slots, &busy_us, &steals, &panics);
-            for worker in 0..workers {
+            let (work, tl) = (&work, &tl);
+            for worker in 1..workers {
                 s.spawn(move || {
                     // Workers inherit the caller's span context so spans
                     // opened inside `f` nest under the dispatching caller.
                     let _ctx = tl.as_ref().map(|(ctx, _, _)| ctx.enter());
-                    let start = Instant::now();
-                    loop {
-                        // Own work first (front of own deque) …
-                        let mut next = lock_unpoisoned(&deques[worker]).pop_front();
-                        // … then steal from the back of the first
-                        // non-empty victim. A chunk index lives in exactly
-                        // one deque at any moment (popped under the
-                        // victim's lock), so no chunk runs twice; the scan
-                        // terminates because a pass finding every deque
-                        // empty means all chunks are claimed.
-                        if next.is_none() {
-                            for offset in 1..workers {
-                                let victim = (worker + offset) % workers;
-                                if let Some(c) = lock_unpoisoned(&deques[victim]).pop_back() {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    next = Some(c);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(c) = next else { break };
-                        let lo = c * chunk;
-                        let hi = (lo + chunk).min(items.len());
-                        let began = tl.as_ref().map(|(_, path, seq)| {
-                            timeline::begin(
-                                self.name,
-                                path,
-                                Some(chunk_labels(*seq, worker, c, hi - lo)),
-                            )
-                        });
-                        let result = run_job(f, &items[lo..hi], chaos, c);
-                        if let Some(b) = began {
-                            timeline::end(b);
-                        }
-                        match result {
-                            Ok(r) => *lock_unpoisoned(&slots[c]) = Some(r),
-                            Err(payload) => lock_unpoisoned(panics).push((c, payload)),
-                        }
-                    }
-                    busy_us.fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    work(worker);
                     // Hand the buffer over before the closure returns:
                     // `thread::scope` unblocks when the closure finishes,
                     // which can be before thread-local destructors run, so
@@ -478,63 +367,79 @@ impl Pool {
                     }
                 });
             }
+            work(0);
         });
-        self.record_busy_us(busy_us.load(Ordering::Relaxed));
-        self.record_steals(steals.load(Ordering::Relaxed));
-        let mut panics = match panics.into_inner() {
-            Ok(p) => p,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Deterministic panic selection: workers race to report, so sort
-        // by chunk index before deciding whose payload wins.
-        panics.sort_by_key(|(c, _)| *c);
+        self.record_busy_us(busy_us.into_inner());
+        let panics = panics.into_inner().unwrap_or_else(PoisonError::into_inner);
         if !panics.is_empty() {
             self.note_panics(panics.len() as u64);
-            if panic_policy() == PanicPolicy::Fail {
+        }
+        // Deterministic panic selection: workers race to report, so the
+        // lowest chunk index wins, not the first report.
+        if fail {
+            if let Some((_, payload)) = panics.into_iter().min_by_key(|(c, _)| *c) {
                 if let Some(b) = dispatched {
                     timeline::end(b);
                 }
-                let (_, payload) = panics.swap_remove(0);
                 resume_unwind(payload);
             }
         }
-        // Order-preserving reduction: reassemble in chunk index order.
-        // Stealing moved *which worker* ran a chunk, never *where its
-        // result lands* — slot `c` always holds chunk `c`'s output. A
-        // `None` slot is a quarantined chunk: re-execute it here, on the
-        // dispatching thread, in chunk order — sequential retry keeps the
-        // output byte-identical to the no-panic run at any thread count
-        // (chaos injection fires once per chunk id, so the retry runs `f`
-        // exactly once; a deterministic panic in `f` itself propagates
-        // from this thread, as at `--threads 1`).
+        // Order-preserving reduction: slot `c` always holds chunk `c`'s
+        // output, whichever worker ran it. A `None` slot is a quarantined
+        // chunk: re-execute it here, on the caller, in chunk order, so the
+        // output stays byte-identical to the no-panic run at any thread
+        // count (chaos injection fires once per chunk id, so the retry runs
+        // `f` exactly once; a deterministic panic in `f` itself propagates
+        // from the caller, as it would without a pool at all).
         let out = slots
             .into_iter()
             .enumerate()
-            .map(|(c, slot)| match lock_unpoisoned(&slot).take() {
-                Some(r) => r,
-                None => {
+            .map(|(c, slot)| {
+                let done = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+                done.unwrap_or_else(|| {
                     self.note_quarantined(1);
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(items.len());
-                    let began = tl.as_ref().map(|(_, path, seq)| {
-                        timeline::begin(
-                            self.name,
-                            path,
-                            Some(chunk_labels(*seq, workers, c, hi - lo)),
-                        )
-                    });
-                    let r = f(&items[lo..hi]);
-                    if let Some(b) = began {
-                        timeline::end(b);
-                    }
-                    r
-                }
+                    let part = part(c);
+                    self.in_chunk_span(span, 0, c, part.len(), || f(part))
+                })
             })
             .collect();
         if let Some(b) = dispatched {
             timeline::end(b);
         }
         out
+    }
+
+    /// Run `job` as chunk `c` (`items` long) of dispatch `span` on
+    /// `worker`, inside its timeline span when the timeline is on.
+    fn in_chunk_span<X>(
+        &self,
+        span: Option<(&Arc<str>, u64)>,
+        worker: usize,
+        c: usize,
+        items: usize,
+        job: impl FnOnce() -> X,
+    ) -> X {
+        let began = span.map(|(path, seq)| {
+            let role = PoolRole::Chunk {
+                worker: worker as u32,
+                chunk: c as u32,
+                items: items as u32,
+            };
+            timeline::begin(
+                self.name,
+                path,
+                Some(PoolLabels {
+                    pool: self.name,
+                    seq,
+                    role,
+                }),
+            )
+        });
+        let r = job();
+        if let Some(b) = began {
+            timeline::end(b);
+        }
+        r
     }
 
     /// Chunked map-reduce: fold each chunk into an accumulator with
@@ -577,15 +482,6 @@ impl Pool {
             .add(us);
     }
 
-    fn record_steals(&self, n: u64) {
-        if n > 0 {
-            alex_telemetry::global()
-                .metrics()
-                .counter_with_labels("steals_total", &[("pool", self.name)])
-                .add(n);
-        }
-    }
-
     fn note_panics(&self, n: u64) {
         alex_telemetry::counter!("panics_caught_total").add(n);
     }
@@ -616,9 +512,10 @@ fn run_job<T, R>(
     }))
 }
 
-/// Recover the guard from a poisoned mutex: the pool's slots hold plain
-/// data, which stays valid even if another worker panicked mid-run.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// Recover the guard from a poisoned mutex: the pool's slots and the
+/// installed chaos profile hold plain data, which stays valid even if
+/// another thread panicked while holding the lock.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -749,11 +646,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_skew_and_lands_in_counter() {
-        // Worker 0 owns the heavy front block; with block-partitioned
-        // deques the idle workers must steal from it to finish the run.
+    fn skewed_work_keeps_output_order() {
+        // The heavy chunks sit at the front: the other workers claim the
+        // cheap tail meanwhile, and reassembly must still be in order.
         let items: Vec<usize> = (0..256).collect();
-        let pool = Pool::with_threads("steal_test", 4).with_min_chunk(1);
+        let pool = Pool::with_threads("skew_test", 4).with_min_chunk(1);
         let out = pool.map(&items, |&i| {
             if i < 64 {
                 std::thread::sleep(std::time::Duration::from_micros(300));
@@ -761,27 +658,23 @@ mod tests {
             i * 2
         });
         assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-        // The steals counter must exist and be readable; on a 1-core host
-        // the scheduler may serialize workers so steals can be zero.
-        let _ = alex_telemetry::global()
-            .metrics()
-            .counter_with_labels("steals_total", &[("pool", "steal_test")])
-            .get();
     }
 
     #[test]
-    fn steals_counter_reaches_prometheus_export() {
-        // Scheduling decides whether a real run steals, so drive the
-        // recording path directly and assert the export format.
-        Pool::with_threads("steal_export", 2).record_steals(3);
-        let text = alex_telemetry::global().metrics().render_prometheus();
-        assert!(text.contains("# TYPE steals_total counter"), "{text}");
-        assert!(
-            text.lines().any(|l| {
-                l.strip_prefix("steals_total{pool=\"steal_export\"} ")
-                    .is_some_and(|v| v.parse::<u64>().is_ok_and(|n| n >= 3))
-            }),
-            "{text}"
+    fn one_worker_dispatch_runs_every_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        let on_caller = |pool: Pool, items: &[u32]| {
+            pool.map_chunks(items, |_| std::thread::current().id() == caller)
+        };
+        let many: Vec<u32> = (0..1000).collect();
+        let one_thread = on_caller(Pool::with_threads("caller_test", 1), &many);
+        assert!(one_thread.len() > 1, "several chunks: {}", one_thread.len());
+        assert!(one_thread.iter().all(|&c| c));
+        // Fewer items than the chunk floor: one chunk, so one worker.
+        let few: Vec<u32> = (0..10).collect();
+        assert_eq!(
+            on_caller(Pool::with_threads("caller_test", 4), &few),
+            vec![true]
         );
     }
 
@@ -887,6 +780,27 @@ mod tests {
         // panicking chunk holds item 7, so its payload must win no matter
         // which worker reported first.
         assert_eq!(msg, "boom at 7");
+    }
+
+    #[test]
+    fn fail_policy_at_one_thread_runs_no_chunk_after_the_panic() {
+        let _g = lock_unpoisoned(&GLOBALS);
+        set_panic_policy(PanicPolicy::Fail);
+        let items: Vec<u64> = (0..10).collect();
+        let ran = Mutex::new(Vec::new());
+        let pool = Pool::with_threads("fail_one_test", 1).with_min_chunk(1);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.map(&items, |&x| {
+                lock_unpoisoned(&ran).push(x);
+                if x == 3 {
+                    panic!("boom at {x}");
+                }
+                x
+            })
+        }));
+        set_panic_policy(PanicPolicy::Quarantine);
+        assert!(result.is_err(), "fail policy must propagate");
+        assert_eq!(*lock_unpoisoned(&ran), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -27,8 +27,8 @@ cargo clippy -p alex-telemetry -- -D warnings
 # panic-free too (crate-wide unwrap/expect deny, see crates/trust/src/lib.rs).
 cargo clippy -p alex-trust -- -D warnings
 # The similarity kernels and the deterministic pool are the alignment hot
-# path: the bit-parallel/interned kernels and the work-stealing
-# scheduler must stay warning-free.
+# path: the bit-parallel/interned kernels and the pool's claim loop must
+# stay warning-free.
 cargo clippy -p alex-sim -- -D warnings
 cargo clippy -p alex-parallel -- -D warnings
 # The supervisor layer (budgets, breach policy, degraded bookkeeping) and
@@ -205,13 +205,16 @@ cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-resumed.nt" \
   || { echo "kill-and-resume smoke: gated resumed links differ from reference" >&2; exit 1; }
 echo "gated resumed links byte-identical to uninterrupted reference"
 
-echo "==> trace-schema smoke (--trace under --threads 4, validated via alex report)"
+echo "==> trace-schema smoke (--trace under --threads 1 and 4, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E
-# per thread and every pool chunk span enclosed by its dispatch span.
-improve --out "$SMOKE/traced.nt" --threads 4 \
-  --trace "$SMOKE/trace.json" --profile 2> "$SMOKE/profile.err"
-grep -q "phase" "$SMOKE/profile.err" \
-  || { echo "trace-schema smoke: --profile printed no attribution table" >&2; exit 1; }
-"$ALEX" report --check-trace "$SMOKE/trace.json"
+# per thread and every pool chunk span enclosed by its dispatch span. At
+# one thread the caller runs every chunk inside its own dispatch span.
+for threads in 1 4; do
+  improve --out "$SMOKE/traced-$threads.nt" --threads "$threads" \
+    --trace "$SMOKE/trace-$threads.json" --profile 2> "$SMOKE/profile.err"
+  grep -q "phase" "$SMOKE/profile.err" \
+    || { echo "trace-schema smoke: --profile printed no attribution table" >&2; exit 1; }
+  "$ALEX" report --check-trace "$SMOKE/trace-$threads.json"
+done
 
 echo "CI OK"

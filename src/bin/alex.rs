@@ -317,6 +317,64 @@ fn split_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     Ok((positional, flags))
 }
 
+/// Pool flags, read by [`configure_threads`] (`link`, `improve`, `query`).
+const POOL_FLAGS: &[&str] = &["threads", "panic-policy", "chaos-profile"];
+/// Observability flags, read by [`telemetry_setup`] (same commands).
+const TELEMETRY_FLAGS: &[&str] = &["telemetry", "metrics-dump", "verbose", "trace", "profile"];
+/// Federation flags (`query` and `improve --feedback query`).
+const FEDERATION_FLAGS: &[&str] = &[
+    "fault-profile",
+    "retries",
+    "backoff-ms",
+    "endpoint-budget-ms",
+    "fail-fast",
+    "cache",
+    "cache-capacity",
+    "catalog",
+    "rewrite-sameas",
+];
+/// `improve`'s own flags: the run shape, durability, adversarial
+/// robustness and supervision.
+const IMPROVE_FLAGS: &[&str] = &[
+    "links",
+    "truth",
+    "out",
+    "feedback",
+    "queries",
+    "episodes",
+    "episode-size",
+    "partitions",
+    "error-rate",
+    "state-dir",
+    "resume",
+    "snapshot-every",
+    "kill-after",
+    "trust",
+    "quorum",
+    "sources",
+    "adversary-profile",
+    "episode-budget-ms",
+    "run-budget-ms",
+    "max-rss-mb",
+    "budget-policy",
+];
+
+/// [`split_args`] for `alex <cmd>`, which reads only the flags in
+/// `accepted`: any other flag is an error naming it, so a misspelled flag
+/// fails instead of leaving its default silently in place.
+fn command_args(
+    cmd: &str,
+    accepted: &[&[&str]],
+    args: &[String],
+) -> Result<(Vec<String>, Flags), String> {
+    let (positional, flags) = split_args(args)?;
+    let known = |name: &str| accepted.iter().any(|set| set.contains(&name));
+    match flags.iter().find(|(name, _)| !known(name)) {
+        Some((name, _)) => Err(format!("unknown flag --{name} for `alex {cmd}`")),
+        None => Ok((positional, flags)),
+    }
+}
+
 fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
     flags
         .iter()
@@ -824,7 +882,7 @@ fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (_, flags) = split_args(args)?;
+    let (_, flags) = command_args("gen", &[&["out-dir", "pair", "seed"]], args)?;
     let out_dir = flag(&flags, "out-dir").ok_or("--out-dir is required")?;
     let pair_name = flag(&flags, "pair").unwrap_or("dbpedia-nytimes");
     let seed: u64 = parse_flag(&flags, "seed", 20160501)?;
@@ -858,7 +916,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_args(args)?;
+    let (files, flags) = command_args("stats", &[&["detail"]], args)?;
     if files.is_empty() {
         return Err("stats requires at least one file".into());
     }
@@ -887,7 +945,12 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_link(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_args(args)?;
+    let accepted = [
+        &["threshold", "baseline", "out"],
+        POOL_FLAGS,
+        TELEMETRY_FLAGS,
+    ];
+    let (files, flags) = command_args("link", &accepted, args)?;
     let [left_path, right_path] = files.as_slice() else {
         return Err("link requires exactly two data files".into());
     };
@@ -929,7 +992,8 @@ fn cmd_link(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_improve(args: &[String]) -> Result<(), String> {
-    let (files, flags) = split_args(args)?;
+    let accepted = [IMPROVE_FLAGS, POOL_FLAGS, TELEMETRY_FLAGS, FEDERATION_FLAGS];
+    let (files, flags) = command_args("improve", &accepted, args)?;
     let [left_path, right_path] = files.as_slice() else {
         return Err("improve requires exactly two data files".into());
     };
@@ -1266,7 +1330,13 @@ fn improve_with_query_feedback(
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_args(args)?;
+    let accepted = [
+        &["data", "links", "query-file"],
+        POOL_FLAGS,
+        TELEMETRY_FLAGS,
+        FEDERATION_FLAGS,
+    ];
+    let (positional, flags) = command_args("query", &accepted, args)?;
     let data_files: Vec<&str> = flags
         .iter()
         .filter(|(n, _)| n == "data")
@@ -1397,7 +1467,8 @@ fn report_opts(positional: &[String], flags: &Flags) -> Result<ReportOpts, Strin
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_args(args)?;
+    let accepted = ["metrics", "json", "format", "check-trace"];
+    let (positional, flags) = command_args("report", &[&accepted], args)?;
     let opts = report_opts(&positional, &flags)?;
 
     if let Some(path) = &opts.check_trace {

@@ -26,6 +26,54 @@ fn help_and_unknown_command() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 }
 
+/// A misspelled flag is an error naming it, not a silent default: each
+/// subcommand accepts only the flags it reads.
+#[test]
+fn misspelled_flags_exit_2_naming_the_flag() {
+    let dir = workdir("misspelled");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = alex()
+        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["link", &p("left.nt"), &p("right.nt"), "--thresold", "0.5"],
+            "unknown flag --thresold for `alex link`",
+        ),
+        (
+            &[
+                "improve",
+                &p("left.nt"),
+                &p("right.nt"),
+                "--links",
+                &p("truth.nt"),
+                "--truth",
+                &p("truth.nt"),
+                "--episods",
+                "2",
+                "--episodes-size",
+                "10",
+            ],
+            "unknown flag --episods for `alex improve`",
+        ),
+        // A flag of another subcommand is unknown here too.
+        (
+            &["stats", &p("left.nt"), "--cache"],
+            "unknown flag --cache for `alex stats`",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = alex().args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn full_pipeline_gen_link_improve_query() {
     let dir = workdir("pipeline");

@@ -107,49 +107,54 @@ fn improve_trace_is_valid_and_profile_renders() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `link --trace --threads 4`: PARIS worker chunk spans carry per-worker
-/// labels and nest under the pool dispatch span that issued them (the
-/// validator enforces `(pool, seq)` containment).
+/// `link --trace` at `--threads 1` and 4: PARIS worker chunk spans carry
+/// per-worker labels and nest under the pool dispatch span that issued
+/// them (the validator enforces `(pool, seq)` containment).
 #[test]
 fn link_trace_nests_paris_worker_spans() {
     let dir = workdir("link");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
     gen(&dir);
 
-    let out = alex()
-        .args([
-            "link",
-            &p("left.nt"),
-            &p("right.nt"),
-            "--threshold",
-            "0.95",
-            "--threads",
-            "4",
-            "--out",
-            &p("links.nt"),
-            "--trace",
-            &p("trace.json"),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // At one thread the caller runs every chunk itself, inside its own
+    // dispatch span; at four, spawned workers run chunks too.
+    for threads in ["1", "4"] {
+        let trace = p(&format!("trace-{threads}.json"));
+        let out = alex()
+            .args([
+                "link",
+                &p("left.nt"),
+                &p("right.nt"),
+                "--threshold",
+                "0.95",
+                "--threads",
+                threads,
+                "--out",
+                &p("links.nt"),
+                "--trace",
+                &trace,
+            ])
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
 
-    let json = std::fs::read_to_string(p("trace.json")).expect("trace written");
-    let check = alex::telemetry::validate_chrome_trace(&json)
-        .unwrap_or_else(|e| panic!("invalid trace: {e}"));
-    assert!(
-        check.pools.iter().any(|p| p.starts_with("paris")),
-        "paris pool in trace: {check:?}"
-    );
-    assert!(check.dispatch_spans > 0, "{check:?}");
-    assert!(check.chunk_spans > 0, "{check:?}");
-    // Per-worker labels are present on the chunk spans.
-    assert!(json.contains("\"role\":\"chunk\""), "chunk labels in trace");
-    assert!(json.contains("\"worker\":"), "worker labels in trace");
+        let json = std::fs::read_to_string(&trace).expect("trace written");
+        let check = alex::telemetry::validate_chrome_trace(&json)
+            .unwrap_or_else(|e| panic!("invalid trace at --threads {threads}: {e}"));
+        assert!(
+            check.pools.iter().any(|p| p.starts_with("paris")),
+            "paris pool in trace: {check:?}"
+        );
+        assert!(check.dispatch_spans > 0, "{check:?}");
+        assert!(check.chunk_spans > 0, "{check:?}");
+        // Per-worker labels are present on the chunk spans.
+        assert!(json.contains("\"role\":\"chunk\""), "chunk labels in trace");
+        assert!(json.contains("\"worker\":"), "worker labels in trace");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
