@@ -9,7 +9,7 @@ use alex_core::{
 use alex_datagen::{
     generate_pair, sample_initial_links, score_links, GeneratedPair, InitialLinksSpec, PairSpec,
 };
-use alex_telemetry::{emit, span, Event};
+use alex_telemetry::span;
 
 /// The paper runs 27 partitions; we default to the same number (threads are
 /// cheap — partitions are compute-bound and independent).
@@ -105,7 +105,7 @@ impl Workload {
 
     /// Execute: generate the pair, sample the initial links, run ALEX.
     pub fn run(&self) -> ExperimentRun {
-        let workload_span = span("workload");
+        let _workload = span("workload");
         let (pair, initial) = {
             let _s = span("generate");
             let pair = generate_pair(&self.spec.config(BASE_SEED));
@@ -120,16 +120,6 @@ impl Workload {
             feedback_error_rate: self.error_rate,
         };
         let run = run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg);
-        emit!(Event::BenchSnapshot {
-            label: self.spec.label(),
-            episodes: run.episodes.len() as u64,
-            f_measure: run
-                .episodes
-                .last()
-                .map(|e| e.quality.f_measure)
-                .unwrap_or(run.initial_quality.f_measure),
-            duration_us: workload_span.elapsed().as_micros() as u64,
-        });
         ExperimentRun {
             label: self.spec.label(),
             sampled_initial_quality: Quality {

@@ -4,7 +4,7 @@
 //! of two attributes (§4.1). This crate provides:
 //!
 //! * string measures — normalized Levenshtein, Jaro / Jaro-Winkler, token
-//!   Jaccard, n-gram Dice — over a shared normalization pipeline;
+//!   Jaccard, Monge-Elkan — over a shared normalization pipeline;
 //! * numeric, date, year, and boolean measures;
 //! * [`TypedValue`] classification of RDF terms (by datatype, or by sniffing
 //!   untyped literals);
@@ -33,8 +33,7 @@ pub use prepared::{
 };
 pub use string::{
     jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,
-    monge_elkan_by, monge_elkan_jw, myers_levenshtein, ngram_dice, normalize,
-    phonetic_token_similarity, soundex, string_similarity, token_similarity, trigram_dice,
-    TokenPattern, SLICE_MAX,
+    monge_elkan_by, monge_elkan_jw, myers_levenshtein, normalize, string_similarity,
+    token_similarity, TokenPattern, SLICE_MAX,
 };
 pub use value::{iri_local_name, sniff, typed_value, Date, TypedValue};

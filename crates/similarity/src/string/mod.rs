@@ -4,17 +4,13 @@ pub mod jaccard;
 pub mod jaro;
 pub mod levenshtein;
 pub mod myers;
-pub mod ngram;
 pub mod normalize;
-pub mod phonetic;
 
 pub use jaccard::jaccard_tokens;
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_dp, levenshtein_similarity};
 pub use myers::myers_levenshtein;
-pub use ngram::{ngram_dice, trigram_dice};
 pub use normalize::{normalize, normalized_tokens, tokenize};
-pub use phonetic::{phonetic_token_similarity, soundex};
 
 /// Longest token, in bytes, a [`TokenPattern`] compares as bytes: one
 /// `u64` of position bits (Jaro match flags, Myers column). Longer tokens

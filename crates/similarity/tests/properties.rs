@@ -4,9 +4,8 @@
 use alex_sim::{
     jaccard_ids, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp,
     levenshtein_similarity, monge_elkan_jw, myers_levenshtein, normalize, prepared_similarity,
-    relative_numeric, scaled_numeric, string_similarity, token_similarity, trigram_dice,
-    value_similarity, Date, PreparedText, PreparedValue, TokenInterner, TokenPattern, TypedValue,
-    SLICE_MAX,
+    relative_numeric, scaled_numeric, string_similarity, token_similarity, value_similarity, Date,
+    PreparedText, PreparedValue, TokenInterner, TokenPattern, TypedValue, SLICE_MAX,
 };
 use proptest::prelude::*;
 
@@ -54,14 +53,6 @@ proptest! {
         let s2 = jaccard_tokens(&b, &a);
         prop_assert!(unit(s1));
         prop_assert!((s1 - s2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trigram_bounded_symmetric_identity(a in ".{0,16}", b in ".{0,16}") {
-        let s = trigram_dice(&a, &b);
-        prop_assert!(unit(s));
-        prop_assert!((s - trigram_dice(&b, &a)).abs() < 1e-12);
-        prop_assert!((trigram_dice(&a, &a) - 1.0).abs() < 1e-12);
     }
 
     #[test]

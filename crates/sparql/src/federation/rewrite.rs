@@ -3,9 +3,8 @@
 //! The executor already chases `owl:sameAs` at probe time: when a
 //! pattern position holds an IRI, [`SameAsLinks`](super::SameAsLinks)
 //! supplies the equivalence class and every member is probed. That
-//! expansion is implicit — it never shows up in the query text, the
-//! canonical fingerprint, or the answer cache key, which makes it
-//! impossible to reason about (or cache) a query *as rewritten against a
+//! expansion is implicit — it never shows up in the query text, which
+//! makes it impossible to reason about a query *as rewritten against a
 //! specific closure state*.
 //!
 //! [`rewrite_sameas`] makes the closure explicit: each required triple
@@ -14,8 +13,8 @@
 //! per member combination, original first. The result is a
 //! [`RewrittenQuery`] carrying
 //!
-//! * the rewritten [`Query`] (plain AST — it prints, parses, and
-//!   fingerprints like any hand-written UNION query),
+//! * the rewritten [`Query`] (plain AST — it prints and parses like any
+//!   hand-written UNION query),
 //! * the link-closure **generation** it was rewritten at, so a rewrite
 //!   is refused once the closure has changed, and
 //! * per-branch **link provenance**, so answers produced by a

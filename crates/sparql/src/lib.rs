@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod canon;
 pub mod error;
 pub mod expr;
 pub mod federation;
@@ -52,7 +51,6 @@ pub use ast::{
     CmpOp, Expr, Operand, OrderKey, Query, QueryKind, Selection, TermPattern, TriplePattern,
     WhereElement,
 };
-pub use canon::fingerprint;
 pub use error::{Result, SparqlError};
 pub use expr::{eval_expr, Bindings};
 pub use federation::{

@@ -176,17 +176,6 @@ pub enum Event {
         /// Iteration wall-clock time in microseconds.
         duration_us: u64,
     },
-    /// A benchmark figure/workload finished (bench harness snapshots).
-    BenchSnapshot {
-        /// Workload label (e.g. `fig4_dbpedia_nytimes`).
-        label: String,
-        /// Episodes the run executed.
-        episodes: u64,
-        /// Final F-measure.
-        f_measure: f64,
-        /// Total wall-clock time in microseconds.
-        duration_us: u64,
-    },
 }
 
 impl Event {
@@ -204,7 +193,6 @@ impl Event {
             Event::FederatedQuery { .. } => "federated_query",
             Event::EndpointBatch { .. } => "endpoint_batch",
             Event::ParisIteration { .. } => "paris_iteration",
-            Event::BenchSnapshot { .. } => "bench_snapshot",
         }
     }
 
@@ -336,17 +324,6 @@ impl Event {
             } => {
                 w.u64("iteration", *iteration)
                     .u64("matches", *matches)
-                    .u64("duration_us", *duration_us);
-            }
-            Event::BenchSnapshot {
-                label,
-                episodes,
-                f_measure,
-                duration_us,
-            } => {
-                w.str("label", label)
-                    .u64("episodes", *episodes)
-                    .f64("f_measure", *f_measure)
                     .u64("duration_us", *duration_us);
             }
         }
@@ -510,12 +487,6 @@ impl Event {
             "paris_iteration" => Ok(Event::ParisIteration {
                 iteration: get_u64("iteration")?,
                 matches: get_u64("matches")?,
-                duration_us: get_u64("duration_us")?,
-            }),
-            "bench_snapshot" => Ok(Event::BenchSnapshot {
-                label: get_str("label")?,
-                episodes: get_u64("episodes")?,
-                f_measure: get_f64("f_measure")?,
                 duration_us: get_u64("duration_us")?,
             }),
             other => Err(format!("unknown event type {other:?}")),

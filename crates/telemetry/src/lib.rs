@@ -5,9 +5,8 @@
 //!
 //! * **Spans** ([`spans`]) — RAII wall-clock timers that nest per thread
 //!   and aggregate by slash-joined path (`improve/episode/feedback`).
-//! * **Metrics** ([`metrics`]) — atomic counters, gauges, and fixed-bucket
-//!   histograms with p50/p95/p99 accessors, exportable as Prometheus text
-//!   or JSON.
+//! * **Metrics** ([`metrics`]) — atomic counters, plain or labelled,
+//!   exportable as Prometheus text.
 //! * **Events** ([`events`]) — a typed, structured JSONL event log behind
 //!   an opt-in sink.
 //!
@@ -47,7 +46,7 @@ pub mod trace;
 
 pub use attribution::{attribute, Attribution};
 pub use events::{Event, EventLog, EventSink, JsonlFileSink, MemorySink};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, DURATION_BUCKETS};
+pub use metrics::{Counter, MetricsRegistry};
 pub use report::RunReport;
 pub use spans::{span, ContextGuard, SpanContext, SpanGuard, SpanRegistry, SpanStats};
 pub use trace::{chrome_trace_json, validate_chrome_trace, write_chrome_trace};
@@ -109,19 +108,5 @@ macro_rules! counter {
         static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
             ::std::sync::OnceLock::new();
         HANDLE.get_or_init(|| $crate::global().metrics().counter($name))
-    }};
-}
-
-/// A cached handle to the global histogram `$name` (duration buckets by
-/// default, or explicit bounds).
-#[macro_export]
-macro_rules! histogram {
-    ($name:expr) => {
-        $crate::histogram!($name, $crate::DURATION_BUCKETS)
-    };
-    ($name:expr, $bounds:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::global().metrics().histogram($name, $bounds))
     }};
 }

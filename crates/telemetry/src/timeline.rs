@@ -23,10 +23,10 @@
 //!
 //! # Bounded buffers and balance
 //!
-//! Each thread's buffer holds at most [`capacity`] events. Admission
-//! reserves a slot for the matching `End` of every admitted `Begin`, so a
-//! full buffer drops whole spans (begin *and* end) and instants — never
-//! just one half of a pair. Exported traces therefore always have balanced
+//! Each thread's buffer holds at most [`DEFAULT_CAPACITY`] events (see
+//! [`set_capacity`]). Admission reserves a slot for the matching `End` of
+//! every admitted `Begin`, so a full buffer drops whole spans (begin *and*
+//! end) and instants — never just one half of a pair. Exported traces therefore always have balanced
 //! B/E events per thread, which the CI trace-schema check asserts.
 //! Dropped events are counted per thread and globally ([`dropped_total`]).
 

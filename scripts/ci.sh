@@ -37,6 +37,10 @@ cargo clippy -p alex-parallel -- -D warnings
 cargo clippy -p alex-guard -- -D warnings
 cargo clippy -p alex-bench -- -D warnings
 
+echo "==> cargo doc (workspace, broken intra-doc links are errors)"
+# A deleted or renamed item must not leave a dangling doc link behind.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+
 echo "==> cargo test (ALEX_THREADS=1: deterministic pool runs inline)"
 ALEX_THREADS=1 cargo test --workspace -q
 
@@ -114,8 +118,8 @@ cargo test --test cache_differential -q
 
 echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated + ~1.5k rewrite inputs)"
 # Seeds are hard-coded in the test file, so this budget is deterministic;
-# no-panic, parse/serialize fixpoint (UNION included), fingerprint-invariance
-# (incl. union-branch reordering), and sameAs-rewrite idempotence properties.
+# no-panic, parse/serialize fixpoint (UNION included), and sameAs-rewrite
+# idempotence properties.
 cargo test --test fuzz_sparql -q
 
 echo "==> smarter-federation differential + recall suites (ALEX_THREADS=1 and 4)"

@@ -11,8 +11,8 @@
 //!
 //! `link`, `improve`, and `query` also accept the observability flags
 //! `--telemetry FILE.jsonl` (structured event log), `--metrics-dump
-//! FILE.prom` (Prometheus text exposition of the global counters and
-//! histograms), `--verbose` (per-span timing summary on stderr),
+//! FILE.prom` (Prometheus text exposition of the global counters),
+//! `--verbose` (per-span timing summary on stderr),
 //! `--trace FILE.json` (Chrome trace-event timeline, Perfetto-loadable),
 //! and `--profile` (worker-attribution table on stderr). `report` turns
 //! event logs back into a convergence / latency / completeness summary.
@@ -74,7 +74,7 @@ USAGE:
       Writes left.nt, right.nt, truth.nt. NAME is e.g. dbpedia-nytimes
       (default), dbpedia-drugbank, opencyc-lexvo, ... (see DESIGN.md).
 
-  alex stats FILE... [--detail yes]
+  alex stats FILE... [--detail]
       Triple/entity/predicate counts for RDF files (.nt or .ttl);
       --detail adds a per-predicate functionality breakdown.
 
@@ -113,7 +113,11 @@ USAGE:
   With 'query', feedback comes from judging federated query answers
   over the two data sets (the paper's deployment loop) instead of
   sampling the ground truth directly; --queries N caps the workload
-  size (default 50).
+  size (default 50). --partitions and --error-rate apply to oracle
+  feedback only, --queries and the FAULT TOLERANCE flags to query
+  feedback only; a flag the chosen mode does not read exits 2. The
+  ANSWER CACHING and SMARTER FEDERATION flags are accepted but inert
+  with oracle feedback.
 
 FAULT TOLERANCE (improve --feedback query, and query):
   --fault-profile SPEC      Inject deterministic faults into every
@@ -292,6 +296,7 @@ fn split_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
             if name == "baseline"
+                || name == "detail"
                 || name == "verbose"
                 || name == "fail-fast"
                 || name == "resume"
@@ -358,6 +363,22 @@ const IMPROVE_FLAGS: &[&str] = &[
     "max-rss-mb",
     "budget-policy",
 ];
+
+/// Flags that one `improve` feedback mode never reads, so passing one is
+/// an error naming the flag and the mode. `--cache`, `--cache-capacity`,
+/// `--catalog` and `--rewrite-sameas` stay accepted but inert with oracle
+/// feedback, so a `--resume` command line can keep them.
+const ORACLE_UNREAD: &[&str] = &[
+    "queries",
+    "fault-profile",
+    "retries",
+    "backoff-ms",
+    "endpoint-budget-ms",
+    "fail-fast",
+];
+/// See [`ORACLE_UNREAD`]; query feedback runs one unpartitioned agent
+/// judged by federated answers, not by a noisy oracle.
+const QUERY_UNREAD: &[&str] = &["partitions", "error-rate"];
 
 /// [`split_args`] for `alex <cmd>`, which reads only the flags in
 /// `accepted`: any other flag is an error naming it, so a misspelled flag
@@ -1001,22 +1022,36 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
     let durable = durable_opts(&flags)?;
     let robust = robustness_opts(&flags)?;
     let guard = guard_opts(&flags)?;
+    let feedback = flag(&flags, "feedback").unwrap_or("oracle");
+    let unread = match feedback {
+        "oracle" => ORACLE_UNREAD,
+        "query" => QUERY_UNREAD,
+        other => {
+            return Err(format!(
+                "--feedback must be 'oracle' or 'query', got '{other}'"
+            ))
+        }
+    };
+    if let Some((name, _)) = flags
+        .iter()
+        .find(|(name, _)| unread.contains(&name.as_str()))
+    {
+        return Err(format!(
+            "--{name} is not read by `alex improve --feedback {feedback}`"
+        ));
+    }
     let telemetry = telemetry_setup(&flags)?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
     let links = load_links(flag(&flags, "links").ok_or("--links is required")?)?;
     let truth = load_links(flag(&flags, "truth").ok_or("--truth is required")?)?;
 
-    match flag(&flags, "feedback").unwrap_or("oracle") {
-        "oracle" => improve_with_oracle(
+    if feedback == "query" {
+        improve_with_query_feedback(&left, &right, &links, &truth, &flags)?;
+    } else {
+        improve_with_oracle(
             &left, &right, &links, &truth, &flags, durable, robust, guard,
-        )?,
-        "query" => improve_with_query_feedback(&left, &right, &links, &truth, &flags)?,
-        other => {
-            return Err(format!(
-                "--feedback must be 'oracle' or 'query', got '{other}'"
-            ))
-        }
+        )?;
     }
     telemetry.finish()
 }

@@ -74,6 +74,108 @@ fn misspelled_flags_exit_2_naming_the_flag() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each `improve` feedback mode rejects the flags only the other mode
+/// reads, naming the flag and the mode, instead of ignoring them.
+#[test]
+fn improve_rejects_flags_its_feedback_mode_never_reads() {
+    let dir = workdir("unread");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = alex()
+        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+
+    let cases: [(&str, &[&[&str]]); 2] = [
+        (
+            "oracle",
+            &[
+                &["--queries", "5"],
+                &["--fault-profile", "seed=7"],
+                &["--retries", "1"],
+                &["--backoff-ms", "1"],
+                &["--endpoint-budget-ms", "100"],
+                &["--fail-fast"],
+            ],
+        ),
+        ("query", &[&["--partitions", "2"], &["--error-rate", "0.1"]]),
+    ];
+    for (feedback, unread) in cases {
+        for extra in unread {
+            let out = alex()
+                .args([
+                    "improve",
+                    &p("left.nt"),
+                    &p("right.nt"),
+                    "--links",
+                    &p("truth.nt"),
+                    "--truth",
+                    &p("truth.nt"),
+                    "--feedback",
+                    feedback,
+                    "--episodes",
+                    "1",
+                    "--episode-size",
+                    "5",
+                ])
+                .args(*extra)
+                .output()
+                .expect("spawn");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+            let message = format!(
+                "{} is not read by `alex improve --feedback {feedback}`",
+                extra[0]
+            );
+            assert!(stderr.contains(&message), "{extra:?}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `stats --detail` is a switch: it prints each file's per-predicate
+/// table, and the bare command prints one summary row per file.
+#[test]
+fn stats_detail_is_a_switch() {
+    let dir = workdir("stats-detail");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = alex()
+        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+
+    let out = alex()
+        .args(["stats", &p("left.nt")])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(lines[0].starts_with("file"), "{stdout}");
+    assert!(lines[1].starts_with(&p("left.nt")), "{stdout}");
+
+    let out = alex()
+        .args(["stats", &p("left.nt"), "--detail"])
+        .output()
+        .expect("spawn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("triples/entity"), "{stdout}");
+    let table = stdout
+        .lines()
+        .skip_while(|l| !l.trim_start().starts_with("predicate"))
+        .skip(1)
+        .count();
+    assert!(table > 0, "no per-predicate rows: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn full_pipeline_gen_link_improve_query() {
     let dir = workdir("pipeline");

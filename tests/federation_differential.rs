@@ -232,7 +232,7 @@ fn rewritten_execution_matches_plain_modulo_order() {
             .execute_rewritten(&rewritten)
             .expect("rewritten evaluates");
         assert_eq!(plain.completeness, via_rewrite.completeness);
-        let canon = |r: &alex::sparql::FederatedResult| -> Vec<String> {
+        let sorted_rows = |r: &alex::sparql::FederatedResult| -> Vec<String> {
             let mut rows: Vec<String> = r
                 .answers
                 .iter()
@@ -246,7 +246,7 @@ fn rewritten_execution_matches_plain_modulo_order() {
             rows.sort();
             rows
         };
-        assert_eq!(canon(&plain), canon(&via_rewrite));
+        assert_eq!(sorted_rows(&plain), sorted_rows(&via_rewrite));
         assert!(
             !via_rewrite.answers.is_empty(),
             "constant-anchored queries must answer across the closure"
@@ -286,7 +286,7 @@ fn rewritten_queries_never_serve_stale_answers() {
     let mut cached = build(Some(8));
     let mut shadow = build(None);
     let probes = constant_queries(&sc);
-    let canon = |r: &alex::sparql::FederatedResult| -> Vec<String> {
+    let sorted_rows = |r: &alex::sparql::FederatedResult| -> Vec<String> {
         let mut rows: Vec<String> = r
             .answers
             .iter()
@@ -326,12 +326,13 @@ fn rewritten_queries_never_serve_stale_answers() {
         for _ in 0..2 {
             let q = probes.choose(&mut rng).expect("pool not empty");
             let rewritten = cached.rewrite(q);
-            let want = canon(&shadow.execute_full(q).expect("shadow evaluates"));
+            let want = sorted_rows(&shadow.execute_full(q).expect("shadow evaluates"));
             // Execute the same rewrite twice: the second run must be served
             // (partly) from cache *within* this closure generation and
             // still match the from-scratch oracle.
             for _ in 0..2 {
-                let got = canon(&cached.execute_rewritten(&rewritten).expect("fresh rewrite"));
+                let got =
+                    sorted_rows(&cached.execute_rewritten(&rewritten).expect("fresh rewrite"));
                 assert_eq!(
                     got, want,
                     "step {step}: rewritten answers diverged from the from-scratch oracle"

@@ -1,17 +1,15 @@
-//! Seeded structure-aware fuzzing of the SPARQL lexer, parser, serializer,
-//! and canonicalizer: ~10k inputs per run, deterministic under the fixed
-//! seed. Three properties:
+//! Seeded structure-aware fuzzing of the SPARQL lexer, parser and
+//! serializer: ~11.5k inputs per run, deterministic under the fixed seeds.
+//! Three properties:
 //!
 //! 1. `parse` never panics, on well-formed and mutated input alike.
 //! 2. Well-formed queries round-trip: `parse(to_sparql(parse(s)))` equals
-//!    `parse(s)`, and the serialization is a fixpoint.
-//! 3. `fingerprint` is invariant under variable renaming and required-
-//!    pattern / filter / UNION-branch reordering, for every generated
+//!    `parse(s)`, and the serialization is a fixpoint, for every generated
 //!    structure (UNION alternations included).
-//! 4. `rewrite_sameas` is idempotent: rewriting a rewritten query changes
-//!    nothing, and rewritten queries still round-trip and canonicalize.
+//! 3. `rewrite_sameas` is idempotent: rewriting a rewritten query changes
+//!    nothing, and rewritten queries still round-trip.
 
-use alex::sparql::{fingerprint, parse, rewrite_sameas, SameAsLinks};
+use alex::sparql::{parse, rewrite_sameas, SameAsLinks};
 use rand::prelude::*;
 
 const IRIS: &[&str] = &[
@@ -170,23 +168,10 @@ struct Structure {
 }
 
 impl Structure {
-    /// Render to SPARQL text under a naming scheme and permutations of the
-    /// required patterns and filters (the commutative clauses).
-    fn render(&self, names: &[String], req_order: &[usize], filter_order: &[usize]) -> String {
-        let branch_orders: Vec<Vec<usize>> =
-            self.unions.iter().map(|u| identity(u.len())).collect();
-        self.render_with_unions(names, req_order, filter_order, &branch_orders)
-    }
-
-    /// Like [`Structure::render`] but with an explicit branch order per
-    /// UNION alternation (branch sets are commutative too).
-    fn render_with_unions(
-        &self,
-        names: &[String],
-        req_order: &[usize],
-        filter_order: &[usize],
-        branch_orders: &[Vec<usize>],
-    ) -> String {
+    /// Render to SPARQL text, naming variable `i` as `?v{i}`.
+    fn render(&self) -> String {
+        let names: Vec<String> = (0..self.n_vars).map(|i| format!("v{i}")).collect();
+        let names = &names;
         let mut q = String::new();
         if self.ask {
             q.push_str("ASK {");
@@ -207,23 +192,23 @@ impl Structure {
             }
             q.push_str(" WHERE {");
         }
-        for &i in req_order {
+        for p in &self.required {
             q.push(' ');
-            q.push_str(&self.required[i].render(names));
+            q.push_str(&p.render(names));
         }
-        for (u, branches) in self.unions.iter().enumerate() {
-            let rendered: Vec<String> = branch_orders[u]
+        for branches in &self.unions {
+            let rendered: Vec<String> = branches
                 .iter()
-                .map(|&b| {
-                    let pats: Vec<String> = branches[b].iter().map(|p| p.render(names)).collect();
+                .map(|branch| {
+                    let pats: Vec<String> = branch.iter().map(|p| p.render(names)).collect();
                     format!("{{ {} }}", pats.join(" "))
                 })
                 .collect();
             q.push(' ');
             q.push_str(&rendered.join(" UNION "));
         }
-        for &i in filter_order {
-            q.push_str(&format!(" FILTER({})", self.filters[i].render(names)));
+        for f in &self.filters {
+            q.push_str(&format!(" FILTER({})", f.render(names)));
         }
         for group in &self.optionals {
             q.push_str(" OPTIONAL {");
@@ -388,24 +373,13 @@ fn gen_structure(rng: &mut StdRng) -> Structure {
     }
 }
 
-fn identity(n: usize) -> Vec<usize> {
-    (0..n).collect()
-}
-
-/// ~4k structure-aware queries: parse → serialize → parse is the identity,
-/// serialization is a fixpoint, and the fingerprint ignores variable names
-/// and the order of commutative clauses.
+/// ~4k structure-aware queries: parse → serialize → parse is the identity
+/// and serialization is a fixpoint.
 #[test]
-fn generated_queries_round_trip_and_fingerprint_canonically() {
+fn generated_queries_round_trip() {
     let mut rng = StdRng::seed_from_u64(0xA1EF_5EED);
     for case in 0..4000u32 {
-        let s = gen_structure(&mut rng);
-        let base_names: Vec<String> = (0..s.n_vars).map(|i| format!("v{i}")).collect();
-        let text = s.render(
-            &base_names,
-            &identity(s.required.len()),
-            &identity(s.filters.len()),
-        );
+        let text = gen_structure(&mut rng).render();
 
         let q = parse(&text).unwrap_or_else(|e| {
             panic!("case {case}: generator emitted invalid SPARQL: {e}\n{text}")
@@ -425,51 +399,13 @@ fn generated_queries_round_trip_and_fingerprint_canonically() {
             q2.to_sparql(),
             "case {case}: serialization is not a fixpoint"
         );
-
-        // Fingerprint invariance: consistent variable renaming...
-        let fp = fingerprint(&q);
-        let renamed_names: Vec<String> = (0..s.n_vars).map(|i| format!("zz_{i}q")).collect();
-        let renamed = s.render(
-            &renamed_names,
-            &identity(s.required.len()),
-            &identity(s.filters.len()),
-        );
-        let q_renamed = parse(&renamed).expect("renaming preserves well-formedness");
-        assert_eq!(
-            fp,
-            fingerprint(&q_renamed),
-            "case {case}: fingerprint changed under variable renaming\n{text}\n{renamed}"
-        );
-
-        // ...and reordering of required patterns, filters, and the
-        // branches inside each UNION alternation.
-        let mut req_order = identity(s.required.len());
-        req_order.shuffle(&mut rng);
-        let mut filter_order = identity(s.filters.len());
-        filter_order.shuffle(&mut rng);
-        let branch_orders: Vec<Vec<usize>> = s
-            .unions
-            .iter()
-            .map(|u| {
-                let mut order = identity(u.len());
-                order.shuffle(&mut rng);
-                order
-            })
-            .collect();
-        let shuffled = s.render_with_unions(&base_names, &req_order, &filter_order, &branch_orders);
-        let q_shuffled = parse(&shuffled).expect("reordering preserves well-formedness");
-        assert_eq!(
-            fp,
-            fingerprint(&q_shuffled),
-            "case {case}: fingerprint changed under clause reordering\n{text}\n{shuffled}"
-        );
     }
 }
 
 /// ~1.5k structures against a fixed sameAs closure over the IRI pool:
 /// `rewrite_sameas` must be *idempotent* — rewriting an already rewritten
-/// query changes neither the text nor the fingerprint and introduces zero
-/// new rewrites — and every rewritten query must still round-trip through
+/// query changes neither the text nor the AST and introduces zero new
+/// rewrites — and every rewritten query must still round-trip through
 /// the serializer.
 #[test]
 fn sameas_rewriting_is_idempotent() {
@@ -484,20 +420,14 @@ fn sameas_rewriting_is_idempotent() {
 
     let mut rewrote = 0u64;
     for case in 0..1500u32 {
-        let s = gen_structure(&mut rng);
-        let names: Vec<String> = (0..s.n_vars).map(|i| format!("v{i}")).collect();
-        let text = s.render(
-            &names,
-            &identity(s.required.len()),
-            &identity(s.filters.len()),
-        );
+        let text = gen_structure(&mut rng).render();
         let q = parse(&text).expect("generator emits valid SPARQL");
 
         let first = rewrite_sameas(&q, &links);
         rewrote += first.rewritten_patterns();
 
         // The rewritten query is still well-formed: serialize → reparse is
-        // the identity and canonicalization does not panic.
+        // the identity.
         let serialized = first.query().to_sparql();
         let reparsed = parse(&serialized).unwrap_or_else(|e| {
             panic!("case {case}: rewritten query does not reparse: {e}\n{text}\n-> {serialized}")
@@ -507,7 +437,6 @@ fn sameas_rewriting_is_idempotent() {
             &reparsed,
             "case {case}: rewritten query round trip changed the AST"
         );
-        let fp = fingerprint(first.query());
 
         // Idempotence: a second rewrite is a pure pass-through.
         let second = rewrite_sameas(first.query(), &links);
@@ -522,9 +451,9 @@ fn sameas_rewriting_is_idempotent() {
             "case {case}: re-rewriting changed the text"
         );
         assert_eq!(
-            fingerprint(second.query()),
-            fp,
-            "case {case}: re-rewriting changed the fingerprint"
+            second.query(),
+            first.query(),
+            "case {case}: re-rewriting changed the AST"
         );
         assert_eq!(second.generation(), first.generation());
     }
@@ -538,22 +467,12 @@ fn sameas_rewriting_is_idempotent() {
 
 /// ~6k char-level mutations of valid queries: the lexer/parser must never
 /// panic, and whenever a mutant still parses, it must still round-trip
-/// through the serializer and fingerprint without panicking.
+/// through the serializer without panicking.
 #[test]
 fn mutated_queries_never_panic() {
     let mut rng = StdRng::seed_from_u64(0xF022_5EED);
     // A corpus of valid queries to mutate.
-    let corpus: Vec<String> = (0..200)
-        .map(|_| {
-            let s = gen_structure(&mut rng);
-            let names: Vec<String> = (0..s.n_vars).map(|i| format!("v{i}")).collect();
-            s.render(
-                &names,
-                &identity(s.required.len()),
-                &identity(s.filters.len()),
-            )
-        })
-        .collect();
+    let corpus: Vec<String> = (0..200).map(|_| gen_structure(&mut rng).render()).collect();
 
     const MUTATION_CHARS: &[char] = &[
         '?', '{', '}', '<', '>', '"', '\\', '.', ';', ',', ' ', '(', ')', '@', '^', '!', '&', '|',
@@ -587,10 +506,9 @@ fn mutated_queries_never_panic() {
         // Must not panic — Ok or Err are both acceptable.
         if let Ok(q) = parse(&mutant) {
             parsed_ok += 1;
-            // Anything the parser accepts must be canonicalizable and
-            // serializable, and the serialization must reparse to the
-            // same AST (the parser has no syntax the serializer loses).
-            let _ = fingerprint(&q);
+            // Anything the parser accepts must be serializable, and the
+            // serialization must reparse to the same AST (the parser has
+            // no syntax the serializer loses).
             let serialized = q.to_sparql();
             let q2 = parse(&serialized).unwrap_or_else(|e| {
                 panic!("accepted mutant does not round-trip: {e}\n{mutant}\n-> {serialized}")
