@@ -23,7 +23,7 @@ use crate::persist::{self, AgentState};
 use crate::policy::Policy;
 use crate::provenance::Provenance;
 use crate::space::{LinkSpace, PairId};
-use crate::trust_gate::{AdmissionRecord, RollbackUndo, TrustGate};
+use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, TrustGate};
 use crate::value_fn::ActionValue;
 
 /// What one feedback item did to the candidate set.
@@ -279,14 +279,14 @@ impl Agent {
                     .iter()
                     .map(|&(f, _)| f)
                     .collect();
-                let mut added = Vec::new();
+                let (mut added, mut attributed) = (Vec::new(), BitMask::default());
                 if let Some(action) = self.policy.choose(state, &actions, &mut self.rng) {
                     counter!("alex_exploration_actions_total").inc();
                     emit!(Event::ExplorationAction {
                         action: format!("{action:?}")
                     });
                     outcome.action = Some(action);
-                    added = self.explore(state, action);
+                    (added, attributed) = self.explore(state, action);
                 }
                 outcome.added = added.len();
                 if let Some(u) = undo.as_deref_mut() {
@@ -295,6 +295,7 @@ impl Agent {
                     u.prov_target = prov_target;
                     u.action = outcome.action;
                     u.added = added;
+                    u.attributed = attributed;
                 }
             }
             Feedback::Negative => {
@@ -327,8 +328,8 @@ impl Agent {
                         // negative) before take_generated clears them.
                         let votes = self.provenance.votes_of(generator).unwrap_or((0, 0));
                         let links = self.provenance.take_generated(generator);
-                        let mut removed = Vec::new();
-                        for &link in &links {
+                        let mut removed = BitMask::default();
+                        for (i, &link) in links.iter().enumerate() {
                             if self.cfg.rollback_spares_approved && self.approved.contains(link) {
                                 continue;
                             }
@@ -336,7 +337,7 @@ impl Agent {
                             // they are NOT blacklisted — they may be correct
                             // and can be rediscovered by a better action.
                             if self.candidates.remove(link) {
-                                removed.push(link);
+                                removed.insert(i);
                                 emit!({
                                     let (l, r) = self.space.pair(link);
                                     Event::LinkRemoved {
@@ -471,9 +472,7 @@ impl Agent {
 
         let mut footprint: HashSet<PairId> = HashSet::new();
         footprint.insert(gate.log[idx].state);
-        for &(l, _) in &gate.log[idx].added {
-            footprint.insert(l);
-        }
+        footprint.extend(gate.log[idx].added.iter().copied());
         if let Some(rb) = &gate.log[idx].rollback {
             footprint.extend(rb.links.iter().copied());
         }
@@ -485,7 +484,7 @@ impl Agent {
                 let r = &gate.log[j];
                 !r.revoked
                     && (footprint.contains(&r.state)
-                        || r.added.iter().any(|&(l, _)| footprint.contains(&l))
+                        || r.added.iter().any(|l| footprint.contains(l))
                         || r.rollback
                             .as_ref()
                             .is_some_and(|rb| rb.links.iter().any(|l| footprint.contains(l))))
@@ -495,13 +494,13 @@ impl Agent {
             }
         }
 
-        let rec = gate.log[idx].clone();
+        let rec = &gate.log[idx];
         if rec.positive {
             // Reverse of the positive apply: un-explore, un-vote, un-endorse,
             // un-approve, un-credit.
-            for &(link, attributed) in rec.added.iter().rev() {
+            for (i, &link) in rec.added.iter().enumerate().rev() {
                 self.candidates.remove(link);
-                if let (true, Some(action)) = (attributed, rec.action) {
+                if let (true, Some(action)) = (rec.attributed.contains(i), rec.action) {
                     self.provenance
                         .retract_attribution(link, (rec.state, action));
                 }
@@ -519,7 +518,7 @@ impl Agent {
             // Reverse of the negative apply: un-rollback, un-vote, un-strike,
             // re-approve, re-admit, un-credit.
             if let Some(rb) = &rec.rollback {
-                for &link in rb.removed.iter().rev() {
+                for link in rb.removed.select(&rb.links).rev() {
                     self.candidates.insert(link);
                 }
                 self.provenance
@@ -602,12 +601,12 @@ impl Agent {
 
     /// Execute the chosen exploration action: add every link whose score for
     /// `action` lies within ±step of this state's score (§4.2). Returns the
-    /// added links in insertion order, each with whether this call created
-    /// its provenance attribution.
-    fn explore(&mut self, state: PairId, action: FeatureId) -> Vec<(PairId, bool)> {
+    /// added links in insertion order and the positions among them whose
+    /// provenance attribution this call created.
+    fn explore(&mut self, state: PairId, action: FeatureId) -> (Vec<PairId>, BitMask) {
         let Some(center) = crate::feature::feature_score(self.space.feature_set_of(state), action)
         else {
-            return Vec::new();
+            return (Vec::new(), BitMask::default());
         };
         let mut added = Vec::new();
         for link in self.space.explore(action, center, self.cfg.step_size) {
@@ -626,7 +625,7 @@ impl Agent {
                 continue;
             }
             self.candidates.insert(link);
-            added.push((link, false));
+            added.push(link);
             emit!({
                 let (l, r) = self.space.pair(link);
                 Event::LinkAdded {
@@ -635,11 +634,11 @@ impl Agent {
                 }
             });
         }
-        self.provenance.record_all((state, action), &mut added);
+        let attributed = self.provenance.record_all((state, action), &added);
         if !added.is_empty() {
             counter!("alex_links_added_total").add(added.len() as u64);
         }
-        added
+        (added, attributed)
     }
 
     /// Policy improvement at the end of an episode (Algorithm 1 lines
@@ -711,7 +710,8 @@ impl Agent {
     /// Capture the full learning state for a durable snapshot. Must be
     /// called at an episode boundary (the intra-episode bookkeeping is
     /// always empty there and is not captured).
-    pub fn capture_state(&self) -> AgentState {
+    /// The trust gate's admission log is borrowed, not copied.
+    pub fn capture_state(&self) -> AgentState<'_> {
         let approved: Vec<u32> = self.approved.iter().map(|id| id.0).collect();
         let greedy: Vec<(u32, u32)> = self.policy.iter_greedy().map(|(s, a)| (s.0, a.0)).collect();
         let mut returns: Vec<((u32, u32), Vec<f64>)> = self
@@ -755,8 +755,9 @@ impl Agent {
     /// Restore learning state captured by [`Agent::capture_state`] onto a
     /// *freshly constructed* agent over the same space, initial links, and
     /// configuration. Admissions are replayed first so every persisted raw
-    /// id resolves to the same pair it named when captured.
-    pub fn restore_state(&mut self, state: &AgentState) -> Result<(), String> {
+    /// id resolves to the same pair it named when captured. The state is
+    /// consumed: its return lists and admission log move into the agent.
+    pub fn restore_state(&mut self, state: AgentState<'_>) -> Result<(), String> {
         if self.space.admissions().len() != self.base_admissions || self.episodes_completed != 0 {
             return Err("restore_state requires a freshly constructed agent".to_string());
         }
@@ -787,9 +788,8 @@ impl Agent {
             self.policy.improve(in_space(s)?, FeatureId(a));
         }
         self.qvalues = ActionValue::new();
-        for ((s, a), rs) in &state.returns {
-            self.qvalues
-                .restore_returns(in_space(*s)?, FeatureId(*a), rs.clone());
+        for ((s, a), rs) in state.returns {
+            self.qvalues.restore_returns(in_space(s)?, FeatureId(a), rs);
         }
         self.blacklist = Blacklist::new(self.cfg.use_blacklist);
         for &(id, n, p) in &state.blacklist_votes {
@@ -816,7 +816,7 @@ impl Agent {
                 in_space(id.0)?;
             }
         }
-        self.trust = match (self.cfg.trust, &state.trust) {
+        self.trust = match (self.cfg.trust, state.trust) {
             (Some(cfg), Some(ts)) => Some(TrustGate::from_state(cfg, ts)),
             (Some(cfg), None) => Some(TrustGate::new(cfg)),
             (None, Some(_)) => {
@@ -1281,7 +1281,7 @@ mod tests {
         assert!(state.trust.is_some());
 
         let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
-        fresh.restore_state(&state).unwrap();
+        fresh.restore_state(state.clone()).unwrap();
         assert_eq!(fresh.capture_state(), state);
         let gate = fresh.trust_gate().unwrap();
         assert_eq!(gate.buffer.pending_votes(), 1);
@@ -1299,33 +1299,31 @@ mod tests {
         agent.end_episode();
         let state = agent.capture_state();
 
-        fn undo(
-            generator: PairId,
-            links: Vec<PairId>,
-            removed: Vec<PairId>,
-        ) -> Option<RollbackUndo> {
+        // A rollback's removals are positions in its own list, so they
+        // name no id of their own; the decoder rejects removals outside the
+        // list (`persist` tests).
+        fn undo(generator: PairId, links: Vec<PairId>) -> Option<RollbackUndo> {
             Some(RollbackUndo {
                 generator: (generator, FeatureId(0)),
                 links,
                 votes: (1, 0),
-                removed,
+                removed: BitMask::default(),
             })
         }
-        let tampers: [fn(&mut persist::TrustState, PairId); 8] = [
+        let tampers: [fn(&mut persist::TrustState<'_>, PairId); 7] = [
             |t, far| t.pending[0].0 = far.0,
-            |t, far| t.log[0].state = far,
-            |t, far| t.log[0].added.push((far, true)),
-            |t, far| t.log[0].credited.push((far, FeatureId(0))),
-            |t, far| t.log[0].prov_target = Some((far, FeatureId(0))),
-            |t, far| t.log[0].rollback = undo(far, vec![], vec![]),
-            |t, far| t.log[0].rollback = undo(PairId(0), vec![far], vec![]),
-            |t, far| t.log[0].rollback = undo(PairId(0), vec![PairId(0)], vec![far]),
+            |t, far| t.log.to_mut()[0].state = far,
+            |t, far| t.log.to_mut()[0].added.push(far),
+            |t, far| t.log.to_mut()[0].credited.push((far, FeatureId(0))),
+            |t, far| t.log.to_mut()[0].prov_target = Some((far, FeatureId(0))),
+            |t, far| t.log.to_mut()[0].rollback = undo(far, vec![]),
+            |t, far| t.log.to_mut()[0].rollback = undo(PairId(0), vec![far]),
         ];
         for (i, tamper) in tampers.iter().enumerate() {
             let mut bad = state.clone();
             tamper(bad.trust.as_mut().unwrap(), PairId(u32::MAX));
             let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
-            let err = fresh.restore_state(&bad).unwrap_err();
+            let err = fresh.restore_state(bad).unwrap_err();
             assert!(
                 err.contains("does not belong to this run"),
                 "tamper {i}: {err}"
@@ -1334,7 +1332,7 @@ mod tests {
             let mut fine = state.clone();
             tamper(fine.trust.as_mut().unwrap(), PairId(0));
             let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
-            assert!(fresh.restore_state(&fine).is_ok(), "tamper {i} in range");
+            assert!(fresh.restore_state(fine).is_ok(), "tamper {i} in range");
         }
     }
 
@@ -1347,7 +1345,7 @@ mod tests {
         let state = gated.capture_state();
 
         let mut plain = agent_with_initial(&[(0, 0)]);
-        let err = plain.restore_state(&state).unwrap_err();
+        let err = plain.restore_state(state).unwrap_err();
         assert!(err.contains("trust"), "{err}");
     }
 }

@@ -660,7 +660,7 @@ pub fn run_partitions(
                     .to_string(),
             );
         }
-        let recovery = d
+        let mut recovery = d
             .recovery
             .take()
             .ok_or_else(|| "durability recovery already consumed".to_string())?;
@@ -685,8 +685,11 @@ pub fn run_partitions(
                  links, partitions, or configuration changed since the snapshot was taken";
 
             let mut expected_seq = 1u64;
-            if let Some((snap_seq, payload)) = &recovery.snapshot {
-                let snap = persist::decode_snapshot(payload)?;
+            if let Some((snap_seq, payload)) = recovery.snapshot.take() {
+                // Decode, then drop the file bytes before the decoded state
+                // moves into the agents.
+                let snap = persist::decode_snapshot(&payload)?;
+                drop(payload);
                 if snap.completed {
                     return Err(
                         "this run already completed; nothing to resume (start a fresh \
@@ -697,12 +700,11 @@ pub fn run_partitions(
                 if snap.base_fingerprint != run_fingerprint(&parts) || snap.partitions.len() != k {
                     return Err(different_run.to_string());
                 }
-                for ((part, track), saved) in
-                    parts.iter_mut().zip(&mut tracks).zip(&snap.partitions)
+                for ((part, track), saved) in parts.iter_mut().zip(&mut tracks).zip(snap.partitions)
                 {
-                    part.agent.restore_state(&saved.agent)?;
+                    part.agent.restore_state(saved.agent)?;
                     part.source.restore_durable_state(&saved.source_state)?;
-                    track.trace.episodes = saved.episodes.clone();
+                    track.trace.episodes = saved.episodes;
                     track.prev = part.agent.candidates().snapshot();
                 }
                 st.relaxed_converged_at = snap.relaxed_converged_at.map(|e| e as usize);
@@ -1549,11 +1551,11 @@ mod tests {
                 durability = durability.stop_after(n);
             }
             let report = run_partitions(parts, &truth, Some(durability), None).unwrap();
-            (report, agents.map(|a| a.capture_state()))
+            (report, agents)
         };
 
         let dir_ref = tmpdir("parts-ref");
-        let (reference, ref_states) = run_two(&dir_ref, None, false);
+        let (reference, ref_agents) = run_two(&dir_ref, None, false);
         assert!(
             reference.episode_count() > 3,
             "reference too short to cut: {:?}",
@@ -1564,7 +1566,7 @@ mod tests {
         let dir = tmpdir("parts-cut");
         let (cut, _) = run_two(&dir, Some(3), false);
         assert_eq!(cut.stop, StopReason::Suspended);
-        let (resumed, states) = run_two(&dir, None, true);
+        let (resumed, agents) = run_two(&dir, None, true);
 
         assert_eq!(report_identity(&reference), report_identity(&resumed));
         for (a, b) in reference.partitions.iter().zip(&resumed.partitions) {
@@ -1578,7 +1580,10 @@ mod tests {
             };
             assert_eq!(stats(a), stats(b), "partition {} trace", a.partition);
         }
-        assert_eq!(ref_states, states);
+        assert_eq!(
+            ref_agents.each_ref().map(Agent::capture_state),
+            agents.each_ref().map(Agent::capture_state)
+        );
         let _ = std::fs::remove_dir_all(&dir_ref);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -21,12 +21,18 @@
 //! driver's [`EpisodeReport`]s (without the session-local `duration`,
 //! which decodes as zero), and the trust gate's admission log is its own
 //! [`AdmissionRecord`]s and [`RollbackUndo`]s, ids written as their raw
-//! `u32`s.
+//! `u32`s. A captured [`TrustState`] borrows the live log rather than
+//! cloning it. The records keep two footprints as bit masks in memory
+//! ([`BitMask`]); the codec writes them as the explicit lists of format 4
+//! (a flag per explored link, the removed links by id) and rebuilds the
+//! masks on decode.
 //!
 //! Both carry a format version and are validated field-by-field; a snapshot
 //! additionally carries the run's *base fingerprint* (link spaces +
 //! configurations), so resuming against different inputs fails loudly
 //! instead of silently diverging.
+
+use std::borrow::Cow;
 
 use alex_store::{ByteReader, ByteWriter, CodecError};
 use alex_trust::SourceId;
@@ -35,7 +41,7 @@ use crate::config::AlexConfig;
 use crate::feature::FeatureId;
 use crate::metrics::{EpisodeReport, Quality};
 use crate::space::PairId;
-use crate::trust_gate::{AdmissionRecord, RollbackUndo};
+use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo};
 
 /// Version of the domain encoding (independent of the store-layer framing).
 /// Version 4 made snapshots and journal records carry a list of partitions
@@ -50,7 +56,7 @@ pub const FORMAT_VERSION: u32 = 4;
 /// Serialized learning state of an [`crate::Agent`], captured after an
 /// episode boundary.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AgentState {
+pub struct AgentState<'a> {
     /// Agent RNG state words.
     pub rng: [u64; 4],
     /// Episodes the agent has completed.
@@ -76,13 +82,15 @@ pub struct AgentState {
     /// Provenance votes `((state, feature), negatives, positives)`, sorted.
     pub provenance_votes: Vec<((u32, u32), u32, u32)>,
     /// Trust-layer state, present iff the run has trust admission enabled.
-    pub trust: Option<TrustState>,
+    pub trust: Option<TrustState<'a>>,
 }
 
 /// Serialized state of the agent's trust gate: its persisted fields, with
-/// the admission log stored as the gate's own [`AdmissionRecord`]s.
+/// the admission log stored as the gate's own [`AdmissionRecord`]s —
+/// borrowed from the live gate when captured for a snapshot, owned when
+/// decoded from one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TrustState {
+pub struct TrustState<'a> {
     /// Per-source `(source, agreements, disagreements)` counts, sorted by
     /// source.
     pub sources: Vec<(SourceId, u32, u32)>,
@@ -94,16 +102,16 @@ pub struct TrustState {
     pub pending: Vec<(u32, Vec<(SourceId, bool)>)>,
     /// The admission log in admission order, including revoked entries
     /// (revocation is a flag, not a deletion, so log indices are stable).
-    pub log: Vec<AdmissionRecord>,
+    pub log: Cow<'a, [AdmissionRecord]>,
 }
 
 /// One partition's part of a [`RunSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct PartitionSnapshot {
+pub struct PartitionSnapshot<'a> {
     /// The partition's own per-episode history (its trace).
     pub episodes: Vec<EpisodeReport>,
     /// The partition agent's learning state.
-    pub agent: AgentState,
+    pub agent: AgentState<'a>,
     /// Opaque feedback-source state
     /// ([`crate::FeedbackSource::durable_state`]).
     pub source_state: Vec<u8>,
@@ -111,7 +119,7 @@ pub struct PartitionSnapshot {
 
 /// One full-run snapshot: every partition's state plus driver bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RunSnapshot {
+pub struct RunSnapshot<'a> {
     /// Fingerprint of the link spaces + configurations this state was
     /// learned against.
     pub base_fingerprint: u64,
@@ -124,7 +132,7 @@ pub struct RunSnapshot {
     /// Full aggregate per-episode history up to `last_episode`.
     pub episodes: Vec<EpisodeReport>,
     /// The partitions, in partition order.
-    pub partitions: Vec<PartitionSnapshot>,
+    pub partitions: Vec<PartitionSnapshot<'a>>,
 }
 
 /// One partition's part of an [`EpisodeRecord`].
@@ -311,7 +319,7 @@ fn get_stats(r: &mut ByteReader) -> Result<Vec<EpisodeReport>, CodecError> {
     })
 }
 
-fn put_agent(w: &mut ByteWriter, a: &AgentState) {
+fn put_agent(w: &mut ByteWriter, a: &AgentState<'_>) {
     for word in a.rng {
         w.u64(word);
     }
@@ -341,7 +349,7 @@ fn put_agent(w: &mut ByteWriter, a: &AgentState) {
     put_option(w, &a.trust, put_trust);
 }
 
-fn get_agent(r: &mut ByteReader) -> Result<AgentState, CodecError> {
+fn get_agent(r: &mut ByteReader) -> Result<AgentState<'static>, CodecError> {
     let mut rng = [0u64; 4];
     for word in &mut rng {
         *word = r.u64("rng word")?;
@@ -392,7 +400,7 @@ fn get_key(r: &mut ByteReader, what: &'static str) -> Result<(PairId, FeatureId)
     Ok((PairId(s), FeatureId(a)))
 }
 
-fn put_trust(w: &mut ByteWriter, t: &TrustState) {
+fn put_trust(w: &mut ByteWriter, t: &TrustState<'_>) {
     put_list(w, &t.sources, |w, &(source, agree, disagree)| {
         w.u32(source.0);
         w.u32(agree);
@@ -406,7 +414,7 @@ fn put_trust(w: &mut ByteWriter, t: &TrustState) {
             w.u8(u8::from(positive));
         });
     });
-    put_list(w, &t.log, |w, rec| {
+    put_list(w, &t.log[..], |w, rec| {
         w.u32(rec.state.0);
         w.u8(u8::from(rec.positive));
         put_list(w, &rec.supporters, |w, s| w.u32(s.0));
@@ -417,10 +425,11 @@ fn put_trust(w: &mut ByteWriter, t: &TrustState) {
         w.u8(u8::from(rec.endorsed));
         put_option(w, &rec.prov_target, put_key);
         put_option(w, &rec.action, |w, action| w.u32(action.0));
-        put_list(w, &rec.added, |w, &(link, attributed)| {
+        w.u64(rec.added.len() as u64);
+        for (i, link) in rec.added.iter().enumerate() {
             w.u32(link.0);
-            w.u8(u8::from(attributed));
-        });
+            w.u8(u8::from(rec.attributed.contains(i)));
+        }
         w.u8(u8::from(rec.removed_candidate));
         w.u8(u8::from(rec.was_approved));
         w.u8(u8::from(rec.blacklist_added));
@@ -428,7 +437,10 @@ fn put_trust(w: &mut ByteWriter, t: &TrustState) {
             put_key(w, &rb.generator);
             put_list(w, &rb.links, |w, l| w.u32(l.0));
             put_pair(w, &rb.votes);
-            put_list(w, &rb.removed, |w, l| w.u32(l.0));
+            w.u64(rb.removed.len() as u64);
+            for link in rb.removed.select(&rb.links) {
+                w.u32(link.0);
+            }
         });
         w.u8(u8::from(rec.revoked));
     });
@@ -442,7 +454,78 @@ fn get_link(r: &mut ByteReader, what: &'static str) -> Result<PairId, CodecError
     r.u32(what).map(PairId)
 }
 
-fn get_trust(r: &mut ByteReader) -> Result<TrustState, CodecError> {
+/// Read explored links with their attribution flags into the list and the
+/// mask an [`AdmissionRecord`] keeps.
+fn get_added(r: &mut ByteReader) -> Result<(Vec<PairId>, BitMask), CodecError> {
+    let n = r.len("admission added")?;
+    let mut added = Vec::with_capacity(n);
+    let mut attributed = BitMask::default();
+    for i in 0..n {
+        added.push(get_link(r, "added link")?);
+        if get_bool(r, "added attribution flag")? {
+            attributed.insert(i);
+        }
+    }
+    Ok((added, attributed))
+}
+
+fn get_rollback(r: &mut ByteReader) -> Result<RollbackUndo, CodecError> {
+    let generator = get_key(r, "rollback generator")?;
+    let links = get_list(r, "rollback links", |r| get_link(r, "rollback link"))?;
+    let votes = get_pair(r, "rollback votes")?;
+    let removed = get_list(r, "rollback removed", |r| {
+        get_link(r, "rollback removed link")
+    })?;
+    // A rollback removes links by walking its list in order, so its
+    // removals are always an in-order subsequence of that list.
+    let removed = BitMask::of_subsequence(&links, &removed).ok_or(CodecError {
+        context: "rollback removed links (not an in-order subsequence of its links)",
+        offset: r.position(),
+    })?;
+    Ok(RollbackUndo {
+        generator,
+        links,
+        votes,
+        removed,
+    })
+}
+
+fn get_record(r: &mut ByteReader) -> Result<AdmissionRecord, CodecError> {
+    let state = get_link(r, "admission state")?;
+    let positive = get_bool(r, "admission direction")?;
+    let supporters = get_list(r, "admission supporters", |r| get_source(r, "supporter"))?;
+    let opposers = get_list(r, "admission opposers", |r| get_source(r, "opposer"))?;
+    let credited = get_list(r, "admission credits", |r| get_key(r, "credit"))?;
+    let reward = r.f64("admission reward")?;
+    let newly_approved = get_bool(r, "newly approved flag")?;
+    let endorsed = get_bool(r, "endorsed flag")?;
+    let prov_target = get_option(r, "prov target flag", |r| get_key(r, "prov target"))?;
+    let action = get_option(r, "action flag", |r| {
+        r.u32("admission action").map(FeatureId)
+    })?;
+    let (added, attributed) = get_added(r)?;
+    Ok(AdmissionRecord {
+        state,
+        positive,
+        supporters,
+        opposers,
+        credited,
+        reward,
+        newly_approved,
+        endorsed,
+        prov_target,
+        action,
+        added,
+        attributed,
+        removed_candidate: get_bool(r, "removed candidate flag")?,
+        was_approved: get_bool(r, "was approved flag")?,
+        blacklist_added: get_bool(r, "blacklist added flag")?,
+        rollback: get_option(r, "rollback flag", get_rollback)?,
+        revoked: get_bool(r, "revoked flag")?,
+    })
+}
+
+fn get_trust(r: &mut ByteReader) -> Result<TrustState<'static>, CodecError> {
     Ok(TrustState {
         sources: get_list(r, "trust sources", |r| {
             Ok((
@@ -464,42 +547,7 @@ fn get_trust(r: &mut ByteReader) -> Result<TrustState, CodecError> {
             })?;
             Ok((link, votes))
         })?,
-        log: get_list(r, "admission log", |r| {
-            Ok(AdmissionRecord {
-                state: get_link(r, "admission state")?,
-                positive: get_bool(r, "admission direction")?,
-                supporters: get_list(r, "admission supporters", |r| get_source(r, "supporter"))?,
-                opposers: get_list(r, "admission opposers", |r| get_source(r, "opposer"))?,
-                credited: get_list(r, "admission credits", |r| get_key(r, "credit"))?,
-                reward: r.f64("admission reward")?,
-                newly_approved: get_bool(r, "newly approved flag")?,
-                endorsed: get_bool(r, "endorsed flag")?,
-                prov_target: get_option(r, "prov target flag", |r| get_key(r, "prov target"))?,
-                action: get_option(r, "action flag", |r| {
-                    r.u32("admission action").map(FeatureId)
-                })?,
-                added: get_list(r, "admission added", |r| {
-                    Ok((
-                        get_link(r, "added link")?,
-                        get_bool(r, "added attribution flag")?,
-                    ))
-                })?,
-                removed_candidate: get_bool(r, "removed candidate flag")?,
-                was_approved: get_bool(r, "was approved flag")?,
-                blacklist_added: get_bool(r, "blacklist added flag")?,
-                rollback: get_option(r, "rollback flag", |r| {
-                    Ok(RollbackUndo {
-                        generator: get_key(r, "rollback generator")?,
-                        links: get_list(r, "rollback links", |r| get_link(r, "rollback link"))?,
-                        votes: get_pair(r, "rollback votes")?,
-                        removed: get_list(r, "rollback removed", |r| {
-                            get_link(r, "rollback removed link")
-                        })?,
-                    })
-                })?,
-                revoked: get_bool(r, "revoked flag")?,
-            })
-        })?,
+        log: Cow::Owned(get_list(r, "admission log", get_record)?),
     })
 }
 
@@ -516,7 +564,7 @@ fn check_version(r: &mut ByteReader, what: &'static str) -> Result<(), String> {
 }
 
 /// Encode a [`RunSnapshot`] as the snapshot payload handed to the store.
-pub fn encode_snapshot(s: &RunSnapshot) -> Vec<u8> {
+pub fn encode_snapshot(s: &RunSnapshot<'_>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(FORMAT_VERSION);
     w.u64(s.base_fingerprint);
@@ -534,13 +582,13 @@ pub fn encode_snapshot(s: &RunSnapshot) -> Vec<u8> {
 }
 
 /// Decode a snapshot payload (inverse of [`encode_snapshot`]).
-pub fn decode_snapshot(payload: &[u8]) -> Result<RunSnapshot, String> {
+pub fn decode_snapshot(payload: &[u8]) -> Result<RunSnapshot<'static>, String> {
     let mut r = ByteReader::new(payload);
     check_version(&mut r, "snapshot")?;
     get_snapshot(&mut r).map_err(|e| err(&e.to_string()))
 }
 
-fn get_snapshot(r: &mut ByteReader) -> Result<RunSnapshot, CodecError> {
+fn get_snapshot(r: &mut ByteReader) -> Result<RunSnapshot<'static>, CodecError> {
     let base_fingerprint = r.u64("base fingerprint")?;
     let last_episode = r.u64("last episode")?;
     let completed = get_bool(r, "completed flag")?;
@@ -614,7 +662,7 @@ fn get_episode(r: &mut ByteReader) -> Result<EpisodeRecord, CodecError> {
 mod tests {
     use super::*;
 
-    fn sample_snapshot() -> RunSnapshot {
+    fn sample_snapshot() -> RunSnapshot<'static> {
         RunSnapshot {
             base_fingerprint: 0xFEED_BEEF,
             last_episode: 7,
@@ -664,13 +712,13 @@ mod tests {
 
     /// Two log records on the live types: a positive admission that
     /// explored, and a revoked negative one whose rollback fired.
-    fn sample_trust() -> TrustState {
+    fn sample_trust() -> TrustState<'static> {
         let key = (PairId(0), FeatureId(2));
         TrustState {
             sources: vec![(SourceId(1), 5, 0), (SourceId(2), 1, 7)],
             discredited: vec![SourceId(2)],
             pending: vec![(3, vec![(SourceId(1), true), (SourceId(4), false)])],
-            log: vec![
+            log: Cow::Owned(vec![
                 AdmissionRecord {
                     supporters: vec![SourceId(1), SourceId(3)],
                     opposers: vec![SourceId(2)],
@@ -679,7 +727,8 @@ mod tests {
                     newly_approved: true,
                     prov_target: Some(key),
                     action: Some(FeatureId(2)),
-                    added: vec![(PairId(4), true), (PairId(1), false)],
+                    added: vec![PairId(4), PairId(1)],
+                    attributed: BitMask::of_subsequence(&[4, 1], &[4]).unwrap(),
                     ..AdmissionRecord::new(PairId(0), true)
                 },
                 AdmissionRecord {
@@ -693,13 +742,199 @@ mod tests {
                         generator: key,
                         links: vec![PairId(4), PairId(1)],
                         votes: (3, 1),
-                        removed: vec![PairId(1)],
+                        removed: BitMask::of_subsequence(&[4, 1], &[1]).unwrap(),
                     }),
                     revoked: true,
                     ..AdmissionRecord::new(PairId(4), false)
                 },
-            ],
+            ]),
         }
+    }
+
+    /// An admission record with its two compact footprints also given as
+    /// the explicit lists format 4 stores: a `(link, attributed)` pair per
+    /// explored link, and the removed links by id.
+    struct ExplicitRecord {
+        rec: AdmissionRecord,
+        added: Vec<(PairId, bool)>,
+        removed: Vec<PairId>,
+    }
+
+    /// A format-4 trust block over `log`, written field by field from the
+    /// explicit lists: the bytes the compact records must encode to.
+    fn explicit_trust_bytes(log: &[ExplicitRecord]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u64(0); // sources
+        w.u64(0); // discredited
+        w.u64(0); // pending
+        w.u64(log.len() as u64);
+        for e in log {
+            let rec = &e.rec;
+            w.u32(rec.state.0);
+            w.u8(u8::from(rec.positive));
+            put_list(&mut w, &rec.supporters, |w, s| w.u32(s.0));
+            put_list(&mut w, &rec.opposers, |w, s| w.u32(s.0));
+            put_list(&mut w, &rec.credited, put_key);
+            w.f64(rec.reward);
+            w.u8(u8::from(rec.newly_approved));
+            w.u8(u8::from(rec.endorsed));
+            put_option(&mut w, &rec.prov_target, put_key);
+            put_option(&mut w, &rec.action, |w, a| w.u32(a.0));
+            put_list(&mut w, &e.added, |w, &(link, attributed)| {
+                w.u32(link.0);
+                w.u8(u8::from(attributed));
+            });
+            w.u8(u8::from(rec.removed_candidate));
+            w.u8(u8::from(rec.was_approved));
+            w.u8(u8::from(rec.blacklist_added));
+            put_option(&mut w, &rec.rollback, |w, rb| {
+                put_key(w, &rb.generator);
+                put_list(w, &rb.links, |w, l| w.u32(l.0));
+                put_pair(w, &rb.votes);
+                put_list(w, &e.removed, |w, l| w.u32(l.0));
+            });
+            w.u8(u8::from(rec.revoked));
+        }
+        w.finish()
+    }
+
+    /// Seeded random admission records in both forms. Lists run past one
+    /// mask word, and ids repeat within a list; as in a live rollback, a
+    /// repeated link can only be removed at its first position.
+    fn random_records(seed: u64, n: usize) -> Vec<ExplicitRecord> {
+        let mut x = seed | 1;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        (0..n)
+            .map(|_| {
+                let mut rec = AdmissionRecord::new(PairId(next(50) as u32), next(2) == 0);
+                rec.supporters = (0..next(4)).map(|_| SourceId(next(6) as u32)).collect();
+                rec.opposers = (0..next(3)).map(|_| SourceId(next(6) as u32)).collect();
+                rec.credited = (0..next(5))
+                    .map(|_| (PairId(next(50) as u32), FeatureId(next(9) as u32)))
+                    .collect();
+                rec.reward = if rec.positive { 1.0 } else { -2.0 };
+                rec.newly_approved = next(2) == 0;
+                rec.endorsed = next(2) == 0;
+                rec.prov_target = (next(2) == 0).then(|| (PairId(next(50) as u32), FeatureId(1)));
+                rec.action = (next(2) == 0).then(|| FeatureId(next(9) as u32));
+                let added: Vec<(PairId, bool)> = (0..next(140))
+                    .map(|_| (PairId(next(60) as u32), next(3) != 0))
+                    .collect();
+                rec.added = added.iter().map(|&(l, _)| l).collect();
+                for (i, &(_, attributed)) in added.iter().enumerate() {
+                    if attributed {
+                        rec.attributed.insert(i);
+                    }
+                }
+                rec.removed_candidate = next(2) == 0;
+                rec.was_approved = next(2) == 0;
+                rec.blacklist_added = next(2) == 0;
+                let mut removed = Vec::new();
+                if next(2) == 0 {
+                    let links: Vec<PairId> =
+                        (0..next(150)).map(|_| PairId(next(20) as u32)).collect();
+                    let mut mask = BitMask::default();
+                    for (i, &l) in links.iter().enumerate() {
+                        if next(3) == 0 && !links[..i].contains(&l) {
+                            removed.push(l);
+                            mask.insert(i);
+                        }
+                    }
+                    rec.rollback = Some(RollbackUndo {
+                        generator: (PairId(next(50) as u32), FeatureId(next(9) as u32)),
+                        links,
+                        votes: (next(5) as u32, next(5) as u32),
+                        removed: mask,
+                    });
+                }
+                rec.revoked = next(4) == 0;
+                ExplicitRecord {
+                    rec,
+                    added,
+                    removed,
+                }
+            })
+            .collect()
+    }
+
+    fn compact_trust(log: &[ExplicitRecord]) -> TrustState<'static> {
+        TrustState {
+            sources: Vec::new(),
+            discredited: Vec::new(),
+            pending: Vec::new(),
+            log: Cow::Owned(log.iter().map(|e| e.rec.clone()).collect()),
+        }
+    }
+
+    #[test]
+    fn compact_records_encode_to_the_explicit_format_4_bytes() {
+        for seed in 1..=20 {
+            let log = random_records(seed, 40);
+            let trust = compact_trust(&log);
+            let mut w = ByteWriter::new();
+            put_trust(&mut w, &trust);
+            let bytes = w.finish();
+            assert_eq!(bytes, explicit_trust_bytes(&log), "seed {seed}");
+            let back = get_trust(&mut ByteReader::new(&bytes)).unwrap();
+            assert_eq!(back, trust, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn decoder_rejects_removals_outside_the_rollback_list() {
+        let mut log = random_records(7, 1);
+        let rb = log[0].rec.rollback.get_or_insert_with(|| RollbackUndo {
+            generator: (PairId(0), FeatureId(0)),
+            links: Vec::new(),
+            votes: (2, 0),
+            removed: BitMask::default(),
+        });
+        rb.links = vec![PairId(3), PairId(5), PairId(3)];
+        let cases = [
+            (vec![PairId(3), PairId(3)], true),
+            (vec![PairId(5), PairId(3)], true),
+            (vec![PairId(3), PairId(5), PairId(3)], true),
+            (vec![PairId(5), PairId(3), PairId(3)], false),
+            (vec![PairId(5), PairId(5)], false),
+            (vec![PairId(4)], false),
+        ];
+        for (removed, ok) in cases {
+            log[0].removed = removed.clone();
+            let bytes = explicit_trust_bytes(&log);
+            let got = get_trust(&mut ByteReader::new(&bytes));
+            match got {
+                Ok(t) => {
+                    assert!(ok, "{removed:?} accepted");
+                    let rb = t.log[0].rollback.as_ref().unwrap();
+                    assert_eq!(rb.removed.select(&rb.links).collect::<Vec<_>>(), removed);
+                }
+                Err(e) => {
+                    assert!(!ok, "{removed:?} rejected: {e}");
+                    assert!(e.context.contains("subsequence"), "{e}");
+                }
+            }
+        }
+        // Through the public decoder, the rejection is a corrupt snapshot.
+        let mut snap = sample_snapshot();
+        snap.partitions[0].agent.trust = Some(sample_trust());
+        let good = encode_snapshot(&snap);
+        // The second record's rollback removes `[1]` from `[4, 1]`: make it
+        // remove the link the list lacks, `[9]`, in place.
+        let tail = [1u8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1];
+        let at = good
+            .windows(tail.len())
+            .rposition(|w| w == tail)
+            .expect("removed list in the encoding");
+        let mut bad = good.clone();
+        bad[at + 8] = 9;
+        let err = decode_snapshot(&bad).unwrap_err();
+        assert!(err.contains("subsequence"), "{err}");
+        assert!(decode_snapshot(&good).is_ok());
     }
 
     #[test]

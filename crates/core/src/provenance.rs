@@ -13,6 +13,7 @@ use std::collections::HashMap;
 use crate::feature::FeatureId;
 use crate::pairmap::PairMap;
 use crate::space::PairId;
+use crate::trust_gate::BitMask;
 
 /// A state-action pair: the link that received positive feedback and the
 /// feature explored around.
@@ -49,21 +50,21 @@ impl Provenance {
 
     /// Record each link of `added`, in order, as discovered by `generator`:
     /// [`Provenance::record`] for a whole exploration window, with one
-    /// lookup of the generator's list. Sets each entry's flag to whether
-    /// this call created its attribution.
-    pub fn record_all(&mut self, generator: StateAction, added: &mut [(PairId, bool)]) {
-        let mut any = false;
-        for (link, attributed) in added.iter_mut() {
-            *attributed = !self.generated_by.contains_key(*link);
-            if *attributed {
-                self.generated_by.insert(*link, generator);
-                any = true;
+    /// lookup of the generator's list. Returns the positions in `added`
+    /// whose attribution this call created.
+    pub fn record_all(&mut self, generator: StateAction, added: &[PairId]) -> BitMask {
+        let mut attributed = BitMask::default();
+        for (i, &link) in added.iter().enumerate() {
+            if !self.generated_by.contains_key(link) {
+                self.generated_by.insert(link, generator);
+                attributed.insert(i);
             }
         }
-        if any {
-            let links = added.iter().filter(|&&(_, a)| a).map(|&(l, _)| l);
+        if !attributed.is_empty() {
+            let links = attributed.select(added);
             self.generated.entry(generator).or_default().extend(links);
         }
+        attributed
     }
 
     /// Retract an attribution previously created by [`Provenance::record`]
@@ -300,9 +301,14 @@ mod tests {
                 .iter()
                 .map(|&l| (PairId(l), single.record(PairId(l), *generator)))
                 .collect();
-            let mut added: Vec<(PairId, bool)> = links.iter().map(|&l| (PairId(l), true)).collect();
-            batched.record_all(*generator, &mut added);
-            assert_eq!(added, expected, "window of {generator:?}");
+            let added: Vec<PairId> = links.iter().map(|&l| PairId(l)).collect();
+            let attributed = batched.record_all(*generator, &added);
+            let flagged: Vec<(PairId, bool)> = added
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| (l, attributed.contains(i)))
+                .collect();
+            assert_eq!(flagged, expected, "window of {generator:?}");
         }
         let lists = |p: &Provenance| {
             let mut lists: Vec<_> = p.iter_generated().map(|(g, ls)| (g, ls.to_vec())).collect();

@@ -26,7 +26,7 @@
 //!   value pair the candidates meet is scored once, and a pair the table
 //!   misses scored below the floor, so it is discarded exactly as the
 //!   floor test below would discard it;
-//! * [`ScoreTable`] — the previous pass's equivalence estimates in a dense
+//! * `ScoreTable` — the previous pass's equivalence estimates in a dense
 //!   pair-indexed `Vec<f64>` (0.0 = no evidence), with the pair→index map
 //!   built once; the hot path does one hash probe instead of building and
 //!   cloning a `HashMap` per pass.

@@ -8,7 +8,7 @@
 //!
 //! A [`ChaosProfile`] is installed process-wide ([`install`]); every pool
 //! dispatch then reserves a contiguous block of *global chunk ids*
-//! ([`reserve`]) — dispatches are issued sequentially from the driving
+//! (`reserve`) — dispatches are issued sequentially from the driving
 //! thread, so the id assigned to "chunk `c` of the `k`-th dispatch" is the
 //! same at every thread count and on every run. Injection decisions are
 //! pure functions of `(seed, chunk id)` (a splitmix64 finalizer, no shared

@@ -190,7 +190,7 @@ impl Pool {
     }
 
     /// Raise the minimum-items-per-chunk floor (the default is
-    /// [`MIN_CHUNK`]). Use for pools whose per-item work is far below
+    /// `MIN_CHUNK`). Use for pools whose per-item work is far below
     /// dispatch overhead — e.g. functionality counting at ~0.7µs/item,
     /// where 32 chunks of 22µs each spend more time on dispatch than on
     /// work. The floor only *merges* chunks; chunk boundaries still depend

@@ -1,7 +1,7 @@
 //! sameAs-closure query rewriting.
 //!
 //! The executor already chases `owl:sameAs` at probe time: when a
-//! pattern position holds an IRI, [`SameAsLinks`](super::SameAsLinks)
+//! pattern position holds an IRI, [`SameAsLinks`]
 //! supplies the equivalence class and every member is probed. That
 //! expansion is implicit — it never shows up in the query text, which
 //! makes it impossible to reason about a query *as rewritten against a

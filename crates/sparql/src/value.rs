@@ -98,26 +98,6 @@ impl Value {
         }
     }
 
-    /// Re-intern this value as a term of `ds` (mutates the interner).
-    pub fn to_term(&self, ds: &mut Dataset) -> Term {
-        match self {
-            Value::Iri(s) => ds.iri(s),
-            Value::Blank(s) => {
-                let sym = ds.interner_mut().intern(s);
-                Term::Blank(sym)
-            }
-            Value::Literal {
-                lexical,
-                lang,
-                datatype,
-            } => match (lang, datatype) {
-                (Some(tag), _) => ds.lang(lexical, tag),
-                (None, Some(dt)) => ds.typed(lexical, dt),
-                (None, None) => ds.plain(lexical),
-            },
-        }
-    }
-
     /// Look up this value as an existing term of `ds` without interning.
     /// Returns `None` when the value does not occur in the data set.
     pub fn lookup_term(&self, ds: &Dataset) -> Option<Term> {
@@ -179,7 +159,6 @@ mod tests {
         let t = ds.iri("http://e/x");
         let v = Value::from_term(&ds, t);
         assert_eq!(v, Value::iri("http://e/x"));
-        assert_eq!(v.to_term(&mut ds), t);
         assert_eq!(v.lookup_term(&ds), Some(t));
     }
 
@@ -189,7 +168,6 @@ mod tests {
         let t = ds.typed("42", vocab::XSD_INTEGER);
         let v = Value::from_term(&ds, t);
         assert_eq!(v.as_number(), Some(42.0));
-        assert_eq!(v.to_term(&mut ds), t);
         assert_eq!(v.lookup_term(&ds), Some(t));
     }
 
@@ -206,7 +184,7 @@ mod tests {
                 datatype: None
             }
         );
-        assert_eq!(v.to_term(&mut ds), t);
+        assert_eq!(v.lookup_term(&ds), Some(t));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! ```
 //!
 //! A snapshot `snap-<seq>.bin` is written via the classic crash-safe dance:
-//! write everything to `snap-<seq>.bin.tmp`, `fsync` the file, atomically
+//! write the header and then the payload (two writes, no framed copy) to
+//! `snap-<seq>.bin.tmp`, `fsync` the file, atomically
 //! `rename` it into place, then `fsync` the directory so the rename itself
 //! is durable. A crash at any point leaves either the old set of snapshots
 //! intact (tmp file ignored on recovery) or the new snapshot fully
@@ -24,7 +25,7 @@
 //! previous good one.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc32;
@@ -49,20 +50,21 @@ pub struct Snapshot {
     pub payload: Vec<u8>,
 }
 
-/// Encode a snapshot into its on-disk byte layout.
-pub fn encode(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
+/// The fixed header that precedes `payload` on disk.
+fn header(seq: u64, payload: &[u8]) -> [u8; HEADER] {
+    let mut out = [0u8; HEADER];
+    out[0..8].copy_from_slice(MAGIC);
+    out[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    out[12..20].copy_from_slice(&seq.to_le_bytes());
+    out[20..24].copy_from_slice(&crc32(payload).to_le_bytes());
+    out[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     out
 }
 
-/// Decode and validate snapshot bytes (magic, version, CRC, length).
-pub fn decode(bytes: &[u8]) -> Result<Snapshot, StoreError> {
+/// Decode and validate snapshot file bytes (magic, version, CRC, length).
+/// The payload keeps the file's buffer: the header is shifted out in place
+/// rather than the payload copied.
+pub fn decode(mut bytes: Vec<u8>) -> Result<Snapshot, StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt {
         what: what.to_string(),
     };
@@ -88,13 +90,13 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, StoreError> {
     if len != (bytes.len() - HEADER) as u64 {
         return Err(corrupt("snapshot payload length mismatch"));
     }
-    let payload = &bytes[HEADER..];
-    if crc32(payload) != crc {
+    if crc32(&bytes[HEADER..]) != crc {
         return Err(corrupt("snapshot checksum mismatch"));
     }
+    bytes.drain(..HEADER);
     Ok(Snapshot {
         seq,
-        payload: payload.to_vec(),
+        payload: bytes,
     })
 }
 
@@ -123,7 +125,6 @@ pub fn write(
 ) -> Result<PathBuf, StoreError> {
     let final_path = dir.join(file_name(seq));
     let tmp_path = dir.join(format!("{}.tmp", file_name(seq)));
-    let bytes = encode(seq, payload);
 
     let mut tmp = OpenOptions::new()
         .write(true)
@@ -131,7 +132,10 @@ pub fn write(
         .truncate(true)
         .open(&tmp_path)
         .map_err(|e| StoreError::io("create snapshot temp", &tmp_path, &e))?;
-    tmp.write_all(&bytes)
+    // Header and payload go out as two writes: framing them into one buffer
+    // would copy the whole payload.
+    tmp.write_all(&header(seq, payload))
+        .and_then(|()| tmp.write_all(payload))
         .map_err(|e| StoreError::io("write snapshot temp", &tmp_path, &e))?;
     tmp.sync_all()
         .map_err(|e| StoreError::io("fsync snapshot temp", &tmp_path, &e))?;
@@ -181,14 +185,11 @@ pub fn load_latest(dir: &Path) -> Result<(Option<Snapshot>, u64), StoreError> {
 
     let mut skipped = 0u64;
     for name in &names {
-        let path = dir.join(name);
-        let mut bytes = Vec::new();
-        let read = File::open(&path).and_then(|mut f| f.read_to_end(&mut bytes));
-        if read.is_err() {
+        let Ok(bytes) = fs::read(dir.join(name)) else {
             skipped += 1;
             continue;
-        }
-        match decode(&bytes) {
+        };
+        match decode(bytes) {
             Ok(snap) => return Ok((Some(snap), skipped)),
             Err(_) => skipped += 1,
         }
@@ -243,6 +244,20 @@ mod tests {
         assert_eq!(snap.seq, 7);
         assert_eq!(snap.payload, b"state at 7");
         assert_eq!(skipped, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn written_file_is_header_then_payload() {
+        let dir = tmpdir("layout");
+        let payload: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let path = write(&dir, 4, &payload, false).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[..HEADER], &header(4, &payload));
+        assert_eq!(&bytes[HEADER..], payload.as_slice());
+        assert_eq!(&bytes[20..24], &crc32(&payload).to_le_bytes());
+        let snap = decode(bytes).unwrap();
+        assert_eq!((snap.seq, snap.payload), (4, payload));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -302,7 +317,8 @@ mod tests {
         std::fs::write(dir.join(file_name(10)), b"ALEX").unwrap(); // too short
         std::fs::write(
             dir.join(file_name(11)),
-            encode(11, b"x")
+            [header(11, b"x").as_slice(), b"x"]
+                .concat()
                 .iter()
                 .map(|b| b ^ 0xFF)
                 .collect::<Vec<_>>(),

@@ -37,9 +37,11 @@ cargo clippy -p alex-parallel -- -D warnings
 cargo clippy -p alex-guard -- -D warnings
 cargo clippy -p alex-bench -- -D warnings
 
-echo "==> cargo doc (workspace, broken intra-doc links are errors)"
-# A deleted or renamed item must not leave a dangling doc link behind.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q
+echo "==> cargo doc (workspace, broken and private intra-doc links are errors)"
+# A deleted or renamed item must not leave a dangling doc link behind, and
+# public docs must not link to private items (rustdoc renders those dead).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps -q
 
 echo "==> cargo test (ALEX_THREADS=1: deterministic pool runs inline)"
 ALEX_THREADS=1 cargo test --workspace -q

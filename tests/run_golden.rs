@@ -17,7 +17,10 @@
 //!
 //! The trust-gated run is pinned separately by the final links, the
 //! agent's captured learning state as persistence encodes it, and the
-//! admission log, since none of those reach the episode reports.
+//! admission log, since none of those reach the episode reports. The log
+//! digest is the `Debug` text of the records with their footprints as
+//! explicit lists (the layout `explicit` mirrors), so it does not depend on
+//! how the gate keeps them in memory.
 
 use alex::core::{
     persist, run_partitioned, run_partitioned_with, AdversarialPopulation, AlexConfig,
@@ -30,6 +33,75 @@ use alex::datagen::{
 };
 
 const SEED: u64 = 20160501;
+
+/// The admission-log records with every footprint an explicit list: a
+/// `(link, attributed)` pair per explored link and the removed links by id,
+/// as the snapshot format stores them. Only `Debug` reads the fields.
+#[allow(dead_code)]
+mod explicit {
+    use alex::core::{FeatureId, PairId, SourceId};
+
+    #[derive(Debug)]
+    pub struct RollbackUndo {
+        pub generator: (PairId, FeatureId),
+        pub links: Vec<PairId>,
+        pub votes: (u32, u32),
+        pub removed: Vec<PairId>,
+    }
+
+    #[derive(Debug)]
+    pub struct AdmissionRecord {
+        pub state: PairId,
+        pub positive: bool,
+        pub supporters: Vec<SourceId>,
+        pub opposers: Vec<SourceId>,
+        pub credited: Vec<(PairId, FeatureId)>,
+        pub reward: f64,
+        pub newly_approved: bool,
+        pub endorsed: bool,
+        pub prov_target: Option<(PairId, FeatureId)>,
+        pub action: Option<FeatureId>,
+        pub added: Vec<(PairId, bool)>,
+        pub removed_candidate: bool,
+        pub was_approved: bool,
+        pub blacklist_added: bool,
+        pub rollback: Option<RollbackUndo>,
+        pub revoked: bool,
+    }
+
+    impl From<&alex::core::AdmissionRecord> for AdmissionRecord {
+        fn from(r: &alex::core::AdmissionRecord) -> Self {
+            AdmissionRecord {
+                state: r.state,
+                positive: r.positive,
+                supporters: r.supporters.clone(),
+                opposers: r.opposers.clone(),
+                credited: r.credited.clone(),
+                reward: r.reward,
+                newly_approved: r.newly_approved,
+                endorsed: r.endorsed,
+                prov_target: r.prov_target,
+                action: r.action,
+                added: r
+                    .added
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &l)| (l, r.attributed.contains(i)))
+                    .collect(),
+                removed_candidate: r.removed_candidate,
+                was_approved: r.was_approved,
+                blacklist_added: r.blacklist_added,
+                rollback: r.rollback.as_ref().map(|rb| RollbackUndo {
+                    generator: rb.generator,
+                    links: rb.links.clone(),
+                    votes: rb.votes,
+                    removed: rb.removed.select(&rb.links).collect(),
+                }),
+                revoked: r.revoked,
+            }
+        }
+    }
+}
 
 struct Fnv(u64);
 
@@ -260,7 +332,8 @@ fn gated_runs_are_golden() {
         }],
     }));
     let mut log = Fnv::new();
-    log.bytes(format!("{:?}", gate.log).as_bytes());
+    let records: Vec<explicit::AdmissionRecord> = gate.log.iter().map(Into::into).collect();
+    log.bytes(format!("{records:?}").as_bytes());
 
     assert_eq!(
         (
