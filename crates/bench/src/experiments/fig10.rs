@@ -102,7 +102,7 @@ pub fn report(arms: &[(f64, ExperimentRun)]) -> String {
         let _ = writeln!(
             out,
             "  step {s}: slowest partition {:.2?}, episodes {}",
-            r.run.slowest_partition,
+            r.run.slowest_partition(),
             r.run.episodes.len()
         );
     }

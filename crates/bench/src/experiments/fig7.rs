@@ -59,13 +59,13 @@ pub fn report(without: &ExperimentRun, with: &ExperimentRun) -> String {
     // one that does not (the paper's (b) and (c)).
     let converging: Vec<(usize, usize)> = without
         .run
-        .per_partition
+        .partitions
         .iter()
         .filter_map(|t| partition_convergence(t).map(|e| (t.partition, e)))
         .collect();
     let stuck: Vec<usize> = without
         .run
-        .per_partition
+        .partitions
         .iter()
         .filter(|t| partition_convergence(t).is_none() && !t.episodes.is_empty())
         .map(|t| t.partition)
@@ -75,12 +75,12 @@ pub fn report(without: &ExperimentRun, with: &ExperimentRun) -> String {
         out,
         "(b) partitions that converge without rollback: {} of {}",
         converging.len(),
-        without.run.per_partition.len()
+        without.run.partitions.len()
     );
     if let Some(&(pidx, when)) = converging.iter().max_by_key(|&&(_, e)| e) {
         let with_when = with
             .run
-            .per_partition
+            .partitions
             .iter()
             .find(|t| t.partition == pidx)
             .and_then(partition_convergence);
@@ -94,7 +94,7 @@ pub fn report(without: &ExperimentRun, with: &ExperimentRun) -> String {
         );
         let trace = without
             .run
-            .per_partition
+            .partitions
             .iter()
             .find(|t| t.partition == pidx)
             .expect("partition exists");
@@ -118,12 +118,12 @@ pub fn report(without: &ExperimentRun, with: &ExperimentRun) -> String {
         out,
         "(c) partitions that do NOT recover without rollback: {} of {}",
         stuck.len(),
-        without.run.per_partition.len()
+        without.run.partitions.len()
     );
     if let Some(&pidx) = stuck.first() {
         let trace = without
             .run
-            .per_partition
+            .partitions
             .iter()
             .find(|t| t.partition == pidx)
             .expect("partition exists");

@@ -60,12 +60,12 @@ pub fn report(batch: &ExperimentRun, interactive: &ExperimentRun) -> String {
     let _ = writeln!(
         out,
         "  slowest partition        : {:.2?}",
-        batch.run.slowest_partition
+        batch.run.slowest_partition()
     );
     let _ = writeln!(
         out,
         "  mean partition           : {:.2?}",
-        batch.run.mean_partition
+        batch.run.mean_partition()
     );
     let _ = writeln!(
         out,

@@ -3,9 +3,7 @@
 
 use std::fmt::Write as _;
 
-use alex_core::{
-    run_partitioned, AlexConfig, PartitionedConfig, PartitionedRun, Quality, SpaceConfig,
-};
+use alex_core::{run_partitioned, AlexConfig, PartitionedConfig, Quality, RunReport, SpaceConfig};
 use alex_datagen::{
     generate_pair, sample_initial_links, score_links, GeneratedPair, InitialLinksSpec, PairSpec,
 };
@@ -119,7 +117,8 @@ impl Workload {
             space: SpaceConfig::default(),
             feedback_error_rate: self.error_rate,
         };
-        let run = run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg);
+        let run =
+            run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg).report;
         ExperimentRun {
             label: self.spec.label(),
             sampled_initial_quality: Quality {
@@ -145,8 +144,8 @@ pub struct ExperimentRun {
     pub initial_links: usize,
     /// Ground-truth size.
     pub ground_truth: usize,
-    /// The partitioned run.
-    pub run: PartitionedRun,
+    /// The partitioned run's report.
+    pub run: RunReport,
     /// The generated pair (for follow-up analyses).
     pub pair: GeneratedPair,
 }

@@ -875,31 +875,11 @@ impl Agent {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
-    use alex_rdf::Dataset;
 
     /// Ten entities with exact-match names on the diagonal plus a
     /// non-distinctive type attribute everywhere.
     fn build_space() -> LinkSpace {
-        let mut left = Dataset::new("L");
-        let mut right = Dataset::new("R");
-        let names = [
-            "Alpha Aardvark",
-            "Beta Bison",
-            "Gamma Gazelle",
-            "Delta Dingo",
-            "Epsilon Eagle",
-            "Zeta Zebra",
-            "Eta Egret",
-            "Theta Tapir",
-            "Iota Ibis",
-            "Kappa Koala",
-        ];
-        for (i, name) in names.iter().enumerate() {
-            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
-            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
-            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
-            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
-        }
+        let (left, right) = crate::fixtures::animals(10);
         LinkSpace::build(&left, &right, &SpaceConfig::default())
     }
 

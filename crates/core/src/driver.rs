@@ -11,7 +11,7 @@
 //!
 //! ## Durable runs
 //!
-//! [`run_durable`] adds crash safety on top of the same loop: every episode
+//! A [`Durability`] adds crash safety on top of the same loop: every episode
 //! is committed to an `alex-store` journal before the run proceeds, full
 //! snapshots are taken every `snapshot_every` episodes, and a killed run is
 //! resumed with [`Durability::resume`] — the newest snapshot is restored and
@@ -91,6 +91,10 @@ pub struct RunReport {
     pub relaxed_converged_at: Option<usize>,
     /// Total wall-clock duration.
     pub total_duration: std::time::Duration,
+    /// Judgments the feedback sources withheld because their queries
+    /// degraded ([`EpisodeSummary::degraded`]), summed over every live
+    /// round, skipped episodes included.
+    pub withheld_judgments: usize,
 }
 
 impl RunReport {
@@ -105,6 +109,22 @@ impl RunReport {
             .last()
             .map(|e| e.quality)
             .unwrap_or(self.initial_quality)
+    }
+
+    /// Processing time of the slowest partition (the paper's reported
+    /// "execution time", §7.3).
+    pub fn slowest_partition(&self) -> Duration {
+        self.partitions
+            .iter()
+            .map(|p| p.total_duration)
+            .max()
+            .unwrap_or(Duration::ZERO)
+    }
+
+    /// Mean of the partitions' processing times.
+    pub fn mean_partition(&self) -> Duration {
+        let total: Duration = self.partitions.iter().map(|p| p.total_duration).sum();
+        total / self.partitions.len().max(1) as u32
     }
 
     /// Episodes that breached their budget and were marked degraded.
@@ -125,7 +145,7 @@ impl RunReport {
     }
 }
 
-/// Durability settings for [`run_durable`]: the open store, the recovery it
+/// Durability settings for [`run_partitions`]: the open store, the recovery it
 /// produced, and the commit cadence.
 pub struct Durability<'a> {
     store: &'a mut dyn Store,
@@ -356,6 +376,7 @@ struct RunState {
     relaxed_converged_at: Option<usize>,
     stop: Option<StopReason>,
     recovered_from: u64,
+    withheld_judgments: usize,
 }
 
 /// Per-episode bookkeeping: each partition is snapshotted and scored once
@@ -514,8 +535,10 @@ fn snapshot_payload(
     }))
 }
 
-/// Run the agent to convergence against a feedback source, scoring each
-/// episode against `truth` (ground-truth entity-id pairs).
+/// [`run_partitions`] over one agent and one source, neither durable nor
+/// supervised. It and [`run_durable`] are single-partition spellings for
+/// the e2e benchmark harness, tests and examples; the CLI builds every run
+/// through [`crate::partition::run_partitioned_with`].
 pub fn run(
     agent: &mut Agent,
     source: &mut dyn FeedbackSource,
@@ -529,14 +552,8 @@ pub fn run(
     }
 }
 
-/// Run the agent with crash-safe durable state: every episode is journaled
-/// before the run proceeds, snapshots are taken periodically, and a prior
-/// interrupted run is resumed (snapshot restore + journal replay) when
-/// [`Durability::resume`] is set.
-///
-/// Fails on store I/O errors, corrupt state that recovery could not repair,
-/// a state directory belonging to a different run, or a feedback source
-/// without durable state.
+/// [`run_partitions`] over one agent and one source with durability (see
+/// [`run`]).
 pub fn run_durable(
     agent: &mut Agent,
     source: &mut dyn FeedbackSource,
@@ -551,55 +568,26 @@ pub fn run_durable(
     )
 }
 
-/// Run under budget supervision (see `alex-guard`): the supervisor is
-/// consulted at every episode boundary; a breaching episode is finalized
-/// normally but marked degraded, and the run then continues or stops per
-/// the supervisor's [`BreachPolicy`]. The report's
-/// [`RunReport::is_complete`] stamp records whether any budget was hit.
-pub fn run_supervised(
-    agent: &mut Agent,
-    source: &mut dyn FeedbackSource,
-    truth: &HashSet<(u32, u32)>,
-    supervisor: &mut Supervisor,
-) -> RunReport {
-    match run_partitions(
-        vec![Partition { agent, source }],
-        truth,
-        None,
-        Some(supervisor),
-    ) {
-        Ok(report) => report,
-        // Without durability there is no I/O and no recovery: nothing in
-        // the loop can fail.
-        Err(e) => unreachable!("non-durable run cannot fail: {e}"),
-    }
-}
-
-/// [`run_durable`] plus budget supervision: breach markers are journaled
-/// inside each episode's WAL record, so a resumed run replays the
-/// degraded flags instead of re-measuring wall clocks it cannot
-/// reproduce.
-pub fn run_durable_supervised(
-    agent: &mut Agent,
-    source: &mut dyn FeedbackSource,
-    truth: &HashSet<(u32, u32)>,
-    durability: Durability<'_>,
-    supervisor: &mut Supervisor,
-) -> Result<RunReport, String> {
-    run_partitions(
-        vec![Partition { agent, source }],
-        truth,
-        Some(durability),
-        Some(supervisor),
-    )
-}
-
 /// The one episode loop: run k ≥ 1 partitions to convergence, each episode
-/// scored against `truth`, optionally durable (see [`run_durable`]) and
-/// supervised (see [`run_supervised`]). Partition i must hold only left
+/// scored against `truth`. Partition i must hold only left
 /// entities with `id % k == i` (§6.2's round-robin split; any space for
 /// k = 1). The journal, snapshots, budget checks and convergence all work
 /// on the global episode; each partition also keeps its own trace.
+///
+/// With `durability`, every episode is journaled before the run proceeds,
+/// snapshots are taken periodically, and a prior interrupted run is resumed
+/// (snapshot restore + journal replay) when [`Durability::resume`] is set.
+/// With `supervisor` (see `alex-guard`), the budget is checked at every
+/// episode boundary: a breaching episode is finalized normally but marked
+/// degraded (inside its journal record, so a resumed run replays the
+/// marker), and the run then continues or stops per the supervisor's
+/// [`BreachPolicy`].
+///
+/// # Errors
+///
+/// Only durable runs fail: on store I/O errors, corrupt state that recovery
+/// could not repair, a state directory belonging to a different run, or a
+/// feedback source without durable state.
 ///
 /// # Panics
 ///
@@ -647,6 +635,7 @@ pub fn run_partitions(
         relaxed_converged_at: None,
         stop: None,
         recovered_from: 0,
+        withheld_judgments: 0,
     };
     let mut start_episode = 1usize;
     let max_episodes = parts[0].agent.config().max_episodes;
@@ -778,10 +767,12 @@ pub fn run_partitions(
                 play_rounds(&mut parts, &quotas(&counts, budget), durability.is_some())
             };
             let duration = episode_span.elapsed();
+            let withheld: usize = rounds.iter().map(|r| r.summary.degraded).sum();
+            st.withheld_judgments += withheld;
 
             let items: usize = rounds.iter().map(|r| r.summary.feedback_items()).sum();
             if items == 0 {
-                if rounds.iter().any(|r| r.summary.degraded > 0) {
+                if withheld > 0 {
                     // Every judgment this episode was withheld because
                     // queries degraded (sources down). Skip the episode —
                     // record nothing, corrupt nothing — and try again: the
@@ -888,6 +879,7 @@ pub fn run_partitions(
         stop,
         relaxed_converged_at: st.relaxed_converged_at,
         total_duration: run_span.elapsed(),
+        withheld_judgments: st.withheld_judgments,
     })
 }
 
@@ -897,35 +889,14 @@ mod tests {
     use super::*;
     use crate::config::AlexConfig;
     use crate::feedback::OracleFeedback;
+    use crate::fixtures::animals;
     use crate::space::{LinkSpace, SpaceConfig};
-    use alex_rdf::Dataset;
 
+    /// The twelve animals' space and its diagonal ground truth.
     fn build() -> (LinkSpace, HashSet<(u32, u32)>) {
-        let mut left = Dataset::new("L");
-        let mut right = Dataset::new("R");
-        let names = [
-            "Alpha Aardvark",
-            "Beta Bison",
-            "Gamma Gazelle",
-            "Delta Dingo",
-            "Epsilon Eagle",
-            "Zeta Zebra",
-            "Eta Egret",
-            "Theta Tapir",
-            "Iota Ibis",
-            "Kappa Koala",
-            "Lambda Lemur",
-            "Mu Marmot",
-        ];
-        for (i, name) in names.iter().enumerate() {
-            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
-            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
-            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
-            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
-        }
+        let (left, right) = animals(12);
         let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
-        let truth: HashSet<(u32, u32)> = (0..names.len() as u32).map(|i| (i, i)).collect();
-        (space, truth)
+        (space, (0..12).map(|i| (i, i)).collect())
     }
 
     #[test]
@@ -1296,6 +1267,23 @@ mod tests {
 
     use alex_guard::Budget;
 
+    /// One agent and source through [`run_partitions`] under `sup`.
+    fn supervised(
+        agent: &mut Agent,
+        source: &mut dyn FeedbackSource,
+        truth: &HashSet<(u32, u32)>,
+        durability: Option<Durability<'_>>,
+        sup: &mut Supervisor,
+    ) -> RunReport {
+        run_partitions(
+            vec![Partition { agent, source }],
+            truth,
+            durability,
+            Some(sup),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn supervised_unlimited_budget_matches_plain_run() {
         let (space, truth) = build();
@@ -1308,7 +1296,7 @@ mod tests {
         let mut agent = Agent::new(space, &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 21);
         let mut sup = Supervisor::new(Budget::unlimited(), BreachPolicy::Stop);
-        let supervised = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let supervised = supervised(&mut agent, &mut oracle, &truth, None, &mut sup);
 
         assert_eq!(report_identity(&plain), report_identity(&supervised));
         assert_eq!(plain_agent.capture_state(), agent.capture_state());
@@ -1325,7 +1313,7 @@ mod tests {
         let mut oracle = OracleFeedback::new(truth.clone(), 22);
         // One feedback item total: the first episode breaches the quota.
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Stop);
-        let report = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let report = supervised(&mut agent, &mut oracle, &truth, None, &mut sup);
 
         assert_eq!(report.stop, StopReason::BudgetExhausted);
         assert_eq!(
@@ -1351,7 +1339,7 @@ mod tests {
         let mut agent = Agent::new(space, &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 23);
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let report = run_supervised(&mut agent, &mut oracle, &truth, &mut sup);
+        let report = supervised(&mut agent, &mut oracle, &truth, None, &mut sup);
 
         // Degradation is recorded but never changes the run's trajectory:
         // every episode breaches the quota yet the run ends as the plain
@@ -1375,14 +1363,13 @@ mod tests {
         let mut ref_agent = Agent::new(space.clone(), &initial, cfg());
         let mut ref_oracle = OracleFeedback::new(truth.clone(), 24);
         let mut ref_sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let reference = run_durable_supervised(
+        let reference = supervised(
             &mut ref_agent,
             &mut ref_oracle,
             &truth,
-            Durability::new(&mut store, recovery),
+            Some(Durability::new(&mut store, recovery)),
             &mut ref_sup,
-        )
-        .unwrap();
+        );
         assert!(reference.degraded_episodes() > 0);
         assert!(
             reference.episode_count() > 1,
@@ -1396,14 +1383,13 @@ mod tests {
         let mut agent = Agent::new(space.clone(), &initial, cfg());
         let mut oracle = OracleFeedback::new(truth.clone(), 24);
         let mut sup = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let suspended = run_durable_supervised(
+        let suspended = supervised(
             &mut agent,
             &mut oracle,
             &truth,
-            Durability::new(&mut store, recovery).stop_after(1),
+            Some(Durability::new(&mut store, recovery).stop_after(1)),
             &mut sup,
-        )
-        .unwrap();
+        );
         assert_eq!(suspended.stop, StopReason::Suspended);
         assert_eq!(suspended.degraded_episodes(), 1);
         drop(store);
@@ -1412,14 +1398,13 @@ mod tests {
         let mut agent2 = Agent::new(space, &initial, cfg());
         let mut oracle2 = OracleFeedback::new(truth.clone(), 24);
         let mut sup2 = Supervisor::new(Budget::unlimited().max_items(1), BreachPolicy::Continue);
-        let resumed = run_durable_supervised(
+        let resumed = supervised(
             &mut agent2,
             &mut oracle2,
             &truth,
-            Durability::new(&mut store, recovery).resume(true),
+            Some(Durability::new(&mut store, recovery).resume(true)),
             &mut sup2,
-        )
-        .unwrap();
+        );
 
         assert_eq!(report_identity(&reference), report_identity(&resumed));
         assert_eq!(ref_agent.capture_state(), agent2.capture_state());
@@ -1487,27 +1472,7 @@ mod tests {
     #[test]
     fn partitioned_durable_resume_is_identical() {
         // The fixture of `build`, split round-robin into two partitions.
-        let (mut left, mut right) = (Dataset::new("L"), Dataset::new("R"));
-        let names = [
-            "Alpha Aardvark",
-            "Beta Bison",
-            "Gamma Gazelle",
-            "Delta Dingo",
-            "Epsilon Eagle",
-            "Zeta Zebra",
-            "Eta Egret",
-            "Theta Tapir",
-            "Iota Ibis",
-            "Kappa Koala",
-            "Lambda Lemur",
-            "Mu Marmot",
-        ];
-        for (i, name) in names.iter().enumerate() {
-            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
-            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
-            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
-            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
-        }
+        let (left, right) = animals(12);
         let spaces: Vec<LinkSpace> = (0..2)
             .map(|i| {
                 let cfg = SpaceConfig {
@@ -1517,7 +1482,7 @@ mod tests {
                 LinkSpace::build(&left, &right, &cfg)
             })
             .collect();
-        let truth: HashSet<(u32, u32)> = (0..names.len() as u32).map(|i| (i, i)).collect();
+        let truth: HashSet<(u32, u32)> = (0..12).map(|i| (i, i)).collect();
         let initial = |i: u32| -> Vec<(u32, u32)> {
             truth
                 .iter()

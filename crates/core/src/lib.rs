@@ -26,12 +26,21 @@
 //! driver ([`partition`]), the [`blacklist::Blacklist`], and
 //! [`provenance`]-based rollback.
 //!
+//! ## One run surface
+//!
+//! Every run — batch or interactive, oracle or query-answer feedback,
+//! durable, trust-gated or supervised — is built by
+//! [`partition::run_partitioned_with`], driven by the one episode loop
+//! [`driver::run_partitions`], and described by one [`RunReport`].
+//! [`run_partitioned`] is that builder with seeded oracles; [`driver::run`]
+//! and [`driver::run_durable`] are single-partition spellings of the loop
+//! for the e2e benchmark harness, tests and examples.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use alex_core::{Agent, AlexConfig, LinkSpace, OracleFeedback, SpaceConfig, driver};
-//! use alex_rdf::Dataset;
-//! use std::collections::HashSet;
+//! use alex_core::{run_partitioned, AlexConfig, PartitionedConfig};
+//! use alex_rdf::{Dataset, Term};
 //!
 //! let mut left = Dataset::new("L");
 //! let mut right = Dataset::new("R");
@@ -39,14 +48,19 @@
 //!     left.add_str(&format!("http://l/{i}"), "http://l/label", name);
 //!     right.add_str(&format!("http://r/{i}"), "http://r/name", name);
 //! }
-//! let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
-//! let truth: HashSet<(u32, u32)> = (0..3).map(|i| (i, i)).collect();
+//! let iri = |ds: &Dataset, side: &str, i: usize| {
+//!     Term::Iri(ds.interner().get(&format!("http://{side}/{i}")).expect("interned"))
+//! };
+//! let truth: Vec<(Term, Term)> = (0..3).map(|i| (iri(&left, "l", i), iri(&right, "r", i))).collect();
 //!
 //! // Start from one known link; ALEX discovers the rest from feedback.
-//! let mut agent = Agent::new(space, &[(0, 0)], AlexConfig { episode_size: 20, ..AlexConfig::default() });
-//! let mut oracle = OracleFeedback::new(truth.clone(), 7);
-//! let report = driver::run(&mut agent, &mut oracle, &truth);
-//! assert!(report.final_quality().recall >= report.initial_quality.recall);
+//! let cfg = PartitionedConfig {
+//!     partitions: 1,
+//!     alex: AlexConfig { episode_size: 20, ..AlexConfig::default() },
+//!     ..PartitionedConfig::default()
+//! };
+//! let run = run_partitioned(&left, &right, &truth[..1], &truth, &cfg);
+//! assert!(run.report.final_quality().recall >= run.report.initial_quality.recall);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,8 +98,7 @@ pub use bridge::FeedbackBridge;
 pub use candidates::CandidateSet;
 pub use config::AlexConfig;
 pub use driver::{
-    run, run_durable, run_durable_supervised, run_partitions, run_supervised, Durability,
-    Partition, PartitionTrace, RunReport, StopReason,
+    run, run_durable, run_partitions, Durability, Partition, PartitionTrace, RunReport, StopReason,
 };
 pub use feature::{FeatureCatalog, FeatureId, FeaturePair, FeatureSet};
 pub use feedback::{Feedback, FeedbackItem, FeedbackSource, OracleFeedback};
@@ -102,3 +115,36 @@ pub use trust_gate::{AdmissionRecord, TrustGate};
 pub use value_fn::ActionValue;
 
 pub use alex_trust::{SourceId, TrustConfig};
+
+#[cfg(test)]
+pub(crate) mod fixtures {
+    use alex_rdf::Dataset;
+
+    /// The first `n` (at most 12) animals: left `http://l/{i}` and right
+    /// `http://r/{i}` share an exact-match name and a non-distinctive type
+    /// attribute, so the ground truth is the diagonal.
+    pub(crate) fn animals(n: usize) -> (Dataset, Dataset) {
+        let names = [
+            "Alpha Aardvark",
+            "Beta Bison",
+            "Gamma Gazelle",
+            "Delta Dingo",
+            "Epsilon Eagle",
+            "Zeta Zebra",
+            "Eta Egret",
+            "Theta Tapir",
+            "Iota Ibis",
+            "Kappa Koala",
+            "Lambda Lemur",
+            "Mu Marmot",
+        ];
+        let (mut left, mut right) = (Dataset::new("L"), Dataset::new("R"));
+        for (i, name) in names[..n].iter().enumerate() {
+            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
+            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
+            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
+            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
+        }
+        (left, right)
+    }
+}

@@ -11,7 +11,6 @@
 //! candidate sets.
 
 use std::collections::HashSet;
-use std::time::Duration;
 
 use alex_guard::Supervisor;
 use alex_rdf::{Dataset, Term};
@@ -19,9 +18,8 @@ use alex_telemetry::span;
 
 use crate::agent::Agent;
 use crate::config::AlexConfig;
-use crate::driver::{self, Durability, Partition, PartitionTrace, RunReport, StopReason};
+use crate::driver::{self, Durability, Partition, RunReport};
 use crate::feedback::{FeedbackSource, OracleFeedback};
-use crate::metrics::{EpisodeReport, Quality};
 use crate::space::{LinkSpace, PreparedSides, SpaceConfig};
 
 /// Configuration for a partitioned run.
@@ -53,38 +51,12 @@ impl Default for PartitionedConfig {
 /// The result of a partitioned run.
 #[derive(Debug, Clone)]
 pub struct PartitionedRun {
-    /// Aggregate quality of the initial candidate set.
-    pub initial_quality: Quality,
-    /// Aggregated per-episode reports (union of partitions).
-    pub episodes: Vec<EpisodeReport>,
-    /// Per-partition traces.
-    pub per_partition: Vec<PartitionTrace>,
-    /// Why the run stopped.
-    pub stop: StopReason,
-    /// First episode at which the aggregate change dropped below the
-    /// relaxed threshold.
-    pub relaxed_converged_at: Option<usize>,
+    /// The run's report; its `total_duration` includes the space builds.
+    pub report: RunReport,
     /// The union of the partitions' final candidate links, as
     /// `(left term, right term)` pairs — the improved link set a caller
     /// exports.
     pub final_links: Vec<(Term, Term)>,
-    /// Wall-clock duration of the slowest partition (the paper's reported
-    /// "execution time", §7.3).
-    pub slowest_partition: Duration,
-    /// Mean of the partitions' processing times.
-    pub mean_partition: Duration,
-    /// Total wall-clock duration of the whole run.
-    pub total_duration: Duration,
-}
-
-impl PartitionedRun {
-    /// Final aggregate quality.
-    pub fn final_quality(&self) -> Quality {
-        self.episodes
-            .last()
-            .map(|e| e.quality)
-            .unwrap_or(self.initial_quality)
-    }
 }
 
 /// Run ALEX over `cfg.partitions` equal-size partitions, partition i judged
@@ -99,31 +71,22 @@ pub fn run_partitioned(
     truth: &[(Term, Term)],
     cfg: &PartitionedConfig,
 ) -> PartitionedRun {
-    let oracle = |i: usize, truth: &HashSet<(u32, u32)>| -> Box<dyn FeedbackSource> {
-        Box::new(OracleFeedback::with_error_rate(
-            truth.clone(),
-            cfg.feedback_error_rate,
-            cfg.alex.seed.wrapping_add(1000 + i as u64),
-        ))
-    };
-    let (report, agents) =
-        match run_partitioned_with(left, right, initial, truth, cfg, oracle, None, None) {
-            Ok(run) => run,
-            // Without durability there is no I/O and no recovery: nothing in
-            // the loop can fail.
-            Err(e) => unreachable!("non-durable run cannot fail: {e}"),
+    let oracle =
+        |i: usize, _: &LinkSpace, truth: &HashSet<(u32, u32)>| -> Box<dyn FeedbackSource> {
+            Box::new(OracleFeedback::with_error_rate(
+                truth.clone(),
+                cfg.feedback_error_rate,
+                cfg.alex.seed.wrapping_add(1000 + i as u64),
+            ))
         };
-    let durations = report.partitions.iter().map(|p| p.total_duration);
-    PartitionedRun {
-        slowest_partition: durations.clone().max().unwrap_or(Duration::ZERO),
-        mean_partition: durations.sum::<Duration>() / report.partitions.len().max(1) as u32,
-        initial_quality: report.initial_quality,
-        episodes: report.episodes,
-        per_partition: report.partitions,
-        stop: report.stop,
-        relaxed_converged_at: report.relaxed_converged_at,
-        final_links: final_links(&agents),
-        total_duration: report.total_duration,
+    match run_partitioned_with(left, right, initial, truth, cfg, oracle, None, None) {
+        Ok((report, agents)) => PartitionedRun {
+            report,
+            final_links: final_links(&agents),
+        },
+        // Without durability there is no I/O and no recovery: nothing in
+        // the loop can fail.
+        Err(e) => unreachable!("non-durable run cannot fail: {e}"),
     }
 }
 
@@ -132,8 +95,10 @@ pub fn run_partitioned(
 /// [`LinkSpace::partitions`], partition i's space keeping the left entities
 /// with `id % n == i`, its agent starting from its slice of `initial` with
 /// seed `cfg.alex.seed + i`, and its feedback source made by
-/// `source(i, truth ids)`. Durability and supervision apply to the run as
-/// a whole.
+/// `source(i, partition i's space, truth ids)`. Durability and supervision
+/// apply to the run as a whole. This is the one place a run is built: the
+/// CLI's improve, in either feedback mode, and [`run_partitioned`] come
+/// through here.
 ///
 /// Returns the report, whose `total_duration` includes the space builds,
 /// and the partition agents.
@@ -144,7 +109,7 @@ pub fn run_partitioned_with(
     initial: &[(Term, Term)],
     truth: &[(Term, Term)],
     cfg: &PartitionedConfig,
-    mut source: impl FnMut(usize, &HashSet<(u32, u32)>) -> Box<dyn FeedbackSource>,
+    mut source: impl FnMut(usize, &LinkSpace, &HashSet<(u32, u32)>) -> Box<dyn FeedbackSource>,
     durability: Option<Durability<'_>>,
     supervisor: Option<&mut Supervisor>,
 ) -> Result<(RunReport, Vec<Agent>), String> {
@@ -189,7 +154,11 @@ pub fn run_partitioned_with(
             Agent::new(space, &local_initial, alex_cfg)
         })
         .collect();
-    let mut sources: Vec<Box<dyn FeedbackSource>> = (0..n).map(|i| source(i, &truth_ids)).collect();
+    let mut sources: Vec<Box<dyn FeedbackSource>> = agents
+        .iter()
+        .enumerate()
+        .map(|(i, agent)| source(i, agent.space(), &truth_ids))
+        .collect();
     let parts = agents
         .iter_mut()
         .zip(&mut sources)
@@ -220,46 +189,15 @@ pub fn final_links(agents: &[Agent]) -> Vec<(Term, Term)> {
 mod tests {
     use super::*;
 
+    /// The twelve animals and their diagonal ground truth as terms.
     fn datasets() -> (Dataset, Dataset, Vec<(Term, Term)>) {
-        let mut left = Dataset::new("L");
-        let mut right = Dataset::new("R");
-        let names = [
-            "Alpha Aardvark",
-            "Beta Bison",
-            "Gamma Gazelle",
-            "Delta Dingo",
-            "Epsilon Eagle",
-            "Zeta Zebra",
-            "Eta Egret",
-            "Theta Tapir",
-            "Iota Ibis",
-            "Kappa Koala",
-            "Lambda Lemur",
-            "Mu Marmot",
-        ];
-        for (i, name) in names.iter().enumerate() {
-            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
-            left.add_str(&format!("http://l/{i}"), "http://l/type", "animal");
-            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
-            right.add_str(&format!("http://r/{i}"), "http://r/class", "animal");
-        }
-        let li = left.entity_index();
-        let ri = right.entity_index();
-        let mut truth = Vec::new();
-        for i in 0..names.len() {
-            let lt = left
-                .interner()
-                .get(&format!("http://l/{i}"))
-                .map(Term::Iri)
-                .unwrap();
-            let rt = right
-                .interner()
-                .get(&format!("http://r/{i}"))
-                .map(Term::Iri)
-                .unwrap();
-            assert!(li.id(lt).is_some() && ri.id(rt).is_some());
-            truth.push((lt, rt));
-        }
+        let (left, right) = crate::fixtures::animals(12);
+        let iri = |ds: &Dataset, side: &str, i: usize| {
+            Term::Iri(ds.interner().get(&format!("http://{side}/{i}")).unwrap())
+        };
+        let truth = (0..12)
+            .map(|i| (iri(&left, "l", i), iri(&right, "r", i)))
+            .collect();
         (left, right, truth)
     }
 
@@ -276,7 +214,7 @@ mod tests {
             },
             ..PartitionedConfig::default()
         };
-        let run = run_partitioned(&left, &right, &initial, &truth, &cfg);
+        let run = run_partitioned(&left, &right, &initial, &truth, &cfg).report;
         assert!(run.initial_quality.recall < 0.5);
         assert!(
             run.final_quality().recall > run.initial_quality.recall,
@@ -284,7 +222,7 @@ mod tests {
             run.initial_quality,
             run.final_quality()
         );
-        assert_eq!(run.per_partition.len(), 3);
+        assert_eq!(run.partitions.len(), 3);
     }
 
     #[test]
@@ -300,8 +238,8 @@ mod tests {
             },
             ..PartitionedConfig::default()
         };
-        let run = run_partitioned(&left, &right, &initial, &truth, &cfg);
-        assert_eq!(run.per_partition.len(), 1);
+        let run = run_partitioned(&left, &right, &initial, &truth, &cfg).report;
+        assert_eq!(run.partitions.len(), 1);
         assert!((run.initial_quality.precision - 1.0).abs() < 1e-12);
     }
 
@@ -318,9 +256,9 @@ mod tests {
             },
             ..PartitionedConfig::default()
         };
-        let run = run_partitioned(&left, &right, &initial, &truth, &cfg);
-        assert!(run.slowest_partition >= run.mean_partition);
-        assert!(run.total_duration >= run.slowest_partition);
+        let run = run_partitioned(&left, &right, &initial, &truth, &cfg).report;
+        assert!(run.slowest_partition() >= run.mean_partition());
+        assert!(run.total_duration >= run.slowest_partition());
     }
 
     #[test]
@@ -331,6 +269,6 @@ mod tests {
             ..PartitionedConfig::default()
         };
         let run = run_partitioned(&left, &right, &[], &truth, &cfg);
-        assert_eq!(run.stop, StopReason::NoFeedback);
+        assert_eq!(run.report.stop, crate::driver::StopReason::NoFeedback);
     }
 }

@@ -13,7 +13,8 @@
 //! may look wrong only because a down source withheld its join partners.
 //! Withheld judgments are reported through
 //! [`FeedbackSource::take_degraded`], so the driver can skip the episode
-//! instead of mistaking an outage for convergence.
+//! instead of mistaking an outage for convergence; their run total is
+//! [`RunReport::withheld_judgments`](crate::driver::RunReport::withheld_judgments).
 
 use std::collections::{HashSet, VecDeque};
 
@@ -39,8 +40,6 @@ pub struct QueryFeedback {
     /// Judgments withheld because the producing query degraded, since the
     /// last `take_degraded` call.
     degraded: usize,
-    /// Cumulative withheld judgments (for end-of-run reporting).
-    degraded_total: usize,
     /// Round-robin position in the workload.
     cursor: usize,
     /// Execute queries through the explicit sameAs-closure rewrite
@@ -86,7 +85,6 @@ impl QueryFeedback {
             truth,
             pending: VecDeque::new(),
             degraded: 0,
-            degraded_total: 0,
             cursor: 0,
             rewrite_sameas: false,
             synced: Vec::new(),
@@ -105,11 +103,6 @@ impl QueryFeedback {
     /// Number of queries in the workload.
     pub fn workload_len(&self) -> usize {
         self.queries.len()
-    }
-
-    /// Cumulative judgments withheld due to degraded queries.
-    pub fn degraded_total(&self) -> usize {
-        self.degraded_total
     }
 
     /// Borrow the engine (e.g. to inspect breaker states after a run).
@@ -203,7 +196,6 @@ impl QueryFeedback {
                             // The bridge would also withhold this, but count
                             // it here so the episode knows why it was dry.
                             self.degraded += 1;
-                            self.degraded_total += 1;
                             continue;
                         }
                         self.pending
@@ -215,7 +207,6 @@ impl QueryFeedback {
                     // whole query as degraded rather than crashing the run.
                     counter!("alex_query_feedback_errors_total").inc();
                     self.degraded += 1;
-                    self.degraded_total += 1;
                 }
             }
             if !self.pending.is_empty() {
@@ -369,8 +360,7 @@ mod tests {
         (left, right)
     }
 
-    fn truth_links(left: &Dataset, right: &Dataset) -> Vec<(String, String)> {
-        let _ = (left, right);
+    fn truth_links() -> Vec<(String, String)> {
         (0..3)
             .map(|i| (format!("http://l/{i}"), format!("http://r/{i}")))
             .collect()
@@ -380,7 +370,7 @@ mod tests {
         let (left, right) = datasets();
         let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
         let bridge = FeedbackBridge::new(&left, space.left_index(), &right, space.right_index());
-        let links = truth_links(&left, &right);
+        let links = truth_links();
         let queries = workload_from_links(&left, &right, &links, 10);
         assert_eq!(queries.len(), 3);
         let mut engine = FederatedEngine::new();
@@ -403,7 +393,7 @@ mod tests {
 
     #[test]
     fn judges_answers_against_truth() {
-        let (mut source, mut space, truth) = datasets_with_wrong_link();
+        let (mut source, mut space, truth) = build_source(false);
         let mut candidates = CandidateSet::new();
         // One correct link and one wrong link in the candidate set.
         candidates.insert(space.ensure_pair(0, 0));
@@ -431,10 +421,6 @@ mod tests {
         assert_eq!(source.take_degraded(), 0);
     }
 
-    fn datasets_with_wrong_link() -> (QueryFeedback, LinkSpace, HashSet<(u32, u32)>) {
-        build_source(false)
-    }
-
     #[test]
     fn dead_source_degrades_instead_of_judging() {
         let (mut source, mut space, _) = build_source(true);
@@ -444,7 +430,7 @@ mod tests {
         // The left endpoint is hard-down: anchors never match, so queries
         // produce no judgeable answers — but crucially no negatives either.
         assert_eq!(source.next(&candidates, &space), None);
-        assert_eq!(source.degraded_total(), 0, "no answers at all, none judged");
+        assert_eq!(source.take_degraded(), 0, "no answers at all, none judged");
     }
 
     #[test]
@@ -682,14 +668,14 @@ mod tests {
     #[test]
     fn workload_respects_cap() {
         let (left, right) = datasets();
-        let links = truth_links(&left, &right);
+        let links = truth_links();
         assert_eq!(workload_from_links(&left, &right, &links, 2).len(), 2);
     }
 
     #[test]
     fn link_requiring_workload_answers_only_across_the_closure() {
         let (left, right) = datasets();
-        let links = truth_links(&left, &right);
+        let links = truth_links();
         let queries = workload_requiring_links(&right, &links, 10);
         assert_eq!(queries.len(), 3);
         let mut engine = FederatedEngine::new();

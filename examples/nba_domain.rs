@@ -54,7 +54,7 @@ fn main() {
         feedback_error_rate: 0.0,
     };
     let started = std::time::Instant::now();
-    let run = run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg);
+    let run = run_partitioned(&pair.left, &pair.right, &initial, &pair.ground_truth, &cfg).report;
 
     println!("\nepisode  precision  recall  f-measure  candidates");
     let q0 = run.initial_quality;

@@ -211,7 +211,7 @@ cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-resumed.nt" \
   || { echo "kill-and-resume smoke: gated resumed links differ from reference" >&2; exit 1; }
 echo "gated resumed links byte-identical to uninterrupted reference"
 
-echo "==> trace-schema smoke (--trace under --threads 1 and 4, validated via alex report)"
+echo "==> trace-schema smoke (--trace under --threads 1 and 4, oracle and query feedback, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E
 # per thread and every pool chunk span enclosed by its dispatch span. At
 # one thread the caller runs every chunk inside its own dispatch span.
@@ -222,5 +222,20 @@ for threads in 1 4; do
     || { echo "trace-schema smoke: --profile printed no attribution table" >&2; exit 1; }
   "$ALEX" report --check-trace "$SMOKE/trace-$threads.json"
 done
+# Query feedback runs the same builder: its space build must nest under
+# improve_partitioned/build_spaces, its trace must validate, and both
+# widths must write the same links.
+for threads in 1 4; do
+  "$ALEX" improve "$SMOKE/left.nt" "$SMOKE/right.nt" \
+    --links "$SMOKE/truth.nt" --truth "$SMOKE/truth.nt" \
+    --feedback query --episodes 4 --episode-size 40 --queries 30 \
+    --out "$SMOKE/query-$threads.nt" --threads "$threads" \
+    --trace "$SMOKE/query-trace-$threads.json" --verbose 2> "$SMOKE/query.err"
+  grep -q "^improve_partitioned/build_spaces " "$SMOKE/query.err" \
+    || { echo "trace-schema smoke: query feedback's space build is outside improve_partitioned" >&2; exit 1; }
+  "$ALEX" report --check-trace "$SMOKE/query-trace-$threads.json"
+done
+cmp "$SMOKE/query-1.nt" "$SMOKE/query-4.nt" \
+  || { echo "trace-schema smoke: query-feedback links differ across --threads" >&2; exit 1; }
 
 echo "CI OK"

@@ -25,9 +25,9 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use alex::core::{
-    driver, final_links, run_partitioned_with, workload_from_links, AdversarialPopulation, Agent,
-    AlexConfig, Durability, FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback,
-    PartitionedConfig, Quality, QueryFeedback, SpaceConfig, StopReason, TrustConfig, TrustGate,
+    final_links, run_partitioned_with, workload_from_links, AdversarialPopulation, Agent,
+    AlexConfig, Durability, FeedbackBridge, FeedbackSource, OracleFeedback, PartitionedConfig,
+    Quality, QueryFeedback, RunReport, SpaceConfig, StopReason, TrustConfig, TrustGate,
 };
 use alex::guard::{BreachPolicy, Budget, ChaosProfile, Supervisor};
 
@@ -37,8 +37,8 @@ use alex::datagen::{
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
-    parse, Catalog, Completeness, DatasetEndpoint, Endpoint, FaultProfile, FaultyEndpoint,
-    FederatedEngine, ResilienceConfig, SameAsLinks,
+    parse, Catalog, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
+    ResilienceConfig, SameAsLinks,
 };
 
 fn main() -> ExitCode {
@@ -113,11 +113,13 @@ USAGE:
   With 'query', feedback comes from judging federated query answers
   over the two data sets (the paper's deployment loop) instead of
   sampling the ground truth directly; --queries N caps the workload
-  size (default 50). --partitions and --error-rate apply to oracle
-  feedback only, --queries and the FAULT TOLERANCE flags to query
-  feedback only; a flag the chosen mode does not read exits 2. The
-  ANSWER CACHING and SMARTER FEDERATION flags are accepted but inert
-  with oracle feedback.
+  size (default 50) and --episode-size defaults to 200. Both modes
+  run the same loop; query feedback runs one partition. --partitions,
+  --error-rate and the ADVERSARIAL ROBUSTNESS and DURABILITY flags
+  apply to oracle feedback only, --queries and the FAULT TOLERANCE
+  flags to query feedback only; a flag the chosen mode does not read
+  exits 2. The ANSWER CACHING and SMARTER FEDERATION flags are
+  accepted but inert with oracle feedback.
 
 FAULT TOLERANCE (improve --feedback query, and query):
   --fault-profile SPEC      Inject deterministic faults into every
@@ -198,7 +200,7 @@ PARALLELISM (link, improve, query):
                             (its agent may be half-updated): the run
                             fails instead.
 
-SUPERVISION (improve, oracle feedback):
+SUPERVISION (improve):
   --episode-budget-ms MS    Wall-clock budget per episode. Budgets are
                             checked at episode boundaries: an episode is
                             never interrupted mid-flight, it is finalized,
@@ -377,8 +379,46 @@ const ORACLE_UNREAD: &[&str] = &[
     "fail-fast",
 ];
 /// See [`ORACLE_UNREAD`]; query feedback runs one unpartitioned agent
-/// judged by federated answers, not by a noisy oracle.
-const QUERY_UNREAD: &[&str] = &["partitions", "error-rate"];
+/// judged by federated answers: no noisy oracle, no journal (live answers
+/// cannot be replayed deterministically) and no source population (answers
+/// carry no user attribution for the trust gate).
+const QUERY_UNREAD: &[&str] = &[
+    "partitions",
+    "error-rate",
+    "state-dir",
+    "resume",
+    "snapshot-every",
+    "kill-after",
+    "trust",
+    "quorum",
+    "sources",
+    "adversary-profile",
+];
+
+/// `--feedback oracle|query` (default oracle), read before any other
+/// `improve` flag so a misspelled mode is reported as such; a flag the
+/// mode never reads is an error naming flag and mode.
+fn feedback_mode(flags: &Flags) -> Result<&str, String> {
+    let feedback = flag(flags, "feedback").unwrap_or("oracle");
+    let unread = match feedback {
+        "oracle" => ORACLE_UNREAD,
+        "query" => QUERY_UNREAD,
+        other => {
+            return Err(format!(
+                "--feedback must be 'oracle' or 'query', got '{other}'"
+            ))
+        }
+    };
+    match flags
+        .iter()
+        .find(|(name, _)| unread.contains(&name.as_str()))
+    {
+        Some((name, _)) => Err(format!(
+            "--{name} is not read by `alex improve --feedback {feedback}`"
+        )),
+        None => Ok(feedback),
+    }
+}
 
 /// [`split_args`] for `alex <cmd>`, which reads only the flags in
 /// `accepted`: any other flag is an error naming it, so a misspelled flag
@@ -404,17 +444,25 @@ fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
+/// `--name V` parsed as a `T`; `None` when the flag is absent.
+fn parse_opt<T: std::str::FromStr>(
+    flags: &[(String, String)],
+    name: &str,
+) -> Result<Option<T>, String> {
+    flag(flags, name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid value '{v}' for --{name}"))
+        })
+        .transpose()
+}
+
 fn parse_flag<T: std::str::FromStr>(
     flags: &[(String, String)],
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag(flags, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --{name}")),
-    }
+    Ok(parse_opt(flags, name)?.unwrap_or(default))
 }
 
 /// A probability-like flag: a finite number in `[0, 1]`.
@@ -433,10 +481,7 @@ fn parse_unit_flag(flags: &[(String, String)], name: &str, default: f64) -> Resu
 /// (quarantine|fail), and `--chaos-profile` (seeded chunk-fault
 /// injection for the chaos suites).
 fn configure_threads(flags: &Flags) -> Result<(), String> {
-    if let Some(v) = flag(flags, "threads") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --threads"))?;
+    if let Some(n) = parse_opt(flags, "threads")? {
         if n == 0 {
             return Err("--threads must be at least 1".into());
         }
@@ -470,28 +515,17 @@ impl GuardOpts {
 
 /// Parse and validate the budget-supervision flags. `None` when no budget
 /// flag was given; an error when `--budget-policy` appears alone (a policy
-/// with nothing to police is a spelling mistake, not a request) or when
-/// the flags are combined with query feedback, which the supervisor does
-/// not cover.
+/// with nothing to police is a spelling mistake, not a request).
 fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
     let mut budget = Budget::unlimited();
-    if let Some(ms) = flag(flags, "episode-budget-ms") {
-        budget = budget.episode_wall_ms(
-            ms.parse()
-                .map_err(|_| format!("invalid value '{ms}' for --episode-budget-ms"))?,
-        );
+    if let Some(ms) = parse_opt(flags, "episode-budget-ms")? {
+        budget = budget.episode_wall_ms(ms);
     }
-    if let Some(ms) = flag(flags, "run-budget-ms") {
-        budget = budget.run_wall_ms(
-            ms.parse()
-                .map_err(|_| format!("invalid value '{ms}' for --run-budget-ms"))?,
-        );
+    if let Some(ms) = parse_opt(flags, "run-budget-ms")? {
+        budget = budget.run_wall_ms(ms);
     }
-    if let Some(mb) = flag(flags, "max-rss-mb") {
-        budget = budget.max_rss_mb(
-            mb.parse()
-                .map_err(|_| format!("invalid value '{mb}' for --max-rss-mb"))?,
-        );
+    if let Some(mb) = parse_opt(flags, "max-rss-mb")? {
+        budget = budget.max_rss_mb(mb);
     }
     if budget.is_unlimited() {
         if flag(flags, "budget-policy").is_some() {
@@ -500,13 +534,6 @@ fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
                 .into());
         }
         return Ok(None);
-    }
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "budget supervision requires oracle feedback: the supervisor wraps the \
-             oracle driver loop"
-                .into(),
-        );
     }
     let policy = match flag(flags, "budget-policy") {
         None => BreachPolicy::Stop,
@@ -518,7 +545,7 @@ fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
 }
 
 /// Print the supervision verdict after a supervised run.
-fn print_supervision(sup: &Supervisor, report: &driver::RunReport) {
+fn print_supervision(sup: &Supervisor, report: &RunReport) {
     for breach in sup.breach_log() {
         eprintln!("budget breach: {breach}");
     }
@@ -711,13 +738,6 @@ fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
     let Some(dir) = state_dir else {
         return Ok(None);
     };
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "--state-dir requires oracle feedback: live query feedback cannot be \
-                    journaled for deterministic replay"
-                .into(),
-        );
-    }
     let kill_after = flag(flags, "kill-after")
         .map(|v| {
             v.parse::<u64>()
@@ -782,8 +802,7 @@ impl RobustnessOpts {
 
 /// Parse and validate the adversarial-robustness flags. `None` when none of
 /// `--trust`, `--quorum`, `--sources`, `--adversary-profile` was given; an
-/// error on inconsistent combinations (these runs need oracle feedback,
-/// like durable runs).
+/// error on inconsistent combinations.
 fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     let trust_enabled = flag(flags, "trust").is_some();
     if !trust_enabled && flag(flags, "quorum").is_some() {
@@ -791,10 +810,8 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     }
     let trust = if trust_enabled {
         let mut cfg = TrustConfig::default();
-        if let Some(v) = flag(flags, "quorum") {
-            cfg.quorum = v
-                .parse()
-                .map_err(|_| format!("invalid value '{v}' for --quorum"))?;
+        if let Some(quorum) = parse_opt(flags, "quorum")? {
+            cfg.quorum = quorum;
         }
         cfg.validate().map_err(|e| format!("--trust: {e}"))?;
         Some(cfg)
@@ -811,13 +828,6 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
     if trust.is_none() && profile.is_none() && flag(flags, "sources").is_none() {
         return Ok(None);
     }
-    if flag(flags, "feedback").is_some_and(|f| f != "oracle") {
-        return Err(
-            "--trust/--sources/--adversary-profile require oracle feedback: the trust \
-             gate sits on the oracle improve loop"
-                .into(),
-        );
-    }
     Ok(Some(RobustnessOpts {
         trust,
         profile,
@@ -830,23 +840,15 @@ fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
 fn resilience_from_flags(flags: &Flags) -> Result<Option<ResilienceConfig>, String> {
     let mut cfg = ResilienceConfig::default();
     let mut touched = false;
-    if let Some(v) = flag(flags, "retries") {
-        cfg.retry.max_retries = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --retries"))?;
+    if let Some(retries) = parse_opt(flags, "retries")? {
+        cfg.retry.max_retries = retries;
         touched = true;
     }
-    if let Some(v) = flag(flags, "backoff-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --backoff-ms"))?;
+    if let Some(ms) = parse_opt(flags, "backoff-ms")? {
         cfg.retry.initial_backoff = std::time::Duration::from_millis(ms);
         touched = true;
     }
-    if let Some(v) = flag(flags, "endpoint-budget-ms") {
-        let ms: u64 = v
-            .parse()
-            .map_err(|_| format!("invalid value '{v}' for --endpoint-budget-ms"))?;
+    if let Some(ms) = parse_opt(flags, "endpoint-budget-ms")? {
         cfg.endpoint_budget = Some(std::time::Duration::from_millis(ms));
         touched = true;
     }
@@ -864,12 +866,37 @@ fn fault_profile_from_flags(flags: &Flags) -> Result<Option<FaultProfile>, Strin
         .transpose()
 }
 
-/// Wrap a dataset endpoint in the fault injector when a profile is active.
-fn make_endpoint(ds: Dataset, profile: &Option<FaultProfile>) -> Box<dyn Endpoint> {
-    match profile {
-        Some(p) => Box::new(FaultyEndpoint::new(DatasetEndpoint::new(ds), p.clone())),
-        None => Box::new(DatasetEndpoint::new(ds)),
+/// A federated engine with one endpoint per data set (wrapped in the fault
+/// injector under `--fault-profile`), `links`, and the resilience, cache
+/// and catalog flags applied; the catalog is probed last, so every
+/// endpoint gets an entry.
+fn federated_engine(
+    datasets: Vec<Dataset>,
+    links: Option<SameAsLinks>,
+    flags: &Flags,
+) -> Result<FederatedEngine, String> {
+    let profile = fault_profile_from_flags(flags)?;
+    let mut engine = FederatedEngine::new();
+    for ds in datasets {
+        let endpoint = DatasetEndpoint::new(ds);
+        match &profile {
+            Some(p) => engine.add_endpoint(Box::new(FaultyEndpoint::new(endpoint, p.clone()))),
+            None => engine.add_endpoint(Box::new(endpoint)),
+        }
     }
+    if let Some(links) = links {
+        engine.set_links(links);
+    }
+    if let Some(resilience) = resilience_from_flags(flags)? {
+        engine.set_resilience(resilience);
+    }
+    if let Some(capacity) = cache_opts(flags)? {
+        engine.enable_cache(capacity);
+    }
+    if let Some(catalog) = catalog_opts(flags) {
+        apply_catalog(&mut engine, &catalog)?;
+    }
+    Ok(engine)
 }
 
 fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
@@ -1018,41 +1045,20 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
     let [left_path, right_path] = files.as_slice() else {
         return Err("improve requires exactly two data files".into());
     };
+    let query = feedback_mode(&flags)? == "query";
     configure_threads(&flags)?;
     let durable = durable_opts(&flags)?;
     let robust = robustness_opts(&flags)?;
     let guard = guard_opts(&flags)?;
-    let feedback = flag(&flags, "feedback").unwrap_or("oracle");
-    let unread = match feedback {
-        "oracle" => ORACLE_UNREAD,
-        "query" => QUERY_UNREAD,
-        other => {
-            return Err(format!(
-                "--feedback must be 'oracle' or 'query', got '{other}'"
-            ))
-        }
-    };
-    if let Some((name, _)) = flags
-        .iter()
-        .find(|(name, _)| unread.contains(&name.as_str()))
-    {
-        return Err(format!(
-            "--{name} is not read by `alex improve --feedback {feedback}`"
-        ));
-    }
     let telemetry = telemetry_setup(&flags)?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
     let links = load_links(flag(&flags, "links").ok_or("--links is required")?)?;
     let truth = load_links(flag(&flags, "truth").ok_or("--truth is required")?)?;
 
-    if feedback == "query" {
-        improve_with_query_feedback(&left, &right, &links, &truth, &flags)?;
-    } else {
-        improve_with_oracle(
-            &left, &right, &links, &truth, &flags, durable, robust, guard,
-        )?;
-    }
+    improve(
+        &left, &right, &links, &truth, &flags, query, durable, robust, guard,
+    )?;
     telemetry.finish()
 }
 
@@ -1069,7 +1075,7 @@ fn term_pairs(left: &Dataset, right: &Dataset, set: &SameAsLinks) -> Vec<(Term, 
 }
 
 /// Print the initial and per-episode quality and the stop line.
-fn print_run(report: &driver::RunReport) {
+fn print_run(report: &RunReport) {
     let print_q = |tag: &str, q: Quality| {
         println!(
             "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
@@ -1154,33 +1160,43 @@ fn durability<'a>(
     })
 }
 
-/// `improve` with oracle feedback over `--partitions` k ≥ 1 partitions.
+/// `improve`, in either feedback mode, over `--partitions` k ≥ 1
+/// partitions built and run by `run_partitioned_with`. The mode picks only
+/// each partition's feedback source, the defaults and the suffix of the
+/// "initial links" line.
 ///
-/// A plain run defaults to 4 partitions judged by oracles seeded
-/// `seed + 1000 + i`. With `--state-dir`, trust, population or budget
-/// flags the default is one partition and partition i's source is seeded
-/// `seed + i`. `--state-dir` journals every episode, so `--resume` yields
-/// exactly the links an uninterrupted run would; `--sources` and
+/// Oracle feedback: a plain run defaults to 4 partitions judged by oracles
+/// seeded `seed + 1000 + i`. With `--state-dir`, trust, population or
+/// budget flags the default is one partition and partition i's source is
+/// seeded `seed + i`. `--state-dir` journals every episode, so `--resume`
+/// yields exactly the links an uninterrupted run would; `--sources` and
 /// `--adversary-profile` make each partition's feedback come from an
 /// attributed population; `--trust` passes link mutations through quorum
-/// admission with cascading rollback; budget flags mark overrunning
-/// episodes degraded.
+/// admission with cascading rollback.
+///
+/// Query feedback, the paper's deployment loop: one partition judged by
+/// federated query answers through the bridge. With `--fault-profile` the
+/// federation degrades, and the loop skips episodes whose every judgment
+/// was withheld.
+///
+/// In both modes budget flags mark overrunning episodes degraded.
 #[allow(clippy::too_many_arguments)]
-fn improve_with_oracle(
+fn improve(
     left: &Dataset,
     right: &Dataset,
     links: &SameAsLinks,
     truth: &SameAsLinks,
     flags: &Flags,
+    query: bool,
     durable: Option<DurableOpts>,
     robust: Option<RobustnessOpts>,
     guard: Option<GuardOpts>,
 ) -> Result<(), String> {
     let plain = durable.is_none() && robust.is_none() && guard.is_none();
     let cfg = PartitionedConfig {
-        partitions: parse_flag(flags, "partitions", if plain { 4 } else { 1 })?,
+        partitions: parse_flag(flags, "partitions", if plain && !query { 4 } else { 1 })?,
         alex: AlexConfig {
-            episode_size: parse_flag(flags, "episode-size", 1000usize)?,
+            episode_size: parse_flag(flags, "episode-size", if query { 200 } else { 1000 })?,
             max_episodes: parse_flag(flags, "episodes", 40usize)?,
             trust: robust.as_ref().and_then(|r| r.trust),
             ..AlexConfig::default()
@@ -1196,26 +1212,58 @@ fn improve_with_oracle(
     if truth_pairs.is_empty() {
         return Err("no ground-truth link references entities of these data sets".into());
     }
-    let mut setup = format!("partitions: {}", cfg.partitions);
-    if let Some(r) = &robust {
-        setup += &format!(
-            ", sources: {}, adversary: {}, trust: {}",
-            r.sources,
-            flag(flags, "adversary-profile").unwrap_or("none"),
-            if r.trust.is_some() { "on" } else { "off" },
-        );
-    }
-    if let Some(d) = &durable {
-        setup += &format!(", durable: {}", d.state_dir);
-    }
+    // Query feedback's workload is anchored on ground-truth links: each
+    // query is answerable only by crossing a sameAs link, so its answers
+    // carry judgeable provenance.
+    let workload = if query {
+        let truth_iris: Vec<(String, String)> = truth
+            .iter()
+            .map(|l| (l.left.clone(), l.right.clone()))
+            .collect();
+        let queries =
+            workload_from_links(left, right, &truth_iris, parse_flag(flags, "queries", 50)?);
+        if queries.is_empty() {
+            return Err("could not derive any federated query from the ground-truth links".into());
+        }
+        Some(queries)
+    } else {
+        None
+    };
+    let setup = match &workload {
+        Some(queries) => format!("; workload: {} queries", queries.len()),
+        None => {
+            let mut setup = format!("partitions: {}", cfg.partitions);
+            if let Some(r) = &robust {
+                setup += &format!(
+                    ", sources: {}, adversary: {}, trust: {}",
+                    r.sources,
+                    flag(flags, "adversary-profile").unwrap_or("none"),
+                    if r.trust.is_some() { "on" } else { "off" },
+                );
+            }
+            if let Some(d) = &durable {
+                setup += &format!(", durable: {}", d.state_dir);
+            }
+            format!(" ({setup})")
+        }
+    };
     eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {} ({setup})",
+        "initial links: {} usable of {}; ground truth: {} usable of {}{setup}",
         initial.len(),
         links.len(),
         truth_pairs.len(),
         truth.len(),
     );
 
+    // The engine is built before the spaces, so a bad federation flag or a
+    // failed catalog probe stops the run before the space build.
+    let mut federation = match workload {
+        Some(queries) => Some((
+            federated_engine(vec![left.clone(), right.clone()], None, flags)?,
+            queries,
+        )),
+        None => None,
+    };
     let mut store;
     let durability = match &durable {
         None => None,
@@ -1233,6 +1281,7 @@ fn improve_with_oracle(
         sources: 1,
     });
     let seed = cfg.alex.seed.wrapping_add(if plain { 1000 } else { 0 });
+    let rewrite_sameas = flag(flags, "rewrite-sameas").is_some();
     let mut supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
     let (report, agents) = run_partitioned_with(
         left,
@@ -1240,7 +1289,24 @@ fn improve_with_oracle(
         &initial,
         &truth_pairs,
         &cfg,
-        |i, truth| robust.make_source(truth, cfg.feedback_error_rate, seed.wrapping_add(i as u64)),
+        // Query feedback runs one partition: its one source takes the engine.
+        |i, space, truth| match federation.take() {
+            Some((engine, queries)) => {
+                let bridge =
+                    FeedbackBridge::new(left, space.left_index(), right, space.right_index());
+                let mut source = QueryFeedback::new(
+                    engine,
+                    left.clone(),
+                    right.clone(),
+                    queries,
+                    bridge,
+                    truth.clone(),
+                );
+                source.set_rewrite_sameas(rewrite_sameas);
+                Box::new(source)
+            }
+            None => robust.make_source(truth, cfg.feedback_error_rate, seed.wrapping_add(i as u64)),
+        },
         durability,
         supervisor.as_mut(),
     )?;
@@ -1249,6 +1315,12 @@ fn improve_with_oracle(
         print_supervision(sup, &report);
     }
     print_run(&report);
+    if report.withheld_judgments > 0 {
+        eprintln!(
+            "{} judgment(s) withheld because queries degraded (skipped sources)",
+            report.withheld_judgments
+        );
+    }
     let gates: Vec<_> = agents.iter().filter_map(Agent::trust_gate).collect();
     if !gates.is_empty() {
         // Summed over the partitions' gates.
@@ -1270,98 +1342,6 @@ fn improve_with_oracle(
         );
     }
     write_links(flags, left, right, &final_links(&agents))
-}
-
-/// `improve --feedback query`: the paper's deployment loop. Feedback comes
-/// from judging federated query answers (via the bridge) instead of
-/// sampling the ground truth directly; with `--fault-profile` the
-/// federation degrades and the driver must cope.
-fn improve_with_query_feedback(
-    left: &Dataset,
-    right: &Dataset,
-    links: &SameAsLinks,
-    truth: &SameAsLinks,
-    flags: &Flags,
-) -> Result<(), String> {
-    let left_index = left.entity_index();
-    let right_index = right.entity_index();
-    let to_ids = |set: &SameAsLinks| -> Vec<(u32, u32)> {
-        term_pairs(left, right, set)
-            .into_iter()
-            .filter_map(|(l, r)| Some((left_index.id(l)?, right_index.id(r)?)))
-            .collect()
-    };
-    let initial_ids = to_ids(links);
-    let truth_ids: std::collections::HashSet<(u32, u32)> = to_ids(truth).into_iter().collect();
-    if truth_ids.is_empty() {
-        return Err("no ground-truth link references entities of these data sets".into());
-    }
-
-    // Queries anchored on ground-truth links: each is answerable only by
-    // crossing a sameAs link, so its answers carry judgeable provenance.
-    let truth_iris: Vec<(String, String)> = truth
-        .iter()
-        .map(|l| (l.left.clone(), l.right.clone()))
-        .collect();
-    let queries = workload_from_links(left, right, &truth_iris, parse_flag(flags, "queries", 50)?);
-    if queries.is_empty() {
-        return Err("could not derive any federated query from the ground-truth links".into());
-    }
-    eprintln!(
-        "initial links: {} usable of {}; ground truth: {} usable of {}; workload: {} queries",
-        initial_ids.len(),
-        links.len(),
-        truth_ids.len(),
-        truth.len(),
-        queries.len()
-    );
-
-    let profile = fault_profile_from_flags(flags)?;
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(make_endpoint(left.clone(), &profile));
-    engine.add_endpoint(make_endpoint(right.clone(), &profile));
-    if let Some(resilience) = resilience_from_flags(flags)? {
-        engine.set_resilience(resilience);
-    }
-    if let Some(capacity) = cache_opts(flags)? {
-        engine.enable_cache(capacity);
-    }
-    if let Some(catalog) = catalog_opts(flags) {
-        apply_catalog(&mut engine, &catalog)?;
-    }
-
-    let space = LinkSpace::build(left, right, &SpaceConfig::default());
-    let bridge = FeedbackBridge::new(left, space.left_index(), right, space.right_index());
-    let cfg = AlexConfig {
-        episode_size: parse_flag(flags, "episode-size", 200)?,
-        max_episodes: parse_flag(flags, "episodes", 40)?,
-        ..AlexConfig::default()
-    };
-    let mut agent = Agent::new(space, &initial_ids, cfg);
-    let mut source = QueryFeedback::new(
-        engine,
-        left.clone(),
-        right.clone(),
-        queries,
-        bridge,
-        truth_ids.clone(),
-    );
-    source.set_rewrite_sameas(flag(flags, "rewrite-sameas").is_some());
-    let report = driver::run(&mut agent, &mut source, &truth_ids);
-
-    print_run(&report);
-    if source.degraded_total() > 0 {
-        eprintln!(
-            "{} judgment(s) withheld because queries degraded (skipped sources)",
-            source.degraded_total()
-        );
-    }
-    write_links(
-        flags,
-        left,
-        right,
-        &final_links(std::slice::from_ref(&agent)),
-    )
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
@@ -1392,24 +1372,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .ok_or("provide a query string or --query-file")?,
     };
     let query = parse(&query_text).map_err(|e| format!("query: {e}"))?;
-
-    let profile = fault_profile_from_flags(&flags)?;
-    let mut engine = FederatedEngine::new();
-    for f in &data_files {
-        engine.add_endpoint(make_endpoint(load_dataset(f)?, &profile));
-    }
-    if let Some(links_path) = flag(&flags, "links") {
-        engine.set_links(load_links(links_path)?);
-    }
-    if let Some(resilience) = resilience_from_flags(&flags)? {
-        engine.set_resilience(resilience);
-    }
-    if let Some(capacity) = cache_opts(&flags)? {
-        engine.enable_cache(capacity);
-    }
-    if let Some(catalog) = catalog_opts(&flags) {
-        apply_catalog(&mut engine, &catalog)?;
-    }
+    let datasets = data_files
+        .iter()
+        .map(|f| load_dataset(f))
+        .collect::<Result<_, _>>()?;
+    let links = flag(&flags, "links").map(load_links).transpose()?;
+    let engine = federated_engine(datasets, links, &flags)?;
 
     if query.kind == alex::sparql::QueryKind::Ask {
         let answer = engine.ask(&query).map_err(|e| format!("evaluation: {e}"))?;
@@ -1630,6 +1598,10 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(g.policy, BreachPolicy::Stop);
+        // Both feedback modes run the supervised loop.
+        let flags = flags_of("--episode-budget-ms 50 --feedback query");
+        assert_eq!(feedback_mode(&flags), Ok("query"));
+        assert!(guard_opts(&flags).unwrap().is_some());
     }
 
     #[test]
@@ -1644,9 +1616,6 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("stop|continue"), "{err}");
-        let err = guard_opts(&flags_of("--episode-budget-ms 50 --feedback query")).unwrap_err();
-        assert!(err.contains("oracle"), "{err}");
-        assert!(!err.contains("  "), "{err}");
     }
 
     #[test]
@@ -1672,8 +1641,8 @@ mod tests {
         let err =
             robustness_opts(&flags_of("--trust --adversary-profile gremlin:0.3")).unwrap_err();
         assert!(err.contains("adversary"), "{err}");
-        let err = robustness_opts(&flags_of("--trust --feedback query")).unwrap_err();
-        assert!(err.contains("oracle"), "{err}");
+        let err = feedback_mode(&flags_of("--trust --feedback query")).unwrap_err();
+        assert!(err.contains("--trust is not read"), "{err}");
     }
 
     #[test]
@@ -1798,9 +1767,14 @@ mod tests {
 
     #[test]
     fn state_dir_rejects_query_feedback() {
-        let err = durable_opts(&flags_of("--state-dir /tmp/s --feedback query")).unwrap_err();
-        assert!(err.contains("oracle feedback"), "{err}");
-        assert!(durable_opts(&flags_of("--state-dir /tmp/s --feedback oracle")).is_ok());
+        let err = feedback_mode(&flags_of("--state-dir /tmp/s --feedback query")).unwrap_err();
+        assert!(
+            err.contains("--state-dir is not read by `alex improve --feedback query`"),
+            "{err}"
+        );
+        let flags = flags_of("--state-dir /tmp/s --feedback oracle");
+        assert_eq!(feedback_mode(&flags), Ok("oracle"));
+        assert!(durable_opts(&flags).is_ok());
     }
 
     #[test]

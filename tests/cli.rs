@@ -1,8 +1,8 @@
 //! End-to-end tests for the `alex` CLI binary: generate → stats → link →
 //! improve → query, through real files.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn alex() -> Command {
     Command::new(env!("CARGO_BIN_EXE_alex"))
@@ -13,6 +13,32 @@ fn workdir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
+}
+
+/// A fresh work dir holding `alex gen --pair nba --seed 7`'s files.
+fn nba_dir(tag: &str) -> PathBuf {
+    let dir = workdir(tag);
+    let out = alex()
+        .args(["gen", "--out-dir", &dir.to_string_lossy()])
+        .args(["--pair", "nba", "--seed", "7"])
+        .output()
+        .expect("spawn gen");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    dir
+}
+
+/// `alex improve` on the NBA files in `dir`, starting from and judged by
+/// their ground truth, with `extra` flags.
+fn improve_nba(dir: &Path, extra: &[&str]) -> Output {
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let truth = p("truth.nt");
+    alex()
+        .args(["improve", &p("left.nt"), &p("right.nt")])
+        .args(["--links", &truth, "--truth", &truth])
+        .args(extra)
+        .output()
+        .expect("spawn improve")
 }
 
 #[test]
@@ -30,13 +56,8 @@ fn help_and_unknown_command() {
 /// subcommand accepts only the flags it reads.
 #[test]
 fn misspelled_flags_exit_2_naming_the_flag() {
-    let dir = workdir("misspelled");
+    let dir = nba_dir("misspelled");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-    let out = alex()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
-        .output()
-        .expect("spawn");
-    assert!(out.status.success());
 
     let cases: [(&[&str], &str); 3] = [
         (
@@ -78,14 +99,7 @@ fn misspelled_flags_exit_2_naming_the_flag() {
 /// reads, naming the flag and the mode, instead of ignoring them.
 #[test]
 fn improve_rejects_flags_its_feedback_mode_never_reads() {
-    let dir = workdir("unread");
-    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-    let out = alex()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
-        .output()
-        .expect("spawn");
-    assert!(out.status.success());
-
+    let dir = nba_dir("unread");
     let cases: [(&str, &[&[&str]]); 2] = [
         (
             "oracle",
@@ -98,29 +112,30 @@ fn improve_rejects_flags_its_feedback_mode_never_reads() {
                 &["--fail-fast"],
             ],
         ),
-        ("query", &[&["--partitions", "2"], &["--error-rate", "0.1"]]),
+        (
+            "query",
+            &[
+                &["--partitions", "2"],
+                &["--error-rate", "0.1"],
+                &["--state-dir", "state"],
+                &["--resume"],
+                &["--trust"],
+                &["--sources", "2"],
+                &["--adversary-profile", "flipper:0.2"],
+            ],
+        ),
     ];
     for (feedback, unread) in cases {
         for extra in unread {
-            let out = alex()
-                .args([
-                    "improve",
-                    &p("left.nt"),
-                    &p("right.nt"),
-                    "--links",
-                    &p("truth.nt"),
-                    "--truth",
-                    &p("truth.nt"),
-                    "--feedback",
-                    feedback,
-                    "--episodes",
-                    "1",
-                    "--episode-size",
-                    "5",
-                ])
-                .args(*extra)
-                .output()
-                .expect("spawn");
+            let run = [
+                "--feedback",
+                feedback,
+                "--episodes",
+                "1",
+                "--episode-size",
+                "5",
+            ];
+            let out = improve_nba(&dir, &[&run, *extra].concat());
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
             let message = format!(
@@ -130,6 +145,61 @@ fn improve_rejects_flags_its_feedback_mode_never_reads() {
             assert!(stderr.contains(&message), "{extra:?}: {stderr}");
         }
     }
+
+    // The mode is read first: a misspelled one is reported as such, not as
+    // a conflict with a flag of the other mode.
+    let state = dir.join("state");
+    let out = improve_nba(
+        &dir,
+        &[
+            "--feedback",
+            "orcale",
+            "--state-dir",
+            &state.to_string_lossy(),
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--feedback must be 'oracle' or 'query', got 'orcale'"),
+        "{stderr}"
+    );
+    assert!(!state.exists(), "no state dir is opened");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Budget supervision covers query feedback too: a 1 MB RSS ceiling is
+/// breached by the first episode, which is finalized, marked degraded and
+/// stops the run.
+#[test]
+fn query_feedback_improve_honours_budgets() {
+    let dir = nba_dir("query-budget");
+    let out = improve_nba(
+        &dir,
+        &[
+            "--feedback",
+            "query",
+            "--queries",
+            "30",
+            "--max-rss-mb",
+            "1",
+        ],
+    );
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        stdout.contains("stopped: BudgetExhausted after 1 episodes"),
+        "{stdout}"
+    );
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("supervision: 1 breach(es)")),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -137,13 +207,8 @@ fn improve_rejects_flags_its_feedback_mode_never_reads() {
 /// table, and the bare command prints one summary row per file.
 #[test]
 fn stats_detail_is_a_switch() {
-    let dir = workdir("stats-detail");
+    let dir = nba_dir("stats-detail");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-    let out = alex()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
-        .output()
-        .expect("spawn");
-    assert!(out.status.success());
 
     let out = alex()
         .args(["stats", &p("left.nt")])
@@ -178,27 +243,8 @@ fn stats_detail_is_a_switch() {
 
 #[test]
 fn full_pipeline_gen_link_improve_query() {
-    let dir = workdir("pipeline");
+    let dir = nba_dir("pipeline");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-
-    // gen
-    let out = alex()
-        .args([
-            "gen",
-            "--out-dir",
-            &dir.to_string_lossy(),
-            "--pair",
-            "nba",
-            "--seed",
-            "7",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
     for f in ["left.nt", "right.nt", "truth.nt"] {
         assert!(dir.join(f).exists(), "{f} missing");
     }
@@ -341,52 +387,29 @@ fn query_select_prints_bindings() {
 fn improve_telemetry_outputs_reconcile() {
     use alex::telemetry::Event;
 
-    let dir = workdir("telemetry");
+    let dir = nba_dir("telemetry");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-
-    let out = alex()
-        .args([
-            "gen",
-            "--out-dir",
-            &dir.to_string_lossy(),
-            "--pair",
-            "nba",
-            "--seed",
-            "7",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+    let out = improve_nba(
+        &dir,
+        &[
+            &[
+                "--episodes",
+                "5",
+                "--episode-size",
+                "40",
+                "--partitions",
+                "1",
+            ][..],
+            &[
+                "--out",
+                &p("improved.nt"),
+                "--telemetry",
+                &p("events.jsonl"),
+            ],
+            &["--metrics-dump", &p("metrics.prom"), "--verbose"],
+        ]
+        .concat(),
     );
-
-    let out = alex()
-        .args([
-            "improve",
-            &p("left.nt"),
-            &p("right.nt"),
-            "--links",
-            &p("truth.nt"), // start from truth subset semantics: any valid links work
-            "--truth",
-            &p("truth.nt"),
-            "--episodes",
-            "5",
-            "--episode-size",
-            "40",
-            "--partitions",
-            "1",
-            "--out",
-            &p("improved.nt"),
-            "--telemetry",
-            &p("events.jsonl"),
-            "--metrics-dump",
-            &p("metrics.prom"),
-            "--verbose",
-        ])
-        .output()
-        .expect("spawn");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stderr}");
@@ -570,44 +593,26 @@ fn turtle_files_are_accepted() {
 /// run, while a source that stays down still refuses the catalog.
 #[test]
 fn catalog_probe_survives_transient_faults() {
-    let dir = workdir("catalog-faults");
-    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-    let out = alex()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
-        .output()
-        .expect("spawn gen");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let dir = nba_dir("catalog-faults");
+    let out = dir.join("out.nt").to_string_lossy().to_string();
     let improve = |faults: &str| {
-        alex()
-            .args([
-                "improve",
-                &p("left.nt"),
-                &p("right.nt"),
-                "--links",
-                &p("truth.nt"),
-                "--truth",
-                &p("truth.nt"),
-                "--feedback",
-                "query",
-                "--episodes",
-                "2",
-                "--episode-size",
-                "20",
-                "--queries",
-                "10",
-                "--catalog",
-                "probe",
-                "--fault-profile",
-                faults,
-                "--out",
-                &p("out.nt"),
-            ])
-            .output()
-            .expect("spawn improve")
+        let run = [
+            "--feedback",
+            "query",
+            "--episodes",
+            "2",
+            "--episode-size",
+            "20",
+        ];
+        let federation = [
+            "--queries",
+            "10",
+            "--catalog",
+            "probe",
+            "--fault-profile",
+            faults,
+        ];
+        improve_nba(&dir, &[&run[..], &federation, &["--out", &out]].concat())
     };
 
     let out = improve("seed=7,transient=0.2");
@@ -624,5 +629,64 @@ fn catalog_probe_survives_transient_faults() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Query-feedback improve under transient faults, pinned byte for byte:
+/// the improved links' sha256, the per-episode lines and the withheld
+/// judgment count must not move at any `--threads`.
+#[test]
+fn query_feedback_improve_is_golden() {
+    let dir = nba_dir("query-golden");
+    let links = dir.join("out.nt").to_string_lossy().to_string();
+    for threads in ["1", "4"] {
+        let run = [
+            "--feedback",
+            "query",
+            "--episodes",
+            "4",
+            "--episode-size",
+            "40",
+        ];
+        let faults = ["--queries", "30", "--fault-profile", "seed=7,transient=0.3"];
+        let rest = ["--retries", "0", "--threads", threads, "--out", &links];
+        let out = improve_nba(&dir, &[&run[..], &faults, &rest].concat());
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "--threads {threads}: {stderr}");
+        let episodes: Vec<&str> = stdout
+            .lines()
+            .filter(|l| l.trim_start().starts_with("ep "))
+            .collect();
+        assert_eq!(
+            episodes,
+            [
+                "    ep 1  P 0.660  R 1.000  F 0.795",
+                "    ep 2  P 0.109  R 1.000  F 0.196",
+            ],
+            "--threads {threads}"
+        );
+        assert!(
+            stdout.contains("stopped: NoFeedback after 2 episodes"),
+            "--threads {threads}: {stdout}"
+        );
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l == "1 judgment(s) withheld because queries degraded (skipped sources)"),
+            "--threads {threads}: {stderr}"
+        );
+        let sha = Command::new("sha256sum")
+            .arg(&links)
+            .output()
+            .expect("spawn sha256sum");
+        assert_eq!(
+            String::from_utf8_lossy(&sha.stdout).split(' ').next(),
+            Some("038612dd7891ef13f11709fd6abf4bbf5f2dc9b0671eaa9c999da2b2dbfa3a63"),
+            "--threads {threads}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

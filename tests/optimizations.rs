@@ -155,8 +155,8 @@ fn partitioned_and_single_runs_agree_on_quality() {
     );
     // §6.2: partitioning enables parallelism "without sacrificing the
     // quality of candidate links".
-    let f1 = single.final_quality().f_measure;
-    let f4 = multi.final_quality().f_measure;
+    let f1 = single.report.final_quality().f_measure;
+    let f4 = multi.report.final_quality().f_measure;
     assert!(
         (f1 - f4).abs() < 0.25,
         "partitioning changed quality too much: {f1:.3} vs {f4:.3}"
@@ -202,15 +202,22 @@ fn ten_percent_incorrect_feedback_degrades_gracefully() {
     // often than at the paper's scale, so false judgments accumulate
     // faster; the claim tested here is bounded degradation plus survival
     // of the run (no empty candidate set / NoFeedback death spiral).
-    let qc = clean.final_quality();
-    let qn = noisy.final_quality();
+    let qc = clean.report.final_quality();
+    let qn = noisy.report.final_quality();
     assert!(
         qn.recall > qc.recall - 0.35,
         "recall degraded too much under 10% incorrect feedback: {qc:?} vs {qn:?}"
     );
     assert!(qn.f_measure > 0.6, "noisy run collapsed: {qn:?}");
     assert!(
-        !noisy.episodes.is_empty() && noisy.episodes.last().map(|e| e.candidates).unwrap_or(0) > 0,
+        !noisy.report.episodes.is_empty()
+            && noisy
+                .report
+                .episodes
+                .last()
+                .map(|e| e.candidates)
+                .unwrap_or(0)
+                > 0,
         "candidate set must survive noisy feedback"
     );
 }

@@ -159,18 +159,22 @@ fn run(pair: &GeneratedPair, partitions: usize, episode_size: usize) -> Partitio
 /// `(report, partitions, links)` digests of a run, as hex strings.
 fn digests(pair: &GeneratedPair, run: &PartitionedRun) -> [String; 3] {
     let mut report = Fnv::new();
-    let q = run.initial_quality;
+    let q = run.report.initial_quality;
     for v in [q.precision, q.recall, q.f_measure] {
         report.mix(v.to_bits());
     }
-    for e in &run.episodes {
+    for e in &run.report.episodes {
         report.episode(e);
     }
-    report.bytes(format!("{:?}", run.stop).as_bytes());
-    report.mix(run.relaxed_converged_at.map_or(u64::MAX, |e| e as u64));
+    report.bytes(format!("{:?}", run.report.stop).as_bytes());
+    report.mix(
+        run.report
+            .relaxed_converged_at
+            .map_or(u64::MAX, |e| e as u64),
+    );
 
     let mut partitions = Fnv::new();
-    for trace in &run.per_partition {
+    for trace in &run.report.partitions {
         partitions.mix(trace.partition as u64);
         for e in &trace.episodes {
             partitions.episode(e);
@@ -206,8 +210,8 @@ fn nba_nytimes_runs_are_golden() {
     let short = run(&pair, 1, 10);
     assert_eq!(
         (
-            short.episodes.len(),
-            format!("{:?}", short.stop),
+            short.report.episodes.len(),
+            format!("{:?}", short.report.stop),
             short.final_links.len()
         ),
         (2, "Converged".to_string(), 109)
@@ -241,7 +245,10 @@ fn dbpedia_lexvo_runs_are_golden() {
     let pair = pair(DatasetKind::DBpedia, DatasetKind::Lexvo);
     let short = run(&pair, 1, 10);
     assert_eq!(
-        (short.episodes.len(), format!("{:?}", short.stop)),
+        (
+            short.report.episodes.len(),
+            format!("{:?}", short.report.stop)
+        ),
         (40, "MaxEpisodes".to_string())
     );
     assert_eq!(
@@ -289,7 +296,7 @@ fn gated_runs_are_golden() {
         &initial,
         &pair.ground_truth,
         &cfg,
-        |i, truth| -> Box<dyn FeedbackSource> {
+        |i, _, truth| -> Box<dyn FeedbackSource> {
             let seed = seed.wrapping_add(i as u64);
             let roles = assign_roles(Some(&profile), 5, seed);
             Box::new(AdversarialPopulation::new(
