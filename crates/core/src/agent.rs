@@ -22,8 +22,8 @@ use crate::pairmap::PairSet;
 use crate::persist::{self, AgentState};
 use crate::policy::Policy;
 use crate::provenance::Provenance;
-use crate::space::{LinkSpace, PairId};
-use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, TrustGate};
+use crate::space::{LinkSpace, PairId, Window};
+use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, TrustGate, WindowList};
 use crate::value_fn::ActionValue;
 
 /// What one feedback item did to the candidate set.
@@ -279,7 +279,7 @@ impl Agent {
                     .iter()
                     .map(|&(f, _)| f)
                     .collect();
-                let (mut added, mut attributed) = (Vec::new(), BitMask::default());
+                let (mut added, mut attributed) = (WindowList::default(), BitMask::default());
                 if let Some(action) = self.policy.choose(state, &actions, &mut self.rng) {
                     counter!("alex_exploration_actions_total").inc();
                     emit!(Event::ExplorationAction {
@@ -354,12 +354,19 @@ impl Agent {
                         emit!(Event::Rollback {
                             removed: removed.len() as u64
                         });
-                        rollback_undo = Some(RollbackUndo {
-                            generator,
-                            links,
-                            votes,
-                            removed,
-                        });
+                        if undo.is_some() {
+                            let window = self.generator_window(generator);
+                            let Some(links) = WindowList::of_links(&self.space, window, &links)
+                            else {
+                                panic!("a rolled-back link lies outside its generator's window");
+                            };
+                            rollback_undo = Some(RollbackUndo {
+                                generator,
+                                links,
+                                votes,
+                                removed,
+                            });
+                        }
                     }
                 }
                 if let Some(u) = undo {
@@ -472,9 +479,9 @@ impl Agent {
 
         let mut footprint: HashSet<PairId> = HashSet::new();
         footprint.insert(gate.log[idx].state);
-        footprint.extend(gate.log[idx].added.iter().copied());
+        footprint.extend(gate.log[idx].added.links(&self.space));
         if let Some(rb) = &gate.log[idx].rollback {
-            footprint.extend(rb.links.iter().copied());
+            footprint.extend(rb.links.links(&self.space));
         }
         // Later admissions are undone first (descending), so each sees the
         // state its own apply left behind; recursion extends the cascade to
@@ -484,10 +491,10 @@ impl Agent {
                 let r = &gate.log[j];
                 !r.revoked
                     && (footprint.contains(&r.state)
-                        || r.added.iter().any(|l| footprint.contains(l))
-                        || r.rollback
-                            .as_ref()
-                            .is_some_and(|rb| rb.links.iter().any(|l| footprint.contains(l))))
+                        || r.added.links(&self.space).any(|l| footprint.contains(&l))
+                        || r.rollback.as_ref().is_some_and(|rb| {
+                            rb.links.links(&self.space).any(|l| footprint.contains(&l))
+                        }))
             };
             if depends {
                 count += self.revoke_admission(gate, j);
@@ -498,12 +505,13 @@ impl Agent {
         if rec.positive {
             // Reverse of the positive apply: un-explore, un-vote, un-endorse,
             // un-approve, un-credit.
-            for (i, &link) in rec.added.iter().enumerate().rev() {
+            for link in rec.added.links(&self.space).rev() {
                 self.candidates.remove(link);
-                if let (true, Some(action)) = (rec.attributed.contains(i), rec.action) {
-                    self.provenance
-                        .retract_attribution(link, (rec.state, action));
-                }
+            }
+            if let Some(action) = rec.action {
+                let slice = self.space.window_slice(rec.added.window);
+                let attributed = rec.attributed.select(slice).map(|(_, link)| link);
+                self.provenance.retract_all((rec.state, action), attributed);
             }
             if let Some(g) = rec.prov_target {
                 self.provenance.retract_vote_positive(g);
@@ -518,11 +526,11 @@ impl Agent {
             // Reverse of the negative apply: un-rollback, un-vote, un-strike,
             // re-approve, re-admit, un-credit.
             if let Some(rb) = &rec.rollback {
-                for link in rb.removed.select(&rb.links).rev() {
+                let links: Vec<PairId> = rb.links.links(&self.space).collect();
+                for link in rb.removed.select(&links).rev() {
                     self.candidates.insert(link);
                 }
-                self.provenance
-                    .restore_generated(rb.generator, rb.links.clone());
+                self.provenance.restore_generated(rb.generator, links);
                 self.provenance
                     .restore_votes(rb.generator, rb.votes.0, rb.votes.1);
             }
@@ -601,15 +609,13 @@ impl Agent {
 
     /// Execute the chosen exploration action: add every link whose score for
     /// `action` lies within ±step of this state's score (§4.2). Returns the
-    /// added links in insertion order and the positions among them whose
-    /// provenance attribution this call created.
-    fn explore(&mut self, state: PairId, action: FeatureId) -> (Vec<PairId>, BitMask) {
-        let Some(center) = crate::feature::feature_score(self.space.feature_set_of(state), action)
-        else {
-            return (Vec::new(), BitMask::default());
-        };
-        let mut added = Vec::new();
-        for link in self.space.explore(action, center, self.cfg.step_size) {
+    /// added links, one segment of the exploration window, and the window
+    /// positions among them whose provenance attribution this call created.
+    fn explore(&mut self, state: PairId, action: FeatureId) -> (WindowList, BitMask) {
+        let window = self.generator_window((state, action));
+        let slice = self.space.window_slice(window);
+        let mut added = BitMask::default();
+        for (i, &(_, link)) in slice.iter().enumerate() {
             if link == state || self.candidates.contains(link) {
                 continue;
             }
@@ -625,7 +631,7 @@ impl Agent {
                 continue;
             }
             self.candidates.insert(link);
-            added.push(link);
+            added.insert(i);
             emit!({
                 let (l, r) = self.space.pair(link);
                 Event::LinkAdded {
@@ -634,11 +640,39 @@ impl Agent {
                 }
             });
         }
-        let attributed = self.provenance.record_all((state, action), &added);
+        let links = added.positions().map(|i| (i, slice[i].1));
+        let attributed = self.provenance.record_all((state, action), links);
         if !added.is_empty() {
             counter!("alex_links_added_total").add(added.len() as u64);
         }
-        (added, attributed)
+        let mut list = WindowList::new(window);
+        list.push(added);
+        (list, attributed)
+    }
+
+    /// Whether `link` lies in the exploration window of `generator`
+    /// ([`Agent::generator_window`]), judged by its score.
+    fn in_generator_window(&self, (state, action): (PairId, FeatureId), link: PairId) -> bool {
+        let score = |id| crate::feature::feature_score(self.space.feature_set_of(id), action);
+        let step = self.cfg.step_size;
+        match (score(state), score(link)) {
+            (Some(center), Some(x)) => x >= center - step && x <= center + step,
+            _ => false,
+        }
+    }
+
+    /// The exploration window of a state-action pair: the pairs within
+    /// ±step of the state's score for the action (§4.2). A generator's
+    /// window never changes, so every link it generated lies in it; empty
+    /// when the state lacks the feature.
+    fn generator_window(&self, (state, action): (PairId, FeatureId)) -> Window {
+        match crate::feature::feature_score(self.space.feature_set_of(state), action) {
+            Some(center) => self.space.window(action, center, self.cfg.step_size),
+            None => Window {
+                feature: action,
+                ..Window::EMPTY
+            },
+        }
     }
 
     /// Policy improvement at the end of an episode (Algorithm 1 lines
@@ -688,7 +722,18 @@ impl Agent {
     /// Process a batch of externally produced feedback (the query-answer
     /// bridge uses this), identified by entity-id pairs. Unknown pairs are
     /// admitted to the space first.
+    ///
+    /// # Panics
+    ///
+    /// On a trust-gated agent whose admission log is non-empty, when `pair`
+    /// is not in the space: admitting it would shift the score-index
+    /// positions the log's footprints are recorded at.
     pub fn feedback_on_pair(&mut self, pair: (u32, u32), feedback: Feedback) -> StepOutcome {
+        let logged = self.trust.as_ref().is_some_and(|g| !g.log.is_empty());
+        assert!(
+            !logged || self.space.id_of(pair.0, pair.1).is_some(),
+            "a trust-gated agent with a non-empty admission log admits no new pair"
+        );
         let id = self.space.ensure_pair(pair.0, pair.1);
         if feedback == Feedback::Positive && self.candidates.insert(id) {
             counter!("alex_links_added_total").inc();
@@ -800,7 +845,14 @@ impl Agent {
             let generator = (in_space(*s)?, FeatureId(*a));
             let mut restored = Vec::with_capacity(links.len());
             for &l in links {
-                restored.push(in_space(l)?);
+                let link = in_space(l)?;
+                if !self.in_generator_window(generator, link) {
+                    return Err(format!(
+                        "persisted link {l} lies outside its generator's exploration window; \
+                         the state dir does not belong to this run"
+                    ));
+                }
+                restored.push(link);
             }
             self.provenance.restore_generated(generator, restored);
         }
@@ -812,8 +864,8 @@ impl Agent {
             for &(link, _) in &ts.pending {
                 in_space(link)?;
             }
-            for id in ts.log.iter().flat_map(AdmissionRecord::pair_ids) {
-                in_space(id.0)?;
+            for rec in ts.log.iter() {
+                rec.check(&self.space)?;
             }
         }
         self.trust = match (self.cfg.trust, state.trust) {
@@ -1281,8 +1333,16 @@ mod tests {
 
         // A rollback's removals are positions in its own list, so they
         // name no id of their own; the decoder rejects removals outside the
-        // list (`persist` tests).
-        fn undo(generator: PairId, links: Vec<PairId>) -> Option<RollbackUndo> {
+        // list (`persist` tests). Windows are checked against the rebuilt
+        // space's score indexes: `window(0)` is empty and always in range.
+        fn window(end: u32) -> WindowList {
+            WindowList::new(Window {
+                feature: FeatureId(0),
+                start: 0,
+                end,
+            })
+        }
+        fn undo(generator: PairId, links: WindowList) -> Option<RollbackUndo> {
             Some(RollbackUndo {
                 generator: (generator, FeatureId(0)),
                 links,
@@ -1290,18 +1350,18 @@ mod tests {
                 removed: BitMask::default(),
             })
         }
-        let tampers: [fn(&mut persist::TrustState<'_>, PairId); 7] = [
-            |t, far| t.pending[0].0 = far.0,
-            |t, far| t.log.to_mut()[0].state = far,
-            |t, far| t.log.to_mut()[0].added.push(far),
-            |t, far| t.log.to_mut()[0].credited.push((far, FeatureId(0))),
-            |t, far| t.log.to_mut()[0].prov_target = Some((far, FeatureId(0))),
-            |t, far| t.log.to_mut()[0].rollback = undo(far, vec![]),
-            |t, far| t.log.to_mut()[0].rollback = undo(PairId(0), vec![far]),
+        let tampers: [fn(&mut persist::TrustState<'_>, u32); 7] = [
+            |t, far| t.pending[0].0 = far,
+            |t, far| t.log.to_mut()[0].state = PairId(far),
+            |t, far| t.log.to_mut()[0].added = window(far),
+            |t, far| t.log.to_mut()[0].credited.push((PairId(far), FeatureId(0))),
+            |t, far| t.log.to_mut()[0].prov_target = Some((PairId(far), FeatureId(0))),
+            |t, far| t.log.to_mut()[0].rollback = undo(PairId(far), window(0)),
+            |t, far| t.log.to_mut()[0].rollback = undo(PairId(0), window(far)),
         ];
         for (i, tamper) in tampers.iter().enumerate() {
             let mut bad = state.clone();
-            tamper(bad.trust.as_mut().unwrap(), PairId(u32::MAX));
+            tamper(bad.trust.as_mut().unwrap(), u32::MAX);
             let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
             let err = fresh.restore_state(bad).unwrap_err();
             assert!(
@@ -1310,10 +1370,76 @@ mod tests {
             );
 
             let mut fine = state.clone();
-            tamper(fine.trust.as_mut().unwrap(), PairId(0));
+            tamper(fine.trust.as_mut().unwrap(), 0);
             let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
             assert!(fresh.restore_state(fine).is_ok(), "tamper {i} in range");
         }
+
+        // A segment past the end of its window.
+        let mut bad = state.clone();
+        let mut mask = BitMask::default();
+        mask.insert(0);
+        let log = bad.trust.as_mut().unwrap().log.to_mut();
+        log[0].added = window(0);
+        log[0].added.push(mask);
+        let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
+        let err = fresh.restore_state(bad).unwrap_err();
+        assert!(err.contains("does not belong to this run"), "{err}");
+
+        // An attributed link outside its generator's exploration window:
+        // (0, 0) explored around its exact name match, which other names
+        // do not reach.
+        let space = agent.space();
+        let step = agent.config().step_size;
+        let (feature, far) = space
+            .feature_set_of(good)
+            .iter()
+            .find_map(|&(f, score)| {
+                let window = space.explore(f, score, step);
+                space
+                    .pair_ids()
+                    .find(|id| !window.contains(id))
+                    .map(|id| (f, id))
+            })
+            .expect("a pair outside one of the state's windows");
+        let mut bad = state.clone();
+        bad.generated.push(((good.0, feature.0), vec![far.0]));
+        let mut fresh = trusted_agent(&[(0, 0), (0, 1), (1, 1)]);
+        let err = fresh.restore_state(bad).unwrap_err();
+        assert!(
+            err.contains("outside its generator's exploration window"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "admits no new pair")]
+    fn gated_agent_with_a_log_admits_no_new_pair() {
+        // Admitting a pair shifts the score-index positions that recorded
+        // footprints name, so it is refused once the log is non-empty.
+        let mut agent = trusted_agent(&[(0, 0), (0, 1)]);
+        let good = agent.space().id_of(0, 0).unwrap();
+        vote(&mut agent, good, 2, true);
+        vote(&mut agent, good, 3, true);
+        assert!(!agent.trust_gate().unwrap().log.is_empty());
+        // Pairs already in the space stay accepted.
+        agent.feedback_on_pair((0, 0), Feedback::Positive);
+        let outside = (0..10)
+            .flat_map(|l| (0..10).map(move |r| (l, r)))
+            .find(|&(l, r)| agent.space().id_of(l, r).is_none())
+            .expect("a pair outside the blocked space");
+        agent.feedback_on_pair(outside, Feedback::Positive);
+    }
+
+    #[test]
+    fn gated_agent_admits_new_pairs_while_its_log_is_empty() {
+        let mut agent = trusted_agent(&[(0, 0)]);
+        let outside = (0..10)
+            .flat_map(|l| (0..10).map(move |r| (l, r)))
+            .find(|&(l, r)| agent.space().id_of(l, r).is_none())
+            .expect("a pair outside the blocked space");
+        agent.feedback_on_pair(outside, Feedback::Positive);
+        assert!(agent.space().id_of(outside.0, outside.1).is_some());
     }
 
     #[test]

@@ -22,10 +22,15 @@
 //! which decodes as zero), and the trust gate's admission log is its own
 //! [`AdmissionRecord`]s and [`RollbackUndo`]s, ids written as their raw
 //! `u32`s. A captured [`TrustState`] borrows the live log rather than
-//! cloning it. The records keep two footprints as bit masks in memory
-//! ([`BitMask`]); the codec writes them as the explicit lists of format 4
-//! (a flag per explored link, the removed links by id) and rebuilds the
-//! masks on decode.
+//! cloning it. The records' footprints are written as they are kept in
+//! memory: an exploration's added links and a rollback's cleared
+//! attribution list are each a [`WindowList`], the window `(feature,
+//! start, end)` of a score index plus bit masks over its positions, and
+//! the attributions created and the links removed are [`BitMask`]s (over
+//! window positions and list positions). A footprint names links only
+//! through the link space it was recorded against, so it is decoded
+//! lazily, against the rebuilt space, when a revocation reads it; restore
+//! checks every window against that space.
 //!
 //! Both carry a format version and are validated field-by-field; a snapshot
 //! additionally carries the run's *base fingerprint* (link spaces +
@@ -40,10 +45,16 @@ use alex_trust::SourceId;
 use crate::config::AlexConfig;
 use crate::feature::FeatureId;
 use crate::metrics::{EpisodeReport, Quality};
-use crate::space::PairId;
-use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo};
+use crate::space::{PairId, Window};
+use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, WindowList};
 
 /// Version of the domain encoding (independent of the store-layer framing).
+/// Snapshots and journal records carry the same version, and a payload of
+/// any other version is rejected, not converted.
+/// Version 5 writes admission-log footprints as windows of a score index
+/// plus bit masks ([`WindowList`], [`BitMask`]) instead of explicit
+/// `PairId` lists; the journal record layout is unchanged, only its
+/// version word moved.
 /// Version 4 made snapshots and journal records carry a list of partitions
 /// (agent state, source state, episode history / judged items each).
 /// Version 3 added the `degraded` budget-breach marker to episode stats
@@ -51,7 +62,7 @@ use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo};
 /// Version 2 added feedback-source attribution to journal items and the
 /// trust-layer block (reliability counts, pending quorum votes, admission
 /// log) to snapshots.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Serialized learning state of an [`crate::Agent`], captured after an
 /// episode boundary.
@@ -425,22 +436,16 @@ fn put_trust(w: &mut ByteWriter, t: &TrustState<'_>) {
         w.u8(u8::from(rec.endorsed));
         put_option(w, &rec.prov_target, put_key);
         put_option(w, &rec.action, |w, action| w.u32(action.0));
-        w.u64(rec.added.len() as u64);
-        for (i, link) in rec.added.iter().enumerate() {
-            w.u32(link.0);
-            w.u8(u8::from(rec.attributed.contains(i)));
-        }
+        put_window_list(w, &rec.added);
+        put_mask(w, &rec.attributed);
         w.u8(u8::from(rec.removed_candidate));
         w.u8(u8::from(rec.was_approved));
         w.u8(u8::from(rec.blacklist_added));
         put_option(w, &rec.rollback, |w, rb| {
             put_key(w, &rb.generator);
-            put_list(w, &rb.links, |w, l| w.u32(l.0));
+            put_window_list(w, &rb.links);
             put_pair(w, &rb.votes);
-            w.u64(rb.removed.len() as u64);
-            for link in rb.removed.select(&rb.links) {
-                w.u32(link.0);
-            }
+            put_mask(w, &rb.removed);
         });
         w.u8(u8::from(rec.revoked));
     });
@@ -454,34 +459,78 @@ fn get_link(r: &mut ByteReader, what: &'static str) -> Result<PairId, CodecError
     r.u32(what).map(PairId)
 }
 
-/// Read explored links with their attribution flags into the list and the
-/// mask an [`AdmissionRecord`] keeps.
-fn get_added(r: &mut ByteReader) -> Result<(Vec<PairId>, BitMask), CodecError> {
-    let n = r.len("admission added")?;
-    let mut added = Vec::with_capacity(n);
-    let mut attributed = BitMask::default();
-    for i in 0..n {
-        added.push(get_link(r, "added link")?);
-        if get_bool(r, "added attribution flag")? {
-            attributed.insert(i);
-        }
+/// Write a bit mask as its list of words.
+fn put_mask(w: &mut ByteWriter, mask: &BitMask) {
+    put_list(w, mask.words(), |w, &word| w.u64(word));
+}
+
+fn get_mask(r: &mut ByteReader, what: &'static str) -> Result<BitMask, CodecError> {
+    let words = get_list(r, what, |r| r.u64(what))?;
+    BitMask::from_words(words).ok_or(CodecError {
+        context: "bit mask (trailing zero word)",
+        offset: r.position(),
+    })
+}
+
+/// Write a footprint as its window and its segments' masks.
+fn put_window_list(w: &mut ByteWriter, list: &WindowList) {
+    w.u32(list.window.feature.0);
+    w.u32(list.window.start);
+    w.u32(list.window.end);
+    put_list(w, &list.segments, put_mask);
+}
+
+/// Read a footprint written by [`put_window_list`]: every segment must be
+/// non-empty and lie inside the window. Whether the window lies inside
+/// the space is checked on restore, against the rebuilt space.
+fn get_window_list(r: &mut ByteReader, what: &'static str) -> Result<WindowList, CodecError> {
+    let window = Window {
+        feature: FeatureId(r.u32(what)?),
+        start: r.u32(what)?,
+        end: r.u32(what)?,
+    };
+    let segments = get_list(r, what, |r| get_mask(r, what))?;
+    let fits = |m: &BitMask| !m.is_empty() && m.end() <= window.len();
+    if window.start > window.end || !segments.iter().all(fits) {
+        return Err(CodecError {
+            context: "footprint (segment outside its window)",
+            offset: r.position(),
+        });
+    }
+    Ok(WindowList { window, segments })
+}
+
+/// Read an exploration's footprint and the attributions it created: one
+/// segment at most, and attributions only among its links.
+fn get_added(r: &mut ByteReader) -> Result<(WindowList, BitMask), CodecError> {
+    let added = get_window_list(r, "admission added")?;
+    let attributed = get_mask(r, "admission attributed")?;
+    let within = match added.segments.as_slice() {
+        [] => attributed.is_empty(),
+        [segment] => attributed.is_subset(segment),
+        _ => false,
+    };
+    if !within {
+        return Err(CodecError {
+            context: "admission added (not one segment holding its attributions)",
+            offset: r.position(),
+        });
     }
     Ok((added, attributed))
 }
 
 fn get_rollback(r: &mut ByteReader) -> Result<RollbackUndo, CodecError> {
     let generator = get_key(r, "rollback generator")?;
-    let links = get_list(r, "rollback links", |r| get_link(r, "rollback link"))?;
+    let links = get_window_list(r, "rollback links")?;
     let votes = get_pair(r, "rollback votes")?;
-    let removed = get_list(r, "rollback removed", |r| {
-        get_link(r, "rollback removed link")
-    })?;
-    // A rollback removes links by walking its list in order, so its
-    // removals are always an in-order subsequence of that list.
-    let removed = BitMask::of_subsequence(&links, &removed).ok_or(CodecError {
-        context: "rollback removed links (not an in-order subsequence of its links)",
-        offset: r.position(),
-    })?;
+    let removed = get_mask(r, "rollback removed")?;
+    // A rollback removes links from its own list.
+    if removed.end() > links.len() {
+        return Err(CodecError {
+            context: "rollback removed (position past its links)",
+            offset: r.position(),
+        });
+    }
     Ok(RollbackUndo {
         generator,
         links,
@@ -552,13 +601,16 @@ fn get_trust(r: &mut ByteReader) -> Result<TrustState<'static>, CodecError> {
 }
 
 /// Read the leading format version of a `what` payload and reject any
-/// other version than this build's.
+/// other version than this build's. A payload of another format is not
+/// corrupt, so the error says what to do instead.
 fn check_version(r: &mut ByteReader, what: &'static str) -> Result<(), String> {
     let version = r.u32(what).map_err(|e| err(&e.to_string()))?;
     if version != FORMAT_VERSION {
-        return Err(err(&format!(
-            "{what} format version {version} (this build reads {FORMAT_VERSION})"
-        )));
+        return Err(format!(
+            "state dir {what} is in persist format {version}, but this build reads format \
+             {FORMAT_VERSION} and does not convert between formats (start a fresh run with \
+             a new --state-dir)"
+        ));
     }
     Ok(())
 }
@@ -632,7 +684,7 @@ pub fn encode_episode(record: &EpisodeRecord) -> Vec<u8> {
 /// Decode a journal episode payload (inverse of [`encode_episode`]).
 pub fn decode_episode(payload: &[u8]) -> Result<EpisodeRecord, String> {
     let mut r = ByteReader::new(payload);
-    check_version(&mut r, "episode")?;
+    check_version(&mut r, "journal record")?;
     get_episode(&mut r).map_err(|e| err(&e.to_string()))
 }
 
@@ -710,6 +762,28 @@ mod tests {
         }
     }
 
+    /// A mask with the given positions set.
+    fn mask(positions: &[usize]) -> BitMask {
+        let mut m = BitMask::default();
+        for &i in positions {
+            m.insert(i);
+        }
+        m
+    }
+
+    /// A footprint over positions `start..end` of feature 2's index.
+    fn footprint(start: u32, end: u32, segments: &[&[usize]]) -> WindowList {
+        let mut list = WindowList::new(Window {
+            feature: FeatureId(2),
+            start,
+            end,
+        });
+        for segment in segments {
+            list.push(mask(segment));
+        }
+        list
+    }
+
     /// Two log records on the live types: a positive admission that
     /// explored, and a revoked negative one whose rollback fired.
     fn sample_trust() -> TrustState<'static> {
@@ -727,8 +801,8 @@ mod tests {
                     newly_approved: true,
                     prov_target: Some(key),
                     action: Some(FeatureId(2)),
-                    added: vec![PairId(4), PairId(1)],
-                    attributed: BitMask::of_subsequence(&[4, 1], &[4]).unwrap(),
+                    added: footprint(3, 9, &[&[1, 4]]),
+                    attributed: mask(&[4]),
                     ..AdmissionRecord::new(PairId(0), true)
                 },
                 AdmissionRecord {
@@ -740,9 +814,9 @@ mod tests {
                     blacklist_added: true,
                     rollback: Some(RollbackUndo {
                         generator: key,
-                        links: vec![PairId(4), PairId(1)],
+                        links: footprint(3, 9, &[&[4], &[1, 5]]),
                         votes: (3, 1),
-                        removed: BitMask::of_subsequence(&[4, 1], &[1]).unwrap(),
+                        removed: mask(&[0, 2]),
                     }),
                     revoked: true,
                     ..AdmissionRecord::new(PairId(4), false)
@@ -751,57 +825,8 @@ mod tests {
         }
     }
 
-    /// An admission record with its two compact footprints also given as
-    /// the explicit lists format 4 stores: a `(link, attributed)` pair per
-    /// explored link, and the removed links by id.
-    struct ExplicitRecord {
-        rec: AdmissionRecord,
-        added: Vec<(PairId, bool)>,
-        removed: Vec<PairId>,
-    }
-
-    /// A format-4 trust block over `log`, written field by field from the
-    /// explicit lists: the bytes the compact records must encode to.
-    fn explicit_trust_bytes(log: &[ExplicitRecord]) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.u64(0); // sources
-        w.u64(0); // discredited
-        w.u64(0); // pending
-        w.u64(log.len() as u64);
-        for e in log {
-            let rec = &e.rec;
-            w.u32(rec.state.0);
-            w.u8(u8::from(rec.positive));
-            put_list(&mut w, &rec.supporters, |w, s| w.u32(s.0));
-            put_list(&mut w, &rec.opposers, |w, s| w.u32(s.0));
-            put_list(&mut w, &rec.credited, put_key);
-            w.f64(rec.reward);
-            w.u8(u8::from(rec.newly_approved));
-            w.u8(u8::from(rec.endorsed));
-            put_option(&mut w, &rec.prov_target, put_key);
-            put_option(&mut w, &rec.action, |w, a| w.u32(a.0));
-            put_list(&mut w, &e.added, |w, &(link, attributed)| {
-                w.u32(link.0);
-                w.u8(u8::from(attributed));
-            });
-            w.u8(u8::from(rec.removed_candidate));
-            w.u8(u8::from(rec.was_approved));
-            w.u8(u8::from(rec.blacklist_added));
-            put_option(&mut w, &rec.rollback, |w, rb| {
-                put_key(w, &rb.generator);
-                put_list(w, &rb.links, |w, l| w.u32(l.0));
-                put_pair(w, &rb.votes);
-                put_list(w, &e.removed, |w, l| w.u32(l.0));
-            });
-            w.u8(u8::from(rec.revoked));
-        }
-        w.finish()
-    }
-
-    /// Seeded random admission records in both forms. Lists run past one
-    /// mask word, and ids repeat within a list; as in a live rollback, a
-    /// repeated link can only be removed at its first position.
-    fn random_records(seed: u64, n: usize) -> Vec<ExplicitRecord> {
+    /// Seeded random admission records. Footprints run past one mask word.
+    fn random_records(seed: u64, n: usize) -> Vec<AdmissionRecord> {
         let mut x = seed | 1;
         let mut next = move |bound: u64| {
             x ^= x << 13;
@@ -809,132 +834,143 @@ mod tests {
             x ^= x << 17;
             x % bound
         };
-        (0..n)
-            .map(|_| {
-                let mut rec = AdmissionRecord::new(PairId(next(50) as u32), next(2) == 0);
-                rec.supporters = (0..next(4)).map(|_| SourceId(next(6) as u32)).collect();
-                rec.opposers = (0..next(3)).map(|_| SourceId(next(6) as u32)).collect();
-                rec.credited = (0..next(5))
-                    .map(|_| (PairId(next(50) as u32), FeatureId(next(9) as u32)))
-                    .collect();
-                rec.reward = if rec.positive { 1.0 } else { -2.0 };
-                rec.newly_approved = next(2) == 0;
-                rec.endorsed = next(2) == 0;
-                rec.prov_target = (next(2) == 0).then(|| (PairId(next(50) as u32), FeatureId(1)));
-                rec.action = (next(2) == 0).then(|| FeatureId(next(9) as u32));
-                let added: Vec<(PairId, bool)> = (0..next(140))
-                    .map(|_| (PairId(next(60) as u32), next(3) != 0))
-                    .collect();
-                rec.added = added.iter().map(|&(l, _)| l).collect();
-                for (i, &(_, attributed)) in added.iter().enumerate() {
-                    if attributed {
-                        rec.attributed.insert(i);
-                    }
+        fn random_mask(next: &mut impl FnMut(u64) -> u64, len: u64, density: u64) -> BitMask {
+            let mut m = BitMask::default();
+            for i in 0..len {
+                if next(density) == 0 {
+                    m.insert(i as usize);
                 }
-                rec.removed_candidate = next(2) == 0;
-                rec.was_approved = next(2) == 0;
-                rec.blacklist_added = next(2) == 0;
-                let mut removed = Vec::new();
-                if next(2) == 0 {
-                    let links: Vec<PairId> =
-                        (0..next(150)).map(|_| PairId(next(20) as u32)).collect();
-                    let mut mask = BitMask::default();
-                    for (i, &l) in links.iter().enumerate() {
-                        if next(3) == 0 && !links[..i].contains(&l) {
-                            removed.push(l);
-                            mask.insert(i);
-                        }
-                    }
-                    rec.rollback = Some(RollbackUndo {
-                        generator: (PairId(next(50) as u32), FeatureId(next(9) as u32)),
-                        links,
-                        votes: (next(5) as u32, next(5) as u32),
-                        removed: mask,
-                    });
+            }
+            m
+        }
+        let mut records = Vec::new();
+        for _ in 0..n {
+            let mut rec = AdmissionRecord::new(PairId(next(50) as u32), next(2) == 0);
+            rec.supporters = (0..next(4)).map(|_| SourceId(next(6) as u32)).collect();
+            rec.opposers = (0..next(3)).map(|_| SourceId(next(6) as u32)).collect();
+            rec.credited = (0..next(5))
+                .map(|_| (PairId(next(50) as u32), FeatureId(next(9) as u32)))
+                .collect();
+            rec.reward = if rec.positive { 1.0 } else { -2.0 };
+            rec.newly_approved = next(2) == 0;
+            rec.endorsed = next(2) == 0;
+            rec.prov_target = (next(2) == 0).then(|| (PairId(next(50) as u32), FeatureId(1)));
+            rec.action = (next(2) == 0).then(|| FeatureId(next(9) as u32));
+            let start = next(100) as u32;
+            let len = next(200);
+            let window = Window {
+                feature: FeatureId(next(9) as u32),
+                start,
+                end: start + len as u32,
+            };
+            rec.added = WindowList::new(window);
+            let added = random_mask(&mut next, len, 2);
+            let attributed: Vec<usize> = added.positions().filter(|_| next(3) != 0).collect();
+            rec.added.push(added);
+            rec.attributed = mask(&attributed);
+            rec.removed_candidate = next(2) == 0;
+            rec.was_approved = next(2) == 0;
+            rec.blacklist_added = next(2) == 0;
+            if next(2) == 0 {
+                let mut links = WindowList::new(Window { start: 0, ..window });
+                for _ in 0..next(4) {
+                    links.push(random_mask(&mut next, len, 3));
                 }
-                rec.revoked = next(4) == 0;
-                ExplicitRecord {
-                    rec,
-                    added,
+                let removed = random_mask(&mut next, links.len() as u64, 2);
+                rec.rollback = Some(RollbackUndo {
+                    generator: (PairId(next(50) as u32), FeatureId(next(9) as u32)),
+                    links,
+                    votes: (next(5) as u32, next(5) as u32),
                     removed,
-                }
-            })
-            .collect()
+                });
+            }
+            rec.revoked = next(4) == 0;
+            records.push(rec);
+        }
+        records
     }
 
-    fn compact_trust(log: &[ExplicitRecord]) -> TrustState<'static> {
+    fn trust_of(log: Vec<AdmissionRecord>) -> TrustState<'static> {
         TrustState {
             sources: Vec::new(),
             discredited: Vec::new(),
             pending: Vec::new(),
-            log: Cow::Owned(log.iter().map(|e| e.rec.clone()).collect()),
+            log: Cow::Owned(log),
         }
     }
 
+    fn trust_bytes(log: Vec<AdmissionRecord>) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_trust(&mut w, &trust_of(log));
+        w.finish()
+    }
+
     #[test]
-    fn compact_records_encode_to_the_explicit_format_4_bytes() {
+    fn random_records_round_trip() {
         for seed in 1..=20 {
-            let log = random_records(seed, 40);
-            let trust = compact_trust(&log);
+            let trust = trust_of(random_records(seed, 40));
             let mut w = ByteWriter::new();
             put_trust(&mut w, &trust);
             let bytes = w.finish();
-            assert_eq!(bytes, explicit_trust_bytes(&log), "seed {seed}");
             let back = get_trust(&mut ByteReader::new(&bytes)).unwrap();
             assert_eq!(back, trust, "seed {seed}");
         }
     }
 
     #[test]
-    fn decoder_rejects_removals_outside_the_rollback_list() {
-        let mut log = random_records(7, 1);
-        let rb = log[0].rec.rollback.get_or_insert_with(|| RollbackUndo {
-            generator: (PairId(0), FeatureId(0)),
-            links: Vec::new(),
-            votes: (2, 0),
-            removed: BitMask::default(),
-        });
-        rb.links = vec![PairId(3), PairId(5), PairId(3)];
-        let cases = [
-            (vec![PairId(3), PairId(3)], true),
-            (vec![PairId(5), PairId(3)], true),
-            (vec![PairId(3), PairId(5), PairId(3)], true),
-            (vec![PairId(5), PairId(3), PairId(3)], false),
-            (vec![PairId(5), PairId(5)], false),
-            (vec![PairId(4)], false),
+    fn decoder_rejects_footprints_that_do_not_fit() {
+        let good = sample_trust().log.into_owned();
+        type Tamper = fn(&mut Vec<AdmissionRecord>);
+        let cases: [(Tamper, &str); 6] = [
+            // A segment past the end of its window.
+            (
+                |log| log[0].added = footprint(3, 9, &[&[6]]),
+                "outside its window",
+            ),
+            // A window that ends before it starts.
+            (
+                |log| log[0].added = footprint(9, 3, &[]),
+                "outside its window",
+            ),
+            // An empty segment.
+            (
+                |log| log[0].added.segments.push(BitMask::default()),
+                "outside its window",
+            ),
+            // Two segments for one exploration.
+            (|log| log[0].added.push(mask(&[5])), "one segment"),
+            // An attribution of a link the exploration did not add.
+            (|log| log[0].attributed = mask(&[2]), "one segment"),
+            // A removal past the end of the rollback's list.
+            (
+                |log| {
+                    if let Some(rb) = log[1].rollback.as_mut() {
+                        rb.removed = mask(&[3]);
+                    }
+                },
+                "past its links",
+            ),
         ];
-        for (removed, ok) in cases {
-            log[0].removed = removed.clone();
-            let bytes = explicit_trust_bytes(&log);
-            let got = get_trust(&mut ByteReader::new(&bytes));
-            match got {
-                Ok(t) => {
-                    assert!(ok, "{removed:?} accepted");
-                    let rb = t.log[0].rollback.as_ref().unwrap();
-                    assert_eq!(rb.removed.select(&rb.links).collect::<Vec<_>>(), removed);
-                }
-                Err(e) => {
-                    assert!(!ok, "{removed:?} rejected: {e}");
-                    assert!(e.context.contains("subsequence"), "{e}");
-                }
-            }
+        assert!(get_trust(&mut ByteReader::new(&trust_bytes(good.clone()))).is_ok());
+        for (i, (tamper, want)) in cases.iter().enumerate() {
+            let mut log = good.clone();
+            tamper(&mut log);
+            let bytes = trust_bytes(log);
+            let err = get_trust(&mut ByteReader::new(&bytes)).unwrap_err();
+            assert!(err.context.contains(want), "case {i}: {err}");
         }
-        // Through the public decoder, the rejection is a corrupt snapshot.
-        let mut snap = sample_snapshot();
-        snap.partitions[0].agent.trust = Some(sample_trust());
-        let good = encode_snapshot(&snap);
-        // The second record's rollback removes `[1]` from `[4, 1]`: make it
-        // remove the link the list lacks, `[9]`, in place.
-        let tail = [1u8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1];
-        let at = good
-            .windows(tail.len())
-            .rposition(|w| w == tail)
-            .expect("removed list in the encoding");
-        let mut bad = good.clone();
-        bad[at + 8] = 9;
-        let err = decode_snapshot(&bad).unwrap_err();
-        assert!(err.contains("subsequence"), "{err}");
-        assert!(decode_snapshot(&good).is_ok());
+        // A mask with a trailing zero word is not the one layout of its set.
+        let mut bytes = trust_bytes(good.clone());
+        let mut w = ByteWriter::new();
+        put_mask(&mut w, &mask(&[4]));
+        let attributed = w.finish();
+        let at = bytes
+            .windows(attributed.len())
+            .position(|w| w == attributed)
+            .expect("attributed mask in the encoding");
+        bytes[at + 8..at + 16].fill(0);
+        let err = get_trust(&mut ByteReader::new(&bytes)).unwrap_err();
+        assert!(err.context.contains("trailing zero word"), "{err}");
     }
 
     #[test]
@@ -959,7 +995,7 @@ mod tests {
 
     #[test]
     fn trust_snapshot_layout_is_pinned() {
-        // FNV-1a of the format-4 bytes: state dirs already written must
+        // FNV-1a of the format-5 bytes: state dirs already written must
         // keep decoding, so the layout may not drift under the same version.
         let mut snap = sample_snapshot();
         snap.partitions[0].agent.trust = Some(sample_trust());
@@ -968,7 +1004,7 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
-        assert_eq!(format!("{digest:016x}"), "facca985ed18e9bc");
+        assert_eq!(format!("{digest:016x}"), "30b137759fd5ef2f");
     }
 
     #[test]
@@ -1015,9 +1051,23 @@ mod tests {
     #[test]
     fn wrong_version_is_rejected() {
         let mut bytes = encode_snapshot(&sample_snapshot());
-        bytes[0] = 99;
+        bytes[0] = 4;
         let msg = decode_snapshot(&bytes).unwrap_err();
-        assert!(msg.contains("version"), "{msg}");
+        assert_eq!(
+            msg,
+            "state dir snapshot is in persist format 4, but this build reads format 5 and \
+             does not convert between formats (start a fresh run with a new --state-dir)"
+        );
+        let mut bytes = encode_episode(&EpisodeRecord {
+            partitions: vec![],
+            degraded: false,
+        });
+        bytes[0] = 99;
+        let msg = decode_episode(&bytes).unwrap_err();
+        assert!(
+            msg.contains("journal record is in persist format 99"),
+            "{msg}"
+        );
     }
 
     #[test]

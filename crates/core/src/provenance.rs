@@ -50,18 +50,24 @@ impl Provenance {
 
     /// Record each link of `added`, in order, as discovered by `generator`:
     /// [`Provenance::record`] for a whole exploration window, with one
-    /// lookup of the generator's list. Returns the positions in `added`
-    /// whose attribution this call created.
-    pub fn record_all(&mut self, generator: StateAction, added: &[PairId]) -> BitMask {
+    /// lookup of the generator's list. `added` pairs each link with its
+    /// position in the window; returns the positions whose attribution
+    /// this call created.
+    pub fn record_all(
+        &mut self,
+        generator: StateAction,
+        added: impl IntoIterator<Item = (usize, PairId)>,
+    ) -> BitMask {
         let mut attributed = BitMask::default();
-        for (i, &link) in added.iter().enumerate() {
+        let mut links = Vec::new();
+        for (i, link) in added {
             if !self.generated_by.contains_key(link) {
                 self.generated_by.insert(link, generator);
                 attributed.insert(i);
+                links.push(link);
             }
         }
-        if !attributed.is_empty() {
-            let links = attributed.select(added);
+        if !links.is_empty() {
             self.generated.entry(generator).or_default().extend(links);
         }
         attributed
@@ -73,13 +79,26 @@ impl Provenance {
     /// that was rolled back and re-attributed in the meantime keeps its new
     /// provenance.
     pub fn retract_attribution(&mut self, link: PairId, generator: StateAction) {
-        if self.generated_by.get(link) != Some(&generator) {
+        self.retract_all(generator, [link]);
+    }
+
+    /// [`Provenance::retract_attribution`] of every link of `links`, with
+    /// one pass over the generator's list however many links are retracted.
+    pub fn retract_all(&mut self, generator: StateAction, links: impl IntoIterator<Item = PairId>) {
+        let mut retracted = Vec::new();
+        for link in links {
+            if self.generated_by.get(link) == Some(&generator) {
+                self.generated_by.remove(link);
+                retracted.push(link);
+            }
+        }
+        if retracted.is_empty() {
             return;
         }
-        self.generated_by.remove(link);
-        if let Some(links) = self.generated.get_mut(&generator) {
-            links.retain(|&l| l != link);
-            if links.is_empty() {
+        retracted.sort_unstable();
+        if let Some(list) = self.generated.get_mut(&generator) {
+            list.retain(|l| retracted.binary_search(l).is_err());
+            if list.is_empty() {
                 self.generated.remove(&generator);
             }
         }
@@ -302,7 +321,7 @@ mod tests {
                 .map(|&l| (PairId(l), single.record(PairId(l), *generator)))
                 .collect();
             let added: Vec<PairId> = links.iter().map(|&l| PairId(l)).collect();
-            let attributed = batched.record_all(*generator, &added);
+            let attributed = batched.record_all(*generator, added.iter().copied().enumerate());
             let flagged: Vec<(PairId, bool)> = added
                 .iter()
                 .enumerate()
@@ -388,6 +407,62 @@ mod tests {
         // Retracting with no entry is inert.
         p.retract_vote_negative(sa(1, 0));
         assert_eq!(p.votes_of(sa(1, 0)), None);
+    }
+
+    #[test]
+    fn one_pass_retraction_equals_per_link_retraction() {
+        // A random log of attributions, rollbacks and restores over a few
+        // generators, then a random batch of retractions (repeats, links of
+        // other generators and unattributed links included).
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for round in 0..200 {
+            let mut p = Provenance::new();
+            for _ in 0..next(40) {
+                let generator = sa(next(4) as u32, next(2) as u32);
+                match next(5) {
+                    0 => {
+                        p.take_generated(generator);
+                    }
+                    1 => {
+                        let links = p.take_generated(generator);
+                        p.restore_generated(generator, links);
+                    }
+                    _ => {
+                        let links: Vec<PairId> =
+                            (0..next(12)).map(|_| PairId(next(60) as u32)).collect();
+                        p.record_all(generator, links.into_iter().enumerate());
+                    }
+                }
+            }
+            let generator = sa(next(4) as u32, next(2) as u32);
+            let retract: Vec<PairId> = (0..next(30)).map(|_| PairId(next(60) as u32)).collect();
+            let mut single = p.clone();
+            for &link in &retract {
+                single.retract_attribution(link, generator);
+            }
+            let mut batched = p.clone();
+            batched.retract_all(generator, retract.iter().copied());
+            let lists = |p: &Provenance| {
+                let mut lists: Vec<_> =
+                    p.iter_generated().map(|(g, ls)| (g, ls.to_vec())).collect();
+                lists.sort();
+                lists
+            };
+            assert_eq!(lists(&batched), lists(&single), "round {round}");
+            for l in 0..60 {
+                assert_eq!(
+                    batched.generator_of(PairId(l)),
+                    single.generator_of(PairId(l)),
+                    "round {round}"
+                );
+            }
+        }
     }
 
     #[test]

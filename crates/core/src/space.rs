@@ -39,6 +39,38 @@ use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PairId(pub u32);
 
+/// A contiguous slice of one feature's score index: positions
+/// `start..end` of the pairs sorted by their score for `feature`. An
+/// exploration's window (§4.2) is one such slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// The feature whose index the window slices.
+    pub feature: FeatureId,
+    /// First position in the window.
+    pub start: u32,
+    /// One past the last position in the window.
+    pub end: u32,
+}
+
+impl Window {
+    /// The empty window at the start of feature 0's index.
+    pub const EMPTY: Window = Window {
+        feature: FeatureId(0),
+        start: 0,
+        end: 0,
+    };
+
+    /// Number of positions in the window.
+    pub fn len(&self) -> usize {
+        self.end.saturating_sub(self.start) as usize
+    }
+
+    /// Whether the window has no positions.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 /// Configuration for building a link space.
 #[derive(Debug, Clone)]
 pub struct SpaceConfig {
@@ -352,6 +384,11 @@ impl LinkSpace {
     /// feature set on demand; a pair with no feature above θ is still
     /// admitted with an empty set (it is a candidate link, just one with no
     /// exploration directions).
+    ///
+    /// A new pair is inserted into the middle of its features' score
+    /// indexes, which shifts the positions of every [`Window`] past it; a
+    /// trust-gated agent therefore admits no pair once its admission log,
+    /// which records footprints as windows, is non-empty.
     pub fn ensure_pair(&mut self, left: u32, right: u32) -> PairId {
         if let Some(id) = self.id_of(left, right) {
             return id;
@@ -412,16 +449,47 @@ impl LinkSpace {
     }
 
     /// The exploration query (§4.2): all pairs whose score for `feature`
-    /// lies in `[center − step, center + step]`.
+    /// lies in `[center − step, center + step]`, in index order.
     pub fn explore(&self, feature: FeatureId, center: f64, step: f64) -> Vec<PairId> {
-        let Some(list) = self.by_feature.get(&feature) else {
-            return Vec::new();
-        };
+        let window = self.window(feature, center, step);
+        self.window_slice(window)
+            .iter()
+            .map(|&(_, id)| id)
+            .collect()
+    }
+
+    /// The exploration window (§4.2) of `feature` around `center`: the
+    /// positions of the pairs whose score lies in `[center − step, center +
+    /// step]` in the feature's score index, which is sorted by score. The
+    /// pairs themselves are [`LinkSpace::window_slice`].
+    pub fn window(&self, feature: FeatureId, center: f64, step: f64) -> Window {
+        let list = self.feature_index(feature);
         let lo = center - step;
         let hi = center + step;
-        let start = list.partition_point(|&(s, _)| s < lo);
-        let end = list.partition_point(|&(s, _)| s <= hi);
-        list[start..end].iter().map(|&(_, id)| id).collect()
+        Window {
+            feature,
+            start: list.partition_point(|&(s, _)| s < lo) as u32,
+            end: list.partition_point(|&(s, _)| s <= hi) as u32,
+        }
+    }
+
+    /// The `(score, pair)` entries of `window`, in index order; empty when
+    /// the window lies outside the feature's index.
+    pub fn window_slice(&self, window: Window) -> &[(f64, PairId)] {
+        self.feature_index(window.feature)
+            .get(window.start as usize..window.end as usize)
+            .unwrap_or(&[])
+    }
+
+    /// Whether `window` lies inside the feature's score index.
+    pub fn contains_window(&self, window: Window) -> bool {
+        window.start <= window.end
+            && window.end as usize <= self.feature_index(window.feature).len()
+    }
+
+    /// The score index of `feature`: every pair carrying it, sorted by score.
+    fn feature_index(&self, feature: FeatureId) -> &[(f64, PairId)] {
+        self.by_feature.get(&feature).map_or(&[], Vec::as_slice)
     }
 
     /// Linear-scan reference implementation of [`LinkSpace::explore`], the

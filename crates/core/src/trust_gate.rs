@@ -16,18 +16,33 @@ use alex_trust::{QuorumBuffer, SourceId, TrustConfig, TrustModel};
 
 use crate::feature::FeatureId;
 use crate::persist;
-use crate::space::PairId;
+use crate::space::{LinkSpace, PairId, Window};
 
-/// A set of positions in one of a record's footprint lists, one bit per
-/// position: the in-memory form of a flag per entry, or of a sublist that
-/// is always an in-order subsequence of the list it masks. The words end at
-/// the highest set position, so equal sets compare equal.
+/// A set of positions, one bit per position: a flag per entry of a list,
+/// or a sublist that is always an in-order subsequence of the list it
+/// masks. The words end at the highest set position, so equal sets compare
+/// equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitMask {
     words: Vec<u64>,
 }
 
 impl BitMask {
+    /// The mask with `words` as its bit words (bit `i % 64` of word
+    /// `i / 64` is position `i`), or `None` unless the last word is
+    /// non-zero, the one layout [`BitMask::insert`] builds.
+    pub fn from_words(words: Vec<u64>) -> Option<BitMask> {
+        match words.last() {
+            Some(0) => None,
+            _ => Some(BitMask { words }),
+        }
+    }
+
+    /// The bit words ([`BitMask::from_words`]).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of positions in the set.
     pub fn len(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -38,11 +53,26 @@ impl BitMask {
         self.words.is_empty()
     }
 
+    /// One past the highest set position (0 for the empty set).
+    pub fn end(&self) -> usize {
+        self.words
+            .last()
+            .map_or(0, |w| self.words.len() * 64 - w.leading_zeros() as usize)
+    }
+
     /// Whether position `i` is set.
     pub fn contains(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Whether every position of `self` is set in `other`.
+    pub fn is_subset(&self, other: &BitMask) -> bool {
+        self.words
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
     /// Set position `i`.
@@ -53,30 +83,152 @@ impl BitMask {
         self.words[i / 64] |= 1 << (i % 64);
     }
 
+    /// The set positions, ascending.
+    pub fn positions(&self) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| Bits(word).map(move |b| w * 64 + b))
+    }
+
     /// The entries of `items` at the set positions, in list order.
     pub fn select<'a, T: Copy>(
         &'a self,
         items: &'a [T],
     ) -> impl DoubleEndedIterator<Item = T> + 'a {
-        items
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.contains(i))
-            .map(|(_, &t)| t)
+        self.positions().filter_map(|i| items.get(i).copied())
+    }
+}
+
+/// The set bits of one word, lowest first.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros();
+        self.0 &= self.0 - 1;
+        Some(bit as usize)
+    }
+}
+
+impl DoubleEndedIterator for Bits {
+    fn next_back(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = 63 - self.0.leading_zeros();
+        self.0 &= !(1 << bit);
+        Some(bit as usize)
+    }
+}
+
+/// A footprint: an in-order list of links that all lie in one [`Window`]
+/// of a feature's score index, stored as the window and one bit mask per
+/// segment over the window's positions. The list is each segment's links
+/// in window order, segment after segment. An exploration adds one
+/// segment of its window (§4.2); the links a generator attributed, which
+/// a rollback clears (§6.3), are its admissions' segments of the
+/// generator's window, in attribution order.
+///
+/// Decoding reads the window's pairs from the [`LinkSpace`], so the
+/// window must name the same pairs when decoded as when recorded; see
+/// [`LinkSpace::ensure_pair`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WindowList {
+    /// The window every link lies in.
+    pub window: Window,
+    /// The segments, none of them empty.
+    pub segments: Vec<BitMask>,
+}
+
+impl Default for WindowList {
+    fn default() -> Self {
+        WindowList::new(Window::EMPTY)
+    }
+}
+
+impl WindowList {
+    /// The empty list over `window`.
+    pub fn new(window: Window) -> Self {
+        WindowList {
+            window,
+            segments: Vec::new(),
+        }
     }
 
-    /// The mask that [`BitMask::select`]s exactly `sub` from `items`, or
-    /// `None` when `sub` is not an in-order subsequence of `items`.
-    /// Each entry of `sub` takes the first unclaimed equal entry of `items`.
-    pub fn of_subsequence<T: PartialEq>(items: &[T], sub: &[T]) -> Option<BitMask> {
-        let mut mask = BitMask::default();
-        let mut from = 0;
-        for wanted in sub {
-            let at = from + items[from..].iter().position(|x| x == wanted)?;
-            mask.insert(at);
-            from = at + 1;
+    /// Append the links at the positions of `mask` as one segment (none
+    /// when `mask` is empty).
+    pub fn push(&mut self, mask: BitMask) {
+        if !mask.is_empty() {
+            self.segments.push(mask);
         }
-        Some(mask)
+    }
+
+    /// Number of links in the list.
+    pub fn len(&self) -> usize {
+        self.segments.iter().map(BitMask::len).sum()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty()
+    }
+
+    /// The list as `(window position, link)` entries, in list order,
+    /// decoded against `space`.
+    pub fn entries<'a>(
+        &'a self,
+        space: &'a LinkSpace,
+    ) -> impl DoubleEndedIterator<Item = (usize, PairId)> + 'a {
+        let slice = space.window_slice(self.window);
+        self.segments.iter().flat_map(move |mask| {
+            mask.positions()
+                .filter_map(move |i| slice.get(i).map(|&(_, id)| (i, id)))
+        })
+    }
+
+    /// The links in list order, decoded against `space`.
+    pub fn links<'a>(
+        &'a self,
+        space: &'a LinkSpace,
+    ) -> impl DoubleEndedIterator<Item = PairId> + 'a {
+        self.entries(space).map(|(_, id)| id)
+    }
+
+    /// Encode `links`, every one of which lies in `window` of `space`:
+    /// each maximal run of strictly ascending window positions becomes one
+    /// segment, so [`WindowList::links`] gives back exactly `links`.
+    /// `None` when a link is not in the window.
+    pub fn of_links(space: &LinkSpace, window: Window, links: &[PairId]) -> Option<WindowList> {
+        // Window position by pair id; a dense table costs one fill of the
+        // space's length and no hashing.
+        let mut positions = vec![u32::MAX; space.len()];
+        for (i, &(_, id)) in space.window_slice(window).iter().enumerate() {
+            positions[id.0 as usize] = i as u32;
+        }
+        let mut list = WindowList::new(window);
+        let mut segment = BitMask::default();
+        for link in links {
+            let at = *positions
+                .get(link.0 as usize)
+                .filter(|&&at| at != u32::MAX)? as usize;
+            if at < segment.end() {
+                list.push(std::mem::take(&mut segment));
+            }
+            segment.insert(at);
+        }
+        list.push(segment);
+        Some(list)
+    }
+
+    /// Whether every segment lies inside the window.
+    fn fits(&self) -> bool {
+        self.segments.iter().all(|m| m.end() <= self.window.len())
     }
 }
 
@@ -85,8 +237,9 @@ impl BitMask {
 pub struct RollbackUndo {
     /// The generator whose attributions were cleared.
     pub generator: (PairId, FeatureId),
-    /// The full attribution list the rollback cleared, in attribution order.
-    pub links: Vec<PairId>,
+    /// The full attribution list the rollback cleared, in attribution
+    /// order, over the generator's exploration window.
+    pub links: WindowList,
     /// The generator's `(negatives, positives)` votes at clearing time
     /// (snapshotted *after* the triggering negative vote).
     pub votes: (u32, u32),
@@ -120,10 +273,11 @@ pub struct AdmissionRecord {
     pub prov_target: Option<(PairId, FeatureId)>,
     /// Positive admissions: the exploration action, if one was taken.
     pub action: Option<FeatureId>,
-    /// Positive admissions: links added by exploration, in insertion order.
-    pub added: Vec<PairId>,
-    /// Positive admissions: the positions in `added` whose provenance
-    /// attribution this admission created.
+    /// Positive admissions: links added by exploration, in insertion order
+    /// (one segment of the exploration window).
+    pub added: WindowList,
+    /// Positive admissions: the window positions of the links in `added`
+    /// whose provenance attribution this admission created.
     pub attributed: BitMask,
     /// Negative admissions: whether the link was removed from candidates.
     pub removed_candidate: bool,
@@ -152,7 +306,7 @@ impl AdmissionRecord {
             endorsed: false,
             prov_target: None,
             action: None,
-            added: Vec::new(),
+            added: WindowList::default(),
             attributed: BitMask::default(),
             removed_candidate: false,
             was_approved: false,
@@ -162,20 +316,36 @@ impl AdmissionRecord {
         }
     }
 
-    /// Every link id the record names: the judged link, credited and
-    /// voted-on generator states, explored links, and the rollback's
-    /// generator and attribution list (its removals are a subset of that
-    /// list).
-    pub(crate) fn pair_ids(&self) -> impl Iterator<Item = PairId> + '_ {
-        let rollback = self
-            .rollback
-            .iter()
-            .flat_map(|rb| std::iter::once(rb.generator.0).chain(rb.links.iter().copied()));
-        std::iter::once(self.state)
+    /// Check the record against the space it will be decoded over: every
+    /// link id it names is a pair of `space`, and every footprint window
+    /// and mask lies inside the space's score indexes.
+    pub(crate) fn check(&self, space: &LinkSpace) -> Result<(), String> {
+        let rollback = self.rollback.as_ref();
+        let ids = std::iter::once(self.state)
             .chain(self.credited.iter().map(|&(s, _)| s))
             .chain(self.prov_target.map(|(s, _)| s))
-            .chain(self.added.iter().copied())
-            .chain(rollback)
+            .chain(rollback.map(|rb| rb.generator.0));
+        for id in ids {
+            if id.0 as usize >= space.len() {
+                return Err(format!(
+                    "persisted pair id {} is outside the rebuilt space ({} pairs); \
+                     the state dir does not belong to this run",
+                    id.0,
+                    space.len()
+                ));
+            }
+        }
+        let lists = std::iter::once(&self.added).chain(rollback.map(|rb| &rb.links));
+        for list in lists {
+            if !space.contains_window(list.window) || !list.fits() {
+                return Err(format!(
+                    "persisted footprint window {:?} is outside the rebuilt space; \
+                     the state dir does not belong to this run",
+                    list.window
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -263,11 +433,17 @@ mod tests {
         rec.prov_target = Some((PairId(0), FeatureId(1)));
         rec.removed_candidate = true;
         rec.blacklist_added = true;
+        let mut links = WindowList::new(Window {
+            feature: FeatureId(1),
+            start: 2,
+            end: 70,
+        });
+        links.push(BitMask::from_words(vec![0b1001]).unwrap());
         rec.rollback = Some(RollbackUndo {
             generator: (PairId(0), FeatureId(1)),
-            links: vec![PairId(4), PairId(7)],
+            links,
             votes: (3, 0),
-            removed: BitMask::of_subsequence(&[PairId(4), PairId(7)], &[PairId(7)]).unwrap(),
+            removed: BitMask::from_words(vec![0b10]).unwrap(),
         });
         gate.log.push(rec);
 
@@ -281,29 +457,74 @@ mod tests {
     }
 
     #[test]
-    fn bit_mask_selects_the_subsequence_it_was_built_from() {
-        let items: Vec<u32> = (0..150).map(|i| i % 7).collect();
-        let sub: Vec<u32> = vec![3, 3, 0, 6, 6, 1];
-        let mask = BitMask::of_subsequence(&items, &sub).unwrap();
-        assert_eq!(mask.len(), sub.len());
-        assert_eq!(mask.select(&items).collect::<Vec<_>>(), sub);
+    fn bit_mask_positions_and_selection() {
+        let set = [0usize, 3, 63, 64, 130, 200];
+        let mut mask = BitMask::default();
+        for &i in set.iter().rev() {
+            mask.insert(i);
+        }
+        assert_eq!(mask.len(), set.len());
+        assert_eq!(mask.end(), 201);
+        assert_eq!(mask.positions().collect::<Vec<_>>(), set);
         assert_eq!(
-            mask.select(&items).rev().collect::<Vec<_>>(),
-            sub.iter().rev().copied().collect::<Vec<_>>()
+            mask.positions().rev().collect::<Vec<_>>(),
+            set.iter().rev().copied().collect::<Vec<_>>()
         );
+        let items: Vec<usize> = (0..150).map(|i| i * 10).collect();
         assert_eq!(
-            BitMask::of_subsequence(&items, &[]),
-            Some(BitMask::default())
+            mask.select(&items).collect::<Vec<_>>(),
+            vec![0, 30, 630, 640, 1300],
+            "positions past the list select nothing"
         );
-        assert!(BitMask::default().is_empty() && !mask.is_empty());
-        // Out of order, or an entry the list lacks.
-        assert_eq!(BitMask::of_subsequence(&[1, 2, 3], &[3, 2]), None);
-        assert_eq!(BitMask::of_subsequence(&[1, 2, 3], &[4]), None);
-        assert_eq!(BitMask::of_subsequence(&[1, 2], &[1, 2, 2]), None);
-        let mut far = BitMask::default();
-        far.insert(200);
-        assert!(far.contains(200) && !far.contains(199) && !far.contains(10_000));
-        assert_eq!(far.len(), 1);
+        assert!(mask.contains(200) && !mask.contains(199) && !mask.contains(10_000));
+        assert_eq!(
+            BitMask::from_words(mask.words().to_vec()),
+            Some(mask.clone())
+        );
+        assert_eq!(BitMask::from_words(vec![1, 0]), None);
+        assert_eq!(BitMask::from_words(Vec::new()), Some(BitMask::default()));
+        assert!(BitMask::default().is_empty() && BitMask::default().end() == 0);
+        let mut sub = BitMask::default();
+        sub.insert(64);
+        sub.insert(3);
+        assert!(sub.is_subset(&mask) && !mask.is_subset(&sub));
+        sub.insert(65);
+        assert!(!sub.is_subset(&mask));
+    }
+
+    #[test]
+    fn window_lists_decode_to_the_links_they_encode() {
+        let (left, right) = crate::fixtures::animals(12);
+        let space = LinkSpace::build(&left, &right, &crate::SpaceConfig::default());
+        let (feature, _) = space.catalog().iter().next().unwrap();
+        let window = space.window(feature, 1.0, 1.0);
+        let slice: Vec<PairId> = space
+            .window_slice(window)
+            .iter()
+            .map(|&(_, id)| id)
+            .collect();
+        assert!(slice.len() > 3, "a wide window");
+        let n = slice.len();
+        // Two segments, the second restarting below the first's end, and
+        // a repeated link.
+        let links = vec![slice[1], slice[n - 1], slice[0], slice[2], slice[2]];
+        let list = WindowList::of_links(&space, window, &links).unwrap();
+        assert_eq!(list.segments.len(), 3);
+        assert_eq!(list.len(), links.len());
+        assert_eq!(list.links(&space).collect::<Vec<_>>(), links);
+        assert_eq!(
+            list.links(&space).rev().collect::<Vec<_>>(),
+            links.iter().rev().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(list.entries(&space).next(), Some((1, slice[1])));
+        let empty = WindowList::of_links(&space, window, &[]).unwrap();
+        assert!(empty.is_empty() && empty.segments.is_empty());
+        // A link outside the window has no encoding.
+        let narrow = Window {
+            end: window.start + 1,
+            ..window
+        };
+        assert_eq!(WindowList::of_links(&space, narrow, &[slice[1]]), None);
     }
 
     #[test]

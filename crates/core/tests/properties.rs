@@ -3,6 +3,8 @@
 use std::collections::HashSet;
 
 use alex_core::feature::FeatureId;
+use alex_core::persist::{self, AgentState, PartitionSnapshot, RunSnapshot, TrustState};
+use alex_core::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, WindowList};
 use alex_core::{
     feature::feature_score, Agent, AlexConfig, CandidateSet, Feedback, FeedbackItem, LinkSpace,
     PairId, Policy, SourceId, SpaceConfig, TrustConfig,
@@ -286,5 +288,118 @@ proptest! {
 
         prop_assert_eq!(replayed.capture_state(), live.capture_state());
         prop_assert_eq!(replayed.candidate_pairs(), live.candidate_pairs());
+    }
+
+    /// Footprints encoded as windows go through the snapshot codec and
+    /// decode, against the space, to exactly the explicit `PairId` lists
+    /// they were built from: an exploration's added links with their
+    /// attribution flags, and a rollback's cleared list (segments that
+    /// restart, as a generator's repeated explorations do) with its removed
+    /// links.
+    #[test]
+    fn window_footprints_decode_to_their_explicit_lists(
+        n in 4usize..24,
+        feature_pick in 0usize..64,
+        center in 0.0f64..1.0,
+        step in 0.05f64..0.6,
+        seed in 0u64..1_000_000,
+    ) {
+        let names: Vec<String> = (0..n)
+            .map(|i| format!("entity number{} alpha{}", i % 5, i % 3))
+            .collect();
+        let space = space_from_names(&names);
+        let features: Vec<FeatureId> = space.catalog().iter().map(|(f, _)| f).collect();
+        prop_assume!(!features.is_empty());
+        let window = space.window(features[feature_pick % features.len()], center, step);
+        let slice: Vec<PairId> = space.window_slice(window).iter().map(|&(_, id)| id).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        use rand::Rng;
+
+        // Explicit lists: added links with attribution flags; the cleared
+        // list as a few in-order subsequences, one after another.
+        let mut added: Vec<(usize, PairId, bool)> = Vec::new();
+        for (i, &l) in slice.iter().enumerate() {
+            if rng.random_range(0..2) == 0 {
+                added.push((i, l, rng.random_range(0..3) != 0));
+            }
+        }
+        let mut cleared: Vec<PairId> = Vec::new();
+        for _ in 0..rng.random_range(0..4) {
+            cleared.extend(slice.iter().filter(|_| rng.random_range(0..3) == 0));
+        }
+        let removed: Vec<usize> = (0..cleared.len())
+            .filter(|_| rng.random_range(0..2) == 0)
+            .collect();
+
+        // The same lists as windows and masks.
+        let mut record = AdmissionRecord::new(PairId(0), true);
+        let mut added_mask = BitMask::default();
+        for &(i, _, attributed) in &added {
+            added_mask.insert(i);
+            if attributed {
+                record.attributed.insert(i);
+            }
+        }
+        record.added = WindowList::new(window);
+        record.added.push(added_mask);
+        let mut removed_mask = BitMask::default();
+        for &i in &removed {
+            removed_mask.insert(i);
+        }
+        record.rollback = Some(RollbackUndo {
+            generator: (PairId(0), window.feature),
+            links: WindowList::of_links(&space, window, &cleared).expect("links in the window"),
+            votes: (2, 1),
+            removed: removed_mask,
+        });
+        let snapshot = RunSnapshot {
+            base_fingerprint: 0,
+            last_episode: 1,
+            completed: false,
+            relaxed_converged_at: None,
+            episodes: Vec::new(),
+            partitions: vec![PartitionSnapshot {
+                episodes: Vec::new(),
+                agent: AgentState {
+                    rng: [0; 4],
+                    episodes_completed: 1,
+                    admissions: Vec::new(),
+                    candidates: Vec::new(),
+                    approved: Vec::new(),
+                    greedy: Vec::new(),
+                    returns: Vec::new(),
+                    blacklist_votes: Vec::new(),
+                    generated: Vec::new(),
+                    provenance_votes: Vec::new(),
+                    trust: Some(TrustState {
+                        sources: Vec::new(),
+                        discredited: Vec::new(),
+                        pending: Vec::new(),
+                        log: vec![record].into(),
+                    }),
+                },
+                source_state: Vec::new(),
+            }],
+        };
+        let bytes = persist::encode_snapshot(&snapshot);
+        let back = persist::decode_snapshot(&bytes).map_err(TestCaseError::fail)?;
+        let trust = back.partitions[0].agent.trust.as_ref().expect("trust state");
+        let rec = &trust.log[0];
+
+        let decoded_added: Vec<(PairId, bool)> = rec
+            .added
+            .entries(&space)
+            .map(|(i, l)| (l, rec.attributed.contains(i)))
+            .collect();
+        let explicit_added: Vec<(PairId, bool)> =
+            added.iter().map(|&(_, l, attributed)| (l, attributed)).collect();
+        prop_assert_eq!(decoded_added, explicit_added);
+        let rb = rec.rollback.as_ref().expect("rollback");
+        let decoded_cleared: Vec<PairId> = rb.links.links(&space).collect();
+        prop_assert_eq!(&decoded_cleared, &cleared);
+        prop_assert_eq!(rb.links.len(), cleared.len());
+        let decoded_removed: Vec<PairId> = rb.removed.select(&decoded_cleared).collect();
+        let explicit_removed: Vec<PairId> = removed.iter().map(|&i| cleared[i]).collect();
+        prop_assert_eq!(decoded_removed, explicit_removed);
     }
 }

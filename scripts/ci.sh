@@ -210,6 +210,16 @@ gated --state-dir "$SMOKE/gated-cut" --resume --out "$SMOKE/gated-resumed.nt" --
 cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-resumed.nt" \
   || { echo "kill-and-resume smoke: gated resumed links differ from reference" >&2; exit 1; }
 echo "gated resumed links byte-identical to uninterrupted reference"
+# The final snapshot (format 5: footprints as score-index windows plus bit
+# masks) must be the same bytes at any pool width, uninterrupted or resumed.
+gated --state-dir "$SMOKE/gated-ref4" --out "$SMOKE/gated-ref4.nt" --threads 4
+final_snapshot() { ls "$1"/snap-*.bin | tail -n 1; }
+ref_snap=$(final_snapshot "$SMOKE/gated-ref")
+for dir in gated-ref4 gated-cut; do
+  cmp "$ref_snap" "$(final_snapshot "$SMOKE/$dir")" \
+    || { echo "kill-and-resume smoke: $dir final snapshot differs from the --threads 1 reference" >&2; exit 1; }
+done
+echo "gated final snapshot byte-identical at --threads 1 and 4 and after resume ($(wc -c < "$ref_snap") bytes)"
 
 echo "==> trace-schema smoke (--trace under --threads 1 and 4, oracle and query feedback, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E

@@ -5,8 +5,9 @@
 //! inputs regenerated here (`alex gen --pair dbpedia-nba-nytimes --seed 7`
 //! and `alex link` on them; the inputs themselves are not checked in), and
 //! killed mid-run, so resuming it continues the run. A dir of this build's
-//! format resumes to the final links pinned when the corpus was written; a
-//! dir of another format is rejected with an error naming both versions.
+//! format (5) resumes to the final links pinned when the corpus was
+//! written; a dir of another format (4) is rejected with an error naming
+//! both versions. Both formats' runs end on the same links.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -92,7 +93,13 @@ fn inputs(tag: &str) -> PathBuf {
         "7",
     ]);
     check(&out, "alex gen");
-    let out = alex(&["link", &p("left.nt"), &p("right.nt"), "--out", &p("links.nt")]);
+    let out = alex(&[
+        "link",
+        &p("left.nt"),
+        &p("right.nt"),
+        "--out",
+        &p("links.nt"),
+    ]);
     check(&out, "alex link");
     for (file, digest) in INPUTS {
         let bytes = std::fs::read(dir.join(file)).expect("read input");
@@ -151,18 +158,48 @@ fn links_digest(work: &Path, version: &str, name: &str) -> String {
     fnv(&bytes)
 }
 
+/// The final-links digest of each corpus run, resumed or uninterrupted.
+const LINKS: [(&str, &[&str], &str); 2] = [
+    ("gated", GATED, "1ed4a6766ac3c04e"),
+    ("partitioned", PARTITIONED, "2e6946566d5f4dd0"),
+];
+
 #[test]
-fn v4_state_dirs_resume_to_pinned_links() {
-    let work = inputs("v4");
-    for (name, flags, digest) in [
-        ("gated", GATED, "1ed4a6766ac3c04e"),
-        ("partitioned", PARTITIONED, "2e6946566d5f4dd0"),
-    ] {
-        let out = resume(&work, "v4", name, flags);
+fn v5_state_dirs_resume_to_pinned_links() {
+    let work = inputs("v5");
+    for (name, flags, digest) in LINKS {
+        let out = resume(&work, "v5", name, flags);
         check(&out, name);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("recovering from"), "{name}: {stderr}");
-        assert_eq!(links_digest(&work, "v4", name), digest, "{name}");
+        assert_eq!(links_digest(&work, "v5", name), digest, "{name}");
+    }
+    let _ = std::fs::remove_dir_all(&work);
+}
+
+/// Format 4 kept footprints as explicit lists; this build reads only
+/// format 5 and says so, naming both versions, instead of calling the dir
+/// corrupt.
+#[test]
+fn v4_state_dirs_are_rejected_naming_both_versions() {
+    let work = inputs("v4");
+    for (name, flags, _) in LINKS {
+        let out = resume(&work, "v4", name, flags);
+        assert_eq!(out.status.code(), Some(2), "{name}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(
+                "error: state dir snapshot is in persist format 4, but this build reads \
+                 format 5 and does not convert between formats (start a fresh run with a \
+                 new --state-dir)"
+            ),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("corrupt"), "{name}: {stderr}");
+        assert!(
+            !work.join(format!("v4-{name}.nt")).exists(),
+            "{name} wrote links"
+        );
     }
     let _ = std::fs::remove_dir_all(&work);
 }

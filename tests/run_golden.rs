@@ -18,9 +18,10 @@
 //! The trust-gated run is pinned separately by the final links, the
 //! agent's captured learning state as persistence encodes it, and the
 //! admission log, since none of those reach the episode reports. The log
-//! digest is the `Debug` text of the records with their footprints as
-//! explicit lists (the layout `explicit` mirrors), so it does not depend on
-//! how the gate keeps them in memory.
+//! digest is the `Debug` text of the records with their footprints decoded
+//! against the agent's space into explicit lists (the layout `explicit`
+//! mirrors), so it does not depend on how the gate keeps them in memory or
+//! on disk.
 
 use alex::core::{
     persist, run_partitioned, run_partitioned_with, AdversarialPopulation, AlexConfig,
@@ -34,12 +35,13 @@ use alex::datagen::{
 
 const SEED: u64 = 20160501;
 
-/// The admission-log records with every footprint an explicit list: a
-/// `(link, attributed)` pair per explored link and the removed links by id,
-/// as the snapshot format stores them. Only `Debug` reads the fields.
+/// The admission-log records with every footprint decoded into an explicit
+/// list: a `(link, attributed)` pair per explored link, the rollback's
+/// cleared links and its removed links by id. Only `Debug` reads the
+/// fields.
 #[allow(dead_code)]
 mod explicit {
-    use alex::core::{FeatureId, PairId, SourceId};
+    use alex::core::{FeatureId, LinkSpace, PairId, SourceId};
 
     #[derive(Debug)]
     pub struct RollbackUndo {
@@ -69,8 +71,9 @@ mod explicit {
         pub revoked: bool,
     }
 
-    impl From<&alex::core::AdmissionRecord> for AdmissionRecord {
-        fn from(r: &alex::core::AdmissionRecord) -> Self {
+    impl AdmissionRecord {
+        /// The record `r` with its footprints decoded against `space`.
+        pub fn decode(r: &alex::core::AdmissionRecord, space: &LinkSpace) -> Self {
             AdmissionRecord {
                 state: r.state,
                 positive: r.positive,
@@ -84,18 +87,20 @@ mod explicit {
                 action: r.action,
                 added: r
                     .added
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &l)| (l, r.attributed.contains(i)))
+                    .entries(space)
+                    .map(|(i, l)| (l, r.attributed.contains(i)))
                     .collect(),
                 removed_candidate: r.removed_candidate,
                 was_approved: r.was_approved,
                 blacklist_added: r.blacklist_added,
-                rollback: r.rollback.as_ref().map(|rb| RollbackUndo {
-                    generator: rb.generator,
-                    links: rb.links.clone(),
-                    votes: rb.votes,
-                    removed: rb.removed.select(&rb.links).collect(),
+                rollback: r.rollback.as_ref().map(|rb| {
+                    let links: Vec<PairId> = rb.links.links(space).collect();
+                    RollbackUndo {
+                        generator: rb.generator,
+                        removed: rb.removed.select(&links).collect(),
+                        links,
+                        votes: rb.votes,
+                    }
                 }),
                 revoked: r.revoked,
             }
@@ -325,8 +330,7 @@ fn gated_runs_are_golden() {
         links.bytes(pair.right.resolve(r).as_bytes());
         links.bytes(b"\n");
     }
-    let mut state = Fnv::new();
-    state.bytes(&persist::encode_snapshot(&RunSnapshot {
+    let encoded = persist::encode_snapshot(&RunSnapshot {
         base_fingerprint: agent.base_fingerprint(),
         last_episode: report.episodes.len() as u64,
         completed: true,
@@ -337,11 +341,32 @@ fn gated_runs_are_golden() {
             agent: agent.capture_state(),
             source_state: Vec::new(),
         }],
-    }));
+    });
+    let mut state = Fnv::new();
+    state.bytes(&encoded);
     let mut log = Fnv::new();
-    let records: Vec<explicit::AdmissionRecord> = gate.log.iter().map(Into::into).collect();
+    let explicit = |log: &[alex::core::AdmissionRecord]| -> Vec<explicit::AdmissionRecord> {
+        log.iter()
+            .map(|r| explicit::AdmissionRecord::decode(r, agent.space()))
+            .collect()
+    };
+    let records = explicit(&gate.log);
     log.bytes(format!("{records:?}").as_bytes());
+    // The footprints read back from the snapshot decode to the same lists.
+    let decoded = persist::decode_snapshot(&encoded).expect("decode snapshot");
+    let trust = decoded.partitions[0]
+        .agent
+        .trust
+        .as_ref()
+        .expect("trust state");
+    assert_eq!(
+        format!("{:?}", explicit(&trust.log)),
+        format!("{records:?}")
+    );
 
+    // The state digest hashes the snapshot encoding, so it moves with the
+    // persist format (last re-pinned when format 5 stored footprints as
+    // windows); the links and the decoded log do not.
     assert_eq!(
         (
             agent.candidates().len(),
@@ -351,7 +376,7 @@ fn gated_runs_are_golden() {
         (
             576,
             396,
-            ["75e5daab7dbf60ab", "51e1e4a97cf0e574", "d4c9304b5220529d"].map(String::from)
+            ["75e5daab7dbf60ab", "1979704e9a7302a6", "d4c9304b5220529d"].map(String::from)
         ),
         "(candidates, log length, [links, state, log] digests)"
     );
