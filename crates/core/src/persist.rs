@@ -489,15 +489,17 @@ fn get_window_list(r: &mut ByteReader, what: &'static str) -> Result<WindowList,
         start: r.u32(what)?,
         end: r.u32(what)?,
     };
-    let segments = get_list(r, what, |r| get_mask(r, what))?;
-    let fits = |m: &BitMask| !m.is_empty() && m.end() <= window.len();
-    if window.start > window.end || !segments.iter().all(fits) {
+    let list = WindowList {
+        window,
+        segments: get_list(r, what, |r| get_mask(r, what))?,
+    };
+    if !list.is_well_formed() {
         return Err(CodecError {
             context: "footprint (segment outside its window)",
             offset: r.position(),
         });
     }
-    Ok(WindowList { window, segments })
+    Ok(list)
 }
 
 /// Read an exploration's footprint and the attributions it created: one

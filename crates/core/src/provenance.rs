@@ -73,17 +73,12 @@ impl Provenance {
         attributed
     }
 
-    /// Retract an attribution previously created by [`Provenance::record`]
-    /// (trust-layer revocation of an admitted exploration). Only removes the
-    /// entry when `link` is still attributed to exactly `generator`; a link
-    /// that was rolled back and re-attributed in the meantime keeps its new
-    /// provenance.
-    pub fn retract_attribution(&mut self, link: PairId, generator: StateAction) {
-        self.retract_all(generator, [link]);
-    }
-
-    /// [`Provenance::retract_attribution`] of every link of `links`, with
-    /// one pass over the generator's list however many links are retracted.
+    /// Retract attributions previously created by [`Provenance::record`]
+    /// or [`Provenance::record_all`] (trust-layer revocation of an admitted
+    /// exploration), with one pass over the generator's list however many
+    /// links are retracted. Only removes a link's entry when it is still
+    /// attributed to exactly `generator`; a link that was rolled back and
+    /// re-attributed in the meantime keeps its new provenance.
     pub fn retract_all(&mut self, generator: StateAction, links: impl IntoIterator<Item = PairId>) {
         let mut retracted = Vec::new();
         for link in links {
@@ -409,6 +404,21 @@ mod tests {
         assert_eq!(p.votes_of(sa(1, 0)), None);
     }
 
+    /// Per-link retraction: the reference [`Provenance::retract_all`] must
+    /// match, one `retain` over the generator's list per link.
+    fn retract_one(p: &mut Provenance, link: PairId, generator: StateAction) {
+        if p.generated_by.get(link) != Some(&generator) {
+            return;
+        }
+        p.generated_by.remove(link);
+        if let Some(links) = p.generated.get_mut(&generator) {
+            links.retain(|&l| l != link);
+            if links.is_empty() {
+                p.generated.remove(&generator);
+            }
+        }
+    }
+
     #[test]
     fn one_pass_retraction_equals_per_link_retraction() {
         // A random log of attributions, rollbacks and restores over a few
@@ -444,7 +454,7 @@ mod tests {
             let retract: Vec<PairId> = (0..next(30)).map(|_| PairId(next(60) as u32)).collect();
             let mut single = p.clone();
             for &link in &retract {
-                single.retract_attribution(link, generator);
+                retract_one(&mut single, link, generator);
             }
             let mut batched = p.clone();
             batched.retract_all(generator, retract.iter().copied());
@@ -466,18 +476,18 @@ mod tests {
     }
 
     #[test]
-    fn retract_attribution_is_exact_and_ownership_checked() {
+    fn retraction_is_exact_and_ownership_checked() {
         let mut p = Provenance::new();
         assert!(p.record(PairId(10), sa(1, 0)));
         assert!(p.record(PairId(11), sa(1, 0)));
         assert!(!p.record(PairId(10), sa(2, 0)), "first writer wins");
         // Wrong generator: refuses (the link is not ours to retract).
-        p.retract_attribution(PairId(10), sa(2, 0));
+        p.retract_all(sa(2, 0), [PairId(10)]);
         assert_eq!(p.generator_of(PairId(10)), Some(sa(1, 0)));
-        p.retract_attribution(PairId(10), sa(1, 0));
+        p.retract_all(sa(1, 0), [PairId(10)]);
         assert_eq!(p.generator_of(PairId(10)), None);
         assert_eq!(p.generated_count(sa(1, 0)), 1);
-        p.retract_attribution(PairId(11), sa(1, 0));
+        p.retract_all(sa(1, 0), [PairId(11)]);
         // Last link gone: the generator entry disappears entirely.
         assert_eq!(p.iter_generated().count(), 0);
     }
