@@ -615,6 +615,7 @@ impl Agent {
         let window = self.generator_window((state, action));
         let slice = self.space.window_slice(window);
         let mut added = BitMask::default();
+        let mut links = Vec::new();
         for (i, &(_, link)) in slice.iter().enumerate() {
             if link == state || self.candidates.contains(link) {
                 continue;
@@ -632,6 +633,7 @@ impl Agent {
             }
             self.candidates.insert(link);
             added.insert(i);
+            links.push((i, link));
             emit!({
                 let (l, r) = self.space.pair(link);
                 Event::LinkAdded {
@@ -640,7 +642,6 @@ impl Agent {
                 }
             });
         }
-        let links = added.positions().map(|i| (i, slice[i].1));
         let attributed = self.provenance.record_all((state, action), links);
         if !added.is_empty() {
             counter!("alex_links_added_total").add(added.len() as u64);

@@ -61,7 +61,6 @@ impl BitMask {
     }
 
     /// Whether position `i` is set.
-    #[inline]
     pub fn contains(&self, i: usize) -> bool {
         self.words
             .get(i / 64)
@@ -76,9 +75,7 @@ impl BitMask {
             .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
-    /// Set position `i`. Exploration calls this once per added link, from
-    /// another module: without the hint, some builds leave it out of line
-    /// and the e2e `durable` episodes run twice as long.
+    /// Set position `i`. Exploration calls this once per added link.
     #[inline]
     pub fn insert(&mut self, i: usize) {
         if self.words.len() <= i / 64 {
@@ -110,7 +107,6 @@ struct Bits(u64);
 impl Iterator for Bits {
     type Item = usize;
 
-    #[inline]
     fn next(&mut self) -> Option<usize> {
         if self.0 == 0 {
             return None;
@@ -122,7 +118,6 @@ impl Iterator for Bits {
 }
 
 impl DoubleEndedIterator for Bits {
-    #[inline]
     fn next_back(&mut self) -> Option<usize> {
         if self.0 == 0 {
             return None;
