@@ -642,7 +642,7 @@ impl Agent {
                 }
             });
         }
-        let attributed = self.provenance.record_all((state, action), links);
+        let attributed = self.provenance.record_all((state, action), &links);
         if !added.is_empty() {
             counter!("alex_links_added_total").add(added.len() as u64);
         }

@@ -53,14 +53,10 @@ impl Provenance {
     /// lookup of the generator's list. `added` pairs each link with its
     /// position in the window; returns the positions whose attribution
     /// this call created.
-    pub fn record_all(
-        &mut self,
-        generator: StateAction,
-        added: impl IntoIterator<Item = (usize, PairId)>,
-    ) -> BitMask {
+    pub fn record_all(&mut self, generator: StateAction, added: &[(usize, PairId)]) -> BitMask {
         let mut attributed = BitMask::default();
         let mut links = Vec::new();
-        for (i, link) in added {
+        for &(i, link) in added {
             if !self.generated_by.contains_key(link) {
                 self.generated_by.insert(link, generator);
                 attributed.insert(i);
@@ -316,7 +312,8 @@ mod tests {
                 .map(|&l| (PairId(l), single.record(PairId(l), *generator)))
                 .collect();
             let added: Vec<PairId> = links.iter().map(|&l| PairId(l)).collect();
-            let attributed = batched.record_all(*generator, added.iter().copied().enumerate());
+            let entries: Vec<(usize, PairId)> = added.iter().copied().enumerate().collect();
+            let attributed = batched.record_all(*generator, &entries);
             let flagged: Vec<(PairId, bool)> = added
                 .iter()
                 .enumerate()
@@ -444,9 +441,10 @@ mod tests {
                         p.restore_generated(generator, links);
                     }
                     _ => {
-                        let links: Vec<PairId> =
-                            (0..next(12)).map(|_| PairId(next(60) as u32)).collect();
-                        p.record_all(generator, links.into_iter().enumerate());
+                        let entries: Vec<(usize, PairId)> = (0..next(12))
+                            .map(|i| (i as usize, PairId(next(60) as u32)))
+                            .collect();
+                        p.record_all(generator, &entries);
                     }
                 }
             }

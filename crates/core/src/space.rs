@@ -481,12 +481,6 @@ impl LinkSpace {
             .unwrap_or(&[])
     }
 
-    /// Whether `window` lies inside the feature's score index.
-    pub fn contains_window(&self, window: Window) -> bool {
-        window.start <= window.end
-            && window.end as usize <= self.feature_index(window.feature).len()
-    }
-
     /// The score index of `feature`: every pair carrying it, sorted by score.
     fn feature_index(&self, feature: FeatureId) -> &[(f64, PairId)] {
         self.by_feature.get(&feature).map_or(&[], Vec::as_slice)

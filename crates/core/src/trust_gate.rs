@@ -86,10 +86,7 @@ impl BitMask {
 
     /// The set positions, ascending.
     pub fn positions(&self) -> impl DoubleEndedIterator<Item = usize> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| Bits(word).map(move |b| w * 64 + b))
+        (0..self.end()).filter(|&i| self.contains(i))
     }
 
     /// The entries of `items` at the set positions, in list order.
@@ -98,33 +95,6 @@ impl BitMask {
         items: &'a [T],
     ) -> impl DoubleEndedIterator<Item = T> + 'a {
         self.positions().filter_map(|i| items.get(i).copied())
-    }
-}
-
-/// The set bits of one word, lowest first.
-struct Bits(u64);
-
-impl Iterator for Bits {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let bit = self.0.trailing_zeros();
-        self.0 &= self.0 - 1;
-        Some(bit as usize)
-    }
-}
-
-impl DoubleEndedIterator for Bits {
-    fn next_back(&mut self) -> Option<usize> {
-        if self.0 == 0 {
-            return None;
-        }
-        let bit = 63 - self.0.leading_zeros();
-        self.0 &= !(1 << bit);
-        Some(bit as usize)
     }
 }
 
@@ -341,7 +311,8 @@ impl AdmissionRecord {
         }
         let lists = std::iter::once(&self.added).chain(rollback.map(|rb| &rb.links));
         for list in lists {
-            if !space.contains_window(list.window) || !list.is_well_formed() {
+            let in_space = space.window_slice(list.window).len() == list.window.len();
+            if !list.is_well_formed() || !in_space {
                 return Err(format!(
                     "persisted footprint window {:?} is outside the rebuilt space; \
                      the state dir does not belong to this run",
