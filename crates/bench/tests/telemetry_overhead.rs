@@ -31,10 +31,7 @@ fn disabled_telemetry_overhead_is_under_two_percent_of_episode_loop() {
     const OPS: u32 = 1_000_000;
     let start = Instant::now();
     for i in 0..OPS {
-        emit!(Event::LinkAdded {
-            left: i as u64,
-            right: i as u64
-        });
+        emit!(Event::EpisodeStart { episode: i as u64 });
         counter!("overhead_test_total").inc();
         alex_telemetry::timeline::instant("overhead_probe");
     }

@@ -8,7 +8,7 @@
 
 use std::collections::HashSet;
 
-use alex_telemetry::{counter, emit, Event};
+use alex_telemetry::{counter, emit, Event, StepWindow};
 use alex_trust::{net_support, SourceId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -241,17 +241,17 @@ impl Agent {
         mut undo: Option<&mut AdmissionRecord>,
     ) -> StepOutcome {
         let mut outcome = StepOutcome::default();
+        // The rest of the step's footprint, for its telemetry record.
+        let (mut explored, mut blacklisted, mut rolled_back) = (None, 0, 0);
         let reward = match feedback {
             Feedback::Positive => self.cfg.positive_reward,
             Feedback::Negative => -self.cfg.negative_penalty,
         };
 
-        // Monte Carlo credit assignment: credit the return to every
-        // state-action pair that led here (lines 13–15). First-visit mode
-        // (the paper's §4.4.1 choice) counts only the first feedback per
-        // state per episode; every-visit mode counts all of them.
-        let credit = self.episode.first_visits.insert(state) || !self.cfg.first_visit_only;
-        if credit {
+        // First-visit Monte Carlo credit assignment (§4.4.1): credit the
+        // return to every state-action pair that led here (lines 13–15),
+        // for the first feedback on this state in the episode only.
+        if self.episode.first_visits.insert(state) {
             for (s, a) in self.provenance.ancestor_chain(state) {
                 self.qvalues.append_return(s, a, reward);
                 self.episode.improvement_states.insert(s);
@@ -282,11 +282,9 @@ impl Agent {
                 let (mut added, mut attributed) = (WindowList::default(), BitMask::default());
                 if let Some(action) = self.policy.choose(state, &actions, &mut self.rng) {
                     counter!("alex_exploration_actions_total").inc();
-                    emit!(Event::ExplorationAction {
-                        action: format!("{action:?}")
-                    });
                     outcome.action = Some(action);
-                    (added, attributed) = self.explore(state, action);
+                    (added, attributed, blacklisted) = self.explore(state, action);
+                    explored = Some(added.window);
                 }
                 outcome.added = added.len();
                 if let Some(u) = undo.as_deref_mut() {
@@ -304,13 +302,6 @@ impl Agent {
                 if removed_candidate {
                     outcome.removed += 1;
                     counter!("alex_links_removed_total").inc();
-                    emit!({
-                        let (l, r) = self.space.pair(state);
-                        Event::LinkRemoved {
-                            left: l as u64,
-                            right: r as u64,
-                        }
-                    });
                 }
                 let was_approved = self.approved.remove(state);
                 let blacklist_added = self.blacklist.add(state);
@@ -330,30 +321,22 @@ impl Agent {
                         let links = self.provenance.take_generated(generator);
                         let mut removed = BitMask::default();
                         for (i, &link) in links.iter().enumerate() {
-                            if self.cfg.rollback_spares_approved && self.approved.contains(link) {
-                                continue;
-                            }
+                            // Links that individually received positive
+                            // feedback are spared: the paper removes "all
+                            // links generated by this state-action pair" but
+                            // means not to discard known-correct ones.
                             // Removed links were not individually judged, so
                             // they are NOT blacklisted — they may be correct
                             // and can be rediscovered by a better action.
-                            if self.candidates.remove(link) {
+                            if !self.approved.contains(link) && self.candidates.remove(link) {
                                 removed.insert(i);
-                                emit!({
-                                    let (l, r) = self.space.pair(link);
-                                    Event::LinkRemoved {
-                                        left: l as u64,
-                                        right: r as u64,
-                                    }
-                                });
                             }
                         }
-                        outcome.removed += removed.len();
-                        if !removed.is_empty() {
-                            counter!("alex_links_removed_total").add(removed.len() as u64);
+                        rolled_back = removed.len();
+                        outcome.removed += rolled_back;
+                        if rolled_back > 0 {
+                            counter!("alex_links_removed_total").add(rolled_back as u64);
                         }
-                        emit!(Event::Rollback {
-                            removed: removed.len() as u64
-                        });
                         if undo.is_some() {
                             let window = self.generator_window(generator);
                             let Some(links) = WindowList::of_links(&self.space, window, &links)
@@ -378,10 +361,22 @@ impl Agent {
                 }
             }
         }
-        emit!(Event::FeedbackApplied {
-            positive: feedback == Feedback::Positive,
-            added: outcome.added as u64,
-            removed: outcome.removed as u64,
+        emit!({
+            let (left, right) = self.space.pair(state);
+            Event::FeedbackApplied {
+                left: u64::from(left),
+                right: u64::from(right),
+                positive: feedback == Feedback::Positive,
+                window: explored.map(|w| StepWindow {
+                    feature: u64::from(w.feature.0),
+                    start: u64::from(w.start),
+                    end: u64::from(w.end),
+                }),
+                added: outcome.added as u64,
+                removed: outcome.removed as u64,
+                blacklisted: blacklisted as u64,
+                rolled_back: rolled_back as u64,
+            }
         });
         outcome
     }
@@ -609,46 +604,37 @@ impl Agent {
 
     /// Execute the chosen exploration action: add every link whose score for
     /// `action` lies within ±step of this state's score (§4.2). Returns the
-    /// added links, one segment of the exploration window, and the window
-    /// positions among them whose provenance attribution this call created.
-    fn explore(&mut self, state: PairId, action: FeatureId) -> (WindowList, BitMask) {
+    /// added links, one segment of the exploration window, the window
+    /// positions among them whose provenance attribution this call created,
+    /// and the number of window links the blacklist kept out.
+    fn explore(&mut self, state: PairId, action: FeatureId) -> (WindowList, BitMask, usize) {
         let window = self.generator_window((state, action));
         let slice = self.space.window_slice(window);
         let mut added = BitMask::default();
         let mut links = Vec::new();
+        let mut blacklisted = 0;
         for (i, &(_, link)) in slice.iter().enumerate() {
             if link == state || self.candidates.contains(link) {
                 continue;
             }
             if self.blacklist.blocks(link) {
-                counter!("alex_blacklist_hits_total").inc();
-                emit!({
-                    let (l, r) = self.space.pair(link);
-                    Event::BlacklistHit {
-                        left: l as u64,
-                        right: r as u64,
-                    }
-                });
+                blacklisted += 1;
                 continue;
             }
             self.candidates.insert(link);
             added.insert(i);
             links.push((i, link));
-            emit!({
-                let (l, r) = self.space.pair(link);
-                Event::LinkAdded {
-                    left: l as u64,
-                    right: r as u64,
-                }
-            });
         }
         let attributed = self.provenance.record_all((state, action), &links);
         if !added.is_empty() {
             counter!("alex_links_added_total").add(added.len() as u64);
         }
+        if blacklisted > 0 {
+            counter!("alex_blacklist_hits_total").add(blacklisted as u64);
+        }
         let mut list = WindowList::new(window);
         list.push(added);
-        (list, attributed)
+        (list, attributed, blacklisted)
     }
 
     /// Whether `link` lies in the exploration window of `generator`
@@ -738,10 +724,6 @@ impl Agent {
         let id = self.space.ensure_pair(pair.0, pair.1);
         if feedback == Feedback::Positive && self.candidates.insert(id) {
             counter!("alex_links_added_total").inc();
-            emit!(Event::LinkAdded {
-                left: pair.0 as u64,
-                right: pair.1 as u64
-            });
         }
         self.process_feedback(id, feedback)
     }
@@ -1025,32 +1007,6 @@ mod tests {
         // via positive feedback path.
         let child_pair = agent.space().pair(child);
         agent.feedback_on_pair(child_pair, Feedback::Positive);
-        assert_eq!(agent.qvalues().observations(s0, action), before + 2);
-    }
-
-    #[test]
-    fn every_visit_mode_credits_repeat_visits() {
-        let cfg = AlexConfig {
-            first_visit_only: false,
-            ..AlexConfig::default()
-        };
-        let mut agent = Agent::new(build_space(), &[(0, 0)], cfg);
-        let s0 = agent.space().id_of(0, 0).unwrap();
-        let mut action = None;
-        let mut child = None;
-        for _ in 0..10 {
-            let out = agent.process_feedback(s0, Feedback::Positive);
-            if out.added > 0 {
-                action = out.action;
-                child = agent.candidates().iter().find(|&id| id != s0);
-                break;
-            }
-        }
-        let (action, child) = (action.expect("explored"), child.expect("child"));
-        let before = agent.qvalues().observations(s0, action);
-        agent.process_feedback(child, Feedback::Positive);
-        agent.process_feedback(child, Feedback::Positive);
-        // Every-visit: BOTH visits in the same episode append a return.
         assert_eq!(agent.qvalues().observations(s0, action), before + 2);
     }
 

@@ -31,12 +31,6 @@ pub struct AlexConfig {
     /// Number of negative feedback items on links generated by one
     /// state-action pair before its links are rolled back.
     pub rollback_threshold: u32,
-    /// Whether rollback spares links that individually received positive
-    /// feedback. The paper removes "all links generated by this state-action
-    /// pair" but only blacklists those with explicit negative feedback;
-    /// sparing approved links is the variant that matches its intent of not
-    /// discarding known-correct links. Default: true.
-    pub rollback_spares_approved: bool,
     /// Maximum number of policy-evaluation/improvement iterations; the paper
     /// caps at 100 (§7.3, Fig. 7a).
     pub max_episodes: usize,
@@ -49,11 +43,6 @@ pub struct AlexConfig {
     /// episode is only recorded and the run continues to strict convergence
     /// or the episode cap.
     pub stop_on_relaxed: bool,
-    /// Use first-visit Monte Carlo credit assignment (§4.4.1, the paper's
-    /// choice). When false, *every* visit within an episode appends a
-    /// return — the classic every-visit MC variant, provided as an
-    /// ablation; both converge asymptotically [Singh & Sutton 1996].
-    pub first_visit_only: bool,
     /// RNG seed for the stochastic policy.
     pub seed: u64,
     /// Trust-weighted feedback admission (the adversarial-feedback defense).
@@ -79,11 +68,9 @@ impl Default for AlexConfig {
             use_blacklist: true,
             use_rollback: true,
             rollback_threshold: 3,
-            rollback_spares_approved: true,
             max_episodes: 100,
             relaxed_convergence_frac: 0.05,
             stop_on_relaxed: false,
-            first_visit_only: true,
             seed: 42,
             trust: None,
         }

@@ -482,6 +482,9 @@ fn note_episode(
         trust_cascades: total.cascades as u64,
         degraded,
     });
+    // Flush at every episode end: a run killed at a commit boundary keeps
+    // the records of every episode it committed.
+    alex_telemetry::global().events().flush();
 
     let cfg = parts[0].agent.config();
     if st.relaxed_converged_at.is_none() && change_frac < cfg.relaxed_convergence_frac {

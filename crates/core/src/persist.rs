@@ -192,11 +192,14 @@ pub fn config_fingerprint(cfg: &AlexConfig, theta: f64) -> u64 {
     fnv_mix(&mut h, u64::from(cfg.use_blacklist));
     fnv_mix(&mut h, u64::from(cfg.use_rollback));
     fnv_mix(&mut h, u64::from(cfg.rollback_threshold));
-    fnv_mix(&mut h, u64::from(cfg.rollback_spares_approved));
+    // Rollback spares approved links: a setting no more, its bit stays so
+    // that existing state dirs keep their fingerprint.
+    fnv_mix(&mut h, 1);
     fnv_mix(&mut h, cfg.max_episodes as u64);
     fnv_mix(&mut h, cfg.relaxed_convergence_frac.to_bits());
     fnv_mix(&mut h, u64::from(cfg.stop_on_relaxed));
-    fnv_mix(&mut h, u64::from(cfg.first_visit_only));
+    // First-visit credit assignment: likewise.
+    fnv_mix(&mut h, 1);
     fnv_mix(&mut h, cfg.seed);
     match &cfg.trust {
         None => fnv_mix(&mut h, 0),

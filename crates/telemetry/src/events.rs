@@ -14,6 +14,29 @@ use std::sync::{Mutex, RwLock};
 
 use crate::json::{parse_object, JsonValue, ObjectWriter};
 
+/// An exploration window as a feedback step records it: positions
+/// `start..end` of the pairs sorted by their score for `feature`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepWindow {
+    /// Dense id of the feature whose score index the window slices.
+    pub feature: u64,
+    /// First position in the window.
+    pub start: u64,
+    /// One past the last position in the window.
+    pub end: u64,
+}
+
+/// Event kinds of older logs that this build no longer writes: the agent's
+/// per-link and per-action events, whose content `feedback_applied` now
+/// carries. [`Event::parse`] skips them.
+const REMOVED_KINDS: [&str; 5] = [
+    "exploration_action",
+    "link_added",
+    "link_removed",
+    "blacklist_hit",
+    "rollback",
+];
+
 /// One telemetry event. Every variant serializes to a flat JSON object
 /// with a `type` discriminator field.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,45 +80,26 @@ pub enum Event {
         /// degraded by the run supervisor.
         degraded: bool,
     },
-    /// One feedback item was applied by the agent.
+    /// One feedback item was applied by the agent: the step's whole
+    /// footprint, in one record per applied step.
     FeedbackApplied {
+        /// Left entity id of the judged link (dense id within its data set).
+        left: u64,
+        /// Right entity id of the judged link.
+        right: u64,
         /// Whether the feedback was positive.
         positive: bool,
+        /// The exploration window of the action the step took; `None` when
+        /// it took none.
+        window: Option<StepWindow>,
         /// Links the step added.
         added: u64,
-        /// Links the step removed.
+        /// Links the step removed: the judged link and any rollback victims.
         removed: u64,
-    },
-    /// The policy chose an exploration action.
-    ExplorationAction {
-        /// Debug rendering of the chosen action.
-        action: String,
-    },
-    /// A link entered the candidate set.
-    LinkAdded {
-        /// Left entity id (dense id within its data set).
-        left: u64,
-        /// Right entity id.
-        right: u64,
-    },
-    /// A link left the candidate set.
-    LinkRemoved {
-        /// Left entity id.
-        left: u64,
-        /// Right entity id.
-        right: u64,
-    },
-    /// Exploration proposed a link the blacklist rejected.
-    BlacklistHit {
-        /// Left entity id.
-        left: u64,
-        /// Right entity id.
-        right: u64,
-    },
-    /// Negative feedback rolled back generated links.
-    Rollback {
-        /// Links removed by the rollback.
-        removed: u64,
+        /// Window links the blacklist kept out of the candidate set.
+        blacklisted: u64,
+        /// Links a rollback removed (counted in `removed` too).
+        rolled_back: u64,
     },
     /// A federated query finished executing.
     FederatedQuery {
@@ -185,11 +189,6 @@ impl Event {
             Event::EpisodeStart { .. } => "episode_start",
             Event::EpisodeEnd { .. } => "episode_end",
             Event::FeedbackApplied { .. } => "feedback_applied",
-            Event::ExplorationAction { .. } => "exploration_action",
-            Event::LinkAdded { .. } => "link_added",
-            Event::LinkRemoved { .. } => "link_removed",
-            Event::BlacklistHit { .. } => "blacklist_hit",
-            Event::Rollback { .. } => "rollback",
             Event::FederatedQuery { .. } => "federated_query",
             Event::EndpointBatch { .. } => "endpoint_batch",
             Event::ParisIteration { .. } => "paris_iteration",
@@ -236,24 +235,27 @@ impl Event {
                     .bool("degraded", *degraded);
             }
             Event::FeedbackApplied {
+                left,
+                right,
                 positive,
+                window,
                 added,
                 removed,
+                blacklisted,
+                rolled_back,
             } => {
-                w.bool("positive", *positive)
-                    .u64("added", *added)
-                    .u64("removed", *removed);
-            }
-            Event::ExplorationAction { action } => {
-                w.str("action", action);
-            }
-            Event::LinkAdded { left, right }
-            | Event::LinkRemoved { left, right }
-            | Event::BlacklistHit { left, right } => {
-                w.u64("left", *left).u64("right", *right);
-            }
-            Event::Rollback { removed } => {
-                w.u64("removed", *removed);
+                w.u64("left", *left)
+                    .u64("right", *right)
+                    .bool("positive", *positive);
+                if let Some(win) = window {
+                    w.u64("feature", win.feature)
+                        .u64("start", win.start)
+                        .u64("end", win.end);
+                }
+                w.u64("added", *added)
+                    .u64("removed", *removed)
+                    .u64("blacklisted", *blacklisted)
+                    .u64("rolled_back", *rolled_back);
             }
             Event::FederatedQuery {
                 patterns,
@@ -331,9 +333,11 @@ impl Event {
     }
 
     /// Parse one JSONL line back into an event (inverse of [`to_json`]).
+    /// `Ok(None)` for a kind this build no longer writes (the agent's old
+    /// per-link and per-action events), so older logs still read.
     ///
     /// [`to_json`]: Event::to_json
-    pub fn parse(line: &str) -> Result<Event, String> {
+    pub fn parse(line: &str) -> Result<Option<Event>, String> {
         let map = parse_object(line)?;
         let kind = map
             .get("type")
@@ -355,11 +359,21 @@ impl Event {
                 .map(str::to_string)
                 .ok_or_else(|| format!("{kind}: missing string field {field:?}"))
         };
-        match kind {
-            "episode_start" => Ok(Event::EpisodeStart {
+        let get_bool = |field: &str| -> Result<bool, String> {
+            map.get(field)
+                .and_then(JsonValue::as_bool)
+                .ok_or_else(|| format!("{kind}: missing bool field {field:?}"))
+        };
+        // Fields that postdate a kind's schema: logs written before they
+        // existed parse as zero or false rather than erroring.
+        let u64_or_0 = |field: &str| map.get(field).and_then(JsonValue::as_u64).unwrap_or(0);
+        let bool_or_false =
+            |field: &str| map.get(field).and_then(JsonValue::as_bool).unwrap_or(false);
+        let event = match kind {
+            "episode_start" => Event::EpisodeStart {
                 episode: get_u64("episode")?,
-            }),
-            "episode_end" => Ok(Event::EpisodeEnd {
+            },
+            "episode_end" => Event::EpisodeEnd {
                 episode: get_u64("episode")?,
                 precision: get_f64("precision")?,
                 recall: get_f64("recall")?,
@@ -369,101 +383,56 @@ impl Event {
                 rollbacks: get_u64("rollbacks")?,
                 threads: get_u64("threads")?,
                 duration_us: get_u64("duration_us")?,
-                // Absent in logs written before durable runs existed.
-                recovered_from: map
-                    .get("recovered_from")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                // Absent in logs written before trust admission existed.
-                trust_admitted: map
-                    .get("trust_admitted")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                trust_deferred: map
-                    .get("trust_deferred")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                trust_cascades: map
-                    .get("trust_cascades")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                // Absent in logs written before run supervision existed.
-                degraded: map
-                    .get("degraded")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-            }),
-            "feedback_applied" => Ok(Event::FeedbackApplied {
-                positive: map
-                    .get("positive")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("feedback_applied: missing bool field \"positive\"")?,
+                // Durable runs, trust admission and run supervision.
+                recovered_from: u64_or_0("recovered_from"),
+                trust_admitted: u64_or_0("trust_admitted"),
+                trust_deferred: u64_or_0("trust_deferred"),
+                trust_cascades: u64_or_0("trust_cascades"),
+                degraded: bool_or_false("degraded"),
+            },
+            "feedback_applied" => Event::FeedbackApplied {
+                // The step footprint: the judged link, the window and the
+                // blacklist and rollback counts.
+                left: u64_or_0("left"),
+                right: u64_or_0("right"),
+                positive: get_bool("positive")?,
+                window: match map.get("feature") {
+                    None => None,
+                    Some(_) => Some(StepWindow {
+                        feature: get_u64("feature")?,
+                        start: get_u64("start")?,
+                        end: get_u64("end")?,
+                    }),
+                },
                 added: get_u64("added")?,
                 removed: get_u64("removed")?,
-            }),
-            "exploration_action" => Ok(Event::ExplorationAction {
-                action: get_str("action")?,
-            }),
-            "link_added" => Ok(Event::LinkAdded {
-                left: get_u64("left")?,
-                right: get_u64("right")?,
-            }),
-            "link_removed" => Ok(Event::LinkRemoved {
-                left: get_u64("left")?,
-                right: get_u64("right")?,
-            }),
-            "blacklist_hit" => Ok(Event::BlacklistHit {
-                left: get_u64("left")?,
-                right: get_u64("right")?,
-            }),
-            "rollback" => Ok(Event::Rollback {
-                removed: get_u64("removed")?,
-            }),
-            "federated_query" => Ok(Event::FederatedQuery {
+                blacklisted: u64_or_0("blacklisted"),
+                rolled_back: u64_or_0("rolled_back"),
+            },
+            "federated_query" => Event::FederatedQuery {
                 patterns: get_u64("patterns")?,
                 answers: get_u64("answers")?,
                 provenance_answers: get_u64("provenance_answers")?,
                 probes: get_u64("probes")?,
-                // Catalog/rewrite fields postdate the schema; logs written
-                // before they existed parse as "no pruning, no rewriting".
-                pruned_probes: map
-                    .get("pruned_probes")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
+                // The catalog: no pruning.
+                pruned_probes: u64_or_0("pruned_probes"),
                 bound_join_iterations: get_u64("bound_join_iterations")?,
                 sameas_expansions: get_u64("sameas_expansions")?,
                 retries: get_u64("retries")?,
-                // Request fields postdate the schema; older logs parse as
-                // "no requests recorded".
-                requests: map.get("requests").and_then(JsonValue::as_u64).unwrap_or(0),
-                request_probes: map
-                    .get("request_probes")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
+                // Batched requests: none recorded.
+                requests: u64_or_0("requests"),
+                request_probes: u64_or_0("request_probes"),
                 skipped_sources: get_u64("skipped_sources")?,
-                // Cache fields postdate the schema; logs written before
-                // they existed parse as "cache off" rather than erroring.
-                cache: map
-                    .get("cache")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-                cache_hits: map
-                    .get("cache_hits")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                cache_misses: map
-                    .get("cache_misses")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
-                catalog: map
-                    .get("catalog")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-                rewrites: map.get("rewrites").and_then(JsonValue::as_u64).unwrap_or(0),
+                // The answer cache, the catalog and rewriting: all off.
+                cache: bool_or_false("cache"),
+                cache_hits: u64_or_0("cache_hits"),
+                cache_misses: u64_or_0("cache_misses"),
+                catalog: bool_or_false("catalog"),
+                rewrites: u64_or_0("rewrites"),
                 threads: get_u64("threads")?,
                 duration_us: get_u64("duration_us")?,
-            }),
-            "endpoint_batch" => Ok(Event::EndpointBatch {
+            },
+            "endpoint_batch" => Event::EndpointBatch {
                 endpoint: get_str("endpoint")?,
                 jobs: get_u64("jobs")?,
                 duration_us: get_u64("duration_us")?,
@@ -471,26 +440,19 @@ impl Event {
                 circuit_opens: get_u64("circuit_opens")?,
                 circuit_rejections: get_u64("circuit_rejections")?,
                 failures: get_u64("failures")?,
-                skipped: map
-                    .get("skipped")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-                cache_hit: map
-                    .get("cache_hit")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-                pruned: map
-                    .get("pruned")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-            }),
-            "paris_iteration" => Ok(Event::ParisIteration {
+                skipped: bool_or_false("skipped"),
+                cache_hit: bool_or_false("cache_hit"),
+                pruned: bool_or_false("pruned"),
+            },
+            "paris_iteration" => Event::ParisIteration {
                 iteration: get_u64("iteration")?,
                 matches: get_u64("matches")?,
                 duration_us: get_u64("duration_us")?,
-            }),
-            other => Err(format!("unknown event type {other:?}")),
-        }
+            },
+            removed if REMOVED_KINDS.contains(&removed) => return Ok(None),
+            other => return Err(format!("unknown event type {other:?}")),
+        };
+        Ok(Some(event))
     }
 }
 

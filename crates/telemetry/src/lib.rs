@@ -45,7 +45,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use attribution::{attribute, Attribution};
-pub use events::{Event, EventLog, EventSink, JsonlFileSink, MemorySink};
+pub use events::{Event, EventLog, EventSink, JsonlFileSink, MemorySink, StepWindow};
 pub use metrics::{Counter, MetricsRegistry};
 pub use report::RunReport;
 pub use spans::{span, ContextGuard, SpanContext, SpanGuard, SpanRegistry, SpanStats};

@@ -170,7 +170,8 @@ pub struct RunReport {
     pub paris_iterations: u64,
     /// Match pairs after the last PARIS iteration seen.
     pub paris_final_matches: u64,
-    /// Blacklist rejections.
+    /// Blacklist rejections: window links the blacklist kept out, summed
+    /// over the `feedback_applied` records.
     pub blacklist_hits: u64,
     /// Metrics-dump values keyed by `name{labels}` (empty unless
     /// [`add_metrics_dump`](RunReport::add_metrics_dump) was called).
@@ -269,7 +270,7 @@ impl RunReport {
                     self.paris_iterations += 1;
                     self.paris_final_matches = *matches;
                 }
-                Event::BlacklistHit { .. } => self.blacklist_hits += 1,
+                Event::FeedbackApplied { blacklisted, .. } => self.blacklist_hits += blacklisted,
                 _ => {}
             }
         }

@@ -220,6 +220,20 @@ for dir in gated-ref4 gated-cut; do
     || { echo "kill-and-resume smoke: $dir final snapshot differs from the --threads 1 reference" >&2; exit 1; }
 done
 echo "gated final snapshot byte-identical at --threads 1 and 4 and after resume ($(wc -c < "$ref_snap") bytes)"
+# Telemetry on: the same links, only the current event kinds (one
+# feedback_applied record per applied step, no per-link events), and a
+# log and metrics dump that `alex report` reads.
+gated --state-dir "$SMOKE/gated-tel" --out "$SMOKE/gated-tel.nt" --threads 1 \
+  --telemetry "$SMOKE/gated.jsonl" --metrics-dump "$SMOKE/gated.prom"
+cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-tel.nt" \
+  || { echo "telemetry smoke: links differ with --telemetry on" >&2; exit 1; }
+if grep -Eq '"type":"(link_added|link_removed|blacklist_hit|exploration_action|rollback)"' \
+  "$SMOKE/gated.jsonl"; then
+  echo "telemetry smoke: the log holds a removed event kind" >&2
+  exit 1
+fi
+"$ALEX" report "$SMOKE/gated.jsonl" --metrics "$SMOKE/gated.prom" > /dev/null
+echo "telemetry smoke: links identical, $(wc -l < "$SMOKE/gated.jsonl") event lines, report ok"
 
 echo "==> trace-schema smoke (--trace under --threads 1 and 4, oracle and query feedback, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E

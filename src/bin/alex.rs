@@ -50,10 +50,7 @@ fn main() -> ExitCode {
         Some("improve") => cmd_improve(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        Some("help") | Some("--help") | Some("-h") | None => print_out(USAGE),
         Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
     };
     match result {
@@ -649,11 +646,28 @@ fn write_or_print(out: Option<&str>, content: &str) -> Result<(), String> {
             eprintln!("wrote {path}");
             Ok(())
         }
-        None => {
-            print!("{content}");
-            Ok(())
-        }
+        None => print_out(content),
     }
+}
+
+/// Write `text` to stdout. A reader that closed the pipe early (`alex
+/// report LOG | head -1`) already has what it wanted, so that is not an
+/// error, where `print!` would panic.
+fn print_out(text: &str) -> Result<(), String> {
+    use std::io::Write;
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`print_out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        print_out(&format!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 /// Observability flags shared by `link`, `improve`, and `query`: attach
@@ -970,23 +984,26 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     }
     let detailed = flag(&flags, "detail").is_some();
     if !detailed {
-        println!(
+        outln!(
             "{:<28} {:>9} {:>9} {:>11}",
-            "file", "triples", "entities", "predicates"
-        );
+            "file",
+            "triples",
+            "entities",
+            "predicates"
+        )?;
     }
     for f in &files {
         let ds = load_dataset(f)?;
         if detailed {
-            print!("{}", alex::rdf::DatasetStats::of(&ds).report(&ds));
+            print_out(&alex::rdf::DatasetStats::of(&ds).report(&ds))?;
         } else {
-            println!(
+            outln!(
                 "{:<28} {:>9} {:>9} {:>11}",
                 f,
                 ds.len(),
                 ds.entities().count(),
                 ds.graph().predicates().count()
-            );
+            )?;
         }
     }
     Ok(())
@@ -1075,23 +1092,25 @@ fn term_pairs(left: &Dataset, right: &Dataset, set: &SameAsLinks) -> Vec<(Term, 
 }
 
 /// Print the initial and per-episode quality and the stop line.
-fn print_run(report: &RunReport) {
+fn print_run(report: &RunReport) -> Result<(), String> {
     let print_q = |tag: &str, q: Quality| {
-        println!(
+        outln!(
             "{tag:>8}  P {:.3}  R {:.3}  F {:.3}",
-            q.precision, q.recall, q.f_measure
-        );
+            q.precision,
+            q.recall,
+            q.f_measure
+        )
     };
-    print_q("initial", report.initial_quality);
+    print_q("initial", report.initial_quality)?;
     for e in &report.episodes {
-        print_q(&format!("ep {}", e.episode), e.quality);
+        print_q(&format!("ep {}", e.episode), e.quality)?;
     }
-    println!(
+    outln!(
         "stopped: {:?} after {} episodes ({:.2?})",
         report.stop,
         report.episodes.len(),
         report.total_duration
-    );
+    )
 }
 
 /// Write the improved links to `--out`, when given.
@@ -1314,7 +1333,7 @@ fn improve(
     if let Some(sup) = &supervisor {
         print_supervision(sup, &report);
     }
-    print_run(&report);
+    print_run(&report)?;
     if report.withheld_judgments > 0 {
         eprintln!(
             "{} judgment(s) withheld because queries degraded (skipped sources)",
@@ -1381,7 +1400,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
     if query.kind == alex::sparql::QueryKind::Ask {
         let answer = engine.ask(&query).map_err(|e| format!("evaluation: {e}"))?;
-        println!("{answer}");
+        outln!("{answer}")?;
         return telemetry.finish();
     }
     let result = if flag(&flags, "rewrite-sameas").is_some() {
@@ -1399,7 +1418,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
     let answers = result.answers;
     let vars = query.projection();
-    println!("{}", vars.join("\t"));
+    outln!("{}", vars.join("\t"))?;
     for a in &answers {
         let row: Vec<String> = vars
             .iter()
@@ -1411,14 +1430,14 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             })
             .collect();
         if a.links_used.is_empty() {
-            println!("{}", row.join("\t"));
+            outln!("{}", row.join("\t"))?;
         } else {
             let prov: Vec<String> = a
                 .links_used
                 .iter()
                 .map(|l| format!("{} sameAs {}", l.left, l.right))
                 .collect();
-            println!("{}\t# via {}", row.join("\t"), prov.join("; "));
+            outln!("{}\t# via {}", row.join("\t"), prov.join("; "))?;
         }
     }
     eprintln!("{} answer(s)", answers.len());
@@ -1478,7 +1497,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let check = alex::telemetry::validate_chrome_trace(&json)
             .map_err(|e| format!("{path}: invalid trace: {e}"))?;
-        println!(
+        outln!(
             "trace {path} ok: {} thread(s), {} event(s), {} span(s) \
              ({} dispatch, {} chunk), pools [{}]",
             check.threads,
@@ -1487,7 +1506,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             check.dispatch_spans,
             check.chunk_spans,
             check.pools.join(", ")
-        );
+        )?;
     }
     if opts.logs.is_empty() {
         return Ok(());
@@ -1502,9 +1521,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
             if line.trim().is_empty() {
                 continue;
             }
-            events.push(
-                alex::telemetry::Event::parse(line).map_err(|e| format!("{log}:{}: {e}", n + 1))?,
-            );
+            let event =
+                alex::telemetry::Event::parse(line).map_err(|e| format!("{log}:{}: {e}", n + 1))?;
+            events.extend(event);
         }
         report.add_events(&events);
     }
@@ -1519,10 +1538,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {out}");
     }
     match opts.format {
-        ReportFormat::Json => println!("{}", report.to_json()),
-        ReportFormat::Table => print!("{}", report.render_table()),
+        ReportFormat::Json => outln!("{}", report.to_json()),
+        ReportFormat::Table => print_out(&report.render_table()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -414,11 +414,14 @@ fn improve_telemetry_outputs_reconcile() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stderr}");
 
-    // Every JSONL line parses back into a typed event.
+    // Every JSONL line parses back into a typed event of a current kind.
     let jsonl = std::fs::read_to_string(p("events.jsonl")).expect("telemetry written");
     let events: Vec<Event> = jsonl
         .lines()
-        .map(|l| Event::parse(l).unwrap_or_else(|e| panic!("bad event line {l:?}: {e}")))
+        .map(|l| match Event::parse(l) {
+            Ok(Some(event)) => event,
+            other => panic!("bad event line {l:?}: {other:?}"),
+        })
         .collect();
     assert!(!events.is_empty());
 
@@ -471,6 +474,16 @@ fn improve_telemetry_outputs_reconcile() {
         "removed counter vs episode events\n{prom}"
     );
 
+    // The per-step records add up to the episode totals.
+    let (mut step_added, mut step_removed) = (0u64, 0u64);
+    for e in &events {
+        if let Event::FeedbackApplied { added, removed, .. } = e {
+            step_added += added;
+            step_removed += removed;
+        }
+    }
+    assert_eq!((step_added, step_removed), (ev_added, ev_removed));
+
     // ...and with the candidate-set delta: final = initial + added - removed.
     let initial_usable: u64 = stderr
         .lines()
@@ -498,6 +511,78 @@ fn improve_telemetry_outputs_reconcile() {
         "span summary on stderr:\n{stderr}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run SIGKILLed at its K-th episode commit (`--kill-after K`) leaves an
+/// event log holding `episode_end` for every episode 1..=K: the log is
+/// flushed at each episode end, not only when the run finishes.
+#[test]
+fn killed_run_log_holds_every_committed_episode() {
+    use alex::telemetry::Event;
+
+    let dir = nba_dir("killed-log");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = improve_nba(
+        &dir,
+        &[
+            "--episodes",
+            "6",
+            "--episode-size",
+            "30",
+            "--error-rate",
+            "0.1",
+            "--state-dir",
+            &p("state"),
+            "--kill-after",
+            "3",
+            "--telemetry",
+            &p("events.jsonl"),
+        ],
+    );
+    assert!(!out.status.success(), "the run must die at --kill-after");
+    let jsonl = std::fs::read_to_string(p("events.jsonl")).expect("telemetry written");
+    let ended: Vec<u64> = jsonl
+        .lines()
+        .filter_map(|l| match Event::parse(l) {
+            Ok(Some(Event::EpisodeEnd { episode, .. })) => Some(episode),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ended, [1, 2, 3], "{jsonl}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `alex report LOG | head -1`: a reader that closes stdout early ends the
+/// output quietly; the command must not panic on the broken pipe.
+#[test]
+fn report_into_a_closed_pipe_does_not_panic() {
+    let dir = workdir("closed-pipe");
+    // More table than a pipe buffer holds, so the report meets the closed
+    // pipe whether it writes before or after the reader goes away.
+    let log: String = (1..=3000)
+        .map(|ep| {
+            format!(
+                "{{\"type\":\"episode_end\",\"episode\":{ep},\"precision\":0.5,\
+                 \"recall\":0.5,\"f_measure\":0.5,\"added\":1,\"removed\":1,\
+                 \"rollbacks\":0,\"threads\":1,\"duration_us\":10}}\n"
+            )
+        })
+        .collect();
+    let path = dir.join("events.jsonl");
+    std::fs::write(&path, log).expect("write log");
+    let mut child = alex()
+        .arg("report")
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn report");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

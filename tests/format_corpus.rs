@@ -1,5 +1,6 @@
 //! The persisted-format corpus: state dirs checked in under
-//! `tests/corpus/`, one directory per format version (see its README).
+//! `tests/corpus/`, one directory per format version, and the telemetry
+//! outputs of one run under `tests/corpus/telemetry/` (see its README).
 //!
 //! Each state dir was written by a release build of that format from the
 //! inputs regenerated here (`alex gen --pair dbpedia-nba-nytimes --seed 7`
@@ -8,6 +9,10 @@
 //! format (5) resumes to the final links pinned when the corpus was
 //! written; a dir of another format (4) is rejected with an error naming
 //! both versions. Both formats' runs end on the same links.
+//!
+//! The telemetry files come from the uninterrupted gated run. `alex
+//! report` must turn its event log and metrics dump into the pinned JSON
+//! and accept its trace.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -202,4 +207,52 @@ fn v4_state_dirs_are_rejected_naming_both_versions() {
         );
     }
     let _ = std::fs::remove_dir_all(&work);
+}
+
+/// The checked-in telemetry corpus file `name`.
+fn telemetry_file(name: &str) -> String {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/corpus/telemetry")
+        .join(name)
+        .to_string_lossy()
+        .into_owned()
+}
+
+#[test]
+fn telemetry_corpus_reports_the_pinned_json() {
+    let out = alex(&[
+        "report",
+        &telemetry_file("events.jsonl"),
+        "--metrics",
+        &telemetry_file("metrics.prom"),
+        "--format",
+        "json",
+    ]);
+    check(&out, "alex report");
+    let pinned = std::fs::read_to_string(telemetry_file("report.json")).expect("pinned report");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), pinned);
+}
+
+#[test]
+fn telemetry_corpus_trace_passes_the_check() {
+    let out = alex(&["report", "--check-trace", &telemetry_file("trace.json")]);
+    check(&out, "alex report --check-trace");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("ok: 1 thread(s)"), "{stdout}");
+}
+
+/// Logs written before `feedback_applied` carried the step footprint hold
+/// per-link and per-action events; each kind parses as skipped, not as an
+/// error. The lines are from such a log.
+#[test]
+fn removed_event_kinds_parse_as_skipped() {
+    for line in [
+        r#"{"type":"exploration_action","action":"FeatureId(3)"}"#,
+        r#"{"type":"link_added","left":3,"right":3}"#,
+        r#"{"type":"link_removed","left":1599,"right":817}"#,
+        r#"{"type":"blacklist_hit","left":408,"right":8}"#,
+        r#"{"type":"rollback","removed":9763}"#,
+    ] {
+        assert_eq!(alex::telemetry::Event::parse(line), Ok(None), "{line}");
+    }
 }
