@@ -42,10 +42,6 @@ pub struct QueryFeedback {
     degraded: usize,
     /// Round-robin position in the workload.
     cursor: usize,
-    /// Execute queries through the explicit sameAs-closure rewrite
-    /// (`rewrite_sameas` + `execute_rewritten`) instead of relying on the
-    /// executor's implicit probe-time expansion alone.
-    rewrite_sameas: bool,
     /// The candidate pairs the engine's link index holds, sorted: what
     /// the last refill synced. The source owns the index, so the next
     /// refill diffs ids against this.
@@ -86,18 +82,9 @@ impl QueryFeedback {
             pending: VecDeque::new(),
             degraded: 0,
             cursor: 0,
-            rewrite_sameas: false,
             synced: Vec::new(),
             synced_generation,
         }
-    }
-
-    /// Toggle sameAs-closure query rewriting: each workload query is
-    /// rewritten against the engine's current closure immediately before
-    /// execution (so the rewrite is never stale) and run through
-    /// [`FederatedEngine::execute_rewritten`].
-    pub fn set_rewrite_sameas(&mut self, enabled: bool) {
-        self.rewrite_sameas = enabled;
     }
 
     /// Number of queries in the workload.
@@ -172,15 +159,7 @@ impl QueryFeedback {
         for _ in 0..self.queries.len() {
             let query = &self.queries[self.cursor % self.queries.len()];
             self.cursor += 1;
-            let result = if self.rewrite_sameas {
-                // Rewritten against the closure just synced above, executed
-                // before any further mutation — freshness by construction.
-                let rewritten = self.engine.rewrite(query);
-                self.engine.execute_rewritten(&rewritten)
-            } else {
-                self.engine.execute_full(query)
-            };
-            match result {
+            match self.engine.execute_full(query) {
                 Ok(result) => {
                     for answer in &result.answers {
                         if answer.links_used.is_empty() {
@@ -293,9 +272,7 @@ pub fn workload_from_links(
 /// so without the `(left, right)` link in the engine's closure the query
 /// returns nothing, and with it every answer carries link provenance.
 /// This is the workload the recall experiments use: answer recall tracks
-/// closure convergence directly. Constant-IRI anchors also make these
-/// queries rewritable (the literal-anchored [`workload_from_links`] shape
-/// passes through [`FederatedEngine::rewrite`] unchanged).
+/// closure convergence directly.
 pub fn workload_requiring_links(
     right: &Dataset,
     links: &[(String, String)],
@@ -689,28 +666,5 @@ mod tests {
         let answers = engine.execute(&queries[0]).unwrap();
         assert_eq!(answers.len(), 1);
         assert!(!answers[0].links_used.is_empty(), "answer rides the link");
-    }
-
-    #[test]
-    fn rewrite_mode_produces_the_same_judgments() {
-        let run = |rewrite: bool| -> Vec<(u32, u32, Feedback)> {
-            let (mut source, mut space, _) = build_source(false);
-            source.set_rewrite_sameas(rewrite);
-            let mut candidates = CandidateSet::new();
-            candidates.insert(space.ensure_pair(0, 0));
-            candidates.insert(space.ensure_pair(1, 2));
-            let mut out = Vec::new();
-            for _ in 0..20 {
-                let Some((id, fb)) = source.next(&candidates, &space) else {
-                    break;
-                };
-                let (l, r) = space.pair(id);
-                out.push((l, r, fb));
-            }
-            out
-        };
-        let plain = run(false);
-        assert!(!plain.is_empty());
-        assert_eq!(plain, run(true), "rewriting must not change any verdict");
     }
 }

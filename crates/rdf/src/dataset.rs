@@ -38,11 +38,6 @@ impl Dataset {
         &self.graph
     }
 
-    /// Mutable access to the underlying graph.
-    pub fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
-    }
-
     /// The data set's interner.
     pub fn interner(&self) -> &Interner {
         &self.interner

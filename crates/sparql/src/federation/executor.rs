@@ -38,7 +38,6 @@ use super::links::{Link, SameAsLinks};
 use super::resilience::{
     BreakerState, CircuitBreaker, Completeness, Deadline, EndpointError, ResilienceConfig,
 };
-use super::rewrite::{rewrite_sameas, RewrittenQuery};
 
 /// One answer row: the projected bindings plus the sameAs links used to
 /// produce it. Feedback on the answer is feedback on those links (§3.2).
@@ -194,11 +193,6 @@ impl FederatedEngine {
         self.catalog = catalog;
     }
 
-    /// Borrow the installed catalog, if any.
-    pub fn catalog(&self) -> Option<&Catalog> {
-        self.catalog.as_ref()
-    }
-
     /// Build a catalog by exhaustively scanning every registered endpoint.
     /// Each scan is a one-probe wildcard request under the same retries,
     /// breaker and per-request deadline as query traffic (its tallies stay
@@ -217,12 +211,6 @@ impl FederatedEngine {
             }
         }
         Ok(catalog)
-    }
-
-    /// Rewrite a query against the engine's current sameAs closure (see
-    /// [`rewrite_sameas`]).
-    pub fn rewrite(&self, query: &Query) -> RewrittenQuery {
-        rewrite_sameas(query, &self.links)
     }
 
     /// Replace the link index. Cached probe answers stay valid: they
@@ -253,34 +241,6 @@ impl FederatedEngine {
     /// Execute a parsed query, returning answers plus query-level
     /// completeness provenance.
     pub fn execute_full(&self, query: &Query) -> Result<FederatedResult> {
-        self.execute_full_inner(query, None)
-    }
-
-    /// Execute a query rewritten against the sameAs closure (see
-    /// [`rewrite_sameas`]). The rewrite's per-branch link provenance is
-    /// attached to answers produced through substituted branches. The
-    /// rewrite only decides which probes run, so rewritten and plain
-    /// executions share answer-cache entries.
-    ///
-    /// The rewrite must be fresh: executing against a closure the rewrite
-    /// does not reflect would silently drop (or phantom) union branches,
-    /// so a stale rewrite is an error, not a degradation.
-    pub fn execute_rewritten(&self, rewritten: &RewrittenQuery) -> Result<FederatedResult> {
-        if rewritten.is_stale(&self.links) {
-            return Err(SparqlError::Unsupported(format!(
-                "stale sameAs rewrite: rewritten at closure generation {}, engine is at {}",
-                rewritten.generation(),
-                self.links.generation()
-            )));
-        }
-        self.execute_full_inner(rewritten.query(), Some(rewritten))
-    }
-
-    fn execute_full_inner(
-        &self,
-        query: &Query,
-        rewrite: Option<&RewrittenQuery>,
-    ) -> Result<FederatedResult> {
         let query_span = span("federated_query");
         let mut stats = ExecStats::default();
         // Sources skipped this execution (down past their retry allowance
@@ -358,31 +318,19 @@ impl FederatedEngine {
         // surviving solution through each of its branches independently
         // and keeps the concatenation (branch-major — deterministic at any
         // thread count). Inside branches implicit *constant* sameAs
-        // expansion is off: a hand-written or rewrite-generated union
-        // spells its alternatives out, and expanding them again would
-        // duplicate answers; runtime-bound variable values still expand,
-        // so a rewrite can never lose answers the implicit closure found.
-        for (ui, branches) in query.unions().enumerate() {
+        // expansion is off: a union spells its alternatives out, and
+        // expanding them again would duplicate answers; runtime-bound
+        // variable values still expand.
+        for branches in query.unions() {
             let mut next: Vec<(Bindings, Vec<Link>)> = Vec::new();
-            for (bi, branch) in branches.iter().enumerate() {
-                let mut extended = self.join_patterns(
+            for branch in branches {
+                next.extend(self.join_patterns(
                     partials.clone(),
                     branch.iter().collect(),
                     &mut stats,
                     &mut skipped,
                     true,
-                )?;
-                // Answers from a substituted branch owe their existence to
-                // the links that justified the substitution.
-                if let Some(rw) = rewrite {
-                    let credit = rw.links_for(ui, bi);
-                    if !credit.is_empty() {
-                        for (_, links_used) in &mut extended {
-                            links_used.extend(credit.iter().cloned());
-                        }
-                    }
-                }
-                next.extend(extended);
+                )?);
             }
             partials = next;
             if partials.is_empty() {
@@ -484,11 +432,9 @@ impl FederatedEngine {
         }
 
         let provenance_answers = answers.iter().filter(|a| !a.links_used.is_empty()).count() as u64;
-        let rewrites = rewrite.map_or(0, RewrittenQuery::rewritten_patterns);
         counter!("alex_federated_queries_total").inc();
         counter!("alex_source_selection_probes_total").add(stats.probes);
         counter!("federation_pruned_probes_total").add(stats.pruned_probes);
-        counter!("federation_rewritten_patterns_total").add(rewrites);
         counter!("alex_bound_join_iterations_total").add(stats.bound_join_iterations);
         counter!("alex_sameas_expansions_total").add(stats.sameas_expansions);
         counter!("alex_provenance_answers_total").add(provenance_answers);
@@ -523,7 +469,6 @@ impl FederatedEngine {
             cache_hits: stats.cache_hits,
             cache_misses: stats.cache_misses,
             catalog: self.catalog.is_some(),
-            rewrites,
             threads: alex_parallel::configured_threads() as u64,
             duration_us: query_span.elapsed().as_micros() as u64,
         });
@@ -2157,21 +2102,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stale_catalog_falls_back_to_broadcast() {
-        let (mut engine, _, nyt_ep) = counting_engine();
-        let mut catalog = engine.build_catalog().unwrap();
-        engine.set_catalog(Some(catalog.clone()));
-        let q = parse("SELECT ?who WHERE { ?who <http://db/award> \"NBA MVP 2013\" }").unwrap();
-        engine.execute(&q).unwrap();
-        let before = calls(&nyt_ep);
-        catalog.bump_version();
-        engine.set_catalog(Some(catalog));
-        engine.execute(&q).unwrap();
-        assert!(
-            calls(&nyt_ep) > before,
-            "stale coverage is unknown coverage: the endpoint is probed again"
-        );
+    /// A catalog built outside any engine: `record_scan` over a direct
+    /// wildcard scan of each healthy dataset.
+    fn healthy_catalog() -> Catalog {
+        let mut catalog = Catalog::new();
+        for ds in [dbpedia(), nyt()] {
+            let ep = DatasetEndpoint::new(ds);
+            let rows = ep.matching(None, None, None, &Deadline::none()).unwrap();
+            catalog.record_scan(ep.name(), &rows);
+        }
+        catalog
     }
 
     #[test]
@@ -2194,15 +2134,16 @@ mod tests {
             engine.set_resilience(cfg);
             engine.build_catalog()
         };
-        let clean = build(&|_| FaultProfile::none()).unwrap();
+        let clean = healthy_catalog();
+        assert_eq!(build(&|_| FaultProfile::none()).unwrap(), clean);
         let mut unretried_failures = 0;
         for seed in 0..8u64 {
             let faulty = build(&|i| profile(seed + i, 0.3)).unwrap();
             assert_eq!(faulty, clean, "seed {seed}: retries must mask the faults");
             // The same scan without the resilience layer fails on some seed.
             let direct = FaultyEndpoint::new(DatasetEndpoint::new(dbpedia()), profile(seed, 0.3));
-            if Catalog::new()
-                .probe_endpoint(&direct, &Deadline::none())
+            if direct
+                .matching(None, None, None, &Deadline::none())
                 .is_err()
             {
                 unretried_failures += 1;
@@ -2237,19 +2178,9 @@ mod tests {
             "http://nyt/lebron-james",
         )]));
         engine.set_resilience(fast_resilience());
-        // Coverage declared upfront (the outage forbids probing).
-        let mut catalog = Catalog::new();
-        catalog.declare(
-            "DBpedia",
-            ["http://db/award", "http://db/label"].map(String::from),
-            [],
-        );
-        catalog.declare(
-            "NYTimes",
-            ["http://nyt/about", "http://nyt/headline"].map(String::from),
-            [],
-        );
-        engine.set_catalog(Some(catalog));
+        // Coverage scanned while NYT was healthy (the outage forbids
+        // probing it now).
+        engine.set_catalog(Some(healthy_catalog()));
 
         // NYT is covered for this query, so it is probed, fails, and the
         // result is explicitly partial — never a silent gap.
@@ -2263,84 +2194,5 @@ mod tests {
         let result = engine.execute_full(&q).unwrap();
         assert_eq!(result.answers.len(), 2);
         assert!(result.is_complete());
-    }
-
-    // ----------------------------------------------------------- rewriting
-
-    #[test]
-    fn rewritten_execution_preserves_answers_and_provenance() {
-        let engine = engine();
-        for query in [
-            "SELECT ?article WHERE { ?article <http://nyt/about> <http://db/LeBron> }",
-            "SELECT ?what WHERE { <http://db/LeBron> <http://db/award> ?what }",
-            CROSS_SOURCE,
-        ] {
-            let q = parse(query).unwrap();
-            let plain = engine.execute_full(&q).unwrap();
-            let rewritten = engine.rewrite(&q);
-            let via_rewrite = engine.execute_rewritten(&rewritten).unwrap();
-            let sorted = |mut r: FederatedResult| {
-                r.answers
-                    .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-                r
-            };
-            assert_eq!(sorted(plain), sorted(via_rewrite), "{query}");
-        }
-    }
-
-    #[test]
-    fn rewritten_cross_source_answer_credits_the_link() {
-        let engine = engine();
-        let q = parse("SELECT ?article WHERE { ?article <http://nyt/about> <http://db/LeBron> }")
-            .unwrap();
-        let rewritten = engine.rewrite(&q);
-        assert_eq!(rewritten.rewritten_patterns(), 1);
-        let answers = engine.execute_rewritten(&rewritten).unwrap().answers;
-        assert_eq!(answers.len(), 1);
-        assert_eq!(
-            answers[0].links_used,
-            vec![Link::new("http://db/LeBron", "http://nyt/lebron-james")],
-            "the substituted branch owes its answer to the link"
-        );
-    }
-
-    #[test]
-    fn stale_rewrite_is_rejected() {
-        let mut engine = engine();
-        let q = parse(CROSS_SOURCE).unwrap();
-        let rewritten = engine.rewrite(&q);
-        engine
-            .links_mut()
-            .add(Link::new("http://db/Durant", "http://nyt/kevin-durant"));
-        let err = engine.execute_rewritten(&rewritten).unwrap_err();
-        assert!(err.to_string().contains("stale sameAs rewrite"), "{err}");
-    }
-
-    #[test]
-    fn rewritten_and_plain_executions_share_entries() {
-        let (mut engine, counter) = cached_engine();
-        let q = parse("SELECT ?article WHERE { ?article <http://nyt/about> <http://db/LeBron> }")
-            .unwrap();
-        let plain = engine.execute_full(&q).unwrap();
-        let warm = calls(&counter);
-
-        // The rewrite spells the closure out as a union of the same
-        // probes the plain execution expanded to: all served warm.
-        let rewritten = engine.execute_rewritten(&engine.rewrite(&q)).unwrap();
-        assert_eq!(rewritten.answers, plain.answers);
-        assert_eq!(calls(&counter), warm);
-
-        // After a closure change a fresh rewrite still reuses every probe
-        // it shares with earlier executions and matches the plain engine.
-        engine
-            .links_mut()
-            .add(Link::new("http://db/Unrelated", "http://nyt/unrelated"));
-        let again = engine.execute_rewritten(&engine.rewrite(&q)).unwrap();
-        assert_eq!(again.answers, plain.answers);
-        assert_eq!(calls(&counter), warm);
-        assert_eq!(
-            engine.execute_full(&q).unwrap(),
-            uncached_engine(engine.links()).execute_full(&q).unwrap()
-        );
     }
 }

@@ -58,8 +58,8 @@ impl SameAsLinks {
     /// Closure generation: a counter bumped on every *effective* mutation
     /// (duplicate adds and absent removes do not count). Two indexes with
     /// equal generation that started from the same state hold the same
-    /// link closure, so a rewrite can use it as a cheap staleness stamp —
-    /// any add or remove makes every earlier rewrite stale.
+    /// link closure, so an owner can use it as a cheap check that no one
+    /// else mutated the index since it last looked.
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -20,10 +20,8 @@ pub mod fault;
 pub mod links;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod resilience;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
-pub mod rewrite;
 
-pub use catalog::{Catalog, CatalogParseError, Coverage};
+pub use catalog::Catalog;
 pub use endpoint::{DatasetEndpoint, Endpoint, Probe, Rows};
 pub use executor::{FederatedEngine, FederatedResult, QueryAnswer};
 pub use fault::{FaultProfile, FaultyEndpoint};
@@ -32,4 +30,3 @@ pub use resilience::{
     BreakerConfig, BreakerState, CircuitBreaker, Completeness, Deadline, EndpointError,
     ResilienceConfig, RetryPolicy,
 };
-pub use rewrite::{rewrite_sameas, RewrittenQuery};

@@ -136,9 +136,6 @@ pub enum Event {
         cache_misses: u64,
         /// Whether a coverage catalog was consulted for source selection.
         catalog: bool,
-        /// Required patterns expanded into sameAs-closure unions when the
-        /// query was rewritten (0 for plain executions).
-        rewrites: u64,
         /// Worker threads configured for endpoint dispatch.
         threads: u64,
         /// Execution wall-clock time in microseconds.
@@ -273,7 +270,6 @@ impl Event {
                 cache_hits,
                 cache_misses,
                 catalog,
-                rewrites,
                 threads,
                 duration_us,
             } => {
@@ -292,7 +288,6 @@ impl Event {
                     .u64("cache_hits", *cache_hits)
                     .u64("cache_misses", *cache_misses)
                     .bool("catalog", *catalog)
-                    .u64("rewrites", *rewrites)
                     .u64("threads", *threads)
                     .u64("duration_us", *duration_us);
             }
@@ -423,12 +418,11 @@ impl Event {
                 requests: u64_or_0("requests"),
                 request_probes: u64_or_0("request_probes"),
                 skipped_sources: get_u64("skipped_sources")?,
-                // The answer cache, the catalog and rewriting: all off.
+                // The answer cache and the catalog: both off.
                 cache: bool_or_false("cache"),
                 cache_hits: u64_or_0("cache_hits"),
                 cache_misses: u64_or_0("cache_misses"),
                 catalog: bool_or_false("catalog"),
-                rewrites: u64_or_0("rewrites"),
                 threads: get_u64("threads")?,
                 duration_us: get_u64("duration_us")?,
             },

@@ -151,7 +151,6 @@ fn all_event_variants() -> Vec<Event> {
             cache_hits: 5,
             cache_misses: 2,
             catalog: true,
-            rewrites: 1,
             threads: 2,
             duration_us: 99,
         },
@@ -181,6 +180,20 @@ fn every_event_variant_round_trips_through_json() {
         let line = event.to_json();
         let parsed = Event::parse(&line).unwrap_or_else(|e| panic!("parse failed for {line}: {e}"));
         assert_eq!(parsed, Some(event), "round-trip mismatch for {line}");
+    }
+}
+
+/// Logs from builds that could rewrite queries carry a `rewrites` count
+/// on `federated_query`; it parses like any unknown key, ignored.
+#[test]
+fn federated_query_lines_with_a_rewrites_key_still_parse() {
+    for event in all_event_variants() {
+        if let Event::FederatedQuery { .. } = event {
+            let line = event.to_json();
+            let old = line.replacen("\"threads\"", "\"rewrites\":1,\"threads\"", 1);
+            assert_ne!(old, line);
+            assert_eq!(Event::parse(&old), Ok(Some(event)), "{old}");
+        }
     }
 }
 
@@ -558,7 +571,6 @@ fn run_report_aggregates_convergence_federation_and_metrics() {
             cache_hits: 5,
             cache_misses: 5,
             catalog: false,
-            rewrites: 0,
             threads: 2,
             duration_us: 99,
         },

@@ -118,18 +118,17 @@ echo "==> cache differential suite (cached vs uncached byte-identity, shadow-ora
 # (no cached probe answer may go stale when links change).
 cargo test --test cache_differential -q
 
-echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated + ~1.5k rewrite inputs)"
+echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated inputs)"
 # Seeds are hard-coded in the test file, so this budget is deterministic;
-# no-panic, parse/serialize fixpoint (UNION included), and sameAs-rewrite
-# idempotence properties.
+# no-panic and parse/serialize fixpoint (UNION included) properties.
 cargo test --test fuzz_sparql -q
 
 echo "==> smarter-federation differential + recall suites (ALEX_THREADS=1 and 4)"
 # Catalog-pruned dispatch must be byte-identical to broadcast across seeds,
-# cache settings, and fault profiles; rewritten executions must match plain
-# ones and never serve stale cached answers after a closure change; and the
-# recall/traffic experiment must show recall rising with the closure while
-# pruned traffic stays below broadcast (>= 30% reduction at full closure).
+# cache settings, and fault profiles, in-process and through the CLI; and
+# the recall/traffic experiment must show recall rising with the closure
+# while pruned traffic stays below broadcast (>= 30% reduction at full
+# closure).
 ALEX_THREADS=1 cargo test --test federation_differential -q
 ALEX_THREADS=4 cargo test --test federation_differential -q
 ALEX_THREADS=1 cargo test --test federation_recall -q

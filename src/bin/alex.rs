@@ -37,7 +37,7 @@ use alex::datagen::{
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
-    parse, Catalog, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
+    parse, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
     ResilienceConfig, SameAsLinks,
 };
 
@@ -239,33 +239,23 @@ ANSWER CACHING (improve --feedback query, and query):
                             cache_evictions_total.
 
 SMARTER FEDERATION (improve --feedback query, and query):
-  --catalog probe|FILE      Consult a per-endpoint predicate/class
+  --catalog probe           Consult a per-endpoint predicate/class
                             coverage catalog so the executor only
                             dispatches each triple pattern to endpoints
                             that can possibly answer it, instead of
-                            broadcasting. 'probe' builds the catalog by
-                            probing every endpoint once at startup; FILE
-                            loads a serialized catalog (alex-catalog v1
-                            text, see Catalog::to_text). Stale or
-                            missing entries fall back to broadcast, and
-                            pruning never changes answers or downgrades
-                            completeness — only endpoints that provably
-                            hold no matching triple are skipped.
-                            Counters: federation_pruned_probes_total.
-  --rewrite-sameas          Rewrite queries up front: constant subjects
-                            and objects with owl:sameAs equivalents
-                            become UNION alternations carrying
-                            per-branch link provenance. A rewrite is
-                            pinned to the link-closure generation it was
-                            made at: execution is refused after the
-                            closure changes. Rewritten and plain queries
-                            share cached probe answers. Accepted but
-                            inert for oracle-feedback improve and ASK
-                            queries.
+                            broadcasting. The catalog is built by
+                            scanning every endpoint once at startup
+                            ('probe' is the only accepted value). Since
+                            the scan saw every triple, pruning never
+                            changes answers or downgrades completeness —
+                            only endpoints that provably hold no
+                            matching triple are skipped. Counters:
+                            federation_pruned_probes_total.
 
 OBSERVABILITY (link, improve, and query):
   --telemetry FILE.jsonl    Write the structured event log (one JSON
-                            object per line: episodes, link changes,
+                            object per line: episodes, one
+                            feedback_applied record per feedback step,
                             federated query stats, ...).
   --metrics-dump FILE.prom  Dump the global metrics registry in
                             Prometheus text exposition format on exit.
@@ -302,7 +292,6 @@ fn split_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
                 || name == "cache"
                 || name == "profile"
                 || name == "trust"
-                || name == "rewrite-sameas"
             {
                 flags.push((name.to_string(), "true".to_string()));
                 i += 1;
@@ -335,7 +324,6 @@ const FEDERATION_FLAGS: &[&str] = &[
     "cache",
     "cache-capacity",
     "catalog",
-    "rewrite-sameas",
 ];
 /// `improve`'s own flags: the run shape, durability, adversarial
 /// robustness and supervision.
@@ -364,9 +352,9 @@ const IMPROVE_FLAGS: &[&str] = &[
 ];
 
 /// Flags that one `improve` feedback mode never reads, so passing one is
-/// an error naming the flag and the mode. `--cache`, `--cache-capacity`,
-/// `--catalog` and `--rewrite-sameas` stay accepted but inert with oracle
-/// feedback, so a `--resume` command line can keep them.
+/// an error naming the flag and the mode. `--cache`, `--cache-capacity`
+/// and `--catalog` stay accepted but inert with oracle feedback, so a
+/// `--resume` command line can keep them.
 const ORACLE_UNREAD: &[&str] = &[
     "queries",
     "fault-profile",
@@ -576,43 +564,16 @@ fn cache_opts(flags: &Flags) -> Result<Option<usize>, String> {
     Ok(Some(capacity))
 }
 
-/// Where the endpoint coverage catalog comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CatalogSource {
-    /// Probe every endpoint once at startup and build the catalog live.
-    Probe,
-    /// Load a serialized catalog (`alex-catalog v1` text) from disk.
-    File(String),
-}
-
-/// `--catalog probe|FILE` → how to obtain the predicate-coverage catalog
-/// the executor consults to prune endpoints. `None` means broadcast to
-/// every endpoint (the historical behaviour).
-fn catalog_opts(flags: &Flags) -> Option<CatalogSource> {
+/// `--catalog probe` → whether to build the predicate-coverage catalog
+/// the executor consults to prune endpoints; without it every pattern is
+/// broadcast. A catalog only ever comes from scanning the endpoints, so
+/// any other value is an error.
+fn catalog_opts(flags: &Flags) -> Result<bool, String> {
     match flag(flags, "catalog") {
-        None => None,
-        Some("probe") => Some(CatalogSource::Probe),
-        Some(path) => Some(CatalogSource::File(path.to_string())),
+        None => Ok(false),
+        Some("probe") => Ok(true),
+        Some(other) => Err(format!("--catalog must be 'probe', got '{other}'")),
     }
-}
-
-/// Build or load the requested catalog and install it on the engine.
-/// Probing happens after all endpoints are registered so every source
-/// gets an entry; a probe failure aborts (a half-built catalog would
-/// silently broadcast for the missing endpoints, hiding the error).
-fn apply_catalog(engine: &mut FederatedEngine, source: &CatalogSource) -> Result<(), String> {
-    let catalog = match source {
-        CatalogSource::Probe => engine
-            .build_catalog()
-            .map_err(|e| format!("--catalog probe: {e}"))?,
-        CatalogSource::File(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read catalog {path}: {e}"))?;
-            Catalog::from_text(&text).map_err(|e| format!("catalog {path}: {e}"))?
-        }
-    };
-    engine.set_catalog(Some(catalog));
-    Ok(())
 }
 
 /// Load an RDF file, dispatching on extension (.ttl → Turtle, else
@@ -907,8 +868,13 @@ fn federated_engine(
     if let Some(capacity) = cache_opts(flags)? {
         engine.enable_cache(capacity);
     }
-    if let Some(catalog) = catalog_opts(flags) {
-        apply_catalog(&mut engine, &catalog)?;
+    if catalog_opts(flags)? {
+        // After every endpoint is registered, so each gets an entry; a
+        // scan failure aborts rather than leave an endpoint uncovered.
+        let catalog = engine
+            .build_catalog()
+            .map_err(|e| format!("--catalog probe: {e}"))?;
+        engine.set_catalog(Some(catalog));
     }
     Ok(engine)
 }
@@ -1063,6 +1029,9 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
         return Err("improve requires exactly two data files".into());
     };
     let query = feedback_mode(&flags)? == "query";
+    // Read here too: oracle feedback builds no engine, yet a bad value is
+    // still an error.
+    catalog_opts(&flags)?;
     configure_threads(&flags)?;
     let durable = durable_opts(&flags)?;
     let robust = robustness_opts(&flags)?;
@@ -1300,7 +1269,6 @@ fn improve(
         sources: 1,
     });
     let seed = cfg.alex.seed.wrapping_add(if plain { 1000 } else { 0 });
-    let rewrite_sameas = flag(flags, "rewrite-sameas").is_some();
     let mut supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
     let (report, agents) = run_partitioned_with(
         left,
@@ -1313,16 +1281,14 @@ fn improve(
             Some((engine, queries)) => {
                 let bridge =
                     FeedbackBridge::new(left, space.left_index(), right, space.right_index());
-                let mut source = QueryFeedback::new(
+                Box::new(QueryFeedback::new(
                     engine,
                     left.clone(),
                     right.clone(),
                     queries,
                     bridge,
                     truth.clone(),
-                );
-                source.set_rewrite_sameas(rewrite_sameas);
-                Box::new(source)
+                ))
             }
             None => robust.make_source(truth, cfg.feedback_error_rate, seed.wrapping_add(i as u64)),
         },
@@ -1403,13 +1369,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         outln!("{answer}")?;
         return telemetry.finish();
     }
-    let result = if flag(&flags, "rewrite-sameas").is_some() {
-        let rewritten = engine.rewrite(&query);
-        engine.execute_rewritten(&rewritten)
-    } else {
-        engine.execute_full(&query)
-    }
-    .map_err(|e| format!("evaluation: {e}"))?;
+    let result = engine
+        .execute_full(&query)
+        .map_err(|e| format!("evaluation: {e}"))?;
     if let Completeness::Partial { skipped_sources } = &result.completeness {
         eprintln!(
             "warning: partial result — skipped source(s): {}",
@@ -1693,30 +1655,14 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_sameas_is_a_value_less_flag() {
-        // `--rewrite-sameas --catalog probe` must not swallow the next
-        // token as the value of --rewrite-sameas.
-        let (positional, flags) = split_args(&[
-            "--rewrite-sameas".to_string(),
-            "--catalog".to_string(),
-            "probe".to_string(),
-        ])
-        .unwrap();
-        assert!(positional.is_empty());
-        assert_eq!(flag(&flags, "rewrite-sameas"), Some("true"));
-        assert_eq!(flag(&flags, "catalog"), Some("probe"));
-    }
-
-    #[test]
     fn catalog_flag_distinguishes_probe_from_file() {
-        assert_eq!(catalog_opts(&flags_of("--episodes 5")), None);
-        assert_eq!(
-            catalog_opts(&flags_of("--catalog probe")),
-            Some(CatalogSource::Probe)
-        );
+        assert_eq!(catalog_opts(&flags_of("--episodes 5")), Ok(false));
+        assert_eq!(catalog_opts(&flags_of("--catalog probe")), Ok(true));
+        // A catalog file is not a source: only probing can cover every
+        // predicate an endpoint holds.
         assert_eq!(
             catalog_opts(&flags_of("--catalog runs/catalog.txt")),
-            Some(CatalogSource::File("runs/catalog.txt".into()))
+            Err("--catalog must be 'probe', got 'runs/catalog.txt'".into())
         );
     }
 

@@ -53,13 +53,14 @@ fn help_and_unknown_command() {
 }
 
 /// A misspelled flag is an error naming it, not a silent default: each
-/// subcommand accepts only the flags it reads.
+/// subcommand accepts only the flags it reads. `--catalog` takes the one
+/// value `probe`, in `query` and in both `improve` feedback modes.
 #[test]
 fn misspelled_flags_exit_2_naming_the_flag() {
     let dir = nba_dir("misspelled");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
 
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &["link", &p("left.nt"), &p("right.nt"), "--thresold", "0.5"],
             "unknown flag --thresold for `alex link`",
@@ -84,6 +85,47 @@ fn misspelled_flags_exit_2_naming_the_flag() {
         (
             &["stats", &p("left.nt"), "--cache"],
             "unknown flag --cache for `alex stats`",
+        ),
+        (
+            &[
+                "query",
+                "--data",
+                &p("left.nt"),
+                "--catalog",
+                "prob",
+                "SELECT ?s WHERE { ?s ?p ?o }",
+            ],
+            "--catalog must be 'probe', got 'prob'",
+        ),
+        (
+            &[
+                "improve",
+                &p("left.nt"),
+                &p("right.nt"),
+                "--links",
+                &p("truth.nt"),
+                "--truth",
+                &p("truth.nt"),
+                "--catalog",
+                "catalog.txt",
+            ],
+            "--catalog must be 'probe', got 'catalog.txt'",
+        ),
+        (
+            &[
+                "improve",
+                &p("left.nt"),
+                &p("right.nt"),
+                "--links",
+                &p("truth.nt"),
+                "--truth",
+                &p("truth.nt"),
+                "--feedback",
+                "query",
+                "--catalog",
+                "prob",
+            ],
+            "--catalog must be 'probe', got 'prob'",
         ),
     ];
     for (args, message) in cases {

@@ -1,10 +1,7 @@
-//! Differential tests for smarter federation: catalog-based source
-//! selection must be *behaviorally invisible* — byte-identical answers and
-//! completeness versus broadcast dispatch across seeds, thread counts,
-//! cache settings, and seeded fault profiles — while demonstrably pruning
-//! sub-queries. sameAs-closure rewriting must preserve the answer set and
-//! its link provenance, and rewritten executions must never serve a stale
-//! cached answer after the closure changes (shadow-oracle property).
+//! Differential tests for catalog-based source selection: pruning must be
+//! *behaviorally invisible* — byte-identical answers and completeness
+//! versus broadcast dispatch across seeds, thread counts, cache settings,
+//! and seeded fault profiles — while demonstrably pruning sub-queries.
 
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -12,10 +9,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use alex::datagen::{federation_scenario, FederationConfig, FederationScenario};
 use alex::sparql::{
     parse, BreakerConfig, Catalog, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
-    Link, Query, ResilienceConfig, RetryPolicy, SameAsLinks,
+    Query, ResilienceConfig, RetryPolicy, SameAsLinks,
 };
 use alex_telemetry::counter;
-use rand::prelude::*;
 
 /// The worker-thread count and the metrics registry are process globals,
 /// so differential scenarios must not interleave.
@@ -95,9 +91,9 @@ fn engine(sc: &FederationScenario, scenario: &Scenario, cache: Option<usize>) ->
     engine
 }
 
-/// The catalog for a scenario, probed over clean (fault-free) endpoints —
-/// the declared-upfront deployment shape: coverage knowledge is built once
-/// and installed on whatever engine runs the traffic.
+/// The catalog for a scenario, probed over clean (fault-free) endpoints:
+/// coverage knowledge is built once and installed on whatever engine runs
+/// the traffic.
 fn probed_catalog(sc: &FederationScenario) -> Catalog {
     let mut clean = FederatedEngine::new();
     for ds in sc.endpoints() {
@@ -157,213 +153,6 @@ fn pruned_and_broadcast_answers_are_byte_identical() {
     alex::parallel::set_threads(0);
 }
 
-/// A stale catalog must not prune: results stay identical because every
-/// endpoint falls back to broadcast, and the pruned-probe counter stays
-/// flat.
-#[test]
-fn stale_catalog_broadcasts_and_stays_identical() {
-    let _guard = guard();
-    alex::parallel::set_threads(1);
-    let sc = federation_scenario(&FederationConfig {
-        entities: 12,
-        shards: 3,
-        seed: 11,
-    });
-    let mut catalog = probed_catalog(&sc);
-    catalog.bump_version(); // every entry predates the closure version now
-    let scenario = &scenarios()[0];
-    let broadcast = engine(&sc, scenario, None);
-    let mut stale = engine(&sc, scenario, None);
-    stale.set_catalog(Some(catalog));
-
-    let before = counter!("federation_pruned_probes_total").get();
-    for q in &sc.queries {
-        let query = parse(&q.sparql).expect("parses");
-        assert_eq!(
-            stale.execute_full(&query).expect("evaluates"),
-            broadcast.execute_full(&query).expect("evaluates")
-        );
-    }
-    assert_eq!(
-        counter!("federation_pruned_probes_total").get(),
-        before,
-        "a stale catalog must never prune"
-    );
-    alex::parallel::set_threads(0);
-}
-
-/// Constant-anchored workload: one query per link asking for the shard
-/// attribute of the *hub* IRI, so the subject constant has a sameAs
-/// equivalent and the rewriter actually engages.
-fn constant_queries(sc: &FederationScenario) -> Vec<Query> {
-    sc.links
-        .iter()
-        .enumerate()
-        .map(|(i, (hub, _))| {
-            let s = i % sc.shards.len();
-            parse(&format!(
-                "SELECT ?v WHERE {{ <{hub}> <http://shard{s}.example.org/detail> ?v }}"
-            ))
-            .expect("parses")
-        })
-        .collect()
-}
-
-/// sameAs rewriting preserves the answer set and its link provenance
-/// (modulo order: the union enumerates branches where the plain engine
-/// expands at probe time).
-#[test]
-fn rewritten_execution_matches_plain_modulo_order() {
-    let _guard = guard();
-    alex::parallel::set_threads(1);
-    let sc = federation_scenario(&FederationConfig {
-        entities: 12,
-        shards: 3,
-        seed: 11,
-    });
-    let scenario = &scenarios()[0];
-    let engine = engine(&sc, scenario, None);
-    let mut rewrites = 0;
-    for q in constant_queries(&sc) {
-        let rewritten = engine.rewrite(&q);
-        rewrites += rewritten.rewritten_patterns();
-        let plain = engine.execute_full(&q).expect("plain evaluates");
-        let via_rewrite = engine
-            .execute_rewritten(&rewritten)
-            .expect("rewritten evaluates");
-        assert_eq!(plain.completeness, via_rewrite.completeness);
-        let sorted_rows = |r: &alex::sparql::FederatedResult| -> Vec<String> {
-            let mut rows: Vec<String> = r
-                .answers
-                .iter()
-                .map(|a| {
-                    let mut links: Vec<String> =
-                        a.links_used.iter().map(|l| format!("{l:?}")).collect();
-                    links.sort();
-                    format!("{:?} via {links:?}", a.bindings)
-                })
-                .collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(sorted_rows(&plain), sorted_rows(&via_rewrite));
-        assert!(
-            !via_rewrite.answers.is_empty(),
-            "constant-anchored queries must answer across the closure"
-        );
-    }
-    assert!(rewrites > 0, "the workload must exercise the rewriter");
-    alex::parallel::set_threads(0);
-}
-
-/// Satellite 4, the shadow-oracle staleness property: after *any* sequence
-/// of link mutations, a cached engine executing freshly rewritten queries
-/// answers exactly like a from-scratch shadow engine. A rewritten cache
-/// entry surviving a closure change would surface here as divergence; a
-/// rewrite from before the change must be refused outright.
-#[test]
-fn rewritten_queries_never_serve_stale_answers() {
-    let _guard = guard();
-    alex::parallel::set_threads(1);
-    let sc = federation_scenario(&FederationConfig {
-        entities: 10,
-        shards: 2,
-        seed: 3,
-    });
-    let build = |cache: Option<usize>| {
-        let mut engine = FederatedEngine::new();
-        for ds in sc.endpoints() {
-            engine.add_endpoint(Box::new(DatasetEndpoint::new(ds.clone())));
-        }
-        engine.set_links(SameAsLinks::from_pairs(
-            sc.links.iter().map(|(l, r)| (l.as_str(), r.as_str())),
-        ));
-        if let Some(capacity) = cache {
-            engine.enable_cache(capacity);
-        }
-        engine
-    };
-    let mut cached = build(Some(8));
-    let mut shadow = build(None);
-    let probes = constant_queries(&sc);
-    let sorted_rows = |r: &alex::sparql::FederatedResult| -> Vec<String> {
-        let mut rows: Vec<String> = r
-            .answers
-            .iter()
-            .map(|a| format!("{:?}", a.bindings))
-            .collect();
-        rows.sort();
-        rows
-    };
-
-    let mut rng = StdRng::seed_from_u64(0x5AFE);
-    let mut rollback_point: Option<SameAsLinks> = None;
-    for step in 0..60 {
-        match rng.random_range(0u8..10) {
-            0..=4 => {
-                let (hub, _) = &sc.links[rng.random_range(0..sc.links.len())];
-                let (_, shard) = &sc.links[rng.random_range(0..sc.links.len())];
-                let link = Link::new(hub.clone(), shard.clone());
-                cached.links_mut().add(link.clone());
-                shadow.links_mut().add(link);
-            }
-            5..=7 => {
-                let existing: Vec<Link> = cached.links().iter().cloned().collect();
-                if let Some(link) = existing.choose(&mut rng) {
-                    cached.links_mut().remove(link);
-                    shadow.links_mut().remove(link);
-                }
-            }
-            8 => rollback_point = Some(cached.links().clone()),
-            _ => {
-                if let Some(snapshot) = rollback_point.take() {
-                    cached.set_links(snapshot.clone());
-                    shadow.set_links(snapshot);
-                }
-            }
-        }
-
-        for _ in 0..2 {
-            let q = probes.choose(&mut rng).expect("pool not empty");
-            let rewritten = cached.rewrite(q);
-            let want = sorted_rows(&shadow.execute_full(q).expect("shadow evaluates"));
-            // Execute the same rewrite twice: the second run must be served
-            // (partly) from cache *within* this closure generation and
-            // still match the from-scratch oracle.
-            for _ in 0..2 {
-                let got =
-                    sorted_rows(&cached.execute_rewritten(&rewritten).expect("fresh rewrite"));
-                assert_eq!(
-                    got, want,
-                    "step {step}: rewritten answers diverged from the from-scratch oracle"
-                );
-            }
-        }
-    }
-
-    // The regression this gate exists for: a rewrite from before a
-    // closure-changing mutation is refused, not silently served stale.
-    let q = &probes[0];
-    let old = cached.rewrite(q);
-    let (hub, _) = &sc.links[0];
-    cached
-        .links_mut()
-        .add(Link::new(hub.clone(), "http://shard0.example.org/extra"));
-    let err = cached.execute_rewritten(&old).expect_err("must be stale");
-    assert!(
-        err.to_string().contains("stale sameAs rewrite"),
-        "unexpected error: {err}"
-    );
-
-    let stats = cached.cache_stats().expect("cache enabled");
-    assert!(stats.hits > 0, "the sequence must exercise hits: {stats:?}");
-    assert!(
-        stats.misses > 0,
-        "closure changes must force misses: {stats:?}"
-    );
-    alex::parallel::set_threads(0);
-}
-
 // ---------------------------------------------------------------- CLI
 
 fn alex_bin() -> Command {
@@ -378,11 +167,10 @@ fn workdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// End-to-end through the binary: `query --catalog probe` must print the
-/// same rows as broadcast; a declared catalog file must load and do the
-/// same; `--rewrite-sameas` must keep the same row set; malformed catalog
-/// input must be rejected with a parse error.
+/// same rows as broadcast, and any other `--catalog` value must be
+/// rejected before the query runs.
 #[test]
-fn cli_query_catalog_and_rewrite_flags() {
+fn cli_query_catalog_flag() {
     let dir = workdir("query");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
     std::fs::write(
@@ -433,61 +221,29 @@ fn cli_query_catalog_and_rewrite_flags() {
     assert!(reference.contains("\"D1\""), "sanity: {reference}");
     assert_eq!(reference, run(&["--catalog", "probe"]));
 
-    // Declared catalog file: endpoint names are the --data file stems.
-    let mut declared = alex::sparql::Catalog::new();
-    declared.declare(
-        "hub",
-        vec!["http://hub/key".to_string()],
-        Vec::<String>::new(),
-    );
-    declared.declare(
-        "shard",
-        vec!["http://shard/detail".to_string()],
-        Vec::<String>::new(),
-    );
-    std::fs::write(p("catalog.txt"), declared.to_text()).expect("write catalog");
-    assert_eq!(reference, run(&["--catalog", &p("catalog.txt")]));
-
-    // Rewriting keeps the same rows (sorted: unions enumerate branches in
-    // a different order than probe-time expansion).
-    let sorted = |s: &str| {
-        let mut lines: Vec<&str> = s.lines().collect();
-        lines.sort_unstable();
-        lines.join("\n")
-    };
-    assert_eq!(sorted(&reference), sorted(&run(&["--rewrite-sameas"])));
-    assert_eq!(
-        sorted(&reference),
-        sorted(&run(&["--catalog", "probe", "--rewrite-sameas"]))
-    );
-
-    // Malformed catalog input is a parse error, not silent broadcast.
-    std::fs::write(p("bad.txt"), "not a catalog\n").expect("write bad");
-    let out = alex_bin()
-        .args([
-            "query",
-            "--data",
-            &p("hub.nt"),
-            "--catalog",
-            &p("bad.txt"),
-            q,
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("catalog"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // Anything but `probe` is a usage error naming the flag and the one
+    // value it accepts — a path is not read as a catalog.
+    std::fs::write(p("catalog.txt"), "").expect("write catalog");
+    for bad in [p("catalog.txt"), "prob".to_string()] {
+        let out = alex_bin()
+            .args(["query", "--data", &p("hub.nt"), "--catalog", &bad, q])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--catalog {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--catalog") && stderr.contains("probe"),
+            "{stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `improve --feedback query` with `--catalog probe --rewrite-sameas` must
-/// reproduce the plain run's report and final links exactly, at 1 and 4
-/// threads — smarter federation must not move the learning trajectory.
+/// `improve --feedback query` with `--catalog probe` must reproduce the
+/// plain run's report and final links exactly, at 1 and 4 threads —
+/// catalog pruning must not move the learning trajectory.
 #[test]
-fn cli_improve_differential_catalog_and_rewrite() {
+fn cli_improve_differential_catalog() {
     let dir = workdir("improve");
     let p = |f: &str| dir.join(f).to_string_lossy().to_string();
 
@@ -501,7 +257,7 @@ fn cli_improve_differential_catalog_and_rewrite() {
         String::from_utf8_lossy(&out.stderr)
     );
 
-    let improve = |threads: &str, smarter: bool, out_file: &str| {
+    let improve = |threads: &str, catalog: bool, out_file: &str| {
         let mut args = vec![
             "improve".to_string(),
             p("left.nt"),
@@ -523,17 +279,13 @@ fn cli_improve_differential_catalog_and_rewrite() {
             "--out".into(),
             p(out_file),
         ];
-        if smarter {
-            args.extend([
-                "--catalog".into(),
-                "probe".into(),
-                "--rewrite-sameas".into(),
-            ]);
+        if catalog {
+            args.extend(["--catalog".into(), "probe".into()]);
         }
         let out = alex_bin().args(&args).output().expect("spawn improve");
         assert!(
             out.status.success(),
-            "threads {threads} smarter {smarter}: {}",
+            "threads {threads} catalog {catalog}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
         String::from_utf8_lossy(&out.stdout)

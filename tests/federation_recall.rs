@@ -132,60 +132,3 @@ fn recall_rises_while_pruned_traffic_stays_below_broadcast() {
     );
     alex::parallel::set_threads(0);
 }
-
-/// The same curve through the rewriter: at every convergence point a
-/// rewritten execution of the constant-anchored workload recovers exactly
-/// the answers whose links are in the closure, so recall through
-/// `--rewrite-sameas` tracks the plain curve point for point.
-#[test]
-fn rewritten_recall_tracks_the_closure() {
-    let _guard = guard();
-    alex::parallel::set_threads(1);
-    let sc = scenario();
-    // Constant-anchored variant: the hub IRI is the subject, so the
-    // rewriter turns each query into a hub-or-shard union.
-    let constant: Vec<(usize, Query)> = sc
-        .links
-        .iter()
-        .enumerate()
-        .map(|(i, (hub, _))| {
-            let s = i % sc.shards.len();
-            (
-                i,
-                parse(&format!(
-                    "SELECT ?v WHERE {{ <{hub}> <http://shard{s}.example.org/detail> ?v }}"
-                ))
-                .expect("parses"),
-            )
-        })
-        .collect();
-    let full = sc.links.len();
-
-    let mut last = -1i64;
-    for pct in [0usize, 50, 100] {
-        let n = full * pct / 100;
-        let engine = engine(&sc, n, false);
-        let answered = constant
-            .iter()
-            .filter(|(i, q)| {
-                let rewritten = engine.rewrite(q);
-                // Entities inside the closure prefix get a two-branch
-                // union; the rest pass through unrewritten.
-                assert_eq!(
-                    rewritten.rewritten_patterns(),
-                    u64::from(*i < n),
-                    "rewrite shape at {pct}% for entity {i}"
-                );
-                !engine
-                    .execute_rewritten(&rewritten)
-                    .expect("evaluates")
-                    .answers
-                    .is_empty()
-            })
-            .count() as i64;
-        assert_eq!(answered, n as i64, "{pct}%: rewritten recall");
-        assert!(answered > last, "{pct}%: strictly increasing");
-        last = answered;
-    }
-    alex::parallel::set_threads(0);
-}
