@@ -82,7 +82,7 @@ impl FeatureCatalog {
 pub type FeatureSet = Vec<(FeatureId, f64)>;
 
 /// The score of `feature` within a (sorted) feature set, if present.
-pub fn feature_score(set: &FeatureSet, feature: FeatureId) -> Option<f64> {
+pub fn feature_score(set: &[(FeatureId, f64)], feature: FeatureId) -> Option<f64> {
     set.binary_search_by_key(&feature, |&(f, _)| f)
         .ok()
         .map(|i| set[i].1)

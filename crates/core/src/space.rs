@@ -32,7 +32,7 @@ use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{prepared_similarity, TokenInterner};
 use alex_telemetry::counter;
 
-use crate::feature::{FeatureCatalog, FeatureId, FeatureSet};
+use crate::feature::{FeatureCatalog, FeatureId};
 use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
 
 /// Dense id of an entity pair in the link space.
@@ -171,7 +171,44 @@ fn score_values(sides: &PreparedSides, candidates: &[(u32, u32)], theta: f64) ->
     scores
 }
 
-/// The filtered space of candidate links.
+/// `len` as a CSR offset into the feature entries, which are counted in
+/// `u32` like `PairId`s.
+fn offset(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(offset) => offset,
+        Err(_) => panic!("link space holds more than u32::MAX feature entries"),
+    }
+}
+
+/// One score index per feature of the CSR feature sets `starts`/`entries`:
+/// `(score, pair)` in score order, ties by pair. Each list is sized once
+/// from a counting pass.
+fn score_indexes(
+    features: usize,
+    starts: &[u32],
+    entries: &[(FeatureId, f64)],
+) -> Vec<Vec<(f64, PairId)>> {
+    let mut counts = vec![0usize; features];
+    for &(f, _) in entries {
+        counts[f.0 as usize] += 1;
+    }
+    let mut by_feature: Vec<Vec<(f64, PairId)>> =
+        counts.into_iter().map(Vec::with_capacity).collect();
+    for (i, w) in starts.windows(2).enumerate() {
+        for &(f, score) in &entries[w[0] as usize..w[1] as usize] {
+            by_feature[f.0 as usize].push((score, PairId(i as u32)));
+        }
+    }
+    for list in &mut by_feature {
+        // (score, pair) keys are distinct, so the unstable sort is exact.
+        list.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+    by_feature
+}
+
+/// The filtered space of candidate links, stored as flat columns: the
+/// pairs, one CSR of feature sets, and one score index per dense
+/// [`FeatureId`].
 #[derive(Debug, Clone)]
 pub struct LinkSpace {
     catalog: FeatureCatalog,
@@ -179,13 +216,22 @@ pub struct LinkSpace {
     right_index: Arc<EntityIndex>,
     left_values: Arc<SideValues>,
     right_values: Arc<SideValues>,
+    /// Every pair by `PairId`: the built pairs, strictly increasing by
+    /// `(left, right)`, then the [`LinkSpace::ensure_pair`] admissions in
+    /// admission order.
     pairs: Vec<(u32, u32)>,
-    pair_lookup: HashMap<(u32, u32), PairId>,
-    features: Vec<FeatureSet>,
-    by_feature: HashMap<FeatureId, Vec<(f64, PairId)>>,
+    /// Number of built pairs, the sorted prefix of `pairs`.
+    built: usize,
+    /// `PairId`s of the admitted pairs, which the sorted prefix cannot find.
+    admitted_ids: HashMap<(u32, u32), PairId>,
+    /// Pair `i`'s feature set is `set_entries[set_starts[i]..set_starts[i + 1]]`.
+    set_starts: Vec<u32>,
+    set_entries: Vec<(FeatureId, f64)>,
+    /// Score index per feature, indexed by `FeatureId`: every pair carrying
+    /// the feature as `(score, pair)`, sorted by score, then pair.
+    by_feature: Vec<Vec<(f64, PairId)>>,
     theta: f64,
     blocked_pairs: usize,
-    admitted: Vec<(u32, u32)>,
 }
 
 impl LinkSpace {
@@ -261,54 +307,42 @@ impl LinkSpace {
             )
         });
 
+        debug_assert!(
+            candidates.windows(2).all(|w| w[0] < w[1]),
+            "candidates must be strictly increasing"
+        );
+        let kept = raw.iter().filter(|sf| !sf.is_empty()).count();
+        let entries = raw.iter().map(Vec::len).sum();
         let mut catalog = FeatureCatalog::new();
-        let mut pairs = Vec::new();
-        let mut features: Vec<FeatureSet> = Vec::new();
+        let mut pairs = Vec::with_capacity(kept);
+        let mut set_starts = Vec::with_capacity(kept + 1);
+        let mut set_entries = Vec::with_capacity(entries);
+        set_starts.push(0);
         for (&(l, r), raw_sf) in candidates.iter().zip(raw) {
             if raw_sf.is_empty() {
                 continue;
             }
             pairs.push((l, r));
-            features.push(intern_feature_set(raw_sf, &mut catalog));
+            set_entries.extend(intern_feature_set(raw_sf, &mut catalog));
+            set_starts.push(offset(set_entries.len()));
         }
 
-        let pair_lookup = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, PairId(i as u32)))
-            .collect();
-        let mut space = LinkSpace {
+        let by_feature = score_indexes(catalog.len(), &set_starts, &set_entries);
+        LinkSpace {
             catalog,
             left_index: Arc::clone(&sides.left_index),
             right_index: Arc::clone(&sides.right_index),
             left_values: Arc::clone(left_values),
             right_values: Arc::clone(right_values),
+            built: pairs.len(),
             pairs,
-            pair_lookup,
-            features,
-            by_feature: HashMap::new(),
+            admitted_ids: HashMap::new(),
+            set_starts,
+            set_entries,
+            by_feature,
             theta,
             blocked_pairs: candidates.len(),
-            admitted: Vec::new(),
-        };
-        space.rebuild_feature_index();
-        space
-    }
-
-    fn rebuild_feature_index(&mut self) {
-        let mut by_feature: HashMap<FeatureId, Vec<(f64, PairId)>> = HashMap::new();
-        for (i, sf) in self.features.iter().enumerate() {
-            for &(f, score) in sf {
-                by_feature
-                    .entry(f)
-                    .or_default()
-                    .push((score, PairId(i as u32)));
-            }
         }
-        for list in by_feature.values_mut() {
-            list.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        }
-        self.by_feature = by_feature;
     }
 
     /// Number of pairs in the filtered space.
@@ -366,12 +400,16 @@ impl LinkSpace {
 
     /// The pair id for `(left, right)` entity ids, if in the space.
     pub fn id_of(&self, left: u32, right: u32) -> Option<PairId> {
-        self.pair_lookup.get(&(left, right)).copied()
+        match self.pairs[..self.built].binary_search(&(left, right)) {
+            Ok(i) => Some(PairId(i as u32)),
+            Err(_) => self.admitted_ids.get(&(left, right)).copied(),
+        }
     }
 
-    /// The state feature set of a pair (§4.1).
-    pub fn feature_set_of(&self, id: PairId) -> &FeatureSet {
-        &self.features[id.0 as usize]
+    /// The state feature set of a pair (§4.1), sorted by feature id.
+    pub fn feature_set_of(&self, id: PairId) -> &[(FeatureId, f64)] {
+        let i = id.0 as usize;
+        &self.set_entries[self.set_starts[i] as usize..self.set_starts[i + 1] as usize]
     }
 
     /// Iterate over all pair ids.
@@ -402,15 +440,16 @@ impl LinkSpace {
             &mut self.catalog,
         );
         let id = PairId(self.pairs.len() as u32);
+        self.by_feature.resize_with(self.catalog.len(), Vec::new);
         for &(f, score) in &sf {
-            let list = self.by_feature.entry(f).or_default();
+            let list = &mut self.by_feature[f.0 as usize];
             let pos = list.partition_point(|&(s, _)| s < score);
             list.insert(pos, (score, id));
         }
         self.pairs.push((left, right));
-        self.pair_lookup.insert((left, right), id);
-        self.features.push(sf);
-        self.admitted.push((left, right));
+        self.admitted_ids.insert((left, right), id);
+        self.set_entries.extend(sf);
+        self.set_starts.push(offset(self.set_entries.len()));
         id
     }
 
@@ -419,7 +458,7 @@ impl LinkSpace {
     /// reproduces the exact same `PairId` (and `FeatureId`) assignments, which
     /// is what lets crash recovery persist raw ids.
     pub fn admissions(&self) -> &[(u32, u32)] {
-        &self.admitted
+        &self.pairs[self.built..]
     }
 
     /// Order-sensitive FNV-1a fingerprint of the built space: the pair list,
@@ -483,7 +522,9 @@ impl LinkSpace {
 
     /// The score index of `feature`: every pair carrying it, sorted by score.
     fn feature_index(&self, feature: FeatureId) -> &[(f64, PairId)] {
-        self.by_feature.get(&feature).map_or(&[], Vec::as_slice)
+        self.by_feature
+            .get(feature.0 as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Linear-scan reference implementation of [`LinkSpace::explore`], the
@@ -621,7 +662,7 @@ mod tests {
         let (left, right) = datasets();
         let mut space = LinkSpace::build(&left, &right, &SpaceConfig::default());
         let id = space.ensure_pair(0, 1);
-        for &(f, score) in space.feature_set_of(id).clone().iter() {
+        for &(f, score) in space.feature_set_of(id).to_vec().iter() {
             let found = space.explore(f, score, 0.001);
             assert!(found.contains(&id), "feature index missing new pair");
         }

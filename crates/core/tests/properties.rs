@@ -4,12 +4,16 @@ use std::collections::HashSet;
 
 use alex_core::feature::FeatureId;
 use alex_core::persist::{self, AgentState, PartitionSnapshot, RunSnapshot, TrustState};
+use alex_core::simmatrix::feature_set;
 use alex_core::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, WindowList};
+use alex_core::values::SideValues;
 use alex_core::{
-    feature::feature_score, Agent, AlexConfig, CandidateSet, Feedback, FeedbackItem, LinkSpace,
-    PairId, Policy, SourceId, SpaceConfig, TrustConfig,
+    feature::feature_score, Agent, AlexConfig, CandidateSet, FeatureCatalog, FeatureSet, Feedback,
+    FeedbackItem, LinkSpace, PairId, Policy, SourceId, SpaceConfig, TrustConfig,
 };
+use alex_linking::candidate_pairs;
 use alex_rdf::Dataset;
+use alex_sim::{prepared_similarity, TokenInterner};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
@@ -401,5 +405,201 @@ proptest! {
         let decoded_removed: Vec<PairId> = rb.removed.select(&decoded_cleared).collect();
         let explicit_removed: Vec<PairId> = removed.iter().map(|&i| cleared[i]).collect();
         prop_assert_eq!(decoded_removed, explicit_removed);
+    }
+}
+
+const WORDS: [&str; 8] = [
+    "alpha", "bravo", "carlo", "delta", "echos", "foxtrot", "golfer", "hotel",
+];
+
+/// Two data sets over [`WORDS`], so blocking meets many candidates. Each
+/// row `(a, b, c)` is one entity. Left entity 0 comes first and shares no
+/// token with anything, so no built pair starts with it and `(0, 0)`
+/// sorts before every built pair.
+fn word_pair(
+    left_rows: &[(usize, usize, usize)],
+    right_rows: &[(usize, usize, usize)],
+) -> (Dataset, Dataset) {
+    let mut left = Dataset::new("L");
+    let mut right = Dataset::new("R");
+    left.add_str("http://l/0", "http://l/label", "zulu quebec");
+    for (i, &(a, b, c)) in left_rows.iter().enumerate() {
+        let s = format!("http://l/{}", i + 1);
+        left.add_str(&s, "http://l/label", &format!("{} {}", WORDS[a], WORDS[b]));
+        left.add_str(&s, "http://l/alias", &format!("{} x{c}", WORDS[b]));
+    }
+    for (i, &(a, b, c)) in right_rows.iter().enumerate() {
+        let s = format!("http://r/{i}");
+        right.add_str(&s, "http://r/name", &format!("{} {}", WORDS[a], WORDS[b]));
+        right.add_str(&s, "http://r/title", &format!("x{c} {}", WORDS[a]));
+    }
+    (left, right)
+}
+
+/// The link space as plain data, scored directly per pair with
+/// `simmatrix::feature_set`: the built candidates that keep a feature,
+/// then each admitted pair.
+struct SpaceReference {
+    lv: SideValues,
+    rv: SideValues,
+    theta: f64,
+    pairs: Vec<(u32, u32)>,
+    catalog: FeatureCatalog,
+    sets: Vec<FeatureSet>,
+}
+
+impl SpaceReference {
+    fn build(left: &Dataset, right: &Dataset, theta: f64) -> SpaceReference {
+        let (li, ri) = (left.entity_index(), right.entity_index());
+        let mut interner = TokenInterner::new();
+        let lv = SideValues::build(left, &li, &mut interner);
+        let rv = SideValues::build(right, &ri, &mut interner);
+        let blocking = SpaceConfig::default().blocking;
+        let mut reference = SpaceReference {
+            lv,
+            rv,
+            theta,
+            pairs: Vec::new(),
+            catalog: FeatureCatalog::new(),
+            sets: Vec::new(),
+        };
+        for (l, r) in candidate_pairs(left, &li, right, &ri, &blocking) {
+            let sf = reference.feature_set(l, r);
+            if !sf.is_empty() {
+                reference.pairs.push((l, r));
+                reference.sets.push(sf);
+            }
+        }
+        reference
+    }
+
+    fn feature_set(&mut self, l: u32, r: u32) -> FeatureSet {
+        let (lv, rv) = (&self.lv, &self.rv);
+        feature_set(
+            lv.attrs(l),
+            rv.attrs(r),
+            self.theta,
+            |a, b| prepared_similarity(lv.value(a), rv.value(b)),
+            &mut self.catalog,
+        )
+    }
+
+    /// `LinkSpace::ensure_pair`: the pair's id, admitting it when new.
+    fn ensure_pair(&mut self, l: u32, r: u32) -> PairId {
+        if let Some(i) = self.pairs.iter().position(|&p| p == (l, r)) {
+            return PairId(i as u32);
+        }
+        let sf = self.feature_set(l, r);
+        self.pairs.push((l, r));
+        self.sets.push(sf);
+        PairId(self.pairs.len() as u32 - 1)
+    }
+
+    /// `LinkSpace::fingerprint`, recomputed from the reference's data.
+    fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |v: u64| {
+            for b in v.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        mix(self.pairs.len() as u64);
+        for &(l, r) in &self.pairs {
+            mix(u64::from(l));
+            mix(u64::from(r));
+        }
+        for (f, fp) in self.catalog.iter() {
+            mix(u64::from(f.0));
+            mix(fp.left.index() as u64);
+            mix(fp.right.index() as u64);
+        }
+        mix(self.theta.to_bits());
+        h
+    }
+
+    /// Whether `space` holds exactly the reference's pairs, feature sets
+    /// (scores bitwise) and fingerprint, and finds every pair by id.
+    fn check(&self, space: &LinkSpace) -> Result<(), TestCaseError> {
+        prop_assert_eq!(space.len(), self.pairs.len());
+        prop_assert_eq!(space.catalog().len(), self.catalog.len());
+        prop_assert_eq!(space.fingerprint(), self.fingerprint());
+        for (i, (&(l, r), sf)) in self.pairs.iter().zip(&self.sets).enumerate() {
+            let id = PairId(i as u32);
+            prop_assert_eq!(space.pair(id), (l, r));
+            prop_assert_eq!(space.id_of(l, r), Some(id));
+            let bits = |sf: &[(FeatureId, f64)]| -> Vec<(u32, u64)> {
+                sf.iter().map(|&(f, s)| (f.0, s.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(space.feature_set_of(id)), bits(sf));
+        }
+        Ok(())
+    }
+}
+
+/// `explore` finds exactly what the linear scan finds, for every feature
+/// and a window around every score the space holds.
+fn check_explore(space: &LinkSpace, step: f64) -> Result<(), TestCaseError> {
+    for (f, _) in space.catalog().iter() {
+        let centers = space
+            .pair_ids()
+            .filter_map(|id| feature_score(space.feature_set_of(id), f));
+        for center in centers.chain([0.0, 0.5, 1.0]) {
+            let mut a = space.explore(f, center, step);
+            let mut b = space.explore_scan(f, center, step);
+            a.sort_unstable();
+            b.sort_unstable();
+            prop_assert_eq!(a, b);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The columnar space equals a per-candidate reference at 1 and 4
+    /// threads: the same pairs, feature sets and fingerprint. `id_of`
+    /// round-trips for built pairs and for `ensure_pair` admissions
+    /// (the first of which sorts before every built pair), and `explore`
+    /// agrees with the scan after the admissions.
+    #[test]
+    fn columnar_space_matches_per_pair_reference(
+        left_rows in proptest::collection::vec((0usize..8, 0usize..8, 0usize..4), 4..30),
+        right_rows in proptest::collection::vec((0usize..8, 0usize..8, 0usize..4), 4..30),
+        theta_pick in 0usize..3,
+        admits in proptest::collection::vec((0u32..40, 0u32..40), 0..8),
+        step in 0.01f64..0.3,
+    ) {
+        let (left, right) = word_pair(&left_rows, &right_rows);
+        let theta = [0.0, 0.3, 0.6][theta_pick];
+        let cfg = SpaceConfig { theta, ..SpaceConfig::default() };
+        for threads in [1, 4] {
+            alex_parallel::set_threads(threads);
+            let mut space = LinkSpace::build(&left, &right, &cfg);
+            let mut reference = SpaceReference::build(&left, &right, theta);
+            reference.check(&space)?;
+            prop_assert!(space.pair_ids().all(|id| space.pair(id).0 != 0));
+            prop_assert_eq!(space.id_of(0, 0), None);
+
+            let (nl, nr) = (left_rows.len() as u32 + 1, right_rows.len() as u32);
+            let admitted: Vec<(u32, u32)> = std::iter::once((0, 0))
+                .chain(admits.iter().map(|&(l, r)| (l % nl, r % nr)))
+                .collect();
+            let mut fresh = Vec::new();
+            for &(l, r) in &admitted {
+                let known = reference.pairs.contains(&(l, r));
+                let id = space.ensure_pair(l, r);
+                prop_assert_eq!(id, reference.ensure_pair(l, r));
+                prop_assert_eq!(space.ensure_pair(l, r), id);
+                if !known {
+                    fresh.push((l, r));
+                }
+            }
+            prop_assert_eq!(space.admissions(), fresh.as_slice());
+            reference.check(&space)?;
+            check_explore(&space, step)?;
+        }
+        alex_parallel::set_threads(0);
     }
 }

@@ -5,9 +5,15 @@
 //! This is the classic RDF store layout (see e.g. Hexastore); three orders
 //! suffice because every pattern with at least one bound position maps to a
 //! prefix of one of the three.
+//!
+//! Only SPO is kept from the start. Linking reads entities subject-first,
+//! so POS and OSP are bulk-built from SPO the first time a pattern needs
+//! one of them (a federated query, say) and maintained by [`Graph::insert`]
+//! and [`Graph::remove`] from then on.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 use crate::interner::Sym;
 use crate::term::{Literal, LiteralKind, Term};
@@ -28,12 +34,15 @@ fn max_term() -> Term {
     })
 }
 
-/// An in-memory triple store with SPO / POS / OSP indexes.
+type Index = BTreeSet<(Term, Term, Term)>;
+
+/// An in-memory triple store with SPO / POS / OSP indexes, the latter two
+/// built on first use.
 #[derive(Debug, Default, Clone)]
 pub struct Graph {
-    spo: BTreeSet<(Term, Term, Term)>,
-    pos: BTreeSet<(Term, Term, Term)>,
-    osp: BTreeSet<(Term, Term, Term)>,
+    spo: Index,
+    pos: OnceLock<Index>,
+    osp: OnceLock<Index>,
 }
 
 impl Graph {
@@ -48,8 +57,12 @@ impl Graph {
         debug_assert!(t.predicate.is_iri(), "non-IRI predicate");
         let fresh = self.spo.insert((t.subject, t.predicate, t.object));
         if fresh {
-            self.pos.insert((t.predicate, t.object, t.subject));
-            self.osp.insert((t.object, t.subject, t.predicate));
+            if let Some(pos) = self.pos.get_mut() {
+                pos.insert((t.predicate, t.object, t.subject));
+            }
+            if let Some(osp) = self.osp.get_mut() {
+                osp.insert((t.object, t.subject, t.predicate));
+            }
         }
         fresh
     }
@@ -58,10 +71,26 @@ impl Graph {
     pub fn remove(&mut self, t: &Triple) -> bool {
         let was = self.spo.remove(&(t.subject, t.predicate, t.object));
         if was {
-            self.pos.remove(&(t.predicate, t.object, t.subject));
-            self.osp.remove(&(t.object, t.subject, t.predicate));
+            if let Some(pos) = self.pos.get_mut() {
+                pos.remove(&(t.predicate, t.object, t.subject));
+            }
+            if let Some(osp) = self.osp.get_mut() {
+                osp.remove(&(t.object, t.subject, t.predicate));
+            }
         }
         was
+    }
+
+    /// The POS index, built from SPO on first use.
+    fn pos(&self) -> &Index {
+        self.pos
+            .get_or_init(|| self.spo.iter().map(|&(s, p, o)| (p, o, s)).collect())
+    }
+
+    /// The OSP index, built from SPO on first use.
+    fn osp(&self) -> &Index {
+        self.osp
+            .get_or_init(|| self.spo.iter().map(|&(s, p, o)| (o, s, p)).collect())
     }
 
     /// Whether the exact triple is present.
@@ -87,7 +116,9 @@ impl Graph {
     /// Match a triple pattern; `None` positions are wildcards.
     ///
     /// Every shape resolves to a contiguous range scan on the most selective
-    /// index, so the cost is proportional to the number of matches.
+    /// index, so the cost is proportional to the number of matches, once
+    /// the index exists: the first pattern with an unbound subject, or with
+    /// a bound subject and object but no predicate, builds POS or OSP.
     pub fn matching<'a>(
         &'a self,
         s: Option<Term>,
@@ -120,7 +151,7 @@ impl Graph {
                     .map(|&(s, p, o)| Triple::new(s, p, o)),
             ),
             (Some(s), None, Some(o)) => Box::new(
-                self.osp
+                self.osp()
                     .range((
                         Bound::Included((o, s, min_term())),
                         Bound::Included((o, s, max_term())),
@@ -128,7 +159,7 @@ impl Graph {
                     .map(|&(o, s, p)| Triple::new(s, p, o)),
             ),
             (None, Some(p), Some(o)) => Box::new(
-                self.pos
+                self.pos()
                     .range((
                         Bound::Included((p, o, min_term())),
                         Bound::Included((p, o, max_term())),
@@ -136,7 +167,7 @@ impl Graph {
                     .map(|&(p, o, s)| Triple::new(s, p, o)),
             ),
             (None, Some(p), None) => Box::new(
-                self.pos
+                self.pos()
                     .range((
                         Bound::Included((p, min_term(), min_term())),
                         Bound::Included((p, max_term(), max_term())),
@@ -144,7 +175,7 @@ impl Graph {
                     .map(|&(p, o, s)| Triple::new(s, p, o)),
             ),
             (None, None, Some(o)) => Box::new(
-                self.osp
+                self.osp()
                     .range((
                         Bound::Included((o, min_term(), min_term())),
                         Bound::Included((o, max_term(), max_term())),
@@ -168,10 +199,10 @@ impl Graph {
         }
     }
 
-    /// Distinct predicates, in term order.
+    /// Distinct predicates, in term order (builds POS on first use).
     pub fn predicates(&self) -> impl Iterator<Item = Term> + '_ {
         DistinctFirst {
-            inner: self.pos.iter(),
+            inner: self.pos().iter(),
             last: None,
         }
     }

@@ -1,7 +1,9 @@
 //! Property-based tests for the RDF substrate: interning, graph index
 //! consistency, and N-Triples round-tripping under arbitrary content.
 
-use alex_rdf::{ntriples, Dataset, Graph, Interner, Term, Triple};
+use std::collections::BTreeSet;
+
+use alex_rdf::{ntriples, Dataset, Graph, Interner, Literal, Term, Triple};
 use proptest::prelude::*;
 
 /// Strategy for IRI-ish strings (no whitespace or angle brackets).
@@ -12,6 +14,97 @@ fn iri() -> impl Strategy<Value = String> {
 /// Strategy for literal lexical forms, including nasty characters.
 fn lexical() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[\\x20-\\x7e\u{e9}\u{4e16}\n\t\"\\\\]{0,24}").unwrap()
+}
+
+/// A small term universe: subjects 0..5, predicates 0..3, objects 0..6,
+/// the last three objects literals, so patterns meet both term kinds.
+struct Universe {
+    subjects: Vec<Term>,
+    predicates: Vec<Term>,
+    objects: Vec<Term>,
+}
+
+impl Universe {
+    fn new() -> Universe {
+        let mut interner = Interner::new();
+        let mut iri = |tag: &str, i: u32| Term::Iri(interner.intern(&format!("http://e/{tag}{i}")));
+        let subjects = (0..5).map(|i| iri("s", i)).collect();
+        let predicates = (0..3).map(|i| iri("p", i)).collect();
+        let mut objects: Vec<Term> = (0..3).map(|i| iri("o", i)).collect();
+        objects.extend(
+            (0..3).map(|i| Term::Literal(Literal::plain(interner.intern(&format!("v{i}"))))),
+        );
+        Universe {
+            subjects,
+            predicates,
+            objects,
+        }
+    }
+
+    fn triple(&self, (s, p, o): (usize, usize, usize)) -> Triple {
+        Triple::new(self.subjects[s], self.predicates[p], self.objects[o])
+    }
+
+    /// Every pattern over the universe: each position a wildcard or any
+    /// of its terms, so all eight shapes with every binding.
+    fn patterns(&self) -> Vec<(Option<Term>, Option<Term>, Option<Term>)> {
+        let with_wildcard = |terms: &[Term]| {
+            std::iter::once(None)
+                .chain(terms.iter().copied().map(Some))
+                .collect::<Vec<_>>()
+        };
+        let (ss, ps, os) = (
+            with_wildcard(&self.subjects),
+            with_wildcard(&self.predicates),
+            with_wildcard(&self.objects),
+        );
+        let mut out = Vec::new();
+        for &s in &ss {
+            for &p in &ps {
+                for &o in &os {
+                    out.push((s, p, o));
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Whether every pattern of `universe` matches in `graph` exactly what a
+/// naive filter over `reference` finds (as sets, with no duplicates), and
+/// the graph's size, subjects and predicates agree with `reference`.
+fn check_graph(
+    graph: &Graph,
+    reference: &BTreeSet<Triple>,
+    universe: &Universe,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(graph.len(), reference.len());
+    for (s, p, o) in universe.patterns() {
+        let got: Vec<Triple> = graph.matching(s, p, o).collect();
+        let unique: BTreeSet<Triple> = got.iter().copied().collect();
+        prop_assert_eq!(unique.len(), got.len(), "duplicates for {:?}", (s, p, o));
+        let expected: BTreeSet<Triple> = reference
+            .iter()
+            .filter(|x| {
+                s.is_none_or(|s| x.subject == s)
+                    && p.is_none_or(|p| x.predicate == p)
+                    && o.is_none_or(|o| x.object == o)
+            })
+            .copied()
+            .collect();
+        prop_assert_eq!(unique, expected, "pattern {:?}", (s, p, o));
+    }
+    let subjects: BTreeSet<Term> = reference.iter().map(|t| t.subject).collect();
+    prop_assert_eq!(
+        graph.subjects().collect::<Vec<_>>(),
+        subjects.into_iter().collect::<Vec<_>>()
+    );
+    let predicates: BTreeSet<Term> = reference.iter().map(|t| t.predicate).collect();
+    prop_assert_eq!(
+        graph.predicates().collect::<Vec<_>>(),
+        predicates.into_iter().collect::<Vec<_>>()
+    );
+    Ok(())
 }
 
 proptest! {
@@ -145,5 +238,47 @@ proptest! {
             })
             .sum();
         prop_assert_eq!(total, ds.len());
+    }
+
+    /// POS and OSP are built on first use and maintained after: whether
+    /// the first read comes before, between or after random inserts and
+    /// removes, every pattern shape matches what a naive filter finds,
+    /// and a clone taken once the indexes exist stays consistent on its
+    /// own as both copies change.
+    #[test]
+    fn lazily_built_indexes_match_naive_filter(
+        ops in proptest::collection::vec((0u8..3, (0usize..5, 0usize..3, 0usize..6)), 0..60),
+        first_read in 0usize..61,
+    ) {
+        let universe = Universe::new();
+        let first_read = first_read.min(ops.len());
+        let mut graph = Graph::new();
+        let mut reference = BTreeSet::new();
+        let mut copy: Option<(Graph, BTreeSet<Triple>)> = None;
+        for (i, &(kind, spo)) in ops.iter().enumerate() {
+            if i == first_read {
+                check_graph(&graph, &reference, &universe)?;
+                copy = Some((graph.clone(), reference.clone()));
+            }
+            let t = universe.triple(spo);
+            // Inserts twice as often as removes, so the graph grows.
+            if kind < 2 {
+                prop_assert_eq!(graph.insert(t), reference.insert(t));
+            } else {
+                prop_assert_eq!(graph.remove(&t), reference.remove(&t));
+            }
+            if let Some((g, r)) = copy.as_mut() {
+                // The copy takes the mirror operation, so the two diverge.
+                if kind < 2 {
+                    prop_assert_eq!(g.remove(&t), r.remove(&t));
+                } else {
+                    prop_assert_eq!(g.insert(t), r.insert(t));
+                }
+            }
+        }
+        check_graph(&graph, &reference, &universe)?;
+        if let Some((g, r)) = &copy {
+            check_graph(g, r, &universe)?;
+        }
     }
 }

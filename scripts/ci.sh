@@ -234,6 +234,25 @@ fi
 "$ALEX" report "$SMOKE/gated.jsonl" --metrics "$SMOKE/gated.prom" > /dev/null
 echo "telemetry smoke: links identical, $(wc -l < "$SMOKE/gated.jsonl") event lines, report ok"
 
+echo "==> memory ceiling (full-scale DBpedia-NYTimes batch run, 27 partitions, release build)"
+# The batch run's resident set is its 27 link spaces and two triple
+# stores. On a 2-vCPU host the episode-end VmRSS of this run read 58-59 MiB
+# with a heap vector per pair and POS/OSP built at load, and 33-34 MiB
+# with the columnar link space and on-demand POS/OSP indexes. The ceiling
+# sits between the two, so a return to the old layout breaches it.
+cargo build --release -q --bin alex
+mkdir -p "$SMOKE/full"
+target/release/alex gen --out-dir "$SMOKE/full" --pair dbpedia-nytimes --seed 20160501 > /dev/null 2>&1
+target/release/alex link "$SMOKE/full/left.nt" "$SMOKE/full/right.nt" \
+  --out "$SMOKE/full/links.nt" --threads 2 2> /dev/null
+target/release/alex improve "$SMOKE/full/left.nt" "$SMOKE/full/right.nt" \
+  --links "$SMOKE/full/links.nt" --truth "$SMOKE/full/truth.nt" \
+  --partitions 27 --threads 2 --max-rss-mb 45 --budget-policy continue \
+  > /dev/null 2> "$SMOKE/ceiling.err"
+grep -q "^supervision: 0 breach(es)" "$SMOKE/ceiling.err" \
+  || { grep "breach" "$SMOKE/ceiling.err" >&2; echo "memory ceiling: the run breached 45 MB" >&2; exit 1; }
+echo "memory ceiling: 0 breaches of 45 MB"
+
 echo "==> trace-schema smoke (--trace under --threads 1 and 4, oracle and query feedback, validated via alex report)"
 # The emitted Chrome trace must pass structural validation: balanced B/E
 # per thread and every pool chunk span enclosed by its dispatch span. At

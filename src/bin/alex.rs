@@ -1029,8 +1029,9 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
         return Err("improve requires exactly two data files".into());
     };
     let query = feedback_mode(&flags)? == "query";
-    // Read here too: oracle feedback builds no engine, yet a bad value is
-    // still an error.
+    // Read before any data is loaded, and read in both modes: oracle
+    // feedback builds no engine, yet a bad value is still an error.
+    cache_opts(&flags)?;
     catalog_opts(&flags)?;
     configure_threads(&flags)?;
     let durable = durable_opts(&flags)?;
@@ -1345,6 +1346,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if data_files.is_empty() {
         return Err("query requires at least one --data file".into());
     }
+    // Read before any data is loaded.
+    cache_opts(&flags)?;
+    catalog_opts(&flags)?;
     configure_threads(&flags)?;
     let telemetry = telemetry_setup(&flags)?;
     let query_text = match flag(&flags, "query-file") {

@@ -210,6 +210,54 @@ fn improve_rejects_flags_its_feedback_mode_never_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Bad cache flags fail before any data is loaded, in both feedback modes
+/// and in `alex query`: exit 2, and no link space is built.
+#[test]
+fn cache_flags_are_checked_before_loading() {
+    let dir = nba_dir("cacheflags");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["--feedback", "oracle", "--cache-capacity", "0"],
+            "--cache-capacity requires --cache",
+        ),
+        (
+            &["--feedback", "oracle", "--cache", "--cache-capacity", "0"],
+            "--cache-capacity must be at least 1",
+        ),
+        (
+            &["--feedback", "query", "--cache-capacity", "5"],
+            "--cache-capacity requires --cache",
+        ),
+        (
+            &["--feedback", "query", "--cache", "--cache-capacity", "0"],
+            "--cache-capacity must be at least 1",
+        ),
+    ];
+    for (extra, message) in cases {
+        let run = [extra, &["--episodes", "1", "--episode-size", "5"]].concat();
+        let out = improve_nba(&dir, &run);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains(message), "{extra:?}: {stderr}");
+        assert!(!stderr.contains("initial links"), "{extra:?}: {stderr}");
+    }
+
+    let left = dir.join("left.nt");
+    let out = alex()
+        .args(["query", "--data", &left.to_string_lossy()])
+        .args(["--cache-capacity", "5", "ASK { ?s ?p ?o }"])
+        .output()
+        .expect("spawn query");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--cache-capacity requires --cache"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Budget supervision covers query feedback too: a 1 MB RSS ceiling is
 /// breached by the first episode, which is finalized, marked degraded and
 /// stops the run.

@@ -16,7 +16,7 @@
 
 use alex::core::simmatrix::feature_set;
 use alex::core::values::SideValues;
-use alex::core::{FeatureCatalog, FeatureSet, LinkSpace, PreparedSides, SpaceConfig};
+use alex::core::{FeatureCatalog, FeatureId, FeatureSet, LinkSpace, PreparedSides, SpaceConfig};
 use alex::datagen::{generate_pair, DatasetKind, PairSpec};
 use alex::linking::candidate_pairs;
 use alex::sim::{prepared_similarity, TokenInterner, SLICE_MAX};
@@ -164,7 +164,7 @@ impl Oracle {
 }
 
 /// Feature sets with scores as bits, so equality is bitwise.
-fn bits(sf: &FeatureSet) -> Vec<(u32, u64)> {
+fn bits(sf: &[(FeatureId, f64)]) -> Vec<(u32, u64)> {
     sf.iter().map(|&(f, s)| (f.0, s.to_bits())).collect()
 }
 
