@@ -324,7 +324,8 @@ fn any_attribute_predicate(ds: &Dataset, iri: &str) -> Option<String> {
 mod tests {
     use super::*;
     use crate::space::SpaceConfig;
-    use alex_sparql::{DatasetEndpoint, FaultProfile, FaultyEndpoint};
+    use alex_fault::FaultPlan;
+    use alex_sparql::{DatasetEndpoint, FaultyEndpoint};
 
     /// Two aligned toy data sets with literal labels on both sides.
     fn datasets() -> (Dataset, Dataset) {
@@ -354,9 +355,9 @@ mod tests {
         if engine_faulty {
             engine.add_endpoint(Box::new(FaultyEndpoint::new(
                 DatasetEndpoint::new(left.clone()),
-                FaultProfile {
+                FaultPlan {
                     outage: Some((0, u64::MAX)),
-                    ..FaultProfile::none()
+                    ..FaultPlan::default()
                 },
             )));
         } else {

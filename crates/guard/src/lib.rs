@@ -27,8 +27,8 @@
 //! episodes are counted by the driver in `episodes_degraded_total`.
 //!
 //! Panic isolation and seeded chaos live in `alex-parallel`
-//! ([`PanicPolicy`], [`ChaosProfile`]) and are re-exported here so the
-//! CLI and tests have one supervision facade.
+//! ([`PanicPolicy`], [`chaos`]) and are re-exported here so the CLI and
+//! tests have one supervision facade.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use alex_telemetry::{counter, timeline};
 
-pub use alex_parallel::chaos::{self, ChaosProfile};
+pub use alex_parallel::chaos;
 pub use alex_parallel::{panic_policy, set_panic_policy, PanicPolicy};
 
 /// Resource ceilings for one improvement run. `None` everywhere (the

@@ -501,7 +501,7 @@ impl Pool {
 fn run_job<T, R>(
     f: &(impl Fn(&[T]) -> R + Sync),
     part: &[T],
-    chaos: &Option<(u64, chaos::ChaosProfile)>,
+    chaos: &Option<(u64, alex_fault::FaultPlan)>,
     c: usize,
 ) -> Result<R, Box<dyn Any + Send>> {
     catch_unwind(AssertUnwindSafe(|| {
@@ -822,7 +822,7 @@ mod tests {
         let clean: Vec<u64> = items.iter().map(|x| x ^ 0x5a5a).collect();
         for threads in [1, 2, 4] {
             chaos::install(
-                chaos::ChaosProfile::parse(
+                alex_fault::FaultPlan::parse(
                     "seed=9,panic-rate=0.08,slow-rate=0.1,slow-ms=1,alloc-rate=0.1,alloc-mb=1",
                 )
                 .unwrap(),
@@ -837,7 +837,7 @@ mod tests {
     #[test]
     fn chaos_panic_at_chunk_hits_exactly_that_chunk() {
         let _g = lock_unpoisoned(&GLOBALS);
-        chaos::install(chaos::ChaosProfile::parse("panic-at-chunk=2").unwrap());
+        chaos::install(alex_fault::FaultPlan::parse("panic-at-chunk=2").unwrap());
         let items: Vec<u64> = (0..64).collect();
         let pool = Pool::with_threads("chaos_at_test", 4).with_min_chunk(16);
         let out = pool.map(&items, |&x| x + 1);

@@ -1032,9 +1032,10 @@ fn bind_position(
 mod tests {
     use super::*;
     use crate::federation::endpoint::DatasetEndpoint;
-    use crate::federation::fault::{FaultProfile, FaultyEndpoint};
     use crate::federation::resilience::{BreakerConfig, RetryPolicy};
+    use crate::federation::FaultyEndpoint;
     use crate::parser::parse;
+    use alex_fault::FaultPlan;
     use alex_rdf::Dataset;
     use std::sync::Arc;
     use std::time::Duration;
@@ -1352,18 +1353,18 @@ mod tests {
         let mut engine = FederatedEngine::new();
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(dbpedia()),
-            FaultProfile {
+            FaultPlan {
                 seed: 3,
                 transient_rate: 0.4,
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 seed: 4,
                 transient_rate: 0.4,
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         engine.set_links(SameAsLinks::from_pairs(vec![(
@@ -1439,9 +1440,9 @@ mod tests {
         engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia())));
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 outage: Some((0, u64::MAX)),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         engine.set_resilience(fast_resilience());
@@ -1464,9 +1465,9 @@ mod tests {
         let mut engine = FederatedEngine::new();
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 outage: Some((0, u64::MAX)),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         let mut cfg = fast_resilience();
@@ -1489,9 +1490,9 @@ mod tests {
         // Down for the first 3 calls, healthy afterwards.
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(dbpedia()),
-            FaultProfile {
+            FaultPlan {
                 outage: Some((0, 3)),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         let mut cfg = fast_resilience();
@@ -1516,9 +1517,9 @@ mod tests {
         let mut engine = FederatedEngine::new();
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 outage: Some((0, u64::MAX)),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         let mut cfg = fast_resilience();
@@ -1539,9 +1540,9 @@ mod tests {
         for ds in [dbpedia(), nyt()] {
             engine.add_endpoint(Box::new(FaultyEndpoint::new(
                 DatasetEndpoint::new(ds),
-                FaultProfile {
+                FaultPlan {
                     outage: Some((0, u64::MAX)),
-                    ..FaultProfile::none()
+                    ..FaultPlan::default()
                 },
             )));
         }
@@ -1930,10 +1931,10 @@ mod tests {
             let mut engine = FederatedEngine::new();
             engine.add_endpoint(Box::new(FaultyEndpoint::new(
                 DatasetEndpoint::new(dbpedia()),
-                FaultProfile {
+                FaultPlan {
                     seed: 3,
                     transient_rate: 0.3,
-                    ..FaultProfile::none()
+                    ..FaultPlan::default()
                 },
             )));
             engine.add_endpoint(Box::new(DatasetEndpoint::new(nyt())));
@@ -1967,9 +1968,9 @@ mod tests {
         engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia())));
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 latency: Duration::from_millis(3),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         let mut cfg = fast_resilience();
@@ -2116,12 +2117,12 @@ mod tests {
 
     #[test]
     fn catalog_scans_retry_transient_faults_and_refuse_outages() {
-        let profile = |seed: u64, transient_rate: f64| FaultProfile {
+        let profile = |seed: u64, transient_rate: f64| FaultPlan {
             seed,
             transient_rate,
-            ..FaultProfile::none()
+            ..FaultPlan::default()
         };
-        let build = |fault: &dyn Fn(u64) -> FaultProfile| {
+        let build = |fault: &dyn Fn(u64) -> FaultPlan| {
             let mut engine = FederatedEngine::new();
             for (i, ds) in [dbpedia(), nyt()].into_iter().enumerate() {
                 engine.add_endpoint(Box::new(FaultyEndpoint::new(
@@ -2135,7 +2136,7 @@ mod tests {
             engine.build_catalog()
         };
         let clean = healthy_catalog();
-        assert_eq!(build(&|_| FaultProfile::none()).unwrap(), clean);
+        assert_eq!(build(&|_| FaultPlan::default()).unwrap(), clean);
         let mut unretried_failures = 0;
         for seed in 0..8u64 {
             let faulty = build(&|i| profile(seed + i, 0.3)).unwrap();
@@ -2152,9 +2153,9 @@ mod tests {
         assert!(unretried_failures > 0, "the faults never hit a scan");
 
         // A terminal failure still refuses the whole catalog.
-        let outage = build(&|_| FaultProfile {
+        let outage = build(&|_| FaultPlan {
             outage: Some((0, u64::MAX)),
-            ..FaultProfile::none()
+            ..FaultPlan::default()
         });
         assert!(matches!(outage, Err(EndpointError::Unavailable { .. })));
     }
@@ -2168,9 +2169,9 @@ mod tests {
         engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia())));
         engine.add_endpoint(Box::new(FaultyEndpoint::new(
             DatasetEndpoint::new(nyt()),
-            FaultProfile {
+            FaultPlan {
                 outage: Some((0, u64::MAX)),
-                ..FaultProfile::none()
+                ..FaultPlan::default()
             },
         )));
         engine.set_links(SameAsLinks::from_pairs(vec![(

@@ -1,10 +1,11 @@
 //! Deterministic fault injection for the durability layer.
 //!
-//! [`FaultyStore`] wraps a state directory and injects seeded storage
-//! faults into every write path, mirroring the federation layer's
-//! `FaultyEndpoint`: the same seed replays the exact same fault schedule,
-//! so chaos tests are reproducible. Four failure modes cover the crash
-//! model the recovery path must survive:
+//! [`FaultyStore`] wraps a state directory and injects the store faults of
+//! a [`FaultPlan`] into every write path, mirroring the federation layer's
+//! `FaultyEndpoint`. Each fault is drawn from the plan's seed and the
+//! write's sequence number (episode or snapshot), so a given write meets
+//! the same fate on every run, whatever was written before it. Four
+//! failure modes cover the crash model the recovery path must survive:
 //!
 //! * **torn write** — only a prefix of a journal record reaches disk
 //!   before the "crash" (surfaced as [`StoreError::InjectedCrash`]);
@@ -14,108 +15,19 @@
 //!   ordinary process crash but not power loss; exercises the path);
 //! * **crash between rename** — a snapshot temp file is durable but the
 //!   atomic rename never happens, so the previous snapshot must win.
-//!
-//! The crate is zero-dependency, so randomness comes from an in-crate
-//! SplitMix64 — the same generator the `rand` shim uses for seeding.
 
 use std::path::Path;
 
+use alex_fault::{Fault, FaultPlan};
+
 use crate::journal::Journal;
 use crate::store::{encode_episode, Recovery, StateStore, Store, StoreError};
-
-/// SplitMix64: tiny, seedable, and plenty for fault scheduling.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, 1)`.
-    fn next_unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn chance(&mut self, rate: f64) -> bool {
-        rate > 0.0 && self.next_unit() < rate
-    }
-
-    /// Uniform draw in `[0, n)`; `n` must be > 0.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-}
-
-/// A seeded schedule of storage faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// RNG seed; the same seed replays the same fault sequence.
-    pub seed: u64,
-    /// Probability in [0, 1] that a journal append is torn mid-record
-    /// (simulated crash).
-    pub torn_write_rate: f64,
-    /// Probability in [0, 1] that a journal append lands with one bit
-    /// flipped (silent corruption).
-    pub bit_flip_rate: f64,
-    /// Probability in [0, 1] that a journal append skips its fsync.
-    pub dropped_fsync_rate: f64,
-    /// Probability in [0, 1] that a snapshot write "crashes" after the
-    /// temp-file fsync but before the atomic rename.
-    pub crash_between_rename_rate: f64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
-}
-
-impl FaultPlan {
-    /// A plan that injects nothing.
-    pub fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            torn_write_rate: 0.0,
-            bit_flip_rate: 0.0,
-            dropped_fsync_rate: 0.0,
-            crash_between_rename_rate: 0.0,
-        }
-    }
-
-    /// Whether this plan injects no faults at all.
-    pub fn is_noop(&self) -> bool {
-        self.torn_write_rate <= 0.0
-            && self.bit_flip_rate <= 0.0
-            && self.dropped_fsync_rate <= 0.0
-            && self.crash_between_rename_rate <= 0.0
-    }
-
-    /// Derive a plan with a different seed.
-    pub fn with_seed(&self, seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..self.clone()
-        }
-    }
-}
 
 /// A [`Store`] decorator injecting deterministic storage faults.
 #[derive(Debug)]
 pub struct FaultyStore {
     state: StateStore,
     plan: FaultPlan,
-    rng: SplitMix64,
     injected_crashes: u64,
     injected_corruptions: u64,
 }
@@ -126,17 +38,13 @@ impl FaultyStore {
     /// crashing *writer*, and the reader's job is to repair what it left.
     pub fn open(dir: &Path, plan: FaultPlan) -> Result<(FaultyStore, Recovery), StoreError> {
         let (state, recovery) = StateStore::open(dir)?;
-        let rng = SplitMix64::new(plan.seed);
-        Ok((
-            FaultyStore {
-                state,
-                plan,
-                rng,
-                injected_crashes: 0,
-                injected_corruptions: 0,
-            },
-            recovery,
-        ))
+        let store = FaultyStore {
+            state,
+            plan,
+            injected_crashes: 0,
+            injected_corruptions: 0,
+        };
+        Ok((store, recovery))
     }
 
     /// Simulated crashes injected so far.
@@ -153,34 +61,28 @@ impl FaultyStore {
 impl Store for FaultyStore {
     fn append_episode(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
         let record = encode_episode(seq, payload);
-        let framed = Journal::frame(&record);
-
-        if self.rng.chance(self.plan.torn_write_rate) {
+        let mut framed = Journal::frame(&record);
+        let journal = self.state.journal_mut();
+        if self.plan.fires(Fault::TornWrite, seq) {
             // Crash mid-write: a strict prefix of the framed record lands.
-            let cut = 1 + self.rng.below(framed.len() - 1);
+            let cut = 1 + self.plan.position(Fault::TornWrite, seq, framed.len() - 1);
             self.injected_crashes += 1;
-            self.state.journal_mut().append_raw(&framed[..cut], true)?;
+            journal.append_raw(&framed[..cut], true)?;
             return Err(StoreError::InjectedCrash {
                 op: "journal append",
             });
         }
-        if self.rng.chance(self.plan.bit_flip_rate) {
+        if self.plan.fires(Fault::BitFlip, seq) {
             // Silent corruption: the full record lands, one bit wrong.
-            let mut mangled = framed.clone();
-            let byte = self.rng.below(mangled.len());
-            let bit = self.rng.below(8);
-            mangled[byte] ^= 1 << bit;
+            let bit = self.plan.position(Fault::BitFlip, seq, framed.len() * 8);
+            framed[bit / 8] ^= 1 << (bit % 8);
             self.injected_corruptions += 1;
-            return self.state.journal_mut().append_raw(&mangled, true);
         }
-        if self.rng.chance(self.plan.dropped_fsync_rate) {
-            return self.state.journal_mut().append_raw(&framed, false);
-        }
-        self.state.journal_mut().append_raw(&framed, true)
+        journal.append_raw(&framed, !self.plan.fires(Fault::DroppedFsync, seq))
     }
 
     fn write_snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        if self.rng.chance(self.plan.crash_between_rename_rate) {
+        if self.plan.fires(Fault::CrashBetweenRename, seq) {
             self.injected_crashes += 1;
             return self.state.write_snapshot_inner(seq, payload, true);
         }
@@ -206,95 +108,89 @@ mod tests {
         dir
     }
 
-    #[test]
-    fn same_seed_replays_the_same_fault_schedule() {
-        let mut draws = Vec::new();
-        for _ in 0..2 {
-            let mut rng = SplitMix64::new(42);
-            draws.push((0..16).map(|_| rng.next_u64()).collect::<Vec<_>>());
-        }
-        assert_eq!(draws[0], draws[1]);
-    }
-
-    #[test]
-    fn torn_write_surfaces_crash_and_recovery_drops_the_record() {
-        let dir = tmpdir("torn");
-        let plan = FaultPlan {
-            seed: 7,
-            torn_write_rate: 1.0,
-            ..FaultPlan::none()
-        };
-        {
-            let (mut store, recovery) = FaultyStore::open(&dir, plan).unwrap();
-            assert!(recovery.is_fresh());
-            let err = store.append_episode(1, b"doomed").unwrap_err();
-            assert!(matches!(err, StoreError::InjectedCrash { .. }));
-            assert_eq!(store.injected_crashes(), 1);
-        }
-        let (_, recovery) = DirectStore::open(&dir).unwrap();
-        assert!(recovery.journal_tail.is_empty());
-        assert_eq!(recovery.truncated_records, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bit_flip_is_silent_at_write_time_but_caught_on_recovery() {
-        let dir = tmpdir("flip");
-        let plan = FaultPlan {
-            seed: 11,
-            bit_flip_rate: 1.0,
-            ..FaultPlan::none()
-        };
-        {
-            let (mut store, _) = FaultyStore::open(&dir, plan).unwrap();
-            store.append_episode(1, b"quietly broken").unwrap();
-            assert_eq!(store.injected_corruptions(), 1);
-        }
-        let (_, recovery) = DirectStore::open(&dir).unwrap();
-        assert!(recovery.journal_tail.is_empty());
-        assert_eq!(recovery.truncated_records, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn crash_between_rename_keeps_previous_snapshot() {
-        let dir = tmpdir("rename");
+    /// Open `dir` behind `plan`, let `write` run, then recover it cleanly.
+    fn recover_after(tag: &str, plan: FaultPlan, write: impl FnOnce(&mut FaultyStore)) -> Recovery {
+        let dir = tmpdir(tag);
         {
             let (mut store, _) = DirectStore::open(&dir).unwrap();
             store.write_snapshot(1, b"good old state").unwrap();
         }
-        let plan = FaultPlan {
-            seed: 3,
-            crash_between_rename_rate: 1.0,
-            ..FaultPlan::none()
-        };
-        {
-            let (mut store, _) = FaultyStore::open(&dir, plan).unwrap();
-            let err = store.write_snapshot(2, b"never lands").unwrap_err();
-            assert!(matches!(err, StoreError::InjectedCrash { .. }));
-        }
+        let (mut store, _) = FaultyStore::open(&dir, plan).unwrap();
+        write(&mut store);
+        drop(store);
         let (_, recovery) = DirectStore::open(&dir).unwrap();
-        assert_eq!(recovery.snapshot, Some((1, b"good old state".to_vec())));
         std::fs::remove_dir_all(&dir).unwrap();
+        recovery
     }
 
     #[test]
-    fn dropped_fsync_still_readable_in_process_crash_model() {
-        let dir = tmpdir("fsync");
-        let plan = FaultPlan {
-            seed: 5,
-            dropped_fsync_rate: 1.0,
-            ..FaultPlan::none()
+    fn each_fault_kind_is_caught_or_harmless_on_recovery() {
+        let plan = |f: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::default();
+            f(&mut plan);
+            plan
         };
-        {
-            let (mut store, _) = FaultyStore::open(&dir, plan).unwrap();
-            store.append_episode(1, b"unsynced").unwrap();
-        }
-        // Process-crash model: page cache survives, so the record reads
-        // back fine; the injection exercises the no-fsync write path.
-        let (_, recovery) = DirectStore::open(&dir).unwrap();
-        assert_eq!(recovery.journal_tail, vec![(1, b"unsynced".to_vec())]);
-        std::fs::remove_dir_all(&dir).unwrap();
+        // A torn append surfaces as a crash; recovery drops the record.
+        let torn = recover_after("torn", plan(|p| p.torn_write_rate = 1.0), |store| {
+            let err = store.append_episode(2, b"doomed").unwrap_err();
+            assert!(matches!(err, StoreError::InjectedCrash { .. }));
+            assert_eq!(store.injected_crashes(), 1);
+        });
+        assert!(torn.journal_tail.is_empty());
+        assert_eq!(torn.truncated_records, 1);
+
+        // A bit flip is silent at write time; recovery's CRC catches it.
+        let flip = recover_after("flip", plan(|p| p.bit_flip_rate = 1.0), |store| {
+            store.append_episode(2, b"quietly broken").unwrap();
+            assert_eq!(store.injected_corruptions(), 1);
+        });
+        assert!(flip.journal_tail.is_empty());
+        assert_eq!(flip.truncated_records, 1);
+
+        // A crash between rename keeps the previous snapshot.
+        let rename = recover_after(
+            "rename",
+            plan(|p| p.crash_between_rename_rate = 1.0),
+            |store| {
+                let err = store.write_snapshot(2, b"never lands").unwrap_err();
+                assert!(matches!(err, StoreError::InjectedCrash { .. }));
+            },
+        );
+        assert_eq!(rename.snapshot, Some((1, b"good old state".to_vec())));
+
+        // Process-crash model: the page cache survives a dropped fsync, so
+        // the record reads back; the injection exercises the no-fsync path.
+        let fsync = recover_after("fsync", plan(|p| p.dropped_fsync_rate = 1.0), |store| {
+            store.append_episode(2, b"unsynced").unwrap();
+        });
+        assert_eq!(fsync.journal_tail, vec![(2, b"unsynced".to_vec())]);
+    }
+
+    #[test]
+    fn a_write_meets_the_same_fate_whatever_was_written_before() {
+        let plan = FaultPlan {
+            seed: 3,
+            bit_flip_rate: 0.5,
+            ..FaultPlan::default()
+        };
+        // Every episode of 1..=16, then only the even ones: each even
+        // episode's record must be corrupted (or not) both times.
+        let fates = |step: usize| {
+            let dir = tmpdir(&format!("fate-{step}"));
+            let (mut store, _) = FaultyStore::open(&dir, plan.clone()).unwrap();
+            let mut fates = Vec::new();
+            for seq in (step as u64..=16).step_by(step) {
+                let before = store.injected_corruptions();
+                store.append_episode(seq, b"payload").unwrap();
+                fates.push((seq, store.injected_corruptions() > before));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+            fates.retain(|&(seq, _)| seq % 2 == 0);
+            fates
+        };
+        let all = fates(1);
+        assert_eq!(all, fates(2));
+        assert!(all.iter().any(|f| f.1) && all.iter().any(|f| !f.1));
     }
 
     #[test]
@@ -303,6 +199,7 @@ mod tests {
         // faults; after every simulated crash re-open and keep going.
         // Invariant: recovery always returns a valid prefix of the
         // successfully-committed episodes, in order.
+        let mut crashes = 0;
         for seed in 0..8u64 {
             let dir = tmpdir(&format!("chaos-{seed}"));
             let plan = FaultPlan {
@@ -311,48 +208,66 @@ mod tests {
                 bit_flip_rate: 0.2,
                 dropped_fsync_rate: 0.2,
                 crash_between_rename_rate: 0.3,
+                ..FaultPlan::default()
+            };
+            // "Reboot": reopen the directory like a new process; recovered
+            // seqs must be in order.
+            let reboot = || {
+                let (store, recovery) = FaultyStore::open(&dir, plan.clone()).unwrap();
+                let seqs: Vec<u64> = recovery
+                    .snapshot
+                    .iter()
+                    .map(|(s, _)| *s)
+                    .chain(recovery.journal_tail.iter().map(|(s, _)| *s))
+                    .collect();
+                assert!(
+                    seqs.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed}: out-of-order recovery {seqs:?}"
+                );
+                store
             };
             let mut committed: Vec<u64> = Vec::new();
-            let (mut store, _) = FaultyStore::open(&dir, plan.clone()).unwrap();
+            let mut store = reboot();
             for ep in 1..=40u64 {
                 let payload = format!("episode-{ep}");
                 match store.append_episode(ep, payload.as_bytes()) {
                     Ok(()) => committed.push(ep),
                     Err(StoreError::InjectedCrash { .. }) => {
-                        // "Reboot": reopen the directory like a new process.
-                        let (s, recovery) = FaultyStore::open(&dir, plan.clone()).unwrap();
-                        store = s;
-                        let seqs: Vec<u64> = recovery
-                            .snapshot
-                            .iter()
-                            .map(|(s, _)| *s)
-                            .chain(recovery.journal_tail.iter().map(|(s, _)| *s))
-                            .collect();
-                        // Recovered seqs must be committed ones, in order.
-                        assert!(
-                            seqs.windows(2).all(|w| w[0] < w[1]),
-                            "seed {seed}: out-of-order recovery {seqs:?}"
-                        );
-                        // Retry the failed episode after "reboot".
-                        if store.append_episode(ep, payload.as_bytes()).is_ok() {
-                            committed.push(ep);
+                        crashes += 1;
+                        store = reboot();
+                        // Retry after the reboot: the draw is keyed on the
+                        // seq, so a torn seq tears again and stays
+                        // uncommitted, and the writer reboots once more.
+                        match store.append_episode(ep, payload.as_bytes()) {
+                            Ok(()) => committed.push(ep),
+                            Err(StoreError::InjectedCrash { .. }) => store = reboot(),
+                            Err(other) => panic!("seed {seed}: unexpected error {other}"),
                         }
                     }
                     Err(other) => panic!("seed {seed}: unexpected error {other}"),
                 }
                 if ep % 10 == 0 {
                     let snap_payload = format!("state-through-{ep}");
-                    let _ = store.write_snapshot(ep, snap_payload.as_bytes());
+                    match store.write_snapshot(ep, snap_payload.as_bytes()) {
+                        Ok(()) => {}
+                        Err(StoreError::InjectedCrash { .. }) => {
+                            crashes += 1;
+                            store = reboot();
+                        }
+                        Err(other) => panic!("seed {seed}: unexpected error {other}"),
+                    }
                 }
             }
             // Final recovery: every surviving record corresponds to a
             // committed episode (bit-flipped ones may be dropped, which is
             // exactly the CRC doing its job).
+            drop(store);
             let (_, recovery) = DirectStore::open(&dir).unwrap();
             for (seq, _) in &recovery.journal_tail {
                 assert!(committed.contains(seq), "seed {seed}: ghost episode {seq}");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
+        assert!(crashes >= 8, "only {crashes} injected crashes");
     }
 }

@@ -20,11 +20,13 @@
 //! durably and detects corruption; `alex-core` owns the domain encoding.
 //!
 //! Robustness is proven, not assumed: [`fault::FaultyStore`] mirrors the
-//! federation layer's `FaultyEndpoint` and injects seeded torn writes,
-//! bit-flips, dropped fsyncs, and crash-between-rename into every write
-//! path so tests can drive recovery over every failure mode.
+//! federation layer's `FaultyEndpoint` and injects the seeded torn writes,
+//! bit-flips, dropped fsyncs, and crash-between-rename of an
+//! `alex_fault::FaultPlan` into every write path so tests can drive
+//! recovery over every failure mode.
 //!
-//! The crate is pure std (no dependencies), `forbid(unsafe_code)`, and —
+//! The crate is pure std (its one dependency, `alex-fault`, is too),
+//! `forbid(unsafe_code)`, and —
 //! like the federation fault path — bans panicking call sites: a disk
 //! problem must surface as a typed [`StoreError`], never a crash.
 
@@ -40,6 +42,6 @@ pub mod snapshot;
 mod store;
 
 pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use fault::{FaultPlan, FaultyStore};
+pub use fault::FaultyStore;
 pub use journal::{Journal, JournalScan};
 pub use store::{DirectStore, Recovery, StateStore, Store, StoreError};

@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-cache)"
+echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-cache, alex-fault)"
 # The federation modules carry #[deny(clippy::unwrap_used, clippy::expect_used)]
 # (see crates/sparql/src/federation/mod.rs), and alex-core / alex-store /
 # alex-cache deny the same lints crate-wide (see their lib.rs); these runs
@@ -20,6 +20,9 @@ cargo clippy -p alex-sparql -- -D warnings
 cargo clippy -p alex-core -- -D warnings
 cargo clippy -p alex-store -- -D warnings
 cargo clippy -p alex-cache -- -D warnings
+# The fault plan every injector reads (spec parser, content-keyed draw)
+# denies the same lints crate-wide (see crates/fault/src/lib.rs).
+cargo clippy -p alex-fault -- -D warnings
 # The profiling layer (timeline/trace/attribution/report modules) carries
 # the same per-module deny, so the exporter and aggregators stay panic-free.
 cargo clippy -p alex-telemetry -- -D warnings
@@ -108,15 +111,24 @@ done
 echo "==> e2e benchmark unit tests (separate package, own target dir)"
 cargo test --offline -q --manifest-path e2e-bench/Cargo.toml
 
-echo "==> chaos suite (seeded fault injection over the full improve loop)"
-cargo test --test chaos_federation -q
+echo "==> chaos suite (seeded fault injection over the full improve loop, ALEX_THREADS=1 and 4)"
+# Every fault suite below shares tests/harness (one CLI kill-and-resume
+# table, one disturbed-vs-reference runner) and reads one alex-fault plan;
+# each runs at both pool widths.
+ALEX_THREADS=1 cargo test --test chaos_federation -q
+ALEX_THREADS=4 cargo test --test chaos_federation -q
+# The simulation sweep: seeded random plans over pool, store and endpoint
+# faults with random kill points must recover to the undisturbed reference.
+ALEX_THREADS=1 cargo test --test crash_resume -q
+ALEX_THREADS=4 cargo test --test crash_resume -q
 
 echo "==> cache differential suite (cached vs uncached byte-identity, shadow-oracle staleness)"
 # The answer cache must be behaviorally invisible: improve/query output is
 # compared cached-vs-uncached across --threads 1/4 and fault profiles, and
 # random link-mutation sequences are checked against a from-scratch oracle
 # (no cached probe answer may go stale when links change).
-cargo test --test cache_differential -q
+ALEX_THREADS=1 cargo test --test cache_differential -q
+ALEX_THREADS=4 cargo test --test cache_differential -q
 
 echo "==> SPARQL fuzz (fixed seed budget: ~4k structured + ~6k mutated inputs)"
 # Seeds are hard-coded in the test file, so this budget is deterministic;
@@ -137,7 +149,8 @@ ALEX_THREADS=4 cargo test --test federation_recall -q
 # endpoint's job list as one request must match one sending a call per
 # probe (answers, skip sets, retry/circuit tallies, breaker states, fault
 # schedule) across seeds, fault profiles and --threads 1/4.
-cargo test --test request_differential -q
+ALEX_THREADS=1 cargo test --test request_differential -q
+ALEX_THREADS=4 cargo test --test request_differential -q
 # `--catalog probe` scans endpoints under retries and the breaker: the CLI
 # run survives transient faults and still refuses a catalog on an outage.
 cargo test --test cli -q catalog_probe_survives_transient_faults
@@ -166,7 +179,8 @@ echo "==> composed-chaos suite (storage faults + poisoners + faulty federation, 
 # reference's exact links, admission log, and trust posteriors — plus the
 # chaos gate (chunk panics + stalls + silent store faults + flaky
 # federation under quarantine) and the CLI SIGKILL legs.
-cargo test --test composed_chaos -q
+ALEX_THREADS=1 cargo test --test composed_chaos -q
+ALEX_THREADS=4 cargo test --test composed_chaos -q
 
 echo "==> kill-and-resume smoke (SIGKILL mid-run, --resume, diff vs reference)"
 # An improve run is SIGKILLed at an episode commit, resumed with --resume,

@@ -29,7 +29,8 @@ use alex::core::{
     AlexConfig, Durability, FeedbackBridge, FeedbackSource, OracleFeedback, PartitionedConfig,
     Quality, QueryFeedback, RunReport, SpaceConfig, StopReason, TrustConfig, TrustGate,
 };
-use alex::guard::{BreachPolicy, Budget, ChaosProfile, Supervisor};
+use alex::fault::{Domain, FaultPlan};
+use alex::guard::{BreachPolicy, Budget, Supervisor};
 
 use alex::datagen::{
     all_pairs, assign_roles, generate_pair, AdversaryProfile, DatasetKind, PairSpec,
@@ -37,8 +38,8 @@ use alex::datagen::{
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
-    parse, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine,
-    ResilienceConfig, SameAsLinks,
+    parse, Completeness, DatasetEndpoint, FaultyEndpoint, FederatedEngine, ResilienceConfig,
+    SameAsLinks,
 };
 
 fn main() -> ExitCode {
@@ -119,11 +120,12 @@ USAGE:
   accepted but inert with oracle feedback.
 
 FAULT TOLERANCE (improve --feedback query, and query):
-  --fault-profile SPEC      Inject deterministic faults into every
-                            endpoint, e.g.
+  --fault-profile SPEC      Inject seeded faults into every endpoint, e.g.
                             'seed=7,transient=0.3,truncate=0.1,latency-ms=5,outage=100..200'
                             (rates in [0,1]; outage is a call-index
-                            window, 'start..' means forever).
+                            window, 'start..' means forever). Each send
+                            of a probe draws its own fate; 'seed=N'
+                            alone injects nothing.
   --retries N               Max retry attempts per endpoint probe
                             (default 2; exponential backoff + jitter).
   --backoff-ms MS           Initial retry backoff (default 10).
@@ -478,9 +480,8 @@ fn configure_threads(flags: &Flags) -> Result<(), String> {
             .map_err(|e: String| format!("--panic-policy: {e}"))?;
         alex::parallel::set_panic_policy(policy);
     }
-    if let Some(spec) = flag(flags, "chaos-profile") {
-        let profile = ChaosProfile::parse(spec).map_err(|e| format!("--chaos-profile: {e}"))?;
-        alex::guard::chaos::install(profile);
+    if let Some(plan) = fault_plan(flags, "chaos-profile", Domain::Pool)? {
+        alex::guard::chaos::install(plan);
     }
     Ok(())
 }
@@ -834,10 +835,11 @@ fn resilience_from_flags(flags: &Flags) -> Result<Option<ResilienceConfig>, Stri
     Ok(touched.then_some(cfg))
 }
 
-/// Parse `--fault-profile` when present.
-fn fault_profile_from_flags(flags: &Flags) -> Result<Option<FaultProfile>, String> {
-    flag(flags, "fault-profile")
-        .map(|spec| FaultProfile::parse(spec).map_err(|e| format!("--fault-profile: {e}")))
+/// Parse the fault-plan flag `name` when present: `--fault-profile` takes
+/// the federation keys, `--chaos-profile` the pool keys.
+fn fault_plan(flags: &Flags, name: &str, domain: Domain) -> Result<Option<FaultPlan>, String> {
+    flag(flags, name)
+        .map(|spec| FaultPlan::parse_for(spec, domain).map_err(|e| format!("--{name}: {e}")))
         .transpose()
 }
 
@@ -850,7 +852,7 @@ fn federated_engine(
     links: Option<SameAsLinks>,
     flags: &Flags,
 ) -> Result<FederatedEngine, String> {
-    let profile = fault_profile_from_flags(flags)?;
+    let profile = fault_plan(flags, "fault-profile", Domain::Federation)?;
     let mut engine = FederatedEngine::new();
     for ds in datasets {
         let endpoint = DatasetEndpoint::new(ds);
@@ -1033,6 +1035,7 @@ fn cmd_improve(args: &[String]) -> Result<(), String> {
     // feedback builds no engine, yet a bad value is still an error.
     cache_opts(&flags)?;
     catalog_opts(&flags)?;
+    fault_plan(&flags, "fault-profile", Domain::Federation)?;
     configure_threads(&flags)?;
     let durable = durable_opts(&flags)?;
     let robust = robustness_opts(&flags)?;
@@ -1349,6 +1352,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     // Read before any data is loaded.
     cache_opts(&flags)?;
     catalog_opts(&flags)?;
+    fault_plan(&flags, "fault-profile", Domain::Federation)?;
     configure_threads(&flags)?;
     let telemetry = telemetry_setup(&flags)?;
     let query_text = match flag(&flags, "query-file") {

@@ -21,6 +21,7 @@
 //! | [`store`] (`alex-store`) | Crash-safe durable state: episode journal + checksummed snapshots |
 //! | [`cache`] (`alex-cache`) | Sharded LRU answer cache, one entry per endpoint probe |
 //! | [`guard`] (`alex-guard`) | Run supervision: wall-clock/RSS budgets, breach policy, degraded episodes |
+//! | [`fault`] (`alex-fault`) | One seeded fault plan and content-keyed draw for every fault injector |
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
 //! the experiment harness that regenerates every table and figure of the
@@ -32,6 +33,7 @@
 pub use alex_cache as cache;
 pub use alex_core as core;
 pub use alex_datagen as datagen;
+pub use alex_fault as fault;
 pub use alex_guard as guard;
 pub use alex_linking as linking;
 pub use alex_parallel as parallel;

@@ -1,4 +1,5 @@
-//! Chaos test: the full improve loop over a *faulty* federation.
+//! Chaos test: the full improve loop over a *faulty* federation, and the
+//! content-keyed draws that make a federation's faults reproducible.
 //!
 //! Both endpoints inject seeded faults (30% transient failures, plus a
 //! deterministic outage window on the right source that trips its circuit
@@ -8,247 +9,173 @@
 //! (`federation_retries_total`, `federation_circuit_open_total`) must be
 //! nonzero.
 
-use std::collections::HashSet;
+mod harness;
 
-use alex::core::{
-    driver, Agent, AlexConfig, FeedbackBridge, LinkSpace, QueryFeedback, SpaceConfig,
-};
-use alex::datagen::{
-    federated_queries, generate_pair, sample_initial_links, Domain, Flavor, InitialLinksSpec,
-    PairConfig, SideConfig,
-};
-use alex::rdf::Term;
-use alex::sparql::{
-    parse, BreakerConfig, Completeness, DatasetEndpoint, FaultProfile, FaultyEndpoint,
-    FederatedEngine, Query, ResilienceConfig, RetryPolicy,
-};
+use alex::core::AlexConfig;
+use alex::datagen::Domain;
+use alex::fault::FaultPlan;
+use alex::rdf::Dataset;
+use alex::sparql::{Completeness, DatasetEndpoint, Deadline, Endpoint, FaultyEndpoint, Value};
+
+fn counter(name: &str) -> u64 {
+    alex::telemetry::global().metrics().counter(name).get()
+}
 
 fn build_pair() -> alex::datagen::GeneratedPair {
-    generate_pair(&PairConfig {
-        seed: 77,
-        left: SideConfig {
-            name: "L".into(),
-            ns: "http://l.example.org/".into(),
-            flavor: Flavor::Left,
-            noise: 0.05,
-            drop_prob: 0.1,
-            sparse: false,
-        },
-        right: SideConfig {
-            name: "R".into(),
-            ns: "http://r.example.org/".into(),
-            flavor: Flavor::Right,
-            noise: 0.05,
-            drop_prob: 0.1,
-            sparse: false,
-        },
-        shared: 60,
-        left_only: 60,
-        right_only: 30,
-        confusable_frac: 0.25,
-        domains: vec![Domain::Person, Domain::Organization],
-        left_extra_domains: vec![Domain::Place, Domain::Drug],
-    })
-}
-
-/// Fast-but-real resilience settings: enough retries to mask most 30%
-/// transients, microsecond backoffs so the test stays quick, a breaker
-/// that opens on sustained failure and recovers fast.
-fn chaos_resilience() -> ResilienceConfig {
-    ResilienceConfig {
-        retry: RetryPolicy {
-            max_retries: 3,
-            initial_backoff: std::time::Duration::from_micros(50),
-            max_backoff: std::time::Duration::from_micros(400),
-            ..RetryPolicy::default()
-        },
-        breaker: BreakerConfig {
-            failure_threshold: 5,
-            cooldown: std::time::Duration::from_millis(1),
-            ..BreakerConfig::default()
-        },
-        seed: 0xC4A05,
-        ..ResilienceConfig::default()
-    }
-}
-
-/// The ISSUE's chaos profile: 30% transient failures, seeded.
-fn transient_profile(seed: u64) -> FaultProfile {
-    FaultProfile {
-        seed,
-        transient_rate: 0.3,
-        ..FaultProfile::none()
-    }
-}
-
-fn workload(pair: &alex::datagen::GeneratedPair) -> Vec<Query> {
-    federated_queries(pair, 50, 3)
-        .iter()
-        .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
-        .collect()
+    harness::synthetic_pair(77, [60, 60, 30], vec![Domain::Place, Domain::Drug])
 }
 
 #[test]
 fn improve_loop_survives_chaos_and_still_learns() {
     let pair = build_pair();
-    let space = LinkSpace::build(&pair.left, &pair.right, &SpaceConfig::default());
-    let bridge = FeedbackBridge::new(
-        &pair.left,
-        space.left_index(),
-        &pair.right,
-        space.right_index(),
-    );
-    let to_id = |l: Term, r: Term| Some((space.left_index().id(l)?, space.right_index().id(r)?));
-    let truth_ids: HashSet<(u32, u32)> = pair
-        .ground_truth
-        .iter()
-        .filter_map(|&(l, r)| to_id(l, r))
-        .collect();
-    let initial = sample_initial_links(
-        &pair,
-        InitialLinksSpec {
-            precision: 0.85,
-            recall: 0.30,
-            seed: 9,
-        },
-    );
-    let initial_ids: Vec<(u32, u32)> = initial.iter().filter_map(|&(l, r)| to_id(l, r)).collect();
-
-    // Left: 30% transient failures. Right: the same, plus a hard outage
-    // window — consecutive failures there deterministically open its
-    // breaker regardless of how the transient draws land.
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.left.clone()),
-        transient_profile(71),
-    )));
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.right.clone()),
-        FaultProfile {
-            outage: Some((120, 200)),
-            ..transient_profile(72)
-        },
-    )));
-    engine.set_resilience(chaos_resilience());
-
-    let retries_before = counter("federation_retries_total");
-    let opens_before = counter("federation_circuit_open_total");
-
-    let mut agent = Agent::new(
-        space,
-        &initial_ids,
-        AlexConfig {
-            episode_size: 40,
-            max_episodes: 12,
-            ..AlexConfig::default()
-        },
-    );
-    let mut source = QueryFeedback::new(
-        engine,
-        pair.left.clone(),
-        pair.right.clone(),
-        workload(&pair),
-        bridge,
-        truth_ids.clone(),
-    );
-    let report = driver::run(&mut agent, &mut source, &truth_ids);
+    // One plan, 30% transients on both sides; the right side also has a
+    // hard outage window, whose consecutive failures open its breaker
+    // however the transient draws land.
+    let plan = FaultPlan::parse("seed=71,transient=0.3").expect("plan");
+    let outage = FaultPlan {
+        outage: Some((120, 200)),
+        ..plan.clone()
+    };
+    let mut engine = harness::faulty_engine([(&pair.left, plan), (&pair.right, outage)]);
+    engine.set_resilience(harness::resilience(3, 5));
+    let retries = counter("federation_retries_total");
+    let opens = counter("federation_circuit_open_total");
+    let cfg = AlexConfig {
+        episode_size: 40,
+        max_episodes: 12,
+        ..AlexConfig::default()
+    };
+    let (report, _, _) = harness::query_loop(&pair, engine, 9, 50, cfg);
 
     // The loop completed (no panic) and learning still beat the
     // no-feedback baseline, i.e. the initial quality.
-    let final_q = report.final_quality();
+    let (before, after) = (report.initial_quality, report.final_quality());
     assert!(
-        final_q.f_measure >= report.initial_quality.f_measure,
-        "chaos must not make learning worse than no feedback: {:?} -> {final_q:?}",
-        report.initial_quality
+        after.f_measure >= before.f_measure,
+        "chaos made learning worse: {before:?} -> {after:?}"
     );
     assert!(
-        final_q.recall > report.initial_quality.recall,
-        "recall should still improve under 30% transients: {:?} -> {final_q:?}",
-        report.initial_quality
+        after.recall > before.recall,
+        "recall must still improve: {before:?} -> {after:?}"
     );
-
-    // Resilience telemetry: retries masked transients, the outage window
-    // opened the right endpoint's breaker.
     assert!(
-        counter("federation_retries_total") > retries_before,
+        counter("federation_retries_total") > retries,
         "30% transients must force retries"
     );
     assert!(
-        counter("federation_circuit_open_total") > opens_before,
-        "the outage window must open a breaker"
+        counter("federation_circuit_open_total") > opens,
+        "the outage must open a breaker"
     );
+}
+
+/// An engine over the pair with the left (`dead_left`) or right side hard
+/// down from call zero, and no retries, so probes fail immediately.
+fn one_side_down(
+    pair: &alex::datagen::GeneratedPair,
+    dead_left: bool,
+    fail_fast: bool,
+) -> alex::sparql::FederatedEngine {
+    let down = FaultPlan {
+        outage: Some((0, u64::MAX)),
+        ..FaultPlan::default()
+    };
+    let plans = if dead_left {
+        [down, FaultPlan::default()]
+    } else {
+        [FaultPlan::default(), down]
+    };
+    let mut engine = harness::faulty_engine([&pair.left, &pair.right].into_iter().zip(plans));
+    let mut cfg = harness::resilience(0, 5);
+    cfg.fail_fast = fail_fast;
+    engine.set_resilience(cfg);
+    engine
 }
 
 #[test]
 fn partial_answers_carry_skipped_source_provenance() {
     let pair = build_pair();
-    // Right endpoint hard-down from call zero; no retries so probes fail
-    // immediately and the query degrades to left-only answers.
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.left.clone())));
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.right.clone()),
-        FaultProfile {
-            outage: Some((0, u64::MAX)),
-            ..FaultProfile::none()
-        },
-    )));
-    let mut cfg = chaos_resilience();
-    cfg.retry.max_retries = 0;
-    engine.set_resilience(cfg);
-
-    let queries = workload(&pair);
-    let mut saw_partial = false;
+    let engine = one_side_down(&pair, false, false);
+    let queries = harness::queries(&pair, 50);
+    assert!(!queries.is_empty(), "workload must not be empty");
+    let dead = ["R".to_string()];
     for query in &queries {
         let result = engine.execute_full(query).expect("degrades, not errors");
         match &result.completeness {
-            Completeness::Partial { skipped_sources } => {
-                assert_eq!(
-                    skipped_sources,
-                    &vec!["R".to_string()],
-                    "exactly the dead source is named"
-                );
-                saw_partial = true;
-            }
-            Completeness::Complete => {
-                panic!("every query touches the dead source; none can be complete")
-            }
+            Completeness::Partial { skipped_sources } => assert_eq!(skipped_sources, &dead),
+            Completeness::Complete => panic!("every query touches the dead source"),
         }
         for answer in &result.answers {
             assert_eq!(
                 answer.completeness.skipped(),
-                &["R".to_string()],
-                "per-answer provenance names the dead source"
+                &dead,
+                "per-answer provenance"
             );
         }
     }
-    assert!(saw_partial, "workload must not be empty");
 }
 
 #[test]
 fn fail_fast_surfaces_endpoint_errors_instead_of_degrading() {
     let pair = build_pair();
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.left.clone()),
-        FaultProfile {
-            outage: Some((0, u64::MAX)),
-            ..FaultProfile::none()
-        },
-    )));
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.right.clone())));
-    let mut cfg = chaos_resilience();
-    cfg.retry.max_retries = 0;
-    cfg.fail_fast = true;
-    engine.set_resilience(cfg);
-
-    let queries = workload(&pair);
+    let engine = one_side_down(&pair, true, true);
+    let queries = harness::queries(&pair, 50);
     assert!(
         engine.execute_full(&queries[0]).is_err(),
         "fail-fast must turn a dead source into a query error"
     );
 }
 
-fn counter(name: &str) -> u64 {
-    alex::telemetry::global().metrics().counter(name).get()
+/// Two endpoints with the given names behind clones of one spec, and
+/// probes for 64 distinct subjects.
+fn twins(spec: &str, names: [&str; 2]) -> ([FaultyEndpoint<DatasetEndpoint>; 2], Vec<Value>) {
+    let endpoints = names.map(|name| {
+        let mut ds = Dataset::new(name);
+        ds.add_str("http://e/a", "http://e/name", "Alpha");
+        FaultyEndpoint::new(
+            DatasetEndpoint::new(ds),
+            FaultPlan::parse(spec).expect("plan"),
+        )
+    });
+    (
+        endpoints,
+        (0..64)
+            .map(|i| Value::iri(format!("http://e/{i}")))
+            .collect(),
+    )
+}
+
+fn fails(ep: &FaultyEndpoint<DatasetEndpoint>, subject: &Value) -> bool {
+    ep.matching(Some(subject), None, None, &Deadline::none())
+        .is_err()
+}
+
+/// One CLI plan clones onto every endpoint: the endpoints must still draw
+/// different fates, or every source of a federation fails in lockstep.
+#[test]
+fn endpoints_under_one_plan_fail_independently() {
+    let ([left, right], subjects) = twins("seed=7,transient=0.5", ["L", "R"]);
+    let fates = |ep| subjects.iter().map(|s| fails(ep, s)).collect::<Vec<_>>();
+    let (l, r) = (fates(&left), fates(&right));
+    assert!(l.contains(&true) && l.contains(&false), "{l:?}");
+    assert_ne!(l, r, "two endpoints replayed one fault schedule");
+}
+
+/// A probe's fate on its n-th send must not depend on what else the
+/// endpoint was sent before it: a cache that saves unrelated sends, or a
+/// reordered plan, must move no fault onto it.
+#[test]
+fn a_probes_fate_ignores_unrelated_sends() {
+    let ([alone, busy], subjects) = twins("seed=7,transient=0.5", ["T", "T"]);
+    let target = Value::iri("http://e/target");
+    let quiet: Vec<bool> = (0..8).map(|_| fails(&alone, &target)).collect();
+    let noisy: Vec<bool> = (0..8)
+        .map(|n| {
+            for s in &subjects[..n * 3] {
+                fails(&busy, s);
+            }
+            fails(&busy, &target)
+        })
+        .collect();
+    assert!(quiet.contains(&true) && quiet.contains(&false), "{quiet:?}");
+    assert_eq!(quiet, noisy, "unrelated sends moved the target's faults");
 }

@@ -215,7 +215,7 @@ fn improve_rejects_flags_its_feedback_mode_never_reads() {
 #[test]
 fn cache_flags_are_checked_before_loading() {
     let dir = nba_dir("cacheflags");
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 7] = [
         (
             &["--feedback", "oracle", "--cache-capacity", "0"],
             "--cache-capacity requires --cache",
@@ -231,6 +231,23 @@ fn cache_flags_are_checked_before_loading() {
         (
             &["--feedback", "query", "--cache", "--cache-capacity", "0"],
             "--cache-capacity must be at least 1",
+        ),
+        (
+            &["--feedback", "query", "--fault-profile", ""],
+            "--fault-profile: fault plan: empty spec",
+        ),
+        (
+            &[
+                "--feedback",
+                "query",
+                "--fault-profile",
+                "seed=1,panic-rate=0.1",
+            ],
+            "--fault-profile: fault plan: panic-rate is a Pool key",
+        ),
+        (
+            &["--chaos-profile", "transient=0.1"],
+            "--chaos-profile: fault plan: transient is a Federation key",
         ),
     ];
     for (extra, message) in cases {
@@ -823,7 +840,7 @@ fn query_feedback_improve_is_golden() {
             "--episode-size",
             "40",
         ];
-        let faults = ["--queries", "30", "--fault-profile", "seed=7,transient=0.3"];
+        let faults = ["--queries", "30", "--fault-profile", "seed=7,transient=0.2"];
         let rest = ["--retries", "0", "--threads", threads, "--out", &links];
         let out = improve_nba(&dir, &[&run[..], &faults, &rest].concat());
         let (stdout, stderr) = (
@@ -838,19 +855,21 @@ fn query_feedback_improve_is_golden() {
         assert_eq!(
             episodes,
             [
-                "    ep 1  P 0.660  R 1.000  F 0.795",
-                "    ep 2  P 0.109  R 1.000  F 0.196",
+                "    ep 1  P 0.608  R 1.000  F 0.756",
+                "    ep 2  P 0.514  R 1.000  F 0.679",
+                "    ep 3  P 0.520  R 1.000  F 0.684",
+                "    ep 4  P 0.522  R 1.000  F 0.686",
             ],
             "--threads {threads}"
         );
         assert!(
-            stdout.contains("stopped: NoFeedback after 2 episodes"),
+            stdout.contains("stopped: MaxEpisodes after 4 episodes"),
             "--threads {threads}: {stdout}"
         );
         assert!(
             stderr
                 .lines()
-                .any(|l| l == "1 judgment(s) withheld because queries degraded (skipped sources)"),
+                .any(|l| l == "7 judgment(s) withheld because queries degraded (skipped sources)"),
             "--threads {threads}: {stderr}"
         );
         let sha = Command::new("sha256sum")
@@ -859,7 +878,7 @@ fn query_feedback_improve_is_golden() {
             .expect("spawn sha256sum");
         assert_eq!(
             String::from_utf8_lossy(&sha.stdout).split(' ').next(),
-            Some("038612dd7891ef13f11709fd6abf4bbf5f2dc9b0671eaa9c999da2b2dbfa3a63"),
+            Some("5266ee6f4b5345623a960967ea9ec9411fe08aec72a75b447631d0ed691e6648"),
             "--threads {threads}"
         );
     }

@@ -4,145 +4,11 @@
 //! resumed. The resumed run must converge to exactly the links, admission
 //! log, and trust posteriors of an uninterrupted reference.
 
-use std::collections::HashSet;
-use std::path::PathBuf;
-use std::process::Command;
-use std::sync::Mutex;
+mod harness;
 
-use alex::guard::chaos::{self, ChaosProfile};
-use alex::guard::{set_panic_policy, PanicPolicy};
-
-use alex::core::{
-    driver, AdversarialPopulation, Agent, AlexConfig, Durability, LinkSpace, SpaceConfig,
-    TrustConfig,
-};
-use alex::datagen::{
-    assign_roles, federated_queries, generate_pair, AdversaryProfile, DatasetKind, PairSpec,
-};
-use alex::sparql::{
-    parse, BreakerConfig, DatasetEndpoint, FaultProfile, FaultyEndpoint, FederatedEngine, Query,
-    ResilienceConfig, RetryPolicy,
-};
-use alex::store::{DirectStore, FaultPlan, FaultyStore, StoreError};
-
-/// The in-process tests mutate process-global pool state (thread count,
-/// panic policy, chaos profile); serialize them so the schedules stay
-/// deterministic. Poison-recovered: one failing test must not cascade.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    match SERIAL.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("alex-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn build_pair() -> alex::datagen::GeneratedPair {
-    let spec = PairSpec::of(DatasetKind::DBpediaNba, DatasetKind::NYTimes);
-    generate_pair(&spec.config(7))
-}
-
-fn space_and_truth(pair: &alex::datagen::GeneratedPair) -> (LinkSpace, HashSet<(u32, u32)>) {
-    let space = LinkSpace::build(&pair.left, &pair.right, &SpaceConfig::default());
-    let truth: HashSet<(u32, u32)> = pair
-        .ground_truth
-        .iter()
-        .filter_map(|&(l, r)| Some((space.left_index().id(l)?, space.right_index().id(r)?)))
-        .collect();
-    (space, truth)
-}
-
-fn initial_links(truth: &HashSet<(u32, u32)>) -> Vec<(u32, u32)> {
-    let mut initial: Vec<(u32, u32)> = truth.iter().copied().collect();
-    initial.sort_unstable();
-    initial.truncate(initial.len() / 2);
-    initial.push((0, 1));
-    initial
-}
-
-fn cfg() -> AlexConfig {
-    AlexConfig {
-        episode_size: 120,
-        max_episodes: 8,
-        trust: Some(TrustConfig::default()),
-        ..AlexConfig::default()
-    }
-}
-
-/// A fresh adversarial population — 30% targeted poisoners over six
-/// sources. The driver journals judged items, so every session (reference,
-/// crashed, resumed) can start from a fresh population.
-fn population(truth: &HashSet<(u32, u32)>) -> AdversarialPopulation {
-    let profile = AdversaryProfile::parse("poisoner:0.3").expect("profile");
-    AdversarialPopulation::new(truth.clone(), assign_roles(Some(&profile), 6, 42), 0.0, 42)
-}
-
-/// A federated engine whose both endpoints drop 30% of calls, with fast
-/// retries so the test stays quick.
-fn faulty_engine(pair: &alex::datagen::GeneratedPair) -> FederatedEngine {
-    let transients = |seed| FaultProfile {
-        seed,
-        transient_rate: 0.3,
-        ..FaultProfile::none()
-    };
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.left.clone()),
-        transients(71),
-    )));
-    engine.add_endpoint(Box::new(FaultyEndpoint::new(
-        DatasetEndpoint::new(pair.right.clone()),
-        transients(72),
-    )));
-    engine.set_resilience(ResilienceConfig {
-        retry: RetryPolicy {
-            max_retries: 3,
-            initial_backoff: std::time::Duration::from_micros(50),
-            max_backoff: std::time::Duration::from_micros(400),
-            ..RetryPolicy::default()
-        },
-        breaker: BreakerConfig {
-            cooldown: std::time::Duration::from_millis(1),
-            ..BreakerConfig::default()
-        },
-        seed: 0xC4A05,
-        ..ResilienceConfig::default()
-    });
-    engine
-}
-
-fn queries(pair: &alex::datagen::GeneratedPair) -> Vec<Query> {
-    federated_queries(pair, 16, 3)
-        .iter()
-        .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
-        .collect()
-}
-
-/// Compact, comparable summary of the agent's end state: final links plus
-/// the trust gate's full admission log, posterior counts, and pending
-/// buffer size.
-type EndState = (
-    Vec<(u32, u32)>,
-    Vec<alex::core::AdmissionRecord>,
-    Vec<(alex::core::SourceId, u32, u32)>,
-    usize,
-);
-
-fn end_state(agent: &Agent) -> EndState {
-    let gate = agent.trust_gate().expect("trust gate");
-    (
-        agent.candidate_pairs(),
-        gate.log.clone(),
-        gate.model.iter_counts(),
-        gate.buffer.pending_votes(),
-    )
-}
+use alex::fault::FaultPlan;
+use alex::store::StoreError;
+use harness::{Disturbance, World};
 
 /// Storage faults + adversarial feedback + faulty federation, composed:
 /// the run crashes on an injected torn write while federated queries fire
@@ -150,113 +16,29 @@ fn end_state(agent: &Agent) -> EndState {
 /// reference's exact end state.
 #[test]
 fn composed_faults_crash_and_resume_converge_to_reference() {
-    let _serial = serial();
-    let pair = build_pair();
-    let (space, truth) = space_and_truth(&pair);
-    let initial = initial_links(&truth);
-    let workload = queries(&pair);
-
-    // Uninterrupted reference, federated queries firing on every commit.
-    alex::parallel::set_threads(1);
-    let dir_ref = tmpdir("composed-ref");
-    let (mut store, recovery) = DirectStore::open(&dir_ref).expect("open ref store");
-    let mut ref_agent = Agent::new(space.clone(), &initial, cfg());
-    let engine = faulty_engine(&pair);
-    let mut answered = 0usize;
-    let reference = driver::run_durable(
-        &mut ref_agent,
-        &mut population(&truth),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(3)
-            .on_commit(|ep| {
-                let q = &workload[ep as usize % workload.len()];
-                if engine.execute_full(q).is_ok() {
-                    answered += 1;
-                }
-            }),
-    )
-    .expect("reference run");
-    drop(store);
-    let ref_state = end_state(&ref_agent);
-    assert!(answered > 0, "federated plane must answer despite faults");
+    let _serial = harness::serial();
+    let world = World::nba(7, true);
+    let reference = world.reference();
     assert!(
-        !ref_state.1.is_empty(),
-        "the trust gate must admit feedback in the reference run"
+        reference.admissions > 0,
+        "the trust gate must admit feedback"
     );
     assert!(
-        reference.final_quality().f_measure > report_floor(&reference),
+        reference.final_f >= reference.initial_f - 1e-9,
         "learning must survive the composed fault load"
     );
-
-    // Chaos leg: same run over a store that tears its first journal append.
-    alex::parallel::set_threads(4);
-    let dir = tmpdir("composed-cut");
-    let plan = FaultPlan {
-        seed: 9,
-        torn_write_rate: 1.0,
-        ..FaultPlan::none()
+    let plan = FaultPlan::parse("seed=9,torn-write=1,transient=0.3").expect("plan");
+    let trial = world.disturb(&Disturbance::new("composed", plan));
+    let crash = StoreError::InjectedCrash {
+        op: "journal append",
     };
-    let (mut store, recovery) = FaultyStore::open(&dir, plan).expect("open faulty store");
-    let mut agent = Agent::new(space.clone(), &initial, cfg());
-    let engine = faulty_engine(&pair);
-    let err = driver::run_durable(
-        &mut agent,
-        &mut population(&truth),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(3)
-            .on_commit(|ep| {
-                let _ = engine.execute_full(&workload[ep as usize % workload.len()]);
-            }),
-    )
-    .expect_err("torn write must surface");
-    assert_eq!(
-        err,
-        StoreError::InjectedCrash {
-            op: "journal append"
-        }
-        .to_string()
+    assert_eq!(trial.first.as_ref().err(), Some(&crash.to_string()));
+    assert_eq!(trial.truncated_records, 1, "torn record must be dropped");
+    assert!(
+        trial.answered > 0,
+        "federated plane must answer despite faults"
     );
-    drop(store);
-
-    // Recovery + resume: fresh agent, fresh population, clean store.
-    alex::parallel::set_threads(1);
-    let (mut store, recovery) = DirectStore::open(&dir).expect("reopen store");
-    assert!(!recovery.is_fresh());
-    assert_eq!(recovery.truncated_records, 1, "torn record must be dropped");
-    let mut agent2 = Agent::new(space, &initial, cfg());
-    let engine = faulty_engine(&pair);
-    let resumed = driver::run_durable(
-        &mut agent2,
-        &mut population(&truth),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(3)
-            .resume(true)
-            .on_commit(|ep| {
-                let _ = engine.execute_full(&workload[ep as usize % workload.len()]);
-            }),
-    )
-    .expect("resumed run");
-
-    assert_eq!(resumed.stop, reference.stop);
-    assert_eq!(resumed.episode_count(), reference.episode_count());
-    assert_eq!(
-        end_state(&agent2),
-        ref_state,
-        "links, admission log, posteriors, and buffer must all match"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir_ref);
-    alex::parallel::set_threads(0); // restore default resolution
-}
-
-/// Quality floor: the composed run must at least not end below its own
-/// starting quality (adversaries + faults contained, not merely survived).
-fn report_floor(report: &alex::core::RunReport) -> f64 {
-    report.initial_quality.f_measure - 1e-9
+    trial.assert_recovers(&reference, "composed");
 }
 
 /// The full chaos gate: seeded chunk panics and stalls (quarantined by the
@@ -265,304 +47,42 @@ fn report_floor(report: &alex::core::RunReport) -> f64 {
 /// exit cleanly with exactly the clean-run oracle's end state.
 #[test]
 fn chaos_gate_full_composition_exits_clean_and_matches_oracle() {
-    let _serial = serial();
-    let pair = build_pair();
-    let (space, truth) = space_and_truth(&pair);
-    let initial = initial_links(&truth);
-    let workload = queries(&pair);
-    set_panic_policy(PanicPolicy::Quarantine);
-
-    // Clean-run oracle: no injectors anywhere.
-    chaos::clear();
-    alex::parallel::set_threads(1);
-    let dir_ref = tmpdir("gate-ref");
-    let (mut store, recovery) = DirectStore::open(&dir_ref).expect("open oracle store");
-    let mut ref_agent = Agent::new(space.clone(), &initial, cfg());
-    let mut clean_engine = FederatedEngine::new();
-    clean_engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.left.clone())));
-    clean_engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.right.clone())));
-    let reference = driver::run_durable(
-        &mut ref_agent,
-        &mut population(&truth),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(3)
-            .on_commit(|ep| {
-                let _ = clean_engine.execute_full(&workload[ep as usize % workload.len()]);
-            }),
-    )
-    .expect("oracle run");
-    drop(store);
-    let ref_state = end_state(&ref_agent);
-
-    // Chaos leg: every injector at once, four worker threads.
-    alex::parallel::set_threads(4);
-    chaos::install(
-        ChaosProfile::parse("seed=13,panic-at-chunk=0,panic-rate=0.02,slow-rate=0.05,slow-ms=1")
-            .expect("chaos profile"),
-    );
-    let caught_before = alex::telemetry::counter!("panics_caught_total").get();
-    let dir = tmpdir("gate-chaos");
-    let plan = FaultPlan {
-        seed: 31,
-        dropped_fsync_rate: 1.0, // silent: the run survives, durability is degraded
-        ..FaultPlan::none()
-    };
-    let (mut store, recovery) = FaultyStore::open(&dir, plan).expect("open faulty store");
-    let mut agent = Agent::new(space, &initial, cfg());
-    let engine = faulty_engine(&pair);
-    let chaotic = driver::run_durable(
-        &mut agent,
-        &mut population(&truth),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(3)
-            .on_commit(|ep| {
-                let _ = engine.execute_full(&workload[ep as usize % workload.len()]);
-            }),
-    )
-    .expect("the composed chaos run must exit cleanly");
-    drop(store);
-    chaos::clear();
-
+    let _serial = harness::serial();
+    let world = World::nba(7, true);
+    let reference = world.reference();
+    let spec = "seed=13,panic-at-chunk=0,panic-rate=0.02,slow-rate=0.05,slow-ms=1,\
+                dropped-fsync=1,transient=0.3";
+    let trial = world.disturb(&Disturbance::new(
+        "gate",
+        FaultPlan::parse(spec).expect("plan"),
+    ));
     assert!(
-        alex::telemetry::counter!("panics_caught_total").get() > caught_before,
-        "the chaos profile must actually inject panics"
+        trial.first.is_ok(),
+        "the composed chaos run must exit cleanly: {:?}",
+        trial.first
     );
-    assert_eq!(chaotic.stop, reference.stop);
-    assert_eq!(chaotic.episode_count(), reference.episode_count());
-    assert_eq!(
-        end_state(&agent),
-        ref_state,
-        "chaos under quarantine must be invisible in the end state"
+    assert!(
+        trial.panics_caught > 0,
+        "the plan must actually inject panics"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir_ref);
-    alex::parallel::set_threads(0);
-}
-
-// ---------------------------------------------------------------- CLI
-
-fn alex_bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_alex"))
+    assert!(
+        trial.answered > 0,
+        "federated plane must answer despite faults"
+    );
+    trial.assert_recovers(&reference, "gate");
 }
 
 /// SIGKILL the trust-gated CLI mid-run under an adversarial population,
-/// then `--resume` with the same robustness flags: the exported links must
-/// be byte-identical to an uninterrupted run's.
+/// then `--resume` with the same robustness flags.
 #[test]
 fn cli_kill_and_resume_with_adversaries_is_byte_identical() {
-    let dir = tmpdir("cli-trust");
-    std::fs::create_dir_all(&dir).expect("create workdir");
-    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-
-    let out = alex_bin()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "7"])
-        .output()
-        .expect("spawn gen");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let improve = |extra: &[&str]| {
-        let mut args = vec![
-            "improve".to_string(),
-            p("left.nt"),
-            p("right.nt"),
-            "--links".into(),
-            p("truth.nt"),
-            "--truth".into(),
-            p("truth.nt"),
-            "--episodes".into(),
-            "6".into(),
-            "--episode-size".into(),
-            "40".into(),
-            "--trust".into(),
-            "--sources".into(),
-            "6".into(),
-            "--adversary-profile".into(),
-            "poisoner:0.3".into(),
-        ];
-        args.extend(extra.iter().map(|s| s.to_string()));
-        alex_bin().args(&args).output().expect("spawn improve")
-    };
-
-    // Uninterrupted reference.
-    let out = improve(&[
-        "--state-dir",
-        &p("state-ref"),
-        "--out",
-        &p("ref.nt"),
-        "--threads",
-        "1",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let reference_stdout = String::from_utf8_lossy(&out.stdout).to_string();
-
-    // SIGKILL right after the 2nd episode commit.
-    let out = improve(&[
-        "--state-dir",
-        &p("state-cut"),
-        "--kill-after",
-        "2",
-        "--threads",
-        "4",
-    ]);
-    assert!(
-        !out.status.success(),
-        "kill-after run must not exit cleanly"
-    );
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        assert_eq!(out.status.signal(), Some(9), "expected SIGKILL");
-    }
-
-    // Resume with identical robustness flags at a different thread count.
-    let out = improve(&[
-        "--state-dir",
-        &p("state-cut"),
-        "--resume",
-        "--out",
-        &p("resumed.nt"),
-        "--threads",
-        "4",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("recovering from"), "{stderr}");
-
-    let reference = std::fs::read(p("ref.nt")).expect("reference links");
-    let resumed = std::fs::read(p("resumed.nt")).expect("resumed links");
-    assert_eq!(reference, resumed, "final links must be byte-identical");
-
-    let quality_lines = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| l.trim_start().starts_with("ep ") || l.trim_start().starts_with("initial"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(
-        quality_lines(&reference_stdout),
-        quality_lines(&String::from_utf8_lossy(&out.stdout)),
-        "per-episode quality must match"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    harness::cli_kill_and_resume(&harness::TRUSTED);
 }
 
-/// The tentpole's end-to-end proof: a CLI run with seeded chunk panics and
-/// stalls under `--panic-policy quarantine` is SIGKILLed mid-run, then
-/// `--resume`d (chaos still installed) — and the exported links are
-/// byte-identical to a clean uninterrupted reference run's.
+/// A CLI run with seeded chunk panics and stalls under `--panic-policy
+/// quarantine` is SIGKILLed mid-run, then `--resume`d (chaos still
+/// installed): the links equal a clean uninterrupted run's.
 #[test]
 fn cli_chaos_quarantine_kill_and_resume_byte_identical() {
-    let dir = tmpdir("cli-chaos");
-    std::fs::create_dir_all(&dir).expect("create workdir");
-    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
-
-    let out = alex_bin()
-        .args(["gen", "--out-dir", &p(""), "--pair", "nba", "--seed", "11"])
-        .output()
-        .expect("spawn gen");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let improve = |extra: &[&str]| {
-        let mut args = vec![
-            "improve".to_string(),
-            p("left.nt"),
-            p("right.nt"),
-            "--links".into(),
-            p("truth.nt"),
-            "--truth".into(),
-            p("truth.nt"),
-            "--episodes".into(),
-            "6".into(),
-            "--episode-size".into(),
-            "40".into(),
-        ];
-        args.extend(extra.iter().map(|s| s.to_string()));
-        alex_bin().args(&args).output().expect("spawn improve")
-    };
-    let chaos_flags = [
-        "--chaos-profile",
-        "seed=7,panic-at-chunk=0+5,panic-rate=0.02,slow-rate=0.05,slow-ms=1",
-        "--panic-policy",
-        "quarantine",
-    ];
-
-    // Clean uninterrupted reference.
-    let out = improve(&[
-        "--state-dir",
-        &p("state-ref"),
-        "--out",
-        &p("ref.nt"),
-        "--threads",
-        "1",
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Chaos run, SIGKILLed right after the 2nd episode commit.
-    let state_cut = p("state-cut");
-    let mut args = vec![
-        "--state-dir",
-        &state_cut,
-        "--kill-after",
-        "2",
-        "--threads",
-        "4",
-    ];
-    args.extend(chaos_flags);
-    let out = improve(&args);
-    assert!(
-        !out.status.success(),
-        "kill-after run must not exit cleanly"
-    );
-    #[cfg(unix)]
-    {
-        use std::os::unix::process::ExitStatusExt;
-        assert_eq!(out.status.signal(), Some(9), "expected SIGKILL");
-    }
-
-    // Resume under the same chaos schedule; must exit 0.
-    let resumed_out = p("resumed.nt");
-    let mut args = vec![
-        "--state-dir",
-        &state_cut,
-        "--resume",
-        "--out",
-        &resumed_out,
-        "--threads",
-        "4",
-    ];
-    args.extend(chaos_flags);
-    let out = improve(&args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("recovering from"), "{stderr}");
-
-    let reference = std::fs::read(p("ref.nt")).expect("reference links");
-    let resumed = std::fs::read(p("resumed.nt")).expect("resumed links");
-    assert!(!reference.is_empty());
-    assert_eq!(
-        reference, resumed,
-        "chaos + SIGKILL + resume must be byte-identical to the clean run"
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    harness::cli_kill_and_resume(&harness::CHAOS);
 }

@@ -10,180 +10,45 @@
 //! width quarantines a different set of chunks and must still converge to
 //! the same bytes.
 
-use std::collections::HashSet;
-use std::path::PathBuf;
+mod harness;
 
-use alex::core::{
-    driver, Agent, AlexConfig, Durability, LinkSpace, OracleFeedback, RunReport, SpaceConfig,
-    StopReason,
-};
-use alex::datagen::{federated_queries, generate_pair, DatasetKind, PairSpec};
-use alex::guard::chaos::{self, ChaosProfile};
-use alex::guard::{set_panic_policy, PanicPolicy};
-use alex::sparql::{parse, DatasetEndpoint, FederatedEngine, Query};
-use alex::store::DirectStore;
-use alex::telemetry::counter;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("alex-panic-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn build() -> (LinkSpace, HashSet<(u32, u32)>, Vec<Query>, FederatedEngine) {
-    let spec = PairSpec::of(DatasetKind::DBpediaNba, DatasetKind::NYTimes);
-    let pair = generate_pair(&spec.config(11));
-    let space = LinkSpace::build(&pair.left, &pair.right, &SpaceConfig::default());
-    let truth: HashSet<(u32, u32)> = pair
-        .ground_truth
-        .iter()
-        .filter_map(|&(l, r)| Some((space.left_index().id(l)?, space.right_index().id(r)?)))
-        .collect();
-    let queries = federated_queries(&pair, 12, 3)
-        .iter()
-        .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
-        .collect();
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.left.clone())));
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.right.clone())));
-    (space, truth, queries, engine)
-}
-
-fn initial_links(truth: &HashSet<(u32, u32)>) -> Vec<(u32, u32)> {
-    let mut initial: Vec<(u32, u32)> = truth.iter().copied().collect();
-    initial.sort_unstable();
-    initial.truncate(initial.len() / 2);
-    initial.push((0, 1));
-    initial
-}
-
-fn cfg() -> AlexConfig {
-    AlexConfig {
-        episode_size: 120,
-        max_episodes: 6,
-        ..AlexConfig::default()
-    }
-}
-
-/// Everything the run produced, minus wall-clock durations (which belong
-/// to whichever session ran the episode).
-fn identity(report: &RunReport, agent: &Agent) -> Vec<String> {
-    let mut out = vec![format!(
-        "initial {:?} stop {:?} relaxed {:?}",
-        report.initial_quality, report.stop, report.relaxed_converged_at
-    )];
-    for e in &report.episodes {
-        out.push(format!(
-            "ep {} q {:?} +{} -{} rb {} deg {}",
-            e.episode, e.quality, e.added, e.removed, e.rollbacks, e.degraded
-        ));
-    }
-    out.extend(agent.candidate_pairs().iter().map(|p| format!("{p:?}")));
-    out
-}
+use alex::core::StopReason;
+use alex::fault::FaultPlan;
+use harness::{Disturbance, World};
 
 #[test]
 fn quarantined_mid_run_panics_replay_byte_identical_at_every_thread_count() {
-    let (space, truth, queries, _) = build();
-    let initial = initial_links(&truth);
-    set_panic_policy(PanicPolicy::Quarantine);
-
-    // Undisturbed single-threaded reference.
-    chaos::clear();
-    alex::parallel::set_threads(1);
-    let dir_ref = tmpdir("ref");
-    let (mut store, recovery) = DirectStore::open(&dir_ref).expect("open ref store");
-    let mut ref_agent = Agent::new(space.clone(), &initial, cfg());
-    let (_, _, _, engine) = build();
-    let reference = driver::run_durable(
-        &mut ref_agent,
-        &mut OracleFeedback::new(truth.clone(), 5),
-        &truth,
-        Durability::new(&mut store, recovery)
-            .snapshot_every(2)
-            .on_commit(|ep| {
-                let _ = engine.execute_full(&queries[ep as usize % queries.len()]);
-            }),
-    )
-    .expect("reference run");
-    drop(store);
-    let ref_identity = identity(&reference, &ref_agent);
+    let _serial = harness::serial();
+    let world = World::nba(11, false);
+    let reference = world.reference();
+    let episodes = reference.episodes.len() - 1;
     assert!(
-        reference.episode_count() >= 4,
-        "need enough episodes to suspend mid-run, got {}",
-        reference.episode_count()
+        episodes >= 4,
+        "need enough episodes to suspend mid-run, got {episodes}"
     );
-
     for threads in [1usize, 2, 4, 8] {
-        alex::parallel::set_threads(threads);
         // `panic-at-chunk=0` guarantees a hit at any width (the very first
         // chunk of the very first dispatch); the seeded rates sprinkle
         // more panics and stalls over whatever chunk population this
         // width produces.
-        let profile = ChaosProfile::parse(&format!(
-            "seed={threads},panic-at-chunk=0,panic-rate=0.02,slow-rate=0.05,slow-ms=1"
-        ))
-        .expect("profile parses");
-        let caught_before = counter!("panics_caught_total").get();
-
-        // Chaos leg: panics injected, suspended after 2 commits.
-        chaos::install(profile.clone());
-        let dir = tmpdir(&format!("t{threads}"));
-        let (mut store, recovery) = DirectStore::open(&dir).expect("open store");
-        let mut agent = Agent::new(space.clone(), &initial, cfg());
-        let (_, _, _, engine) = build();
-        let suspended = driver::run_durable(
-            &mut agent,
-            &mut OracleFeedback::new(truth.clone(), 5),
-            &truth,
-            Durability::new(&mut store, recovery)
-                .snapshot_every(2)
-                .stop_after(2)
-                .on_commit(|ep| {
-                    let _ = engine.execute_full(&queries[ep as usize % queries.len()]);
-                }),
-        )
-        .expect("chaos leg");
-        assert_eq!(suspended.stop, StopReason::Suspended);
-        drop(store);
+        let spec =
+            format!("seed={threads},panic-at-chunk=0,panic-rate=0.02,slow-rate=0.05,slow-ms=1");
+        let mut d = Disturbance::new(
+            format!("threads {threads}"),
+            FaultPlan::parse(&spec).expect("plan"),
+        );
+        d.kill_after = Some(2);
+        d.threads = [threads, threads];
+        let trial = world.disturb(&d);
+        assert_eq!(
+            trial.first.as_ref().map(|o| o.stop),
+            Ok(StopReason::Suspended)
+        );
         assert!(
-            counter!("panics_caught_total").get() > caught_before,
+            trial.panics_caught > 0,
             "threads={threads}: chaos must actually inject panics"
         );
-
-        // Resume leg: WAL replay under the same chaos schedule.
-        chaos::install(profile);
-        let (mut store, recovery) = DirectStore::open(&dir).expect("reopen store");
-        assert!(!recovery.is_fresh());
-        let mut agent2 = Agent::new(space.clone(), &initial, cfg());
-        let (_, _, _, engine) = build();
-        let resumed = driver::run_durable(
-            &mut agent2,
-            &mut OracleFeedback::new(truth.clone(), 5),
-            &truth,
-            Durability::new(&mut store, recovery)
-                .snapshot_every(2)
-                .resume(true)
-                .on_commit(|ep| {
-                    let _ = engine.execute_full(&queries[ep as usize % queries.len()]);
-                }),
-        )
-        .expect("resumed run");
-        chaos::clear();
-
-        assert_eq!(
-            identity(&resumed, &agent2),
-            ref_identity,
-            "threads={threads}: quarantine + WAL replay must be byte-identical"
-        );
-        assert_eq!(
-            ref_agent.capture_state(),
-            agent2.capture_state(),
-            "threads={threads}: full agent state must match"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!trial.fresh);
+        trial.assert_recovers(&reference, &d.label);
     }
-
-    let _ = std::fs::remove_dir_all(&dir_ref);
-    alex::parallel::set_threads(0); // restore default resolution
 }

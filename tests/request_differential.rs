@@ -3,32 +3,24 @@
 //! in every output. An engine over `FaultyEndpoint`s (one request per
 //! batch, resent from the failed probe) is compared with an engine whose
 //! decorator forwards only `matching` (one call per probe, the trait's
-//! default loop) across seeds, transient/truncate/outage profiles and
+//! default loop) across seeds, transient/truncate/outage fault plans and
 //! thread counts. Both must give identical `FederatedResult`s, identical
 //! per-query and per-endpoint retry/circuit/failure tallies and skip sets,
 //! identical breaker states and fault-schedule positions — with fewer
 //! requests on the batched side.
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+mod harness;
+
+use std::sync::Arc;
 use std::time::Duration;
 
 use alex::datagen::{federation_scenario, FederationConfig};
+use alex::fault::FaultPlan;
 use alex::sparql::{
-    parse, BreakerConfig, DatasetEndpoint, Deadline, Endpoint, EndpointError, FaultProfile,
-    FaultyEndpoint, FederatedEngine, Probe, Query, ResilienceConfig, RetryPolicy, Rows,
-    SameAsLinks, Value,
+    parse, DatasetEndpoint, Deadline, Endpoint, EndpointError, FaultyEndpoint, FederatedEngine,
+    Probe, Query, ResilienceConfig, Rows, SameAsLinks, Value,
 };
 use alex::telemetry::{Event, MemorySink};
-
-/// The worker-thread count and the event sink are process globals, so
-/// scenarios must not interleave.
-fn guard() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 type Faulty = FaultyEndpoint<DatasetEndpoint>;
 
@@ -76,41 +68,13 @@ impl Endpoint for PerProbe {
     }
 }
 
-fn profiles() -> Vec<(&'static str, FaultProfile)> {
-    let none = FaultProfile::none;
-    vec![
-        (
-            "transient",
-            FaultProfile {
-                transient_rate: 0.3,
-                ..none()
-            },
-        ),
-        (
-            "truncate",
-            FaultProfile {
-                truncate_rate: 0.3,
-                ..none()
-            },
-        ),
-        (
-            "outage",
-            FaultProfile {
-                outage: Some((10, 40)),
-                ..none()
-            },
-        ),
-        (
-            "mixed",
-            FaultProfile {
-                transient_rate: 0.15,
-                truncate_rate: 0.1,
-                outage: Some((30, 45)),
-                ..none()
-            },
-        ),
-    ]
-}
+/// The plans both engines run under, by name; the scenario seed is added.
+const PLANS: [(&str, &str); 4] = [
+    ("transient", "transient=0.3"),
+    ("truncate", "truncate=0.3"),
+    ("outage", "outage=10..40"),
+    ("mixed", "transient=0.15,truncate=0.1,outage=30..45"),
+];
 
 /// Few retries and a low breaker threshold, so retries run out and
 /// breakers open. Backoff is zero and the cooldown either zero or an hour:
@@ -118,21 +82,10 @@ fn profiles() -> Vec<(&'static str, FaultProfile)> {
 /// faster batched engine could see a cooldown expire that the per-probe
 /// one does not.
 fn resilience(cooldown: Duration) -> ResilienceConfig {
-    ResilienceConfig {
-        retry: RetryPolicy {
-            max_retries: 2,
-            initial_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-            ..RetryPolicy::default()
-        },
-        breaker: BreakerConfig {
-            failure_threshold: 3,
-            cooldown,
-            ..BreakerConfig::default()
-        },
-        seed: 0xBA7C,
-        ..ResilienceConfig::default()
-    }
+    let mut cfg = harness::resilience(2, 3);
+    (cfg.retry.initial_backoff, cfg.retry.max_backoff) = (Duration::ZERO, Duration::ZERO);
+    cfg.breaker.cooldown = cooldown;
+    cfg
 }
 
 /// Per-query and per-endpoint tallies of one execution, minus timings and
@@ -183,7 +136,7 @@ fn request_totals(events: &[Event]) -> (u64, u64) {
 
 #[test]
 fn batched_requests_match_per_probe_calls() {
-    let _guard = guard();
+    let _serial = harness::serial();
     let mut outcomes = 0;
     for seed in [11u64, 29] {
         let sc = federation_scenario(&FederationConfig {
@@ -196,7 +149,8 @@ fn batched_requests_match_per_probe_calls() {
             .iter()
             .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
             .collect();
-        for (name, profile) in profiles() {
+        for (name, spec) in PLANS {
+            let plan = FaultPlan::parse(&format!("seed={seed},{spec}")).expect("plan");
             for cooldown in [Duration::ZERO, Duration::from_secs(3600)] {
                 for threads in [1usize, 4] {
                     alex::parallel::set_threads(threads);
@@ -204,11 +158,11 @@ fn batched_requests_match_per_probe_calls() {
                         format!("seed {seed} {name} cooldown {cooldown:?} threads {threads}");
                     let mut faulty = Vec::new();
                     let mut engines = [FederatedEngine::new(), FederatedEngine::new()];
-                    for (i, ds) in sc.endpoints().enumerate() {
+                    for ds in sc.endpoints() {
                         let pair: [Arc<Faulty>; 2] = std::array::from_fn(|_| {
                             Arc::new(FaultyEndpoint::new(
                                 DatasetEndpoint::new(ds.clone()),
-                                profile.with_seed(seed * 100 + i as u64),
+                                plan.clone(),
                             ))
                         });
                         engines[0].add_endpoint(Box::new(Batched(pair[0].clone())));
@@ -272,14 +226,14 @@ fn batched_requests_match_per_probe_calls() {
         }
     }
     alex::parallel::set_threads(0);
-    assert!(outcomes > 0, "the profiles must degrade some queries");
+    assert!(outcomes > 0, "the plans must degrade some queries");
 }
 
 /// The executor's own request counts: without faults, one request per
 /// live (dispatch, endpoint) batch, carrying every probe of that batch.
 #[test]
 fn fault_free_batches_take_one_request_each() {
-    let _guard = guard();
+    let _serial = harness::serial();
     let sink = Arc::new(MemorySink::new());
     alex::telemetry::global().events().attach(sink.clone());
     let sc = federation_scenario(&FederationConfig {
