@@ -20,9 +20,9 @@ use alex_rdf::Sym;
 
 use crate::feature::{FeatureCatalog, FeaturePair, FeatureSet};
 
-/// Catalog-free similarity pass for one entity pair: the state feature
-/// set as `(FeaturePair, score)` entries in best-counterpart discovery
-/// order, deduplicated (max score per pair), *not yet interned*.
+/// Catalog-free similarity pass for one entity pair: appends to `out` the
+/// state feature set as `(FeaturePair, score)` entries in best-counterpart
+/// discovery order, deduplicated (max score per pair), *not yet interned*.
 /// `score(l, r)` is the similarity of left value `l` and right value `r`;
 /// only scores `>= theta` are used, so a scorer may report anything below
 /// θ as `f64::NEG_INFINITY`.
@@ -39,17 +39,19 @@ pub fn raw_feature_set(
     right_attrs: &[(Sym, ValueId)],
     theta: f64,
     score: impl Fn(ValueId, ValueId) -> f64,
-) -> Vec<(FeaturePair, f64)> {
+    out: &mut Vec<(FeaturePair, f64)>,
+) {
     let n = left_attrs.len();
     let m = right_attrs.len();
     if n == 0 || m == 0 {
-        return Vec::new();
+        return;
     }
-    let mut set: Vec<(FeaturePair, f64)> = Vec::new();
-    let mut push = |pair: FeaturePair, score: f64| match set.iter_mut().find(|(p, _)| *p == pair) {
-        Some((_, s)) => *s = s.max(score),
-        None => set.push((pair, score)),
-    };
+    let start = out.len();
+    let mut push =
+        |pair: FeaturePair, score: f64| match out[start..].iter_mut().find(|(p, _)| *p == pair) {
+            Some((_, s)) => *s = s.max(score),
+            None => out.push((pair, score)),
+        };
 
     if n >= m {
         // Max per row: each left attribute keeps its best right counterpart.
@@ -92,24 +94,25 @@ pub fn raw_feature_set(
             }
         }
     }
-    set
 }
 
 /// Intern a [`raw_feature_set`] result into `catalog`, in discovery order,
-/// and sort by [`FeatureId`]. Split out so [`feature_set`] and the
-/// parallel build's ordered merge share one interning path.
+/// and append it to `out` sorted by [`FeatureId`]. Split out so
+/// [`feature_set`] and the parallel build's ordered merge share one
+/// interning path.
 ///
 /// [`FeatureId`]: crate::feature::FeatureId
 pub fn intern_feature_set(
-    raw: Vec<(FeaturePair, f64)>,
+    raw: &[(FeaturePair, f64)],
     catalog: &mut FeatureCatalog,
-) -> FeatureSet {
-    let mut set: FeatureSet = raw
-        .into_iter()
-        .map(|(pair, score)| (catalog.intern(pair), score))
-        .collect();
-    set.sort_by_key(|&(f, _)| f);
-    set
+    out: &mut FeatureSet,
+) {
+    let start = out.len();
+    out.extend(
+        raw.iter()
+            .map(|&(pair, score)| (catalog.intern(pair), score)),
+    );
+    out[start..].sort_by_key(|&(f, _)| f);
 }
 
 /// Build the state feature set for one entity pair.
@@ -128,10 +131,11 @@ pub fn feature_set(
     score: impl Fn(ValueId, ValueId) -> f64,
     catalog: &mut FeatureCatalog,
 ) -> FeatureSet {
-    intern_feature_set(
-        raw_feature_set(left_attrs, right_attrs, theta, score),
-        catalog,
-    )
+    let mut raw = Vec::new();
+    raw_feature_set(left_attrs, right_attrs, theta, score, &mut raw);
+    let mut set = FeatureSet::new();
+    intern_feature_set(&raw, catalog, &mut set);
+    set
 }
 
 #[cfg(test)]

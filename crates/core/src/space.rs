@@ -24,13 +24,14 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use alex_linking::blocking::candidate_pairs_of_values;
 use alex_linking::scores::ValueScores;
 use alex_linking::values::SideValues;
-use alex_linking::{candidate_pairs, BlockingConfig};
+use alex_linking::BlockingConfig;
 use alex_parallel::Pool;
 use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{prepared_similarity, TokenInterner};
-use alex_telemetry::counter;
+use alex_telemetry::{counter, span};
 
 use crate::feature::{FeatureCatalog, FeatureId};
 use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
@@ -120,9 +121,24 @@ impl PreparedSides {
         // compares token ids across data sets, so both must intern into
         // the same id space.
         let mut interner = TokenInterner::new();
-        let left_values = SideValues::build(left, &left_index, &mut interner);
-        let right_values = SideValues::build(right, &right_index, &mut interner);
-        let candidates = candidate_pairs(left, &left_index, right, &right_index, blocking);
+        let (left_values, right_values) = {
+            let _s = span("prepare_values");
+            (
+                SideValues::build(left, &left_index, &mut interner),
+                SideValues::build(right, &right_index, &mut interner),
+            )
+        };
+        let candidates = {
+            let _s = span("block");
+            candidate_pairs_of_values(
+                left,
+                &left_values,
+                right,
+                &right_values,
+                &mut interner,
+                blocking,
+            )
+        };
         PreparedSides {
             left_index: Arc::new(left_index),
             right_index: Arc::new(right_index),
@@ -155,6 +171,11 @@ impl PreparedSides {
     }
 }
 
+/// The pool every link-space build runs on.
+fn space_pool() -> Pool {
+    Pool::new("space_build")
+}
+
 /// The θ-sparse score table of `candidates`' value pairs, on the
 /// `space_build` pool, with its work counted in the `space_*` counters.
 fn score_values(sides: &PreparedSides, candidates: &[(u32, u32)], theta: f64) -> ValueScores {
@@ -163,10 +184,11 @@ fn score_values(sides: &PreparedSides, candidates: &[(u32, u32)], theta: f64) ->
         &sides.right_values,
         candidates,
         theta,
-        &Pool::new("space_build"),
+        &space_pool(),
     );
     counter!("space_value_pairs_scored_total").add(scores.scored());
     counter!("space_value_pairs_kept_total").add(scores.kept() as u64);
+    counter!("space_value_pairs_pruned_total").add(scores.pruned());
     counter!("space_token_pairs_scored_total").add(scores.token_pairs_scored());
     scores
 }
@@ -257,7 +279,8 @@ impl LinkSpace {
             None => Cow::Borrowed(&sides.candidates),
         };
         let scores = score_values(sides, &candidates, cfg.theta);
-        LinkSpace::assemble(sides, &candidates, cfg.theta, &scores)
+        let _s = span("assemble");
+        LinkSpace::assemble(sides, &candidates, cfg.theta, &scores, &space_pool())
     }
 
     /// The `n` equal-size partitions of the space (§6.2): partition `i`
@@ -275,56 +298,84 @@ impl LinkSpace {
         sides.check(cfg);
         assert!(n > 0, "at least one partition");
         let scores = score_values(sides, &sides.candidates, cfg.theta);
-        (0..n)
-            .map(|i| {
-                let candidates = sides.partition_candidates(i, n);
-                LinkSpace::assemble(sides, &candidates, cfg.theta, &scores)
-            })
-            .collect()
+        let _s = span("assemble");
+        let mut parts = vec![Vec::new(); n];
+        for &(l, r) in &sides.candidates {
+            parts[l as usize % n].push((l, r));
+        }
+        // Each partition is a space of its own, with its own catalog, so
+        // the partitions assemble side by side, one per job; a lone
+        // partition takes the whole pool.
+        let inner = match n {
+            1 => space_pool(),
+            _ => Pool::with_threads("space_build", 1),
+        };
+        space_pool().map_each(&parts, |candidates| {
+            LinkSpace::assemble(sides, candidates, cfg.theta, &scores, &inner)
+        })
     }
 
     /// The space of `candidates`, reading value similarities from `scores`,
-    /// which must cover every value pair of `candidates` at `theta`.
+    /// which must cover every value pair of `candidates` at `theta`, with
+    /// the feature sets computed on `pool`.
     fn assemble(
         sides: &PreparedSides,
         candidates: &[(u32, u32)],
         theta: f64,
         scores: &ValueScores,
+        pool: &Pool,
     ) -> LinkSpace {
         let (left_values, right_values) = (&sides.left_values, &sides.right_values);
         // Feature sets are the per-candidate hot loop, O(pairs × attrs²)
         // table lookups: workers compute catalog-free raw feature sets for
-        // candidate chunks, then the ordered merge below interns them in
-        // original candidate order — the exact intern sequence the
-        // sequential loop produces, so feature ids (and everything
-        // downstream) are byte-identical at any thread count.
-        let raw = Pool::new("space_build").map(candidates, |&(l, r)| {
-            raw_feature_set(
-                left_values.attrs(l),
-                right_values.attrs(r),
-                theta,
-                |a, b| scores.score(a, b),
-            )
+        // candidate chunks, each chunk's sets in one flat list, then the
+        // ordered merge below interns them in original candidate order —
+        // the exact intern sequence the sequential loop produces, so
+        // feature ids (and everything downstream) are byte-identical at
+        // any thread count.
+        let chunks = pool.map_chunks(candidates, |chunk| {
+            let mut lens = Vec::with_capacity(chunk.len());
+            let mut raw = Vec::new();
+            for &(l, r) in chunk {
+                let before = raw.len();
+                raw_feature_set(
+                    left_values.attrs(l),
+                    right_values.attrs(r),
+                    theta,
+                    |a, b| scores.score(a, b),
+                    &mut raw,
+                );
+                lens.push(raw.len() - before);
+            }
+            (lens, raw)
         });
 
         debug_assert!(
             candidates.windows(2).all(|w| w[0] < w[1]),
             "candidates must be strictly increasing"
         );
-        let kept = raw.iter().filter(|sf| !sf.is_empty()).count();
-        let entries = raw.iter().map(Vec::len).sum();
+        let kept = chunks
+            .iter()
+            .map(|(lens, _)| lens.iter().filter(|&&len| len > 0).count())
+            .sum();
+        let entries = chunks.iter().map(|(_, raw)| raw.len()).sum();
         let mut catalog = FeatureCatalog::new();
         let mut pairs = Vec::with_capacity(kept);
         let mut set_starts = Vec::with_capacity(kept + 1);
         let mut set_entries = Vec::with_capacity(entries);
         set_starts.push(0);
-        for (&(l, r), raw_sf) in candidates.iter().zip(raw) {
-            if raw_sf.is_empty() {
-                continue;
+        let mut pair = candidates.iter();
+        for (lens, raw) in &chunks {
+            let mut at = 0;
+            for (&len, &(l, r)) in lens.iter().zip(pair.by_ref()) {
+                if len == 0 {
+                    continue;
+                }
+                pairs.push((l, r));
+                intern_feature_set(&raw[at..at + len], &mut catalog, &mut set_entries);
+                set_starts.push(offset(set_entries.len()));
+                at += len;
             }
-            pairs.push((l, r));
-            set_entries.extend(intern_feature_set(raw_sf, &mut catalog));
-            set_starts.push(offset(set_entries.len()));
         }
 
         let by_feature = score_indexes(catalog.len(), &set_starts, &set_entries);

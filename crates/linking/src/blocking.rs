@@ -6,10 +6,12 @@
 //! that share at least one (non-stop) token — the standard first stage of
 //! every link-discovery tool (SILK, LIMES, PARIS all block first).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use alex_rdf::{Dataset, EntityIndex, Term};
-use alex_sim::normalize;
+use alex_sim::{normalize, TokenInterner, TypedValue};
+
+use crate::values::{SideValues, ValueId};
 
 /// Blocking configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,29 +43,228 @@ impl Default for BlockingConfig {
     }
 }
 
-/// Blocking tokens of one entity: normalized tokens of every literal value
-/// and of the local names of IRI values.
-fn entity_tokens(ds: &Dataset, entity: Term) -> HashSet<String> {
-    let mut tokens = HashSet::new();
-    for t in ds.graph().matching(Some(entity), None, None) {
-        let text = match t.object {
-            Term::Literal(lit) => ds.resolve_sym(lit.lexical).to_string(),
-            Term::Iri(sym) => alex_sim::iri_local_name(ds.resolve_sym(sym)).to_string(),
-            Term::Blank(_) => continue,
-        };
-        for tok in normalize(&text).split(' ') {
-            if !tok.is_empty() {
-                tokens.insert(tok.to_string());
+/// One side's blocking tokens: per entity, the distinct usable tokens of
+/// its object values as dense ids, `ids[starts[e]..starts[e + 1]]`.
+struct SideTokens {
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl SideTokens {
+    /// Union per entity of the token lists of its values: entity `e`'s
+    /// values are `attrs[attr_starts[e]..attr_starts[e + 1]]`, and value
+    /// `v`'s tokens are `value_ids[value_starts[v]..value_starts[v + 1]]`,
+    /// in an id space of `tokens` ids.
+    fn union(
+        attr_starts: &[usize],
+        attrs: &[u32],
+        value_starts: &[u32],
+        value_ids: &[u32],
+        tokens: usize,
+    ) -> SideTokens {
+        // `stamp[t] == e` marks token `t` as taken by entity `e` already.
+        let mut stamp = vec![u32::MAX; tokens];
+        let mut starts = Vec::with_capacity(attr_starts.len());
+        let mut ids = Vec::new();
+        starts.push(0);
+        for (e, w) in attr_starts.windows(2).enumerate() {
+            let e = e as u32;
+            for &v in &attrs[w[0]..w[1]] {
+                let (lo, hi) = (value_starts[v as usize], value_starts[v as usize + 1]);
+                for &t in &value_ids[lo as usize..hi as usize] {
+                    if stamp[t as usize] != e {
+                        stamp[t as usize] = e;
+                        ids.push(t);
+                    }
+                }
             }
+            starts.push(ids.len() as u32);
+        }
+        SideTokens { starts, ids }
+    }
+
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    fn of(&self, e: usize) -> &[u32] {
+        &self.ids[self.starts[e] as usize..self.starts[e + 1] as usize]
+    }
+}
+
+/// Whether `tok`, a normalized token, may block under `cfg`.
+fn usable(tok: &str, cfg: &BlockingConfig) -> bool {
+    tok.len() >= cfg.min_token_len
+        && !(cfg.skip_numeric_tokens && tok.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// Append to `out` the ids of the usable tokens of `normalize(text)`.
+fn intern_usable(
+    text: &str,
+    cfg: &BlockingConfig,
+    interner: &mut TokenInterner,
+    out: &mut Vec<u32>,
+) {
+    for tok in normalize(text).split(' ') {
+        if !tok.is_empty() && usable(tok, cfg) {
+            out.push(interner.intern(tok));
         }
     }
-    tokens
+}
+
+/// The text a value blocks on: the lexical form of a literal, the local
+/// name of an IRI, nothing for a blank node.
+fn block_text(ds: &Dataset, term: Term) -> Option<&str> {
+    match term {
+        Term::Literal(lit) => Some(ds.resolve_sym(lit.lexical)),
+        Term::Iri(sym) => Some(alex_sim::iri_local_name(ds.resolve_sym(sym))),
+        Term::Blank(_) => None,
+    }
+}
+
+/// One side's blocking tokens straight from its triples: each distinct
+/// object term is normalized once.
+fn dataset_tokens(
+    ds: &Dataset,
+    idx: &EntityIndex,
+    cfg: &BlockingConfig,
+    interner: &mut TokenInterner,
+) -> SideTokens {
+    let mut value_of: HashMap<Term, u32> = HashMap::new();
+    let (mut value_starts, mut value_ids) = (vec![0u32], Vec::new());
+    let (mut attr_starts, mut attrs) = (vec![0usize], Vec::new());
+    for (_, entity) in idx.iter() {
+        for t in ds.graph().matching(Some(entity), None, None) {
+            let v = *value_of.entry(t.object).or_insert_with(|| {
+                if let Some(text) = block_text(ds, t.object) {
+                    intern_usable(text, cfg, interner, &mut value_ids);
+                }
+                value_starts.push(value_ids.len() as u32);
+                value_starts.len() as u32 - 2
+            });
+            attrs.push(v);
+        }
+        attr_starts.push(attrs.len());
+    }
+    SideTokens::union(
+        &attr_starts,
+        &attrs,
+        &value_starts,
+        &value_ids,
+        interner.len(),
+    )
+}
+
+/// One side's blocking tokens from its prepared values. A value whose
+/// prepared text is its blocking text (a text literal, or an IRI's local
+/// name) reuses the interned ids of its prepared tokens; only a typed
+/// literal, whose prepared text is rendered from its parsed value, is
+/// normalized again from its lexical form.
+fn value_tokens(
+    ds: &Dataset,
+    values: &SideValues,
+    cfg: &BlockingConfig,
+    interner: &mut TokenInterner,
+) -> SideTokens {
+    let (mut value_starts, mut value_ids) = (vec![0u32], Vec::new());
+    for v in 0..values.value_count() as u32 {
+        let value = values.value(ValueId(v));
+        match values.term(ValueId(v)) {
+            Term::Blank(_) => {}
+            Term::Literal(lit) if !matches!(value.value(), TypedValue::Text(_)) => {
+                intern_usable(ds.resolve_sym(lit.lexical), cfg, interner, &mut value_ids);
+            }
+            _ => {
+                let text = value.text();
+                for (i, &id) in text.span_ids().iter().enumerate() {
+                    if usable(text.token(i), cfg) {
+                        value_ids.push(id);
+                    }
+                }
+            }
+        }
+        value_starts.push(value_ids.len() as u32);
+    }
+    let mut attrs: Vec<u32> = Vec::new();
+    let mut attr_starts = vec![0usize];
+    for e in 0..values.len() as u32 {
+        attrs.extend(values.attrs(e).iter().map(|&(_, v)| v.0));
+        attr_starts.push(attrs.len());
+    }
+    SideTokens::union(
+        &attr_starts,
+        &attrs,
+        &value_starts,
+        &value_ids,
+        interner.len(),
+    )
+}
+
+/// The candidate pairs of two sides' blocking tokens, over a shared id
+/// space of `tokens` ids: a right posting list per token, and per left
+/// entity one dense count per right entity.
+fn block(
+    left: &SideTokens,
+    right: &SideTokens,
+    tokens: usize,
+    cfg: &BlockingConfig,
+) -> Vec<(u32, u32)> {
+    // Inverted index over the right side, each list ascending.
+    let mut post_starts = vec![0u32; tokens + 1];
+    for &t in &right.ids {
+        post_starts[t as usize + 1] += 1;
+    }
+    for t in 0..tokens {
+        post_starts[t + 1] += post_starts[t];
+    }
+    let mut fill = post_starts.clone();
+    let mut postings = vec![0u32; right.ids.len()];
+    for rid in 0..right.len() {
+        for &t in right.of(rid) {
+            postings[fill[t as usize] as usize] = rid as u32;
+            fill[t as usize] += 1;
+        }
+    }
+    // Fractional threshold with an absolute floor: on small data sets a
+    // fraction of the entity count degenerates to 1 and every repeated
+    // token would become a stop token.
+    let max_postings = (((right.len() as f64) * cfg.max_posting_frac).ceil() as usize).max(4);
+
+    let mut shared = vec![0u32; right.len()];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut pairs = Vec::new();
+    for lid in 0..left.len() {
+        for &t in left.of(lid) {
+            let list =
+                &postings[post_starts[t as usize] as usize..post_starts[t as usize + 1] as usize];
+            if list.len() > max_postings {
+                continue; // stop token
+            }
+            for &rid in list {
+                if shared[rid as usize] == 0 {
+                    touched.push(rid);
+                }
+                shared[rid as usize] += 1;
+            }
+        }
+        touched.sort_unstable();
+        for &rid in &touched {
+            if shared[rid as usize] as usize >= cfg.min_shared_tokens {
+                pairs.push((lid as u32, rid));
+            }
+            shared[rid as usize] = 0;
+        }
+        touched.clear();
+    }
+    pairs
 }
 
 /// Generate candidate `(left_id, right_id)` pairs via token blocking.
 ///
-/// The result is sorted and duplicate-free. Cost is proportional to the sum
-/// of posting-list-pair products, not to `|left| × |right|`.
+/// An entity's blocking tokens are the normalized tokens of the lexical
+/// form of each literal object and of the local name of each IRI object.
+/// The result is sorted and duplicate-free. Cost is proportional to the
+/// sum of posting-list-pair products, not to `|left| × |right|`.
 pub fn candidate_pairs(
     left: &Dataset,
     left_idx: &EntityIndex,
@@ -71,55 +272,195 @@ pub fn candidate_pairs(
     right_idx: &EntityIndex,
     cfg: &BlockingConfig,
 ) -> Vec<(u32, u32)> {
-    let usable = |tok: &str| {
-        tok.len() >= cfg.min_token_len
-            && !(cfg.skip_numeric_tokens && tok.bytes().all(|b| b.is_ascii_digit()))
-    };
+    let mut interner = TokenInterner::new();
+    let l = dataset_tokens(left, left_idx, cfg, &mut interner);
+    let r = dataset_tokens(right, right_idx, cfg, &mut interner);
+    block(&l, &r, interner.len(), cfg)
+}
 
-    // Inverted index over the right side.
-    let mut postings: HashMap<String, Vec<u32>> = HashMap::new();
-    for (rid, term) in right_idx.iter() {
-        for tok in entity_tokens(right, term) {
-            if usable(&tok) {
-                postings.entry(tok).or_default().push(rid);
-            }
-        }
-    }
-    // Fractional threshold with an absolute floor: on small data sets a
-    // fraction of the entity count degenerates to 1 and every repeated
-    // token would become a stop token.
-    let max_postings = (((right_idx.len() as f64) * cfg.max_posting_frac).ceil() as usize).max(4);
-
-    let mut shared_counts: HashMap<(u32, u32), usize> = HashMap::new();
-    for (lid, term) in left_idx.iter() {
-        for tok in entity_tokens(left, term) {
-            if !usable(&tok) {
-                continue;
-            }
-            let Some(list) = postings.get(&tok) else {
-                continue;
-            };
-            if list.len() > max_postings {
-                continue; // stop token
-            }
-            for &rid in list {
-                *shared_counts.entry((lid, rid)).or_insert(0) += 1;
-            }
-        }
-    }
-
-    let mut pairs: Vec<(u32, u32)> = shared_counts
-        .into_iter()
-        .filter(|&(_, n)| n >= cfg.min_shared_tokens)
-        .map(|(pair, _)| pair)
-        .collect();
-    pairs.sort_unstable();
-    pairs
+/// [`candidate_pairs`] of two sides already prepared as [`SideValues`]
+/// (each built from its data set with the entity index `candidate_pairs`
+/// would take), reusing their interned tokens: `interner` must be the one
+/// both were built against, and gains the tokens of typed literals'
+/// lexical forms. The two agree on every graph whose predicates are IRIs,
+/// the only triples `SideValues` keeps.
+pub fn candidate_pairs_of_values(
+    left: &Dataset,
+    left_values: &SideValues,
+    right: &Dataset,
+    right_values: &SideValues,
+    interner: &mut TokenInterner,
+    cfg: &BlockingConfig,
+) -> Vec<(u32, u32)> {
+    let l = value_tokens(left, left_values, cfg, interner);
+    let r = value_tokens(right, right_values, cfg, interner);
+    block(&l, &r, interner.len(), cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alex_rdf::{vocab, Triple};
+    use alex_sim::TokenInterner;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// Blocking as first written, a per-occurrence transcription: every
+    /// literal and IRI local name is normalized where it occurs, into a
+    /// string set per entity, and pairs are counted in a hash map.
+    fn oracle(
+        left: &Dataset,
+        left_idx: &EntityIndex,
+        right: &Dataset,
+        right_idx: &EntityIndex,
+        cfg: &BlockingConfig,
+    ) -> Vec<(u32, u32)> {
+        fn entity_tokens(ds: &Dataset, entity: Term) -> HashSet<String> {
+            let mut tokens = HashSet::new();
+            for t in ds.graph().matching(Some(entity), None, None) {
+                let text = match t.object {
+                    Term::Literal(lit) => ds.resolve_sym(lit.lexical).to_string(),
+                    Term::Iri(sym) => alex_sim::iri_local_name(ds.resolve_sym(sym)).to_string(),
+                    Term::Blank(_) => continue,
+                };
+                for tok in normalize(&text).split(' ') {
+                    if !tok.is_empty() {
+                        tokens.insert(tok.to_string());
+                    }
+                }
+            }
+            tokens
+        }
+        let mut postings: HashMap<String, Vec<u32>> = HashMap::new();
+        for (rid, term) in right_idx.iter() {
+            for tok in entity_tokens(right, term) {
+                if usable(&tok, cfg) {
+                    postings.entry(tok).or_default().push(rid);
+                }
+            }
+        }
+        let max_postings =
+            (((right_idx.len() as f64) * cfg.max_posting_frac).ceil() as usize).max(4);
+        let mut shared_counts: HashMap<(u32, u32), usize> = HashMap::new();
+        for (lid, term) in left_idx.iter() {
+            for tok in entity_tokens(left, term) {
+                if !usable(&tok, cfg) {
+                    continue;
+                }
+                let Some(list) = postings.get(&tok) else {
+                    continue;
+                };
+                if list.len() > max_postings {
+                    continue;
+                }
+                for &rid in list {
+                    *shared_counts.entry((lid, rid)).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut pairs: Vec<(u32, u32)> = shared_counts
+            .into_iter()
+            .filter(|&(_, n)| n >= cfg.min_shared_tokens)
+            .map(|(pair, _)| pair)
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Object texts drawn from a small vocabulary, so that tokens repeat
+    /// across entities and sides; numbers, dates and booleans among them.
+    const WORDS: [&str; 12] = [
+        "Miami Heat",
+        "heat",
+        "LeBron_James",
+        "james",
+        "1e5",
+        "-5",
+        "true",
+        "1984-12-30",
+        "1984",
+        "Café Müller",
+        "x",
+        "new york-ny",
+    ];
+
+    /// One data set from generated triples `(subject, kind, word, word)`:
+    /// the kind picks a plain, language-tagged or typed literal, an IRI
+    /// object with `#` or `/` before its local name, or a blank node.
+    fn dataset(name: &str, triples: &[(u32, u32, usize, usize)]) -> Dataset {
+        let mut ds = Dataset::new(name);
+        for &(s, kind, a, b) in triples {
+            let (s, p) = (
+                format!("http://{name}/e{s}"),
+                format!("http://{name}/p{kind}"),
+            );
+            let (a, b) = (WORDS[a % WORDS.len()], WORDS[b % WORDS.len()]);
+            match kind {
+                0 => ds.add_str(&s, &p, &format!("{a} {b}")),
+                1 => ds.add_typed(&s, &p, a, vocab::XSD_INTEGER),
+                2 => ds.add_typed(&s, &p, a, vocab::XSD_DOUBLE),
+                3 => ds.add_typed(&s, &p, a, vocab::XSD_DATE),
+                4 => ds.add_typed(&s, &p, a, vocab::XSD_BOOLEAN),
+                5 => ds.add_typed(&s, &p, a, vocab::XSD_GYEAR),
+                6 => ds.add_iri(
+                    &s,
+                    &p,
+                    &format!("http://x.org/{}#{}", a, b).replace(' ', "_"),
+                ),
+                7 => ds.add_iri(
+                    &s,
+                    &p,
+                    &format!("http://x.org/{}/{}", a, b).replace(' ', "_"),
+                ),
+                8 => {
+                    let object = Term::Blank(ds.interner_mut().intern(&format!("b{a}")));
+                    let (subject, predicate) = (ds.iri(&s), ds.iri(&p));
+                    ds.insert(Triple {
+                        subject,
+                        predicate,
+                        object,
+                    })
+                }
+                _ => {
+                    let object = ds.lang(a, "en");
+                    let (subject, predicate) = (ds.iri(&s), ds.iri(&p));
+                    ds.insert(Triple {
+                        subject,
+                        predicate,
+                        object,
+                    })
+                }
+            };
+        }
+        ds
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Both blocking paths, from triples and from prepared values,
+        /// return the oracle's pairs under any configuration.
+        #[test]
+        fn blocking_matches_the_per_occurrence_oracle(
+            left in proptest::collection::vec((0u32..10, 0u32..10, 0usize..12, 0usize..12), 0..40),
+            right in proptest::collection::vec((0u32..10, 0u32..10, 0usize..12, 0usize..12), 0..40),
+            min_token_len in 0usize..5,
+            max_posting_frac in 0.0f64..0.6,
+            min_shared_tokens in 0usize..3,
+            skip_numeric_tokens in proptest::bool::ANY,
+        ) {
+            let cfg = BlockingConfig { min_token_len, max_posting_frac, min_shared_tokens, skip_numeric_tokens };
+            let (left, right) = (dataset("l", &left), dataset("r", &right));
+            let (li, ri) = (left.entity_index(), right.entity_index());
+            let want = oracle(&left, &li, &right, &ri, &cfg);
+            prop_assert_eq!(&candidate_pairs(&left, &li, &right, &ri, &cfg), &want);
+            let mut interner = TokenInterner::new();
+            let lv = SideValues::build(&left, &li, &mut interner);
+            let rv = SideValues::build(&right, &ri, &mut interner);
+            let got = candidate_pairs_of_values(&left, &lv, &right, &rv, &mut interner, &cfg);
+            prop_assert_eq!(&got, &want);
+        }
+    }
 
     fn datasets() -> (Dataset, Dataset) {
         let mut left = Dataset::new("L");

@@ -34,6 +34,6 @@ pub use prepared::{
 pub use string::{
     jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp, levenshtein_similarity,
     monge_elkan_by, monge_elkan_jw, myers_levenshtein, normalize, string_similarity,
-    token_similarity, TokenPattern, SLICE_MAX,
+    token_similarity, TokenPattern, TokenSignature, SLICE_MAX,
 };
 pub use value::{iri_local_name, sniff, typed_value, Date, TypedValue};

@@ -126,20 +126,25 @@ impl PreparedText {
     pub fn prepare(raw: &str, interner: &mut TokenInterner) -> PreparedText {
         let norm = normalize(raw);
         let token_spans = token_spans(&norm);
-        // `jaccard_tokens(&norm, _)` re-normalizes its input; normalization
-        // is idempotent for the common cases but the re-derived tokens are
-        // what the oracle hashes, so intern exactly those.
-        let renorm = normalize(&norm);
-        let mut token_ids: Vec<u32> = tokenize(&renorm)
-            .into_iter()
-            .map(|tok| interner.intern(tok))
-            .collect();
-        token_ids.sort_unstable();
-        token_ids.dedup();
         let span_ids: Vec<u32> = token_spans
             .iter()
             .map(|&(s, e)| interner.intern(&norm[s as usize..e as usize]))
             .collect();
+        // `jaccard_tokens(&norm, _)` re-normalizes its input, and the
+        // re-derived tokens are what it hashes. Normalization is idempotent
+        // on ASCII (lowercase letters, digits and single inner spaces map
+        // to themselves), so there those are the Monge-Elkan tokens; any
+        // other text is normalized again.
+        let mut token_ids: Vec<u32> = if norm.is_ascii() {
+            span_ids.clone()
+        } else {
+            tokenize(&normalize(&norm))
+                .into_iter()
+                .map(|tok| interner.intern(tok))
+                .collect()
+        };
+        token_ids.sort_unstable();
+        token_ids.dedup();
         PreparedText {
             norm: norm.into(),
             token_spans: token_spans.into(),

@@ -63,7 +63,7 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 
 /// The Winkler boost of Jaro score `j` for a common prefix of `prefix`
 /// (at most 4) units.
-fn winkler(j: f64, prefix: usize) -> f64 {
+pub(super) fn winkler(j: f64, prefix: usize) -> f64 {
     (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
 }
 

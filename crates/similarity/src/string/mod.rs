@@ -1,11 +1,13 @@
 //! String similarity measures and normalization.
 
+mod bound;
 pub mod jaccard;
 pub mod jaro;
 pub mod levenshtein;
 pub mod myers;
 pub mod normalize;
 
+pub use bound::TokenSignature;
 pub use jaccard::jaccard_tokens;
 pub use jaro::{jaro, jaro_winkler};
 pub use levenshtein::{levenshtein, levenshtein_dp, levenshtein_similarity};
@@ -56,17 +58,30 @@ pub struct TokenPattern<'a> {
 impl<'a> TokenPattern<'a> {
     /// Build the pattern of `token`.
     pub fn new(token: &'a str) -> TokenPattern<'a> {
-        let bytes = token.len() <= SLICE_MAX && token.is_ascii();
-        let mut masks = [0u64; 128];
-        if bytes {
-            for (j, &c) in token.as_bytes().iter().enumerate() {
-                masks[usize::from(c)] |= 1 << j;
+        let mut pattern = TokenPattern {
+            token: "",
+            bytes: false,
+            masks: [0u64; 128],
+        };
+        pattern.reset(token);
+        pattern
+    }
+
+    /// Make this the pattern of `token`, clearing only the masks of the
+    /// previous token's bytes: cheaper than [`TokenPattern::new`] for a
+    /// caller that builds many patterns of short tokens.
+    pub fn reset(&mut self, token: &'a str) {
+        if self.bytes {
+            for &c in self.token.as_bytes() {
+                self.masks[usize::from(c)] = 0;
             }
         }
-        TokenPattern {
-            token,
-            bytes,
-            masks,
+        self.token = token;
+        self.bytes = token.len() <= SLICE_MAX && token.is_ascii();
+        if self.bytes {
+            for (j, &c) in token.as_bytes().iter().enumerate() {
+                self.masks[usize::from(c)] |= 1 << j;
+            }
         }
     }
 

@@ -5,7 +5,8 @@ use alex_sim::{
     jaccard_ids, jaccard_tokens, jaro, jaro_winkler, levenshtein, levenshtein_dp,
     levenshtein_similarity, monge_elkan_jw, myers_levenshtein, normalize, prepared_similarity,
     relative_numeric, scaled_numeric, string_similarity, token_similarity, value_similarity, Date,
-    PreparedText, PreparedValue, TokenInterner, TokenPattern, TypedValue, SLICE_MAX,
+    PreparedText, PreparedValue, TokenInterner, TokenPattern, TokenSignature, TypedValue,
+    SLICE_MAX,
 };
 use proptest::prelude::*;
 
@@ -398,5 +399,63 @@ proptest! {
             prepared_similarity(&pb, &pa).to_bits(),
             value_similarity(&vb, &va).to_bits()
         );
+    }
+}
+
+/// `TokenSignature::bound` of `a` against `b`, checked against the kernel:
+/// at least `token_similarity` bit for bit, symmetric, and exactly 0 when
+/// the class sets are disjoint.
+fn check_bound(a: &str, b: &str) -> Result<(), TestCaseError> {
+    let (sa, sb) = (TokenSignature::new(a), TokenSignature::new(b));
+    let (bound, score) = (sa.bound(&sb), token_similarity(a, b));
+    prop_assert!(
+        bound >= score,
+        "{a:?} vs {b:?}: bound {bound} < score {score}"
+    );
+    prop_assert_eq!(bound.to_bits(), sb.bound(&sa).to_bits());
+    if sa.classes() & sb.classes() == 0 {
+        prop_assert_eq!(score, 0.0);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Few letters, so characters repeat three and more times and most
+    /// pairs share characters: the overlap count is tight there.
+    #[test]
+    fn token_bound_covers_repeated_characters(a in "[a-c]{1,12}", b in "[a-c]{1,12}") {
+        check_bound(&a, &b)?;
+    }
+
+    /// Letters and digits of normalized tokens, 1-byte tokens included.
+    #[test]
+    fn token_bound_covers_alphanumeric_tokens(a in "[a-z0-9]{1,10}", b in "[a-z0-9]{1,10}") {
+        check_bound(&a, &b)?;
+    }
+
+    /// Digits only, as in years, dates and codes.
+    #[test]
+    fn token_bound_covers_digit_tokens(a in "[0-9]{1,6}", b in "[0-9]{1,6}") {
+        check_bound(&a, &b)?;
+    }
+
+    /// Any printable ASCII, punctuation included, and the non-ASCII
+    /// characters the kernel compares as characters.
+    #[test]
+    fn token_bound_covers_any_printable_token(a in ".{0,9}", b in ".{0,9}") {
+        check_bound(&a, &b)?;
+    }
+
+    /// Tokens around the 64-byte limit of the byte kernel: longer ones have
+    /// no counts and bound at 1.
+    #[test]
+    fn token_bound_covers_tokens_around_the_byte_limit(
+        a in "[a-d]{60,68}",
+        b in "[a-d]{1,68}"
+    ) {
+        check_bound(&a, &b)?;
+        prop_assert_eq!(TokenSignature::new(&a).has_counts(), a.len() <= SLICE_MAX);
     }
 }
