@@ -24,16 +24,15 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use alex_linking::blocking::candidate_pairs_of_values;
 use alex_linking::scores::ValueScores;
 use alex_linking::values::SideValues;
-use alex_linking::BlockingConfig;
+use alex_linking::{candidate_pairs, BlockingConfig};
 use alex_parallel::Pool;
 use alex_rdf::{Dataset, EntityIndex, Term};
 use alex_sim::{prepared_similarity, TokenInterner};
 use alex_telemetry::{counter, span};
 
-use crate::feature::{FeatureCatalog, FeatureId};
+use crate::feature::{FeatureCatalog, FeatureId, FeaturePair};
 use crate::simmatrix::{feature_set, intern_feature_set, raw_feature_set};
 
 /// Dense id of an entity pair in the link space.
@@ -130,14 +129,7 @@ impl PreparedSides {
         };
         let candidates = {
             let _s = span("block");
-            candidate_pairs_of_values(
-                left,
-                &left_values,
-                right,
-                &right_values,
-                &mut interner,
-                blocking,
-            )
+            candidate_pairs(left, &left_index, right, &right_index, blocking)
         };
         PreparedSides {
             left_index: Arc::new(left_index),
@@ -159,15 +151,15 @@ impl PreparedSides {
         );
     }
 
-    /// The candidates of partition `i` of `n`: left `id % n == i`, in
-    /// candidate order.
-    fn partition_candidates(&self, i: usize, n: usize) -> Vec<(u32, u32)> {
-        assert!(n > 0 && i < n, "partition index out of range");
-        self.candidates
-            .iter()
-            .copied()
-            .filter(|&(l, _)| l as usize % n == i)
-            .collect()
+    /// The candidates of each of `n` partitions, in candidate order:
+    /// partition `i` keeps the left entities with `id % n == i`.
+    fn partition_candidates(&self, n: usize) -> Vec<Vec<(u32, u32)>> {
+        assert!(n > 0, "at least one partition");
+        let mut parts = vec![Vec::new(); n];
+        for &(l, r) in &self.candidates {
+            parts[l as usize % n].push((l, r));
+        }
+        parts
     }
 }
 
@@ -228,6 +220,42 @@ fn score_indexes(
     by_feature
 }
 
+/// The catalog-free feature sets of a run of consecutive candidates, the
+/// per-candidate hot loop of a build (O(pairs × attrs²) score lookups):
+/// candidate `i`'s set is the next `lens[i]` entries of `sets`.
+struct RawSets {
+    lens: Vec<usize>,
+    sets: Vec<(FeaturePair, f64)>,
+}
+
+impl RawSets {
+    /// The feature sets of `candidates`, reading value similarities from
+    /// `scores`, which must cover every value pair of them at `theta`.
+    fn of(
+        sides: &PreparedSides,
+        candidates: &[(u32, u32)],
+        theta: f64,
+        scores: &ValueScores,
+    ) -> RawSets {
+        let mut run = RawSets {
+            lens: Vec::with_capacity(candidates.len()),
+            sets: Vec::new(),
+        };
+        for &(l, r) in candidates {
+            let before = run.sets.len();
+            raw_feature_set(
+                sides.left_values.attrs(l),
+                sides.right_values.attrs(r),
+                theta,
+                |a, b| scores.score(a, b),
+                &mut run.sets,
+            );
+            run.lens.push(run.sets.len() - before);
+        }
+        run
+    }
+}
+
 /// The filtered space of candidate links, stored as flat columns: the
 /// pairs, one CSR of feature sets, and one score index per dense
 /// [`FeatureId`].
@@ -275,12 +303,18 @@ impl LinkSpace {
     pub fn from_prepared(sides: &PreparedSides, cfg: &SpaceConfig) -> LinkSpace {
         sides.check(cfg);
         let candidates: Cow<'_, [(u32, u32)]> = match cfg.partition {
-            Some((i, n)) => Cow::Owned(sides.partition_candidates(i, n)),
+            Some((i, n)) => {
+                assert!(i < n, "partition index out of range");
+                Cow::Owned(sides.partition_candidates(n).swap_remove(i))
+            }
             None => Cow::Borrowed(&sides.candidates),
         };
         let scores = score_values(sides, &candidates, cfg.theta);
         let _s = span("assemble");
-        LinkSpace::assemble(sides, &candidates, cfg.theta, &scores, &space_pool())
+        let raw = space_pool().map_chunks(&candidates, |chunk| {
+            RawSets::of(sides, chunk, cfg.theta, &scores)
+        });
+        LinkSpace::assemble(sides, &candidates, cfg.theta, &raw)
     }
 
     /// The `n` equal-size partitions of the space (§6.2): partition `i`
@@ -299,80 +333,64 @@ impl LinkSpace {
         assert!(n > 0, "at least one partition");
         let scores = score_values(sides, &sides.candidates, cfg.theta);
         let _s = span("assemble");
-        let mut parts = vec![Vec::new(); n];
-        for &(l, r) in &sides.candidates {
-            parts[l as usize % n].push((l, r));
+        let parts = sides.partition_candidates(n);
+        let pool = space_pool();
+        let theta = cfg.theta;
+        // Every dispatch starts on this thread. With a partition per
+        // thread or more, the partitions assemble side by side, one job
+        // each; fewer partitions each spread their candidates over the pool.
+        if n >= pool.threads() {
+            pool.map_each(&parts, |candidates| {
+                let raw = RawSets::of(sides, candidates, theta, &scores);
+                LinkSpace::assemble(sides, candidates, theta, &[raw])
+            })
+        } else {
+            parts
+                .iter()
+                .map(|candidates| {
+                    let raw = pool.map_chunks(candidates, |chunk| {
+                        RawSets::of(sides, chunk, theta, &scores)
+                    });
+                    LinkSpace::assemble(sides, candidates, theta, &raw)
+                })
+                .collect()
         }
-        // Each partition is a space of its own, with its own catalog, so
-        // the partitions assemble side by side, one per job; a lone
-        // partition takes the whole pool.
-        let inner = match n {
-            1 => space_pool(),
-            _ => Pool::with_threads("space_build", 1),
-        };
-        space_pool().map_each(&parts, |candidates| {
-            LinkSpace::assemble(sides, candidates, cfg.theta, &scores, &inner)
-        })
     }
 
-    /// The space of `candidates`, reading value similarities from `scores`,
-    /// which must cover every value pair of `candidates` at `theta`, with
-    /// the feature sets computed on `pool`.
+    /// The space of `candidates` from their raw feature sets `raw`, one
+    /// [`RawSets`] per run of consecutive candidates, in candidate order.
+    /// The merge interns the sets in candidate order — the exact intern
+    /// sequence of a sequential loop, so feature ids (and everything
+    /// downstream) are byte-identical however the runs were cut.
     fn assemble(
         sides: &PreparedSides,
         candidates: &[(u32, u32)],
         theta: f64,
-        scores: &ValueScores,
-        pool: &Pool,
+        raw: &[RawSets],
     ) -> LinkSpace {
-        let (left_values, right_values) = (&sides.left_values, &sides.right_values);
-        // Feature sets are the per-candidate hot loop, O(pairs × attrs²)
-        // table lookups: workers compute catalog-free raw feature sets for
-        // candidate chunks, each chunk's sets in one flat list, then the
-        // ordered merge below interns them in original candidate order —
-        // the exact intern sequence the sequential loop produces, so
-        // feature ids (and everything downstream) are byte-identical at
-        // any thread count.
-        let chunks = pool.map_chunks(candidates, |chunk| {
-            let mut lens = Vec::with_capacity(chunk.len());
-            let mut raw = Vec::new();
-            for &(l, r) in chunk {
-                let before = raw.len();
-                raw_feature_set(
-                    left_values.attrs(l),
-                    right_values.attrs(r),
-                    theta,
-                    |a, b| scores.score(a, b),
-                    &mut raw,
-                );
-                lens.push(raw.len() - before);
-            }
-            (lens, raw)
-        });
-
         debug_assert!(
             candidates.windows(2).all(|w| w[0] < w[1]),
             "candidates must be strictly increasing"
         );
-        let kept = chunks
+        let kept = raw
             .iter()
-            .map(|(lens, _)| lens.iter().filter(|&&len| len > 0).count())
+            .map(|run| run.lens.iter().filter(|&&len| len > 0).count())
             .sum();
-        let entries = chunks.iter().map(|(_, raw)| raw.len()).sum();
+        let entries = raw.iter().map(|run| run.sets.len()).sum();
         let mut catalog = FeatureCatalog::new();
         let mut pairs = Vec::with_capacity(kept);
         let mut set_starts = Vec::with_capacity(kept + 1);
         let mut set_entries = Vec::with_capacity(entries);
         set_starts.push(0);
         let mut pair = candidates.iter();
-        for (lens, raw) in &chunks {
+        for run in raw {
             let mut at = 0;
-            for (&len, &(l, r)) in lens.iter().zip(pair.by_ref()) {
+            for (&len, &(l, r)) in run.lens.iter().zip(pair.by_ref()) {
                 if len == 0 {
                     continue;
                 }
                 pairs.push((l, r));
-                intern_feature_set(&raw[at..at + len], &mut catalog, &mut set_entries);
+                intern_feature_set(&run.sets[at..at + len], &mut catalog, &mut set_entries);
                 set_starts.push(offset(set_entries.len()));
                 at += len;
             }
@@ -383,8 +401,8 @@ impl LinkSpace {
             catalog,
             left_index: Arc::clone(&sides.left_index),
             right_index: Arc::clone(&sides.right_index),
-            left_values: Arc::clone(left_values),
-            right_values: Arc::clone(right_values),
+            left_values: Arc::clone(&sides.left_values),
+            right_values: Arc::clone(&sides.right_values),
             built: pairs.len(),
             pairs,
             admitted_ids: HashMap::new(),

@@ -9,9 +9,7 @@
 use std::collections::HashMap;
 
 use alex_rdf::{Dataset, EntityIndex, Term};
-use alex_sim::{normalize, TokenInterner, TypedValue};
-
-use crate::values::{SideValues, ValueId};
+use alex_sim::{normalize, TokenInterner};
 
 /// Blocking configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,38 +49,6 @@ struct SideTokens {
 }
 
 impl SideTokens {
-    /// Union per entity of the token lists of its values: entity `e`'s
-    /// values are `attrs[attr_starts[e]..attr_starts[e + 1]]`, and value
-    /// `v`'s tokens are `value_ids[value_starts[v]..value_starts[v + 1]]`,
-    /// in an id space of `tokens` ids.
-    fn union(
-        attr_starts: &[usize],
-        attrs: &[u32],
-        value_starts: &[u32],
-        value_ids: &[u32],
-        tokens: usize,
-    ) -> SideTokens {
-        // `stamp[t] == e` marks token `t` as taken by entity `e` already.
-        let mut stamp = vec![u32::MAX; tokens];
-        let mut starts = Vec::with_capacity(attr_starts.len());
-        let mut ids = Vec::new();
-        starts.push(0);
-        for (e, w) in attr_starts.windows(2).enumerate() {
-            let e = e as u32;
-            for &v in &attrs[w[0]..w[1]] {
-                let (lo, hi) = (value_starts[v as usize], value_starts[v as usize + 1]);
-                for &t in &value_ids[lo as usize..hi as usize] {
-                    if stamp[t as usize] != e {
-                        stamp[t as usize] = e;
-                        ids.push(t);
-                    }
-                }
-            }
-            starts.push(ids.len() as u32);
-        }
-        SideTokens { starts, ids }
-    }
-
     fn len(&self) -> usize {
         self.starts.len() - 1
     }
@@ -122,18 +88,23 @@ fn block_text(ds: &Dataset, term: Term) -> Option<&str> {
     }
 }
 
-/// One side's blocking tokens straight from its triples: each distinct
-/// object term is normalized once.
-fn dataset_tokens(
+/// One side's blocking tokens: each distinct object term is normalized
+/// and interned once, and each entity takes the union of its terms' ids.
+fn side_tokens(
     ds: &Dataset,
     idx: &EntityIndex,
     cfg: &BlockingConfig,
     interner: &mut TokenInterner,
 ) -> SideTokens {
+    // Term `v`'s usable token ids are value_ids[value_starts[v]..value_starts[v + 1]].
     let mut value_of: HashMap<Term, u32> = HashMap::new();
     let (mut value_starts, mut value_ids) = (vec![0u32], Vec::new());
-    let (mut attr_starts, mut attrs) = (vec![0usize], Vec::new());
-    for (_, entity) in idx.iter() {
+    // `stamp[t] == e` marks token `t` as taken by entity `e` already.
+    let mut stamp: Vec<u32> = Vec::new();
+    let mut starts = Vec::with_capacity(idx.len() + 1);
+    let mut ids = Vec::new();
+    starts.push(0);
+    for (e, entity) in idx.iter() {
         for t in ds.graph().matching(Some(entity), None, None) {
             let v = *value_of.entry(t.object).or_insert_with(|| {
                 if let Some(text) = block_text(ds, t.object) {
@@ -142,62 +113,18 @@ fn dataset_tokens(
                 value_starts.push(value_ids.len() as u32);
                 value_starts.len() as u32 - 2
             });
-            attrs.push(v);
-        }
-        attr_starts.push(attrs.len());
-    }
-    SideTokens::union(
-        &attr_starts,
-        &attrs,
-        &value_starts,
-        &value_ids,
-        interner.len(),
-    )
-}
-
-/// One side's blocking tokens from its prepared values. A value whose
-/// prepared text is its blocking text (a text literal, or an IRI's local
-/// name) reuses the interned ids of its prepared tokens; only a typed
-/// literal, whose prepared text is rendered from its parsed value, is
-/// normalized again from its lexical form.
-fn value_tokens(
-    ds: &Dataset,
-    values: &SideValues,
-    cfg: &BlockingConfig,
-    interner: &mut TokenInterner,
-) -> SideTokens {
-    let (mut value_starts, mut value_ids) = (vec![0u32], Vec::new());
-    for v in 0..values.value_count() as u32 {
-        let value = values.value(ValueId(v));
-        match values.term(ValueId(v)) {
-            Term::Blank(_) => {}
-            Term::Literal(lit) if !matches!(value.value(), TypedValue::Text(_)) => {
-                intern_usable(ds.resolve_sym(lit.lexical), cfg, interner, &mut value_ids);
-            }
-            _ => {
-                let text = value.text();
-                for (i, &id) in text.span_ids().iter().enumerate() {
-                    if usable(text.token(i), cfg) {
-                        value_ids.push(id);
-                    }
+            stamp.resize(interner.len(), u32::MAX);
+            let (lo, hi) = (value_starts[v as usize], value_starts[v as usize + 1]);
+            for &tok in &value_ids[lo as usize..hi as usize] {
+                if stamp[tok as usize] != e {
+                    stamp[tok as usize] = e;
+                    ids.push(tok);
                 }
             }
         }
-        value_starts.push(value_ids.len() as u32);
+        starts.push(ids.len() as u32);
     }
-    let mut attrs: Vec<u32> = Vec::new();
-    let mut attr_starts = vec![0usize];
-    for e in 0..values.len() as u32 {
-        attrs.extend(values.attrs(e).iter().map(|&(_, v)| v.0));
-        attr_starts.push(attrs.len());
-    }
-    SideTokens::union(
-        &attr_starts,
-        &attrs,
-        &value_starts,
-        &value_ids,
-        interner.len(),
-    )
+    SideTokens { starts, ids }
 }
 
 /// The candidate pairs of two sides' blocking tokens, over a shared id
@@ -273,27 +200,8 @@ pub fn candidate_pairs(
     cfg: &BlockingConfig,
 ) -> Vec<(u32, u32)> {
     let mut interner = TokenInterner::new();
-    let l = dataset_tokens(left, left_idx, cfg, &mut interner);
-    let r = dataset_tokens(right, right_idx, cfg, &mut interner);
-    block(&l, &r, interner.len(), cfg)
-}
-
-/// [`candidate_pairs`] of two sides already prepared as [`SideValues`]
-/// (each built from its data set with the entity index `candidate_pairs`
-/// would take), reusing their interned tokens: `interner` must be the one
-/// both were built against, and gains the tokens of typed literals'
-/// lexical forms. The two agree on every graph whose predicates are IRIs,
-/// the only triples `SideValues` keeps.
-pub fn candidate_pairs_of_values(
-    left: &Dataset,
-    left_values: &SideValues,
-    right: &Dataset,
-    right_values: &SideValues,
-    interner: &mut TokenInterner,
-    cfg: &BlockingConfig,
-) -> Vec<(u32, u32)> {
-    let l = value_tokens(left, left_values, cfg, interner);
-    let r = value_tokens(right, right_values, cfg, interner);
+    let l = side_tokens(left, left_idx, cfg, &mut interner);
+    let r = side_tokens(right, right_idx, cfg, &mut interner);
     block(&l, &r, interner.len(), cfg)
 }
 
@@ -301,7 +209,6 @@ pub fn candidate_pairs_of_values(
 mod tests {
     use super::*;
     use alex_rdf::{vocab, Triple};
-    use alex_sim::TokenInterner;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -438,8 +345,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Both blocking paths, from triples and from prepared values,
-        /// return the oracle's pairs under any configuration.
+        /// Blocking returns the oracle's pairs under any configuration.
         #[test]
         fn blocking_matches_the_per_occurrence_oracle(
             left in proptest::collection::vec((0u32..10, 0u32..10, 0usize..12, 0usize..12), 0..40),
@@ -452,13 +358,10 @@ mod tests {
             let cfg = BlockingConfig { min_token_len, max_posting_frac, min_shared_tokens, skip_numeric_tokens };
             let (left, right) = (dataset("l", &left), dataset("r", &right));
             let (li, ri) = (left.entity_index(), right.entity_index());
-            let want = oracle(&left, &li, &right, &ri, &cfg);
-            prop_assert_eq!(&candidate_pairs(&left, &li, &right, &ri, &cfg), &want);
-            let mut interner = TokenInterner::new();
-            let lv = SideValues::build(&left, &li, &mut interner);
-            let rv = SideValues::build(&right, &ri, &mut interner);
-            let got = candidate_pairs_of_values(&left, &lv, &right, &rv, &mut interner, &cfg);
-            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(
+                candidate_pairs(&left, &li, &right, &ri, &cfg),
+                oracle(&left, &li, &right, &ri, &cfg)
+            );
         }
     }
 

@@ -40,9 +40,6 @@ pub struct ValueScores {
     pruned: u64,
 }
 
-/// Work blocks per pool thread in [`ValueScores::build`].
-const BLOCKS_PER_THREAD: usize = 16;
-
 /// One pool chunk's rows of a [`ValueScores`]: the kept entries of a run
 /// of consecutive left values, and how many of them each value has.
 #[derive(Default)]
@@ -262,9 +259,9 @@ impl ValueScores {
     /// bounds place below `theta` decided without the kernels and the
     /// other comparisons' token pairs scored once per left value.
     ///
-    /// Left values are grouped into blocks of about equal estimated cost,
-    /// run on the caller's `pool`, and each value's row depends only on
-    /// the value, so the table is identical at any thread count.
+    /// Left values are grouped into chunks of the caller's `pool`, and
+    /// each value's row depends only on the value, so the table is
+    /// identical at any thread count.
     ///
     /// # Panics
     ///
@@ -315,64 +312,27 @@ impl ValueScores {
             .map_or(0, |&t| t as usize + 1);
         let right_sigs = RightSigs::new(right);
 
-        // Blocks of consecutive left values, each about an equal share of
-        // the candidate rows its values' holders reach: a value held by
-        // many entities costs far more than most, so equal-length chunks
-        // would leave one worker with most of the work.
-        let cost = |v: usize| -> u64 {
-            let holders = &holders[held[v] as usize..held[v + 1] as usize];
-            1 + holders
-                .iter()
-                .map(|&(_, e)| row(e).len() as u64)
-                .sum::<u64>()
-        };
-        let total: u64 = (0..left.value_count()).map(cost).sum();
-        let share = total.div_ceil((pool.threads() * BLOCKS_PER_THREAD) as u64);
-        let mut blocks = Vec::new();
-        let (mut start, mut acc) = (0, 0);
-        for v in 0..left.value_count() {
-            acc += cost(v);
-            if acc >= share {
-                blocks.push(start as u32..v as u32 + 1);
-                (start, acc) = (v + 1, 0);
-            }
-        }
-        if start < left.value_count() {
-            blocks.push(start as u32..left.value_count() as u32);
-        }
-
-        let chunks = pool.map_each(&blocks, |chunk| {
+        let ids: Vec<u32> = (0..left.value_count() as u32).collect();
+        let chunks = pool.map_chunks(&ids, |chunk| {
             // `seen[w] == v` marks right value `w` as met by left value `v`
             // already; values are visited once each, so no reset is needed.
             let mut seen = vec![u32::MAX; right.value_count()];
             let mut met: Vec<ValueId> = Vec::new();
-            // The one entity holding the values `met` was gathered for,
-            // if one did. An entity's new values get consecutive ids, so
-            // a run of values held by it alone reuses one gather.
-            let mut met_of: Option<u32> = None;
             let mut token_rows = TokenRows::new(tokens);
             let mut out = ScoreRows::default();
-            for v in chunk.clone() {
-                let holders = &holders[held[v as usize] as usize..held[v as usize + 1] as usize];
-                let single = match holders {
-                    [(_, e)] => Some(*e),
-                    _ => None,
-                };
-                if single.is_none() || single != met_of {
-                    met.clear();
-                    for &(_, e) in holders {
-                        for &(_, r) in row(e) {
-                            for &(_, w) in right.attrs(r) {
-                                if seen[w.0 as usize] != v {
-                                    seen[w.0 as usize] = v;
-                                    met.push(w);
-                                }
+            for &v in chunk {
+                met.clear();
+                for &(_, e) in &holders[held[v as usize] as usize..held[v as usize + 1] as usize] {
+                    for &(_, r) in row(e) {
+                        for &(_, w) in right.attrs(r) {
+                            if seen[w.0 as usize] != v {
+                                seen[w.0 as usize] = v;
+                                met.push(w);
                             }
                         }
                     }
-                    met.sort_unstable();
-                    met_of = single;
                 }
+                met.sort_unstable();
                 let lv = left.value(ValueId(v));
                 token_rows.start(v, lv.text());
                 let before = out.right.len();
