@@ -26,6 +26,15 @@ use crate::space::{LinkSpace, PairId, Window};
 use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, TrustGate, WindowList};
 use crate::value_fn::ActionValue;
 
+/// Reward for positive feedback (§4.3).
+pub(crate) const POSITIVE_REWARD: f64 = 1.0;
+
+/// Penalty magnitude for negative feedback; the reward is its negation.
+/// "we can severely penalize wrong links by giving them a negative value
+/// that is larger than the positive value of the approved link" (§4.3):
+/// doing so speeds the policy's retreat from non-distinctive features.
+pub(crate) const NEGATIVE_PENALTY: f64 = 2.0;
+
 /// What one feedback item did to the candidate set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepOutcome {
@@ -244,8 +253,8 @@ impl Agent {
         // The rest of the step's footprint, for its telemetry record.
         let (mut explored, mut blacklisted, mut rolled_back) = (None, 0, 0);
         let reward = match feedback {
-            Feedback::Positive => self.cfg.positive_reward,
-            Feedback::Negative => -self.cfg.negative_penalty,
+            Feedback::Positive => POSITIVE_REWARD,
+            Feedback::Negative => -NEGATIVE_PENALTY,
         };
 
         // First-visit Monte Carlo credit assignment (§4.4.1): credit the

@@ -18,12 +18,6 @@ pub struct AlexConfig {
     pub episode_size: usize,
     /// ε of the ε-greedy policy (§4.4.1).
     pub epsilon: f64,
-    /// Reward for positive feedback (§4.3).
-    pub positive_reward: f64,
-    /// Penalty magnitude for negative feedback; the reward is its negation.
-    /// The paper allows penalizing wrong links more than rewarding right
-    /// ones.
-    pub negative_penalty: f64,
     /// Enable the blacklist optimization (§6.3).
     pub use_blacklist: bool,
     /// Enable the rollback optimization (§6.3).
@@ -34,10 +28,8 @@ pub struct AlexConfig {
     /// Maximum number of policy-evaluation/improvement iterations; the paper
     /// caps at 100 (§7.3, Fig. 7a).
     pub max_episodes: usize,
-    /// Relaxed convergence: stop when fewer than this fraction of links
-    /// changed between episodes (§3.2 mentions 5%).
-    pub relaxed_convergence_frac: f64,
-    /// Whether the relaxed rule *stops* the run (§3.2: "ALEX can also use a
+    /// Whether the relaxed convergence rule (fewer than 5% of links changed
+    /// over an episode) *stops* the run (§3.2: "ALEX can also use a
     /// more relaxed convergence condition and stop if the change in the set
     /// of candidate links is less than 5%"). When false, the relaxed
     /// episode is only recorded and the run continues to strict convergence
@@ -59,17 +51,10 @@ impl Default for AlexConfig {
             step_size: 0.05,
             episode_size: 1000,
             epsilon: 0.05,
-            positive_reward: 1.0,
-            // "we can severely penalize wrong links by giving them a
-            // negative value that is larger than the positive value of the
-            // approved link" (§4.3) — the default does so, which speeds the
-            // policy's retreat from non-distinctive features.
-            negative_penalty: 2.0,
             use_blacklist: true,
             use_rollback: true,
             rollback_threshold: 3,
             max_episodes: 100,
-            relaxed_convergence_frac: 0.05,
             stop_on_relaxed: false,
             seed: 42,
             trust: None,
@@ -96,19 +81,7 @@ impl AlexConfig {
             (0.0..=1.0).contains(&self.epsilon),
             "epsilon must be in [0, 1]"
         );
-        assert!(
-            self.positive_reward > 0.0,
-            "positive_reward must be positive"
-        );
-        assert!(
-            self.negative_penalty >= 0.0,
-            "negative_penalty must be non-negative"
-        );
         assert!(self.max_episodes > 0, "max_episodes must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.relaxed_convergence_frac),
-            "relaxed_convergence_frac must be in [0, 1]"
-        );
         if let Some(trust) = &self.trust {
             if let Err(e) = trust.validate() {
                 panic!("{e}");
@@ -128,7 +101,6 @@ mod tests {
         assert_eq!(c.step_size, 0.05);
         assert_eq!(c.episode_size, 1000);
         assert_eq!(c.max_episodes, 100);
-        assert_eq!(c.relaxed_convergence_frac, 0.05);
         c.validate();
     }
 

@@ -41,13 +41,17 @@ use crate::metrics::{EpisodeReport, Quality};
 use crate::persist::{self, EpisodeRecord, PartitionRecord, PartitionSnapshot, RunSnapshot};
 use crate::space::{LinkSpace, PairId};
 
+/// Relaxed convergence: fewer than this fraction of links changed over an
+/// episode (§3.2 mentions 5%).
+pub(crate) const RELAXED_CONVERGENCE_FRAC: f64 = 0.05;
+
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Strict convergence: no change in the candidate set over an episode.
     Converged,
-    /// Relaxed convergence: fewer than the configured fraction of links
-    /// changed, and `stop_on_relaxed` was set.
+    /// Relaxed convergence: fewer than 5% of the links changed, and
+    /// `stop_on_relaxed` was set.
     RelaxedConverged,
     /// The episode cap was reached (the paper caps at 100).
     MaxEpisodes,
@@ -487,12 +491,12 @@ fn note_episode(
     alex_telemetry::global().events().flush();
 
     let cfg = parts[0].agent.config();
-    if st.relaxed_converged_at.is_none() && change_frac < cfg.relaxed_convergence_frac {
+    if st.relaxed_converged_at.is_none() && change_frac < RELAXED_CONVERGENCE_FRAC {
         st.relaxed_converged_at = Some(episode);
     }
     if changed == 0 {
         st.stop = Some(StopReason::Converged);
-    } else if cfg.stop_on_relaxed && change_frac < cfg.relaxed_convergence_frac {
+    } else if cfg.stop_on_relaxed && change_frac < RELAXED_CONVERGENCE_FRAC {
         st.stop = Some(StopReason::RelaxedConverged);
     }
 }

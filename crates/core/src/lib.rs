@@ -109,7 +109,7 @@ pub use partition::{
 pub use persist::{AgentState, EpisodeRecord, PartitionRecord, PartitionSnapshot, RunSnapshot};
 pub use policy::Policy;
 pub use provenance::{Provenance, StateAction};
-pub use query_feedback::{workload_from_links, workload_requiring_links, QueryFeedback};
+pub use query_feedback::{workload_from_links, QueryFeedback};
 pub use space::{LinkSpace, PairId, PreparedSides, SpaceConfig};
 pub use trust_gate::{AdmissionRecord, TrustGate};
 pub use value_fn::ActionValue;

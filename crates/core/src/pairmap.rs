@@ -14,15 +14,11 @@ use crate::space::PairId;
 #[derive(Debug, Clone)]
 pub struct PairMap<T> {
     slots: Vec<Option<T>>,
-    len: usize,
 }
 
 impl<T> Default for PairMap<T> {
     fn default() -> Self {
-        PairMap {
-            slots: Vec::new(),
-            len: 0,
-        }
+        PairMap { slots: Vec::new() }
     }
 }
 
@@ -59,35 +55,18 @@ impl<T> PairMap<T> {
     /// Store `value` for `id`; returns the value it replaced.
     pub fn insert(&mut self, id: PairId, value: T) -> Option<T> {
         let i = self.grow_to(id);
-        let old = self.slots[i].replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+        self.slots[i].replace(value)
     }
 
     /// The value for `id`, inserting `value` first when there is none.
     pub fn get_or_insert(&mut self, id: PairId, value: T) -> &mut T {
         let i = self.grow_to(id);
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            self.len += 1;
-        }
-        slot.get_or_insert(value)
+        self.slots[i].get_or_insert(value)
     }
 
     /// Remove and return the value for `id`.
     pub fn remove(&mut self, id: PairId) -> Option<T> {
-        let old = self.slots.get_mut(id.0 as usize)?.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
-    /// Number of ids with a value.
-    pub fn len(&self) -> usize {
-        self.len
+        self.slots.get_mut(id.0 as usize)?.take()
     }
 
     /// `(id, value)` entries in ascending id order.
@@ -106,7 +85,6 @@ impl<T> PairMap<T> {
     /// Remove every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
-        self.len = 0;
     }
 }
 
@@ -159,18 +137,18 @@ mod tests {
         assert_eq!(m.insert(PairId(7), 'a'), None);
         assert_eq!(m.insert(PairId(2), 'b'), None);
         assert_eq!(m.insert(PairId(7), 'c'), Some('a'));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
         *m.get_or_insert(PairId(2), 'z') = 'd';
         *m.get_or_insert(PairId(9), 'e') = 'f';
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.iter().count(), 3);
         let entries: Vec<_> = m.iter().map(|(id, &v)| (id.0, v)).collect();
         assert_eq!(entries, vec![(2, 'd'), (7, 'c'), (9, 'f')]);
         assert_eq!(m.values().copied().collect::<String>(), "dcf");
         assert_eq!(m.remove(PairId(7)), Some('c'));
         assert!(!m.contains_key(PairId(7)));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
         m.clear();
-        assert_eq!((m.len(), m.iter().count()), (0, 0));
+        assert_eq!(m.iter().count(), 0);
     }
 
     #[test]

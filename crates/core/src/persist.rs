@@ -187,8 +187,11 @@ pub fn config_fingerprint(cfg: &AlexConfig, theta: f64) -> u64 {
     fnv_mix(&mut h, cfg.step_size.to_bits());
     fnv_mix(&mut h, cfg.episode_size as u64);
     fnv_mix(&mut h, cfg.epsilon.to_bits());
-    fnv_mix(&mut h, cfg.positive_reward.to_bits());
-    fnv_mix(&mut h, cfg.negative_penalty.to_bits());
+    // The reward, the penalty and the relaxed-convergence fraction are
+    // constants now; their bits stay so that existing state dirs keep
+    // their fingerprint.
+    fnv_mix(&mut h, crate::agent::POSITIVE_REWARD.to_bits());
+    fnv_mix(&mut h, crate::agent::NEGATIVE_PENALTY.to_bits());
     fnv_mix(&mut h, u64::from(cfg.use_blacklist));
     fnv_mix(&mut h, u64::from(cfg.use_rollback));
     fnv_mix(&mut h, u64::from(cfg.rollback_threshold));
@@ -196,7 +199,7 @@ pub fn config_fingerprint(cfg: &AlexConfig, theta: f64) -> u64 {
     // that existing state dirs keep their fingerprint.
     fnv_mix(&mut h, 1);
     fnv_mix(&mut h, cfg.max_episodes as u64);
-    fnv_mix(&mut h, cfg.relaxed_convergence_frac.to_bits());
+    fnv_mix(&mut h, crate::driver::RELAXED_CONVERGENCE_FRAC.to_bits());
     fnv_mix(&mut h, u64::from(cfg.stop_on_relaxed));
     // First-visit credit assignment: likewise.
     fnv_mix(&mut h, 1);

@@ -40,11 +40,6 @@ impl Policy {
         self.greedy.get(state).copied()
     }
 
-    /// Number of states with a learned greedy action.
-    pub fn learned_states(&self) -> usize {
-        self.greedy.len()
-    }
-
     /// Choose an action for `state` among `actions` (the features of the
     /// state's feature set). Returns `None` when the state has no actions.
     pub fn choose(
@@ -92,11 +87,6 @@ impl Policy {
     /// line 25).
     pub fn improve(&mut self, state: PairId, action: FeatureId) {
         self.greedy.insert(state, action);
-    }
-
-    /// Forget a state's greedy action (used when a link is removed).
-    pub fn forget(&mut self, state: PairId) {
-        self.greedy.remove(state);
     }
 
     /// Iterate over learned `(state, greedy action)` entries, in ascending
@@ -191,16 +181,6 @@ mod tests {
         let chosen = p.choose(PairId(0), &a, &mut rng).unwrap();
         assert!(a.contains(&chosen));
         assert!((p.probability(PairId(0), &a, FeatureId(0)) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forget_removes_learned_action() {
-        let mut p = Policy::new(0.1);
-        p.improve(PairId(0), FeatureId(1));
-        assert_eq!(p.learned_states(), 1);
-        p.forget(PairId(0));
-        assert_eq!(p.learned_states(), 0);
-        assert_eq!(p.greedy_action(PairId(0)), None);
     }
 
     #[test]

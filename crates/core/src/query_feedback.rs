@@ -261,39 +261,6 @@ pub fn workload_from_links(
     out
 }
 
-/// Build a workload whose answers are only reachable across a sameAs hop:
-/// each query anchors the *left* entity by IRI and requests an attribute
-/// that only the *right* data set holds,
-///
-/// ```sparql
-/// SELECT ?v WHERE { <left-iri> <right-pred> ?v }
-/// ```
-///
-/// so without the `(left, right)` link in the engine's closure the query
-/// returns nothing, and with it every answer carries link provenance.
-/// This is the workload the recall experiments use: answer recall tracks
-/// closure convergence directly.
-pub fn workload_requiring_links(
-    right: &Dataset,
-    links: &[(String, String)],
-    cap: usize,
-) -> Vec<Query> {
-    let mut out = Vec::new();
-    for (left_iri, right_iri) in links {
-        if out.len() >= cap {
-            break;
-        }
-        let Some(right_pred) = any_attribute_predicate(right, right_iri) else {
-            continue;
-        };
-        let sparql = format!("SELECT ?v WHERE {{ <{left_iri}> <{right_pred}> ?v }}");
-        if let Ok(query) = parse(&sparql) {
-            out.push(query);
-        }
-    }
-    out
-}
-
 /// The first literal attribute of `iri` that can be embedded in SPARQL
 /// without escaping.
 fn literal_attribute(ds: &Dataset, iri: &str) -> Option<(String, String)> {
@@ -648,24 +615,5 @@ mod tests {
         let (left, right) = datasets();
         let links = truth_links();
         assert_eq!(workload_from_links(&left, &right, &links, 2).len(), 2);
-    }
-
-    #[test]
-    fn link_requiring_workload_answers_only_across_the_closure() {
-        let (left, right) = datasets();
-        let links = truth_links();
-        let queries = workload_requiring_links(&right, &links, 10);
-        assert_eq!(queries.len(), 3);
-        let mut engine = FederatedEngine::new();
-        engine.add_endpoint(Box::new(DatasetEndpoint::new(left)));
-        engine.add_endpoint(Box::new(DatasetEndpoint::new(right)));
-        // No links: the constant left IRI never reaches the right source.
-        assert!(engine.execute(&queries[0]).unwrap().is_empty());
-        engine
-            .links_mut()
-            .add(Link::new("http://l/0", "http://r/0"));
-        let answers = engine.execute(&queries[0]).unwrap();
-        assert_eq!(answers.len(), 1);
-        assert!(!answers[0].links_used.is_empty(), "answer rides the link");
     }
 }

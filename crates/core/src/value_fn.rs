@@ -66,12 +66,6 @@ impl ActionValue {
         best.map(|(a, _)| a)
     }
 
-    /// Drop every estimate attached to a state (used when its link leaves
-    /// the candidate set permanently).
-    pub fn forget_state(&mut self, state: PairId) {
-        self.returns.retain(|&(s, _), _| s != state);
-    }
-
     /// Number of (s, a) pairs with observations.
     pub fn len(&self) -> usize {
         self.returns.len()
@@ -196,17 +190,5 @@ mod tests {
         // Entry emptied out: gone entirely, as if never observed.
         assert!(v.is_empty());
         assert!(!v.retract_return(PairId(0), FeatureId(0), 1.0));
-    }
-
-    #[test]
-    fn forget_state_drops_all_actions() {
-        let mut v = ActionValue::new();
-        v.append_return(PairId(0), FeatureId(0), 1.0);
-        v.append_return(PairId(0), FeatureId(1), 1.0);
-        v.append_return(PairId(1), FeatureId(0), 1.0);
-        v.forget_state(PairId(0));
-        assert_eq!(v.q(PairId(0), FeatureId(0)), None);
-        assert_eq!(v.q(PairId(1), FeatureId(0)), Some(1.0));
-        assert_eq!(v.len(), 1);
     }
 }

@@ -67,11 +67,6 @@ impl Entity {
             .find(|a| a.predicate == predicate)
             .map(|a| a.objects.as_slice())
     }
-
-    /// First object for a given predicate, if present.
-    pub fn first_object(&self, predicate: Sym) -> Option<Term> {
-        self.objects(predicate).and_then(|os| os.first().copied())
-    }
 }
 
 #[cfg(test)]
@@ -120,15 +115,6 @@ mod tests {
         let e = Entity::of(&g, lebron);
         let missing = i.intern("http://e/height");
         assert!(e.objects(missing).is_none());
-        assert!(e.first_object(missing).is_none());
-    }
-
-    #[test]
-    fn first_object_picks_one() {
-        let (mut i, g, lebron) = build();
-        let e = Entity::of(&g, lebron);
-        let name = i.intern("http://e/name");
-        assert!(e.first_object(name).is_some());
     }
 
     #[test]

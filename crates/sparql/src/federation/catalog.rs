@@ -3,7 +3,7 @@
 //! Broadcasting every triple pattern to every endpoint is the dominant
 //! cost of federated evaluation: most sources cannot answer most
 //! patterns, and every useless probe burns latency, retry budget, and
-//! cache capacity. A [`Catalog`] records, per endpoint, which predicate
+//! cache capacity. A [`Catalog`] records, per endpoint slot, which predicate
 //! IRIs (and, for `rdf:type`, which class IRIs) the source holds, so the
 //! executor can *prove* a probe would return nothing and skip it.
 //!
@@ -36,10 +36,13 @@ struct Coverage {
     classes: BTreeSet<String>,
 }
 
-/// A map from endpoint name to the coverage a scan of it found.
+/// A map from endpoint slot (the endpoint's registration index in its
+/// engine) to the coverage a scan of it found. Slots, not names, tell
+/// endpoints apart: two endpoints may share a name and hold different
+/// data.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
-    entries: BTreeMap<String, Coverage>,
+    entries: BTreeMap<usize, Coverage>,
 }
 
 impl Catalog {
@@ -48,9 +51,9 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Build (or refresh) an endpoint's coverage from the rows of a
-    /// complete wildcard scan of it.
-    pub fn record_scan(&mut self, endpoint: &str, rows: &[[Value; 3]]) {
+    /// Build (or refresh) the coverage of endpoint slot `endpoint` from
+    /// the rows of a complete wildcard scan of it.
+    pub fn record_scan(&mut self, endpoint: usize, rows: &[[Value; 3]]) {
         let mut coverage = Coverage::default();
         for [_, p, o] in rows {
             if let Value::Iri(p_iri) = p {
@@ -62,10 +65,10 @@ impl Catalog {
                 }
             }
         }
-        self.entries.insert(endpoint.to_string(), coverage);
+        self.entries.insert(endpoint, coverage);
     }
 
-    /// Whether a probe `(p, o)` *may* match on `endpoint`. `false` is a
+    /// Whether a probe `(p, o)` *may* match on endpoint slot `endpoint`. `false` is a
     /// proof of emptiness (safe to prune); `true` means unknown-or-maybe
     /// (must probe). Only positive knowledge prunes:
     ///
@@ -73,8 +76,8 @@ impl Catalog {
     /// * bound IRI predicate not in the predicate set → `false`;
     /// * `rdf:type` with a bound IRI object not in the class set → `false`;
     /// * anything else (unbound or non-IRI predicate) → `true`.
-    pub fn may_match(&self, endpoint: &str, p: Option<&Value>, o: Option<&Value>) -> bool {
-        let Some(coverage) = self.entries.get(endpoint) else {
+    pub fn may_match(&self, endpoint: usize, p: Option<&Value>, o: Option<&Value>) -> bool {
+        let Some(coverage) = self.entries.get(&endpoint) else {
             return true;
         };
         let Some(Value::Iri(p_iri)) = p else {
@@ -120,8 +123,8 @@ mod tests {
     #[test]
     fn scan_collects_predicates_and_classes() {
         let mut cat = Catalog::new();
-        cat.record_scan("T", &scan());
-        let cov = &cat.entries["T"];
+        cat.record_scan(0, &scan());
+        let cov = &cat.entries[&0];
         assert!(cov.predicates.contains("http://e/name"));
         assert!(cov.predicates.contains("http://e/knows"));
         assert!(cov.predicates.contains(alex_rdf::vocab::RDF_TYPE));
@@ -136,18 +139,18 @@ mod tests {
         let ghost = Value::iri("http://e/ghost");
 
         // Unknown endpoint: never prune.
-        assert!(cat.may_match("T", Some(&ghost), None));
-        cat.record_scan("T", &scan());
+        assert!(cat.may_match(0, Some(&ghost), None));
+        cat.record_scan(0, &scan());
         // Covered predicates pass, absent ones prune.
-        assert!(cat.may_match("T", Some(&name), None));
-        assert!(!cat.may_match("T", Some(&ghost), None));
+        assert!(cat.may_match(0, Some(&name), None));
+        assert!(!cat.may_match(0, Some(&ghost), None));
         // Unbound and non-IRI predicates never prune.
-        assert!(cat.may_match("T", None, None));
-        assert!(cat.may_match("T", Some(&Value::plain("lit")), None));
+        assert!(cat.may_match(0, None, None));
+        assert!(cat.may_match(0, Some(&Value::plain("lit")), None));
         // rdf:type narrows by class.
         let rdf_type = Value::iri(alex_rdf::vocab::RDF_TYPE);
-        assert!(cat.may_match("T", Some(&rdf_type), Some(&Value::iri("http://e/Person"))));
-        assert!(!cat.may_match("T", Some(&rdf_type), Some(&Value::iri("http://e/Robot"))));
-        assert!(cat.may_match("T", Some(&rdf_type), None));
+        assert!(cat.may_match(0, Some(&rdf_type), Some(&Value::iri("http://e/Person"))));
+        assert!(!cat.may_match(0, Some(&rdf_type), Some(&Value::iri("http://e/Robot"))));
+        assert!(cat.may_match(0, Some(&rdf_type), None));
     }
 }

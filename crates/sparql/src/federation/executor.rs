@@ -26,12 +26,12 @@ use alex_telemetry::{counter, emit, span, Event};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ast::{Query, TermPattern, TriplePattern};
+use crate::ast::{Expr, Query, TermPattern, TriplePattern};
 use crate::error::{Result, SparqlError};
 use crate::expr::{eval_expr, expr_variables, Bindings};
 use crate::value::Value;
 
-use super::cache::{probe_key, FederationCache};
+use super::cache::{CacheStats, ProbeCache};
 use super::catalog::Catalog;
 use super::endpoint::{Endpoint, Probe, Rows};
 use super::links::{Link, SameAsLinks};
@@ -82,7 +82,7 @@ pub struct FederatedEngine {
     /// Backoff-jitter RNG, seeded from the resilience config.
     jitter_rng: Mutex<StdRng>,
     /// Optional answer cache, one entry per endpoint probe.
-    cache: Option<FederationCache>,
+    cache: Option<ProbeCache>,
     /// Optional coverage catalog: with it set, endpoints provably unable
     /// to answer a pattern are pruned instead of probed.
     catalog: Option<Catalog>,
@@ -177,18 +177,17 @@ impl FederatedEngine {
     /// answers. A probe's answer depends only on the endpoint's data, so
     /// link mutations never stale an entry (see the `cache` module).
     pub fn enable_cache(&mut self, capacity: usize) {
-        self.cache = Some(FederationCache::new(capacity));
+        self.cache = Some(ProbeCache::new(capacity));
     }
 
     /// Snapshot of the cache counters (`None` when disabled).
-    pub fn cache_stats(&self) -> Option<alex_cache::CacheStats> {
+    pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Install (or remove, with `None`) the coverage catalog the executor
-    /// consults for source selection. Entries for names that match no
-    /// registered endpoint are simply never looked up; endpoints without
-    /// an entry are broadcast as before.
+    /// consults for source selection. Entries are keyed by endpoint slot;
+    /// endpoints without an entry are broadcast as before.
     pub fn set_catalog(&mut self, catalog: Option<Catalog>) {
         self.catalog = catalog;
     }
@@ -201,13 +200,13 @@ impl FederatedEngine {
     /// indistinguishable from a complete one.
     pub fn build_catalog(&self) -> std::result::Result<Catalog, EndpointError> {
         let mut catalog = Catalog::new();
-        for (i, ep) in self.endpoints.iter().enumerate() {
+        for i in 0..self.endpoints.len() {
             let run = self.run_endpoint_jobs(i, &[[None, None, None]]);
             if let Some((_, err)) = run.terminal {
                 return Err(err);
             }
             for rows in run.rows.iter().flatten() {
-                catalog.record_scan(ep.name(), rows);
+                catalog.record_scan(i, rows);
             }
         }
         Ok(catalog)
@@ -243,76 +242,23 @@ impl FederatedEngine {
     pub fn execute_full(&self, query: &Query) -> Result<FederatedResult> {
         let query_span = span("federated_query");
         let mut stats = ExecStats::default();
-        // Sources skipped this execution (down past their retry allowance
-        // or shed by an open breaker). BTreeSet keeps provenance sorted.
-        let mut skipped: BTreeSet<String> = BTreeSet::new();
+        // Slots of the sources skipped this execution (down past their
+        // retry allowance or shed by an open breaker).
+        let mut skipped: BTreeSet<usize> = BTreeSet::new();
         let patterns: Vec<&TriplePattern> = query.patterns().collect();
         let pattern_count = patterns.len();
-        let filters: Vec<_> = query.filters().collect();
+        let mut filters: Vec<&Expr> = query.filters().collect();
 
-        // Partial solutions: bindings + links used so far.
-        let mut partials: Vec<(Bindings, Vec<Link>)> = vec![(Bindings::new(), Vec::new())];
-        let mut remaining: Vec<&TriplePattern> = patterns;
-        let mut applied_filters = vec![false; filters.len()];
-
-        while !remaining.is_empty() {
-            // Greedy variable-counting order (FedX's heuristic): prefer the
-            // pattern with the most positions bound given current bindings.
-            let bound_vars: HashSet<String> = partials
-                .first()
-                .map(|(b, _)| b.keys().cloned().collect())
-                .unwrap_or_default();
-            // Invariant: the loop condition guarantees `remaining` is
-            // non-empty, so max_by_key cannot return None.
-            #[allow(clippy::expect_used)]
-            let (idx, _) = remaining
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, p)| boundness(p, &bound_vars))
-                .expect("remaining is non-empty");
-            let pattern = remaining.remove(idx);
-
-            let mut next: Vec<(Bindings, Vec<Link>)> = Vec::new();
-            for (bindings, links_used) in &partials {
-                self.extend_with_pattern(
-                    pattern,
-                    bindings,
-                    links_used,
-                    &mut next,
-                    &mut stats,
-                    &mut skipped,
-                    false,
-                )?;
-            }
-            partials = next;
-            if partials.is_empty() {
-                break;
-            }
-
-            // Apply any filter whose variables are all bound now.
-            let now_bound: HashSet<String> = partials
-                .first()
-                .map(|(b, _)| b.keys().cloned().collect())
-                .unwrap_or_default();
-            for (fi, filter) in filters.iter().enumerate() {
-                if applied_filters[fi] {
-                    continue;
-                }
-                if expr_variables(filter)
-                    .iter()
-                    .all(|v| now_bound.contains(*v))
-                {
-                    applied_filters[fi] = true;
-                    let mut kept = Vec::with_capacity(partials.len());
-                    for (b, l) in partials {
-                        if eval_expr(filter, &b)? {
-                            kept.push((b, l));
-                        }
-                    }
-                    partials = kept;
-                }
-            }
-        }
+        // The basic graph pattern, each filter applied as soon as its
+        // variables are bound.
+        let mut partials = self.join_patterns(
+            vec![(Bindings::new(), Vec::new())],
+            patterns,
+            &mut filters,
+            &mut stats,
+            &mut skipped,
+            false,
+        )?;
 
         // UNION alternations, in syntactic order: each element joins every
         // surviving solution through each of its branches independently
@@ -322,11 +268,12 @@ impl FederatedEngine {
         // expanding them again would duplicate answers; runtime-bound
         // variable values still expand.
         for branches in query.unions() {
-            let mut next: Vec<(Bindings, Vec<Link>)> = Vec::new();
+            let mut next: Vec<Partial> = Vec::new();
             for branch in branches {
                 next.extend(self.join_patterns(
                     partials.clone(),
                     branch.iter().collect(),
+                    &mut Vec::new(),
                     &mut stats,
                     &mut skipped,
                     true,
@@ -340,29 +287,21 @@ impl FederatedEngine {
 
         // Any filter not yet applied (e.g. over a variable that never got
         // bound) is evaluated now and surfaces unbound-variable errors.
-        for (fi, filter) in filters.iter().enumerate() {
-            if applied_filters[fi] {
-                continue;
-            }
-            let mut kept = Vec::with_capacity(partials.len());
-            for (b, l) in partials {
-                if eval_expr(filter, &b)? {
-                    kept.push((b, l));
-                }
-            }
-            partials = kept;
+        for filter in filters {
+            partials = apply_filter(filter, partials)?;
         }
 
         // OPTIONAL groups: left outer join. Each surviving solution is
         // extended with every compatible solution of the group; solutions
         // the group cannot extend are kept unextended.
         for group in query.optionals() {
-            let mut next: Vec<(Bindings, Vec<Link>)> = Vec::new();
+            let mut next: Vec<Partial> = Vec::new();
             for (bindings, links_used) in partials {
                 let seed = vec![(bindings.clone(), links_used.clone())];
                 let extended = self.join_patterns(
                     seed,
                     group.iter().collect(),
+                    &mut Vec::new(),
                     &mut stats,
                     &mut skipped,
                     false,
@@ -391,12 +330,15 @@ impl FederatedEngine {
             });
         }
 
-        let completeness = if skipped.is_empty() {
+        let mut skipped_sources: Vec<String> = skipped
+            .iter()
+            .map(|&i| self.endpoints[i].name().to_string())
+            .collect();
+        skipped_sources.sort_unstable();
+        let completeness = if skipped_sources.is_empty() {
             Completeness::Complete
         } else {
-            Completeness::Partial {
-                skipped_sources: skipped.iter().cloned().collect(),
-            }
+            Completeness::Partial { skipped_sources }
         };
 
         // Projection, DISTINCT, LIMIT.
@@ -488,21 +430,22 @@ impl FederatedEngine {
     }
 
     /// Join a set of partial solutions with a pattern group using the
-    /// greedy variable-counting order (no filters). Used for OPTIONAL
-    /// groups; the main BGP loop inlines the same logic plus eager filters.
+    /// greedy variable-counting order (FedX's heuristic): next comes the
+    /// pattern with the most positions bound given current bindings. After
+    /// each pattern, every filter in `filters` whose variables are all
+    /// bound is applied and removed. The BGP passes the query's filters;
+    /// UNION branches and OPTIONAL groups pass none.
     fn join_patterns(
         &self,
-        mut partials: Vec<(Bindings, Vec<Link>)>,
+        mut partials: Vec<Partial>,
         mut remaining: Vec<&TriplePattern>,
+        filters: &mut Vec<&Expr>,
         stats: &mut ExecStats,
-        skipped: &mut BTreeSet<String>,
+        skipped: &mut BTreeSet<usize>,
         in_union: bool,
-    ) -> Result<Vec<(Bindings, Vec<Link>)>> {
+    ) -> Result<Vec<Partial>> {
         while !remaining.is_empty() && !partials.is_empty() {
-            let bound_vars: HashSet<String> = partials
-                .first()
-                .map(|(b, _)| b.keys().cloned().collect())
-                .unwrap_or_default();
+            let bound_vars = bound_variables(&partials);
             // Invariant: the loop condition guarantees `remaining` is
             // non-empty, so max_by_key cannot return None.
             #[allow(clippy::expect_used)]
@@ -519,6 +462,18 @@ impl FederatedEngine {
                 )?;
             }
             partials = next;
+            if partials.is_empty() {
+                break;
+            }
+
+            let now_bound = bound_variables(&partials);
+            let (ready, pending): (Vec<&Expr>, Vec<&Expr>) = filters
+                .drain(..)
+                .partition(|f| expr_variables(f).iter().all(|v| now_bound.contains(*v)));
+            *filters = pending;
+            for filter in ready {
+                partials = apply_filter(filter, partials)?;
+            }
         }
         Ok(partials)
     }
@@ -542,9 +497,9 @@ impl FederatedEngine {
         pattern: &TriplePattern,
         bindings: &Bindings,
         links_used: &[Link],
-        out: &mut Vec<(Bindings, Vec<Link>)>,
+        out: &mut Vec<Partial>,
         stats: &mut ExecStats,
-        skipped: &mut BTreeSet<String>,
+        skipped: &mut BTreeSet<usize>,
         in_union: bool,
     ) -> Result<()> {
         stats.bound_join_iterations += 1;
@@ -625,15 +580,13 @@ impl FederatedEngine {
         &self,
         jobs: &[ProbeJob<'_>],
         stats: &mut ExecStats,
-        skipped: &mut BTreeSet<String>,
+        skipped: &mut BTreeSet<usize>,
     ) -> Result<Vec<EndpointRun>> {
         let probes: Vec<Probe<'_>> = jobs.iter().map(|job| [job.s, job.p, job.o]).collect();
         // Sources already skipped stay skipped for this query: further
         // probes would only burn the remaining sources' time budget.
-        let pre_skipped: Vec<bool> = self
-            .endpoints
-            .iter()
-            .map(|ep| skipped.contains(ep.name()))
+        let pre_skipped: Vec<bool> = (0..self.endpoints.len())
+            .map(|i| skipped.contains(&i))
             .collect();
 
         // Catalog source selection, on the coordinator thread (the
@@ -645,16 +598,11 @@ impl FederatedEngine {
         // and does not touch its breaker or completeness.
         let pruned: Vec<bool> = match &self.catalog {
             None => vec![false; self.endpoints.len()],
-            Some(catalog) => self
-                .endpoints
-                .iter()
-                .enumerate()
-                .map(|(i, ep)| {
+            Some(catalog) => (0..self.endpoints.len())
+                .map(|i| {
                     !pre_skipped[i]
                         && !jobs.is_empty()
-                        && jobs
-                            .iter()
-                            .all(|job| !catalog.may_match(ep.name(), job.p, job.o))
+                        && jobs.iter().all(|job| !catalog.may_match(i, job.p, job.o))
                 })
                 .collect(),
         };
@@ -673,7 +621,7 @@ impl FederatedEngine {
             .map(|_| EndpointRun::idle(jobs.len()))
             .collect();
         let mut missing: Vec<Vec<usize>> = vec![Vec::new(); self.endpoints.len()];
-        for (i, ep) in self.endpoints.iter().enumerate() {
+        for i in 0..self.endpoints.len() {
             if pre_skipped[i] || pruned[i] {
                 continue;
             }
@@ -682,10 +630,10 @@ impl FederatedEngine {
                 continue;
             };
             for (j, probe) in probes.iter().enumerate() {
-                match cache.get(&probe_key(ep.name(), probe)) {
+                match cache.get(i, probe) {
                     Some(rows) => {
                         stats.cache_hits += 1;
-                        runs[i].rows[j] = Some(Rows::clone(&rows));
+                        runs[i].rows[j] = Some(rows);
                     }
                     None => {
                         stats.cache_misses += 1;
@@ -710,15 +658,13 @@ impl FederatedEngine {
             self.run_endpoint_jobs(i, &sent)
         });
         for (&i, sent) in live.iter().zip(fresh) {
-            let name = self.endpoints[i].name();
             let run = &mut runs[i];
             // Every answered probe becomes a cache entry (coordinator
             // thread, endpoint then job order — deterministic); its rows
             // are the endpoint's complete answer to that probe.
             for (&j, rows) in missing[i].iter().zip(sent.rows) {
                 if let (Some(cache), Some(rows)) = (&self.cache, &rows) {
-                    let evicted = cache.insert(&probe_key(name, &probes[j]), rows.clone());
-                    stats.cache_evictions += evicted as u64;
+                    stats.cache_evictions += cache.insert(i, &probes[j], rows.clone());
                 }
                 run.rows[j] = rows;
             }
@@ -776,7 +722,7 @@ impl FederatedEngine {
         } else {
             for (i, run) in runs.iter().enumerate() {
                 if run.terminal.is_some() {
-                    skipped.insert(self.endpoints[i].name().to_string());
+                    skipped.insert(i);
                 }
             }
         }
@@ -874,6 +820,9 @@ impl FederatedEngine {
     }
 }
 
+/// A partial solution: bindings plus the sameAs links used so far.
+type Partial = (Bindings, Vec<Link>);
+
 /// One (s, p, o) probe tuple plus the sameAs links that produced the
 /// bound alternatives (recorded as provenance on every row it yields).
 struct ProbeJob<'a> {
@@ -921,12 +870,32 @@ impl EndpointRun {
 }
 
 /// Lock a mutex, recovering the inner value if a previous holder panicked —
-/// breaker and RNG state stay usable (at worst slightly stale).
-fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// breaker, RNG and cache state stay usable (at worst slightly stale).
+pub(super) fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// The variables bound in `partials`: every solution of one join step
+/// binds the same ones, so the first stands for all.
+fn bound_variables(partials: &[Partial]) -> HashSet<String> {
+    partials
+        .first()
+        .map(|(b, _)| b.keys().cloned().collect())
+        .unwrap_or_default()
+}
+
+/// Keep the solutions `filter` accepts.
+fn apply_filter(filter: &Expr, partials: Vec<Partial>) -> Result<Vec<Partial>> {
+    let mut kept = Vec::with_capacity(partials.len());
+    for (b, l) in partials {
+        if eval_expr(filter, &b)? {
+            kept.push((b, l));
+        }
+    }
+    Ok(kept)
 }
 
 /// How many positions of `pattern` are constants or already-bound variables.
@@ -1458,6 +1427,35 @@ mod tests {
             ["NYTimes".to_string()],
             "each answer carries the marker too"
         );
+    }
+
+    #[test]
+    fn a_dead_endpoint_does_not_silence_a_healthy_namesake() {
+        // Two endpoints named "x": skipping the dead one must not skip the
+        // healthy one for later patterns.
+        let mut dead = Dataset::new("x");
+        dead.add_str("http://x/0", "http://x/age", "0");
+        let mut live = Dataset::new("x");
+        live.add_str("http://x/1", "http://x/name", "one");
+        live.add_str("http://x/1", "http://x/age", "7");
+        let mut engine = FederatedEngine::new();
+        engine.add_endpoint(Box::new(FaultyEndpoint::new(
+            DatasetEndpoint::new(dead),
+            FaultPlan {
+                outage: Some((0, u64::MAX)),
+                ..FaultPlan::default()
+            },
+        )));
+        engine.add_endpoint(Box::new(DatasetEndpoint::new(live)));
+        engine.set_resilience(fast_resilience());
+        // Equally bound patterns run last-first: the age pattern skips the
+        // dead endpoint, then the name pattern still asks the live one.
+        let q =
+            parse("SELECT ?s ?n WHERE { ?s <http://x/name> ?n . ?s <http://x/age> ?a }").unwrap();
+        let result = engine.execute_full(&q).unwrap();
+        assert_eq!(result.completeness.skipped(), ["x".to_string()]);
+        assert_eq!(result.answers.len(), 1);
+        assert_eq!(result.answers[0].bindings["n"], Value::plain("one"));
     }
 
     #[test]
@@ -2107,10 +2105,10 @@ mod tests {
     /// wildcard scan of each healthy dataset.
     fn healthy_catalog() -> Catalog {
         let mut catalog = Catalog::new();
-        for ds in [dbpedia(), nyt()] {
+        for (i, ds) in [dbpedia(), nyt()].into_iter().enumerate() {
             let ep = DatasetEndpoint::new(ds);
             let rows = ep.matching(None, None, None, &Deadline::none()).unwrap();
-            catalog.record_scan(ep.name(), &rows);
+            catalog.record_scan(i, &rows);
         }
         catalog
     }

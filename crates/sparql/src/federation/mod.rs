@@ -21,6 +21,7 @@ pub mod links;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod resilience;
 
+pub use cache::CacheStats;
 pub use catalog::Catalog;
 pub use endpoint::{DatasetEndpoint, Endpoint, Probe, Rows};
 pub use executor::{FederatedEngine, FederatedResult, QueryAnswer};

@@ -54,9 +54,9 @@ pub use ast::{
 pub use error::{Result, SparqlError};
 pub use expr::{eval_expr, Bindings};
 pub use federation::{
-    BreakerConfig, BreakerState, Catalog, Completeness, DatasetEndpoint, Deadline, Endpoint,
-    EndpointError, FaultProfile, FaultyEndpoint, FederatedEngine, FederatedResult, Link, Probe,
-    QueryAnswer, ResilienceConfig, RetryPolicy, Rows, SameAsLinks,
+    BreakerConfig, BreakerState, CacheStats, Catalog, Completeness, DatasetEndpoint, Deadline,
+    Endpoint, EndpointError, FaultProfile, FaultyEndpoint, FederatedEngine, FederatedResult, Link,
+    Probe, QueryAnswer, ResilienceConfig, RetryPolicy, Rows, SameAsLinks,
 };
 pub use parser::parse;
 pub use value::Value;

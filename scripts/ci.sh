@@ -10,16 +10,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-cache, alex-fault)"
-# The federation modules carry #[deny(clippy::unwrap_used, clippy::expect_used)]
-# (see crates/sparql/src/federation/mod.rs), and alex-core / alex-store /
-# alex-cache deny the same lints crate-wide (see their lib.rs); these runs
-# fail the build if a new unwrap/expect sneaks into the fault-handling,
-# durability, or caching paths.
+echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-fault)"
+# The federation modules, the probe answer cache among them, carry
+# #[deny(clippy::unwrap_used, clippy::expect_used)] (see
+# crates/sparql/src/federation/mod.rs), and alex-core / alex-store deny
+# the same lints crate-wide (see their lib.rs); these runs fail the build
+# if a new unwrap/expect sneaks into the fault-handling, durability, or
+# caching paths.
 cargo clippy -p alex-sparql -- -D warnings
 cargo clippy -p alex-core -- -D warnings
 cargo clippy -p alex-store -- -D warnings
-cargo clippy -p alex-cache -- -D warnings
 # The fault plan every injector reads (spec parser, content-keyed draw)
 # denies the same lints crate-wide (see crates/fault/src/lib.rs).
 cargo clippy -p alex-fault -- -D warnings

@@ -223,7 +223,7 @@ SUPERVISION (improve):
                             byte-identical to the undisturbed run.
 
 ANSWER CACHING (improve --feedback query, and query):
-  --cache                   Enable the sharded LRU answer cache in the
+  --cache                   Enable the LRU answer cache in the
                             federated executor: each endpoint probe
                             (endpoint, s, p, o) is answered from memory
                             once seen, and an endpoint request carries

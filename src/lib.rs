@@ -12,14 +12,13 @@
 //! |-------|------|
 //! | [`rdf`] (`alex-rdf`) | RDF terms, indexed triple store, N-Triples I/O |
 //! | [`sim`] (`alex-sim`) | Typed similarity functions |
-//! | [`sparql`] (`alex-sparql`) | SPARQL subset + federation with link provenance |
+//! | [`sparql`] (`alex-sparql`) | SPARQL subset + federation with link provenance and a per-probe answer cache |
 //! | [`linking`] (`alex-linking`) | PARIS-like automatic linker + baseline |
 //! | [`core`] (`alex-core`) | ALEX itself: the RL link-exploration agent |
 //! | [`datagen`] (`alex-datagen`) | Deterministic synthetic LOD analogues |
 //! | [`telemetry`] (`alex-telemetry`) | Spans, metrics registry, structured event log |
 //! | [`parallel`] (`alex-parallel`) | Deterministic scoped worker pool (order-preserving reduction) |
 //! | [`store`] (`alex-store`) | Crash-safe durable state: episode journal + checksummed snapshots |
-//! | [`cache`] (`alex-cache`) | Sharded LRU answer cache, one entry per endpoint probe |
 //! | [`guard`] (`alex-guard`) | Run supervision: wall-clock/RSS budgets, breach policy, degraded episodes |
 //! | [`fault`] (`alex-fault`) | One seeded fault plan and content-keyed draw for every fault injector |
 //!
@@ -30,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use alex_cache as cache;
 pub use alex_core as core;
 pub use alex_datagen as datagen;
 pub use alex_fault as fault;

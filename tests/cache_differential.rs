@@ -32,7 +32,7 @@ struct RunOutput {
     /// run round-robin), its sameAs expansions and its answer count.
     queries: Vec<(usize, u64, u64)>,
     /// Engine-level cache statistics, `None` when the cache was off.
-    cache: Option<alex::cache::CacheStats>,
+    cache: Option<alex::sparql::CacheStats>,
 }
 
 /// One full improve-with-query-feedback run, in-process, with the cache

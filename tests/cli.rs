@@ -488,6 +488,45 @@ fn query_select_prints_bindings() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two `--data` files with the same stem make two endpoints with the same
+/// name; the answer cache and the catalog must still keep their data apart.
+#[test]
+fn endpoints_sharing_a_name_keep_their_own_answers() {
+    let dir = workdir("namesakes");
+    let write = |sub: &str, triple: &str| {
+        std::fs::create_dir_all(dir.join(sub)).expect("mkdir");
+        let path = dir.join(sub).join("x.nt");
+        std::fs::write(&path, triple).expect("write");
+        path.to_string_lossy().to_string()
+    };
+    let a = write("a", "<http://a/1> <http://p/name> \"alpha\" .\n");
+    let b = write("b", "<http://b/1> <http://p/name> \"beta\" .\n");
+    let c = write("c", "<http://c/1> <http://p/age> \"3\" .\n");
+    let query = |data: [&str; 2], extra: &[&str], q: &str| {
+        let out = alex()
+            .args(["query", "--data", data[0], "--data", data[1]])
+            .args(extra)
+            .arg(q)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let both = "SELECT ?s ?o ?t ?o2 WHERE { ?s <http://p/name> ?o . ?t <http://p/name> ?o2 }";
+    let plain = query([&a, &b], &[], both);
+    assert_eq!(plain.lines().filter(|l| l.contains("alpha")).count(), 3);
+    assert_eq!(plain.lines().count(), 5, "a header and 4 rows: {plain}");
+    assert_eq!(query([&a, &b], &["--cache"], both), plain);
+
+    let names = "SELECT ?s ?o WHERE { ?s <http://p/name> ?o }";
+    let plain = query([&a, &c], &[], names);
+    assert!(plain.contains("\"alpha\""), "{plain}");
+    assert_eq!(query([&a, &c], &["--catalog", "probe"], names), plain);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `alex improve --telemetry --metrics-dump --verbose`: the event log and
 /// metrics dump must be parseable and reconcile with the printed report.
 #[test]
