@@ -151,8 +151,14 @@ impl Agent {
     /// `initial_links` (entity-id pairs from any automatic linker). Links
     /// outside the blocked space are admitted via
     /// [`LinkSpace::ensure_pair`].
+    ///
+    /// # Panics
+    ///
+    /// When `cfg` fails [`AlexConfig::validate`].
     pub fn new(mut space: LinkSpace, initial_links: &[(u32, u32)], cfg: AlexConfig) -> Agent {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("invalid AlexConfig: {e}");
+        }
         let mut candidates = CandidateSet::new();
         for &(l, r) in initial_links {
             let id = space.ensure_pair(l, r);

@@ -72,20 +72,28 @@ impl AlexConfig {
         }
     }
 
-    /// Validate invariants; panics with a descriptive message on nonsense
-    /// values (these are developer-facing configuration errors).
-    pub fn validate(&self) {
-        assert!(self.step_size > 0.0, "step_size must be positive");
-        assert!(self.episode_size > 0, "episode_size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.epsilon),
-            "epsilon must be in [0, 1]"
-        );
-        assert!(self.max_episodes > 0, "max_episodes must be positive");
-        if let Some(trust) = &self.trust {
-            if let Err(e) = trust.validate() {
-                panic!("{e}");
-            }
+    /// Check the invariants the agent relies on: a positive step size,
+    /// episode size and episode cap, ε in [0, 1], and a valid trust
+    /// configuration. The error names the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.step_size.is_nan() || self.step_size <= 0.0 {
+            return Err(format!(
+                "step_size must be positive, got {}",
+                self.step_size
+            ));
+        }
+        if self.episode_size == 0 {
+            return Err("episode_size must be at least 1".into());
+        }
+        if !(0.0..=1.0).contains(&self.epsilon) {
+            return Err(format!("epsilon must be in [0, 1], got {}", self.epsilon));
+        }
+        if self.max_episodes == 0 {
+            return Err("max_episodes must be at least 1".into());
+        }
+        match &self.trust {
+            Some(trust) => trust.validate(),
+            None => Ok(()),
         }
     }
 }
@@ -101,46 +109,56 @@ mod tests {
         assert_eq!(c.step_size, 0.05);
         assert_eq!(c.episode_size, 1000);
         assert_eq!(c.max_episodes, 100);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn specific_domain_uses_small_episodes() {
         let c = AlexConfig::specific_domain();
         assert_eq!(c.episode_size, 10);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "quorum")]
     fn validate_rejects_bad_trust_config() {
-        AlexConfig {
+        let err = AlexConfig {
             trust: Some(TrustConfig {
                 quorum: 0.0,
                 ..TrustConfig::default()
             }),
             ..AlexConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("quorum"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "step_size")]
     fn validate_rejects_zero_step() {
-        AlexConfig {
+        let err = AlexConfig {
             step_size: 0.0,
             ..AlexConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("step_size"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "episode_size")]
     fn validate_rejects_zero_episode() {
-        AlexConfig {
+        let err = AlexConfig {
             episode_size: 0,
             ..AlexConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("episode_size"), "{err}");
+        let err = AlexConfig {
+            max_episodes: 0,
+            ..AlexConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("max_episodes"), "{err}");
     }
 }

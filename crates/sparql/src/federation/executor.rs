@@ -693,6 +693,7 @@ impl FederatedEngine {
             // per-endpoint latency percentiles.
             emit!(Event::EndpointBatch {
                 endpoint: self.endpoints[i].name().to_string(),
+                slot: i as u64,
                 jobs: jobs.len() as u64,
                 duration_us: run.duration_us,
                 retries: run.delta.retries,

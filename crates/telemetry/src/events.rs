@@ -146,6 +146,9 @@ pub enum Event {
     EndpointBatch {
         /// Endpoint name.
         endpoint: String,
+        /// The endpoint's registration index in its engine, which tells
+        /// apart two endpoints sharing a name.
+        slot: u64,
         /// Jobs dispatched to the endpoint in this batch.
         jobs: u64,
         /// Batch wall-clock time in microseconds (0 when skipped).
@@ -293,6 +296,7 @@ impl Event {
             }
             Event::EndpointBatch {
                 endpoint,
+                slot,
                 jobs,
                 duration_us,
                 retries,
@@ -304,6 +308,7 @@ impl Event {
                 pruned,
             } => {
                 w.str("endpoint", endpoint)
+                    .u64("slot", *slot)
                     .u64("jobs", *jobs)
                     .u64("duration_us", *duration_us)
                     .u64("retries", *retries)
@@ -428,6 +433,8 @@ impl Event {
             },
             "endpoint_batch" => Event::EndpointBatch {
                 endpoint: get_str("endpoint")?,
+                // Logs from before slots: every batch in slot 0.
+                slot: u64_or_0("slot"),
                 jobs: get_u64("jobs")?,
                 duration_us: get_u64("duration_us")?,
                 retries: get_u64("retries")?,

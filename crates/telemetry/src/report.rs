@@ -109,6 +109,9 @@ fn ratio(num: u64, den: u64) -> f64 {
 pub struct EndpointSummary {
     /// Endpoint name.
     pub endpoint: String,
+    /// The endpoint's registration index in its engine (0 in logs that
+    /// predate it), which tells apart endpoints sharing a name.
+    pub slot: u64,
     /// Batches observed (dispatched + cached + skipped).
     pub batches: u64,
     /// Batches served from the answer cache.
@@ -164,7 +167,7 @@ pub struct RunReport {
     pub episodes: Vec<EpisodeRow>,
     /// Federation aggregate.
     pub federation: FederationSummary,
-    /// Per-endpoint summaries, sorted by name.
+    /// Per-endpoint summaries, sorted by name, then slot.
     pub endpoints: Vec<EndpointSummary>,
     /// PARIS iterations observed.
     pub paris_iterations: u64,
@@ -177,7 +180,7 @@ pub struct RunReport {
     /// [`add_metrics_dump`](RunReport::add_metrics_dump) was called).
     pub metrics: BTreeMap<String, f64>,
 
-    endpoint_aggs: BTreeMap<String, EndpointAgg>,
+    endpoint_aggs: BTreeMap<(String, u64), EndpointAgg>,
 }
 
 impl RunReport {
@@ -243,6 +246,7 @@ impl RunReport {
                 }
                 Event::EndpointBatch {
                     endpoint,
+                    slot,
                     duration_us,
                     retries,
                     circuit_opens,
@@ -252,7 +256,8 @@ impl RunReport {
                     cache_hit,
                     ..
                 } => {
-                    let agg = self.endpoint_aggs.entry(endpoint.clone()).or_default();
+                    let key = (endpoint.clone(), *slot);
+                    let agg = self.endpoint_aggs.entry(key).or_default();
                     agg.batches += 1;
                     agg.retries += retries;
                     agg.circuit_opens += circuit_opens;
@@ -298,10 +303,11 @@ impl RunReport {
         self.endpoints = self
             .endpoint_aggs
             .iter_mut()
-            .map(|(name, agg)| {
+            .map(|((name, slot), agg)| {
                 agg.samples_us.sort_unstable();
                 EndpointSummary {
                     endpoint: name.clone(),
+                    slot: *slot,
                     batches: agg.batches,
                     cache_hits: agg.cache_hits,
                     skipped: agg.skipped,
@@ -344,6 +350,7 @@ impl RunReport {
             .map(|e| {
                 let mut w = ObjectWriter::new();
                 w.str("endpoint", &e.endpoint)
+                    .u64("slot", e.slot)
                     .u64("batches", e.batches)
                     .u64("cache_hits", e.cache_hits)
                     .u64("skipped", e.skipped)
@@ -467,10 +474,25 @@ impl RunReport {
         }
 
         if !self.endpoints.is_empty() {
-            let width = self
+            // A name two endpoints share is labelled `name#slot`.
+            let labels: Vec<String> = self
                 .endpoints
                 .iter()
-                .map(|e| e.endpoint.len())
+                .map(|e| {
+                    let shared = self
+                        .endpoints
+                        .iter()
+                        .any(|o| o.endpoint == e.endpoint && o.slot != e.slot);
+                    if shared {
+                        format!("{}#{}", e.endpoint, e.slot)
+                    } else {
+                        e.endpoint.clone()
+                    }
+                })
+                .collect();
+            let width = labels
+                .iter()
+                .map(String::len)
                 .max()
                 .unwrap_or(8)
                 .max("endpoint".len());
@@ -480,12 +502,12 @@ impl RunReport {
                 "endpoint", "batches", "cached", "skipped", "p50", "p95", "p99", "max", "retries",
                 "opens", "rejects", "failures"
             );
-            for e in &self.endpoints {
+            for (e, label) in self.endpoints.iter().zip(&labels) {
                 let ms = |us: u64| format!("{:.2}ms", us as f64 / 1_000.0);
                 let _ = writeln!(
                     out,
                     "{:<width$}  {:>7}  {:>6}  {:>7}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7}  {:>5}  {:>7}  {:>8}",
-                    e.endpoint,
+                    label,
                     e.batches,
                     e.cache_hits,
                     e.skipped,

@@ -161,6 +161,7 @@ fn all_event_variants() -> Vec<Event> {
         },
         Event::EndpointBatch {
             endpoint: "dbpedia \"live\"\n".to_string(),
+            slot: 3,
             jobs: 6,
             duration_us: 4200,
             retries: 1,
@@ -193,6 +194,23 @@ fn federated_query_lines_with_a_rewrites_key_still_parse() {
             let old = line.replacen("\"threads\"", "\"rewrites\":1,\"threads\"", 1);
             assert_ne!(old, line);
             assert_eq!(Event::parse(&old), Ok(Some(event)), "{old}");
+        }
+    }
+}
+
+/// `endpoint_batch` lines written before endpoints carried their slot
+/// read as slot 0.
+#[test]
+fn endpoint_batch_lines_without_a_slot_read_as_slot_0() {
+    for event in all_event_variants() {
+        if let Event::EndpointBatch { .. } = event {
+            let line = event.to_json();
+            let old = line.replacen("\"slot\":3,", "", 1);
+            assert_ne!(old, line);
+            let Ok(Some(Event::EndpointBatch { slot, .. })) = Event::parse(&old) else {
+                panic!("{old}");
+            };
+            assert_eq!(slot, 0, "{old}");
         }
     }
 }
@@ -464,6 +482,7 @@ fn run_report_percentiles_exclude_cached_and_skipped_batches() {
     let mut events: Vec<Event> = (1..=100)
         .map(|i| Event::EndpointBatch {
             endpoint: "e".to_string(),
+            slot: 0,
             jobs: 1,
             duration_us: i,
             retries: 0,
@@ -479,6 +498,7 @@ fn run_report_percentiles_exclude_cached_and_skipped_batches() {
     // (their duration is 0 and would drag the percentiles down).
     events.push(Event::EndpointBatch {
         endpoint: "e".to_string(),
+        slot: 0,
         jobs: 1,
         duration_us: 0,
         retries: 0,
@@ -491,6 +511,7 @@ fn run_report_percentiles_exclude_cached_and_skipped_batches() {
     });
     events.push(Event::EndpointBatch {
         endpoint: "e".to_string(),
+        slot: 0,
         jobs: 1,
         duration_us: 0,
         retries: 2,

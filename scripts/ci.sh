@@ -10,7 +10,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-fault)"
+echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-store, alex-fault, the alex CLI)"
 # The federation modules, the probe answer cache among them, carry
 # #[deny(clippy::unwrap_used, clippy::expect_used)] (see
 # crates/sparql/src/federation/mod.rs), and alex-core / alex-store deny
@@ -18,6 +18,9 @@ echo "==> panic-free gate (unwrap/expect banned in federation, alex-core, alex-s
 # if a new unwrap/expect sneaks into the fault-handling, durability, or
 # caching paths.
 cargo clippy -p alex-sparql -- -D warnings
+# The `alex` binary denies the same lints outside its tests (see
+# src/bin/alex.rs), so user input can never reach a panic in the CLI layer.
+cargo clippy -p alex --bin alex -- -D warnings
 cargo clippy -p alex-core -- -D warnings
 cargo clippy -p alex-store -- -D warnings
 # The fault plan every injector reads (spec parser, content-keyed draw)

@@ -17,12 +17,22 @@
 //! and `--profile` (worker-attribution table on stderr). `report` turns
 //! event logs back into a convergence / latency / completeness summary.
 //!
+//! Every flag is declared once, in [`FLAGS`], and each command parses its
+//! whole command line into typed options before it reads a data file or
+//! creates an output file, so a bad flag costs no setup.
+//!
 //! Data files may be N-Triples (`.nt`) or the supported Turtle subset
 //! (`.ttl`). Links are exchanged as `owl:sameAs` N-Triples, so the output
 //! of `link`/`improve` is directly usable by any linked-data tool.
 
+// User input must never reach a panic in the CLI layer.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::cell::Cell;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
 use alex::core::{
     final_links, run_partitioned_with, workload_from_links, AdversarialPopulation, Agent,
@@ -30,7 +40,7 @@ use alex::core::{
     Quality, QueryFeedback, RunReport, SpaceConfig, StopReason, TrustConfig, TrustGate,
 };
 use alex::fault::{Domain, FaultPlan};
-use alex::guard::{BreachPolicy, Budget, Supervisor};
+use alex::guard::{BreachPolicy, Budget, PanicPolicy, Supervisor};
 
 use alex::datagen::{
     all_pairs, assign_roles, generate_pair, AdversaryProfile, DatasetKind, PairSpec,
@@ -38,7 +48,7 @@ use alex::datagen::{
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
-    parse, Completeness, DatasetEndpoint, FaultyEndpoint, FederatedEngine, ResilienceConfig,
+    parse, Completeness, DatasetEndpoint, FaultyEndpoint, FederatedEngine, Query, ResilienceConfig,
     SameAsLinks,
 };
 
@@ -275,215 +285,227 @@ OBSERVABILITY (link, improve, and query):
                             and a per-pool critical-path estimate.
 ";
 
-/// Named `--flag value` options in command-line order.
-type Flags = Vec<(String, String)>;
+/// Every flag, declared once. Each group lists the commands that accept
+/// its flags; a trailing `=` marks a flag that takes a value. Any other
+/// `--name` is an unknown flag for that command.
+#[rustfmt::skip]
+const FLAGS: &[(&[&str], &str)] = &[
+    (&["gen"], "out-dir= pair= seed="),
+    (&["stats"], "detail"),
+    (&["link"], "threshold= baseline"),
+    (&["link", "improve"], "out="),
+    (&["improve", "query"], "links="),
+    (&["improve"], "truth= feedback= queries= episodes= episode-size= partitions= error-rate="),
+    (&["improve"], "state-dir= resume snapshot-every= kill-after="),
+    (&["improve"], "trust quorum= sources= adversary-profile="),
+    (&["improve"], "episode-budget-ms= run-budget-ms= max-rss-mb= budget-policy="),
+    (&["query"], "data= query-file="),
+    (&["improve", "query"], "fault-profile= retries= backoff-ms= endpoint-budget-ms= fail-fast"),
+    (&["improve", "query"], "cache cache-capacity= catalog="),
+    (&["link", "improve", "query"], "threads= panic-policy= chaos-profile="),
+    (&["link", "improve", "query"], "telemetry= metrics-dump= verbose trace= profile"),
+    (&["report"], "metrics= json= format= check-trace="),
+];
 
-/// Parse `--flag value` style options; returns (positional, flags).
-fn split_args(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if name == "baseline"
-                || name == "detail"
-                || name == "verbose"
-                || name == "fail-fast"
-                || name == "resume"
-                || name == "cache"
-                || name == "profile"
-                || name == "trust"
-            {
-                flags.push((name.to_string(), "true".to_string()));
-                i += 1;
+/// One command line checked against [`FLAGS`]: the positional arguments
+/// and the given flags in order, each with its value (`None` for a
+/// switch). Reading a flag marks it, so [`Args::finish`] can reject a flag
+/// the command accepts but the chosen mode never read.
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(&'static str, Option<String>, Cell<bool>)>,
+}
+
+impl Args {
+    fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
+        let mut parsed = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg.clone());
                 continue;
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("--{name} requires a value"))?;
-            flags.push((name.to_string(), value.clone()));
-            i += 2;
+            };
+            let declared = FLAGS
+                .iter()
+                .filter(|(commands, _)| commands.contains(&cmd))
+                .flat_map(|&(_, names)| names.split_whitespace())
+                .find(|decl| decl.trim_end_matches('=') == name);
+            let Some(decl) = declared else {
+                return Err(format!("unknown flag --{name} for `alex {cmd}`"));
+            };
+            let name = decl.trim_end_matches('=');
+            let missing = || format!("--{name} requires a value");
+            let value = match decl.ends_with('=') {
+                true => Some(args.next().ok_or_else(missing)?.clone()),
+                false => None,
+            };
+            parsed.flags.push((name, value, Cell::new(false)));
+        }
+        Ok(parsed)
+    }
+
+    /// The value of every `--name` given, in order; marks the flag read.
+    fn all(&self, name: &str) -> Vec<Option<&str>> {
+        let given = self.flags.iter().filter(|(n, ..)| *n == name);
+        given
+            .map(|(_, value, read)| {
+                read.set(true);
+                value.as_deref()
+            })
+            .collect()
+    }
+
+    /// Whether `--name` was given.
+    fn has(&self, name: &str) -> bool {
+        !self.all(name).is_empty()
+    }
+
+    /// The last value given for `--name`.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.all(name).pop().flatten()
+    }
+
+    /// `--name V` parsed as a `T`; `None` when the flag is absent.
+    fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("invalid value '{v}' for --{name}"))
+            })
+            .transpose()
+    }
+
+    fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parsed(name)?.unwrap_or(default))
+    }
+
+    /// `--name N` parsed as a count of at least 1; `None` when absent.
+    fn count<T: FromStr + From<u8> + PartialEq>(&self, name: &str) -> Result<Option<T>, String> {
+        match self.parsed(name)? {
+            Some(n) if n == T::from(0) => Err(format!("--{name} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// A probability-like flag: a finite number in `[0, 1]`.
+    fn unit(&self, name: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.parsed_or(name, default)?;
+        if (0.0..=1.0).contains(&v) {
+            Ok(v)
         } else {
-            positional.push(a.clone());
-            i += 1;
+            Err(format!("--{name} must be a number in [0, 1], got {v}"))
         }
     }
-    Ok((positional, flags))
-}
 
-/// Pool flags, read by [`configure_threads`] (`link`, `improve`, `query`).
-const POOL_FLAGS: &[&str] = &["threads", "panic-policy", "chaos-profile"];
-/// Observability flags, read by [`telemetry_setup`] (same commands).
-const TELEMETRY_FLAGS: &[&str] = &["telemetry", "metrics-dump", "verbose", "trace", "profile"];
-/// Federation flags (`query` and `improve --feedback query`).
-const FEDERATION_FLAGS: &[&str] = &[
-    "fault-profile",
-    "retries",
-    "backoff-ms",
-    "endpoint-budget-ms",
-    "fail-fast",
-    "cache",
-    "cache-capacity",
-    "catalog",
-];
-/// `improve`'s own flags: the run shape, durability, adversarial
-/// robustness and supervision.
-const IMPROVE_FLAGS: &[&str] = &[
-    "links",
-    "truth",
-    "out",
-    "feedback",
-    "queries",
-    "episodes",
-    "episode-size",
-    "partitions",
-    "error-rate",
-    "state-dir",
-    "resume",
-    "snapshot-every",
-    "kill-after",
-    "trust",
-    "quorum",
-    "sources",
-    "adversary-profile",
-    "episode-budget-ms",
-    "run-budget-ms",
-    "max-rss-mb",
-    "budget-policy",
-];
+    /// Set an [`AlexConfig`] field from `--name` (or `default`) and let the
+    /// config judge the value: one it rejects is an error naming the flag.
+    fn config_field<T: FromStr>(
+        &self,
+        cfg: &mut AlexConfig,
+        name: &str,
+        default: T,
+        set: impl FnOnce(&mut AlexConfig, T),
+    ) -> Result<(), String> {
+        set(cfg, self.parsed_or(name, default)?);
+        cfg.validate().map_err(|e| format!("--{name}: {e}"))
+    }
 
-/// Flags that one `improve` feedback mode never reads, so passing one is
-/// an error naming the flag and the mode. `--cache`, `--cache-capacity`
-/// and `--catalog` stay accepted but inert with oracle feedback, so a
-/// `--resume` command line can keep them.
-const ORACLE_UNREAD: &[&str] = &[
-    "queries",
-    "fault-profile",
-    "retries",
-    "backoff-ms",
-    "endpoint-budget-ms",
-    "fail-fast",
-];
-/// See [`ORACLE_UNREAD`]; query feedback runs one unpartitioned agent
-/// judged by federated answers: no noisy oracle, no journal (live answers
-/// cannot be replayed deterministically) and no source population (answers
-/// carry no user attribution for the trust gate).
-const QUERY_UNREAD: &[&str] = &[
-    "partitions",
-    "error-rate",
-    "state-dir",
-    "resume",
-    "snapshot-every",
-    "kill-after",
-    "trust",
-    "quorum",
-    "sources",
-    "adversary-profile",
-];
-
-/// `--feedback oracle|query` (default oracle), read before any other
-/// `improve` flag so a misspelled mode is reported as such; a flag the
-/// mode never reads is an error naming flag and mode.
-fn feedback_mode(flags: &Flags) -> Result<&str, String> {
-    let feedback = flag(flags, "feedback").unwrap_or("oracle");
-    let unread = match feedback {
-        "oracle" => ORACLE_UNREAD,
-        "query" => QUERY_UNREAD,
-        other => {
-            return Err(format!(
-                "--feedback must be 'oracle' or 'query', got '{other}'"
-            ))
+    /// The end of a command's parse: a given flag that `alex {by}` never
+    /// read is an error naming it, not a silent no-op.
+    fn finish(&self, by: &str) -> Result<(), String> {
+        match self.flags.iter().find(|(.., read)| !read.get()) {
+            Some((name, ..)) => Err(format!("--{name} is not read by `alex {by}`")),
+            None => Ok(()),
         }
-    };
-    match flags
-        .iter()
-        .find(|(name, _)| unread.contains(&name.as_str()))
-    {
-        Some((name, _)) => Err(format!(
-            "--{name} is not read by `alex improve --feedback {feedback}`"
-        )),
-        None => Ok(feedback),
     }
 }
 
-/// [`split_args`] for `alex <cmd>`, which reads only the flags in
-/// `accepted`: any other flag is an error naming it, so a misspelled flag
-/// fails instead of leaving its default silently in place.
-fn command_args(
-    cmd: &str,
-    accepted: &[&[&str]],
-    args: &[String],
-) -> Result<(Vec<String>, Flags), String> {
-    let (positional, flags) = split_args(args)?;
-    let known = |name: &str| accepted.iter().any(|set| set.contains(&name));
-    match flags.iter().find(|(name, _)| !known(name)) {
-        Some((name, _)) => Err(format!("unknown flag --{name} for `alex {cmd}`")),
-        None => Ok((positional, flags)),
-    }
+/// The pool and observability options `link`, `improve` and `query`
+/// share.
+struct RunOpts {
+    threads: Option<usize>,
+    panic_policy: Option<PanicPolicy>,
+    chaos: Option<FaultPlan>,
+    telemetry: Option<String>,
+    metrics_dump: Option<String>,
+    verbose: bool,
+    trace: Option<String>,
+    profile: bool,
 }
 
-fn flag<'a>(flags: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    flags
-        .iter()
-        .rev()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
-}
-
-/// `--name V` parsed as a `T`; `None` when the flag is absent.
-fn parse_opt<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-) -> Result<Option<T>, String> {
-    flag(flags, name)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("invalid value '{v}' for --{name}"))
+impl RunOpts {
+    fn parse(args: &Args) -> Result<RunOpts, String> {
+        let panic_policy = args.value("panic-policy").map(str::parse).transpose();
+        Ok(RunOpts {
+            threads: args.count("threads")?,
+            panic_policy: panic_policy.map_err(|e: String| format!("--panic-policy: {e}"))?,
+            chaos: fault_plan(args, "chaos-profile", Domain::Pool)?,
+            telemetry: args.value("telemetry").map(str::to_string),
+            metrics_dump: args.value("metrics-dump").map(str::to_string),
+            verbose: args.has("verbose"),
+            trace: args.value("trace").map(str::to_string),
+            profile: args.has("profile"),
         })
-        .transpose()
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    Ok(parse_opt(flags, name)?.unwrap_or(default))
-}
-
-/// A probability-like flag: a finite number in `[0, 1]`.
-fn parse_unit_flag(flags: &[(String, String)], name: &str, default: f64) -> Result<f64, String> {
-    let v: f64 = parse_flag(flags, name, default)?;
-    if (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(format!("--{name} must be a number in [0, 1], got {v}"))
     }
-}
 
-/// Apply the process-global pool settings: `--threads N` (pool width;
-/// without the flag the pool keeps its own resolution order — the
-/// ALEX_THREADS env var, else `available_parallelism`), `--panic-policy`
-/// (quarantine|fail), and `--chaos-profile` (seeded chunk-fault
-/// injection for the chaos suites).
-fn configure_threads(flags: &Flags) -> Result<(), String> {
-    if let Some(n) = parse_opt(flags, "threads")? {
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
+    /// The run's first effects, once every flag has parsed: apply the
+    /// process-global pool settings (without `--threads` the pool keeps its
+    /// own resolution order — the ALEX_THREADS env var, else
+    /// `available_parallelism`), attach the JSONL event sink and enable the
+    /// timeline recorder.
+    fn start(&self) -> Result<(), String> {
+        if let Some(n) = self.threads {
+            alex::parallel::set_threads(n);
         }
-        alex::parallel::set_threads(n);
+        if let Some(policy) = self.panic_policy {
+            alex::parallel::set_panic_policy(policy);
+        }
+        if let Some(plan) = &self.chaos {
+            alex::guard::chaos::install(plan.clone());
+        }
+        if let Some(path) = &self.telemetry {
+            let sink = alex::telemetry::JsonlFileSink::create(path)
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            alex::telemetry::global()
+                .events()
+                .attach(std::sync::Arc::new(sink));
+        }
+        if self.trace.is_some() || self.profile {
+            alex::telemetry::timeline::enable();
+        }
+        Ok(())
     }
-    if let Some(v) = flag(flags, "panic-policy") {
-        let policy = v
-            .parse()
-            .map_err(|e: String| format!("--panic-policy: {e}"))?;
-        alex::parallel::set_panic_policy(policy);
+
+    /// Flush the event log; write the metrics dump, trace, attribution
+    /// table and span summary that were asked for.
+    fn finish(&self) -> Result<(), String> {
+        let telemetry = alex::telemetry::global();
+        telemetry.events().flush();
+        if self.trace.is_some() || self.profile {
+            // One drain serves both consumers.
+            let traces = alex::telemetry::timeline::drain();
+            if let Some(path) = &self.trace {
+                alex::telemetry::write_chrome_trace(path, &traces)
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                eprintln!("wrote {path}");
+            }
+            if self.profile {
+                eprint!("{}", alex::telemetry::attribute(&traces).render_table());
+            }
+        }
+        if let Some(path) = &self.metrics_dump {
+            std::fs::write(path, telemetry.metrics().render_prometheus())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("wrote {path}");
+        }
+        if self.verbose {
+            eprint!("{}", telemetry.spans().render_summary());
+        }
+        Ok(())
     }
-    if let Some(plan) = fault_plan(flags, "chaos-profile", Domain::Pool)? {
-        alex::guard::chaos::install(plan);
-    }
-    Ok(())
 }
 
 /// Run-supervision options: the budget plus what to do on breach.
@@ -493,40 +515,31 @@ struct GuardOpts {
     policy: BreachPolicy,
 }
 
-impl GuardOpts {
-    fn make_supervisor(&self) -> Supervisor {
-        Supervisor::new(self.budget, self.policy)
-    }
-}
-
 /// Parse and validate the budget-supervision flags. `None` when no budget
 /// flag was given; an error when `--budget-policy` appears alone (a policy
 /// with nothing to police is a spelling mistake, not a request).
-fn guard_opts(flags: &Flags) -> Result<Option<GuardOpts>, String> {
+fn guard_opts(args: &Args) -> Result<Option<GuardOpts>, String> {
     let mut budget = Budget::unlimited();
-    if let Some(ms) = parse_opt(flags, "episode-budget-ms")? {
+    if let Some(ms) = args.parsed("episode-budget-ms")? {
         budget = budget.episode_wall_ms(ms);
     }
-    if let Some(ms) = parse_opt(flags, "run-budget-ms")? {
+    if let Some(ms) = args.parsed("run-budget-ms")? {
         budget = budget.run_wall_ms(ms);
     }
-    if let Some(mb) = parse_opt(flags, "max-rss-mb")? {
+    if let Some(mb) = args.parsed("max-rss-mb")? {
         budget = budget.max_rss_mb(mb);
     }
+    let policy = args.value("budget-policy");
     if budget.is_unlimited() {
-        if flag(flags, "budget-policy").is_some() {
+        if policy.is_some() {
             return Err("--budget-policy requires a budget flag \
                         (--episode-budget-ms, --run-budget-ms, or --max-rss-mb)"
                 .into());
         }
         return Ok(None);
     }
-    let policy = match flag(flags, "budget-policy") {
-        None => BreachPolicy::Stop,
-        Some(v) => v
-            .parse()
-            .map_err(|e: String| format!("--budget-policy: {e}"))?,
-    };
+    let policy = policy.map_or(Ok(BreachPolicy::Stop), str::parse);
+    let policy = policy.map_err(|e: String| format!("--budget-policy: {e}"))?;
     Ok(Some(GuardOpts { budget, policy }))
 }
 
@@ -550,31 +563,95 @@ fn print_supervision(sup: &Supervisor, report: &RunReport) {
 /// `--cache` / `--cache-capacity N` → Some(capacity) when the answer
 /// cache is requested. `--cache-capacity` without `--cache` is rejected
 /// rather than silently ignored.
-fn cache_opts(flags: &Flags) -> Result<Option<usize>, String> {
-    let enabled = flag(flags, "cache").is_some();
-    if !enabled {
-        if flag(flags, "cache-capacity").is_some() {
-            return Err("--cache-capacity requires --cache".into());
-        }
-        return Ok(None);
+fn cache_opts(args: &Args) -> Result<Option<usize>, String> {
+    match (args.has("cache"), args.has("cache-capacity")) {
+        (false, true) => Err("--cache-capacity requires --cache".into()),
+        (false, false) => Ok(None),
+        (true, _) => Ok(Some(args.count("cache-capacity")?.unwrap_or(4096))),
     }
-    let capacity: usize = parse_flag(flags, "cache-capacity", 4096)?;
-    if capacity == 0 {
-        return Err("--cache-capacity must be at least 1".into());
-    }
-    Ok(Some(capacity))
 }
 
 /// `--catalog probe` → whether to build the predicate-coverage catalog
 /// the executor consults to prune endpoints; without it every pattern is
 /// broadcast. A catalog only ever comes from scanning the endpoints, so
 /// any other value is an error.
-fn catalog_opts(flags: &Flags) -> Result<bool, String> {
-    match flag(flags, "catalog") {
+fn catalog_opts(args: &Args) -> Result<bool, String> {
+    match args.value("catalog") {
         None => Ok(false),
         Some("probe") => Ok(true),
         Some(other) => Err(format!("--catalog must be 'probe', got '{other}'")),
     }
+}
+
+/// Parse the fault-plan flag `name` when present: `--fault-profile` takes
+/// the federation keys, `--chaos-profile` the pool keys.
+fn fault_plan(args: &Args, name: &str, domain: Domain) -> Result<Option<FaultPlan>, String> {
+    args.value(name)
+        .map(|spec| FaultPlan::parse_for(spec, domain).map_err(|e| format!("--{name}: {e}")))
+        .transpose()
+}
+
+/// Federated-engine options (`query` and `improve --feedback query`).
+struct FederationOpts {
+    cache: Option<usize>,
+    catalog: bool,
+    faults: Option<FaultPlan>,
+    resilience: ResilienceConfig,
+}
+
+fn federation_opts(args: &Args) -> Result<FederationOpts, String> {
+    let mut opts = FederationOpts {
+        cache: cache_opts(args)?,
+        catalog: catalog_opts(args)?,
+        faults: fault_plan(args, "fault-profile", Domain::Federation)?,
+        resilience: ResilienceConfig::default(),
+    };
+    let resilience = &mut opts.resilience;
+    if let Some(retries) = args.parsed("retries")? {
+        resilience.retry.max_retries = retries;
+    }
+    if let Some(ms) = args.parsed("backoff-ms")? {
+        resilience.retry.initial_backoff = Duration::from_millis(ms);
+    }
+    let budget = args.parsed("endpoint-budget-ms")?;
+    resilience.endpoint_budget = budget.map(Duration::from_millis);
+    resilience.fail_fast = args.has("fail-fast");
+    Ok(opts)
+}
+
+/// A federated engine with one endpoint per data set (wrapped in the fault
+/// injector under `--fault-profile`), `links`, and the resilience, cache
+/// and catalog options applied; the catalog is probed last, so every
+/// endpoint gets an entry.
+fn federated_engine(
+    datasets: Vec<Dataset>,
+    links: Option<SameAsLinks>,
+    opts: &FederationOpts,
+) -> Result<FederatedEngine, String> {
+    let mut engine = FederatedEngine::new();
+    for ds in datasets {
+        let endpoint = DatasetEndpoint::new(ds);
+        match &opts.faults {
+            Some(p) => engine.add_endpoint(Box::new(FaultyEndpoint::new(endpoint, p.clone()))),
+            None => engine.add_endpoint(Box::new(endpoint)),
+        }
+    }
+    if let Some(links) = links {
+        engine.set_links(links);
+    }
+    engine.set_resilience(opts.resilience.clone());
+    if let Some(capacity) = opts.cache {
+        engine.enable_cache(capacity);
+    }
+    if opts.catalog {
+        // After every endpoint is registered, so each gets an entry; a
+        // scan failure aborts rather than leave an endpoint uncovered.
+        let catalog = engine
+            .build_catalog()
+            .map_err(|e| format!("--catalog probe: {e}"))?;
+        engine.set_catalog(Some(catalog));
+    }
+    Ok(engine)
 }
 
 /// Load an RDF file, dispatching on extension (.ttl → Turtle, else
@@ -632,64 +709,6 @@ macro_rules! outln {
     };
 }
 
-/// Observability flags shared by `link`, `improve`, and `query`: attach
-/// the JSONL event sink and enable the timeline recorder up front, dump
-/// metrics / trace / attribution / span summary on [`Self::finish`].
-struct TelemetryOpts {
-    metrics_dump: Option<String>,
-    verbose: bool,
-    trace: Option<String>,
-    profile: bool,
-}
-
-fn telemetry_setup(flags: &Flags) -> Result<TelemetryOpts, String> {
-    if let Some(path) = flag(flags, "telemetry") {
-        let sink = alex::telemetry::JsonlFileSink::create(path)
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        alex::telemetry::global()
-            .events()
-            .attach(std::sync::Arc::new(sink));
-    }
-    let opts = TelemetryOpts {
-        metrics_dump: flag(flags, "metrics-dump").map(str::to_string),
-        verbose: flag(flags, "verbose").is_some(),
-        trace: flag(flags, "trace").map(str::to_string),
-        profile: flag(flags, "profile").is_some(),
-    };
-    if opts.trace.is_some() || opts.profile {
-        alex::telemetry::timeline::enable();
-    }
-    Ok(opts)
-}
-
-impl TelemetryOpts {
-    fn finish(&self) -> Result<(), String> {
-        let telemetry = alex::telemetry::global();
-        telemetry.events().flush();
-        if self.trace.is_some() || self.profile {
-            // One drain serves both consumers.
-            let traces = alex::telemetry::timeline::drain();
-            if let Some(path) = &self.trace {
-                alex::telemetry::write_chrome_trace(path, &traces)
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                eprintln!("wrote {path}");
-            }
-            if self.profile {
-                eprint!("{}", alex::telemetry::attribute(&traces).render_table());
-            }
-        }
-        if let Some(path) = &self.metrics_dump {
-            std::fs::write(path, telemetry.metrics().render_prometheus())
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
-        if self.verbose {
-            eprint!("{}", telemetry.spans().render_summary());
-        }
-        Ok(())
-    }
-}
-
 /// Durable-run options (`--state-dir` and friends), validated as a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DurableOpts {
@@ -702,10 +721,10 @@ struct DurableOpts {
 /// Parse and validate the durability flags. `None` when no `--state-dir`
 /// was given; an error when a dependent flag appears without it (or with a
 /// setting durable runs cannot honor).
-fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
-    let state_dir = flag(flags, "state-dir");
+fn durable_opts(args: &Args) -> Result<Option<DurableOpts>, String> {
+    let state_dir = args.value("state-dir");
     for dependent in ["resume", "snapshot-every", "kill-after"] {
-        if flag(flags, dependent).is_some() && state_dir.is_none() {
+        if args.has(dependent) && state_dir.is_none() {
             return Err(format!(
                 "--{dependent} requires --state-dir: it only applies to durable runs"
             ));
@@ -714,31 +733,25 @@ fn durable_opts(flags: &Flags) -> Result<Option<DurableOpts>, String> {
     let Some(dir) = state_dir else {
         return Ok(None);
     };
-    let kill_after = flag(flags, "kill-after")
-        .map(|v| {
-            v.parse::<u64>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| format!("invalid value '{v}' for --kill-after (need a count >= 1)"))
-        })
-        .transpose()?;
     Ok(Some(DurableOpts {
         state_dir: dir.to_string(),
-        snapshot_every: parse_flag(flags, "snapshot-every", 10u64)?,
-        resume: flag(flags, "resume").is_some(),
-        kill_after,
+        snapshot_every: args.parsed_or("snapshot-every", 10u64)?,
+        resume: args.has("resume"),
+        kill_after: args.count("kill-after")?,
     }))
 }
 
 /// Adversarial-robustness options: the trust gate and the feedback-source
 /// population.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RobustnessOpts {
     /// Trust-gate configuration when `--trust` was given.
     trust: Option<TrustConfig>,
-    /// Seeded adversary mix when `--adversary-profile` was given.
-    profile: Option<AdversaryProfile>,
-    /// Feedback-source population size (`--sources`, default 1).
+    /// `--adversary-profile`: the spec as given and the seeded adversary
+    /// mix it parses to.
+    profile: Option<(String, AdversaryProfile)>,
+    /// Feedback-source population size (`--sources`, default 1; the
+    /// `Default` 0 means one plain oracle, as 1 does).
     sources: usize,
 }
 
@@ -759,7 +772,7 @@ impl RobustnessOpts {
         seed: u64,
     ) -> Box<dyn FeedbackSource> {
         if self.needs_population() {
-            let roles = assign_roles(self.profile.as_ref(), self.sources, seed);
+            let roles = assign_roles(self.profile.as_ref().map(|(_, p)| p), self.sources, seed);
             Box::new(AdversarialPopulation::new(
                 truth.clone(),
                 roles,
@@ -779,106 +792,34 @@ impl RobustnessOpts {
 /// Parse and validate the adversarial-robustness flags. `None` when none of
 /// `--trust`, `--quorum`, `--sources`, `--adversary-profile` was given; an
 /// error on inconsistent combinations.
-fn robustness_opts(flags: &Flags) -> Result<Option<RobustnessOpts>, String> {
-    let trust_enabled = flag(flags, "trust").is_some();
-    if !trust_enabled && flag(flags, "quorum").is_some() {
-        return Err("--quorum requires --trust".into());
-    }
-    let trust = if trust_enabled {
-        let mut cfg = TrustConfig::default();
-        if let Some(quorum) = parse_opt(flags, "quorum")? {
-            cfg.quorum = quorum;
+fn robustness_opts(args: &Args) -> Result<Option<RobustnessOpts>, String> {
+    let quorum = args.parsed("quorum")?;
+    let trust = match (args.has("trust"), quorum) {
+        (false, Some(_)) => return Err("--quorum requires --trust".into()),
+        (false, None) => None,
+        (true, quorum) => {
+            let mut cfg = TrustConfig::default();
+            cfg.quorum = quorum.unwrap_or(cfg.quorum);
+            cfg.validate().map_err(|e| format!("--quorum: {e}"))?;
+            Some(cfg)
         }
-        cfg.validate().map_err(|e| format!("--trust: {e}"))?;
-        Some(cfg)
-    } else {
-        None
     };
-    let profile = flag(flags, "adversary-profile")
-        .map(|spec| AdversaryProfile::parse(spec).map_err(|e| format!("--adversary-profile: {e}")))
-        .transpose()?;
-    let sources: usize = parse_flag(flags, "sources", 1usize)?;
-    if sources == 0 {
-        return Err("--sources must be at least 1".into());
-    }
-    if trust.is_none() && profile.is_none() && flag(flags, "sources").is_none() {
+    let profile = match args.value("adversary-profile") {
+        Some(spec) => Some((
+            spec.to_string(),
+            AdversaryProfile::parse(spec).map_err(|e| format!("--adversary-profile: {e}"))?,
+        )),
+        None => None,
+    };
+    let sources = args.count("sources")?;
+    if trust.is_none() && profile.is_none() && sources.is_none() {
         return Ok(None);
     }
     Ok(Some(RobustnessOpts {
         trust,
         profile,
-        sources,
+        sources: sources.unwrap_or(1),
     }))
-}
-
-/// Build the endpoint resilience policy from the shared fault-tolerance
-/// flags; `None` when no flag was given (keep the engine's default).
-fn resilience_from_flags(flags: &Flags) -> Result<Option<ResilienceConfig>, String> {
-    let mut cfg = ResilienceConfig::default();
-    let mut touched = false;
-    if let Some(retries) = parse_opt(flags, "retries")? {
-        cfg.retry.max_retries = retries;
-        touched = true;
-    }
-    if let Some(ms) = parse_opt(flags, "backoff-ms")? {
-        cfg.retry.initial_backoff = std::time::Duration::from_millis(ms);
-        touched = true;
-    }
-    if let Some(ms) = parse_opt(flags, "endpoint-budget-ms")? {
-        cfg.endpoint_budget = Some(std::time::Duration::from_millis(ms));
-        touched = true;
-    }
-    if flag(flags, "fail-fast").is_some() {
-        cfg.fail_fast = true;
-        touched = true;
-    }
-    Ok(touched.then_some(cfg))
-}
-
-/// Parse the fault-plan flag `name` when present: `--fault-profile` takes
-/// the federation keys, `--chaos-profile` the pool keys.
-fn fault_plan(flags: &Flags, name: &str, domain: Domain) -> Result<Option<FaultPlan>, String> {
-    flag(flags, name)
-        .map(|spec| FaultPlan::parse_for(spec, domain).map_err(|e| format!("--{name}: {e}")))
-        .transpose()
-}
-
-/// A federated engine with one endpoint per data set (wrapped in the fault
-/// injector under `--fault-profile`), `links`, and the resilience, cache
-/// and catalog flags applied; the catalog is probed last, so every
-/// endpoint gets an entry.
-fn federated_engine(
-    datasets: Vec<Dataset>,
-    links: Option<SameAsLinks>,
-    flags: &Flags,
-) -> Result<FederatedEngine, String> {
-    let profile = fault_plan(flags, "fault-profile", Domain::Federation)?;
-    let mut engine = FederatedEngine::new();
-    for ds in datasets {
-        let endpoint = DatasetEndpoint::new(ds);
-        match &profile {
-            Some(p) => engine.add_endpoint(Box::new(FaultyEndpoint::new(endpoint, p.clone()))),
-            None => engine.add_endpoint(Box::new(endpoint)),
-        }
-    }
-    if let Some(links) = links {
-        engine.set_links(links);
-    }
-    if let Some(resilience) = resilience_from_flags(flags)? {
-        engine.set_resilience(resilience);
-    }
-    if let Some(capacity) = cache_opts(flags)? {
-        engine.enable_cache(capacity);
-    }
-    if catalog_opts(flags)? {
-        // After every endpoint is registered, so each gets an entry; a
-        // scan failure aborts rather than leave an endpoint uncovered.
-        let catalog = engine
-            .build_catalog()
-            .map_err(|e| format!("--catalog probe: {e}"))?;
-        engine.set_catalog(Some(catalog));
-    }
-    Ok(engine)
 }
 
 fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
@@ -912,11 +853,11 @@ fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (_, flags) = command_args("gen", &[&["out-dir", "pair", "seed"]], args)?;
-    let out_dir = flag(&flags, "out-dir").ok_or("--out-dir is required")?;
-    let pair_name = flag(&flags, "pair").unwrap_or("dbpedia-nytimes");
-    let seed: u64 = parse_flag(&flags, "seed", 20160501)?;
-    let spec = pair_spec_by_name(pair_name)?;
+    let args = Args::parse("gen", args)?;
+    let out_dir = args.value("out-dir").ok_or("--out-dir is required")?;
+    let spec = pair_spec_by_name(args.value("pair").unwrap_or("dbpedia-nytimes"))?;
+    let seed: u64 = args.parsed_or("seed", 20160501)?;
+    args.finish("gen")?;
 
     std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let pair = generate_pair(&spec.config(seed));
@@ -946,11 +887,13 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (files, flags) = command_args("stats", &[&["detail"]], args)?;
+    let args = Args::parse("stats", args)?;
+    let files = &args.positional;
     if files.is_empty() {
         return Err("stats requires at least one file".into());
     }
-    let detailed = flag(&flags, "detail").is_some();
+    let detailed = args.has("detail");
+    args.finish("stats")?;
     if !detailed {
         outln!(
             "{:<28} {:>9} {:>9} {:>11}",
@@ -960,7 +903,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
             "predicates"
         )?;
     }
-    for f in &files {
+    for f in files {
         let ds = load_dataset(f)?;
         if detailed {
             print_out(&alex::rdf::DatasetStats::of(&ds).report(&ds))?;
@@ -978,23 +921,21 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_link(args: &[String]) -> Result<(), String> {
-    let accepted = [
-        &["threshold", "baseline", "out"],
-        POOL_FLAGS,
-        TELEMETRY_FLAGS,
-    ];
-    let (files, flags) = command_args("link", &accepted, args)?;
-    let [left_path, right_path] = files.as_slice() else {
+    let args = Args::parse("link", args)?;
+    let [left_path, right_path] = args.positional.as_slice() else {
         return Err("link requires exactly two data files".into());
     };
-    configure_threads(&flags)?;
-    let threshold = parse_unit_flag(&flags, "threshold", 0.80)?;
-    let telemetry = telemetry_setup(&flags)?;
+    let threshold = args.unit("threshold", 0.80)?;
+    let baseline = args.has("baseline");
+    let out = args.value("out");
+    let run = RunOpts::parse(&args)?;
+    args.finish("link")?;
+    run.start()?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
 
     let started = std::time::Instant::now();
-    let output: LinkerOutput = if flag(&flags, "baseline").is_some() {
+    let output: LinkerOutput = if baseline {
         LabelBaseline {
             threshold,
             ..LabelBaseline::default()
@@ -1020,36 +961,115 @@ fn cmd_link(args: &[String]) -> Result<(), String> {
             .into_iter()
             .map(|(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
     );
-    write_or_print(flag(&flags, "out"), &links.to_ntriples())?;
-    telemetry.finish()
+    write_or_print(out, &links.to_ntriples())?;
+    run.finish()
+}
+
+/// Validated `alex improve` options. `federation`, with the `--queries`
+/// workload size, is set exactly under query feedback; `durable` and
+/// `robust` are read only under oracle feedback.
+struct ImproveOpts {
+    left: String,
+    right: String,
+    links: String,
+    truth: String,
+    out: Option<String>,
+    cfg: PartitionedConfig,
+    federation: Option<(FederationOpts, usize)>,
+    durable: Option<DurableOpts>,
+    robust: Option<RobustnessOpts>,
+    guard: Option<GuardOpts>,
+    /// Partition 0's oracle seed: the agent's, plus 1000 on a plain run
+    /// (no durability, robustness or budget flag).
+    seed: u64,
+    run: RunOpts,
+}
+
+/// Parse `alex improve`. `--feedback oracle|query` (default oracle) is
+/// read first, so a misspelled mode is reported as such; then the flags
+/// that mode reads, and a given flag it never read is an error naming
+/// flag and mode. Query feedback runs one unpartitioned agent judged by
+/// federated answers: no noisy oracle, no journal (live answers cannot be
+/// replayed deterministically) and no source population (answers carry no
+/// user attribution for the trust gate).
+fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
+    let [left, right] = args.positional.as_slice() else {
+        return Err("improve requires exactly two data files".into());
+    };
+    let mode = args.value("feedback").unwrap_or("oracle");
+    let (federation, durable, robust) = match mode {
+        "oracle" => {
+            // Checked, but inert with oracle feedback, so a `--resume`
+            // command line can keep them.
+            cache_opts(args)?;
+            catalog_opts(args)?;
+            (None, durable_opts(args)?, robustness_opts(args)?)
+        }
+        "query" => {
+            let queries = args.parsed_or("queries", 50)?;
+            (Some((federation_opts(args)?, queries)), None, None)
+        }
+        other => {
+            return Err(format!(
+                "--feedback must be 'oracle' or 'query', got '{other}'"
+            ))
+        }
+    };
+    let query = federation.is_some();
+    let run = RunOpts::parse(args)?;
+    let guard = guard_opts(args)?;
+    let plain = durable.is_none() && robust.is_none() && guard.is_none();
+    let mut alex = AlexConfig {
+        trust: robust.as_ref().and_then(|r| r.trust),
+        ..AlexConfig::default()
+    };
+    let episode_size = if query { 200 } else { 1000 };
+    args.config_field(&mut alex, "episode-size", episode_size, |c, n| {
+        c.episode_size = n
+    })?;
+    args.config_field(&mut alex, "episodes", 40, |c, n| c.max_episodes = n)?;
+    let (partitions, feedback_error_rate) = match query {
+        true => (1, 0.0),
+        false => (
+            args.count("partitions")?
+                .unwrap_or(if plain { 4 } else { 1 }),
+            args.unit("error-rate", 0.0)?,
+        ),
+    };
+    let seed = alex.seed.wrapping_add(if plain { 1000 } else { 0 });
+    let cfg = PartitionedConfig {
+        partitions,
+        alex,
+        space: SpaceConfig::default(),
+        feedback_error_rate,
+    };
+    let opts = ImproveOpts {
+        left: left.clone(),
+        right: right.clone(),
+        links: args.value("links").ok_or("--links is required")?.into(),
+        truth: args.value("truth").ok_or("--truth is required")?.into(),
+        out: args.value("out").map(str::to_string),
+        cfg,
+        federation,
+        durable,
+        robust,
+        guard,
+        seed,
+        run,
+    };
+    args.finish(&format!("improve --feedback {mode}"))?;
+    Ok(opts)
 }
 
 fn cmd_improve(args: &[String]) -> Result<(), String> {
-    let accepted = [IMPROVE_FLAGS, POOL_FLAGS, TELEMETRY_FLAGS, FEDERATION_FLAGS];
-    let (files, flags) = command_args("improve", &accepted, args)?;
-    let [left_path, right_path] = files.as_slice() else {
-        return Err("improve requires exactly two data files".into());
-    };
-    let query = feedback_mode(&flags)? == "query";
-    // Read before any data is loaded, and read in both modes: oracle
-    // feedback builds no engine, yet a bad value is still an error.
-    cache_opts(&flags)?;
-    catalog_opts(&flags)?;
-    fault_plan(&flags, "fault-profile", Domain::Federation)?;
-    configure_threads(&flags)?;
-    let durable = durable_opts(&flags)?;
-    let robust = robustness_opts(&flags)?;
-    let guard = guard_opts(&flags)?;
-    let telemetry = telemetry_setup(&flags)?;
-    let left = load_dataset(left_path)?;
-    let right = load_dataset(right_path)?;
-    let links = load_links(flag(&flags, "links").ok_or("--links is required")?)?;
-    let truth = load_links(flag(&flags, "truth").ok_or("--truth is required")?)?;
-
-    improve(
-        &left, &right, &links, &truth, &flags, query, durable, robust, guard,
-    )?;
-    telemetry.finish()
+    let opts = improve_opts(&Args::parse("improve", args)?)?;
+    opts.run.start()?;
+    let left = load_dataset(&opts.left)?;
+    let right = load_dataset(&opts.right)?;
+    let links = load_links(&opts.links)?;
+    let truth = load_links(&opts.truth)?;
+    improve(&left, &right, &links, &truth, &opts)?;
+    opts.run.finish()
 }
 
 /// `(left term, right term)` pairs of the links whose IRIs both data sets
@@ -1064,7 +1084,9 @@ fn term_pairs(left: &Dataset, right: &Dataset, set: &SameAsLinks) -> Vec<(Term, 
         .collect()
 }
 
-/// Print the initial and per-episode quality and the stop line.
+/// Print the initial and per-episode quality and the stop line on stdout,
+/// and the run's wall time on stderr, so identical runs print identical
+/// stdout.
 fn print_run(report: &RunReport) -> Result<(), String> {
     let print_q = |tag: &str, q: Quality| {
         outln!(
@@ -1079,29 +1101,12 @@ fn print_run(report: &RunReport) -> Result<(), String> {
         print_q(&format!("ep {}", e.episode), e.quality)?;
     }
     outln!(
-        "stopped: {:?} after {} episodes ({:.2?})",
+        "stopped: {:?} after {} episodes",
         report.stop,
-        report.episodes.len(),
-        report.total_duration
-    )
-}
-
-/// Write the improved links to `--out`, when given.
-fn write_links(
-    flags: &Flags,
-    left: &Dataset,
-    right: &Dataset,
-    links: &[(Term, Term)],
-) -> Result<(), String> {
-    let Some(out) = flag(flags, "out") else {
-        return Ok(());
-    };
-    let set = SameAsLinks::from_pairs(
-        links
-            .iter()
-            .map(|&(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
-    );
-    write_or_print(Some(out), &set.to_ntriples())
+        report.episodes.len()
+    )?;
+    eprintln!("run time: {:.2?}", report.total_duration);
+    Ok(())
 }
 
 /// Wrap an opened state dir in the run's durability settings. With
@@ -1147,58 +1152,31 @@ fn durability<'a>(
                 .status();
             // Unreachable once the signal lands; sleep so we never race
             // past the commit boundary and run another episode.
-            std::thread::sleep(std::time::Duration::from_secs(60));
+            std::thread::sleep(Duration::from_secs(60));
         }
     })
 }
 
-/// `improve`, in either feedback mode, over `--partitions` k ≥ 1
-/// partitions built and run by `run_partitioned_with`. The mode picks only
-/// each partition's feedback source, the defaults and the suffix of the
-/// "initial links" line.
-///
-/// Oracle feedback: a plain run defaults to 4 partitions judged by oracles
-/// seeded `seed + 1000 + i`. With `--state-dir`, trust, population or
-/// budget flags the default is one partition and partition i's source is
-/// seeded `seed + i`. `--state-dir` journals every episode, so `--resume`
-/// yields exactly the links an uninterrupted run would; `--sources` and
-/// `--adversary-profile` make each partition's feedback come from an
-/// attributed population; `--trust` passes link mutations through quorum
-/// admission with cascading rollback.
-///
-/// Query feedback, the paper's deployment loop: one partition judged by
-/// federated query answers through the bridge. With `--fault-profile` the
-/// federation degrades, and the loop skips episodes whose every judgment
-/// was withheld.
-///
-/// In both modes budget flags mark overrunning episodes degraded.
-#[allow(clippy::too_many_arguments)]
+/// `improve`, in either feedback mode, over the partitions built and run
+/// by `run_partitioned_with`; the mode picks only each partition's
+/// feedback source and the suffix of the "initial links" line. Oracle
+/// feedback: partition i's oracle (or attributed population, under
+/// `--sources`/`--adversary-profile`) is seeded `opts.seed + i`;
+/// `--state-dir` journals every episode, so `--resume` yields exactly the
+/// links an uninterrupted run would; `--trust` passes link mutations
+/// through quorum admission with cascading rollback. Query feedback, the
+/// paper's deployment loop: one partition judged by federated query
+/// answers through the bridge; under `--fault-profile` the loop skips
+/// episodes whose every judgment was withheld. In both modes budget flags
+/// mark overrunning episodes degraded.
 fn improve(
     left: &Dataset,
     right: &Dataset,
     links: &SameAsLinks,
     truth: &SameAsLinks,
-    flags: &Flags,
-    query: bool,
-    durable: Option<DurableOpts>,
-    robust: Option<RobustnessOpts>,
-    guard: Option<GuardOpts>,
+    opts: &ImproveOpts,
 ) -> Result<(), String> {
-    let plain = durable.is_none() && robust.is_none() && guard.is_none();
-    let cfg = PartitionedConfig {
-        partitions: parse_flag(flags, "partitions", if plain && !query { 4 } else { 1 })?,
-        alex: AlexConfig {
-            episode_size: parse_flag(flags, "episode-size", if query { 200 } else { 1000 })?,
-            max_episodes: parse_flag(flags, "episodes", 40usize)?,
-            trust: robust.as_ref().and_then(|r| r.trust),
-            ..AlexConfig::default()
-        },
-        space: SpaceConfig::default(),
-        feedback_error_rate: parse_unit_flag(flags, "error-rate", 0.0)?,
-    };
-    if cfg.partitions == 0 {
-        return Err("--partitions must be at least 1".into());
-    }
+    let cfg = &opts.cfg;
     let initial = term_pairs(left, right, links);
     let truth_pairs = term_pairs(left, right, truth);
     if truth_pairs.is_empty() {
@@ -1207,33 +1185,34 @@ fn improve(
     // Query feedback's workload is anchored on ground-truth links: each
     // query is answerable only by crossing a sameAs link, so its answers
     // carry judgeable provenance.
-    let workload = if query {
-        let truth_iris: Vec<(String, String)> = truth
-            .iter()
-            .map(|l| (l.left.clone(), l.right.clone()))
-            .collect();
-        let queries =
-            workload_from_links(left, right, &truth_iris, parse_flag(flags, "queries", 50)?);
-        if queries.is_empty() {
-            return Err("could not derive any federated query from the ground-truth links".into());
+    let mut workload = None;
+    let setup = match &opts.federation {
+        Some((federation, queries)) => {
+            let truth_iris: Vec<(String, String)> = truth
+                .iter()
+                .map(|l| (l.left.clone(), l.right.clone()))
+                .collect();
+            let queries = workload_from_links(left, right, &truth_iris, *queries);
+            if queries.is_empty() {
+                return Err(
+                    "could not derive any federated query from the ground-truth links".into(),
+                );
+            }
+            let setup = format!("; workload: {} queries", queries.len());
+            workload = Some((federation, queries));
+            setup
         }
-        Some(queries)
-    } else {
-        None
-    };
-    let setup = match &workload {
-        Some(queries) => format!("; workload: {} queries", queries.len()),
         None => {
             let mut setup = format!("partitions: {}", cfg.partitions);
-            if let Some(r) = &robust {
+            if let Some(r) = &opts.robust {
                 setup += &format!(
                     ", sources: {}, adversary: {}, trust: {}",
                     r.sources,
-                    flag(flags, "adversary-profile").unwrap_or("none"),
+                    r.profile.as_ref().map_or("none", |(spec, _)| spec),
                     if r.trust.is_some() { "on" } else { "off" },
                 );
             }
-            if let Some(d) = &durable {
+            if let Some(d) = &opts.durable {
                 setup += &format!(", durable: {}", d.state_dir);
             }
             format!(" ({setup})")
@@ -1247,17 +1226,17 @@ fn improve(
         truth.len(),
     );
 
-    // The engine is built before the spaces, so a bad federation flag or a
-    // failed catalog probe stops the run before the space build.
+    // The engine is built before the spaces, so a failed catalog probe
+    // stops the run before the space build.
     let mut federation = match workload {
-        Some(queries) => Some((
-            federated_engine(vec![left.clone(), right.clone()], None, flags)?,
+        Some((federation, queries)) => Some((
+            federated_engine(vec![left.clone(), right.clone()], None, federation)?,
             queries,
         )),
         None => None,
     };
     let mut store;
-    let durability = match &durable {
+    let durability = match &opts.durable {
         None => None,
         Some(opts) => {
             let (opened, recovery) = alex::store::DirectStore::open(Path::new(&opts.state_dir))
@@ -1267,19 +1246,18 @@ fn improve(
         }
     };
     // Without population flags the shell makes plain oracles.
-    let robust = robust.unwrap_or(RobustnessOpts {
-        trust: None,
-        profile: None,
-        sources: 1,
-    });
-    let seed = cfg.alex.seed.wrapping_add(if plain { 1000 } else { 0 });
-    let mut supervisor = guard.as_ref().map(GuardOpts::make_supervisor);
+    let plain_oracles = RobustnessOpts::default();
+    let robust = opts.robust.as_ref().unwrap_or(&plain_oracles);
+    let mut supervisor = opts
+        .guard
+        .as_ref()
+        .map(|g| Supervisor::new(g.budget, g.policy));
     let (report, agents) = run_partitioned_with(
         left,
         right,
         &initial,
         &truth_pairs,
-        &cfg,
+        cfg,
         // Query feedback runs one partition: its one source takes the engine.
         |i, space, truth| match federation.take() {
             Some((engine, queries)) => {
@@ -1294,7 +1272,11 @@ fn improve(
                     truth.clone(),
                 ))
             }
-            None => robust.make_source(truth, cfg.feedback_error_rate, seed.wrapping_add(i as u64)),
+            None => robust.make_source(
+                truth,
+                cfg.feedback_error_rate,
+                opts.seed.wrapping_add(i as u64),
+            ),
         },
         durability,
         supervisor.as_mut(),
@@ -1324,61 +1306,83 @@ fn improve(
             sum(|g| g.discredited.len()),
         );
     }
-    if let (StopReason::Suspended, Some(d)) = (report.stop, &durable) {
+    if let (StopReason::Suspended, Some(d)) = (report.stop, &opts.durable) {
         eprintln!(
             "run suspended; continue with: alex improve ... --state-dir {} --resume",
             d.state_dir
         );
     }
-    write_links(flags, left, right, &final_links(&agents))
+    let Some(out) = &opts.out else {
+        return Ok(());
+    };
+    let set = SameAsLinks::from_pairs(
+        final_links(&agents)
+            .iter()
+            .map(|&(l, r)| (left.resolve(l).to_string(), right.resolve(r).to_string())),
+    );
+    write_or_print(Some(out), &set.to_ntriples())
 }
 
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let accepted = [
-        &["data", "links", "query-file"],
-        POOL_FLAGS,
-        TELEMETRY_FLAGS,
-        FEDERATION_FLAGS,
-    ];
-    let (positional, flags) = command_args("query", &accepted, args)?;
-    let data_files: Vec<&str> = flags
-        .iter()
-        .filter(|(n, _)| n == "data")
-        .map(|(_, v)| v.as_str())
+/// Validated `alex query` options; the query is already parsed.
+struct QueryOpts {
+    data: Vec<String>,
+    links: Option<String>,
+    query: Query,
+    federation: FederationOpts,
+    run: RunOpts,
+}
+
+fn query_opts(args: &Args) -> Result<QueryOpts, String> {
+    let data: Vec<String> = args
+        .all("data")
+        .into_iter()
+        .flatten()
+        .map(String::from)
         .collect();
-    if data_files.is_empty() {
+    if data.is_empty() {
         return Err("query requires at least one --data file".into());
     }
-    // Read before any data is loaded.
-    cache_opts(&flags)?;
-    catalog_opts(&flags)?;
-    fault_plan(&flags, "fault-profile", Domain::Federation)?;
-    configure_threads(&flags)?;
-    let telemetry = telemetry_setup(&flags)?;
-    let query_text = match flag(&flags, "query-file") {
-        Some(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
-        }
-        None => positional
+    let federation = federation_opts(args)?;
+    let run = RunOpts::parse(args)?;
+    let text = match args.value("query-file") {
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("--query-file: cannot read {path}: {e}"))?,
+        None => args
+            .positional
             .first()
             .cloned()
             .ok_or("provide a query string or --query-file")?,
     };
-    let query = parse(&query_text).map_err(|e| format!("query: {e}"))?;
-    let datasets = data_files
+    let opts = QueryOpts {
+        data,
+        links: args.value("links").map(str::to_string),
+        query: parse(&text).map_err(|e| format!("query: {e}"))?,
+        federation,
+        run,
+    };
+    args.finish("query")?;
+    Ok(opts)
+}
+
+fn cmd_query(args: &[String]) -> Result<(), String> {
+    let opts = query_opts(&Args::parse("query", args)?)?;
+    opts.run.start()?;
+    let datasets = opts
+        .data
         .iter()
         .map(|f| load_dataset(f))
         .collect::<Result<_, _>>()?;
-    let links = flag(&flags, "links").map(load_links).transpose()?;
-    let engine = federated_engine(datasets, links, &flags)?;
+    let links = opts.links.as_deref().map(load_links).transpose()?;
+    let engine = federated_engine(datasets, links, &opts.federation)?;
+    let query = &opts.query;
 
     if query.kind == alex::sparql::QueryKind::Ask {
-        let answer = engine.ask(&query).map_err(|e| format!("evaluation: {e}"))?;
+        let answer = engine.ask(query).map_err(|e| format!("evaluation: {e}"))?;
         outln!("{answer}")?;
-        return telemetry.finish();
+        return opts.run.finish();
     }
     let result = engine
-        .execute_full(&query)
+        .execute_full(query)
         .map_err(|e| format!("evaluation: {e}"))?;
     if let Completeness::Partial { skipped_sources } = &result.completeness {
         eprintln!(
@@ -1411,7 +1415,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     }
     eprintln!("{} answer(s)", answers.len());
-    telemetry.finish()
+    opts.run.finish()
 }
 
 /// Output shape for `alex report`.
@@ -1433,35 +1437,33 @@ struct ReportOpts {
 
 /// Parse and validate the `report` flags: at least one events log (or a
 /// `--check-trace` file) is required, and `--format` must be known.
-fn report_opts(positional: &[String], flags: &Flags) -> Result<ReportOpts, String> {
-    let format = match flag(flags, "format").unwrap_or("table") {
+fn report_opts(args: &Args) -> Result<ReportOpts, String> {
+    let format = match args.value("format").unwrap_or("table") {
         "table" => ReportFormat::Table,
         "json" => ReportFormat::Json,
         other => return Err(format!("--format must be 'table' or 'json', got '{other}'")),
     };
-    let check_trace = flag(flags, "check-trace").map(str::to_string);
-    if positional.is_empty() && check_trace.is_none() {
+    let opts = ReportOpts {
+        logs: args.positional.clone(),
+        metrics: args.value("metrics").map(str::to_string),
+        json_out: args.value("json").map(str::to_string),
+        format,
+        check_trace: args.value("check-trace").map(str::to_string),
+    };
+    if opts.logs.is_empty() && opts.check_trace.is_none() {
         return Err(
             "report requires at least one events JSONL file (or --check-trace FILE)".into(),
         );
     }
-    if positional.is_empty() && (flag(flags, "metrics").is_some() || flag(flags, "json").is_some())
-    {
+    if opts.logs.is_empty() && (opts.metrics.is_some() || opts.json_out.is_some()) {
         return Err("--metrics/--json apply to events logs; give at least one JSONL file".into());
     }
-    Ok(ReportOpts {
-        logs: positional.to_vec(),
-        metrics: flag(flags, "metrics").map(str::to_string),
-        json_out: flag(flags, "json").map(str::to_string),
-        format,
-        check_trace,
-    })
+    args.finish("report")?;
+    Ok(opts)
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let accepted = ["metrics", "json", "format", "check-trace"];
-    let (positional, flags) = command_args("report", &[&accepted], args)?;
-    let opts = report_opts(&positional, &flags)?;
+    let opts = report_opts(&Args::parse("report", args)?)?;
 
     if let Some(path) = &opts.check_trace {
         let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1518,9 +1520,42 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn flags_of(line: &str) -> Flags {
+    fn args_of(cmd: &str, line: &str) -> Args {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        split_args(&args).unwrap().1
+        Args::parse(cmd, &args).unwrap()
+    }
+
+    fn flags_of(line: &str) -> Args {
+        args_of("improve", line)
+    }
+
+    /// `alex improve` options over placeholder paths (parsing opens none).
+    fn improve_of(line: &str) -> Result<ImproveOpts, String> {
+        improve_opts(&flags_of(&format!(
+            "l.nt r.nt --links x.nt --truth x.nt {line}"
+        )))
+    }
+
+    #[test]
+    fn every_flag_is_declared_once_and_documented() {
+        let commands = ["gen", "stats", "link", "improve", "query", "report"];
+        let names: Vec<&str> = FLAGS
+            .iter()
+            .flat_map(|(accepted_by, names)| {
+                assert!(accepted_by.iter().all(|c| commands.contains(c)), "{names}");
+                names.split_whitespace().map(|n| n.trim_end_matches('='))
+            })
+            .collect();
+        assert_eq!(names.len(), 49);
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "--{name} declared twice");
+            let flag = format!("--{name}");
+            let documented = USAGE.match_indices(&flag).any(|(at, _)| {
+                let next = USAGE[at + flag.len()..].chars().next();
+                !next.is_some_and(|c| c.is_alphanumeric() || c == '-')
+            });
+            assert!(documented, "{flag} missing from USAGE");
+        }
     }
 
     #[test]
@@ -1587,9 +1622,9 @@ mod tests {
             .unwrap();
         assert_eq!(g.policy, BreachPolicy::Stop);
         // Both feedback modes run the supervised loop.
-        let flags = flags_of("--episode-budget-ms 50 --feedback query");
-        assert_eq!(feedback_mode(&flags), Ok("query"));
-        assert!(guard_opts(&flags).unwrap().is_some());
+        let opts = improve_of("--episode-budget-ms 50 --feedback query").unwrap();
+        assert!(opts.federation.is_some());
+        assert!(opts.guard.is_some());
     }
 
     #[test]
@@ -1616,6 +1651,12 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(r.trust.is_some());
+        let opts = improve_of("--trust --state-dir s --episode-budget-ms 50 --partitions 4");
+        assert_eq!(opts.unwrap().cfg.partitions, 4);
+        // Any of them turns the default down to one partition.
+        assert_eq!(improve_of("").unwrap().cfg.partitions, 4);
+        assert_eq!(improve_of("--trust").unwrap().cfg.partitions, 1);
+        assert_eq!(improve_of("--feedback query").unwrap().cfg.partitions, 1);
     }
 
     #[test]
@@ -1629,37 +1670,26 @@ mod tests {
         let err =
             robustness_opts(&flags_of("--trust --adversary-profile gremlin:0.3")).unwrap_err();
         assert!(err.contains("adversary"), "{err}");
-        let err = feedback_mode(&flags_of("--trust --feedback query")).unwrap_err();
+        let err = improve_of("--trust --feedback query").err().unwrap();
         assert!(err.contains("--trust is not read"), "{err}");
     }
 
     #[test]
     fn trust_is_a_value_less_flag() {
-        let (positional, flags) = split_args(&[
-            "--trust".to_string(),
-            "--quorum".to_string(),
-            "0.5".to_string(),
-        ])
-        .unwrap();
-        assert!(positional.is_empty());
-        assert_eq!(flag(&flags, "trust"), Some("true"));
-        assert_eq!(flag(&flags, "quorum"), Some("0.5"));
+        let args = flags_of("--trust --quorum 0.5");
+        assert!(args.positional.is_empty());
+        assert!(args.has("trust"));
+        assert_eq!(args.value("quorum"), Some("0.5"));
     }
 
     #[test]
     fn cache_is_a_value_less_flag() {
         // `--cache --cache-capacity 8` must not swallow the next token
         // as the value of --cache.
-        let (positional, flags) = split_args(&[
-            "--cache".to_string(),
-            "--cache-capacity".to_string(),
-            "8".to_string(),
-            "extra".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(positional, vec!["extra"]);
-        assert_eq!(flag(&flags, "cache"), Some("true"));
-        assert_eq!(flag(&flags, "cache-capacity"), Some("8"));
+        let args = flags_of("--cache --cache-capacity 8 extra");
+        assert_eq!(args.positional, vec!["extra"]);
+        assert!(args.has("cache"));
+        assert_eq!(args.value("cache-capacity"), Some("8"));
     }
 
     #[test]
@@ -1731,22 +1761,22 @@ mod tests {
 
     #[test]
     fn state_dir_accepts_multiple_partitions() {
-        let opts = durable_opts(&flags_of("--state-dir /tmp/s --partitions 27"))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.state_dir, "/tmp/s");
+        let opts = improve_of("--state-dir /tmp/s --partitions 27").unwrap();
+        assert_eq!(opts.cfg.partitions, 27);
+        assert_eq!(opts.durable.unwrap().state_dir, "/tmp/s");
     }
 
     #[test]
     fn state_dir_rejects_query_feedback() {
-        let err = feedback_mode(&flags_of("--state-dir /tmp/s --feedback query")).unwrap_err();
+        let err = improve_of("--state-dir /tmp/s --feedback query")
+            .err()
+            .unwrap();
         assert!(
             err.contains("--state-dir is not read by `alex improve --feedback query`"),
             "{err}"
         );
-        let flags = flags_of("--state-dir /tmp/s --feedback oracle");
-        assert_eq!(feedback_mode(&flags), Ok("oracle"));
-        assert!(durable_opts(&flags).is_ok());
+        let opts = improve_of("--state-dir /tmp/s --feedback oracle").unwrap();
+        assert!(opts.federation.is_none() && opts.durable.is_some());
     }
 
     #[test]
@@ -1756,48 +1786,59 @@ mod tests {
     }
 
     #[test]
+    fn zero_episodes_are_rejected_by_the_config() {
+        for flag in ["--episodes", "--episode-size"] {
+            for feedback in ["oracle", "query"] {
+                let err = improve_of(&format!("--feedback {feedback} {flag} 0"))
+                    .err()
+                    .unwrap();
+                assert!(err.starts_with(&format!("{flag}: ")), "{err}");
+            }
+        }
+    }
+
+    #[test]
     fn profile_is_a_value_less_flag() {
         // `--profile --trace out.json` must not swallow --trace as the
         // value of --profile.
-        let (positional, flags) = split_args(&[
-            "--profile".to_string(),
-            "--trace".to_string(),
-            "out.json".to_string(),
-            "left.nt".to_string(),
-        ])
-        .unwrap();
-        assert_eq!(positional, vec!["left.nt"]);
-        assert_eq!(flag(&flags, "profile"), Some("true"));
-        assert_eq!(flag(&flags, "trace"), Some("out.json"));
+        let args = args_of("link", "--profile --trace out.json left.nt");
+        assert_eq!(args.positional, vec!["left.nt"]);
+        assert!(args.has("profile"));
+        assert_eq!(args.value("trace"), Some("out.json"));
     }
 
     #[test]
     fn observability_flags_parse_uniformly() {
-        let flags = flags_of("--telemetry e.jsonl --metrics-dump m.prom --verbose");
-        assert_eq!(flag(&flags, "telemetry"), Some("e.jsonl"));
-        assert_eq!(flag(&flags, "metrics-dump"), Some("m.prom"));
-        assert_eq!(flag(&flags, "verbose"), Some("true"));
+        let line = "--telemetry e.jsonl --metrics-dump m.prom --verbose";
+        for cmd in ["link", "improve", "query"] {
+            let run = RunOpts::parse(&args_of(cmd, line)).unwrap();
+            assert_eq!(run.telemetry.as_deref(), Some("e.jsonl"));
+            assert_eq!(run.metrics_dump.as_deref(), Some("m.prom"));
+            assert!(run.verbose);
+        }
         // --trace requires a value.
-        let err = split_args(&["--trace".to_string()]).unwrap_err();
+        let err = Args::parse("query", &["--trace".to_string()])
+            .err()
+            .unwrap();
         assert!(err.contains("--trace requires a value"), "{err}");
     }
 
     #[test]
     fn report_requires_logs_or_check_trace() {
-        let err = report_opts(&[], &flags_of("")).unwrap_err();
+        let err = report_opts(&args_of("report", "")).unwrap_err();
         assert!(err.contains("at least one events JSONL"), "{err}");
         // --check-trace alone is a valid invocation.
-        let opts = report_opts(&[], &flags_of("--check-trace t.json")).unwrap();
+        let opts = report_opts(&args_of("report", "--check-trace t.json")).unwrap();
         assert_eq!(opts.check_trace.as_deref(), Some("t.json"));
         assert!(opts.logs.is_empty());
     }
 
     #[test]
     fn report_parses_full_flag_set() {
-        let opts = report_opts(
-            &["a.jsonl".to_string(), "b.jsonl".to_string()],
-            &flags_of("--metrics m.prom --json out.json --format json"),
-        )
+        let opts = report_opts(&args_of(
+            "report",
+            "a.jsonl b.jsonl --metrics m.prom --json out.json --format json",
+        ))
         .unwrap();
         assert_eq!(
             opts,
@@ -1813,10 +1854,12 @@ mod tests {
 
     #[test]
     fn report_rejects_bad_combinations() {
-        let err = report_opts(&[], &flags_of("--format yaml --check-trace t.json")).unwrap_err();
+        let err =
+            report_opts(&args_of("report", "--format yaml --check-trace t.json")).unwrap_err();
         assert!(err.contains("--format"), "{err}");
         // Log-scoped flags without any log are caught, not ignored.
-        let err = report_opts(&[], &flags_of("--check-trace t.json --metrics m.prom")).unwrap_err();
+        let err =
+            report_opts(&args_of("report", "--check-trace t.json --metrics m.prom")).unwrap_err();
         assert!(err.contains("at least one JSONL"), "{err}");
     }
 }

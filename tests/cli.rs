@@ -737,6 +737,12 @@ fn improve_rejects_missing_inputs() {
     // Nonexistent data files fail cleanly.
     let out = alex()
         .args(["improve", "/nonexistent-a.nt", "/nonexistent-b.nt"])
+        .args([
+            "--links",
+            "/nonexistent-l.nt",
+            "--truth",
+            "/nonexistent-l.nt",
+        ])
         .output()
         .expect("spawn");
     assert!(!out.status.success());
@@ -750,6 +756,214 @@ fn improve_rejects_missing_inputs() {
     let out = alex().args(["improve", &d, &d]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--links"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Each command parses its whole command line before it reads a data file
+/// or creates an output file: next to a data file that does not exist, an
+/// invalid value of any flag `link`, `improve` (either feedback mode) or
+/// `query` reads exits 2 naming the flag, and no telemetry log or state
+/// dir is created.
+#[test]
+fn every_flag_is_checked_before_any_file_is_touched() {
+    let dir = workdir("parse-first");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let (data, log, state) = (p("missing.nt"), p("events.jsonl"), p("state"));
+    let query_file = p("missing.rq");
+    let query_only: &[&[&str]] = &[&["--query-file", &query_file]];
+    let run = |args: &[&str]| {
+        let out = alex().args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains(&format!("cannot read {data}")),
+            "{args:?}: {stderr}"
+        );
+        stderr
+    };
+    let link: &[&str] = &["link", &data, &data, "--telemetry", &log];
+    let oracle: &[&str] = &["improve", &data, &data, "--links", &data, "--truth", &data];
+    let oracle = &[oracle, &["--telemetry", &log]].concat()[..];
+    let query_feedback = &[oracle, &["--feedback", "query"]].concat()[..];
+    let query: &[&str] = &[
+        "query",
+        "--data",
+        &data,
+        "--telemetry",
+        &log,
+        "ASK { ?s ?p ?o }",
+    ];
+
+    // Bad values; the flag the error must name is the last one of a case.
+    let pool: &[&[&str]] = &[
+        &["--threads", "0"],
+        &["--threads", "x"],
+        &["--panic-policy", "sometimes"],
+        &["--chaos-profile", "transient=0.1"],
+    ];
+    let improve: &[&[&str]] = &[
+        &["--episodes", "0"],
+        &["--episode-size", "0"],
+        &["--episodes", "x"],
+        &["--episode-budget-ms", "x"],
+        &["--run-budget-ms", "x"],
+        &["--max-rss-mb", "x"],
+        &["--max-rss-mb", "9", "--budget-policy", "sometimes"],
+    ];
+    let oracle_only: &[&[&str]] = &[
+        &["--feedback", "orcale"],
+        &["--partitions", "0"],
+        &["--error-rate", "2"],
+        &["--state-dir", &state, "--snapshot-every", "x"],
+        &["--state-dir", &state, "--kill-after", "0"],
+        &["--trust", "--quorum", "0"],
+        &["--sources", "0"],
+        &["--adversary-profile", "gremlin:0.3"],
+        &["--cache", "--cache-capacity", "0"],
+        &["--catalog", "prob"],
+    ];
+    let federated: &[&[&str]] = &[
+        &["--fault-profile", ""],
+        &["--retries", "x"],
+        &["--backoff-ms", "x"],
+        &["--endpoint-budget-ms", "x"],
+        &["--cache", "--cache-capacity", "x"],
+        &["--catalog", "file.txt"],
+    ];
+    let bad_values: [(&[&str], Vec<&[&str]>); 4] = [
+        (link, [pool, &[&["--threshold", "2"]]].concat()),
+        (oracle, [pool, improve, oracle_only].concat()),
+        (
+            query_feedback,
+            [pool, improve, federated, &[&["--queries", "x"]]].concat(),
+        ),
+        (query, [pool, federated, query_only].concat()),
+    ];
+    for (context, cases) in bad_values {
+        for case in cases {
+            let args = [context, case].concat();
+            let stderr = run(&args);
+            let flag = case
+                .iter()
+                .rev()
+                .find(|a| a.starts_with("--"))
+                .expect("flag");
+            assert!(stderr.contains(*flag), "{args:?}: {stderr}");
+        }
+    }
+
+    // A value-taking flag without its value, for every such flag.
+    let runs = "threads panic-policy chaos-profile telemetry metrics-dump trace";
+    let improves = "links truth out feedback episodes episode-size episode-budget-ms \
+                    run-budget-ms max-rss-mb budget-policy";
+    let federates = "fault-profile retries backoff-ms endpoint-budget-ms cache-capacity catalog";
+    let valued = [
+        (link, format!("{runs} threshold out")),
+        (
+            oracle,
+            format!(
+                "{runs} {improves} partitions error-rate state-dir snapshot-every \
+                     kill-after quorum sources adversary-profile cache-capacity catalog"
+            ),
+        ),
+        (
+            query_feedback,
+            format!("{runs} {improves} {federates} queries"),
+        ),
+        (query, format!("{runs} {federates} data links query-file")),
+    ];
+    for (context, flags) in valued {
+        for flag in flags.split_whitespace() {
+            let flag = format!("--{flag}");
+            let args = [context, &[flag.as_str()]].concat();
+            let stderr = run(&args);
+            assert!(
+                stderr.contains(&format!("{flag} requires a value")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+
+    // Required inputs are flags too.
+    let stderr = run(&["improve", &data, &data]);
+    assert!(stderr.contains("--links is required"), "{stderr}");
+    let stderr = run(&["improve", &data, &data, "--links", &data]);
+    assert!(stderr.contains("--truth is required"), "{stderr}");
+    // A query that does not parse opens no telemetry log either.
+    let stderr = run(&["query", "--telemetry", &log, "--data", &data, "NOT SPARQL"]);
+    assert!(stderr.contains("query: parse error"), "{stderr}");
+
+    assert!(!Path::new(&log).exists(), "a telemetry log was created");
+    assert!(!Path::new(&state).exists(), "a state dir was created");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two identical runs print byte-identical stdout: the run's wall time
+/// goes to stderr, on a line of its own.
+#[test]
+fn identical_improve_runs_print_identical_stdout() {
+    let dir = nba_dir("same-stdout");
+    let flags = [
+        "--episodes",
+        "3",
+        "--episode-size",
+        "40",
+        "--error-rate",
+        "0.1",
+    ];
+    let (first, second) = (improve_nba(&dir, &flags), improve_nba(&dir, &flags));
+    let stderr = String::from_utf8_lossy(&first.stderr);
+    assert!(first.status.success(), "{stderr}");
+    assert_eq!(first.stdout, second.stdout);
+    let stdout = String::from_utf8_lossy(&first.stdout);
+    assert!(
+        stdout.ends_with("stopped: MaxEpisodes after 3 episodes\n"),
+        "{stdout}"
+    );
+    assert!(
+        stderr.lines().any(|l| l.starts_with("run time: ")),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `alex report` keeps two endpoints that share a name apart: their
+/// batches land on two rows, labelled with the endpoint's slot.
+#[test]
+fn report_rows_keep_endpoints_sharing_a_name_apart() {
+    let dir = workdir("slot-report");
+    let write = |sub: &str, triple: &str| {
+        std::fs::create_dir_all(dir.join(sub)).expect("mkdir");
+        let path = dir.join(sub).join("x.nt");
+        std::fs::write(&path, triple).expect("write");
+        path.to_string_lossy().to_string()
+    };
+    let a = write("a", "<http://a/1> <http://p/name> \"alpha\" .\n");
+    let b = write("b", "<http://b/1> <http://p/name> \"beta\" .\n");
+    let log = dir.join("events.jsonl").to_string_lossy().to_string();
+    let out = alex()
+        .args(["query", "--data", &a, "--data", &b, "--telemetry", &log])
+        .arg("SELECT ?s ?o WHERE { ?s <http://p/name> ?o }")
+        .output()
+        .expect("spawn query");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = alex()
+        .args(["report", &log])
+        .output()
+        .expect("spawn report");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|cols| cols.first().is_some_and(|c| c.starts_with("x")))
+        .collect();
+    let labels: Vec<(&str, &str)> = rows.iter().map(|cols| (cols[0], cols[1])).collect();
+    assert_eq!(labels, [("x#0", "1"), ("x#1", "1")], "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
