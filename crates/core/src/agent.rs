@@ -2,7 +2,7 @@
 //!
 //! The agent owns the link space, the candidate set, the policy, the
 //! action-value estimates, and the blacklist/rollback state. Feedback items
-//! drive *policy evaluation* within an episode ([`Agent::process_feedback`]);
+//! drive *policy evaluation* within an episode ([`Agent::process_attributed`]);
 //! [`Agent::end_episode`] performs *policy improvement*; the loop over both
 //! lives in [`crate::driver`].
 
@@ -239,9 +239,9 @@ impl Agent {
 
     /// Process one feedback item (policy evaluation, Algorithm 1 lines
     /// 11–22). Bypasses the trust gate: the judgment applies immediately, as
-    /// in the paper. Gated runs route through
-    /// [`Agent::process_attributed`] instead.
-    pub fn process_feedback(&mut self, state: PairId, feedback: Feedback) -> StepOutcome {
+    /// in the paper. Only [`Agent::process_attributed`] calls it, for an
+    /// ungated agent.
+    fn process_feedback(&mut self, state: PairId, feedback: Feedback) -> StepOutcome {
         self.apply_feedback(state, feedback, None)
     }
 
@@ -396,8 +396,9 @@ impl Agent {
         outcome
     }
 
-    /// Process one *attributed* feedback item. Without a trust gate this is
-    /// [`Agent::process_feedback`]; with one, the judgment becomes a vote in
+    /// Process one *attributed* feedback item — the one way a judgment
+    /// reaches the agent. Without a trust gate it applies immediately; with
+    /// one, the judgment becomes a vote in
     /// the quorum buffer and only applies once trust-weighted agreement
     /// crosses the configured quorum. Deferred votes are buffered, never
     /// dropped. Admissions that a later quorum flip or source discredit
@@ -721,28 +722,6 @@ impl Agent {
         summary
     }
 
-    /// Process a batch of externally produced feedback (the query-answer
-    /// bridge uses this), identified by entity-id pairs. Unknown pairs are
-    /// admitted to the space first.
-    ///
-    /// # Panics
-    ///
-    /// On a trust-gated agent whose admission log is non-empty, when `pair`
-    /// is not in the space: admitting it would shift the score-index
-    /// positions the log's footprints are recorded at.
-    pub fn feedback_on_pair(&mut self, pair: (u32, u32), feedback: Feedback) -> StepOutcome {
-        let logged = self.trust.as_ref().is_some_and(|g| !g.log.is_empty());
-        assert!(
-            !logged || self.space.id_of(pair.0, pair.1).is_some(),
-            "a trust-gated agent with a non-empty admission log admits no new pair"
-        );
-        let id = self.space.ensure_pair(pair.0, pair.1);
-        if feedback == Feedback::Positive && self.candidates.insert(id) {
-            counter!("alex_links_added_total").inc();
-        }
-        self.process_feedback(id, feedback)
-    }
-
     /// Fingerprint of the link space (after initial-link admission) and
     /// configuration this agent was built over. Durable snapshots pin it so
     /// a resume against different inputs fails loudly.
@@ -973,7 +952,7 @@ mod tests {
         // Two strikes block the link permanently (§6.3 with the Appendix C
         // two-strike resilience rule).
         assert_eq!(agent.blacklisted(), 0);
-        agent.feedback_on_pair((0, 1), Feedback::Negative);
+        agent.process_feedback(wrong, Feedback::Negative);
         assert_eq!(agent.blacklisted(), 1);
     }
 
@@ -982,7 +961,7 @@ mod tests {
         let mut agent = agent_with_initial(&[(0, 0), (0, 1)]);
         let wrong = agent.space().id_of(0, 1).unwrap();
         agent.process_feedback(wrong, Feedback::Negative);
-        agent.feedback_on_pair((0, 1), Feedback::Negative); // second strike
+        agent.process_feedback(wrong, Feedback::Negative); // second strike
         let good = agent.space().id_of(0, 0).unwrap();
         for _ in 0..20 {
             agent.process_feedback(good, Feedback::Positive);
@@ -1018,10 +997,9 @@ mod tests {
         assert_eq!(agent.qvalues().observations(s0, action), before + 1);
         // New episode: a fresh first visit counts again.
         agent.end_episode();
-        // child was removed by the negative feedback; re-add to candidates
-        // via positive feedback path.
-        let child_pair = agent.space().pair(child);
-        agent.feedback_on_pair(child_pair, Feedback::Positive);
+        // child was removed by the negative feedback; a judgment still
+        // credits its ancestors.
+        agent.process_feedback(child, Feedback::Positive);
         assert_eq!(agent.qvalues().observations(s0, action), before + 2);
     }
 
@@ -1127,15 +1105,6 @@ mod tests {
         let mut oracle = OracleFeedback::new(HashSet::new(), 9);
         let summary = agent.run_episode_sized(&mut oracle, 10);
         assert_eq!(summary.feedback_items(), 0);
-    }
-
-    #[test]
-    fn feedback_on_unknown_pair_admits_it() {
-        let mut agent = agent_with_initial(&[]);
-        let out = agent.feedback_on_pair((3, 7), Feedback::Positive);
-        assert!(!agent.candidates().is_empty());
-        assert!(agent.space().id_of(3, 7).is_some());
-        let _ = out;
     }
 
     // -------------------------------------------------------- trust gating
@@ -1382,36 +1351,6 @@ mod tests {
             err.contains("outside its generator's exploration window"),
             "{err}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "admits no new pair")]
-    fn gated_agent_with_a_log_admits_no_new_pair() {
-        // Admitting a pair shifts the score-index positions that recorded
-        // footprints name, so it is refused once the log is non-empty.
-        let mut agent = trusted_agent(&[(0, 0), (0, 1)]);
-        let good = agent.space().id_of(0, 0).unwrap();
-        vote(&mut agent, good, 2, true);
-        vote(&mut agent, good, 3, true);
-        assert!(!agent.trust_gate().unwrap().log.is_empty());
-        // Pairs already in the space stay accepted.
-        agent.feedback_on_pair((0, 0), Feedback::Positive);
-        let outside = (0..10)
-            .flat_map(|l| (0..10).map(move |r| (l, r)))
-            .find(|&(l, r)| agent.space().id_of(l, r).is_none())
-            .expect("a pair outside the blocked space");
-        agent.feedback_on_pair(outside, Feedback::Positive);
-    }
-
-    #[test]
-    fn gated_agent_admits_new_pairs_while_its_log_is_empty() {
-        let mut agent = trusted_agent(&[(0, 0)]);
-        let outside = (0..10)
-            .flat_map(|l| (0..10).map(move |r| (l, r)))
-            .find(|&(l, r)| agent.space().id_of(l, r).is_none())
-            .expect("a pair outside the blocked space");
-        agent.feedback_on_pair(outside, Feedback::Positive);
-        assert!(agent.space().id_of(outside.0, outside.1).is_some());
     }
 
     #[test]

@@ -64,35 +64,36 @@ impl FeedbackBridge {
         None
     }
 
-    /// Translate feedback on a query answer into per-link feedback items:
+    /// Translate a judgment of a query answer into per-link feedback:
     /// every link used by the answer receives the answer's judgment.
     /// Links that do not resolve to known entities are skipped.
     ///
     /// A rejected answer from a *degraded* query (partial completeness —
-    /// some sources were skipped) yields no feedback: the answer may look
-    /// wrong only because a down source withheld its join partners, so it
-    /// must not count as negative evidence against the links. Approvals
-    /// still flow — a correct answer is correct regardless of what else is
+    /// some sources were skipped) is withheld: the answer may look wrong
+    /// only because a down source withheld its join partners, so it must
+    /// not count as negative evidence against the links. That is `None`,
+    /// counted in `alex_degraded_feedback_withheld_total`. Approvals still
+    /// flow — a correct answer is correct regardless of what else is
     /// missing.
     pub fn feedback_for_answer(
         &self,
         answer: &QueryAnswer,
         approved: bool,
-    ) -> Vec<((u32, u32), Feedback)> {
+    ) -> Option<Vec<((u32, u32), Feedback)>> {
         if !approved && !answer.completeness.is_complete() {
             alex_telemetry::counter!("alex_degraded_feedback_withheld_total").inc();
-            return Vec::new();
+            return None;
         }
         let feedback = if approved {
             Feedback::Positive
         } else {
             Feedback::Negative
         };
-        answer
+        let pairs = answer
             .links_used
             .iter()
-            .filter_map(|link| self.link_to_pair(link).map(|p| (p, feedback)))
-            .collect()
+            .filter_map(|link| self.link_to_pair(link));
+        Some(pairs.map(|p| (p, feedback)).collect())
     }
 }
 
@@ -146,9 +147,9 @@ mod tests {
             completeness: Completeness::Complete,
         };
         let approved = bridge.feedback_for_answer(&answer, true);
-        assert_eq!(approved, vec![((0, 0), Feedback::Positive)]);
+        assert_eq!(approved, Some(vec![((0, 0), Feedback::Positive)]));
         let rejected = bridge.feedback_for_answer(&answer, false);
-        assert_eq!(rejected, vec![((0, 0), Feedback::Negative)]);
+        assert_eq!(rejected, Some(vec![((0, 0), Feedback::Negative)]));
     }
 
     #[test]
@@ -159,7 +160,7 @@ mod tests {
             links_used: vec![],
             completeness: Completeness::Complete,
         };
-        assert!(bridge.feedback_for_answer(&answer, true).is_empty());
+        assert_eq!(bridge.feedback_for_answer(&answer, true), Some(vec![]));
     }
 
     #[test]
@@ -174,11 +175,11 @@ mod tests {
         };
         // The missing source may have withheld the join partners that would
         // have made this answer look right: no negative evidence.
-        assert!(bridge.feedback_for_answer(&answer, false).is_empty());
+        assert_eq!(bridge.feedback_for_answer(&answer, false), None);
         // Approvals are unaffected by degradation.
         assert_eq!(
             bridge.feedback_for_answer(&answer, true),
-            vec![((0, 0), Feedback::Positive)]
+            Some(vec![((0, 0), Feedback::Positive)])
         );
     }
 }

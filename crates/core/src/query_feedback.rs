@@ -11,7 +11,8 @@
 //! circuit, blown budget), rejected answers from those *partial* results
 //! are withheld rather than converted into negative evidence — the answer
 //! may look wrong only because a down source withheld its join partners.
-//! Withheld judgments are reported through
+//! [`FeedbackBridge::feedback_for_answer`] makes that call for every
+//! answer; withheld judgments are reported through
 //! [`FeedbackSource::take_degraded`], so the driver can skip the episode
 //! instead of mistaking an outage for convergence; their run total is
 //! [`RunReport::withheld_judgments`](crate::driver::RunReport::withheld_judgments).
@@ -162,23 +163,18 @@ impl QueryFeedback {
             match self.engine.execute_full(query) {
                 Ok(result) => {
                     for answer in &result.answers {
-                        if answer.links_used.is_empty() {
-                            continue; // single-source answer: no link to judge
-                        }
+                        // A single-source answer uses no link, so it is
+                        // approved and maps to nothing.
                         let approved = answer.links_used.iter().all(|link| {
                             self.bridge
                                 .link_to_pair(link)
-                                .map(|p| self.truth.contains(&p))
-                                .unwrap_or(false)
+                                .is_some_and(|p| self.truth.contains(&p))
                         });
-                        if !approved && !answer.completeness.is_complete() {
-                            // The bridge would also withhold this, but count
-                            // it here so the episode knows why it was dry.
-                            self.degraded += 1;
-                            continue;
+                        match self.bridge.feedback_for_answer(answer, approved) {
+                            Some(items) => self.pending.extend(items),
+                            // Counted so the episode knows why it was dry.
+                            None => self.degraded += 1,
                         }
-                        self.pending
-                            .extend(self.bridge.feedback_for_answer(answer, approved));
                     }
                 }
                 Err(_) => {

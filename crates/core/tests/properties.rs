@@ -179,15 +179,11 @@ proptest! {
             episode_size: 16,
             ..AlexConfig::default()
         });
-        let mut strikes: std::collections::HashMap<(u32, u32), u32> =
-            std::collections::HashMap::new();
+        let pairs = agent.space().len() as u32;
         for (i, positive) in feedback {
-            let pair = (i % 8, (i + 1) % 8);
-            let fb = if positive { Feedback::Positive } else { Feedback::Negative };
-            if !positive {
-                *strikes.entry(pair).or_insert(0) += 1;
-            }
-            agent.feedback_on_pair(pair, fb);
+            let state = PairId(i % pairs);
+            let feedback = if positive { Feedback::Positive } else { Feedback::Negative };
+            agent.process_attributed(FeedbackItem { state, feedback, source: SourceId::ANONYMOUS });
             if agent.episodes_completed() == 0 && i % 4 == 0 {
                 agent.end_episode();
             }

@@ -28,7 +28,6 @@ pub mod identity;
 pub mod initial_links;
 pub mod names;
 pub mod profile;
-pub mod queries;
 pub mod schema;
 
 pub use adversary::{assign_roles, AdversaryKind, AdversaryProfile, SourceRole};
@@ -37,5 +36,4 @@ pub use generator::{generate_pair, GeneratedPair, PairConfig, SideConfig};
 pub use identity::{CanonValue, Domain, FieldKey, Identity};
 pub use initial_links::{sample_initial_links, score_links, InitialLinksSpec};
 pub use profile::{all_pairs, DatasetKind, PairSpec};
-pub use queries::{federated_queries, FederatedQuery};
 pub use schema::{Flavor, SideSchema};

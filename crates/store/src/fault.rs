@@ -21,12 +21,12 @@ use std::path::Path;
 use alex_fault::{Fault, FaultPlan};
 
 use crate::journal::Journal;
-use crate::store::{encode_episode, Recovery, StateStore, Store, StoreError};
+use crate::store::{encode_episode, DirectStore, Recovery, Store, StoreError};
 
 /// A [`Store`] decorator injecting deterministic storage faults.
 #[derive(Debug)]
 pub struct FaultyStore {
-    state: StateStore,
+    state: DirectStore,
     plan: FaultPlan,
     injected_crashes: u64,
     injected_corruptions: u64,
@@ -37,7 +37,7 @@ impl FaultyStore {
     /// plan. Recovery itself is never fault-injected: the model is a
     /// crashing *writer*, and the reader's job is to repair what it left.
     pub fn open(dir: &Path, plan: FaultPlan) -> Result<(FaultyStore, Recovery), StoreError> {
-        let (state, recovery) = StateStore::open(dir)?;
+        let (state, recovery) = DirectStore::open(dir)?;
         let store = FaultyStore {
             state,
             plan,
@@ -98,7 +98,6 @@ impl Store for FaultyStore {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::store::DirectStore;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {

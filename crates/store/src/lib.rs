@@ -12,7 +12,7 @@
 //!   format, written with the classic write-to-temp → fsync → atomic-rename
 //!   dance so a crash can never destroy the previous good snapshot.
 //!
-//! Recovery ([`StateStore::open`]) loads the newest *valid* snapshot and
+//! Recovery ([`DirectStore::open`]) loads the newest *valid* snapshot and
 //! replays the journal records past it, **truncating** the journal at the
 //! first torn or corrupt record instead of failing — a half-written tail is
 //! the expected outcome of a crash, not an error. What the payload bytes
@@ -44,4 +44,4 @@ mod store;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use fault::FaultyStore;
 pub use journal::{Journal, JournalScan};
-pub use store::{DirectStore, Recovery, StateStore, Store, StoreError};
+pub use store::{DirectStore, Recovery, Store, StoreError};

@@ -142,18 +142,19 @@ pub(crate) fn encode_episode(seq: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-/// The low-level state directory: open journal handle + snapshot dir.
+/// The production [`Store`]: the state directory's open journal handle
+/// and its snapshot files.
 #[derive(Debug)]
-pub struct StateStore {
+pub struct DirectStore {
     dir: PathBuf,
     journal: Journal,
 }
 
-impl StateStore {
+impl DirectStore {
     /// Open (creating if absent) a state directory, recovering any prior
     /// state: load the newest valid snapshot, scan + truncate the journal,
     /// and return the journal records past the snapshot.
-    pub fn open(dir: &Path) -> Result<(StateStore, Recovery), StoreError> {
+    pub fn open(dir: &Path) -> Result<(DirectStore, Recovery), StoreError> {
         fs::create_dir_all(dir).map_err(|e| StoreError::io("create state dir", dir, &e))?;
 
         let (snap, skipped_snapshots) = snapshot::load_latest(dir)?;
@@ -179,7 +180,7 @@ impl StateStore {
         }
 
         Ok((
-            StateStore {
+            DirectStore {
                 dir: dir.to_path_buf(),
                 journal,
             },
@@ -192,24 +193,12 @@ impl StateStore {
         ))
     }
 
-    /// The state directory path.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Append + fsync the record for episode `seq`.
-    pub fn append_episode(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        self.journal.append(&encode_episode(seq, payload))
-    }
-
     /// Write a snapshot crash-safely, then retire the journal records it
     /// covers and prune old snapshot generations. Ordering is the crash-
     /// consistency invariant: the snapshot is durable *before* the journal
     /// reset, so a crash between the two merely leaves redundant records.
-    pub fn write_snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        self.write_snapshot_inner(seq, payload, false)
-    }
-
+    /// With `crash_between_rename` the rename never happens and the write
+    /// reports an injected crash.
     pub(crate) fn write_snapshot_inner(
         &mut self,
         seq: u64,
@@ -232,31 +221,17 @@ impl StateStore {
     }
 }
 
-/// The production [`Store`]: plain pass-through to [`StateStore`].
-#[derive(Debug)]
-pub struct DirectStore {
-    state: StateStore,
-}
-
-impl DirectStore {
-    /// Open a state directory with recovery.
-    pub fn open(dir: &Path) -> Result<(DirectStore, Recovery), StoreError> {
-        let (state, recovery) = StateStore::open(dir)?;
-        Ok((DirectStore { state }, recovery))
-    }
-}
-
 impl Store for DirectStore {
     fn append_episode(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        self.state.append_episode(seq, payload)
+        self.journal.append(&encode_episode(seq, payload))
     }
 
     fn write_snapshot(&mut self, seq: u64, payload: &[u8]) -> Result<(), StoreError> {
-        self.state.write_snapshot(seq, payload)
+        self.write_snapshot_inner(seq, payload, false)
     }
 
     fn dir(&self) -> &Path {
-        self.state.dir()
+        &self.dir
     }
 }
 

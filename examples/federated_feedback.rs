@@ -12,9 +12,11 @@
 //! cargo run --release --example federated_feedback
 //! ```
 
-use alex::core::{Agent, AlexConfig, Feedback, FeedbackBridge, LinkSpace, SpaceConfig};
+use alex::core::{
+    Agent, AlexConfig, Feedback, FeedbackBridge, FeedbackItem, LinkSpace, SourceId, SpaceConfig,
+};
 use alex::rdf::Dataset;
-use alex::sparql::{parse, DatasetEndpoint, FederatedEngine, Link, SameAsLinks};
+use alex::sparql::{parse, DatasetEndpoint, FederatedEngine, Link, QueryAnswer, SameAsLinks};
 
 fn main() {
     // --- Two tiny knowledge bases -------------------------------------
@@ -102,17 +104,39 @@ fn main() {
         },
     );
 
-    // --- The federated engine reflects the agent's candidate links -----
-    let rebuild_engine = |agent: &Agent, dbpedia: &Dataset, nyt: &Dataset| {
-        let mut engine = FederatedEngine::new();
-        engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia.clone())));
-        engine.add_endpoint(Box::new(DatasetEndpoint::new(nyt.clone())));
-        let links = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-            let (l, r) = agent.space().pair_terms(id);
-            (dbpedia.resolve(l).to_string(), nyt.resolve(r).to_string())
-        }));
-        engine.set_links(links);
-        engine
+    // --- The federated engine answers over the agent's candidate links --
+    let mut engine = FederatedEngine::new();
+    engine.add_endpoint(Box::new(DatasetEndpoint::new(dbpedia.clone())));
+    engine.add_endpoint(Box::new(DatasetEndpoint::new(nyt.clone())));
+    let sync_links = |engine: &mut FederatedEngine, agent: &Agent| {
+        engine.set_links(SameAsLinks::from_pairs(agent.candidates().iter().map(
+            |id| {
+                let (l, r) = agent.space().pair_terms(id);
+                (dbpedia.resolve(l).to_string(), nyt.resolve(r).to_string())
+            },
+        )));
+    };
+    // A user's verdict on an answer becomes one judgment per link it used,
+    // each sent through the agent's one entry point for feedback.
+    let judge = |agent: &mut Agent, answer: &QueryAnswer, approved: bool| {
+        let mut added = 0;
+        for (pair, feedback) in bridge
+            .feedback_for_answer(answer, approved)
+            .unwrap_or_default()
+        {
+            assert_eq!(feedback == Feedback::Positive, approved);
+            let state = agent
+                .space()
+                .id_of(pair.0, pair.1)
+                .expect("judged link is in the space");
+            let item = FeedbackItem {
+                state,
+                feedback,
+                source: SourceId::ANONYMOUS,
+            };
+            added += agent.process_attributed(item).added;
+        }
+        added
     };
 
     let query = parse(
@@ -124,7 +148,7 @@ fn main() {
     .expect("valid query");
 
     // --- Round 1: the wrong link produces wrong answers ----------------
-    let engine = rebuild_engine(&agent, &dbpedia, &nyt);
+    sync_links(&mut engine, &agent);
     let answers = engine.execute(&query).expect("query evaluates");
     println!("Round 1 — articles about the NBA MVP of 2014:");
     for a in &answers {
@@ -140,9 +164,7 @@ fn main() {
     // The user rejects the Duncan article — it is not about Durant. ALEX
     // removes the offending link.
     println!("\nUser: ✗ that article is about Tim Duncan, not the 2014 MVP!");
-    for (pair, feedback) in bridge.feedback_for_answer(&answers[0], false) {
-        agent.feedback_on_pair(pair, feedback);
-    }
+    judge(&mut agent, &answers[0], false);
 
     // The user separately confirms a correct link's answer (Tim Duncan's
     // own article), giving ALEX a state to explore around. Exploration over
@@ -153,24 +175,20 @@ fn main() {
            ?article <http://nyt/property/about> ?who }",
     )
     .expect("valid query");
-    let engine = rebuild_engine(&agent, &dbpedia, &nyt);
+    sync_links(&mut engine, &agent);
     let duncan_answers = engine.execute(&duncan_query).expect("query evaluates");
     assert!(!duncan_answers.is_empty());
     println!("User: ✓ the Duncan article for the Duncan query is right.");
-    let mut discovered = 0;
-    for (pair, feedback) in bridge.feedback_for_answer(&duncan_answers[0], true) {
-        assert_eq!(feedback, Feedback::Positive);
-        // Explore a few times: the ε-greedy policy needs a couple of draws
-        // to hit the name feature on a fresh state.
-        for _ in 0..4 {
-            discovered += agent.feedback_on_pair(pair, feedback).added;
-        }
-    }
+    // Approve a few times: the ε-greedy policy needs a couple of draws to
+    // hit the name feature on a fresh state.
+    let discovered: usize = (0..4)
+        .map(|_| judge(&mut agent, &duncan_answers[0], true))
+        .sum();
     println!("ALEX explored and added {discovered} new candidate link(s).");
     agent.end_episode();
 
     // --- Round 2: the discovered link answers the original query -------
-    let engine = rebuild_engine(&agent, &dbpedia, &nyt);
+    sync_links(&mut engine, &agent);
     let answers = engine.execute(&query).expect("query evaluates");
     println!("\nRound 2 — articles about the NBA MVP of 2014:");
     for a in &answers {

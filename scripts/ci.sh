@@ -57,6 +57,11 @@ echo "==> cargo test (ALEX_THREADS=4: same suite, parallel pool)"
 # so the whole suite must pass unchanged with 4 workers.
 ALEX_THREADS=4 cargo test --workspace -q
 
+echo "==> federated_feedback example (its assertions run nowhere else)"
+# The user-judged Fig. 1 loop: a rejected answer removes its link and an
+# approved one explores, so the rerun query answers correctly.
+cargo run -q --example federated_feedback > /dev/null
+
 echo "==> kernel equivalence properties (token pattern ≡ string kernels, dispatch symmetry, myers ≡ DP, interned ≡ string jaccard)"
 # The fast kernels must stay bitwise-equal to their slow oracles: the
 # prebuilt-pattern token kernel to Jaro-Winkler and Levenshtein on strings

@@ -309,10 +309,12 @@ const FLAGS: &[(&[&str], &str)] = &[
 
 /// One command line checked against [`FLAGS`]: the positional arguments
 /// and the given flags in order, each with its value (`None` for a
-/// switch). Reading a flag marks it, so [`Args::finish`] can reject a flag
-/// the command accepts but the chosen mode never read.
+/// switch). Reading a flag or a positional marks it, so [`Args::finish`]
+/// can reject one the command accepts but the chosen mode never read.
 struct Args {
     positional: Vec<String>,
+    /// How many leading positionals were read.
+    positionals_read: Cell<usize>,
     flags: Vec<(&'static str, Option<String>, Cell<bool>)>,
 }
 
@@ -320,6 +322,7 @@ impl Args {
     fn parse(cmd: &str, args: &[String]) -> Result<Args, String> {
         let mut parsed = Args {
             positional: Vec::new(),
+            positionals_read: Cell::new(0),
             flags: Vec::new(),
         };
         let mut args = args.iter();
@@ -345,6 +348,19 @@ impl Args {
             parsed.flags.push((name, value, Cell::new(false)));
         }
         Ok(parsed)
+    }
+
+    /// Every positional argument; marks them all read.
+    fn positionals(&self) -> &[String] {
+        self.positionals_read.set(self.positional.len());
+        &self.positional
+    }
+
+    /// The first positional argument; marks it read.
+    fn first_positional(&self) -> Option<&String> {
+        self.positionals_read
+            .set(self.positionals_read.get().max(1));
+        self.positional.first()
     }
 
     /// The value of every `--name` given, in order; marks the flag read.
@@ -413,9 +429,12 @@ impl Args {
         cfg.validate().map_err(|e| format!("--{name}: {e}"))
     }
 
-    /// The end of a command's parse: a given flag that `alex {by}` never
-    /// read is an error naming it, not a silent no-op.
+    /// The end of a command's parse: a given flag or positional that
+    /// `alex {by}` never read is an error naming it, not a silent no-op.
     fn finish(&self, by: &str) -> Result<(), String> {
+        if let Some(arg) = self.positional.get(self.positionals_read.get()) {
+            return Err(format!("argument '{arg}' is not read by `alex {by}`"));
+        }
         match self.flags.iter().find(|(.., read)| !read.get()) {
             Some((name, ..)) => Err(format!("--{name} is not read by `alex {by}`")),
             None => Ok(()),
@@ -451,7 +470,8 @@ impl RunOpts {
         })
     }
 
-    /// The run's first effects, once every flag has parsed: apply the
+    /// The run's first effects, once every flag has parsed and the input
+    /// files have loaded (so an unreadable input leaves no log): apply the
     /// process-global pool settings (without `--threads` the pool keeps its
     /// own resolution order — the ALEX_THREADS env var, else
     /// `available_parallelism`), attach the JSONL event sink and enable the
@@ -888,7 +908,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let args = Args::parse("stats", args)?;
-    let files = &args.positional;
+    let files = args.positionals();
     if files.is_empty() {
         return Err("stats requires at least one file".into());
     }
@@ -922,7 +942,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 
 fn cmd_link(args: &[String]) -> Result<(), String> {
     let args = Args::parse("link", args)?;
-    let [left_path, right_path] = args.positional.as_slice() else {
+    let [left_path, right_path] = args.positionals() else {
         return Err("link requires exactly two data files".into());
     };
     let threshold = args.unit("threshold", 0.80)?;
@@ -930,9 +950,9 @@ fn cmd_link(args: &[String]) -> Result<(), String> {
     let out = args.value("out");
     let run = RunOpts::parse(&args)?;
     args.finish("link")?;
-    run.start()?;
     let left = load_dataset(left_path)?;
     let right = load_dataset(right_path)?;
+    run.start()?;
 
     let started = std::time::Instant::now();
     let output: LinkerOutput = if baseline {
@@ -993,7 +1013,7 @@ struct ImproveOpts {
 /// replayed deterministically) and no source population (answers carry no
 /// user attribution for the trust gate).
 fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
-    let [left, right] = args.positional.as_slice() else {
+    let [left, right] = args.positionals() else {
         return Err("improve requires exactly two data files".into());
     };
     let mode = args.value("feedback").unwrap_or("oracle");
@@ -1063,11 +1083,11 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
 
 fn cmd_improve(args: &[String]) -> Result<(), String> {
     let opts = improve_opts(&Args::parse("improve", args)?)?;
-    opts.run.start()?;
     let left = load_dataset(&opts.left)?;
     let right = load_dataset(&opts.right)?;
     let links = load_links(&opts.links)?;
     let truth = load_links(&opts.truth)?;
+    opts.run.start()?;
     improve(&left, &right, &links, &truth, &opts)?;
     opts.run.finish()
 }
@@ -1348,8 +1368,7 @@ fn query_opts(args: &Args) -> Result<QueryOpts, String> {
         Some(path) => std::fs::read_to_string(path)
             .map_err(|e| format!("--query-file: cannot read {path}: {e}"))?,
         None => args
-            .positional
-            .first()
+            .first_positional()
             .cloned()
             .ok_or("provide a query string or --query-file")?,
     };
@@ -1366,13 +1385,13 @@ fn query_opts(args: &Args) -> Result<QueryOpts, String> {
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
     let opts = query_opts(&Args::parse("query", args)?)?;
-    opts.run.start()?;
     let datasets = opts
         .data
         .iter()
         .map(|f| load_dataset(f))
         .collect::<Result<_, _>>()?;
     let links = opts.links.as_deref().map(load_links).transpose()?;
+    opts.run.start()?;
     let engine = federated_engine(datasets, links, &opts.federation)?;
     let query = &opts.query;
 
@@ -1444,7 +1463,7 @@ fn report_opts(args: &Args) -> Result<ReportOpts, String> {
         other => return Err(format!("--format must be 'table' or 'json', got '{other}'")),
     };
     let opts = ReportOpts {
-        logs: args.positional.clone(),
+        logs: args.positionals().to_vec(),
         metrics: args.value("metrics").map(str::to_string),
         json_out: args.value("json").map(str::to_string),
         format,

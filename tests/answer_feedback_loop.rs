@@ -1,156 +1,75 @@
 //! The full Fig. 1 loop at system scale: federated queries produce answers
-//! with link provenance; a simulated user judges *answers* against the
+//! with link provenance; `QueryFeedback` judges *answers* against the
 //! ground truth; the bridge converts answer judgments into link feedback;
 //! ALEX improves the links; more queries become answerable.
 //!
 //! This is the deployment mode the paper describes — no oracle touches
 //! links directly; all feedback flows through query answers.
 
-use std::collections::HashSet;
+mod harness;
 
-use alex::core::{Agent, AlexConfig, FeedbackBridge, LinkSpace, SpaceConfig};
-use alex::datagen::{
-    federated_queries, generate_pair, sample_initial_links, Domain, Flavor, InitialLinksSpec,
-    PairConfig, SideConfig,
-};
-use alex::rdf::Term;
-use alex::sparql::{parse, DatasetEndpoint, FederatedEngine, SameAsLinks};
-
-fn build_pair() -> alex::datagen::GeneratedPair {
-    generate_pair(&PairConfig {
-        seed: 77,
-        left: SideConfig {
-            name: "L".into(),
-            ns: "http://l.example.org/".into(),
-            flavor: Flavor::Left,
-            noise: 0.05,
-            drop_prob: 0.1,
-            sparse: false,
-        },
-        right: SideConfig {
-            name: "R".into(),
-            ns: "http://r.example.org/".into(),
-            flavor: Flavor::Right,
-            noise: 0.05,
-            drop_prob: 0.1,
-            sparse: false,
-        },
-        shared: 60,
-        left_only: 60,
-        right_only: 30,
-        confusable_frac: 0.25,
-        domains: vec![Domain::Person, Domain::Organization],
-        left_extra_domains: vec![Domain::Place, Domain::Drug],
-    })
-}
-
-/// Build a federated engine reflecting the agent's current candidate links.
-fn engine_from_agent(agent: &Agent, pair: &alex::datagen::GeneratedPair) -> FederatedEngine {
-    let mut engine = FederatedEngine::new();
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.left.clone())));
-    engine.add_endpoint(Box::new(DatasetEndpoint::new(pair.right.clone())));
-    engine.set_links(SameAsLinks::from_pairs(agent.candidates().iter().map(
-        |id| {
-            let (l, r) = agent.space().pair_terms(id);
-            (
-                pair.left.resolve(l).to_string(),
-                pair.right.resolve(r).to_string(),
-            )
-        },
-    )));
-    engine
-}
+use alex::core::AlexConfig;
+use alex::datagen::{sample_initial_links, Domain, InitialLinksSpec};
+use alex::fault::FaultPlan;
+use alex::sparql::SameAsLinks;
 
 #[test]
 fn answer_level_feedback_improves_links_and_query_coverage() {
-    let pair = build_pair();
-    let space = LinkSpace::build(&pair.left, &pair.right, &SpaceConfig::default());
-    let bridge = FeedbackBridge::new(
-        &pair.left,
-        space.left_index(),
-        &pair.right,
-        space.right_index(),
-    );
-    let to_id = |l: Term, r: Term| Some((space.left_index().id(l)?, space.right_index().id(r)?));
-    let truth_ids: HashSet<(u32, u32)> = pair
-        .ground_truth
-        .iter()
-        .filter_map(|&(l, r)| to_id(l, r))
-        .collect();
-
-    // Start from a weak candidate set: 30% recall, 85% precision.
-    let initial = sample_initial_links(
-        &pair,
-        InitialLinksSpec {
-            precision: 0.85,
-            recall: 0.30,
-            seed: 9,
-        },
-    );
-    let initial_ids: Vec<(u32, u32)> = initial.iter().filter_map(|&(l, r)| to_id(l, r)).collect();
-    let mut agent = Agent::new(
-        space,
-        &initial_ids,
-        AlexConfig {
-            episode_size: 40,
-            ..AlexConfig::default()
-        },
-    );
-
-    // A fixed query workload over ground-truth entities.
-    let workload = federated_queries(&pair, 50, 3);
+    let pair = harness::synthetic_pair(77, [60, 60, 30], vec![Domain::Place, Domain::Drug]);
+    let endpoints =
+        || harness::faulty_engine([&pair.left, &pair.right].map(|ds| (ds, FaultPlan::default())));
+    // A fixed query workload, one query per ground-truth link.
+    let workload = harness::queries(&pair, 50);
     assert!(workload.len() >= 40, "workload too small");
-    let parsed: Vec<_> = workload
-        .iter()
-        .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
-        .collect();
 
-    let answered = |agent: &Agent| -> usize {
-        let engine = engine_from_agent(agent, &pair);
-        parsed
+    // One engine over a link set counts the answerable queries.
+    let mut probe = endpoints();
+    let mut answered = |links: Vec<(String, String)>| -> usize {
+        probe.set_links(SameAsLinks::from_pairs(links));
+        workload
             .iter()
-            .filter(|q| !engine.execute(q).expect("evaluates").is_empty())
+            .filter(|q| !probe.execute(q).expect("evaluates").is_empty())
             .count()
     };
-    let quality = |agent: &Agent| {
-        alex::core::Quality::evaluate(agent.candidates(), agent.space(), &truth_ids)
-    };
 
-    let initial_answered = answered(&agent);
-    let initial_quality = quality(&agent);
+    // Start from a weak candidate set: 30% recall, 85% precision, the
+    // links `query_loop` samples from seed 9.
+    let spec = InitialLinksSpec {
+        precision: 0.85,
+        recall: 0.30,
+        seed: 9,
+    };
+    let initial = sample_initial_links(&pair, spec).into_iter().map(|(l, r)| {
+        (
+            pair.left.resolve(l).to_string(),
+            pair.right.resolve(r).to_string(),
+        )
+    });
+    let initial_answered = answered(initial.collect());
     assert!(
         initial_answered < workload.len() * 3 / 5,
         "with 30% recall most queries must be unanswerable ({initial_answered}/{})",
         workload.len()
     );
 
-    // Feedback rounds: run the workload, judge every answer by whether all
-    // its links are correct, feed judgments back through the bridge.
-    for round in 0..12 {
-        let engine = engine_from_agent(&agent, &pair);
-        let mut items = 0;
-        for q in &parsed {
-            for answer in engine.execute(q).expect("evaluates") {
-                let approved = answer.links_used.iter().all(|link| {
-                    bridge
-                        .link_to_pair(link)
-                        .map(|p| truth_ids.contains(&p))
-                        .unwrap_or(false)
-                });
-                for (link_pair, fb) in bridge.feedback_for_answer(&answer, approved) {
-                    agent.feedback_on_pair(link_pair, fb);
-                    items += 1;
-                }
-            }
-        }
-        agent.end_episode();
-        if items == 0 && round > 0 {
-            break;
-        }
-    }
+    // Episodes of answer judgments: the workload runs over the agent's
+    // links, every answer is judged by whether all its links are correct,
+    // and the judgments flow back through the bridge.
+    let cfg = AlexConfig {
+        episode_size: 40,
+        ..AlexConfig::default()
+    };
+    let (report, agent, _) = harness::query_loop(&pair, endpoints(), 9, 50, cfg);
 
-    let final_answered = answered(&agent);
-    let final_quality = quality(&agent);
+    let final_links = agent.candidates().iter().map(|id| {
+        let (l, r) = agent.space().pair_terms(id);
+        (
+            pair.left.resolve(l).to_string(),
+            pair.right.resolve(r).to_string(),
+        )
+    });
+    let final_answered = answered(final_links.collect());
+    let (initial_quality, final_quality) = (report.initial_quality, report.final_quality());
     assert!(
         final_quality.recall > initial_quality.recall + 0.2,
         "recall should improve substantially: {initial_quality:?} -> {final_quality:?}"

@@ -1079,11 +1079,13 @@ fn catalog_probe_survives_transient_faults() {
 
 /// Query-feedback improve under transient faults, pinned byte for byte:
 /// the improved links' sha256, the per-episode lines and the withheld
-/// judgment count must not move at any `--threads`.
+/// judgment count must not move at any `--threads`. Each withheld
+/// rejection counts once in the metrics dump too.
 #[test]
 fn query_feedback_improve_is_golden() {
     let dir = nba_dir("query-golden");
     let links = dir.join("out.nt").to_string_lossy().to_string();
+    let prom = dir.join("m.prom").to_string_lossy().to_string();
     for threads in ["1", "4"] {
         let run = [
             "--feedback",
@@ -1095,6 +1097,7 @@ fn query_feedback_improve_is_golden() {
         ];
         let faults = ["--queries", "30", "--fault-profile", "seed=7,transient=0.2"];
         let rest = ["--retries", "0", "--threads", threads, "--out", &links];
+        let rest = [&rest[..], &["--metrics-dump", &prom]].concat();
         let out = improve_nba(&dir, &[&run[..], &faults, &rest].concat());
         let (stdout, stderr) = (
             String::from_utf8_lossy(&out.stdout),
@@ -1125,6 +1128,12 @@ fn query_feedback_improve_is_golden() {
                 .any(|l| l == "7 judgment(s) withheld because queries degraded (skipped sources)"),
             "--threads {threads}: {stderr}"
         );
+        let dump = std::fs::read_to_string(&prom).expect("read metrics dump");
+        assert!(
+            dump.lines()
+                .any(|l| l == "alex_degraded_feedback_withheld_total 7"),
+            "--threads {threads}: {dump}"
+        );
         let sha = Command::new("sha256sum")
             .arg(&links)
             .output()
@@ -1134,6 +1143,60 @@ fn query_feedback_improve_is_golden() {
             Some("5266ee6f4b5345623a960967ea9ec9411fe08aec72a75b447631d0ed691e6648"),
             "--threads {threads}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A positional argument the command never reads exits 2 naming it, as
+/// an unread flag does, before any output is written.
+#[test]
+fn surplus_positional_arguments_exit_2_naming_them() {
+    let dir = workdir("surplus-positionals");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let query_file = p("q.rq");
+    std::fs::write(&query_file, "ASK { ?s ?p ?o }").expect("write query file");
+    let (data, out_dir) = (p("x.nt"), p("d"));
+    let ask = "ASK { ?s ?p ?o }";
+    let cases: [(&[&str], &str); 3] = [
+        (&["query", "--data", &data, ask, "garbage"], "garbage"),
+        (
+            &["query", "--data", &data, "--query-file", &query_file, ask],
+            ask,
+        ),
+        (&["gen", "--out-dir", &out_dir, "extra"], "extra"),
+    ];
+    for (args, surplus) in cases {
+        let out = alex().args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("argument '{surplus}' is not read")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!Path::new(&out_dir).exists(), "gen created its output dir");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An unreadable input stops `link`, `improve` and `query` before the
+/// `--telemetry` log is created.
+#[test]
+fn unreadable_inputs_leave_no_telemetry_log() {
+    let dir = workdir("unreadable-inputs");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let (data, log) = (p("missing.nt"), p("t.jsonl"));
+    let telemetry = ["--telemetry", log.as_str()];
+    let cases: [&[&str]; 3] = [
+        &["link", &data, &data],
+        &["improve", &data, &data, "--links", &data, "--truth", &data],
+        &["query", "--data", &data, "ASK { ?s ?p ?o }"],
+    ];
+    for args in cases {
+        let out = alex().args(args).args(telemetry).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("cannot read {data}")), "{stderr}");
+        assert!(!Path::new(&log).exists(), "{args:?} created the log");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

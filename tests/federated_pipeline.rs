@@ -1,7 +1,10 @@
 //! Integration across the query stack: federated SPARQL with sameAs
 //! provenance, the feedback bridge, and the agent — Fig. 1's architecture.
 
-use alex::core::{Agent, AlexConfig, Feedback, FeedbackBridge, LinkSpace, SpaceConfig};
+use alex::core::{
+    Agent, AlexConfig, Feedback, FeedbackBridge, FeedbackItem, LinkSpace, SourceId, SpaceConfig,
+    StepOutcome,
+};
 use alex::rdf::Dataset;
 use alex::sparql::{parse, DatasetEndpoint, FederatedEngine, Link, SameAsLinks};
 
@@ -48,6 +51,19 @@ fn federated_query(links: SameAsLinks, left: &Dataset, right: &Dataset) -> Feder
     engine
 }
 
+/// A user's judgment of a link, through the agent's one entry point.
+fn judge(agent: &mut Agent, pair: (u32, u32), feedback: Feedback) -> StepOutcome {
+    let state = agent
+        .space()
+        .id_of(pair.0, pair.1)
+        .expect("judged link is in the space");
+    agent.process_attributed(FeedbackItem {
+        state,
+        feedback,
+        source: SourceId::ANONYMOUS,
+    })
+}
+
 #[test]
 fn provenance_flows_from_answers_to_agent_feedback() {
     let (left, right) = knowledge_bases();
@@ -61,7 +77,7 @@ fn provenance_flows_from_answers_to_agent_feedback() {
     let bad_id = bridge.link_to_pair(&bad).expect("resolvable");
     let mut agent = Agent::new(space, &[good_id, bad_id], AlexConfig::default());
 
-    let engine = federated_query(
+    let mut engine = federated_query(
         SameAsLinks::from_pairs(vec![
             (good.left.clone(), good.right.clone()),
             (bad.left.clone(), bad.right.clone()),
@@ -82,9 +98,9 @@ fn provenance_flows_from_answers_to_agent_feedback() {
 
     // The user rejects it; the bridge routes the rejection to the agent.
     let items = bridge.feedback_for_answer(&answers[0], false);
-    assert_eq!(items, vec![(bad_id, Feedback::Negative)]);
-    for (pair, fb) in items {
-        agent.feedback_on_pair(pair, fb);
+    assert_eq!(items, Some(vec![(bad_id, Feedback::Negative)]));
+    for (pair, fb) in items.unwrap_or_default() {
+        judge(&mut agent, pair, fb);
     }
     assert!(
         !agent.candidate_pairs().contains(&bad_id),
@@ -92,12 +108,13 @@ fn provenance_flows_from_answers_to_agent_feedback() {
     );
     assert!(agent.candidate_pairs().contains(&good_id));
 
-    // Re-run the query with the agent's updated links: no more wrong answer.
-    let updated = SameAsLinks::from_pairs(agent.candidates().iter().map(|id| {
-        let (l, r) = agent.space().pair_terms(id);
-        (left.resolve(l).to_string(), right.resolve(r).to_string())
-    }));
-    let engine = federated_query(updated, &left, &right);
+    // Re-run the query over the agent's updated links: no more wrong answer.
+    engine.set_links(SameAsLinks::from_pairs(agent.candidates().iter().map(
+        |id| {
+            let (l, r) = agent.space().pair_terms(id);
+            (left.resolve(l).to_string(), right.resolve(r).to_string())
+        },
+    )));
     assert!(engine.execute(&query).expect("evaluates").is_empty());
 }
 
@@ -114,7 +131,7 @@ fn positive_answer_feedback_discovers_sibling_links() {
     // feature at 1.0 finds Turing and Hopper.
     let mut added = 0;
     for _ in 0..8 {
-        added += agent.feedback_on_pair(good_id, Feedback::Positive).added;
+        added += judge(&mut agent, good_id, Feedback::Positive).added;
     }
     assert!(added >= 2, "exploration should discover the sibling links");
     let pairs = agent.candidate_pairs();

@@ -12,13 +12,13 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use alex::core::{
-    driver, AdversarialPopulation, Agent, AlexConfig, Durability, FeedbackBridge, FeedbackSource,
-    LinkSpace, OracleFeedback, Partition, QueryFeedback, RunReport, SpaceConfig, StopReason,
-    TrustConfig,
+    driver, workload_from_links, AdversarialPopulation, Agent, AlexConfig, Durability,
+    FeedbackBridge, FeedbackSource, LinkSpace, OracleFeedback, Partition, QueryFeedback, RunReport,
+    SpaceConfig, StopReason, TrustConfig,
 };
 use alex::datagen::{
-    assign_roles, federated_queries, generate_pair, sample_initial_links, AdversaryProfile,
-    DatasetKind, Domain, Flavor, GeneratedPair, InitialLinksSpec, PairConfig, PairSpec, SideConfig,
+    assign_roles, generate_pair, sample_initial_links, AdversaryProfile, DatasetKind, Domain,
+    Flavor, GeneratedPair, InitialLinksSpec, PairConfig, PairSpec, SideConfig,
 };
 use alex::fault::FaultPlan;
 use alex::guard::{chaos, set_panic_policy, BreachPolicy, Budget, PanicPolicy, Supervisor};
@@ -226,12 +226,15 @@ pub fn synthetic_pair(seed: u64, sizes: [usize; 3], extra: Vec<Domain>) -> Gener
     })
 }
 
-/// Parsed generated queries over `pair`.
+/// At most `n` federated queries over `pair`, one per ground-truth link
+/// in order, each answerable only across that link.
 pub fn queries(pair: &GeneratedPair, n: usize) -> Vec<Query> {
-    federated_queries(pair, n, 3)
+    let truth: Vec<(String, String)> = pair
+        .ground_truth
         .iter()
-        .map(|q| parse(&q.sparql).expect("generated SPARQL parses"))
-        .collect()
+        .map(|&(l, r)| (pair.left.resolve(l).into(), pair.right.resolve(r).into()))
+        .collect();
+    workload_from_links(&pair.left, &pair.right, &truth, n)
 }
 
 /// Retries and a breaker quick enough for tests: `max_retries` retries
