@@ -72,6 +72,9 @@ pub struct EpisodeSummary {
     /// `degraded` with zero feedback means "sources were down", not
     /// "feedback dried up".
     pub degraded: usize,
+    /// Queries of the source that failed outright; nonzero with zero
+    /// feedback also means "sources were down".
+    pub failed: usize,
     /// Trust gate: feedback items admitted past the quorum.
     pub admitted: usize,
     /// Trust gate: feedback items deferred (buffered, not dropped).
@@ -142,33 +145,28 @@ pub struct Agent {
     episode: EpisodeState,
     episodes_completed: usize,
     base_fingerprint: u64,
-    base_admissions: usize,
     trust: Option<TrustGate>,
 }
 
 impl Agent {
     /// Create an agent over `space`, seeding the candidate set with
     /// `initial_links` (entity-id pairs from any automatic linker). Links
-    /// outside the blocked space are admitted via
-    /// [`LinkSpace::ensure_pair`].
+    /// outside the blocked space are admitted into it by
+    /// [`LinkSpace::admit`], the last change the space sees.
     ///
     /// # Panics
     ///
     /// When `cfg` fails [`AlexConfig::validate`].
-    pub fn new(mut space: LinkSpace, initial_links: &[(u32, u32)], cfg: AlexConfig) -> Agent {
+    pub fn new(space: LinkSpace, initial_links: &[(u32, u32)], cfg: AlexConfig) -> Agent {
         if let Err(e) = cfg.validate() {
             panic!("invalid AlexConfig: {e}");
         }
-        let mut candidates = CandidateSet::new();
-        for &(l, r) in initial_links {
-            let id = space.ensure_pair(l, r);
-            candidates.insert(id);
-        }
-        let base_fingerprint = persist::base_fingerprint(
+        let (space, ids) = space.admit(initial_links);
+        let candidates = CandidateSet::from_iter(ids);
+        let base_fingerprint = persist::combine_fingerprints([
             space.fingerprint(),
             persist::config_fingerprint(&cfg, space.theta()),
-        );
-        let base_admissions = space.admissions().len();
+        ]);
         Agent {
             space,
             candidates,
@@ -183,7 +181,6 @@ impl Agent {
             episode: EpisodeState::default(),
             episodes_completed: 0,
             base_fingerprint,
-            base_admissions,
         }
     }
 
@@ -237,15 +234,8 @@ impl Agent {
         pairs
     }
 
-    /// Process one feedback item (policy evaluation, Algorithm 1 lines
-    /// 11–22). Bypasses the trust gate: the judgment applies immediately, as
-    /// in the paper. Only [`Agent::process_attributed`] calls it, for an
-    /// ungated agent.
-    fn process_feedback(&mut self, state: PairId, feedback: Feedback) -> StepOutcome {
-        self.apply_feedback(state, feedback, None)
-    }
-
-    /// Apply one judgment to the learning state. When `undo` is supplied
+    /// Apply one judgment to the learning state (policy evaluation,
+    /// Algorithm 1 lines 11–22). When `undo` is supplied
     /// (the trust gate admitting buffered feedback), every mutation is
     /// recorded in it so a later discredit can revert this admission
     /// exactly.
@@ -405,7 +395,7 @@ impl Agent {
     /// contradicts are revoked by cascading rollback.
     pub fn process_attributed(&mut self, item: FeedbackItem) -> StepOutcome {
         let Some(mut gate) = self.trust.take() else {
-            return self.process_feedback(item.state, item.feedback);
+            return self.apply_feedback(item.state, item.feedback, None);
         };
         let positive = item.feedback == Feedback::Positive;
         gate.buffer.vote(item.state.0, item.source, positive);
@@ -718,6 +708,7 @@ impl Agent {
             summary.tally(&outcome);
         }
         summary.degraded = source.take_degraded();
+        summary.failed = source.take_failed();
         self.end_episode();
         summary
     }
@@ -762,7 +753,6 @@ impl Agent {
         AgentState {
             rng: self.rng.state(),
             episodes_completed: self.episodes_completed as u64,
-            admissions: self.space.admissions()[self.base_admissions..].to_vec(),
             candidates: self.candidates.iter().map(|id| id.0).collect(),
             approved,
             greedy,
@@ -776,15 +766,12 @@ impl Agent {
 
     /// Restore learning state captured by [`Agent::capture_state`] onto a
     /// *freshly constructed* agent over the same space, initial links, and
-    /// configuration. Admissions are replayed first so every persisted raw
-    /// id resolves to the same pair it named when captured. The state is
-    /// consumed: its return lists and admission log move into the agent.
+    /// configuration, whose space therefore gives every persisted raw id
+    /// the pair it named when captured. The state is consumed: its return
+    /// lists and admission log move into the agent.
     pub fn restore_state(&mut self, state: AgentState<'_>) -> Result<(), String> {
-        if self.space.admissions().len() != self.base_admissions || self.episodes_completed != 0 {
+        if self.episodes_completed != 0 {
             return Err("restore_state requires a freshly constructed agent".to_string());
-        }
-        for &(l, r) in &state.admissions {
-            self.space.ensure_pair(l, r);
         }
         let in_space = |raw: u32| -> Result<PairId, String> {
             if (raw as usize) < self.space.len() {
@@ -935,7 +922,7 @@ mod tests {
         // matches, and the type feature finds everything same-typed.
         let mut total_added = 0;
         for _ in 0..10 {
-            let out = agent.process_feedback(id, Feedback::Positive);
+            let out = agent.apply_feedback(id, Feedback::Positive, None);
             total_added += out.added;
         }
         assert!(total_added > 0, "exploration never added a link");
@@ -946,13 +933,13 @@ mod tests {
     fn negative_feedback_removes_and_blacklists() {
         let mut agent = agent_with_initial(&[(0, 0), (0, 1)]);
         let wrong = agent.space().id_of(0, 1).unwrap();
-        let out = agent.process_feedback(wrong, Feedback::Negative);
+        let out = agent.apply_feedback(wrong, Feedback::Negative, None);
         assert_eq!(out.removed, 1);
         assert!(!agent.candidates().contains(wrong));
         // Two strikes block the link permanently (§6.3 with the Appendix C
         // two-strike resilience rule).
         assert_eq!(agent.blacklisted(), 0);
-        agent.process_feedback(wrong, Feedback::Negative);
+        agent.apply_feedback(wrong, Feedback::Negative, None);
         assert_eq!(agent.blacklisted(), 1);
     }
 
@@ -960,11 +947,11 @@ mod tests {
     fn blacklisted_links_are_not_rediscovered() {
         let mut agent = agent_with_initial(&[(0, 0), (0, 1)]);
         let wrong = agent.space().id_of(0, 1).unwrap();
-        agent.process_feedback(wrong, Feedback::Negative);
-        agent.process_feedback(wrong, Feedback::Negative); // second strike
+        agent.apply_feedback(wrong, Feedback::Negative, None);
+        agent.apply_feedback(wrong, Feedback::Negative, None); // second strike
         let good = agent.space().id_of(0, 0).unwrap();
         for _ in 0..20 {
-            agent.process_feedback(good, Feedback::Positive);
+            agent.apply_feedback(good, Feedback::Positive, None);
         }
         assert!(
             !agent.candidates().contains(wrong),
@@ -980,7 +967,7 @@ mod tests {
         let mut action = None;
         let mut discovered = Vec::new();
         for _ in 0..10 {
-            let out = agent.process_feedback(s0, Feedback::Positive);
+            let out = agent.apply_feedback(s0, Feedback::Positive, None);
             if out.added > 0 {
                 action = out.action;
                 discovered = agent.candidates().iter().filter(|&id| id != s0).collect();
@@ -990,16 +977,16 @@ mod tests {
         let action = action.expect("exploration should fire");
         let child = *discovered.first().expect("a discovered link");
         let before = agent.qvalues().observations(s0, action);
-        agent.process_feedback(child, Feedback::Positive);
+        agent.apply_feedback(child, Feedback::Positive, None);
         assert_eq!(agent.qvalues().observations(s0, action), before + 1);
         // Second visit in the same episode: no additional return.
-        agent.process_feedback(child, Feedback::Negative);
+        agent.apply_feedback(child, Feedback::Negative, None);
         assert_eq!(agent.qvalues().observations(s0, action), before + 1);
         // New episode: a fresh first visit counts again.
         agent.end_episode();
         // child was removed by the negative feedback; a judgment still
         // credits its ancestors.
-        agent.process_feedback(child, Feedback::Positive);
+        agent.apply_feedback(child, Feedback::Positive, None);
         assert_eq!(agent.qvalues().observations(s0, action), before + 2);
     }
 
@@ -1014,7 +1001,7 @@ mod tests {
         // Explore until something is added.
         let mut added = 0;
         for _ in 0..20 {
-            added += agent.process_feedback(s0, Feedback::Positive).added;
+            added += agent.apply_feedback(s0, Feedback::Positive, None).added;
             if added >= 3 {
                 break;
             }
@@ -1023,8 +1010,8 @@ mod tests {
         let generated: Vec<PairId> = agent.candidates().iter().filter(|&id| id != s0).collect();
         // Two negatives on generated links trigger a rollback of the rest.
         let n_before = agent.candidates().len();
-        agent.process_feedback(generated[0], Feedback::Negative);
-        let out = agent.process_feedback(generated[1], Feedback::Negative);
+        agent.apply_feedback(generated[0], Feedback::Negative, None);
+        let out = agent.apply_feedback(generated[1], Feedback::Negative, None);
         assert!(
             out.rolled_back || agent.candidates().len() < n_before - 2,
             "rollback should fire once the tally reaches the threshold"
@@ -1044,14 +1031,14 @@ mod tests {
         let s0 = agent.space().id_of(0, 0).unwrap();
         let mut added = 0;
         for _ in 0..20 {
-            added += agent.process_feedback(s0, Feedback::Positive).added;
+            added += agent.apply_feedback(s0, Feedback::Positive, None).added;
             if added >= 3 {
                 break;
             }
         }
         let generated: Vec<PairId> = agent.candidates().iter().filter(|&id| id != s0).collect();
         let before = agent.candidates().len();
-        let out = agent.process_feedback(generated[0], Feedback::Negative);
+        let out = agent.apply_feedback(generated[0], Feedback::Negative, None);
         assert!(!out.rolled_back);
         assert_eq!(
             agent.candidates().len(),
@@ -1067,11 +1054,11 @@ mod tests {
         // Generate exploration and feedback so some action accumulates
         // positive returns.
         for _ in 0..5 {
-            agent.process_feedback(s0, Feedback::Positive);
+            agent.apply_feedback(s0, Feedback::Positive, None);
         }
         let children: Vec<PairId> = agent.candidates().iter().filter(|&id| id != s0).collect();
         for &c in children.iter().take(3) {
-            agent.process_feedback(c, Feedback::Positive);
+            agent.apply_feedback(c, Feedback::Positive, None);
         }
         agent.end_episode();
         assert_eq!(agent.episodes_completed(), 1);

@@ -28,40 +28,24 @@ impl FeedbackBridge {
         right: &Dataset,
         right_index: &EntityIndex,
     ) -> FeedbackBridge {
-        let mut left_ids = HashMap::with_capacity(left_index.len());
-        for (id, term) in left_index.iter() {
-            if let Term::Iri(sym) = term {
-                left_ids.insert(left.resolve_sym(sym).to_string(), id);
-            }
-        }
-        let mut right_ids = HashMap::with_capacity(right_index.len());
-        for (id, term) in right_index.iter() {
-            if let Term::Iri(sym) = term {
-                right_ids.insert(right.resolve_sym(sym).to_string(), id);
-            }
-        }
+        let ids = |ds: &Dataset, index: &EntityIndex| -> HashMap<String, u32> {
+            let iri = |(id, term)| match term {
+                Term::Iri(sym) => Some((ds.resolve_sym(sym).to_string(), id)),
+                _ => None,
+            };
+            index.iter().filter_map(iri).collect()
+        };
         FeedbackBridge {
-            left_ids,
-            right_ids,
+            left_ids: ids(left, left_index),
+            right_ids: ids(right, right_index),
         }
     }
 
     /// Resolve a sameAs link to an entity-id pair, trying both orientations
     /// (the engine preserves the stored orientation, which may be either).
     pub fn link_to_pair(&self, link: &Link) -> Option<(u32, u32)> {
-        if let (Some(&l), Some(&r)) = (
-            self.left_ids.get(&link.left),
-            self.right_ids.get(&link.right),
-        ) {
-            return Some((l, r));
-        }
-        if let (Some(&l), Some(&r)) = (
-            self.left_ids.get(&link.right),
-            self.right_ids.get(&link.left),
-        ) {
-            return Some((l, r));
-        }
-        None
+        let pair = |l: &str, r: &str| Some((*self.left_ids.get(l)?, *self.right_ids.get(r)?));
+        pair(&link.left, &link.right).or_else(|| pair(&link.right, &link.left))
     }
 
     /// Translate a judgment of a query answer into per-link feedback:

@@ -99,6 +99,9 @@ pub struct RunReport {
     /// degraded ([`EpisodeSummary::degraded`]), summed over every live
     /// round, skipped episodes included.
     pub withheld_judgments: usize,
+    /// Queries of the feedback sources that failed outright
+    /// ([`EpisodeSummary::failed`]), summed likewise.
+    pub failed_queries: usize,
 }
 
 impl RunReport {
@@ -257,6 +260,10 @@ impl FeedbackSource for RecordingSource<'_> {
     fn take_degraded(&mut self) -> usize {
         self.inner.take_degraded()
     }
+
+    fn take_failed(&mut self) -> usize {
+        self.inner.take_failed()
+    }
 }
 
 /// What one partition's round produced.
@@ -381,6 +388,7 @@ struct RunState {
     stop: Option<StopReason>,
     recovered_from: u64,
     withheld_judgments: usize,
+    failed_queries: usize,
 }
 
 /// Per-episode bookkeeping: each partition is snapshotted and scored once
@@ -643,6 +651,7 @@ pub fn run_partitions(
         stop: None,
         recovered_from: 0,
         withheld_judgments: 0,
+        failed_queries: 0,
     };
     let mut start_episode = 1usize;
     let max_episodes = parts[0].agent.config().max_episodes;
@@ -776,14 +785,16 @@ pub fn run_partitions(
             let duration = episode_span.elapsed();
             let withheld: usize = rounds.iter().map(|r| r.summary.degraded).sum();
             st.withheld_judgments += withheld;
+            let failed: usize = rounds.iter().map(|r| r.summary.failed).sum();
+            st.failed_queries += failed;
 
             let items: usize = rounds.iter().map(|r| r.summary.feedback_items()).sum();
             if items == 0 {
-                if withheld > 0 {
-                    // Every judgment this episode was withheld because
-                    // queries degraded (sources down). Skip the episode —
-                    // record nothing, corrupt nothing — and try again: the
-                    // breakers may recover.
+                if withheld > 0 || failed > 0 {
+                    // Every judgment this episode was withheld, or its
+                    // queries failed, because sources were down. Skip the
+                    // episode — record nothing, corrupt nothing — and try
+                    // again: the breakers may recover.
                     counter!("alex_degraded_episodes_skipped_total").inc();
                     continue;
                 }
@@ -887,6 +898,7 @@ pub fn run_partitions(
         relaxed_converged_at: st.relaxed_converged_at,
         total_duration: run_span.elapsed(),
         withheld_judgments: st.withheld_judgments,
+        failed_queries: st.failed_queries,
     })
 }
 

@@ -68,6 +68,13 @@ pub trait FeedbackSource: Send {
         0
     }
 
+    /// Queries that failed outright since the last call (a fail-fast
+    /// endpoint error); returns the count and resets it. They withhold no
+    /// judgment, but, like withheld ones, make a dry episode a skip.
+    fn take_failed(&mut self) -> usize {
+        0
+    }
+
     /// Serialized internal state for crash-durable runs, or `None` when the
     /// source cannot be made durable (e.g. live users). Durable runs persist
     /// this after every episode so a resumed run replays the *same* feedback
@@ -95,11 +102,7 @@ pub struct OracleFeedback {
 impl OracleFeedback {
     /// An oracle over ground-truth `(left id, right id)` pairs.
     pub fn new(truth: HashSet<(u32, u32)>, seed: u64) -> Self {
-        OracleFeedback {
-            truth,
-            error_rate: 0.0,
-            rng: StdRng::seed_from_u64(seed),
-        }
+        OracleFeedback::with_error_rate(truth, 0.0, seed)
     }
 
     /// An oracle that flips each judgment with probability `error_rate`

@@ -3,9 +3,10 @@
 //! A pair id is already a dense index into its link space, so the agent's
 //! per-link learning state (approvals, blacklist votes, provenance
 //! attribution, greedy actions, per-episode visit sets) keeps one `Vec`
-//! slot per id instead of hashing the id. Both containers grow on insert:
-//! [`crate::LinkSpace::ensure_pair`] can hand out ids past the blocked
-//! space after an agent was built. Iteration runs in ascending id order.
+//! slot per id instead of hashing the id. Both containers grow on insert,
+//! up to the largest id seen, so they need not be told the size of the
+//! space, which is fixed once its agent is built ([`crate::LinkSpace::admit`]
+//! is its last change). Iteration runs in ascending id order.
 
 use crate::space::PairId;
 

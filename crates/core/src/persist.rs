@@ -50,19 +50,11 @@ use crate::trust_gate::{AdmissionRecord, BitMask, RollbackUndo, WindowList};
 
 /// Version of the domain encoding (independent of the store-layer framing).
 /// Snapshots and journal records carry the same version, and a payload of
-/// any other version is rejected, not converted.
-/// Version 5 writes admission-log footprints as windows of a score index
-/// plus bit masks ([`WindowList`], [`BitMask`]) instead of explicit
-/// `PairId` lists; the journal record layout is unchanged, only its
-/// version word moved.
-/// Version 4 made snapshots and journal records carry a list of partitions
-/// (agent state, source state, episode history / judged items each).
-/// Version 3 added the `degraded` budget-breach marker to episode stats
-/// and journal records (run supervision).
-/// Version 2 added feedback-source attribution to journal items and the
-/// trust-layer block (reliability counts, pending quorum votes, admission
-/// log) to snapshots.
-pub const FORMAT_VERSION: u32 = 5;
+/// any other version is rejected, not converted. Version 6 writes every
+/// length and footprint window as LEB128 and keeps no list of pairs
+/// admitted after the agent was built; `tests/corpus/README.md` lists what
+/// each earlier version changed.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Serialized learning state of an [`crate::Agent`], captured after an
 /// episode boundary.
@@ -72,9 +64,6 @@ pub struct AgentState<'a> {
     pub rng: [u64; 4],
     /// Episodes the agent has completed.
     pub episodes_completed: u64,
-    /// Pairs admitted via `ensure_pair` after agent construction, in
-    /// admission order (replayed to reproduce `PairId` assignment).
-    pub admissions: Vec<(u32, u32)>,
     /// Candidate set, raw pair ids in insertion order (sampling order
     /// depends on it).
     pub candidates: Vec<u32>,
@@ -218,7 +207,8 @@ pub fn config_fingerprint(cfg: &AlexConfig, theta: f64) -> u64 {
     h
 }
 
-/// Combine fingerprints, in order, into one: a space and a config
+/// Order-sensitive FNV-1a fingerprint of `parts`, each as its eight
+/// little-endian bytes: a link space's words, a space and a config
 /// fingerprint into an agent's base fingerprint, or the partition agents'
 /// base fingerprints into a run's.
 pub fn combine_fingerprints(parts: impl IntoIterator<Item = u64>) -> u64 {
@@ -229,19 +219,13 @@ pub fn combine_fingerprints(parts: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Combine a space fingerprint and a config fingerprint into the run's base
-/// fingerprint.
-pub fn base_fingerprint(space: u64, config: u64) -> u64 {
-    combine_fingerprints([space, config])
-}
-
 fn err(what: &str) -> String {
     format!("corrupt durable state: {what}")
 }
 
-/// Write a length-prefixed list.
+/// Write a list prefixed with its LEB128 length.
 fn put_list<T>(w: &mut ByteWriter, items: &[T], mut put: impl FnMut(&mut ByteWriter, &T)) {
-    w.u64(items.len() as u64);
+    w.varint(items.len() as u64);
     for item in items {
         put(w, item);
     }
@@ -341,7 +325,6 @@ fn put_agent(w: &mut ByteWriter, a: &AgentState<'_>) {
         w.u64(word);
     }
     w.u64(a.episodes_completed);
-    put_list(w, &a.admissions, put_pair);
     put_list(w, &a.candidates, |w, &id| w.u32(id));
     put_list(w, &a.approved, |w, &id| w.u32(id));
     put_list(w, &a.greedy, put_pair);
@@ -374,7 +357,6 @@ fn get_agent(r: &mut ByteReader) -> Result<AgentState<'static>, CodecError> {
     Ok(AgentState {
         rng,
         episodes_completed: r.u64("episodes completed")?,
-        admissions: get_list(r, "admissions", |r| get_pair(r, "admission"))?,
         candidates: get_list(r, "candidates", |r| r.u32("candidate id"))?,
         approved: get_list(r, "approved", |r| r.u32("approved id"))?,
         greedy: get_list(r, "greedy", |r| get_pair(r, "greedy action"))?,
@@ -461,10 +443,6 @@ fn get_source(r: &mut ByteReader, what: &'static str) -> Result<SourceId, CodecE
     r.u32(what).map(SourceId)
 }
 
-fn get_link(r: &mut ByteReader, what: &'static str) -> Result<PairId, CodecError> {
-    r.u32(what).map(PairId)
-}
-
 /// Write a bit mask as its list of words.
 fn put_mask(w: &mut ByteWriter, mask: &BitMask) {
     put_list(w, mask.words(), |w, &word| w.u64(word));
@@ -478,11 +456,11 @@ fn get_mask(r: &mut ByteReader, what: &'static str) -> Result<BitMask, CodecErro
     })
 }
 
-/// Write a footprint as its window and its segments' masks.
+/// Write a footprint as its window, in LEB128, and its segments' masks.
 fn put_window_list(w: &mut ByteWriter, list: &WindowList) {
-    w.u32(list.window.feature.0);
-    w.u32(list.window.start);
-    w.u32(list.window.end);
+    w.varint(u64::from(list.window.feature.0));
+    w.varint(u64::from(list.window.start));
+    w.varint(u64::from(list.window.end));
     put_list(w, &list.segments, put_mask);
 }
 
@@ -490,10 +468,17 @@ fn put_window_list(w: &mut ByteWriter, list: &WindowList) {
 /// non-empty and lie inside the window. Whether the window lies inside
 /// the space is checked on restore, against the rebuilt space.
 fn get_window_list(r: &mut ByteReader, what: &'static str) -> Result<WindowList, CodecError> {
+    let mut position = || -> Result<u32, CodecError> {
+        let at = r.position();
+        u32::try_from(r.varint(what)?).map_err(|_| CodecError {
+            context: what,
+            offset: at,
+        })
+    };
     let window = Window {
-        feature: FeatureId(r.u32(what)?),
-        start: r.u32(what)?,
-        end: r.u32(what)?,
+        feature: FeatureId(position()?),
+        start: position()?,
+        end: position()?,
     };
     let list = WindowList {
         window,
@@ -548,7 +533,7 @@ fn get_rollback(r: &mut ByteReader) -> Result<RollbackUndo, CodecError> {
 }
 
 fn get_record(r: &mut ByteReader) -> Result<AdmissionRecord, CodecError> {
-    let state = get_link(r, "admission state")?;
+    let state = PairId(r.u32("admission state")?);
     let positive = get_bool(r, "admission direction")?;
     let supporters = get_list(r, "admission supporters", |r| get_source(r, "supporter"))?;
     let opposers = get_list(r, "admission opposers", |r| get_source(r, "opposer"))?;
@@ -734,7 +719,6 @@ mod tests {
                 agent: AgentState {
                     rng: [1, 2, 3, u64::MAX],
                     episodes_completed: 7,
-                    admissions: vec![(9, 12), (0, 3)],
                     candidates: vec![4, 1, 0],
                     approved: vec![0, 4],
                     greedy: vec![(0, 2), (4, 1)],
@@ -976,7 +960,7 @@ mod tests {
             .windows(attributed.len())
             .position(|w| w == attributed)
             .expect("attributed mask in the encoding");
-        bytes[at + 8..at + 16].fill(0);
+        bytes[at + 1..at + 9].fill(0);
         let err = get_trust(&mut ByteReader::new(&bytes)).unwrap_err();
         assert!(err.context.contains("trailing zero word"), "{err}");
     }
@@ -1003,7 +987,7 @@ mod tests {
 
     #[test]
     fn trust_snapshot_layout_is_pinned() {
-        // FNV-1a of the format-5 bytes: state dirs already written must
+        // FNV-1a of the format-6 bytes: state dirs already written must
         // keep decoding, so the layout may not drift under the same version.
         let mut snap = sample_snapshot();
         snap.partitions[0].agent.trust = Some(sample_trust());
@@ -1012,7 +996,7 @@ mod tests {
             .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
-        assert_eq!(format!("{digest:016x}"), "30b137759fd5ef2f");
+        assert_eq!(format!("{digest:016x}"), "25efc22ad1264954");
     }
 
     #[test]
@@ -1063,7 +1047,7 @@ mod tests {
         let msg = decode_snapshot(&bytes).unwrap_err();
         assert_eq!(
             msg,
-            "state dir snapshot is in persist format 4, but this build reads format 5 and \
+            "state dir snapshot is in persist format 4, but this build reads format 6 and \
              does not convert between formats (start a fresh run with a new --state-dir)"
         );
         let mut bytes = encode_episode(&EpisodeRecord {

@@ -13,11 +13,14 @@
 //! may look wrong only because a down source withheld its join partners.
 //! [`FeedbackBridge::feedback_for_answer`] makes that call for every
 //! answer; withheld judgments are reported through
-//! [`FeedbackSource::take_degraded`], so the driver can skip the episode
-//! instead of mistaking an outage for convergence; their run total is
-//! [`RunReport::withheld_judgments`](crate::driver::RunReport::withheld_judgments).
+//! [`FeedbackSource::take_degraded`], and queries a fail-fast engine
+//! fails through [`FeedbackSource::take_failed`], so the driver can skip
+//! the episode instead of mistaking an outage for convergence; their run
+//! totals are [`RunReport::withheld_judgments`](crate::driver::RunReport::withheld_judgments)
+//! and [`RunReport::failed_queries`](crate::driver::RunReport::failed_queries).
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use alex_rdf::Dataset;
 use alex_sparql::{parse, FederatedEngine, Link, Query};
@@ -32,8 +35,8 @@ use crate::space::{LinkSpace, PairId};
 /// truth and feeds the verdicts back as link-level feedback.
 pub struct QueryFeedback {
     engine: FederatedEngine,
-    left: Dataset,
-    right: Dataset,
+    left: Arc<Dataset>,
+    right: Arc<Dataset>,
     queries: Vec<Query>,
     bridge: FeedbackBridge,
     truth: HashSet<(u32, u32)>,
@@ -41,29 +44,29 @@ pub struct QueryFeedback {
     /// Judgments withheld because the producing query degraded, since the
     /// last `take_degraded` call.
     degraded: usize,
+    /// Queries that failed outright since the last `take_failed` call.
+    failed: usize,
     /// Round-robin position in the workload.
     cursor: usize,
     /// The candidate pairs the engine's link index holds, sorted: what
-    /// the last refill synced. The source owns the index, so the next
-    /// refill diffs ids against this.
+    /// the last refill synced. The source owns the engine and lends it out
+    /// only immutably, so the next refill diffs ids against this.
     synced: Vec<PairId>,
-    /// The index's closure generation right after the last sync; any
-    /// other mutation would bump it.
-    synced_generation: u64,
 }
 
 impl QueryFeedback {
     /// Build a source over `engine` (endpoints already registered, fault
     /// wrappers and resilience applied by the caller). `left`/`right` are
     /// used to resolve the agent's candidate pairs back to IRIs when
-    /// syncing the engine's link index; `truth` holds ground-truth
+    /// syncing the engine's link index (pass the `Arc`s the endpoints
+    /// hold to keep one copy of each data set); `truth` holds ground-truth
     /// entity-id pairs for judging answers. From here on the source owns
     /// the engine's link index: links already in it are removed, and
     /// every later mutation is a refill's.
     pub fn new(
         mut engine: FederatedEngine,
-        left: Dataset,
-        right: Dataset,
+        left: impl Into<Arc<Dataset>>,
+        right: impl Into<Arc<Dataset>>,
         queries: Vec<Query>,
         bridge: FeedbackBridge,
         truth: HashSet<(u32, u32)>,
@@ -72,19 +75,18 @@ impl QueryFeedback {
         for link in &foreign {
             engine.links_mut().remove(link);
         }
-        let synced_generation = engine.links().generation();
         QueryFeedback {
             engine,
-            left,
-            right,
+            left: left.into(),
+            right: right.into(),
             queries,
             bridge,
             truth,
             pending: VecDeque::new(),
             degraded: 0,
+            failed: 0,
             cursor: 0,
             synced: Vec::new(),
-            synced_generation,
         }
     }
 
@@ -98,12 +100,6 @@ impl QueryFeedback {
         &self.engine
     }
 
-    /// Mutably borrow the engine (e.g. to enable the answer cache after
-    /// construction).
-    pub fn engine_mut(&mut self) -> &mut FederatedEngine {
-        &mut self.engine
-    }
-
     /// Make the engine's link index equal the candidate set, issuing only
     /// the actual adds/removes. Every exploration add, rejection remove,
     /// blacklist, rollback, and resume-replay thus costs the index exactly
@@ -115,11 +111,6 @@ impl QueryFeedback {
     /// `equivalents()` and with it answer order — does not depend on how
     /// the diff is found.
     fn sync_links(&mut self, candidates: &CandidateSet, space: &LinkSpace) {
-        debug_assert_eq!(
-            self.engine.links().generation(),
-            self.synced_generation,
-            "the engine's link index was mutated outside QueryFeedback"
-        );
         let mut desired: Vec<PairId> = candidates.iter().collect();
         desired.sort_unstable();
         desired.dedup();
@@ -148,7 +139,6 @@ impl QueryFeedback {
             }
         }
         debug_assert_eq!(links.len(), desired.len(), "pairs and links must map 1:1");
-        self.synced_generation = links.generation();
         self.synced = desired;
     }
 
@@ -178,10 +168,11 @@ impl QueryFeedback {
                     }
                 }
                 Err(_) => {
-                    // Fail-fast engines surface endpoint errors; treat the
-                    // whole query as degraded rather than crashing the run.
+                    // Fail-fast engines surface endpoint errors: the query
+                    // gives no judgment, withheld or not, and the run
+                    // goes on.
                     counter!("alex_query_feedback_errors_total").inc();
-                    self.degraded += 1;
+                    self.failed += 1;
                 }
             }
             if !self.pending.is_empty() {
@@ -214,6 +205,10 @@ impl FeedbackSource for QueryFeedback {
 
     fn take_degraded(&mut self) -> usize {
         std::mem::take(&mut self.degraded)
+    }
+
+    fn take_failed(&mut self) -> usize {
+        std::mem::take(&mut self.failed)
     }
 }
 
@@ -307,9 +302,13 @@ mod tests {
             .collect()
     }
 
+    /// The links the tests put in the candidate set, admitted while the
+    /// space is built, as an agent's initial links are.
+    const LINKS: [(u32, u32); 3] = [(0, 0), (1, 2), (1, 1)];
+
     fn build_source(engine_faulty: bool) -> (QueryFeedback, LinkSpace, HashSet<(u32, u32)>) {
         let (left, right) = datasets();
-        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let (space, _) = LinkSpace::build(&left, &right, &SpaceConfig::default()).admit(&LINKS);
         let bridge = FeedbackBridge::new(&left, space.left_index(), &right, space.right_index());
         let links = truth_links();
         let queries = workload_from_links(&left, &right, &links, 10);
@@ -332,13 +331,16 @@ mod tests {
         (source, space, truth)
     }
 
+    /// The candidate set of `links`, which must be in `space`.
+    fn candidates_of(space: &LinkSpace, links: &[(u32, u32)]) -> CandidateSet {
+        CandidateSet::from_iter(links.iter().map(|&(l, r)| space.id_of(l, r).unwrap()))
+    }
+
     #[test]
     fn judges_answers_against_truth() {
-        let (mut source, mut space, truth) = build_source(false);
-        let mut candidates = CandidateSet::new();
+        let (mut source, space, truth) = build_source(false);
         // One correct link and one wrong link in the candidate set.
-        candidates.insert(space.ensure_pair(0, 0));
-        candidates.insert(space.ensure_pair(1, 2));
+        let candidates = candidates_of(&space, &[(0, 0), (1, 2)]);
         let mut saw_positive = false;
         let mut saw_negative = false;
         for _ in 0..20 {
@@ -364,10 +366,8 @@ mod tests {
 
     #[test]
     fn dead_source_degrades_instead_of_judging() {
-        let (mut source, mut space, _) = build_source(true);
-        let mut candidates = CandidateSet::new();
-        candidates.insert(space.ensure_pair(0, 0));
-        candidates.insert(space.ensure_pair(1, 2));
+        let (mut source, space, _) = build_source(true);
+        let candidates = candidates_of(&space, &[(0, 0), (1, 2)]);
         // The left endpoint is hard-down: anchors never match, so queries
         // produce no judgeable answers — but crucially no negatives either.
         assert_eq!(source.next(&candidates, &space), None);
@@ -382,13 +382,11 @@ mod tests {
 
     #[test]
     fn refill_syncs_links_incrementally() {
-        let (mut source, mut space, _) = build_source(false);
+        let (mut source, space, _) = build_source(false);
         let start = source.engine().links().generation();
 
         // First sync: both candidates appear as adds (exploration path).
-        let mut candidates = CandidateSet::new();
-        candidates.insert(space.ensure_pair(0, 0));
-        candidates.insert(space.ensure_pair(1, 1));
+        let candidates = candidates_of(&space, &[(0, 0), (1, 1)]);
         assert!(source.next(&candidates, &space).is_some());
         let links: Vec<Link> = source.engine().links().iter().cloned().collect();
         assert_eq!(
@@ -403,8 +401,7 @@ mod tests {
         // Shrinking the candidate set (rejection/rollback path) must cost
         // exactly one effective mutation — not a rebuild of everything,
         // and the surviving link is never removed and re-added.
-        let mut shrunk = CandidateSet::new();
-        shrunk.insert(space.ensure_pair(0, 0));
+        let shrunk = candidates_of(&space, &[(0, 0)]);
         let dropped = Link::new("http://l/1", "http://r/1");
         for _ in 0..40 {
             if !source.engine().links().contains(&dropped) {
@@ -472,7 +469,9 @@ mod tests {
             left.add_str(&format!("http://l/{i}"), "http://l/label", &format!("e{i}"));
             right.add_str(&format!("http://r/{i}"), "http://r/name", &format!("e{i}"));
         }
-        let mut space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        // Every pair is in the space, so churn can pick any of them.
+        let all: Vec<(u32, u32)> = (0..N).flat_map(|l| (0..N).map(move |r| (l, r))).collect();
+        let (space, _) = LinkSpace::build(&left, &right, &SpaceConfig::default()).admit(&all);
         let bridge = FeedbackBridge::new(&left, space.left_index(), &right, space.right_index());
         let mut source = QueryFeedback::new(
             FederatedEngine::new(),
@@ -489,8 +488,10 @@ mod tests {
         let mut history: Vec<Vec<PairId>> = Vec::new();
         let mut kinds = [0usize; 5];
         for step in 0..300 {
-            let mut random_pair = |rng: &mut StdRng| {
-                space.ensure_pair(rng.random_range(0..N), rng.random_range(0..N))
+            let random_pair = |rng: &mut StdRng| {
+                space
+                    .id_of(rng.random_range(0..N), rng.random_range(0..N))
+                    .unwrap()
             };
             let kind = rng.random_range(0..5usize);
             kinds[kind] += 1;
@@ -581,18 +582,6 @@ mod tests {
         assert!(source.engine().links().is_empty());
         source.sync_links(&CandidateSet::new(), &space);
         assert!(source.engine().links().is_empty());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "mutated outside QueryFeedback")]
-    fn foreign_link_mutation_trips_the_sync_check() {
-        let (mut source, space, _) = build_source(false);
-        source
-            .engine_mut()
-            .links_mut()
-            .add(Link::new("http://l/0", "http://r/1"));
-        source.sync_links(&CandidateSet::new(), &space);
     }
 
     #[test]

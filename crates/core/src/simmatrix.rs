@@ -11,8 +11,8 @@
 //! value pair is a function of two ids. A link-space build scores every
 //! distinct value pair its candidates meet once, into a θ-sparse
 //! [`alex_linking::scores::ValueScores`] table, and reads the matrices
-//! from it; a pair outside the blocked candidates
-//! ([`crate::LinkSpace::ensure_pair`]) is scored directly with
+//! from it; an initial link outside the blocked candidates
+//! ([`crate::LinkSpace::admit`]) is scored directly with
 //! [`alex_sim::prepared_similarity`].
 
 use alex_linking::values::ValueId;

@@ -13,15 +13,15 @@
 //! `(left value, right value)` pair the kept candidates meet is scored
 //! once, and only scores `>= θ` are stored, since §4.1 discards the rest.
 //! [`LinkSpace::partitions`] builds the `n` partitions of a batch run from
-//! one such table; [`LinkSpace::ensure_pair`], which admits pairs outside
-//! the candidates, scores directly.
+//! one such table. [`LinkSpace::admit`], the last step of building the
+//! space an agent explores, adds the initial links blocking missed and
+//! scores them directly; after it the space does not change.
 //!
 //! The exploration primitive (§4.2) — "find all links whose value for
 //! feature `f` lies in `[v − step, v + step]`" — is served by per-feature
 //! arrays sorted by score (binary search, output-linear).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use alex_linking::scores::ValueScores;
@@ -267,13 +267,14 @@ pub struct LinkSpace {
     left_values: Arc<SideValues>,
     right_values: Arc<SideValues>,
     /// Every pair by `PairId`: the built pairs, strictly increasing by
-    /// `(left, right)`, then the [`LinkSpace::ensure_pair`] admissions in
+    /// `(left, right)`, then the [`LinkSpace::admit`]ted pairs in
     /// admission order.
     pairs: Vec<(u32, u32)>,
     /// Number of built pairs, the sorted prefix of `pairs`.
     built: usize,
-    /// `PairId`s of the admitted pairs, which the sorted prefix cannot find.
-    admitted_ids: HashMap<(u32, u32), PairId>,
+    /// The admitted pairs' ids, sorted by pair: the index `id_of` searches
+    /// past the sorted prefix.
+    admitted: Vec<PairId>,
     /// Pair `i`'s feature set is `set_entries[set_starts[i]..set_starts[i + 1]]`.
     set_starts: Vec<u32>,
     set_entries: Vec<(FeatureId, f64)>,
@@ -405,7 +406,7 @@ impl LinkSpace {
             right_values: Arc::clone(&sides.right_values),
             built: pairs.len(),
             pairs,
-            admitted_ids: HashMap::new(),
+            admitted: Vec::new(),
             set_starts,
             set_entries,
             by_feature,
@@ -471,7 +472,11 @@ impl LinkSpace {
     pub fn id_of(&self, left: u32, right: u32) -> Option<PairId> {
         match self.pairs[..self.built].binary_search(&(left, right)) {
             Ok(i) => Some(PairId(i as u32)),
-            Err(_) => self.admitted_ids.get(&(left, right)).copied(),
+            Err(_) => self
+                .admitted
+                .binary_search_by_key(&(left, right), |&id| self.pair(id))
+                .ok()
+                .map(|at| self.admitted[at]),
         }
     }
 
@@ -486,48 +491,44 @@ impl LinkSpace {
         (0..self.pairs.len() as u32).map(PairId)
     }
 
-    /// Ensure `(left, right)` is in the space (used to admit initial
-    /// candidate links that blocking did not enumerate). Computes the
-    /// feature set on demand; a pair with no feature above θ is still
-    /// admitted with an empty set (it is a candidate link, just one with no
-    /// exploration directions).
-    ///
-    /// A new pair is inserted into the middle of its features' score
-    /// indexes, which shifts the positions of every [`Window`] past it; a
-    /// trust-gated agent therefore admits no pair once its admission log,
-    /// which records footprints as windows, is non-empty.
-    pub fn ensure_pair(&mut self, left: u32, right: u32) -> PairId {
-        if let Some(id) = self.id_of(left, right) {
-            return id;
+    /// The space with `links` in it, and each link's pair id: the last step
+    /// of building the space an agent explores, which admits the initial
+    /// links blocking missed. A new pair takes the next `PairId`, in link
+    /// order, with its feature set scored directly (empty when no feature
+    /// reaches θ), new features take the next `FeatureId`s, and the pair
+    /// enters each score index before every pair of equal score.
+    pub fn admit(mut self, links: &[(u32, u32)]) -> (LinkSpace, Vec<PairId>) {
+        let mut ids = Vec::with_capacity(links.len());
+        for &(left, right) in links {
+            if let Some(id) = self.id_of(left, right) {
+                ids.push(id);
+                continue;
+            }
+            let (lv, rv) = (&self.left_values, &self.right_values);
+            let sf = feature_set(
+                lv.attrs(left),
+                rv.attrs(right),
+                self.theta,
+                |a, b| prepared_similarity(lv.value(a), rv.value(b)),
+                &mut self.catalog,
+            );
+            let id = PairId(self.pairs.len() as u32);
+            self.by_feature.resize_with(self.catalog.len(), Vec::new);
+            for &(f, score) in &sf {
+                let list = &mut self.by_feature[f.0 as usize];
+                let pos = list.partition_point(|&(s, _)| s < score);
+                list.insert(pos, (score, id));
+            }
+            self.pairs.push((left, right));
+            self.set_entries.extend(sf);
+            self.set_starts.push(offset(self.set_entries.len()));
+            let at = self
+                .admitted
+                .partition_point(|&a| self.pair(a) < (left, right));
+            self.admitted.insert(at, id);
+            ids.push(id);
         }
-        let (lv, rv) = (&self.left_values, &self.right_values);
-        let sf = feature_set(
-            lv.attrs(left),
-            rv.attrs(right),
-            self.theta,
-            |a, b| prepared_similarity(lv.value(a), rv.value(b)),
-            &mut self.catalog,
-        );
-        let id = PairId(self.pairs.len() as u32);
-        self.by_feature.resize_with(self.catalog.len(), Vec::new);
-        for &(f, score) in &sf {
-            let list = &mut self.by_feature[f.0 as usize];
-            let pos = list.partition_point(|&(s, _)| s < score);
-            list.insert(pos, (score, id));
-        }
-        self.pairs.push((left, right));
-        self.admitted_ids.insert((left, right), id);
-        self.set_entries.extend(sf);
-        self.set_starts.push(offset(self.set_entries.len()));
-        id
-    }
-
-    /// Every pair admitted by [`LinkSpace::ensure_pair`] after the build, in
-    /// admission order. Replaying this log against a freshly built space
-    /// reproduces the exact same `PairId` (and `FeatureId`) assignments, which
-    /// is what lets crash recovery persist raw ids.
-    pub fn admissions(&self) -> &[(u32, u32)] {
-        &self.pairs[self.built..]
+        (self, ids)
     }
 
     /// Order-sensitive FNV-1a fingerprint of the built space: the pair list,
@@ -535,25 +536,20 @@ impl LinkSpace {
     /// fingerprint assign the same `PairId`/`FeatureId` meanings, so a
     /// snapshot taken against one can be restored against the other.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        mix(self.pairs.len() as u64);
-        for &(l, r) in &self.pairs {
-            mix(u64::from(l));
-            mix(u64::from(r));
-        }
-        for (f, fp) in self.catalog.iter() {
-            mix(u64::from(f.0));
-            mix(fp.left.index() as u64);
-            mix(fp.right.index() as u64);
-        }
-        mix(self.theta.to_bits());
-        h
+        let pairs = self.pairs.iter().flat_map(|&(l, r)| [l, r].map(u64::from));
+        let features = self.catalog.iter().flat_map(|(f, fp)| {
+            [
+                u64::from(f.0),
+                fp.left.index() as u64,
+                fp.right.index() as u64,
+            ]
+        });
+        crate::persist::combine_fingerprints(
+            std::iter::once(self.pairs.len() as u64)
+                .chain(pairs)
+                .chain(features)
+                .chain([self.theta.to_bits()]),
+        )
     }
 
     /// The exploration query (§4.2): all pairs whose score for `feature`
@@ -713,28 +709,85 @@ mod tests {
     }
 
     #[test]
-    fn ensure_pair_admits_new_pairs() {
+    fn admit_adds_new_pairs_once() {
         let (left, right) = datasets();
-        let mut space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
         let before = space.len();
         // (0, 1) = LeBron vs Jordan: same type, different names; blocking
-        // may or may not have admitted it. Force-admit and verify.
-        let id = space.ensure_pair(0, 1);
-        assert_eq!(space.id_of(0, 1), Some(id));
-        assert!(space.len() >= before);
-        // Idempotent.
-        assert_eq!(space.ensure_pair(0, 1), id);
+        // may or may not have admitted it. Admit it twice, and verify.
+        let (space, ids) = space.admit(&[(0, 1), (0, 1)]);
+        assert_eq!(space.id_of(0, 1), Some(ids[0]));
+        assert_eq!(ids[1], ids[0]);
+        assert!(space.len() >= before && space.len() <= before + 1);
     }
 
     #[test]
-    fn ensure_pair_updates_feature_index() {
+    fn admit_updates_feature_index() {
         let (left, right) = datasets();
-        let mut space = LinkSpace::build(&left, &right, &SpaceConfig::default());
-        let id = space.ensure_pair(0, 1);
-        for &(f, score) in space.feature_set_of(id).to_vec().iter() {
+        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let (space, ids) = space.admit(&[(0, 1)]);
+        for &(f, score) in space.feature_set_of(ids[0]) {
             let found = space.explore(f, score, 0.001);
-            assert!(found.contains(&id), "feature index missing new pair");
+            assert!(found.contains(&ids[0]), "feature index missing new pair");
         }
+    }
+
+    /// Initial links outside the blocked candidates, with feature scores
+    /// that tie with built pairs. The expected ids, feature ids and
+    /// score-index order are what the per-pair admission that preceded
+    /// [`LinkSpace::admit`] produced on this input, so windows recorded
+    /// against either select the same pairs.
+    #[test]
+    fn admit_orders_new_pairs_as_per_pair_admission_did() {
+        let (mut left, mut right) = datasets();
+        // Six players make "player" a stop token: only the diagonal blocks.
+        for (i, name) in [(4, "Shaquille O'Neal"), (5, "Kevin Garnett")] {
+            left.add_str(&format!("http://l/{i}"), "http://l/label", name);
+            left.add_str(&format!("http://l/{i}"), "http://l/type", "player");
+            right.add_str(&format!("http://r/{i}"), "http://r/name", name);
+            right.add_str(&format!("http://r/{i}"), "http://r/class", "player");
+        }
+        // Numeric tokens do not block, so (0, 1) meets a feature no built
+        // pair has.
+        left.add_str("http://l/0", "http://l/born", "1984");
+        right.add_str("http://r/1", "http://r/year", "1984");
+        let space = LinkSpace::build(&left, &right, &SpaceConfig::default());
+        let diagonal: Vec<(u32, u32)> = (0..6).map(|i| (i, i)).collect();
+        assert_eq!(space.pairs, diagonal);
+        assert_eq!(space.catalog().len(), 2);
+
+        let (space, ids) = space.admit(&[(0, 1), (1, 1), (2, 3), (0, 1), (3, 2)]);
+        assert_eq!(ids, [6, 1, 7, 6, 8].map(PairId));
+        for (id, pair) in [(6, (0, 1)), (7, (2, 3)), (8, (3, 2)), (1, (1, 1))] {
+            assert_eq!(space.pair(PairId(id)), pair);
+            assert_eq!(space.id_of(pair.0, pair.1), Some(PairId(id)));
+        }
+        assert_eq!(space.id_of(1, 0), None);
+        let born = space
+            .catalog()
+            .get(FeaturePair {
+                left: left.interner().get("http://l/born").unwrap(),
+                right: right.interner().get("http://r/year").unwrap(),
+            })
+            .unwrap();
+        assert_eq!(born, FeatureId(2));
+        let (label, ty) = (FeatureId(0), FeatureId(1));
+        assert_eq!(space.feature_set_of(PairId(6)), &[(ty, 1.0), (born, 1.0)]);
+        assert_eq!(space.feature_set_of(PairId(7)), &[(ty, 1.0)]);
+        let index = |f: FeatureId| -> Vec<u32> {
+            let all = space.window(f, 0.5, 0.5);
+            space
+                .window_slice(all)
+                .iter()
+                .map(|&(_, id)| id.0)
+                .collect()
+        };
+        assert_eq!(index(label), [0, 1, 2, 3, 4, 5]);
+        // Each admission sorts before every pair of equal score, so the
+        // last admitted comes first.
+        assert_eq!(index(ty), [8, 7, 6, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(index(born), [6]);
+        assert_eq!(space.fingerprint(), 0xe4d1_e90d_2f0e_026a);
     }
 
     #[test]

@@ -107,8 +107,9 @@ impl BitMask {
 /// generator's window, in attribution order.
 ///
 /// Decoding reads the window's pairs from the [`LinkSpace`], so the
-/// window must name the same pairs when decoded as when recorded; see
-/// [`LinkSpace::ensure_pair`].
+/// window must name the same pairs when decoded as when recorded. It
+/// does: the space an agent explores does not change after
+/// [`LinkSpace::admit`], which runs while the agent is built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowList {
     /// The window every link lies in.

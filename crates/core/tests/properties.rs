@@ -119,23 +119,21 @@ proptest! {
         }
     }
 
-    /// The indexed/scan agreement survives dynamic growth: after
-    /// arbitrary `ensure_pair` insertions (which splice new entries into
-    /// the per-feature score lists and may mint new features), `explore`
+    /// The indexed/scan agreement survives admission: after `admit`
+    /// takes arbitrary links (which splices new entries into the
+    /// per-feature score lists and may mint new features), `explore`
     /// still returns exactly what the linear scan finds, for every
     /// feature and window.
     #[test]
-    fn explore_agrees_with_scan_after_ensure_pair(
+    fn explore_agrees_with_scan_after_admit(
         tokens in proptest::collection::vec("[a-z]{4,8} [a-z]{4,8}", 3..10),
         inserts in proptest::collection::vec((0u32..12, 0u32..12), 1..20),
         center in 0.0f64..1.2,
         step in 0.01f64..0.3,
     ) {
-        let mut space = space_from_names(&tokens);
-        for (l, r) in inserts {
-            let n = tokens.len() as u32;
-            space.ensure_pair(l % n, r % n);
-        }
+        let n = tokens.len() as u32;
+        let links: Vec<(u32, u32)> = inserts.iter().map(|&(l, r)| (l % n, r % n)).collect();
+        let (space, _) = space_from_names(&tokens).admit(&links);
         for (f, _) in space.catalog().iter() {
             let mut a = space.explore(f, center, step);
             let mut b = space.explore_scan(f, center, step);
@@ -363,7 +361,6 @@ proptest! {
                 agent: AgentState {
                     rng: [0; 4],
                     episodes_completed: 1,
-                    admissions: Vec::new(),
                     candidates: Vec::new(),
                     approved: Vec::new(),
                     greedy: Vec::new(),
@@ -480,8 +477,9 @@ impl SpaceReference {
         )
     }
 
-    /// `LinkSpace::ensure_pair`: the pair's id, admitting it when new.
-    fn ensure_pair(&mut self, l: u32, r: u32) -> PairId {
+    /// One link of `LinkSpace::admit`: the pair's id, admitting it when
+    /// new.
+    fn admit(&mut self, l: u32, r: u32) -> PairId {
         if let Some(i) = self.pairs.iter().position(|&p| p == (l, r)) {
             return PairId(i as u32);
         }
@@ -556,9 +554,10 @@ proptest! {
 
     /// The columnar space equals a per-candidate reference at 1 and 4
     /// threads: the same pairs, feature sets and fingerprint. `id_of`
-    /// round-trips for built pairs and for `ensure_pair` admissions
-    /// (the first of which sorts before every built pair), and `explore`
-    /// agrees with the scan after the admissions.
+    /// round-trips for built pairs and for the pairs `admit` adds (the
+    /// first of which sorts before every built pair), `admit` returns each
+    /// link's id in link order, and `explore` agrees with the scan after
+    /// the admissions.
     #[test]
     fn columnar_space_matches_per_pair_reference(
         left_rows in proptest::collection::vec((0usize..8, 0usize..8, 0usize..4), 4..30),
@@ -572,7 +571,7 @@ proptest! {
         let cfg = SpaceConfig { theta, ..SpaceConfig::default() };
         for threads in [1, 4] {
             alex_parallel::set_threads(threads);
-            let mut space = LinkSpace::build(&left, &right, &cfg);
+            let space = LinkSpace::build(&left, &right, &cfg);
             let mut reference = SpaceReference::build(&left, &right, theta);
             reference.check(&space)?;
             prop_assert!(space.pair_ids().all(|id| space.pair(id).0 != 0));
@@ -582,17 +581,11 @@ proptest! {
             let admitted: Vec<(u32, u32)> = std::iter::once((0, 0))
                 .chain(admits.iter().map(|&(l, r)| (l % nl, r % nr)))
                 .collect();
-            let mut fresh = Vec::new();
-            for &(l, r) in &admitted {
-                let known = reference.pairs.contains(&(l, r));
-                let id = space.ensure_pair(l, r);
-                prop_assert_eq!(id, reference.ensure_pair(l, r));
-                prop_assert_eq!(space.ensure_pair(l, r), id);
-                if !known {
-                    fresh.push((l, r));
-                }
-            }
-            prop_assert_eq!(space.admissions(), fresh.as_slice());
+            let built = space.len();
+            let (space, ids) = space.admit(&admitted);
+            let want: Vec<PairId> = admitted.iter().map(|&(l, r)| reference.admit(l, r)).collect();
+            prop_assert_eq!(ids, want);
+            prop_assert_eq!(space.pair(PairId(built as u32)), (0, 0));
             reference.check(&space)?;
             check_explore(&space, step)?;
         }

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use alex_rdf::{Dataset, EntityIndex, Sym, Term};
-use alex_sim::{typed_value, PreparedValue, TokenInterner};
+use alex_sim::{PreparedValue, TokenInterner};
 
 /// Dense id of a distinct object term within one [`SideValues`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,7 +55,7 @@ impl SideValues {
                     continue;
                 };
                 let value = *value_of.entry(t.object).or_insert_with(|| {
-                    values.push(PreparedValue::prepare(typed_value(ds, t.object), interner));
+                    values.push(PreparedValue::of_term(ds, t.object, interner));
                     terms.push(t.object);
                     ValueId(values.len() as u32 - 1)
                 });
@@ -110,7 +110,7 @@ impl SideValues {
 mod tests {
     use super::*;
     use alex_rdf::vocab;
-    use alex_sim::TypedValue;
+    use alex_sim::{typed_value, TypedValue};
 
     fn entity(ds: &Dataset, idx: &EntityIndex, iri: &str) -> u32 {
         idx.id(ds.interner().get(iri).map(Term::Iri).unwrap())

@@ -23,10 +23,12 @@
 
 use std::collections::HashMap;
 
+use alex_rdf::{Dataset, LiteralKind, Term};
+
 use crate::combined::render;
 use crate::string::normalize::token_spans;
 use crate::string::{monge_elkan, normalize, tokenize, Tokens};
-use crate::value::{sniff, TypedValue};
+use crate::value::{sniff, typed_value, TypedValue};
 
 /// Interns normalized tokens as dense `u32` ids.
 ///
@@ -206,14 +208,24 @@ pub struct PreparedValue {
 impl PreparedValue {
     /// Prepare `value` for repeated comparison.
     pub fn prepare(value: TypedValue, interner: &mut TokenInterner) -> PreparedValue {
-        let text = PreparedText::prepare(&render(&value), interner);
-        let sniffs_typed = match &value {
-            TypedValue::Text(s) => !matches!(sniff(s), TypedValue::Text(_)),
-            _ => false,
-        };
+        PreparedValue::new(value, true, interner)
+    }
+
+    /// [`PreparedValue::prepare`] of the [`typed_value`] of `term` from
+    /// `ds`. A plain literal is `Text` only when its sniff found text, so
+    /// only a typed literal's text is sniffed again.
+    pub fn of_term(ds: &Dataset, term: Term, interner: &mut TokenInterner) -> PreparedValue {
+        let typed = matches!(term, Term::Literal(l) if matches!(l.kind, LiteralKind::Typed(_)));
+        PreparedValue::new(typed_value(ds, term), typed, interner)
+    }
+
+    /// `value` prepared, sniffing its text when `sniff_text` is set.
+    fn new(value: TypedValue, sniff_text: bool, interner: &mut TokenInterner) -> PreparedValue {
+        let sniffs_typed = sniff_text
+            && matches!(&value, TypedValue::Text(s) if !matches!(sniff(s), TypedValue::Text(_)));
         PreparedValue {
+            text: PreparedText::prepare(&render(&value), interner),
             value,
-            text,
             sniffs_typed,
         }
     }
@@ -356,6 +368,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn of_term_equals_prepare_of_typed_value() {
+        use alex_rdf::vocab;
+        let mut ds = Dataset::new("t");
+        let terms = [
+            ds.plain("1984"),
+            ds.plain(" 42 "),
+            ds.plain("LeBron James"),
+            ds.typed("1984", vocab::XSD_STRING),
+            ds.typed(" 42", vocab::XSD_INTEGER),
+            ds.typed("forty-two", vocab::XSD_INTEGER),
+            ds.typed("2010", "http://e/unknown"),
+            ds.iri("http://e/LeBron_James"),
+        ];
+        let others = [
+            TypedValue::Year(1984),
+            TypedValue::Integer(42),
+            TypedValue::Text("forty two".into()),
+        ];
+        let mut interner = TokenInterner::new();
+        let others: Vec<PreparedValue> =
+            others.into_iter().map(|v| prep(v, &mut interner)).collect();
+        for term in terms {
+            let fast = PreparedValue::of_term(&ds, term, &mut interner);
+            let slow = prep(typed_value(&ds, term), &mut interner);
+            assert_eq!(fast.value(), slow.value(), "{term:?}");
+            assert_eq!(fast.sniffs_typed, slow.sniffs_typed, "{term:?}");
+            for other in &others {
+                let (a, b) = (
+                    prepared_similarity(&fast, other),
+                    prepared_similarity(&slow, other),
+                );
+                assert_eq!(a.to_bits(), b.to_bits(), "{term:?}");
+            }
+        }
+        // The typed texts that sniff as numbers keep their native arms.
+        let xsd_string = PreparedValue::of_term(&ds, terms[3], &mut interner);
+        assert!(xsd_string.sniffs_typed);
+        assert_eq!(prepared_similarity(&xsd_string, &others[0]), 1.0);
     }
 
     #[test]

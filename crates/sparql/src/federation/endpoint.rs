@@ -10,6 +10,8 @@
 //! ([`Endpoint::matching_batch`], a FedX-style bound join): one round trip
 //! per (pattern, partial solution, endpoint) instead of one per probe.
 
+use std::sync::Arc;
+
 use alex_rdf::{Dataset, Term};
 
 use crate::value::Value;
@@ -82,18 +84,15 @@ pub trait Endpoint: Send + Sync {
 /// An in-process endpoint over an owned [`Dataset`].
 #[derive(Debug, Clone)]
 pub struct DatasetEndpoint {
-    dataset: Dataset,
+    dataset: Arc<Dataset>,
 }
 
 impl DatasetEndpoint {
-    /// Wrap a data set.
-    pub fn new(dataset: Dataset) -> Self {
-        DatasetEndpoint { dataset }
-    }
-
-    /// Borrow the wrapped data set.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
+    /// Wrap a data set, owned or shared with its other readers.
+    pub fn new(dataset: impl Into<Arc<Dataset>>) -> Self {
+        DatasetEndpoint {
+            dataset: dataset.into(),
+        }
     }
 
     /// Resolve a constant value to a dataset-local term. A constant that

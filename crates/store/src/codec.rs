@@ -1,11 +1,13 @@
 //! Minimal binary (de)serialization: fixed-width little-endian primitives
-//! over a growable byte buffer.
+//! and LEB128 variable-length integers over a growable byte buffer.
 //!
 //! The journal and snapshot formats are built from these primitives, and so
 //! is `alex-core`'s domain encoding. Fixed-width little-endian keeps the
-//! format trivially seekable and byte-stable across runs — the resume
+//! framing trivially seekable and byte-stable across runs — the resume
 //! determinism property depends on the *decoded state* being exact, so
 //! `f64`s round-trip through their raw bit patterns, never through text.
+//! Lengths are LEB128 ([`ByteWriter::varint`]): most are small, and each
+//! value has exactly one encoding.
 
 use std::fmt;
 
@@ -47,16 +49,6 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -72,14 +64,24 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Write a `u64` as LEB128: seven bits a byte, low bits first, the
+    /// high bit set on every byte but the last.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Write an `f64` as its raw bit pattern (exact round-trip).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
-    /// Write a length-prefixed byte slice.
+    /// Write a byte slice prefixed with its LEB128 length.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
+        self.varint(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 }
@@ -105,11 +107,6 @@ impl<'a> ByteReader<'a> {
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Whether the input is exhausted.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
     }
 
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], CodecError> {
@@ -145,10 +142,26 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
-    /// Read a `u64` that must fit a `usize` collection length. Guards
-    /// against absurd lengths from corrupt input before any allocation.
+    /// Read a LEB128 `u64` written by [`ByteWriter::varint`]. A padded
+    /// encoding (a last byte of zero) or one past 64 bits is an error.
+    pub fn varint(&mut self, context: &'static str) -> Result<u64, CodecError> {
+        let (offset, mut v) = (self.pos, 0u128);
+        for i in 0..10 {
+            let b = self.u8(context)?;
+            v |= u128::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                let padded = b == 0 && i > 0;
+                let v = u64::try_from(v).ok().filter(|_| !padded);
+                return v.ok_or(CodecError { context, offset });
+            }
+        }
+        Err(CodecError { context, offset })
+    }
+
+    /// Read a LEB128 collection length. Guards against absurd lengths from
+    /// corrupt input before any allocation.
     pub fn len(&mut self, context: &'static str) -> Result<usize, CodecError> {
-        let v = self.u64(context)?;
+        let v = self.varint(context)?;
         // A single record/snapshot never holds more entries than it has
         // remaining bytes; anything larger is corruption, not data.
         if v > self.remaining() as u64 {
@@ -173,7 +186,7 @@ impl<'a> ByteReader<'a> {
 
     /// Assert the input is fully consumed (catches format drift).
     pub fn expect_exhausted(&self, context: &'static str) -> Result<(), CodecError> {
-        if self.is_exhausted() {
+        if self.remaining() == 0 {
             Ok(())
         } else {
             Err(CodecError {
@@ -223,9 +236,40 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_in_their_shortest_form() {
+        for (v, len) in [
+            (0, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (u64::from(u32::MAX), 5),
+            (u64::MAX, 10),
+        ] {
+            let mut w = ByteWriter::new();
+            w.varint(v);
+            let buf = w.finish();
+            assert_eq!(buf.len(), len, "{v}");
+            let mut r = ByteReader::new(&buf);
+            assert_eq!(r.varint("v").unwrap(), v);
+            assert!(r.expect_exhausted("end").is_ok());
+        }
+        // A padded encoding of 1, and one that overflows 64 bits.
+        assert!(ByteReader::new(&[0x81, 0x00]).varint("padded").is_err());
+        assert!(ByteReader::new(&[0x81, 0x00, 0x05])
+            .varint("padded")
+            .is_err());
+        let mut over = [0xff; 10];
+        over[9] = 0x02;
+        assert!(ByteReader::new(&over).varint("overflow").is_err());
+        assert!(ByteReader::new(&[0x80]).varint("truncated").is_err());
+    }
+
+    #[test]
     fn absurd_length_is_rejected_before_allocation() {
         let mut w = ByteWriter::new();
-        w.u64(u64::MAX); // claims a collection longer than the input
+        w.varint(u64::MAX); // claims a collection longer than the input
         let buf = w.finish();
         let mut r = ByteReader::new(&buf);
         assert!(r.len("items").is_err());

@@ -231,8 +231,10 @@ gated --state-dir "$SMOKE/gated-cut" --resume --out "$SMOKE/gated-resumed.nt" --
 cmp "$SMOKE/gated-ref.nt" "$SMOKE/gated-resumed.nt" \
   || { echo "kill-and-resume smoke: gated resumed links differ from reference" >&2; exit 1; }
 echo "gated resumed links byte-identical to uninterrupted reference"
-# The final snapshot (format 5: footprints as score-index windows plus bit
-# masks) must be the same bytes at any pool width, uninterrupted or resumed.
+# The final snapshot (format 6: footprints as score-index windows plus bit
+# masks, lengths and windows in LEB128) must be the same bytes at any pool
+# width, uninterrupted or resumed, and no larger than the 8,046 bytes the
+# format-5 build wrote for this command line.
 gated --state-dir "$SMOKE/gated-ref4" --out "$SMOKE/gated-ref4.nt" --threads 4
 final_snapshot() { ls "$1"/snap-*.bin | tail -n 1; }
 ref_snap=$(final_snapshot "$SMOKE/gated-ref")
@@ -240,7 +242,12 @@ for dir in gated-ref4 gated-cut; do
   cmp "$ref_snap" "$(final_snapshot "$SMOKE/$dir")" \
     || { echo "kill-and-resume smoke: $dir final snapshot differs from the --threads 1 reference" >&2; exit 1; }
 done
-echo "gated final snapshot byte-identical at --threads 1 and 4 and after resume ($(wc -c < "$ref_snap") bytes)"
+snap_bytes=$(wc -c < "$ref_snap")
+if [ "$snap_bytes" -gt 8046 ]; then
+  echo "kill-and-resume smoke: gated final snapshot takes $snap_bytes bytes, more than format 5's 8046" >&2
+  exit 1
+fi
+echo "gated final snapshot byte-identical at --threads 1 and 4 and after resume ($snap_bytes bytes)"
 # Telemetry on: the same links, only the current event kinds (one
 # feedback_applied record per applied step, no per-link events), and a
 # log and metrics dump that `alex report` reads.

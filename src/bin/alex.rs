@@ -32,6 +32,7 @@ use std::cell::Cell;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use alex::core::{
@@ -644,7 +645,7 @@ fn federation_opts(args: &Args) -> Result<FederationOpts, String> {
 /// and catalog options applied; the catalog is probed last, so every
 /// endpoint gets an entry.
 fn federated_engine(
-    datasets: Vec<Dataset>,
+    datasets: Vec<Arc<Dataset>>,
     links: Option<SameAsLinks>,
     opts: &FederationOpts,
 ) -> Result<FederatedEngine, String> {
@@ -1083,8 +1084,8 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
 
 fn cmd_improve(args: &[String]) -> Result<(), String> {
     let opts = improve_opts(&Args::parse("improve", args)?)?;
-    let left = load_dataset(&opts.left)?;
-    let right = load_dataset(&opts.right)?;
+    let left = Arc::new(load_dataset(&opts.left)?);
+    let right = Arc::new(load_dataset(&opts.right)?);
     let links = load_links(&opts.links)?;
     let truth = load_links(&opts.truth)?;
     opts.run.start()?;
@@ -1190,8 +1191,8 @@ fn durability<'a>(
 /// episodes whose every judgment was withheld. In both modes budget flags
 /// mark overrunning episodes degraded.
 fn improve(
-    left: &Dataset,
-    right: &Dataset,
+    left: &Arc<Dataset>,
+    right: &Arc<Dataset>,
     links: &SameAsLinks,
     truth: &SameAsLinks,
     opts: &ImproveOpts,
@@ -1250,7 +1251,7 @@ fn improve(
     // stops the run before the space build.
     let mut federation = match workload {
         Some((federation, queries)) => Some((
-            federated_engine(vec![left.clone(), right.clone()], None, federation)?,
+            federated_engine(vec![Arc::clone(left), Arc::clone(right)], None, federation)?,
             queries,
         )),
         None => None,
@@ -1285,8 +1286,8 @@ fn improve(
                     FeedbackBridge::new(left, space.left_index(), right, space.right_index());
                 Box::new(QueryFeedback::new(
                     engine,
-                    left.clone(),
-                    right.clone(),
+                    Arc::clone(left),
+                    Arc::clone(right),
                     queries,
                     bridge,
                     truth.clone(),
@@ -1310,6 +1311,12 @@ fn improve(
         eprintln!(
             "{} judgment(s) withheld because queries degraded (skipped sources)",
             report.withheld_judgments
+        );
+    }
+    if report.failed_queries > 0 {
+        eprintln!(
+            "{} federated query(ies) failed (endpoint errors under --fail-fast)",
+            report.failed_queries
         );
     }
     let gates: Vec<_> = agents.iter().filter_map(Agent::trust_gate).collect();
@@ -1388,7 +1395,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let datasets = opts
         .data
         .iter()
-        .map(|f| load_dataset(f))
+        .map(|f| load_dataset(f).map(Arc::new))
         .collect::<Result<_, _>>()?;
     let links = opts.links.as_deref().map(load_links).transpose()?;
     opts.run.start()?;

@@ -1147,6 +1147,63 @@ fn query_feedback_improve_is_golden() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Under `--fail-fast` a query that fails gives no judgment, so it is
+/// not a withheld one: stderr reports failed queries on a line of their
+/// own, at `alex_query_feedback_errors_total`, and the withheld line, if
+/// any, at `alex_degraded_feedback_withheld_total`.
+#[test]
+fn failed_queries_are_not_reported_as_withheld_judgments() {
+    let dir = nba_dir("fail-fast");
+    let prom = dir.join("m.prom").to_string_lossy().to_string();
+    let out = improve_nba(
+        &dir,
+        &[
+            "--feedback",
+            "query",
+            "--episodes",
+            "3",
+            "--episode-size",
+            "40",
+            "--queries",
+            "30",
+            "--fault-profile",
+            "seed=7,transient=0.2",
+            "--retries",
+            "0",
+            "--fail-fast",
+            "--threads",
+            "1",
+            "--metrics-dump",
+            &prom,
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let dump = std::fs::read_to_string(&prom).expect("read metrics dump");
+    let metric = |name: &str| {
+        dump.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<u64>().ok())
+    };
+    let stderr_count = |suffix: &str| {
+        stderr
+            .lines()
+            .find_map(|l| l.strip_suffix(suffix)?.parse::<u64>().ok())
+    };
+    let failed = metric("alex_query_feedback_errors_total");
+    assert!(failed.is_some_and(|n| n > 0), "{dump}");
+    assert_eq!(
+        stderr_count(" federated query(ies) failed (endpoint errors under --fail-fast)"),
+        failed,
+        "{stderr}"
+    );
+    assert_eq!(
+        stderr_count(" judgment(s) withheld because queries degraded (skipped sources)"),
+        metric("alex_degraded_feedback_withheld_total"),
+        "{stderr}\n{dump}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A positional argument the command never reads exits 2 naming it, as
 /// an unread flag does, before any output is written.
 #[test]

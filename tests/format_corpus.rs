@@ -6,9 +6,9 @@
 //! inputs regenerated here (`alex gen --pair dbpedia-nba-nytimes --seed 7`
 //! and `alex link` on them; the inputs themselves are not checked in), and
 //! killed mid-run, so resuming it continues the run. A dir of this build's
-//! format (5) resumes to the final links pinned when the corpus was
-//! written; a dir of another format (4) is rejected with an error naming
-//! both versions. Both formats' runs end on the same links.
+//! format (6) resumes to the final links pinned when the corpus was
+//! written; a dir of another format (4, 5) is rejected with an error
+//! naming both versions. Every format's runs end on the same links.
 //!
 //! The telemetry files come from the uninterrupted gated run. `alex
 //! report` must turn its event log and metrics dump into the pinned JSON
@@ -169,44 +169,79 @@ const LINKS: [(&str, &[&str], &str); 2] = [
     ("partitioned", PARTITIONED, "2e6946566d5f4dd0"),
 ];
 
+/// The size of the last snapshot in a resumed state dir: the run's final
+/// state.
+fn final_snapshot_bytes(work: &Path, version: &str, name: &str) -> u64 {
+    let dir = work.join(format!("{version}-{name}"));
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("resumed state dir")
+        .map(|e| e.expect("state dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "bin"))
+        .collect();
+    snaps.sort();
+    let last = snaps.last().expect("a snapshot");
+    std::fs::metadata(last).expect("snapshot metadata").len()
+}
+
+/// The gated run's final snapshot in format 4, whose footprints were
+/// explicit lists; format 5's windows had grown it to 3,175 bytes.
+const GATED_FINAL_SNAPSHOT_V4_BYTES: u64 = 3_032;
+
 #[test]
-fn v5_state_dirs_resume_to_pinned_links() {
-    let work = inputs("v5");
+fn v6_state_dirs_resume_to_pinned_links() {
+    let work = inputs("v6");
     for (name, flags, digest) in LINKS {
-        let out = resume(&work, "v5", name, flags);
+        let out = resume(&work, "v6", name, flags);
         check(&out, name);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("recovering from"), "{name}: {stderr}");
-        assert_eq!(links_digest(&work, "v5", name), digest, "{name}");
+        assert_eq!(links_digest(&work, "v6", name), digest, "{name}");
     }
+    let bytes = final_snapshot_bytes(&work, "v6", "gated");
+    assert!(
+        bytes <= GATED_FINAL_SNAPSHOT_V4_BYTES,
+        "the gated run's final snapshot takes {bytes} bytes"
+    );
     let _ = std::fs::remove_dir_all(&work);
 }
 
-/// Format 4 kept footprints as explicit lists; this build reads only
-/// format 5 and says so, naming both versions, instead of calling the dir
-/// corrupt.
-#[test]
-fn v4_state_dirs_are_rejected_naming_both_versions() {
-    let work = inputs("v4");
+/// This build reads only format 6 and says so, naming both versions,
+/// instead of calling a dir of `version` corrupt.
+fn assert_rejected_naming_both_versions(version: u32) {
+    let dir = format!("v{version}");
+    let work = inputs(&dir);
     for (name, flags, _) in LINKS {
-        let out = resume(&work, "v4", name, flags);
+        let out = resume(&work, &dir, name, flags);
         assert_eq!(out.status.code(), Some(2), "{name}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(
-                "error: state dir snapshot is in persist format 4, but this build reads \
-                 format 5 and does not convert between formats (start a fresh run with a \
-                 new --state-dir)"
-            ),
+            stderr.contains(&format!(
+                "error: state dir snapshot is in persist format {version}, but this build \
+                 reads format 6 and does not convert between formats (start a fresh run \
+                 with a new --state-dir)"
+            )),
             "{name}: {stderr}"
         );
         assert!(!stderr.contains("corrupt"), "{name}: {stderr}");
         assert!(
-            !work.join(format!("v4-{name}.nt")).exists(),
+            !work.join(format!("{dir}-{name}.nt")).exists(),
             "{name} wrote links"
         );
     }
     let _ = std::fs::remove_dir_all(&work);
+}
+
+/// Format 4 kept footprints as explicit lists.
+#[test]
+fn v4_state_dirs_are_rejected_naming_both_versions() {
+    assert_rejected_naming_both_versions(4);
+}
+
+/// Format 5 kept a list of pairs admitted after the agent was built, and
+/// fixed-width lengths and windows.
+#[test]
+fn v5_state_dirs_are_rejected_naming_both_versions() {
+    assert_rejected_naming_both_versions(5);
 }
 
 /// The checked-in telemetry corpus file `name`.

@@ -365,8 +365,9 @@ fn gated_runs_are_golden() {
     );
 
     // The state digest hashes the snapshot encoding, so it moves with the
-    // persist format (last re-pinned when format 5 stored footprints as
-    // windows); the links and the decoded log do not.
+    // persist format (last re-pinned when format 6 wrote lengths and
+    // windows as LEB128 and dropped the admission list); the links and the
+    // decoded log do not.
     assert_eq!(
         (
             agent.candidates().len(),
@@ -376,7 +377,7 @@ fn gated_runs_are_golden() {
         (
             576,
             396,
-            ["75e5daab7dbf60ab", "1979704e9a7302a6", "d4c9304b5220529d"].map(String::from)
+            ["75e5daab7dbf60ab", "e1c6b9efe42f4883", "d4c9304b5220529d"].map(String::from)
         ),
         "(candidates, log length, [links, state, log] digests)"
     );
