@@ -32,9 +32,12 @@
 //! durable, trust-gated or supervised — is built by
 //! [`partition::run_partitioned_with`], driven by the one episode loop
 //! [`driver::run_partitions`], and described by one [`RunReport`].
-//! [`run_partitioned`] is that builder with seeded oracles; [`driver::run`]
-//! and [`driver::run_durable`] are single-partition spellings of the loop
-//! for the e2e benchmark harness, tests and examples.
+//! With oracle feedback, the run's [`Judges`] alone decide each partition's
+//! source, its seed and the default partition count; durability, budgets,
+//! the trust gate and telemetry only observe. [`run_partitioned`] is that
+//! builder with [`Judges::Oracle`]; [`driver::run`] and
+//! [`driver::run_durable`] are single-partition spellings of the loop for
+//! the e2e benchmark harness, tests and examples.
 //!
 //! ## Quick start
 //!
@@ -104,7 +107,7 @@ pub use feature::{FeatureCatalog, FeatureId, FeaturePair, FeatureSet};
 pub use feedback::{Feedback, FeedbackItem, FeedbackSource, OracleFeedback};
 pub use metrics::{EpisodeReport, Quality};
 pub use partition::{
-    final_links, run_partitioned, run_partitioned_with, PartitionedConfig, PartitionedRun,
+    final_links, run_partitioned, run_partitioned_with, Judges, PartitionedConfig, PartitionedRun,
 };
 pub use persist::{AgentState, EpisodeRecord, PartitionRecord, PartitionSnapshot, RunSnapshot};
 pub use policy::Policy;

@@ -12,10 +12,12 @@
 
 use std::collections::HashSet;
 
+use alex_datagen::{assign_roles, AdversaryProfile};
 use alex_guard::Supervisor;
 use alex_rdf::{Dataset, Term};
 use alex_telemetry::span;
 
+use crate::adversary::AdversarialPopulation;
 use crate::agent::Agent;
 use crate::config::AlexConfig;
 use crate::driver::{self, Durability, Partition, RunReport};
@@ -40,10 +42,69 @@ pub struct PartitionedConfig {
 impl Default for PartitionedConfig {
     fn default() -> Self {
         PartitionedConfig {
-            partitions: 4,
+            partitions: Judges::Oracle.default_partitions(),
             alex: AlexConfig::default(),
             space: SpaceConfig::default(),
             feedback_error_rate: 0.0,
+        }
+    }
+}
+
+/// Who judges each partition's links (Appendix C). The judges alone set
+/// the feedback seeds and the default partition count; durability,
+/// budgets, the trust gate and telemetry only observe a run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Judges {
+    /// One seeded, optionally noisy oracle per partition, partition i's
+    /// seeded `seed + 1000 + i` (its agent's is `seed + i`); 4 partitions.
+    Oracle,
+    /// One [`AdversarialPopulation`] per partition, partition i's seeded
+    /// `seed + i`; 1 partition.
+    Population {
+        /// Attributed sources in each population.
+        sources: usize,
+        /// The seeded adversary mix among them, if any.
+        profile: Option<AdversaryProfile>,
+    },
+}
+
+impl Judges {
+    /// A population when there is more than one source or any adversary;
+    /// the plain oracle otherwise (attribution matters only past one source).
+    pub fn new(sources: usize, profile: Option<AdversaryProfile>) -> Judges {
+        match sources > 1 || profile.is_some() {
+            true => Judges::Population { sources, profile },
+            false => Judges::Oracle,
+        }
+    }
+
+    /// The partition count of a run that names none.
+    pub fn default_partitions(&self) -> usize {
+        match self {
+            Judges::Oracle => 4,
+            Judges::Population { .. } => 1,
+        }
+    }
+
+    /// Partition i's feedback source over `truth`, with
+    /// `cfg.feedback_error_rate` noise, seeded from `cfg.alex.seed`.
+    pub fn source(
+        &self,
+        i: usize,
+        truth: &HashSet<(u32, u32)>,
+        cfg: &PartitionedConfig,
+    ) -> Box<dyn FeedbackSource> {
+        let (truth, error_rate) = (truth.clone(), cfg.feedback_error_rate);
+        let seed = cfg.alex.seed.wrapping_add(i as u64);
+        match *self {
+            Judges::Oracle => {
+                let seed = seed.wrapping_add(1000);
+                Box::new(OracleFeedback::with_error_rate(truth, error_rate, seed))
+            }
+            Judges::Population { sources, profile } => {
+                let roles = assign_roles(profile.as_ref(), sources, seed);
+                Box::new(AdversarialPopulation::new(truth, roles, error_rate, seed))
+            }
         }
     }
 }
@@ -59,8 +120,8 @@ pub struct PartitionedRun {
     pub final_links: Vec<(Term, Term)>,
 }
 
-/// Run ALEX over `cfg.partitions` equal-size partitions, partition i judged
-/// by an oracle seeded `cfg.alex.seed + 1000 + i`.
+/// Run ALEX over `cfg.partitions` equal-size partitions, each judged by
+/// its [`Judges::Oracle`] source.
 ///
 /// `initial` and `truth` are `(left term, right term)` pairs (as produced by
 /// a linker and the ground truth respectively).
@@ -72,13 +133,7 @@ pub fn run_partitioned(
     cfg: &PartitionedConfig,
 ) -> PartitionedRun {
     let oracle =
-        |i: usize, _: &LinkSpace, truth: &HashSet<(u32, u32)>| -> Box<dyn FeedbackSource> {
-            Box::new(OracleFeedback::with_error_rate(
-                truth.clone(),
-                cfg.feedback_error_rate,
-                cfg.alex.seed.wrapping_add(1000 + i as u64),
-            ))
-        };
+        |i, _: &LinkSpace, truth: &HashSet<(u32, u32)>| Judges::Oracle.source(i, truth, cfg);
     match run_partitioned_with(left, right, initial, truth, cfg, oracle, None, None) {
         Ok((report, agents)) => PartitionedRun {
             report,
@@ -95,10 +150,11 @@ pub fn run_partitioned(
 /// [`LinkSpace::partitions`], partition i's space keeping the left entities
 /// with `id % n == i`, its agent starting from its slice of `initial` with
 /// seed `cfg.alex.seed + i`, and its feedback source made by
-/// `source(i, partition i's space, truth ids)`. Durability and supervision
-/// apply to the run as a whole. This is the one place a run is built: the
-/// CLI's improve, in either feedback mode, and [`run_partitioned`] come
-/// through here.
+/// `source(i, partition i's space, truth ids)` (with oracle feedback,
+/// [`Judges::source`]). Durability and supervision apply to the run as a
+/// whole and change neither seeds nor sources. This is the one place a run
+/// is built: the CLI's improve, in either feedback mode, and
+/// [`run_partitioned`] come through here.
 ///
 /// Returns the report, whose `total_duration` includes the space builds,
 /// and the partition agents.

@@ -36,16 +36,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alex::core::{
-    final_links, run_partitioned_with, workload_from_links, AdversarialPopulation, Agent,
-    AlexConfig, Durability, FeedbackBridge, FeedbackSource, OracleFeedback, PartitionedConfig,
-    Quality, QueryFeedback, RunReport, SpaceConfig, StopReason, TrustConfig, TrustGate,
+    final_links, run_partitioned_with, workload_from_links, Agent, AlexConfig, Durability,
+    FeedbackBridge, Judges, PartitionedConfig, Quality, QueryFeedback, RunReport, SourceId,
+    SpaceConfig, StopReason, TrustConfig, TrustGate,
 };
 use alex::fault::{Domain, FaultPlan};
 use alex::guard::{BreachPolicy, Budget, PanicPolicy, Supervisor};
 
-use alex::datagen::{
-    all_pairs, assign_roles, generate_pair, AdversaryProfile, DatasetKind, PairSpec,
-};
+use alex::datagen::{all_pairs, generate_pair, AdversaryProfile, DatasetKind, PairSpec};
 use alex::linking::{LabelBaseline, LinkerOutput, Paris, ParisConfig};
 use alex::rdf::{ntriples, turtle, Dataset, Term};
 use alex::sparql::{
@@ -96,8 +94,10 @@ USAGE:
               [--error-rate E] [--out FILE]
       Run ALEX: start from --links, learn from oracle feedback against
       --truth, print per-episode precision/recall/F, and write the
-      improved links. --partitions defaults to 4, or to 1 when any
-      durability, adversarial-robustness or supervision flag is given.
+      improved links. --partitions defaults to 4 with one oracle per
+      partition, or to 1 when --sources N>1 or --adversary-profile makes
+      a source population; the durability, budget, trust and telemetry
+      flags change neither that default nor any feedback seed.
 
   alex query --data FILE [--data FILE ...] [--links FILE]
              (--query-file FILE | QUERY)
@@ -159,7 +159,9 @@ ADVERSARIAL ROBUSTNESS (improve, oracle feedback):
   --quorum T                Trust-weighted net agreement required to
                             admit a judgment (default 1.0; fresh
                             sources carry weight 0.5, so two agreeing
-                            fresh sources admit). Requires --trust.
+                            fresh sources admit). Requires --trust;
+                            a quorum --sources fresh sources cannot
+                            reach is rejected.
   --sources N               Size of the feedback-source population
                             (default 1; one population per partition).
                             Sources rotate round-robin and carry stable
@@ -762,58 +764,10 @@ fn durable_opts(args: &Args) -> Result<Option<DurableOpts>, String> {
     }))
 }
 
-/// Adversarial-robustness options: the trust gate and the feedback-source
-/// population.
-#[derive(Debug, Default)]
-struct RobustnessOpts {
-    /// Trust-gate configuration when `--trust` was given.
-    trust: Option<TrustConfig>,
-    /// `--adversary-profile`: the spec as given and the seeded adversary
-    /// mix it parses to.
-    profile: Option<(String, AdversaryProfile)>,
-    /// Feedback-source population size (`--sources`, default 1; the
-    /// `Default` 0 means one plain oracle, as 1 does).
-    sources: usize,
-}
-
-impl RobustnessOpts {
-    /// Whether the run needs the multi-source population instead of the
-    /// plain oracle (attribution only matters past one source, and the
-    /// adversary machinery lives in the population).
-    fn needs_population(&self) -> bool {
-        self.sources > 1 || self.profile.is_some()
-    }
-
-    /// Build the run's feedback source: the adversarial population when one
-    /// is needed, the plain oracle otherwise.
-    fn make_source(
-        &self,
-        truth: &std::collections::HashSet<(u32, u32)>,
-        error_rate: f64,
-        seed: u64,
-    ) -> Box<dyn FeedbackSource> {
-        if self.needs_population() {
-            let roles = assign_roles(self.profile.as_ref().map(|(_, p)| p), self.sources, seed);
-            Box::new(AdversarialPopulation::new(
-                truth.clone(),
-                roles,
-                error_rate,
-                seed,
-            ))
-        } else {
-            Box::new(OracleFeedback::with_error_rate(
-                truth.clone(),
-                error_rate,
-                seed,
-            ))
-        }
-    }
-}
-
-/// Parse and validate the adversarial-robustness flags. `None` when none of
-/// `--trust`, `--quorum`, `--sources`, `--adversary-profile` was given; an
-/// error on inconsistent combinations.
-fn robustness_opts(args: &Args) -> Result<Option<RobustnessOpts>, String> {
+/// Parse the trust gate (`--trust`, `--quorum`) and the judges (`--sources`,
+/// `--adversary-profile`). A gate that can never admit is an error: trust
+/// moves only when a vote settles, so fresh voters must reach the quorum.
+fn robustness_opts(args: &Args) -> Result<(Option<TrustConfig>, Judges), String> {
     let quorum = args.parsed("quorum")?;
     let trust = match (args.has("trust"), quorum) {
         (false, Some(_)) => return Err("--quorum requires --trust".into()),
@@ -825,22 +779,22 @@ fn robustness_opts(args: &Args) -> Result<Option<RobustnessOpts>, String> {
             Some(cfg)
         }
     };
-    let profile = match args.value("adversary-profile") {
-        Some(spec) => Some((
-            spec.to_string(),
-            AdversaryProfile::parse(spec).map_err(|e| format!("--adversary-profile: {e}"))?,
-        )),
-        None => None,
-    };
-    let sources = args.count("sources")?;
-    if trust.is_none() && profile.is_none() && sources.is_none() {
-        return Ok(None);
+    let profile = args.value("adversary-profile").map(AdversaryProfile::parse);
+    let profile = profile
+        .transpose()
+        .map_err(|e| format!("--adversary-profile: {e}"))?;
+    let sources = args.count("sources")?.unwrap_or(1);
+    if let Some(cfg) = trust {
+        let most = sources as f64 * TrustGate::new(cfg).weight(SourceId::ANONYMOUS);
+        if most < cfg.quorum {
+            return Err(format!(
+                "--trust can never admit a judgment: {sources} fresh source(s) (--sources) \
+                 weigh {most}, below --quorum {}",
+                cfg.quorum
+            ));
+        }
     }
-    Ok(Some(RobustnessOpts {
-        trust,
-        profile,
-        sources: sources.unwrap_or(1),
-    }))
+    Ok((trust, Judges::new(sources, profile)))
 }
 
 fn pair_spec_by_name(name: &str) -> Result<PairSpec, String> {
@@ -988,7 +942,7 @@ fn cmd_link(args: &[String]) -> Result<(), String> {
 
 /// Validated `alex improve` options. `federation`, with the `--queries`
 /// workload size, is set exactly under query feedback; `durable` and
-/// `robust` are read only under oracle feedback.
+/// `judges` are read only under oracle feedback.
 struct ImproveOpts {
     left: String,
     right: String,
@@ -998,11 +952,8 @@ struct ImproveOpts {
     cfg: PartitionedConfig,
     federation: Option<(FederationOpts, usize)>,
     durable: Option<DurableOpts>,
-    robust: Option<RobustnessOpts>,
+    judges: Judges,
     guard: Option<GuardOpts>,
-    /// Partition 0's oracle seed: the agent's, plus 1000 on a plain run
-    /// (no durability, robustness or budget flag).
-    seed: u64,
     run: RunOpts,
 }
 
@@ -1018,7 +969,7 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
         return Err("improve requires exactly two data files".into());
     };
     let mode = args.value("feedback").unwrap_or("oracle");
-    let (federation, durable, robust) = match mode {
+    let (federation, durable, (trust, judges)) = match mode {
         "oracle" => {
             // Checked, but inert with oracle feedback, so a `--resume`
             // command line can keep them.
@@ -1028,7 +979,8 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
         }
         "query" => {
             let queries = args.parsed_or("queries", 50)?;
-            (Some((federation_opts(args)?, queries)), None, None)
+            let federation = Some((federation_opts(args)?, queries));
+            (federation, None, (None, Judges::Oracle))
         }
         other => {
             return Err(format!(
@@ -1039,9 +991,8 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
     let query = federation.is_some();
     let run = RunOpts::parse(args)?;
     let guard = guard_opts(args)?;
-    let plain = durable.is_none() && robust.is_none() && guard.is_none();
     let mut alex = AlexConfig {
-        trust: robust.as_ref().and_then(|r| r.trust),
+        trust,
         ..AlexConfig::default()
     };
     let episode_size = if query { 200 } else { 1000 };
@@ -1053,11 +1004,10 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
         true => (1, 0.0),
         false => (
             args.count("partitions")?
-                .unwrap_or(if plain { 4 } else { 1 }),
+                .unwrap_or(judges.default_partitions()),
             args.unit("error-rate", 0.0)?,
         ),
     };
-    let seed = alex.seed.wrapping_add(if plain { 1000 } else { 0 });
     let cfg = PartitionedConfig {
         partitions,
         alex,
@@ -1073,9 +1023,8 @@ fn improve_opts(args: &Args) -> Result<ImproveOpts, String> {
         cfg,
         federation,
         durable,
-        robust,
+        judges,
         guard,
-        seed,
         run,
     };
     args.finish(&format!("improve --feedback {mode}"))?;
@@ -1181,15 +1130,12 @@ fn durability<'a>(
 /// `improve`, in either feedback mode, over the partitions built and run
 /// by `run_partitioned_with`; the mode picks only each partition's
 /// feedback source and the suffix of the "initial links" line. Oracle
-/// feedback: partition i's oracle (or attributed population, under
-/// `--sources`/`--adversary-profile`) is seeded `opts.seed + i`;
-/// `--state-dir` journals every episode, so `--resume` yields exactly the
-/// links an uninterrupted run would; `--trust` passes link mutations
-/// through quorum admission with cascading rollback. Query feedback, the
-/// paper's deployment loop: one partition judged by federated query
-/// answers through the bridge; under `--fault-profile` the loop skips
-/// episodes whose every judgment was withheld. In both modes budget flags
-/// mark overrunning episodes degraded.
+/// feedback: `opts.judges` alone make and seed each partition's source;
+/// `--state-dir`, `--trust` and the budget flags only observe. Query
+/// feedback, the paper's deployment loop: one partition judged by
+/// federated query answers through the bridge; under `--fault-profile` the
+/// loop skips episodes whose every judgment was withheld. In both modes
+/// budget flags mark overrunning episodes degraded.
 fn improve(
     left: &Arc<Dataset>,
     right: &Arc<Dataset>,
@@ -1225,13 +1171,13 @@ fn improve(
         }
         None => {
             let mut setup = format!("partitions: {}", cfg.partitions);
-            if let Some(r) = &opts.robust {
-                setup += &format!(
-                    ", sources: {}, adversary: {}, trust: {}",
-                    r.sources,
-                    r.profile.as_ref().map_or("none", |(spec, _)| spec),
-                    if r.trust.is_some() { "on" } else { "off" },
-                );
+            if let Judges::Population { sources, profile } = opts.judges {
+                let spec = profile.map(|p| format!("{:?}:{}:{}", p.kind, p.fraction, p.param));
+                let spec = spec.map_or("none".into(), |s| s.to_lowercase());
+                setup += &format!(", sources: {sources}, adversary: {spec}");
+            }
+            if cfg.alex.trust.is_some() {
+                setup += ", trust: on";
             }
             if let Some(d) = &opts.durable {
                 setup += &format!(", durable: {}", d.state_dir);
@@ -1266,9 +1212,6 @@ fn improve(
             Some(durability(opts, &mut store, recovery))
         }
     };
-    // Without population flags the shell makes plain oracles.
-    let plain_oracles = RobustnessOpts::default();
-    let robust = opts.robust.as_ref().unwrap_or(&plain_oracles);
     let mut supervisor = opts
         .guard
         .as_ref()
@@ -1293,11 +1236,7 @@ fn improve(
                     truth.clone(),
                 ))
             }
-            None => robust.make_source(
-                truth,
-                cfg.feedback_error_rate,
-                opts.seed.wrapping_add(i as u64),
-            ),
+            None => opts.judges.source(i, truth, cfg),
         },
         durability,
         supervisor.as_mut(),
@@ -1608,25 +1547,28 @@ mod tests {
 
     #[test]
     fn robustness_flags_parse_and_validate() {
-        assert!(robustness_opts(&flags_of("--episodes 5"))
-            .unwrap()
-            .is_none());
-        let r = robustness_opts(&flags_of("--trust")).unwrap().unwrap();
-        assert!((r.trust.unwrap().quorum - 1.0).abs() < 1e-12);
-        assert_eq!(r.sources, 1);
-        assert!(!r.needs_population());
-        let r = robustness_opts(&flags_of("--trust --quorum 0.4 --sources 8"))
-            .unwrap()
-            .unwrap();
-        assert!((r.trust.unwrap().quorum - 0.4).abs() < 1e-12);
-        assert_eq!(r.sources, 8);
-        assert!(r.needs_population());
-        let r = robustness_opts(&flags_of("--adversary-profile poisoner:0.3"))
-            .unwrap()
-            .unwrap();
-        assert!(r.trust.is_none());
-        assert!(r.profile.is_some());
-        assert!(r.needs_population());
+        let none = robustness_opts(&flags_of("--episodes 5")).unwrap();
+        assert_eq!(none, (None, Judges::Oracle));
+        let (trust, judges) = robustness_opts(&flags_of("--trust --sources 2")).unwrap();
+        assert!((trust.unwrap().quorum - 1.0).abs() < 1e-12);
+        assert!(matches!(judges, Judges::Population { sources: 2, .. }));
+        let one = robustness_opts(&flags_of("--sources 1")).unwrap();
+        assert_eq!(one, (None, Judges::Oracle));
+        let (trust, judges) =
+            robustness_opts(&flags_of("--trust --quorum 0.4 --sources 8")).unwrap();
+        assert!((trust.unwrap().quorum - 0.4).abs() < 1e-12);
+        assert!(matches!(judges, Judges::Population { sources: 8, .. }));
+        let (trust, judges) =
+            robustness_opts(&flags_of("--adversary-profile poisoner:0.3")).unwrap();
+        assert!(trust.is_none());
+        let profile = AdversaryProfile::parse("poisoner:0.3").ok();
+        assert_eq!(
+            judges,
+            Judges::Population {
+                sources: 1,
+                profile
+            }
+        );
     }
 
     #[test]
@@ -1673,16 +1615,28 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(g.policy, BreachPolicy::Stop);
-        let r = robustness_opts(&flags_of("--trust --partitions 4"))
-            .unwrap()
-            .unwrap();
-        assert!(r.trust.is_some());
-        let opts = improve_of("--trust --state-dir s --episode-budget-ms 50 --partitions 4");
+        let (trust, _) = robustness_opts(&flags_of("--trust --sources 2 --partitions 4")).unwrap();
+        assert!(trust.is_some());
+        let opts =
+            improve_of("--trust --sources 2 --state-dir s --episode-budget-ms 50 --partitions 4");
         assert_eq!(opts.unwrap().cfg.partitions, 4);
-        // Any of them turns the default down to one partition.
-        assert_eq!(improve_of("").unwrap().cfg.partitions, 4);
-        assert_eq!(improve_of("--trust").unwrap().cfg.partitions, 1);
-        assert_eq!(improve_of("--feedback query").unwrap().cfg.partitions, 1);
+        // Only the feedback source sets the default: observers keep the
+        // oracle's 4, a population or query feedback runs one.
+        for line in [
+            "",
+            "--state-dir s",
+            "--episode-budget-ms 50",
+            "--trust --quorum 0.5",
+        ] {
+            assert_eq!(improve_of(line).unwrap().cfg.partitions, 4, "{line}");
+        }
+        for line in [
+            "--sources 2",
+            "--adversary-profile flipper:0.2",
+            "--feedback query",
+        ] {
+            assert_eq!(improve_of(line).unwrap().cfg.partitions, 1, "{line}");
+        }
     }
 
     #[test]
@@ -1693,6 +1647,15 @@ mod tests {
         assert!(err.contains("quorum"), "{err}");
         let err = robustness_opts(&flags_of("--trust --sources 0")).unwrap_err();
         assert!(err.contains("--sources"), "{err}");
+        // One fresh source weighs 0.5, below the default quorum of 1.0, and
+        // trust moves only when a vote settles: nothing could ever admit.
+        for line in ["--trust", "--trust --sources 2 --quorum 1.5"] {
+            let err = robustness_opts(&flags_of(line)).unwrap_err();
+            assert!(
+                err.contains("--sources") && err.contains("--quorum"),
+                "{err}"
+            );
+        }
         let err =
             robustness_opts(&flags_of("--trust --adversary-profile gremlin:0.3")).unwrap_err();
         assert!(err.contains("adversary"), "{err}");

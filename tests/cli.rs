@@ -927,6 +927,79 @@ fn identical_improve_runs_print_identical_stdout() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flags that only observe a run leave it alone: an oracle run from the
+/// `alex link` start writes the same links and prints the same stdout
+/// with a state dir, with a memory budget that never fires, with
+/// telemetry, and with a one-source population (which is the plain
+/// oracle). Only the feedback source picks the oracle seeds and the
+/// default partition count.
+#[test]
+fn observer_flags_leave_the_run_unchanged() {
+    let dir = nba_dir("observers");
+    let p = |f: &str| dir.join(f).to_string_lossy().to_string();
+    let out = alex()
+        .args([
+            "link",
+            &p("left.nt"),
+            &p("right.nt"),
+            "--out",
+            &p("links.nt"),
+        ])
+        .output()
+        .expect("spawn link");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let (state, events, metrics) = (p("state"), p("events.jsonl"), p("metrics.prom"));
+    let observers: [(&str, &[&str]); 5] = [
+        ("plain", &[]),
+        ("state-dir", &["--state-dir", &state]),
+        (
+            "budget",
+            &["--max-rss-mb", "100000", "--budget-policy", "continue"],
+        ),
+        (
+            "telemetry",
+            &["--telemetry", &events, "--metrics-dump", &metrics],
+        ),
+        ("one-source", &["--sources", "1"]),
+    ];
+    let runs: Vec<(&str, Vec<u8>, Vec<u8>)> = observers
+        .iter()
+        .map(|&(tag, extra)| {
+            let links = p(&format!("{tag}.nt"));
+            let out = alex()
+                .args(["improve", &p("left.nt"), &p("right.nt")])
+                .args(["--links", &p("links.nt"), "--truth", &p("truth.nt")])
+                .args(["--error-rate", "0.2", "--episodes", "5"])
+                .args(["--episode-size", "40", "--threads", "1", "--out", &links])
+                .args(extra)
+                .output()
+                .expect("spawn improve");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{tag}: {stderr}");
+            assert!(stderr.contains("(partitions: 4"), "{tag}: {stderr}");
+            (tag, std::fs::read(&links).expect("links"), out.stdout)
+        })
+        .collect();
+    let (_, links, stdout) = &runs[0];
+    assert!(!links.is_empty());
+    for (tag, other_links, other_stdout) in &runs[1..] {
+        assert!(
+            other_links == links,
+            "{tag}: links differ from the plain run"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(other_stdout),
+            String::from_utf8_lossy(stdout),
+            "{tag}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `alex report` keeps two endpoints that share a name apart: their
 /// batches land on two rows, labelled with the endpoint's slot.
 #[test]

@@ -10,6 +10,12 @@
 //! written; a dir of another format (4, 5) is rejected with an error
 //! naming both versions. Every format's runs end on the same links.
 //!
+//! The v6 `partitioned` dir was written under the old seed rule, when a
+//! `--state-dir` oracle run seeded partition i's oracle `seed + i`; a fresh
+//! run of its command line is now seeded `seed + 1000 + i` and ends
+//! elsewhere. Its pinned digest is what resuming the dir gives, because the
+//! oracle's RNG state travels in every snapshot and journal record.
+//!
 //! The telemetry files come from the uninterrupted gated run. `alex
 //! report` must turn its event log and metrics dump into the pinned JSON
 //! and accept its trace.
